@@ -4,12 +4,12 @@
 //! harness (`hyperear_util::bench`).
 
 use hyperear_dsp::chirp::Chirp;
-use hyperear_dsp::correlate::{MatchedFilter, StreamingMatchedFilter, StreamingMatchedFilter32};
+use hyperear_dsp::correlate::StreamingMatchedFilter;
 use hyperear_dsp::delay::mix_delayed_local;
 use hyperear_dsp::fft::{fft, rfft};
-use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir, ZeroPhaseFir32};
+use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir};
 use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
-use hyperear_dsp::plan::{DspScratch, Fft32Plan, FftPlan, PlanCache};
+use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
 use hyperear_util::alloc_counter::CountingAllocator;
@@ -52,51 +52,16 @@ fn bench_fft(suite: &mut Suite) {
                 black_box(buf[0])
             },
         );
-        // The split-plane single-precision transform of the f32 pipeline.
-        let src_re: Vec<f32> = deterministic_signal(size)
-            .iter()
-            .map(|&x| x as f32)
-            .collect();
-        let src_im = vec![0.0f32; size];
-        let plan32 = Fft32Plan::new(size).expect("plan");
-        let mut re = src_re.clone();
-        let mut im = src_im.clone();
-        suite.bench_allocfree_with_elements(
-            &format!("fft32_planned/{size}"),
-            size as u64,
-            move || {
-                re.copy_from_slice(&src_re);
-                im.copy_from_slice(&src_im);
-                plan32.fft(&mut re, &mut im).expect("power-of-two");
-                black_box(re[0])
-            },
-        );
     }
 }
 
 fn bench_matched_filter(suite: &mut Suite) {
     let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
-    // The detector's hot path: a warm filter with cached template
-    // spectrum, reused scratch and output buffer.
-    let mut filter = MatchedFilter::new(chirp.samples()).expect("filter");
     let mut scratch = DspScratch::new();
     let mut out = Vec::new();
-    // One second of audio is the natural unit the detector scans.
-    for &seconds in &[1usize, 4] {
-        let n = 44_100 * seconds;
-        let signal = deterministic_signal(n);
-        suite.bench_allocfree_with_elements(
-            &format!("matched_filter/correlate/{seconds}s"),
-            n as u64,
-            || {
-                filter
-                    .correlate_normalized_into(&signal, &mut scratch, &mut out)
-                    .expect("correlate");
-                black_box(out[0])
-            },
-        );
-    }
-    // The overlap-save engine: same correlation, block-sized FFTs.
+    // The overlap-save engine with a cached template spectrum, reused
+    // scratch and output buffer. One second of audio is the natural
+    // unit the detector scans.
     let streaming = StreamingMatchedFilter::new(chirp.samples()).expect("filter");
     for &seconds in &[1usize, 4] {
         let n = 44_100 * seconds;
@@ -112,21 +77,23 @@ fn bench_matched_filter(suite: &mut Suite) {
             },
         );
     }
-    // The opt-in f32 pipeline: split-plane overlap-save correlation.
-    let template32: Vec<f32> = chirp.samples().iter().map(|&x| x as f32).collect();
-    let streaming32 = StreamingMatchedFilter32::new(&template32).expect("filter");
-    let mut out32 = Vec::new();
+    // The detector's hot path: the 127-tap band-pass folded into the
+    // template, so this one pass replaces band-pass plus correlation.
+    let bp =
+        FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, 127, Window::Hamming).expect("band-pass");
+    let folded = StreamingMatchedFilter::with_zero_phase_prefilter(chirp.samples(), bp.taps())
+        .expect("filter");
     for &seconds in &[1usize, 4] {
         let n = 44_100 * seconds;
-        let signal: Vec<f32> = deterministic_signal(n).iter().map(|&x| x as f32).collect();
+        let signal = deterministic_signal(n);
         suite.bench_allocfree_with_elements(
-            &format!("matched_filter/streaming_f32/{seconds}s"),
+            &format!("matched_filter/folded/{seconds}s"),
             n as u64,
             || {
-                streaming32
-                    .correlate_normalized_into(&signal, &mut scratch, &mut out32)
+                folded
+                    .correlate_normalized_into(&signal, &mut scratch, &mut out)
                     .expect("correlate");
-                black_box(out32[0])
+                black_box(out[0])
             },
         );
     }
@@ -139,30 +106,15 @@ fn bench_band_pass(suite: &mut Suite) {
     suite.bench("band_pass_1s_zero_phase", || {
         black_box(bp.filter_zero_phase(&signal).expect("filter"))
     });
-    // The detector's actual front end: the same filter as overlap-save
-    // blocks, with reused scratch.
+    // The same filter as overlap-save blocks, with reused scratch.
     let engine = ZeroPhaseFir::new(&bp).expect("engine");
     let mut scratch = DspScratch::new();
     let mut out = Vec::new();
-    {
-        let signal = signal.clone();
-        suite.bench_allocfree_with_elements("band_pass_1s_zero_phase_fft", 44_100, move || {
-            engine
-                .filter_into(&signal, &mut scratch, &mut out)
-                .expect("filter");
-            black_box(out[0])
-        });
-    }
-    // Same band-pass through the f32 split-plane engine.
-    let engine32 = ZeroPhaseFir32::new(&bp).expect("engine");
-    let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-    let mut scratch = DspScratch::new();
-    let mut out32 = Vec::new();
-    suite.bench_allocfree_with_elements("band_pass_1s_zero_phase_fft_f32", 44_100, move || {
-        engine32
-            .filter_into(&signal32, &mut scratch, &mut out32)
+    suite.bench_allocfree_with_elements("band_pass_1s_zero_phase_fft", 44_100, move || {
+        engine
+            .filter_into(&signal, &mut scratch, &mut out)
             .expect("filter");
-        black_box(out32[0])
+        black_box(out[0])
     });
 }
 

@@ -49,17 +49,6 @@ fn bench_detection(suite: &mut Suite, rec: &Recording) {
             .expect("detect");
         black_box(arrivals.len())
     });
-    // The same warm detection through the opt-in f32 hot path.
-    let mut config = HyperEarConfig::galaxy_s4();
-    config.precision = hyperear::config::Precision::F32;
-    let mut detector32 = BeaconDetector::new(&config, rec.audio.sample_rate).expect("detector");
-    let mut arrivals32 = Vec::new();
-    suite.bench_allocfree_with_elements("beacon_detection_per_channel_warm_f32", n, || {
-        detector32
-            .detect_into(&rec.audio.left, &mut arrivals32)
-            .expect("detect");
-        black_box(arrivals32.len())
-    });
 }
 
 fn bench_inertial_analysis(suite: &mut Suite, rec: &Recording) {

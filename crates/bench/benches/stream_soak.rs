@@ -102,7 +102,9 @@ fn soak(threads: usize, recs: &[Recording], refs: &[SessionOutcome], phones: usi
         // Deliberately tighter than the offered load: hundreds of
         // phones queue through Busy admission rather than growing
         // memory, and a small ring forces real shedding under burst.
-        max_sessions: 8 * threads,
+        // The slot count does not scale with `threads`: admission is
+        // part of the schedule that must match at every pool width.
+        max_sessions: 8,
         ring_capacity: 4_096,
         max_samples: recs.iter().map(|r| r.audio.left.len()).max().unwrap(),
         max_imu_samples: recs.iter().map(|r| r.imu.accel.len()).max().unwrap(),

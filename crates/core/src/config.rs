@@ -88,49 +88,6 @@ impl FromJson for Aggregation {
     }
 }
 
-/// Numeric precision of the Acoustic Signal Preprocessing hot path.
-///
-/// `F64` is the conformance reference: every pinned value in the test
-/// suite is produced by this path, bit-for-bit. `F32` reroutes the
-/// band-pass FIR and matched filter through the split-plane
-/// single-precision engines in `hyperear_dsp` for roughly twice the
-/// throughput per core; peak positions stay within the one-sample TDoA
-/// floor (7.78 mm at 44.1 kHz) on clean sessions, but outputs are no
-/// longer bit-identical to the reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Precision {
-    /// Double precision throughout (the bit-exact reference, default).
-    #[default]
-    F64,
-    /// Single-precision filtering and correlation; estimator solves and
-    /// geometry remain f64.
-    F32,
-}
-
-impl ToJson for Precision {
-    fn to_json(&self) -> Json {
-        Json::String(
-            match self {
-                Precision::F64 => "f64",
-                Precision::F32 => "f32",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for Precision {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json.as_str() {
-            Some("f64") => Ok(Precision::F64),
-            Some("f32") => Ok(Precision::F32),
-            other => Err(JsonError::schema(format!(
-                "precision must be \"f64\" or \"f32\", got {other:?}"
-            ))),
-        }
-    }
-}
-
 /// Frequency-sweep pattern of a chirp beacon — the identity dimension
 /// (alongside the band) that lets K concurrent beacons share the air.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -710,10 +667,6 @@ pub struct HyperEarConfig {
     pub degradation: DegradationPolicy,
     /// TDoA estimator bank policy: initial estimator and escalation.
     pub estimator: EstimatorPolicy,
-    /// Numeric precision of the detection hot path (filtering and
-    /// correlation). [`Precision::F64`] is the bit-exact reference;
-    /// [`Precision::F32`] is the opt-in throughput mode.
-    pub precision: Precision,
 }
 
 impl HyperEarConfig {
@@ -777,7 +730,6 @@ impl HyperEarConfig {
             max_speaker_depth: 2.0,
             degradation: DegradationPolicy::default(),
             estimator: EstimatorPolicy::default(),
-            precision: Precision::default(),
         }
     }
 
@@ -920,7 +872,6 @@ impl ToJson for HyperEarConfig {
             ("max_speaker_depth", Json::Number(self.max_speaker_depth)),
             ("degradation", self.degradation.to_json()),
             ("estimator", self.estimator.to_json()),
-            ("precision", self.precision.to_json()),
         ])
     }
 }
@@ -946,7 +897,6 @@ impl FromJson for HyperEarConfig {
             max_speaker_depth: json.field("max_speaker_depth")?,
             degradation: json.field("degradation")?,
             estimator: json.field("estimator")?,
-            precision: json.field("precision")?,
         })
     }
 }
@@ -1303,12 +1253,17 @@ mod tests {
         c.estimator.phat_floor = 0.3;
         c.estimator.coherence_bands = 8;
         c.estimator.mcci_max_lag = 32;
-        c.precision = Precision::F32;
+        c.detection.band_pass = false;
         c.beacon.pattern = ChirpPattern::Down;
         let text = c.to_json_string();
         assert!(text.contains("0.1512"), "{text}");
         let back = HyperEarConfig::from_json_str(&text).unwrap();
         assert_eq!(back, c);
+        // Documents written while a `precision` key existed still parse:
+        // fields are read by name, so the retired key is ignored.
+        let legacy = text.replacen('{', "{\"precision\":\"f64\",", 1);
+        assert!(legacy.contains("\"precision\""), "{legacy}");
+        assert_eq!(HyperEarConfig::from_json_str(&legacy).unwrap(), c);
     }
 
     #[test]
@@ -1398,7 +1353,7 @@ mod tests {
     #[test]
     fn multi_beacon_json_round_trip_and_validation() {
         let mut multi = MultiBeaconConfig::distinct_bands(HyperEarConfig::galaxy_note3(), 3);
-        multi.session.precision = Precision::F32;
+        multi.session.detection.band_pass_taps = 63;
         multi.signatures[1].pattern = ChirpPattern::UpDown;
         let text = multi.to_json_string();
         let back = MultiBeaconConfig::from_json_str(&text).unwrap();

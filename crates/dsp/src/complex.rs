@@ -7,18 +7,13 @@
 //! # Lane kernels
 //!
 //! The free functions at the bottom of this module ([`conj_mul_in_place`],
-//! [`scale_in_place`], [`conj_mul_planes`], [`mul_assign_real`], [`axpy`],
-//! [`dot_seq`]) are the single home for the elementwise multiply /
-//! multiply-accumulate loops that used to be written ad hoc in
-//! `correlate`, `estimator`, and `spectrum`. They are written over
-//! `chunks_exact` blocks so the autovectorizer emits 2/4/8-wide SIMD on
-//! stable Rust, and — because every kernel is elementwise with no
-//! cross-lane reduction reassociation — each one is **bit-identical** to
-//! its scalar loop. With the default-off `simd` cargo feature on x86_64,
-//! the two hottest kernels additionally dispatch at runtime to AVX
-//! `core::arch` intrinsics that perform the exact same IEEE operations
-//! per element (multiplies and adds only, never fused), so the feature
-//! gate changes throughput, never results.
+//! [`scale_in_place`], [`mul_assign_real`], [`axpy`], [`dot_seq`]) are the
+//! single home for the elementwise multiply / multiply-accumulate loops
+//! that used to be written ad hoc in `correlate`, `estimator`, and
+//! `spectrum`. They are written over `chunks_exact` blocks so the
+//! autovectorizer emits 2/4/8-wide SIMD on stable Rust, and — because
+//! every kernel is elementwise with no cross-lane reduction
+//! reassociation — each one is **bit-identical** to its scalar loop.
 
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -206,12 +201,12 @@ impl Neg for Complex {
 pub const LANES: usize = 4;
 
 /// Multiplies `acc[i] *= by[i].conj()` elementwise — the spectral
-/// correlation kernel shared by `xcorr_into`, `MatchedFilter`,
-/// `OverlapSave` and the zero-phase FIR engine (which passes reversed
-/// taps so that correlation doubles as convolution).
+/// correlation kernel shared by `xcorr_into` and the overlap-save engine
+/// behind every matched filter and the zero-phase FIR (which passes
+/// reversed taps so that correlation doubles as convolution).
 ///
-/// Elementwise with no cross-lane reduction, so the chunked layout and
-/// the `simd`-feature AVX path are bit-identical to the scalar loop.
+/// Elementwise with no cross-lane reduction, so the chunked layout is
+/// bit-identical to the scalar loop.
 ///
 /// # Panics
 ///
@@ -219,20 +214,6 @@ pub const LANES: usize = 4;
 /// call sites pass same-length spectra).
 pub fn conj_mul_in_place(acc: &mut [Complex], by: &[Complex]) {
     assert_eq!(acc.len(), by.len(), "conj_mul_in_place length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if x86::avx_available() {
-        // SAFETY: AVX support was just verified at runtime.
-        #[allow(unsafe_code)]
-        unsafe {
-            x86::conj_mul_in_place_avx(acc, by)
-        };
-        return;
-    }
-    conj_mul_scalar(acc, by);
-}
-
-#[inline]
-fn conj_mul_scalar(acc: &mut [Complex], by: &[Complex]) {
     let mut a = acc.chunks_exact_mut(LANES);
     let mut b = by.chunks_exact(LANES);
     for (av, bv) in (&mut a).zip(&mut b) {
@@ -258,48 +239,6 @@ pub fn scale_in_place(data: &mut [Complex], k: f64) {
     }
     for v in it.into_remainder() {
         *v = v.scale(k);
-    }
-}
-
-/// `acc[i] *= by[i].conj()` over split re/im planes — the f32 spectral
-/// correlation kernel of the reduced-precision pipeline. Split planes
-/// keep every operand contiguous, so the scalar body autovectorizes to
-/// full-width 8-lane f32 SIMD without any shuffles; the `simd` feature
-/// swaps in the equivalent AVX intrinsics. Both are bit-identical to
-/// the scalar loop (elementwise multiplies and adds only).
-///
-/// # Panics
-///
-/// Panics if the four planes differ in length.
-pub fn conj_mul_planes(ar: &mut [f32], ai: &mut [f32], br: &[f32], bi: &[f32]) {
-    let n = ar.len();
-    assert!(
-        ai.len() == n && br.len() == n && bi.len() == n,
-        "conj_mul_planes length mismatch"
-    );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if x86::avx_available() {
-        // SAFETY: AVX support was just verified at runtime.
-        #[allow(unsafe_code)]
-        unsafe {
-            x86::conj_mul_planes_avx(ar, ai, br, bi)
-        };
-        return;
-    }
-    for k in 0..n {
-        let (xr, xi) = (ar[k], ai[k]);
-        ar[k] = xr * br[k] + xi * bi[k];
-        ai[k] = xi * br[k] - xr * bi[k];
-    }
-}
-
-/// Scales both planes by `k` — the f32 inverse-FFT normalization kernel.
-pub fn scale_planes(re: &mut [f32], im: &mut [f32], k: f32) {
-    for v in re.iter_mut() {
-        *v *= k;
-    }
-    for v in im.iter_mut() {
-        *v *= k;
     }
 }
 
@@ -345,93 +284,6 @@ pub fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
         acc += x * y;
     }
     acc
-}
-
-/// AVX implementations of the two hottest kernels, compiled only under
-/// the default-off `simd` cargo feature on x86_64 and selected at
-/// runtime via `is_x86_feature_detected!`. Each performs exactly the
-/// scalar loop's IEEE multiplies and adds per element (no FMA), so
-/// results are bit-identical with the feature on or off.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod x86 {
-    use super::Complex;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// Whether the running CPU supports AVX (cached by std's detection
-    /// machinery).
-    #[inline]
-    pub fn avx_available() -> bool {
-        std::is_x86_feature_detected!("avx")
-    }
-
-    /// `acc[i] *= by[i].conj()` over interleaved f64 complexes, two per
-    /// 256-bit vector.
-    ///
-    /// Per element the math is `re = ar·br + ai·bi`, `im = ai·br − ar·bi`
-    /// — computed as `t1 ∓ (−t2)` via `addsub`, which is IEEE-identical
-    /// to the scalar add/sub.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX is available.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn conj_mul_in_place_avx(acc: &mut [Complex], by: &[Complex]) {
-        debug_assert_eq!(acc.len(), by.len());
-        let n = acc.len();
-        let pairs = n / 2;
-        let a_ptr = acc.as_mut_ptr().cast::<f64>();
-        let b_ptr = by.as_ptr().cast::<f64>();
-        let sign = _mm256_set1_pd(-0.0);
-        for p in 0..pairs {
-            let a = _mm256_loadu_pd(a_ptr.add(2 * p * 2));
-            let b = _mm256_loadu_pd(b_ptr.add(2 * p * 2));
-            // [br, br, br', br'] and [bi, bi, bi', bi'].
-            let b_re = _mm256_movedup_pd(b);
-            let b_im = _mm256_permute_pd(b, 0b1111);
-            // t1 = [ar·br, ai·br, …], t2 = [ai·bi, ar·bi, …].
-            let t1 = _mm256_mul_pd(a, b_re);
-            let a_sw = _mm256_permute_pd(a, 0b0101);
-            let t2 = _mm256_mul_pd(a_sw, b_im);
-            // even: t1 + t2 (re), odd: t1 − t2 (im) via addsub(t1, −t2).
-            let out = _mm256_addsub_pd(t1, _mm256_xor_pd(t2, sign));
-            _mm256_storeu_pd(a_ptr.add(2 * p * 2), out);
-        }
-        for k in 2 * pairs..n {
-            let (x, y) = (acc[k], by[k]);
-            acc[k] = Complex::new(x.re * y.re + x.im * y.im, x.im * y.re - x.re * y.im);
-        }
-    }
-
-    /// `acc[i] *= by[i].conj()` over split f32 planes, eight lanes per
-    /// 256-bit vector; plain `mul`/`add`/`sub` only, so bit-identical to
-    /// the scalar plane loop.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX is available.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn conj_mul_planes_avx(ar: &mut [f32], ai: &mut [f32], br: &[f32], bi: &[f32]) {
-        let n = ar.len();
-        let blocks = n / 8;
-        for v in 0..blocks {
-            let o = v * 8;
-            let xr = _mm256_loadu_ps(ar.as_ptr().add(o));
-            let xi = _mm256_loadu_ps(ai.as_ptr().add(o));
-            let yr = _mm256_loadu_ps(br.as_ptr().add(o));
-            let yi = _mm256_loadu_ps(bi.as_ptr().add(o));
-            let re = _mm256_add_ps(_mm256_mul_ps(xr, yr), _mm256_mul_ps(xi, yi));
-            let im = _mm256_sub_ps(_mm256_mul_ps(xi, yr), _mm256_mul_ps(xr, yi));
-            _mm256_storeu_ps(ar.as_mut_ptr().add(o), re);
-            _mm256_storeu_ps(ai.as_mut_ptr().add(o), im);
-        }
-        for k in 8 * blocks..n {
-            let (xr, xi) = (ar[k], ai[k]);
-            ar[k] = xr * br[k] + xi * bi[k];
-            ai[k] = xi * br[k] - xr * bi[k];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -496,7 +348,7 @@ mod tests {
 
     #[test]
     fn conj_mul_in_place_is_bit_identical_to_scalar() {
-        // Odd length exercises the chunk remainder (and the AVX tail).
+        // Odd length exercises the chunk remainder.
         for n in [0usize, 1, 3, 4, 7, 8, 64, 129] {
             let a = seq(n, 0.3);
             let b = seq(n, 0.7);
@@ -517,30 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn conj_mul_planes_matches_interleaved_kernel() {
-        for n in [0usize, 1, 5, 8, 9, 64, 130] {
-            let a = seq(n, 0.3);
-            let b = seq(n, 0.7);
-            let (mut ar, mut ai): (Vec<f32>, Vec<f32>) =
-                a.iter().map(|z| (z.re as f32, z.im as f32)).unzip();
-            let (br, bi): (Vec<f32>, Vec<f32>) =
-                b.iter().map(|z| (z.re as f32, z.im as f32)).unzip();
-            // Scalar reference computed element by element in f32.
-            let reference: Vec<(f32, f32)> = (0..n)
-                .map(|k| {
-                    let (xr, xi) = (a[k].re as f32, a[k].im as f32);
-                    let (yr, yi) = (b[k].re as f32, b[k].im as f32);
-                    (xr * yr + xi * yi, xi * yr - xr * yi)
-                })
-                .collect();
-            conj_mul_planes(&mut ar, &mut ai, &br, &bi);
-            for k in 0..n {
-                assert_eq!((ar[k], ai[k]), reference[k], "n = {n}, k = {k}");
-            }
-        }
-    }
-
-    #[test]
     fn real_kernels_match_scalar_loops() {
         let a: Vec<f64> = (0..97).map(|i| (i as f64 * 0.11).sin()).collect();
         let b: Vec<f64> = (0..97).map(|i| (i as f64 * 0.23).cos()).collect();
@@ -555,6 +383,5 @@ mod tests {
             dot += a[i] * b[i];
         }
         assert_eq!(dot_seq(&a, &b), dot);
-        scale_planes(&mut [1.0f32, 2.0], &mut [3.0f32], 0.5);
     }
 }

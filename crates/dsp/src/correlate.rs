@@ -6,11 +6,9 @@
 //! signal" (Section IV-A). Correlation is computed in the frequency domain
 //! so a full one-second stereo recording is cheap to scan.
 
-use crate::complex::{conj_mul_in_place, conj_mul_planes};
+use crate::complex::conj_mul_in_place;
 use crate::fft::try_next_pow2;
-use crate::plan::{
-    shared_real_plan, shared_real_plan32, DspScratch, PlanCache, RealFft32Plan, RealFftPlan,
-};
+use crate::plan::{shared_real_plan, DspScratch, PlanCache, RealFftPlan};
 use crate::{Complex, DspError};
 use std::sync::Arc;
 
@@ -46,8 +44,9 @@ fn validate_xcorr_inputs(signal: &[f64], template: &[f64]) -> Result<(), DspErro
 /// position `k` in the signal, making the output directly indexable by
 /// arrival sample.
 ///
-/// This is the one-shot convenience; repeated correlation should go
-/// through [`xcorr_into`] (reusable plans/scratch) or a [`MatchedFilter`]
+/// This is the one-shot convenience and the test oracle for every
+/// blocked engine below; repeated correlation should go through
+/// [`xcorr_into`] (reusable plans/scratch) or a [`StreamingMatchedFilter`]
 /// (which additionally caches the template spectrum).
 ///
 /// # Errors
@@ -129,229 +128,75 @@ pub fn normalized_xcorr(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, Ds
     Ok(out)
 }
 
-/// A reusable matched filter with per-size cached template spectra.
+/// Overlap-save block cross-correlation of one signal against K ≥ 1
+/// fixed templates that share one forward transform per block.
 ///
-/// When the same reference chirp is correlated against many recordings
-/// (every slide, every microphone, every session), the template's FFT is
-/// the same work each time. The filter owns a [`PlanCache`] and memoizes
-/// the template spectrum per padded FFT length, so over a filter's
-/// lifetime **at most one template FFT runs per padded length** — the
-/// [`MatchedFilter::template_fft_count`] counter makes that observable.
-/// The `*_into` methods are the planned hot path (allocation-free once
-/// warm); `correlate`/`correlate_normalized` remain as one-shot wrappers.
-#[derive(Debug, Clone)]
-pub struct MatchedFilter {
-    template: Vec<f64>,
-    template_energy: f64,
-    plans: PlanCache,
-    /// Cached template half-spectra, keyed by padded FFT length.
-    spectra: Vec<(usize, Vec<Complex>)>,
-    template_ffts: usize,
-}
-
-impl MatchedFilter {
-    /// Creates a matched filter for `template`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] for an empty template and
-    /// [`DspError::InvalidParameter`] for an all-zero template.
-    pub fn new(template: &[f64]) -> Result<Self, DspError> {
-        if template.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "matched filter template",
-            });
-        }
-        let energy: f64 = template.iter().map(|x| x * x).sum();
-        if energy == 0.0 {
-            return Err(DspError::invalid("template", "template has zero energy"));
-        }
-        Ok(MatchedFilter {
-            template: template.to_vec(),
-            template_energy: energy,
-            plans: PlanCache::new(),
-            spectra: Vec::new(),
-            template_ffts: 0,
-        })
-    }
-
-    /// The template length in samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.template.len()
-    }
-
-    /// Whether the template is empty (never true for a constructed filter).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.template.is_empty()
-    }
-
-    /// The template energy `Σ x²`.
-    #[must_use]
-    pub fn template_energy(&self) -> f64 {
-        self.template_energy
-    }
-
-    /// How many template FFTs have run over this filter's lifetime.
-    ///
-    /// Stays at the number of distinct padded lengths seen — the
-    /// "at most one template FFT per (template, padded length) pair"
-    /// guarantee of the spectrum cache.
-    #[must_use]
-    pub fn template_fft_count(&self) -> usize {
-        self.template_ffts
-    }
-
-    /// The cached template half-spectrum for padded length `n`, computing
-    /// and memoizing it on first use.
-    fn template_spectrum(&mut self, n: usize) -> Result<usize, DspError> {
-        if let Some(i) = self.spectra.iter().position(|(len, _)| *len == n) {
-            return Ok(i);
-        }
-        let plan = self.plans.real_plan(n)?;
-        let mut spec = Vec::with_capacity(plan.num_bins());
-        plan.rfft_half_into(&self.template, &mut spec)?;
-        self.template_ffts += 1;
-        self.spectra.push((n, spec));
-        Ok(self.spectra.len() - 1)
-    }
-
-    /// Planned raw correlation: identical output to
-    /// [`MatchedFilter::correlate`], with the template spectrum served
-    /// from the per-length cache, FFT setup from the internal plan cache,
-    /// and working storage borrowed from `scratch`/`out`. Steady-state
-    /// calls at warm sizes do not allocate.
-    ///
-    /// `out` is cleared and refilled (its capacity is reused).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`xcorr`].
-    pub fn correlate_into(
-        &mut self,
-        signal: &[f64],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        validate_xcorr_inputs(signal, &self.template)?;
-        let n = try_next_pow2(signal.len().saturating_add(self.template.len()))?;
-        let plan = self.plans.real_plan(n)?;
-        let idx = self.template_spectrum(n)?;
-        let tpl_spec = &self.spectra[idx].1;
-        plan.rfft_half_into(signal, &mut scratch.c1)?;
-        conj_mul_in_place(&mut scratch.c1, tpl_spec);
-        let DspScratch { c1, r1, .. } = scratch;
-        plan.irfft_half_into(c1, r1)?;
-        out.clear();
-        out.extend_from_slice(&r1[..signal.len()]);
-        Ok(())
-    }
-
-    /// Planned normalized correlation: identical output to
-    /// [`MatchedFilter::correlate_normalized`], on the allocation-free
-    /// path of [`MatchedFilter::correlate_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`xcorr`].
-    pub fn correlate_normalized_into(
-        &mut self,
-        signal: &[f64],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.correlate_into(signal, scratch, out)?;
-        let k = 1.0 / self.template_energy;
-        for v in out.iter_mut() {
-            *v *= k;
-        }
-        Ok(())
-    }
-
-    /// Raw correlation of the filter template against `signal`.
-    ///
-    /// See [`xcorr`] for the output convention.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`xcorr`].
-    pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, DspError> {
-        xcorr(signal, &self.template)
-    }
-
-    /// Normalized correlation (template-energy normalized only).
-    ///
-    /// Output of 1.0 means the signal window equals the template exactly;
-    /// unlike [`normalized_xcorr`] the signal window energy is not divided
-    /// out, so absolute amplitude still matters. This matches the
-    /// matched-filter SNR detection used for beacon finding: we want loud,
-    /// template-shaped events.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`xcorr`].
-    pub fn correlate_normalized(&self, signal: &[f64]) -> Result<Vec<f64>, DspError> {
-        let mut out = self.correlate(signal)?;
-        let k = 1.0 / self.template_energy;
-        for v in &mut out {
-            *v *= k;
-        }
-        Ok(out)
-    }
-}
-
-/// Overlap-save block cross-correlation against a fixed template.
+/// Each block gathers `block_len` samples of the (implicitly zero-padded,
+/// `lead`-shifted) signal and forward-transforms them once. Every
+/// template then multiplies that half-spectrum by its own conjugated
+/// half-spectrum and inverse-transforms, keeping the first
+/// `block_len - template_len + 1` outputs — the lags free of circular
+/// wraparound. Blocks advance by that step, overlapping by
+/// `template_len - 1` samples. Templates shorter than the longest are
+/// implicitly zero-padded to it, which changes no correlation value.
 ///
-/// Correlates an arbitrarily long signal one FFT block at a time: each
-/// block gathers `block_len` samples of the (implicitly zero-padded,
-/// optionally `lead`-shifted) signal, multiplies its half-spectrum by the
-/// conjugated template half-spectrum, and keeps the first
-/// `block_len - template_len + 1` inverse-transform outputs — the lags
-/// free of circular wraparound. Blocks advance by that step, overlapping
-/// by `template_len - 1` samples.
-///
-/// This is the shared engine behind [`StreamingMatchedFilter`] (with
-/// `lead = 0`) and the FFT zero-phase FIR path (with `lead` compensating
-/// the filter group delay). Peak FFT size is `block_len`, independent of
-/// how long the signal is.
+/// This is the one engine behind [`StreamingMatchedFilter`] (K = 1),
+/// [`StreamingMatchedFilterBank`] (any K, one shared forward FFT) and
+/// the FFT zero-phase FIR (K = 1, `lead` compensating the group delay).
+/// Peak FFT size is `block_len`, independent of how long the signal is.
 #[derive(Debug, Clone)]
 pub(crate) struct OverlapSave {
     /// Shared, read-only FFT tables for the block size: every engine at
     /// one block length in the process points at the same plan.
     plan: Arc<RealFftPlan>,
-    /// Template half-spectrum at `block_len` (not conjugated).
-    template_spec: Vec<Complex>,
+    /// One half-spectrum per template at `block_len` (not conjugated),
+    /// behind an `Arc` so clones share instead of re-transforming.
+    specs: Vec<Arc<Vec<Complex>>>,
+    /// The shared (longest) template length; sets the block step.
     template_len: usize,
+    /// Zeros implicitly preceding the signal: output lag `k` reads the
+    /// signal from `k - lead`.
+    lead: usize,
 }
 
 impl OverlapSave {
-    /// Builds the engine for `template` with FFT blocks of `block_len`.
+    /// Builds the engine for `templates` with FFT blocks of `block_len`.
     ///
-    /// `block_len` must be a power of two and at least `template.len()`
-    /// (otherwise no lag is free of circular wraparound).
-    pub(crate) fn new(template: &[f64], block_len: usize) -> Result<Self, DspError> {
-        if template.is_empty() {
+    /// `block_len` must be a power of two and at least the longest
+    /// template (otherwise no lag is free of circular wraparound).
+    pub(crate) fn new(
+        templates: &[&[f64]],
+        block_len: usize,
+        lead: usize,
+    ) -> Result<Self, DspError> {
+        if templates.is_empty() || templates.iter().any(|t| t.is_empty()) {
             return Err(DspError::EmptyInput {
                 what: "overlap-save template",
             });
         }
-        if block_len < template.len() {
+        let template_len = templates.iter().map(|t| t.len()).max().unwrap_or(0);
+        if block_len < template_len {
             return Err(DspError::invalid(
                 "block_len",
-                format!(
-                    "block ({block_len}) shorter than template ({})",
-                    template.len()
-                ),
+                format!("block ({block_len}) shorter than template ({template_len})"),
             ));
         }
         let plan = shared_real_plan(block_len)?;
-        let mut template_spec = Vec::with_capacity(plan.num_bins());
-        plan.rfft_half_into(template, &mut template_spec)?;
+        let specs = templates
+            .iter()
+            .map(|template| {
+                // `rfft_half_into` zero-pads to the plan length, so a short
+                // template's spectrum equals its padded twin's exactly.
+                let mut spec = Vec::with_capacity(plan.num_bins());
+                plan.rfft_half_into(template, &mut spec)?;
+                Ok(Arc::new(spec))
+            })
+            .collect::<Result<_, DspError>>()?;
         Ok(OverlapSave {
             plan,
-            template_spec,
-            template_len: template.len(),
+            specs,
+            template_len,
+            lead,
         })
     }
 
@@ -364,47 +209,184 @@ impl OverlapSave {
         self.block_len() - self.template_len + 1
     }
 
-    /// Writes `out[k] = Σ_n signal[n + k - lead] · template[n]` for
-    /// `k` in `0..out_len`, treating the signal as zero outside its
-    /// bounds. `lead = 0` reproduces the [`xcorr`] convention.
+    fn check_outs(&self, outs: &[Vec<f64>]) -> Result<(), DspError> {
+        if outs.len() != self.specs.len() {
+            return Err(DspError::invalid(
+                "lanes",
+                format!(
+                    "bank holds {} templates but {} output lanes were provided",
+                    self.specs.len(),
+                    outs.len()
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Fans the input half-spectrum in `scratch.c1` out across every
+    /// template: conjugate-multiply, inverse-transform, append the first
+    /// `take` lags to that template's output. The inverse transform
+    /// consumes its input, so every template but the last works on a
+    /// copy in `scratch.c2`; the last multiplies `c1` in place, and a
+    /// single template copies nothing. Copying is exact, so each output
+    /// is bit-identical to a one-template engine's.
+    fn fan_out(
+        &self,
+        scratch: &mut DspScratch,
+        take: usize,
+        outs: &mut [Vec<f64>],
+    ) -> Result<(), DspError> {
+        let last = self.specs.len() - 1;
+        for (k, (spec, out)) in self.specs.iter().zip(outs.iter_mut()).enumerate() {
+            let DspScratch { c1, c2, r1 } = &mut *scratch;
+            let spectrum = if k == last {
+                c1
+            } else {
+                c2.clear();
+                c2.extend_from_slice(c1);
+                c2
+            };
+            conj_mul_in_place(spectrum, spec);
+            self.plan.irfft_half_into(spectrum, r1)?;
+            out.extend_from_slice(&r1[..take]);
+        }
+        Ok(())
+    }
+
+    /// Writes `outs[t][k] = Σ_n signal[n + k - lead] · template_t[n]`
+    /// for `k` in `0..signal.len()`, treating the signal as zero outside
+    /// its bounds. Each output is cleared first. `lead = 0` reproduces
+    /// the [`xcorr`] convention.
     pub(crate) fn run(
         &self,
         signal: &[f64],
-        lead: usize,
-        out_len: usize,
         scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
+        outs: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        out.clear();
-        out.reserve(out_len);
+        self.check_outs(outs)?;
+        let out_len = signal.len();
+        for out in outs.iter_mut() {
+            out.clear();
+            out.reserve(out_len);
+        }
         let block = self.block_len();
         let step = self.step();
         let mut pos = 0;
         while pos < out_len {
             scratch.r1.clear();
             scratch.r1.extend((pos..pos + block).map(|j| {
-                j.checked_sub(lead)
+                j.checked_sub(self.lead)
                     .and_then(|i| signal.get(i))
                     .copied()
                     .unwrap_or(0.0)
             }));
             self.plan.rfft_half_into(&scratch.r1, &mut scratch.c1)?;
-            conj_mul_in_place(&mut scratch.c1, &self.template_spec);
-            let DspScratch { c1, r1, .. } = scratch;
-            self.plan.irfft_half_into(c1, r1)?;
-            let take = step.min(out_len - pos);
-            out.extend_from_slice(&r1[..take]);
+            self.fan_out(scratch, step.min(out_len - pos), outs)?;
             pos += step;
         }
         Ok(())
     }
+
+    fn chunk_feed(&self) -> ChunkFeed {
+        ChunkFeed::new(self.lead, self.block_len(), self.template_len)
+    }
+
+    fn check_feed(&self, feed: &ChunkFeed) -> Result<(), DspError> {
+        if feed.block_len != self.block_len()
+            || feed.template_len != self.template_len
+            || feed.lead != self.lead
+        {
+            return Err(DspError::invalid(
+                "feed",
+                "chunk feed was created for a different engine",
+            ));
+        }
+        if feed.finished {
+            return Err(DspError::invalid(
+                "feed",
+                "chunk feed already finished; call reset() before reuse",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Forward-transforms the (full) block in `feed.buf` into
+    /// `scratch.c1` and slides the buffer forward by one step, so only
+    /// the `template_len - 1` overlap tail remains.
+    fn feed_transform(
+        &self,
+        feed: &mut ChunkFeed,
+        scratch: &mut DspScratch,
+    ) -> Result<(), DspError> {
+        debug_assert_eq!(feed.buf.len(), self.block_len());
+        self.plan.rfft_half_into(&feed.buf, &mut scratch.c1)?;
+        let step = self.step();
+        feed.buf.copy_within(step.., 0);
+        feed.buf.truncate(self.block_len() - step);
+        Ok(())
+    }
+
+    /// Appends `chunk` to the feed, emitting (appending to every output)
+    /// the lags of every FFT block that fills. Emission never runs ahead
+    /// of ingestion: `emitted <= pushed` holds throughout because
+    /// `lead <= template_len - 1`.
+    fn feed_push(
+        &self,
+        feed: &mut ChunkFeed,
+        chunk: &[f64],
+        scratch: &mut DspScratch,
+        outs: &mut [Vec<f64>],
+    ) -> Result<(), DspError> {
+        self.check_outs(outs)?;
+        self.check_feed(feed)?;
+        let block = self.block_len();
+        let step = self.step();
+        let mut rest = chunk;
+        while !rest.is_empty() {
+            let take = (block - feed.buf.len()).min(rest.len());
+            feed.buf.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            if feed.buf.len() == block {
+                self.feed_transform(feed, scratch)?;
+                self.fan_out(scratch, step, outs)?;
+                feed.emitted += step;
+            }
+        }
+        feed.pushed += chunk.len();
+        debug_assert!(feed.emitted <= feed.pushed);
+        Ok(())
+    }
+
+    /// Flushes the feed: zero-pads the final blocks and emits every
+    /// remaining lag up to the `pushed` total, exactly reproducing
+    /// [`OverlapSave::run`]'s output for the concatenated input. Marks
+    /// the feed finished.
+    fn feed_finish(
+        &self,
+        feed: &mut ChunkFeed,
+        scratch: &mut DspScratch,
+        outs: &mut [Vec<f64>],
+    ) -> Result<(), DspError> {
+        self.check_outs(outs)?;
+        self.check_feed(feed)?;
+        let total = feed.pushed;
+        while feed.emitted < total {
+            feed.buf.resize(self.block_len(), 0.0);
+            self.feed_transform(feed, scratch)?;
+            let take = self.step().min(total - feed.emitted);
+            self.fan_out(scratch, take, outs)?;
+            feed.emitted += take;
+        }
+        feed.finished = true;
+        Ok(())
+    }
 }
 
-/// Incremental ingestion state for one overlap-save engine: the partial
-/// FFT block under assembly plus push/emit progress counters.
+/// Incremental ingestion state for one matched filter or bank: the
+/// partial FFT block under assembly plus push/emit progress counters.
 ///
 /// A feed turns a blocked engine ([`StreamingMatchedFilter`],
-/// [`crate::filter::ZeroPhaseFir`]) into an online one: samples arrive in
+/// [`StreamingMatchedFilterBank`]) into an online one: samples arrive in
 /// chunks of any size (single samples to whole captures) and completed
 /// output lags are emitted as soon as their FFT block fills. The engine
 /// itself stays `&self` and immutable — all mutable state lives here, so
@@ -413,37 +395,30 @@ impl OverlapSave {
 /// Because a block is transformed exactly when it reaches `block_len`
 /// samples, the block contents — and therefore every emitted value — are
 /// **bit-identical** regardless of how the input was chunked, and
-/// bit-identical to the corresponding one-shot call
-/// ([`StreamingMatchedFilter::correlate_into`] /
-/// [`crate::filter::ZeroPhaseFir::filter_into`]) on the concatenated
-/// input.
+/// bit-identical to the corresponding one-shot `correlate_into` call on
+/// the concatenated input.
 ///
 /// The working set is one `block_len` buffer, independent of how many
 /// samples have been pushed.
-///
-/// The sample type parameter defaults to `f64` (the conformance path);
-/// the reduced-precision engines ([`StreamingMatchedFilter32`],
-/// `ZeroPhaseFir32`) hand out `ChunkFeed<f32>` feeds with identical
-/// semantics.
 #[derive(Debug, Clone)]
-pub struct ChunkFeed<T = f64> {
+pub struct ChunkFeed {
     /// The sliding window of the implicitly padded input stream
     /// (`lead` zeros, then every pushed sample, then flush-time zeros):
     /// always equal to `padded[blocks_done * step ..]`, capacity
     /// `block_len`.
-    pub(crate) buf: Vec<T>,
-    pub(crate) lead: usize,
-    pub(crate) block_len: usize,
-    pub(crate) template_len: usize,
-    pub(crate) pushed: usize,
-    pub(crate) emitted: usize,
-    pub(crate) finished: bool,
+    buf: Vec<f64>,
+    lead: usize,
+    block_len: usize,
+    template_len: usize,
+    pushed: usize,
+    emitted: usize,
+    finished: bool,
 }
 
-impl<T: Copy + Default> ChunkFeed<T> {
-    pub(crate) fn new(lead: usize, block_len: usize, template_len: usize) -> Self {
+impl ChunkFeed {
+    fn new(lead: usize, block_len: usize, template_len: usize) -> Self {
         let mut buf = Vec::with_capacity(block_len);
-        buf.resize(lead, T::default());
+        buf.resize(lead, 0.0);
         ChunkFeed {
             buf,
             lead,
@@ -478,7 +453,7 @@ impl<T: Copy + Default> ChunkFeed<T> {
     /// the block buffer's capacity (no allocation).
     pub fn reset(&mut self) {
         self.buf.clear();
-        self.buf.resize(self.lead, T::default());
+        self.buf.resize(self.lead, 0.0);
         self.pushed = 0;
         self.emitted = 0;
         self.finished = false;
@@ -487,288 +462,7 @@ impl<T: Copy + Default> ChunkFeed<T> {
     /// Bytes reserved by the feed's block buffer.
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
-        self.buf.capacity() * std::mem::size_of::<T>()
-    }
-}
-
-impl OverlapSave {
-    fn check_feed(&self, feed: &ChunkFeed, expected_lead: usize) -> Result<(), DspError> {
-        if feed.block_len != self.block_len()
-            || feed.template_len != self.template_len
-            || feed.lead != expected_lead
-        {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed was created for a different engine",
-            ));
-        }
-        if feed.finished {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed already finished; call reset() before reuse",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Transforms the (full) block in `feed.buf`, leaving the block's
-    /// correlation lags in `scratch.r1` and sliding the buffer forward by
-    /// one step so only the `template_len - 1` overlap tail remains.
-    fn feed_transform(
-        &self,
-        feed: &mut ChunkFeed,
-        scratch: &mut DspScratch,
-    ) -> Result<(), DspError> {
-        debug_assert_eq!(feed.buf.len(), self.block_len());
-        scratch.r1.clear();
-        scratch.r1.extend_from_slice(&feed.buf);
-        self.plan.rfft_half_into(&scratch.r1, &mut scratch.c1)?;
-        conj_mul_in_place(&mut scratch.c1, &self.template_spec);
-        let DspScratch { c1, r1, .. } = scratch;
-        self.plan.irfft_half_into(c1, r1)?;
-        let step = self.step();
-        feed.buf.copy_within(step.., 0);
-        feed.buf.truncate(self.block_len() - step);
-        Ok(())
-    }
-
-    /// Appends `chunk` to the feed, emitting (appending to `out`) the
-    /// lags of every FFT block that fills. Emission never runs ahead of
-    /// ingestion: `emitted <= pushed` holds throughout because
-    /// `lead <= template_len - 1`.
-    pub(crate) fn feed_push(
-        &self,
-        feed: &mut ChunkFeed,
-        expected_lead: usize,
-        chunk: &[f64],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.check_feed(feed, expected_lead)?;
-        let block = self.block_len();
-        let step = self.step();
-        let mut rest = chunk;
-        while !rest.is_empty() {
-            let take = (block - feed.buf.len()).min(rest.len());
-            feed.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if feed.buf.len() == block {
-                self.feed_transform(feed, scratch)?;
-                out.extend_from_slice(&scratch.r1[..step]);
-                feed.emitted += step;
-            }
-        }
-        feed.pushed += chunk.len();
-        debug_assert!(feed.emitted <= feed.pushed);
-        Ok(())
-    }
-
-    /// Flushes the feed: zero-pads the final blocks and emits (appending
-    /// to `out`) every remaining lag up to the `pushed` total, exactly
-    /// reproducing [`OverlapSave::run`]'s output length and values for
-    /// the concatenated input. Marks the feed finished.
-    pub(crate) fn feed_finish(
-        &self,
-        feed: &mut ChunkFeed,
-        expected_lead: usize,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.check_feed(feed, expected_lead)?;
-        let total = feed.pushed;
-        while feed.emitted < total {
-            feed.buf.resize(self.block_len(), 0.0);
-            self.feed_transform(feed, scratch)?;
-            let take = self.step().min(total - feed.emitted);
-            out.extend_from_slice(&scratch.r1[..take]);
-            feed.emitted += take;
-        }
-        feed.finished = true;
-        Ok(())
-    }
-}
-
-/// Single-precision overlap-save engine over split re/im planes — the
-/// f32 analogue of [`OverlapSave`], built on [`RealFft32Plan`] and the
-/// [`conj_mul_planes`] kernel. Same block geometry and zero-padding
-/// semantics; all samples, spectra and outputs are `f32`.
-#[derive(Debug, Clone)]
-pub(crate) struct OverlapSave32 {
-    plan: Arc<RealFft32Plan>,
-    /// Template half-spectrum planes at `block_len` (not conjugated).
-    template_re: Vec<f32>,
-    template_im: Vec<f32>,
-    template_len: usize,
-}
-
-impl OverlapSave32 {
-    /// Builds the engine for `template` with FFT blocks of `block_len`
-    /// (power of two, at least `template.len()`).
-    pub(crate) fn new(template: &[f32], block_len: usize) -> Result<Self, DspError> {
-        if template.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "overlap-save template",
-            });
-        }
-        if block_len < template.len() {
-            return Err(DspError::invalid(
-                "block_len",
-                format!(
-                    "block ({block_len}) shorter than template ({})",
-                    template.len()
-                ),
-            ));
-        }
-        let plan = shared_real_plan32(block_len)?;
-        let mut template_re = Vec::with_capacity(plan.num_bins());
-        let mut template_im = Vec::with_capacity(plan.num_bins());
-        plan.rfft_half_into(template, &mut template_re, &mut template_im)?;
-        Ok(OverlapSave32 {
-            plan,
-            template_re,
-            template_im,
-            template_len: template.len(),
-        })
-    }
-
-    pub(crate) fn block_len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// Valid (wraparound-free) output lags per block.
-    pub(crate) fn step(&self) -> usize {
-        self.block_len() - self.template_len + 1
-    }
-
-    /// Transforms one assembled block in `scratch.r32`, leaving the
-    /// block's correlation lags back in `scratch.r32`.
-    fn transform_block(&self, scratch: &mut DspScratch) -> Result<(), DspError> {
-        let DspScratch {
-            f1_re, f1_im, r32, ..
-        } = scratch;
-        self.plan.rfft_half_into(r32, f1_re, f1_im)?;
-        conj_mul_planes(f1_re, f1_im, &self.template_re, &self.template_im);
-        self.plan.irfft_half_into(f1_re, f1_im, r32)
-    }
-
-    /// Writes `out[k] = Σ_n signal[n + k - lead] · template[n]` for
-    /// `k` in `0..out_len`, treating the signal as zero outside its
-    /// bounds (f32 analogue of [`OverlapSave::run`]).
-    pub(crate) fn run(
-        &self,
-        signal: &[f32],
-        lead: usize,
-        out_len: usize,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        out.clear();
-        out.reserve(out_len);
-        let block = self.block_len();
-        let step = self.step();
-        let mut pos = 0;
-        while pos < out_len {
-            scratch.r32.clear();
-            scratch.r32.extend((pos..pos + block).map(|j| {
-                j.checked_sub(lead)
-                    .and_then(|i| signal.get(i))
-                    .copied()
-                    .unwrap_or(0.0)
-            }));
-            self.transform_block(scratch)?;
-            let take = step.min(out_len - pos);
-            out.extend_from_slice(&scratch.r32[..take]);
-            pos += step;
-        }
-        Ok(())
-    }
-
-    fn check_feed(&self, feed: &ChunkFeed<f32>, expected_lead: usize) -> Result<(), DspError> {
-        if feed.block_len != self.block_len()
-            || feed.template_len != self.template_len
-            || feed.lead != expected_lead
-        {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed was created for a different engine",
-            ));
-        }
-        if feed.finished {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed already finished; call reset() before reuse",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Transforms the (full) block in `feed.buf`, leaving the block's
-    /// correlation lags in `scratch.r32` and sliding the buffer forward
-    /// by one step.
-    fn feed_transform(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-    ) -> Result<(), DspError> {
-        debug_assert_eq!(feed.buf.len(), self.block_len());
-        scratch.r32.clear();
-        scratch.r32.extend_from_slice(&feed.buf);
-        self.transform_block(scratch)?;
-        let step = self.step();
-        feed.buf.copy_within(step.., 0);
-        feed.buf.truncate(self.block_len() - step);
-        Ok(())
-    }
-
-    /// Appends `chunk` to the feed, emitting the lags of every FFT block
-    /// that fills (f32 analogue of [`OverlapSave::feed_push`]).
-    pub(crate) fn feed_push(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        expected_lead: usize,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        self.check_feed(feed, expected_lead)?;
-        let block = self.block_len();
-        let step = self.step();
-        let mut rest = chunk;
-        while !rest.is_empty() {
-            let take = (block - feed.buf.len()).min(rest.len());
-            feed.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if feed.buf.len() == block {
-                self.feed_transform(feed, scratch)?;
-                out.extend_from_slice(&scratch.r32[..step]);
-                feed.emitted += step;
-            }
-        }
-        feed.pushed += chunk.len();
-        debug_assert!(feed.emitted <= feed.pushed);
-        Ok(())
-    }
-
-    /// Flushes the feed, emitting every remaining lag up to the `pushed`
-    /// total (f32 analogue of [`OverlapSave::feed_finish`]).
-    pub(crate) fn feed_finish(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        expected_lead: usize,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        self.check_feed(feed, expected_lead)?;
-        let total = feed.pushed;
-        while feed.emitted < total {
-            feed.buf.resize(self.block_len(), 0.0);
-            self.feed_transform(feed, scratch)?;
-            let take = self.step().min(total - feed.emitted);
-            out.extend_from_slice(&scratch.r32[..take]);
-            feed.emitted += take;
-        }
-        feed.finished = true;
-        Ok(())
+        self.buf.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -778,9 +472,10 @@ impl OverlapSave32 {
 /// against `G` at lead `(T−1)/2` reproduces band-pass-then-correlate
 /// exactly for every full-overlap lag (`corr(bp(x), t) = corr(x, bp⋆t)`
 /// for LTI filtering under zero-extension boundaries) — the algebra
-/// behind [`StreamingMatchedFilter::with_zero_phase_prefilter`] and the
-/// template banks, which pay for the prefilter at construction instead
-/// of once per input pass.
+/// behind [`StreamingMatchedFilter::with_zero_phase_prefilter`] and
+/// [`StreamingMatchedFilterBank::with_zero_phase_prefilters`], which pay
+/// for the prefilter once at construction instead of once per input
+/// pass.
 fn fold_zero_phase_taps(template: &[f64], taps: &[f64]) -> Vec<f64> {
     let m = template.len();
     let t = taps.len();
@@ -798,301 +493,16 @@ fn fold_zero_phase_taps(template: &[f64], taps: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// The single-precision streaming matched filter behind the opt-in f32
-/// pipeline (`Precision::F32` in the core crate).
+/// A matched filter that correlates in fixed-size overlap-save blocks —
+/// a [`StreamingMatchedFilterBank`] holding one template.
 ///
-/// API and block geometry mirror [`StreamingMatchedFilter`]; samples,
-/// spectra and outputs are `f32` stored in split re/im planes, which is
-/// what lets the spectral kernels run 8-wide. There is **no bit-identity
-/// contract** on this path — accuracy against the f64 reference is
-/// pinned statistically by the precision property tests (clean-session
-/// TDoA error within the one-sample floor), and f64 remains the
-/// conformance reference (DESIGN.md §11).
-#[derive(Debug, Clone)]
-pub struct StreamingMatchedFilter32 {
-    core: OverlapSave32,
-    /// `Σ x²` accumulated in f64 so normalization quality does not
-    /// depend on template length.
-    template_energy: f64,
-    /// Lag-origin offset into the engine's template: nonzero only for
-    /// folded-prefilter templates, whose first `lead` entries reach
-    /// *before* the nominal template start (the zero-phase group delay).
-    lead: usize,
-}
-
-impl StreamingMatchedFilter32 {
-    /// Creates a filter with the default block policy
-    /// (`next_pow2(4 × template.len())`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] for an empty template and
-    /// [`DspError::InvalidParameter`] for an all-zero template.
-    pub fn new(template: &[f32]) -> Result<Self, DspError> {
-        let block = try_next_pow2(template.len().saturating_mul(4))?;
-        Self::with_block_len(template, block)
-    }
-
-    /// Creates a filter with an explicit FFT block length (power of two,
-    /// at least `template.len()`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilter32::new`], plus
-    /// [`DspError::InvalidParameter`] for an invalid `block_len`.
-    pub fn with_block_len(template: &[f32], block_len: usize) -> Result<Self, DspError> {
-        let energy: f64 = template.iter().map(|&x| x as f64 * x as f64).sum();
-        if !template.is_empty() && energy == 0.0 {
-            return Err(DspError::invalid("template", "template has zero energy"));
-        }
-        Ok(StreamingMatchedFilter32 {
-            core: OverlapSave32::new(template, block_len)?,
-            template_energy: energy,
-            lead: 0,
-        })
-    }
-
-    /// Creates a filter with a zero-phase FIR prefilter **folded into
-    /// the template**: correlating a raw signal through the returned
-    /// filter produces the same lags as band-passing the signal with
-    /// `taps` (zero-phase, group-delay compensated) and then correlating
-    /// with `template` — one overlap-save pass instead of two.
-    ///
-    /// The identity is exact for linear filtering under the
-    /// zero-extension boundary semantics both engines use: with
-    /// `delay = (taps.len() − 1) / 2`,
-    /// `Σₙ bp(x)[n+k]·t[n] = Σᵤ x[u+k−delay]·G[u]` where
-    /// `G[u] = Σⱼ h[j]·t[u − (T−1) + j]` is the full cross-correlation
-    /// of the template with the taps. The fold is accumulated in f64 and
-    /// rounded once; normalization still divides by the **original**
-    /// template's energy so peak amplitudes match the unfolded
-    /// two-pass pipeline.
-    ///
-    /// One boundary caveat: the two-pass pipeline truncates the
-    /// prefilter's ringing tail at the signal end, the folded engine
-    /// keeps it, so the final `template.len() − 1` lags — the
-    /// partial-overlap region where a matched filter's output is not
-    /// meaningful anyway — may differ between the two formulations.
-    /// Every lag `k < signal.len() − template.len() + 1` is identical.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilter32::new`], plus
-    /// [`DspError::EmptyInput`] for an empty `taps` slice.
-    pub fn with_zero_phase_prefilter(template: &[f32], taps: &[f64]) -> Result<Self, DspError> {
-        if template.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "matched-filter template",
-            });
-        }
-        if taps.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "prefilter taps",
-            });
-        }
-        let energy: f64 = template.iter().map(|&x| x as f64 * x as f64).sum();
-        if energy == 0.0 {
-            return Err(DspError::invalid("template", "template has zero energy"));
-        }
-        let delay = (taps.len() - 1) / 2;
-        let template_f64: Vec<f64> = template.iter().map(|&x| f64::from(x)).collect();
-        let folded: Vec<f32> = fold_zero_phase_taps(&template_f64, taps)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
-        let block = try_next_pow2(folded.len().saturating_mul(4))?;
-        Ok(StreamingMatchedFilter32 {
-            core: OverlapSave32::new(&folded, block)?,
-            template_energy: energy,
-            lead: delay,
-        })
-    }
-
-    /// The template length in samples.
-    #[must_use]
-    pub fn template_len(&self) -> usize {
-        self.core.template_len
-    }
-
-    /// The FFT block length — the peak transform size of every call.
-    #[must_use]
-    pub fn block_len(&self) -> usize {
-        self.core.block_len()
-    }
-
-    /// Valid correlation lags produced per block.
-    #[must_use]
-    pub fn step(&self) -> usize {
-        self.core.step()
-    }
-
-    /// The template energy `Σ x²` (accumulated in f64).
-    #[must_use]
-    pub fn template_energy(&self) -> f64 {
-        self.template_energy
-    }
-
-    /// Blocked raw correlation; same output convention as [`xcorr`].
-    /// Steady-state calls at warm sizes do not allocate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`xcorr`].
-    pub fn correlate_into(
-        &self,
-        signal: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if self.template_len() > signal.len() {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len(),
-                    signal.len()
-                ),
-            ));
-        }
-        self.core.run(signal, self.lead, signal.len(), scratch, out)
-    }
-
-    /// Blocked template-energy-normalized correlation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`xcorr`].
-    pub fn correlate_normalized_into(
-        &self,
-        signal: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        self.correlate_into(signal, scratch, out)?;
-        let k = (1.0 / self.template_energy) as f32;
-        for v in out.iter_mut() {
-            *v *= k;
-        }
-        Ok(())
-    }
-
-    /// Creates an online ingestion feed for this filter (see
-    /// [`ChunkFeed`]).
-    #[must_use]
-    pub fn chunk_feed(&self) -> ChunkFeed<f32> {
-        ChunkFeed::new(self.lead, self.block_len(), self.template_len())
-    }
-
-    /// Pushes `chunk` into `feed`, appending every raw correlation lag
-    /// whose FFT block completed to `out`. The flushed stream is
-    /// bit-identical to [`StreamingMatchedFilter32::correlate_into`]
-    /// over the concatenated chunks, independent of chunking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `feed` was created by a
-    /// different engine or has already been finished.
-    pub fn push_chunk_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        self.core.feed_push(feed, self.lead, chunk, scratch, out)
-    }
-
-    /// [`StreamingMatchedFilter32::push_chunk_into`] with the emitted
-    /// lags template-energy normalized.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilter32::push_chunk_into`].
-    pub fn push_chunk_normalized_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        let start = out.len();
-        self.push_chunk_into(feed, chunk, scratch, out)?;
-        let k = (1.0 / self.template_energy) as f32;
-        for v in &mut out[start..] {
-            *v *= k;
-        }
-        Ok(())
-    }
-
-    /// Flushes `feed`, appending the remaining raw lags to `out` (one
-    /// lag per pushed sample).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilter::finish_chunks_into`].
-    pub fn finish_chunks_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        if !feed.finished && feed.pushed == 0 {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if !feed.finished && feed.pushed < self.template_len() {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len(),
-                    feed.pushed
-                ),
-            ));
-        }
-        self.core.feed_finish(feed, self.lead, scratch, out)
-    }
-
-    /// [`StreamingMatchedFilter32::finish_chunks_into`] with the emitted
-    /// lags template-energy normalized.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilter32::finish_chunks_into`].
-    pub fn finish_chunks_normalized_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        let start = out.len();
-        self.finish_chunks_into(feed, scratch, out)?;
-        let k = (1.0 / self.template_energy) as f32;
-        for v in &mut out[start..] {
-            *v *= k;
-        }
-        Ok(())
-    }
-}
-
-/// A matched filter that correlates in fixed-size overlap-save blocks.
-///
-/// Where [`MatchedFilter`] pads the whole capture to one
-/// `next_pow2(signal + template)` transform — a multi-second capture means
-/// a 2^20-point FFT and megabytes of scratch — this filter processes the
-/// signal through [`OverlapSave`] blocks of `block_len` samples
-/// (default `next_pow2(4 × template)`, so 4–8× the template length).
-/// Cost is O(N log B) time and O(B) working memory: the peak FFT size is
+/// The signal is processed in blocks of `block_len` samples (default
+/// `next_pow2(4 × template)`, so 4–8× the template length) instead of
+/// one `next_pow2(signal + template)` transform: cost is O(N log B) time
+/// and O(B) working memory, and the peak FFT size is
 /// [`StreamingMatchedFilter::block_len`] regardless of capture length,
-/// which is what makes streaming ingestion of unbounded captures possible.
+/// which is what makes streaming ingestion of unbounded captures
+/// possible.
 ///
 /// # Accuracy
 ///
@@ -1106,12 +516,7 @@ impl StreamingMatchedFilter32 {
 /// concurrently, each with its own [`DspScratch`].
 #[derive(Debug, Clone)]
 pub struct StreamingMatchedFilter {
-    core: OverlapSave,
-    template_energy: f64,
-    /// Lag-origin offset into the engine's template: nonzero only for
-    /// folded-prefilter templates, whose first `lead` entries reach
-    /// *before* the nominal template start (the zero-phase group delay).
-    lead: usize,
+    bank: StreamingMatchedFilterBank,
 }
 
 impl StreamingMatchedFilter {
@@ -1135,79 +540,70 @@ impl StreamingMatchedFilter {
     /// Same conditions as [`StreamingMatchedFilter::new`], plus
     /// [`DspError::InvalidParameter`] for an invalid `block_len`.
     pub fn with_block_len(template: &[f64], block_len: usize) -> Result<Self, DspError> {
-        let energy: f64 = template.iter().map(|x| x * x).sum();
-        if !template.is_empty() && energy == 0.0 {
-            return Err(DspError::invalid("template", "template has zero energy"));
-        }
         Ok(StreamingMatchedFilter {
-            core: OverlapSave::new(template, block_len)?,
-            template_energy: energy,
-            lead: 0,
+            bank: StreamingMatchedFilterBank::with_block_len(&[template], block_len)?,
         })
     }
 
     /// Creates a filter with a zero-phase FIR prefilter **folded into
-    /// the template** — the f64 counterpart of
-    /// [`StreamingMatchedFilter32::with_zero_phase_prefilter`], with the
-    /// identical algebra and boundary caveat (the final
-    /// `template.len() − 1` partial-overlap lags may differ from the
-    /// two-pass pipeline; every full-overlap lag is exact up to
-    /// floating-point summation order). The fold runs entirely in f64,
-    /// and normalization divides by the **original** template's energy
-    /// so peak amplitudes match the unfolded two-pass pipeline.
+    /// the template**: correlating a raw signal through the returned
+    /// filter produces the same lags as band-passing the signal with
+    /// `taps` (zero-phase, group-delay compensated) and then correlating
+    /// with `template` — one overlap-save pass instead of two.
+    ///
+    /// The identity is exact for linear filtering under the
+    /// zero-extension boundary semantics both formulations use: with
+    /// `delay = (taps.len() − 1) / 2`,
+    /// `Σₙ bp(x)[n+k]·t[n] = Σᵤ x[u+k−delay]·G[u]` where
+    /// `G[u] = Σⱼ h[j]·t[u − (T−1) + j]` is the full cross-correlation
+    /// of the template with the taps. The fold runs entirely in f64;
+    /// normalization divides by the **original** template's energy so
+    /// peak amplitudes match the two-pass pipeline, and the filter
+    /// accepts any signal at least as long as the original template.
+    ///
+    /// One boundary caveat: the two-pass pipeline truncates the
+    /// prefilter's ringing tail at the signal end, the folded engine
+    /// keeps it, so the final `template.len() − 1` lags — the
+    /// partial-overlap region where the template runs past the signal
+    /// end and a matched filter's output is not meaningful anyway — may
+    /// differ between the two formulations. Every earlier lag agrees up
+    /// to floating-point summation order.
     ///
     /// # Errors
     ///
     /// Same conditions as [`StreamingMatchedFilter::new`], plus
     /// [`DspError::EmptyInput`] for an empty `taps` slice.
     pub fn with_zero_phase_prefilter(template: &[f64], taps: &[f64]) -> Result<Self, DspError> {
-        if template.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "matched-filter template",
-            });
-        }
-        if taps.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "prefilter taps",
-            });
-        }
-        let energy: f64 = template.iter().map(|x| x * x).sum();
-        if energy == 0.0 {
-            return Err(DspError::invalid("template", "template has zero energy"));
-        }
-        let folded = fold_zero_phase_taps(template, taps);
-        let block = try_next_pow2(folded.len().saturating_mul(4))?;
         Ok(StreamingMatchedFilter {
-            core: OverlapSave::new(&folded, block)?,
-            template_energy: energy,
-            lead: (taps.len() - 1) / 2,
+            bank: StreamingMatchedFilterBank::with_zero_phase_prefilters(&[(template, taps)])?,
         })
     }
 
-    /// The template length in samples.
+    /// The engine's template length in samples (for a folded filter, the
+    /// original template plus `taps − 1`).
     #[must_use]
     pub fn template_len(&self) -> usize {
-        self.core.template_len
+        self.bank.template_len()
     }
 
     /// The FFT block length — the peak transform size of every call,
     /// independent of signal length.
     #[must_use]
     pub fn block_len(&self) -> usize {
-        self.core.block_len()
+        self.bank.block_len()
     }
 
     /// Valid correlation lags produced per block
     /// (`block_len - template_len + 1`).
     #[must_use]
     pub fn step(&self) -> usize {
-        self.core.step()
+        self.bank.step()
     }
 
-    /// The template energy `Σ x²`.
+    /// The original template's energy `Σ x²`.
     #[must_use]
     pub fn template_energy(&self) -> f64 {
-        self.template_energy
+        self.bank.energies[0]
     }
 
     /// Blocked raw correlation; same output convention as [`xcorr`]
@@ -1225,26 +621,14 @@ impl StreamingMatchedFilter {
         scratch: &mut DspScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if self.template_len() > signal.len() {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len(),
-                    signal.len()
-                ),
-            ));
-        }
-        self.core.run(signal, self.lead, signal.len(), scratch, out)
+        self.bank
+            .correlate_into(signal, scratch, std::slice::from_mut(out))
     }
 
-    /// Blocked template-energy-normalized correlation; same output
-    /// convention as [`MatchedFilter::correlate_normalized`].
+    /// Blocked correlation normalized by the template energy, so a
+    /// perfect match of the template at a lag yields 1.0. Unlike
+    /// [`normalized_xcorr`] the signal window energy is not divided out:
+    /// beacon finding wants loud, template-shaped events.
     ///
     /// # Errors
     ///
@@ -1255,12 +639,8 @@ impl StreamingMatchedFilter {
         scratch: &mut DspScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        self.correlate_into(signal, scratch, out)?;
-        let k = 1.0 / self.template_energy;
-        for v in out.iter_mut() {
-            *v *= k;
-        }
-        Ok(())
+        self.bank
+            .correlate_normalized_into(signal, scratch, std::slice::from_mut(out))
     }
 
     /// One-shot convenience over [`StreamingMatchedFilter::correlate_into`]
@@ -1280,7 +660,7 @@ impl StreamingMatchedFilter {
     /// feeds; each feed belongs to exactly one logical stream.
     #[must_use]
     pub fn chunk_feed(&self) -> ChunkFeed {
-        ChunkFeed::new(self.lead, self.block_len(), self.template_len())
+        self.bank.chunk_feed()
     }
 
     /// Pushes `chunk` (any length, empty included) into `feed`, appending
@@ -1304,7 +684,8 @@ impl StreamingMatchedFilter {
         scratch: &mut DspScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        self.core.feed_push(feed, self.lead, chunk, scratch, out)
+        self.bank
+            .push_chunk_into(feed, chunk, scratch, std::slice::from_mut(out))
     }
 
     /// [`StreamingMatchedFilter::push_chunk_into`] with the emitted lags
@@ -1321,13 +702,8 @@ impl StreamingMatchedFilter {
         scratch: &mut DspScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        let start = out.len();
-        self.push_chunk_into(feed, chunk, scratch, out)?;
-        let k = 1.0 / self.template_energy;
-        for v in &mut out[start..] {
-            *v *= k;
-        }
-        Ok(())
+        self.bank
+            .push_chunk_normalized_into(feed, chunk, scratch, std::slice::from_mut(out))
     }
 
     /// Flushes `feed`, appending the remaining raw lags to `out` so the
@@ -1348,22 +724,8 @@ impl StreamingMatchedFilter {
         scratch: &mut DspScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        if !feed.finished && feed.pushed == 0 {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if !feed.finished && feed.pushed < self.template_len() {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len(),
-                    feed.pushed
-                ),
-            ));
-        }
-        self.core.feed_finish(feed, self.lead, scratch, out)
+        self.bank
+            .finish_chunks_into(feed, scratch, std::slice::from_mut(out))
     }
 
     /// [`StreamingMatchedFilter::finish_chunks_into`] with the emitted
@@ -1378,30 +740,9 @@ impl StreamingMatchedFilter {
         scratch: &mut DspScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        let start = out.len();
-        self.finish_chunks_into(feed, scratch, out)?;
-        let k = 1.0 / self.template_energy;
-        for v in &mut out[start..] {
-            *v *= k;
-        }
-        Ok(())
+        self.bank
+            .finish_chunks_normalized_into(feed, scratch, std::slice::from_mut(out))
     }
-}
-
-/// One template's share of a bank: its half-spectrum at the bank's block
-/// length and the energy that normalizes its correlation lane.
-///
-/// The spectrum sits behind an `Arc` so cloning a bank — one clone per
-/// pool worker is the intended sharing pattern — duplicates only the
-/// pointer, never the spectrum. Template FFTs therefore run exactly once
-/// per template per bank family, observable via
-/// [`StreamingMatchedFilterBank::template_fft_count`].
-#[derive(Debug, Clone)]
-struct BankLane {
-    /// Template half-spectrum at the bank block length (not conjugated).
-    spec: Arc<Vec<Complex>>,
-    /// `Σ x²` of the **original** (pre-fold) template.
-    energy: f64,
 }
 
 /// K matched filters sharing one forward FFT per overlap-save block.
@@ -1419,10 +760,9 @@ struct BankLane {
 /// Output goes to K caller-owned correlation lanes (`lanes[k]` receives
 /// template k's lags). Each lane is **bit-identical** to an independent
 /// [`StreamingMatchedFilter::with_block_len`] over template k padded to
-/// the bank's template length at the bank's block length: the shared
-/// forward spectrum is copied before each lane's conjugate multiply, so
-/// per-lane arithmetic is exactly the single-engine sequence
-/// (conformance-pinned by the bank tests).
+/// the bank's template length at the bank's block length: per-lane
+/// arithmetic is exactly the single-engine sequence (conformance-pinned
+/// by the bank tests).
 ///
 /// Band-pass prefilters fold into the templates
 /// ([`StreamingMatchedFilterBank::with_zero_phase_prefilters`]), so a
@@ -1435,19 +775,15 @@ struct BankLane {
 /// lanes. Steady-state calls at warm sizes do not allocate.
 #[derive(Debug, Clone)]
 pub struct StreamingMatchedFilterBank {
-    /// Shared, read-only FFT tables for the block size (process-wide,
-    /// see [`shared_real_plan`]).
-    plan: Arc<RealFftPlan>,
-    lanes: Vec<BankLane>,
-    /// The shared template length: the longest (folded) template. All
-    /// lanes run at this length so one [`ChunkFeed`] drives them all.
-    template_len: usize,
-    /// Lag-origin offset (the folded prefilters' group delay; 0 without
-    /// prefilters).
-    lead: usize,
-    /// Template FFTs run at construction — stays put across clones,
-    /// which share the spectra instead of recomputing them.
-    template_ffts: usize,
+    engine: OverlapSave,
+    /// `Σ x²` of each **original** (pre-fold) template: lane `k`'s
+    /// normalizer.
+    energies: Vec<f64>,
+    /// The shortest signal accepted: the longest original template.
+    /// Folding lengthens the engine's templates by `taps − 1`, but zero
+    /// extension lets any capture that holds one original template
+    /// correlate.
+    min_len: usize,
 }
 
 impl StreamingMatchedFilterBank {
@@ -1474,7 +810,12 @@ impl StreamingMatchedFilterBank {
     /// [`DspError::InvalidParameter`] for an invalid `block_len`.
     pub fn with_block_len(templates: &[&[f64]], block_len: usize) -> Result<Self, DspError> {
         let energies = Self::validate_templates(templates)?;
-        Self::build(templates, &energies, block_len, 0)
+        let engine = OverlapSave::new(templates, block_len, 0)?;
+        Ok(StreamingMatchedFilterBank {
+            min_len: engine.template_len,
+            engine,
+            energies,
+        })
     }
 
     /// Creates a bank with a zero-phase FIR prefilter folded into each
@@ -1495,49 +836,38 @@ impl StreamingMatchedFilterBank {
     /// [`DspError::EmptyInput`] for an empty taps slice and
     /// [`DspError::InvalidParameter`] for mismatched group delays.
     pub fn with_zero_phase_prefilters(entries: &[(&[f64], &[f64])]) -> Result<Self, DspError> {
-        if entries.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "template bank",
-            });
-        }
-        let mut delay = None;
+        let templates: Vec<&[f64]> = entries.iter().map(|&(t, _)| t).collect();
+        let energies = Self::validate_templates(&templates)?;
+        let delay = entries
+            .first()
+            .map_or(0, |(_, taps)| taps.len().saturating_sub(1) / 2);
+        let mut folded = Vec::with_capacity(entries.len());
         for (template, taps) in entries {
-            if template.is_empty() {
-                return Err(DspError::EmptyInput {
-                    what: "matched-filter template",
-                });
-            }
             if taps.is_empty() {
                 return Err(DspError::EmptyInput {
                     what: "prefilter taps",
                 });
             }
-            let d = (taps.len() - 1) / 2;
-            if *delay.get_or_insert(d) != d {
+            if (taps.len() - 1) / 2 != delay {
                 return Err(DspError::invalid(
                     "taps",
                     "all prefilters in a bank must share one group delay",
                 ));
             }
-        }
-        let mut energies = Vec::with_capacity(entries.len());
-        let mut folded = Vec::with_capacity(entries.len());
-        for (template, taps) in entries {
-            let energy: f64 = template.iter().map(|x| x * x).sum();
-            if energy == 0.0 {
-                return Err(DspError::invalid("template", "template has zero energy"));
-            }
-            energies.push(energy);
             folded.push(fold_zero_phase_taps(template, taps));
         }
         let longest = folded.iter().map(Vec::len).max().unwrap_or(0);
         let block = try_next_pow2(longest.saturating_mul(4))?;
         let refs: Vec<&[f64]> = folded.iter().map(Vec::as_slice).collect();
-        Self::build(&refs, &energies, block, delay.unwrap_or(0))
+        Ok(StreamingMatchedFilterBank {
+            engine: OverlapSave::new(&refs, block, delay)?,
+            energies,
+            min_len: templates.iter().map(|t| t.len()).max().unwrap_or(0),
+        })
     }
 
-    /// Per-template emptiness/energy validation shared by the unfolded
-    /// constructors; returns the template energies.
+    /// Per-template emptiness/energy validation; returns the template
+    /// energies.
     fn validate_templates(templates: &[&[f64]]) -> Result<Vec<f64>, DspError> {
         if templates.is_empty() {
             return Err(DspError::EmptyInput {
@@ -1561,77 +891,42 @@ impl StreamingMatchedFilterBank {
             .collect()
     }
 
-    fn build(
-        templates: &[&[f64]],
-        energies: &[f64],
-        block_len: usize,
-        lead: usize,
-    ) -> Result<Self, DspError> {
-        let template_len = templates.iter().map(|t| t.len()).max().unwrap_or(0);
-        if block_len < template_len {
-            return Err(DspError::invalid(
-                "block_len",
-                format!("block ({block_len}) shorter than template ({template_len})"),
-            ));
-        }
-        let plan = shared_real_plan(block_len)?;
-        let mut lanes = Vec::with_capacity(templates.len());
-        let mut template_ffts = 0;
-        for (template, &energy) in templates.iter().zip(energies) {
-            // `rfft_half_into` zero-pads to the plan length, so a short
-            // template's spectrum equals its padded twin's exactly.
-            let mut spec = Vec::with_capacity(plan.num_bins());
-            plan.rfft_half_into(template, &mut spec)?;
-            template_ffts += 1;
-            lanes.push(BankLane {
-                spec: Arc::new(spec),
-                energy,
-            });
-        }
-        Ok(StreamingMatchedFilterBank {
-            plan,
-            lanes,
-            template_len,
-            lead,
-            template_ffts,
-        })
-    }
-
     /// Number of templates (correlation lanes).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lanes.len()
+        self.energies.len()
     }
 
     /// Whether the bank holds no templates (never true once constructed).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
+        self.energies.is_empty()
     }
 
-    /// The shared (padded) template length in samples.
+    /// The shared (padded, and for folded banks prefilter-lengthened)
+    /// template length in samples.
     #[must_use]
     pub fn template_len(&self) -> usize {
-        self.template_len
+        self.engine.template_len
     }
 
     /// The FFT block length — the peak transform size of every call.
     #[must_use]
     pub fn block_len(&self) -> usize {
-        self.plan.len()
+        self.engine.block_len()
     }
 
     /// Valid correlation lags produced per block
     /// (`block_len - template_len + 1`).
     #[must_use]
     pub fn step(&self) -> usize {
-        self.block_len() - self.template_len + 1
+        self.engine.step()
     }
 
     /// The lag-origin offset (folded prefilter group delay).
     #[must_use]
     pub fn lead(&self) -> usize {
-        self.lead
+        self.engine.lead
     }
 
     /// Template FFTs run over this bank's lifetime: exactly one per
@@ -1640,69 +935,43 @@ impl StreamingMatchedFilterBank {
     /// across pool workers never recomputes a template spectrum.
     #[must_use]
     pub fn template_fft_count(&self) -> usize {
-        self.template_ffts
+        self.engine.specs.len()
     }
 
     /// Template `k`'s original (pre-fold) energy `Σ x²`, or `None` out
     /// of range.
     #[must_use]
     pub fn template_energy(&self, k: usize) -> Option<f64> {
-        self.lanes.get(k).map(|l| l.energy)
+        self.energies.get(k).copied()
     }
 
-    fn check_lanes(&self, lanes: &[Vec<f64>]) -> Result<(), DspError> {
-        if lanes.len() != self.lanes.len() {
+    /// Mirrors the one-shot input checks for a signal of `len` samples.
+    fn check_signal(&self, len: usize) -> Result<(), DspError> {
+        if len == 0 {
+            return Err(DspError::EmptyInput {
+                what: "xcorr signal",
+            });
+        }
+        if self.min_len > len {
             return Err(DspError::invalid(
-                "lanes",
-                format!(
-                    "bank holds {} templates but {} output lanes were provided",
-                    self.lanes.len(),
-                    lanes.len()
-                ),
+                "template",
+                format!("template ({}) longer than signal ({len})", self.min_len),
             ));
         }
         Ok(())
     }
 
-    fn check_feed(&self, feed: &ChunkFeed) -> Result<(), DspError> {
-        if feed.block_len != self.block_len()
-            || feed.template_len != self.template_len
-            || feed.lead != self.lead
-        {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed was created for a different engine",
-            ));
+    /// Scales the last `appended` values of every lane by its template
+    /// energy (every lane receives the same lag count per call, so one
+    /// counter covers them all — no per-lane bookkeeping to allocate).
+    fn normalize_tail(&self, appended: usize, lanes: &mut [Vec<f64>]) {
+        for (&energy, out) in self.energies.iter().zip(lanes.iter_mut()) {
+            let k = 1.0 / energy;
+            let start = out.len() - appended;
+            for v in &mut out[start..] {
+                *v *= k;
+            }
         }
-        if feed.finished {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed already finished; call reset() before reuse",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Fans the shared input spectrum in `scratch.c1` out across every
-    /// lane: copy, conjugate-multiply with the lane's template spectrum,
-    /// inverse-transform, append the first `take` lags to the lane. The
-    /// copy into `scratch.c2` is what preserves the shared spectrum — the
-    /// half-spectrum inverse transform consumes its input.
-    fn fan_out(
-        &self,
-        scratch: &mut DspScratch,
-        take: usize,
-        lanes: &mut [Vec<f64>],
-    ) -> Result<(), DspError> {
-        for (lane, out) in self.lanes.iter().zip(lanes.iter_mut()) {
-            scratch.c2.clear();
-            scratch.c2.extend_from_slice(&scratch.c1);
-            conj_mul_in_place(&mut scratch.c2, &lane.spec);
-            let DspScratch { c2, r1, .. } = &mut *scratch;
-            self.plan.irfft_half_into(c2, r1)?;
-            out.extend_from_slice(&r1[..take]);
-        }
-        Ok(())
     }
 
     /// One-shot banked correlation: lane `k` receives exactly the output
@@ -1722,44 +991,8 @@ impl StreamingMatchedFilterBank {
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        self.check_lanes(lanes)?;
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if self.template_len > signal.len() {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len,
-                    signal.len()
-                ),
-            ));
-        }
-        let out_len = signal.len();
-        for lane in lanes.iter_mut() {
-            lane.clear();
-            lane.reserve(out_len);
-        }
-        let block = self.block_len();
-        let step = self.step();
-        let mut pos = 0;
-        while pos < out_len {
-            scratch.r1.clear();
-            scratch.r1.extend((pos..pos + block).map(|j| {
-                j.checked_sub(self.lead)
-                    .and_then(|i| signal.get(i))
-                    .copied()
-                    .unwrap_or(0.0)
-            }));
-            self.plan.rfft_half_into(&scratch.r1, &mut scratch.c1)?;
-            let take = step.min(out_len - pos);
-            self.fan_out(scratch, take, lanes)?;
-            pos += step;
-        }
-        Ok(())
+        self.check_signal(signal.len())?;
+        self.engine.run(signal, scratch, lanes)
     }
 
     /// [`StreamingMatchedFilterBank::correlate_into`] with each lane
@@ -1775,12 +1008,7 @@ impl StreamingMatchedFilterBank {
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
         self.correlate_into(signal, scratch, lanes)?;
-        for (lane, out) in self.lanes.iter().zip(lanes.iter_mut()) {
-            let k = 1.0 / lane.energy;
-            for v in out.iter_mut() {
-                *v *= k;
-            }
-        }
+        self.normalize_tail(signal.len(), lanes);
         Ok(())
     }
 
@@ -1789,7 +1017,7 @@ impl StreamingMatchedFilterBank {
     /// geometry is the point of the bank.
     #[must_use]
     pub fn chunk_feed(&self) -> ChunkFeed {
-        ChunkFeed::new(self.lead, self.block_len(), self.template_len)
+        self.engine.chunk_feed()
     }
 
     /// Pushes `chunk` into `feed`, appending every raw correlation lag
@@ -1811,41 +1039,7 @@ impl StreamingMatchedFilterBank {
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        self.check_lanes(lanes)?;
-        self.check_feed(feed)?;
-        let block = self.block_len();
-        let step = self.step();
-        let mut rest = chunk;
-        while !rest.is_empty() {
-            let take = (block - feed.buf.len()).min(rest.len());
-            feed.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if feed.buf.len() == block {
-                self.feed_transform(feed, scratch)?;
-                self.fan_out(scratch, step, lanes)?;
-                feed.emitted += step;
-            }
-        }
-        feed.pushed += chunk.len();
-        debug_assert!(feed.emitted <= feed.pushed);
-        Ok(())
-    }
-
-    /// Forward-transforms the (full) block in `feed.buf` into the shared
-    /// spectrum `scratch.c1` and slides the buffer forward by one step.
-    fn feed_transform(
-        &self,
-        feed: &mut ChunkFeed,
-        scratch: &mut DspScratch,
-    ) -> Result<(), DspError> {
-        debug_assert_eq!(feed.buf.len(), self.block_len());
-        scratch.r1.clear();
-        scratch.r1.extend_from_slice(&feed.buf);
-        self.plan.rfft_half_into(&scratch.r1, &mut scratch.c1)?;
-        let step = self.step();
-        feed.buf.copy_within(step.., 0);
-        feed.buf.truncate(self.block_len() - step);
-        Ok(())
+        self.engine.feed_push(feed, chunk, scratch, lanes)
     }
 
     /// [`StreamingMatchedFilterBank::push_chunk_into`] with the emitted
@@ -1875,40 +1069,20 @@ impl StreamingMatchedFilterBank {
     /// # Errors
     ///
     /// Mirrors [`StreamingMatchedFilterBank::correlate_into`] on the
-    /// concatenated input, like
-    /// [`StreamingMatchedFilter::finish_chunks_into`].
+    /// concatenated input: [`DspError::EmptyInput`] when nothing was
+    /// pushed, [`DspError::InvalidParameter`] when fewer samples than the
+    /// longest template were pushed, the feed belongs to a different
+    /// engine or was already finished, or `lanes` is mis-sized.
     pub fn finish_chunks_into(
         &self,
         feed: &mut ChunkFeed,
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        self.check_lanes(lanes)?;
-        if !feed.finished && feed.pushed == 0 {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
+        if !feed.finished {
+            self.check_signal(feed.pushed)?;
         }
-        if !feed.finished && feed.pushed < self.template_len {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len, feed.pushed
-                ),
-            ));
-        }
-        self.check_feed(feed)?;
-        let total = feed.pushed;
-        while feed.emitted < total {
-            feed.buf.resize(self.block_len(), 0.0);
-            self.feed_transform(feed, scratch)?;
-            let take = self.step().min(total - feed.emitted);
-            self.fan_out(scratch, take, lanes)?;
-            feed.emitted += take;
-        }
-        feed.finished = true;
-        Ok(())
+        self.engine.feed_finish(feed, scratch, lanes)
     }
 
     /// [`StreamingMatchedFilterBank::finish_chunks_into`] with the
@@ -1928,511 +1102,6 @@ impl StreamingMatchedFilterBank {
         self.finish_chunks_into(feed, scratch, lanes)?;
         self.normalize_tail(feed.emitted - before, lanes);
         Ok(())
-    }
-
-    /// Scales the last `appended` values of every lane by its template
-    /// energy (every lane receives the same lag count per call, so one
-    /// counter covers them all — no per-lane bookkeeping to allocate).
-    fn normalize_tail(&self, appended: usize, lanes: &mut [Vec<f64>]) {
-        for (lane, out) in self.lanes.iter().zip(lanes.iter_mut()) {
-            let k = 1.0 / lane.energy;
-            let start = out.len() - appended;
-            for v in &mut out[start..] {
-                *v *= k;
-            }
-        }
-    }
-}
-
-/// One f32 lane: split-plane template half-spectrum plus normalization
-/// energy (see [`BankLane`]).
-#[derive(Debug, Clone)]
-struct BankLane32 {
-    spec_re: Arc<Vec<f32>>,
-    spec_im: Arc<Vec<f32>>,
-    energy: f64,
-}
-
-/// The single-precision twin of [`StreamingMatchedFilterBank`], built on
-/// [`RealFft32Plan`]'s split re/im planes so the spectral kernels stay
-/// 8-wide.
-///
-/// Same shared-forward-transform economics and per-lane semantics; like
-/// the rest of the f32 pipeline there is **no bit-identity contract**
-/// against the f64 reference (DESIGN.md §11) — but each lane *is*
-/// bit-identical to an independent [`StreamingMatchedFilter32`] at the
-/// bank geometry, by the same copied-spectrum argument as the f64 bank.
-///
-/// The fan-out stages each lane's conjugate product in the second
-/// scratch plane pair (`DspScratch::f2_re`/`f2_im`), preserving the
-/// shared input spectrum in `f1_re`/`f1_im` across lanes.
-#[derive(Debug, Clone)]
-pub struct StreamingMatchedFilterBank32 {
-    plan: Arc<RealFft32Plan>,
-    lanes: Vec<BankLane32>,
-    template_len: usize,
-    lead: usize,
-    template_ffts: usize,
-}
-
-impl StreamingMatchedFilterBank32 {
-    /// Creates a bank with the default block policy
-    /// (`next_pow2(4 × longest template)`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilterBank::new`].
-    pub fn new(templates: &[&[f32]]) -> Result<Self, DspError> {
-        let longest = templates.iter().map(|t| t.len()).max().unwrap_or(0);
-        let block = try_next_pow2(longest.saturating_mul(4))?;
-        Self::with_block_len(templates, block)
-    }
-
-    /// Creates a bank with an explicit FFT block length.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::with_block_len`].
-    pub fn with_block_len(templates: &[&[f32]], block_len: usize) -> Result<Self, DspError> {
-        if templates.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "template bank",
-            });
-        }
-        let mut energies = Vec::with_capacity(templates.len());
-        for template in templates {
-            if template.is_empty() {
-                return Err(DspError::EmptyInput {
-                    what: "matched-filter template",
-                });
-            }
-            let energy: f64 = template.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
-            if energy == 0.0 {
-                return Err(DspError::invalid("template", "template has zero energy"));
-            }
-            energies.push(energy);
-        }
-        Self::build(templates, &energies, block_len, 0)
-    }
-
-    /// Creates a bank with a zero-phase FIR prefilter folded into each
-    /// template (see
-    /// [`StreamingMatchedFilterBank::with_zero_phase_prefilters`]; the
-    /// fold is accumulated in f64 and rounded once per tap, exactly as
-    /// [`StreamingMatchedFilter32::with_zero_phase_prefilter`] does).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::with_zero_phase_prefilters`].
-    pub fn with_zero_phase_prefilters(entries: &[(&[f32], &[f64])]) -> Result<Self, DspError> {
-        if entries.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "template bank",
-            });
-        }
-        let mut delay = None;
-        let mut energies = Vec::with_capacity(entries.len());
-        let mut folded = Vec::with_capacity(entries.len());
-        for (template, taps) in entries {
-            if template.is_empty() {
-                return Err(DspError::EmptyInput {
-                    what: "matched-filter template",
-                });
-            }
-            if taps.is_empty() {
-                return Err(DspError::EmptyInput {
-                    what: "prefilter taps",
-                });
-            }
-            let d = (taps.len() - 1) / 2;
-            if *delay.get_or_insert(d) != d {
-                return Err(DspError::invalid(
-                    "taps",
-                    "all prefilters in a bank must share one group delay",
-                ));
-            }
-            let energy: f64 = template.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
-            if energy == 0.0 {
-                return Err(DspError::invalid("template", "template has zero energy"));
-            }
-            energies.push(energy);
-            let template_f64: Vec<f64> = template.iter().map(|&x| f64::from(x)).collect();
-            folded.push(
-                fold_zero_phase_taps(&template_f64, taps)
-                    .into_iter()
-                    .map(|v| v as f32)
-                    .collect::<Vec<f32>>(),
-            );
-        }
-        let longest = folded.iter().map(Vec::len).max().unwrap_or(0);
-        let block = try_next_pow2(longest.saturating_mul(4))?;
-        let refs: Vec<&[f32]> = folded.iter().map(Vec::as_slice).collect();
-        Self::build(&refs, &energies, block, delay.unwrap_or(0))
-    }
-
-    fn build(
-        templates: &[&[f32]],
-        energies: &[f64],
-        block_len: usize,
-        lead: usize,
-    ) -> Result<Self, DspError> {
-        let template_len = templates.iter().map(|t| t.len()).max().unwrap_or(0);
-        if block_len < template_len {
-            return Err(DspError::invalid(
-                "block_len",
-                format!("block ({block_len}) shorter than template ({template_len})"),
-            ));
-        }
-        let plan = shared_real_plan32(block_len)?;
-        let mut lanes = Vec::with_capacity(templates.len());
-        let mut template_ffts = 0;
-        for (template, &energy) in templates.iter().zip(energies) {
-            let mut spec_re = Vec::with_capacity(plan.num_bins());
-            let mut spec_im = Vec::with_capacity(plan.num_bins());
-            plan.rfft_half_into(template, &mut spec_re, &mut spec_im)?;
-            template_ffts += 1;
-            lanes.push(BankLane32 {
-                spec_re: Arc::new(spec_re),
-                spec_im: Arc::new(spec_im),
-                energy,
-            });
-        }
-        Ok(StreamingMatchedFilterBank32 {
-            plan,
-            lanes,
-            template_len,
-            lead,
-            template_ffts,
-        })
-    }
-
-    /// Number of templates (correlation lanes).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether the bank holds no templates (never true once constructed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// The shared (padded) template length in samples.
-    #[must_use]
-    pub fn template_len(&self) -> usize {
-        self.template_len
-    }
-
-    /// The FFT block length.
-    #[must_use]
-    pub fn block_len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// Valid correlation lags produced per block.
-    #[must_use]
-    pub fn step(&self) -> usize {
-        self.block_len() - self.template_len + 1
-    }
-
-    /// The lag-origin offset (folded prefilter group delay).
-    #[must_use]
-    pub fn lead(&self) -> usize {
-        self.lead
-    }
-
-    /// Template FFTs run over this bank's lifetime (one per template;
-    /// clones share the spectra).
-    #[must_use]
-    pub fn template_fft_count(&self) -> usize {
-        self.template_ffts
-    }
-
-    fn check_lanes(&self, lanes: &[Vec<f32>]) -> Result<(), DspError> {
-        if lanes.len() != self.lanes.len() {
-            return Err(DspError::invalid(
-                "lanes",
-                format!(
-                    "bank holds {} templates but {} output lanes were provided",
-                    self.lanes.len(),
-                    lanes.len()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn check_feed(&self, feed: &ChunkFeed<f32>) -> Result<(), DspError> {
-        if feed.block_len != self.block_len()
-            || feed.template_len != self.template_len
-            || feed.lead != self.lead
-        {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed was created for a different engine",
-            ));
-        }
-        if feed.finished {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed already finished; call reset() before reuse",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Fans the shared input spectrum (`f1_re`/`f1_im`) out across every
-    /// lane via the second plane pair.
-    fn fan_out(
-        &self,
-        scratch: &mut DspScratch,
-        take: usize,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        for (lane, out) in self.lanes.iter().zip(lanes.iter_mut()) {
-            scratch.f2_re.clear();
-            scratch.f2_re.extend_from_slice(&scratch.f1_re);
-            scratch.f2_im.clear();
-            scratch.f2_im.extend_from_slice(&scratch.f1_im);
-            let DspScratch {
-                f2_re, f2_im, r32, ..
-            } = &mut *scratch;
-            conj_mul_planes(f2_re, f2_im, &lane.spec_re, &lane.spec_im);
-            self.plan.irfft_half_into(f2_re, f2_im, r32)?;
-            out.extend_from_slice(&r32[..take]);
-        }
-        Ok(())
-    }
-
-    /// One-shot banked correlation (f32 twin of
-    /// [`StreamingMatchedFilterBank::correlate_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::correlate_into`].
-    pub fn correlate_into(
-        &self,
-        signal: &[f32],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        self.check_lanes(lanes)?;
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if self.template_len > signal.len() {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len,
-                    signal.len()
-                ),
-            ));
-        }
-        let out_len = signal.len();
-        for lane in lanes.iter_mut() {
-            lane.clear();
-            lane.reserve(out_len);
-        }
-        let block = self.block_len();
-        let step = self.step();
-        let mut pos = 0;
-        while pos < out_len {
-            scratch.r32.clear();
-            scratch.r32.extend((pos..pos + block).map(|j| {
-                j.checked_sub(self.lead)
-                    .and_then(|i| signal.get(i))
-                    .copied()
-                    .unwrap_or(0.0)
-            }));
-            let DspScratch {
-                f1_re, f1_im, r32, ..
-            } = &mut *scratch;
-            self.plan.rfft_half_into(r32, f1_re, f1_im)?;
-            let take = step.min(out_len - pos);
-            self.fan_out(scratch, take, lanes)?;
-            pos += step;
-        }
-        Ok(())
-    }
-
-    /// [`StreamingMatchedFilterBank32::correlate_into`] with each lane
-    /// normalized by its own template's energy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank32::correlate_into`].
-    pub fn correlate_normalized_into(
-        &self,
-        signal: &[f32],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        self.correlate_into(signal, scratch, lanes)?;
-        for (lane, out) in self.lanes.iter().zip(lanes.iter_mut()) {
-            let k = (1.0 / lane.energy) as f32;
-            for v in out.iter_mut() {
-                *v *= k;
-            }
-        }
-        Ok(())
-    }
-
-    /// Creates an online ingestion feed for this bank.
-    #[must_use]
-    pub fn chunk_feed(&self) -> ChunkFeed<f32> {
-        ChunkFeed::new(self.lead, self.block_len(), self.template_len)
-    }
-
-    /// Pushes `chunk` into `feed`, appending completed-block lags to all
-    /// K lanes (f32 twin of
-    /// [`StreamingMatchedFilterBank::push_chunk_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::push_chunk_into`].
-    pub fn push_chunk_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        self.check_lanes(lanes)?;
-        self.check_feed(feed)?;
-        let block = self.block_len();
-        let step = self.step();
-        let mut rest = chunk;
-        while !rest.is_empty() {
-            let take = (block - feed.buf.len()).min(rest.len());
-            feed.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if feed.buf.len() == block {
-                self.feed_transform(feed, scratch)?;
-                self.fan_out(scratch, step, lanes)?;
-                feed.emitted += step;
-            }
-        }
-        feed.pushed += chunk.len();
-        debug_assert!(feed.emitted <= feed.pushed);
-        Ok(())
-    }
-
-    fn feed_transform(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-    ) -> Result<(), DspError> {
-        debug_assert_eq!(feed.buf.len(), self.block_len());
-        scratch.r32.clear();
-        scratch.r32.extend_from_slice(&feed.buf);
-        let DspScratch {
-            f1_re, f1_im, r32, ..
-        } = &mut *scratch;
-        self.plan.rfft_half_into(r32, f1_re, f1_im)?;
-        let step = self.step();
-        feed.buf.copy_within(step.., 0);
-        feed.buf.truncate(self.block_len() - step);
-        Ok(())
-    }
-
-    /// [`StreamingMatchedFilterBank32::push_chunk_into`] with the
-    /// emitted lags normalized per lane.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank32::push_chunk_into`].
-    pub fn push_chunk_normalized_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        let before = feed.emitted;
-        self.push_chunk_into(feed, chunk, scratch, lanes)?;
-        self.normalize_tail(feed.emitted - before, lanes);
-        Ok(())
-    }
-
-    /// Flushes `feed`, appending the remaining raw lags to every lane
-    /// (f32 twin of [`StreamingMatchedFilterBank::finish_chunks_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::finish_chunks_into`].
-    pub fn finish_chunks_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        self.check_lanes(lanes)?;
-        if !feed.finished && feed.pushed == 0 {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if !feed.finished && feed.pushed < self.template_len {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len, feed.pushed
-                ),
-            ));
-        }
-        self.check_feed(feed)?;
-        let total = feed.pushed;
-        while feed.emitted < total {
-            feed.buf.resize(self.block_len(), 0.0);
-            self.feed_transform(feed, scratch)?;
-            let take = self.step().min(total - feed.emitted);
-            self.fan_out(scratch, take, lanes)?;
-            feed.emitted += take;
-        }
-        feed.finished = true;
-        Ok(())
-    }
-
-    /// [`StreamingMatchedFilterBank32::finish_chunks_into`] with the
-    /// emitted lags normalized per lane.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank32::finish_chunks_into`].
-    pub fn finish_chunks_normalized_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        let before = feed.emitted;
-        self.finish_chunks_into(feed, scratch, lanes)?;
-        self.normalize_tail(feed.emitted - before, lanes);
-        Ok(())
-    }
-
-    fn normalize_tail(&self, appended: usize, lanes: &mut [Vec<f32>]) {
-        for (lane, out) in self.lanes.iter().zip(lanes.iter_mut()) {
-            let k = (1.0 / lane.energy) as f32;
-            let start = out.len() - appended;
-            for v in &mut out[start..] {
-                *v *= k;
-            }
-        }
     }
 }
 
@@ -2497,25 +1166,10 @@ mod tests {
     }
 
     #[test]
-    fn matched_filter_normalization() {
-        let template = [2.0, 0.0, -2.0];
-        let filter = MatchedFilter::new(&template).unwrap();
-        let mut signal = vec![0.0; 16];
-        signal[4..7].copy_from_slice(&template);
-        let out = filter.correlate_normalized(&signal).unwrap();
-        assert!((out[4] - 1.0).abs() < 1e-9);
-        assert_eq!(filter.len(), 3);
-        assert!(!filter.is_empty());
-        assert!((filter.template_energy() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn rejects_degenerate_inputs() {
         assert!(xcorr(&[], &[1.0]).is_err());
         assert!(xcorr(&[1.0], &[]).is_err());
         assert!(xcorr(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(MatchedFilter::new(&[]).is_err());
-        assert!(MatchedFilter::new(&[0.0, 0.0]).is_err());
         assert!(normalized_xcorr(&[1.0, 2.0], &[0.0]).is_err());
     }
 
@@ -2598,7 +1252,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_normalization_matches_matched_filter() {
+    fn streaming_normalization_peaks_at_one_for_exact_match() {
         let template = [2.0, 0.0, -2.0];
         let mut signal = vec![0.0; 64];
         signal[4..7].copy_from_slice(&template);
@@ -2759,176 +1413,6 @@ mod tests {
         let filter = StreamingMatchedFilter::new(&[1.0, 2.0]).unwrap();
         assert!(filter.correlate(&[]).is_err());
         assert!(filter.correlate(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn f32_streaming_tracks_f64_reference() {
-        let template: Vec<f64> = (0..37)
-            .map(|i| (i as f64 * 0.4).sin() - 0.3 * (i as f64 * 0.09).cos())
-            .collect();
-        let signal: Vec<f64> = (0..1500)
-            .map(|i| (i as f64 * 0.021).sin() * (i as f64 * 0.0047).cos())
-            .collect();
-        let reference = xcorr(&signal, &template).unwrap();
-        let template32: Vec<f32> = template.iter().map(|&x| x as f32).collect();
-        let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-        let filter = StreamingMatchedFilter32::new(&template32).unwrap();
-        assert_eq!(filter.block_len(), 256);
-        assert_eq!(filter.step(), 256 - 37 + 1);
-        assert_eq!(filter.template_len(), 37);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        filter
-            .correlate_into(&signal32, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out.len(), reference.len());
-        let scale = 1.0 + reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (k, (&x, &y)) in out.iter().zip(&reference).enumerate() {
-            assert!((x as f64 - y).abs() < 1e-4 * scale, "lag {k}: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn f32_chunked_feed_is_bit_identical_to_f32_one_shot() {
-        let template32: Vec<f32> = (0..37)
-            .map(|i| ((i as f64 * 0.4).sin() - 0.3 * (i as f64 * 0.09).cos()) as f32)
-            .collect();
-        let signal32: Vec<f32> = (0..1777)
-            .map(|i| ((i as f64 * 0.021).sin() * (i as f64 * 0.0047).cos()) as f32)
-            .collect();
-        let filter = StreamingMatchedFilter32::new(&template32).unwrap();
-        let mut scratch = DspScratch::new();
-        let mut reference = Vec::new();
-        filter
-            .correlate_normalized_into(&signal32, &mut scratch, &mut reference)
-            .unwrap();
-        for sizes in [&[1usize][..], &[3, 7, 11][..], &[256][..], &[1777][..]] {
-            let mut feed = filter.chunk_feed();
-            let mut out = Vec::new();
-            let mut pos = 0;
-            let mut i = 0;
-            while pos < signal32.len() {
-                let n = sizes[i % sizes.len()].min(signal32.len() - pos);
-                filter
-                    .push_chunk_normalized_into(
-                        &mut feed,
-                        &signal32[pos..pos + n],
-                        &mut scratch,
-                        &mut out,
-                    )
-                    .unwrap();
-                pos += n;
-                i += 1;
-            }
-            filter
-                .finish_chunks_normalized_into(&mut feed, &mut scratch, &mut out)
-                .unwrap();
-            assert!(feed.is_finished());
-            assert_eq!(feed.pushed(), signal32.len());
-            assert_eq!(feed.emitted(), signal32.len());
-            assert_eq!(out, reference, "chunk sizes {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn folded_prefilter_matches_filter_then_correlate() {
-        // Correlating the raw signal through the folded engine must
-        // reproduce band-pass → correlate within f32 rounding, at every
-        // lag — including the boundary lags where both pipelines rely on
-        // zero extension.
-        let template: Vec<f64> = (0..61)
-            .map(|i| (i as f64 * 0.31).sin() * (1.0 - (i as f64 - 30.0).abs() / 31.0))
-            .collect();
-        let signal: Vec<f64> = (0..2_111)
-            .map(|i| (i as f64 * 0.037).sin() * (i as f64 * 0.0011).cos())
-            .collect();
-        let bp =
-            crate::filter::FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, 31, Window::Hamming)
-                .unwrap();
-        // Reference: f64 zero-phase band-pass, then f64 correlation.
-        let filtered = bp.filter_zero_phase(&signal).unwrap();
-        let reference = xcorr(&filtered, &template).unwrap();
-        let energy: f64 = template.iter().map(|x| x * x).sum();
-
-        let template32: Vec<f32> = template.iter().map(|&x| x as f32).collect();
-        let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-        let folded =
-            StreamingMatchedFilter32::with_zero_phase_prefilter(&template32, bp.taps()).unwrap();
-        assert_eq!(folded.template_len(), template.len() + bp.taps().len() - 1);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        folded
-            .correlate_normalized_into(&signal32, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out.len(), reference.len());
-        // Exact agreement holds up to the partial-overlap tail (the
-        // two-pass reference truncates the prefilter's ringing at the
-        // signal end; the folded engine keeps it).
-        let full = signal.len() - template.len() + 1;
-        let scale = 1.0
-            + reference
-                .iter()
-                .fold(0.0f64, |m, v| m.max(v.abs() / energy));
-        for (k, (&x, &y)) in out.iter().zip(&reference).enumerate().take(full) {
-            assert!(
-                (f64::from(x) - y / energy).abs() < 1e-4 * scale,
-                "lag {k}: {x} vs {}",
-                y / energy
-            );
-        }
-        // The chunked feed honours the folded lead: bit-identical to the
-        // folded one-shot, independent of chunking.
-        let mut feed = folded.chunk_feed();
-        let mut chunked = Vec::new();
-        for chunk in signal32.chunks(97) {
-            folded
-                .push_chunk_normalized_into(&mut feed, chunk, &mut scratch, &mut chunked)
-                .unwrap();
-        }
-        folded
-            .finish_chunks_normalized_into(&mut feed, &mut scratch, &mut chunked)
-            .unwrap();
-        assert_eq!(chunked, out);
-        // Degenerate folds are rejected.
-        assert!(StreamingMatchedFilter32::with_zero_phase_prefilter(&[], bp.taps()).is_err());
-        assert!(StreamingMatchedFilter32::with_zero_phase_prefilter(&template32, &[]).is_err());
-        assert!(
-            StreamingMatchedFilter32::with_zero_phase_prefilter(&[0.0, 0.0], bp.taps()).is_err()
-        );
-    }
-
-    #[test]
-    fn f32_streaming_rejects_degenerate_inputs() {
-        assert!(StreamingMatchedFilter32::new(&[]).is_err());
-        assert!(StreamingMatchedFilter32::new(&[0.0, 0.0]).is_err());
-        assert!(StreamingMatchedFilter32::with_block_len(&[1.0; 8], 4).is_err());
-        assert!(StreamingMatchedFilter32::with_block_len(&[1.0; 8], 12).is_err());
-        let filter = StreamingMatchedFilter32::new(&[1.0, 2.0]).unwrap();
-        assert!((filter.template_energy() - 5.0).abs() < 1e-12);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        assert!(filter.correlate_into(&[], &mut scratch, &mut out).is_err());
-        assert!(filter
-            .correlate_into(&[1.0], &mut scratch, &mut out)
-            .is_err());
-        // Feed error mirroring: nothing pushed, short stream, foreign feed.
-        let mut feed = filter.chunk_feed();
-        assert!(matches!(
-            filter.finish_chunks_into(&mut feed, &mut scratch, &mut out),
-            Err(DspError::EmptyInput { .. })
-        ));
-        filter
-            .push_chunk_into(&mut feed, &[1.0], &mut scratch, &mut out)
-            .unwrap();
-        assert!(filter
-            .finish_chunks_into(&mut feed, &mut scratch, &mut out)
-            .is_err());
-        let other = StreamingMatchedFilter32::new(&[1.0; 64]).unwrap();
-        let mut foreign = other.chunk_feed();
-        assert!(filter
-            .push_chunk_into(&mut foreign, &[1.0], &mut scratch, &mut out)
-            .is_err());
-        assert!(foreign.capacity_bytes() > 0);
     }
 
     /// Three deterministic templates of *different* lengths plus a long
@@ -3144,6 +1628,34 @@ mod tests {
         assert_eq!(streamed.len(), reference.len());
         let full = signal.len() - folded.template_len() + 1;
         assert_bit_close(&streamed[..full], &reference[..full]);
+        // The chunked feed honours the folded lead: bit-identical to the
+        // folded one-shot, independent of chunking.
+        let mut scratch = DspScratch::new();
+        let mut feed = folded.chunk_feed();
+        let mut chunked = Vec::new();
+        for chunk in signal.chunks(97) {
+            folded
+                .push_chunk_into(&mut feed, chunk, &mut scratch, &mut chunked)
+                .unwrap();
+        }
+        folded
+            .finish_chunks_into(&mut feed, &mut scratch, &mut chunked)
+            .unwrap();
+        assert_eq!(chunked, streamed);
+        // Folding lengthens the engine template, not the shortest signal
+        // accepted: one original template's worth still correlates, one
+        // sample less does not — one-shot and chunked alike.
+        let short = &signal[..template.len()];
+        assert_eq!(folded.correlate(short).unwrap().len(), template.len());
+        assert!(folded.correlate(&short[1..]).is_err());
+        let mut feed = folded.chunk_feed();
+        let mut out = Vec::new();
+        folded
+            .push_chunk_into(&mut feed, &short[1..], &mut scratch, &mut out)
+            .unwrap();
+        assert!(folded
+            .finish_chunks_into(&mut feed, &mut scratch, &mut out)
+            .is_err());
         // Degenerate folds are rejected.
         assert!(StreamingMatchedFilter::with_zero_phase_prefilter(&[], bp.taps()).is_err());
         assert!(StreamingMatchedFilter::with_zero_phase_prefilter(&template, &[]).is_err());
@@ -3159,10 +1671,10 @@ mod tests {
         let clone = bank.clone();
         // A clone reuses the Arc'd spectra — no new template FFTs.
         assert_eq!(clone.template_fft_count(), 3);
-        for (a, b) in bank.lanes.iter().zip(&clone.lanes) {
-            assert!(Arc::ptr_eq(&a.spec, &b.spec));
+        for (a, b) in bank.engine.specs.iter().zip(&clone.engine.specs) {
+            assert!(Arc::ptr_eq(a, b));
         }
-        assert!(Arc::ptr_eq(&bank.plan, &clone.plan));
+        assert!(Arc::ptr_eq(&bank.engine.plan, &clone.engine.plan));
     }
 
     #[test]
@@ -3222,116 +1734,5 @@ mod tests {
         assert!(bank
             .push_chunk_into(&mut foreign, &[1.0], &mut scratch, &mut lanes)
             .is_err());
-    }
-
-    #[test]
-    fn f32_bank_lanes_bit_identical_to_independent_f32_engines() {
-        let (templates, signal) = bank_fixtures();
-        let templates32: Vec<Vec<f32>> = templates
-            .iter()
-            .map(|t| t.iter().map(|&x| x as f32).collect())
-            .collect();
-        let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-        let refs: Vec<&[f32]> = templates32.iter().map(Vec::as_slice).collect();
-        let bank = StreamingMatchedFilterBank32::new(&refs).unwrap();
-        assert_eq!(bank.len(), 3);
-        assert!(!bank.is_empty());
-        assert_eq!(bank.template_len(), 61);
-        assert_eq!(bank.block_len(), 256);
-        assert_eq!(bank.step(), 196);
-        assert_eq!(bank.lead(), 0);
-        assert_eq!(bank.template_fft_count(), 3);
-        let mut scratch = DspScratch::new();
-        let mut lanes: Vec<Vec<f32>> = vec![Vec::new(); bank.len()];
-        bank.correlate_into(&signal32, &mut scratch, &mut lanes)
-            .unwrap();
-        for (k, template) in templates32.iter().enumerate() {
-            let mut padded = template.clone();
-            padded.resize(bank.template_len(), 0.0);
-            let single =
-                StreamingMatchedFilter32::with_block_len(&padded, bank.block_len()).unwrap();
-            let mut reference = Vec::new();
-            single
-                .correlate_into(&signal32, &mut scratch, &mut reference)
-                .unwrap();
-            assert_eq!(lanes[k], reference, "f32 lane {k}");
-        }
-        // Chunked f32 bank flow is bit-identical to the f32 one-shot.
-        let mut reference = lanes.clone();
-        bank.correlate_normalized_into(&signal32, &mut scratch, &mut reference)
-            .unwrap();
-        let mut feed = bank.chunk_feed();
-        let mut chunked: Vec<Vec<f32>> = vec![Vec::new(); bank.len()];
-        for chunk in signal32.chunks(131) {
-            bank.push_chunk_normalized_into(&mut feed, chunk, &mut scratch, &mut chunked)
-                .unwrap();
-        }
-        bank.finish_chunks_normalized_into(&mut feed, &mut scratch, &mut chunked)
-            .unwrap();
-        assert_eq!(chunked, reference);
-        // Raw chunked flow too.
-        feed.reset();
-        let mut raw: Vec<Vec<f32>> = vec![Vec::new(); bank.len()];
-        bank.push_chunk_into(&mut feed, &signal32, &mut scratch, &mut raw)
-            .unwrap();
-        bank.finish_chunks_into(&mut feed, &mut scratch, &mut raw)
-            .unwrap();
-        assert_eq!(raw, lanes);
-    }
-
-    #[test]
-    fn f32_bank_folded_prefilters_match_independent_folded_engines() {
-        let templates32: Vec<Vec<f32>> = [(0.40, 0.09), (0.23, 0.31)]
-            .iter()
-            .map(|&(a, b)| {
-                (0..48)
-                    .map(|i| ((i as f64 * a).sin() - 0.3 * (i as f64 * b).cos()) as f32)
-                    .collect()
-            })
-            .collect();
-        let signal32: Vec<f32> = (0..1_500)
-            .map(|i| ((i as f64 * 0.037).sin() * (i as f64 * 0.0011).cos()) as f32)
-            .collect();
-        let taps: Vec<Vec<f64>> = [(2_000.0, 3_000.0), (4_400.0, 5_400.0)]
-            .iter()
-            .map(|&(lo, hi)| {
-                crate::filter::FirFilter::band_pass(lo, hi, 44_100.0, 31, Window::Hamming)
-                    .unwrap()
-                    .taps()
-                    .to_vec()
-            })
-            .collect();
-        let entries: Vec<(&[f32], &[f64])> = templates32
-            .iter()
-            .zip(&taps)
-            .map(|(t, h)| (t.as_slice(), h.as_slice()))
-            .collect();
-        let bank = StreamingMatchedFilterBank32::with_zero_phase_prefilters(&entries).unwrap();
-        assert_eq!(bank.lead(), 15);
-        let mut scratch = DspScratch::new();
-        let mut lanes: Vec<Vec<f32>> = vec![Vec::new(); bank.len()];
-        bank.correlate_normalized_into(&signal32, &mut scratch, &mut lanes)
-            .unwrap();
-        for (k, (template, tap)) in templates32.iter().zip(&taps).enumerate() {
-            let single =
-                StreamingMatchedFilter32::with_zero_phase_prefilter(template, tap).unwrap();
-            assert_eq!(single.block_len(), bank.block_len());
-            assert_eq!(single.template_len(), bank.template_len());
-            let mut reference = Vec::new();
-            single
-                .correlate_normalized_into(&signal32, &mut scratch, &mut reference)
-                .unwrap();
-            assert_eq!(lanes[k], reference, "f32 folded lane {k}");
-        }
-        // Degenerate f32 bank inputs are rejected.
-        assert!(StreamingMatchedFilterBank32::new(&[]).is_err());
-        assert!(StreamingMatchedFilterBank32::new(&[&[][..]]).is_err());
-        assert!(StreamingMatchedFilterBank32::new(&[&[0.0, 0.0][..]]).is_err());
-        assert!(StreamingMatchedFilterBank32::with_zero_phase_prefilters(&[]).is_err());
-        assert!(StreamingMatchedFilterBank32::with_zero_phase_prefilters(&[
-            (&[1.0f32, 2.0][..], &[0.2, 0.6, 0.2][..]),
-            (&[1.0f32, 2.0][..], &[0.1, 0.2, 0.4, 0.2, 0.1][..]),
-        ])
-        .is_err());
     }
 }

@@ -448,7 +448,7 @@ pub fn mcci_fuse_channel_into(
 mod tests {
     use super::*;
     use crate::chirp::Chirp;
-    use crate::correlate::MatchedFilter;
+    use crate::correlate::StreamingMatchedFilter;
     use crate::plan::DspScratch;
 
     fn beacon_corr(positions: &[f64], n: usize, noise_seed: u64) -> Vec<f64> {
@@ -465,7 +465,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             *s += ((state >> 33) as f64 / (1u64 << 31) as f64 - 1.0) * 1e-3;
         }
-        let mut filter = MatchedFilter::new(chirp.samples()).expect("filter");
+        let filter = StreamingMatchedFilter::new(chirp.samples()).expect("filter");
         let mut scratch = DspScratch::new();
         let mut corr = Vec::new();
         filter

@@ -6,7 +6,7 @@
 //! symmetric FIR delays every frequency by exactly `(taps-1)/2` samples,
 //! which [`FirFilter::filter_zero_phase`] compensates.
 
-use crate::correlate::{ChunkFeed, OverlapSave, OverlapSave32};
+use crate::correlate::OverlapSave;
 use crate::fft::try_next_pow2;
 use crate::plan::DspScratch;
 use crate::window::Window;
@@ -280,11 +280,13 @@ impl FirFilter {
 
 /// FFT-accelerated zero-phase FIR application via overlap-save blocks.
 ///
-/// [`FirFilter::filter_zero_phase_into`] is O(N·taps) per call; for the
-/// 127-tap band-pass over a multi-second capture that direct sum dominates
-/// beacon detection. This engine runs the same zero-phase convolution as
-/// blocked half-spectrum multiplications — O(N log B) with a peak FFT size
-/// of [`ZeroPhaseFir::block_len`], independent of signal length.
+/// [`FirFilter::filter_zero_phase_into`] is O(N·taps) per call. This
+/// engine runs the same zero-phase convolution as blocked half-spectrum
+/// multiplications — O(N log B) with a peak FFT size of
+/// [`ZeroPhaseFir::block_len`], independent of signal length. (Beacon
+/// detection needs neither: it folds the band-pass into the matched
+/// filter, see
+/// [`crate::correlate::StreamingMatchedFilter::with_zero_phase_prefilter`].)
 ///
 /// Internally the zero-phase output `out[i] = Σ_k taps[k]·x[i + delay − k]`
 /// is rewritten as a cross-correlation with the *reversed* taps at a lead
@@ -303,7 +305,6 @@ impl FirFilter {
 #[derive(Debug, Clone)]
 pub struct ZeroPhaseFir {
     core: OverlapSave,
-    lead: usize,
 }
 
 impl ZeroPhaseFir {
@@ -320,8 +321,7 @@ impl ZeroPhaseFir {
         let delay = (taps.len() - 1) / 2;
         let block = try_next_pow2(taps.len().saturating_mul(4))?;
         Ok(ZeroPhaseFir {
-            core: OverlapSave::new(&reversed, block)?,
-            lead: taps.len() - 1 - delay,
+            core: OverlapSave::new(&[&reversed], block, taps.len() - 1 - delay)?,
         })
     }
 
@@ -349,159 +349,7 @@ impl ZeroPhaseFir {
         if signal.is_empty() {
             return Err(DspError::EmptyInput { what: "FIR input" });
         }
-        self.core.run(signal, self.lead, signal.len(), scratch, out)
-    }
-
-    /// Creates an online ingestion feed for this filter (see
-    /// [`ChunkFeed`]).
-    #[must_use]
-    pub fn chunk_feed(&self) -> ChunkFeed {
-        // The reversed-taps template length, recovered from the engine's
-        // block geometry (step = block - template + 1).
-        let template_len = self.core.block_len() - self.core.step() + 1;
-        ChunkFeed::new(self.lead, self.core.block_len(), template_len)
-    }
-
-    /// Pushes `chunk` (any length, empty included) into `feed`, appending
-    /// every filtered sample whose FFT block completed to `out`. After
-    /// [`ZeroPhaseFir::finish_chunks_into`], the concatenated output is
-    /// bit-identical to [`ZeroPhaseFir::filter_into`] over the
-    /// concatenated chunks, independent of the chunking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `feed` was created by a
-    /// different engine or has already been finished.
-    pub fn push_chunk_into(
-        &self,
-        feed: &mut ChunkFeed,
-        chunk: &[f64],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.core.feed_push(feed, self.lead, chunk, scratch, out)
-    }
-
-    /// Flushes `feed`, appending the remaining filtered samples to `out`
-    /// (one output sample per pushed sample in total). The feed is then
-    /// finished; call [`ChunkFeed::reset`] to reuse it.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`ZeroPhaseFir::filter_into`]: [`DspError::EmptyInput`]
-    /// when nothing was pushed, [`DspError::InvalidParameter`] when the
-    /// feed belongs to a different engine or was already finished.
-    pub fn finish_chunks_into(
-        &self,
-        feed: &mut ChunkFeed,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        if !feed.is_finished() && feed.pushed() == 0 {
-            return Err(DspError::EmptyInput { what: "FIR input" });
-        }
-        self.core.feed_finish(feed, self.lead, scratch, out)
-    }
-}
-
-/// Single-precision FFT-accelerated zero-phase FIR — the f32 analogue of
-/// [`ZeroPhaseFir`], built on the split-plane overlap-save engine.
-///
-/// Taps are designed in f64 (via [`FirFilter`]) and rounded once to f32
-/// at engine construction, so design accuracy does not depend on the
-/// execution precision. Used by the opt-in `Precision::F32` pipeline; no
-/// bit-identity contract against the f64 path (see DESIGN.md §11).
-#[derive(Debug, Clone)]
-pub struct ZeroPhaseFir32 {
-    core: OverlapSave32,
-    lead: usize,
-}
-
-impl ZeroPhaseFir32 {
-    /// Builds the single-precision FFT engine for `filter`, with blocks
-    /// of `next_pow2(4 × taps)` samples.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ZeroPhaseFir::new`].
-    pub fn new(filter: &FirFilter) -> Result<Self, DspError> {
-        let taps = filter.taps();
-        let reversed: Vec<f32> = taps.iter().rev().map(|&t| t as f32).collect();
-        let delay = (taps.len() - 1) / 2;
-        let block = try_next_pow2(taps.len().saturating_mul(4))?;
-        Ok(ZeroPhaseFir32 {
-            core: OverlapSave32::new(&reversed, block)?,
-            lead: taps.len() - 1 - delay,
-        })
-    }
-
-    /// The FFT block length — the peak transform size of every call.
-    #[must_use]
-    pub fn block_len(&self) -> usize {
-        self.core.block_len()
-    }
-
-    /// Zero-phase filtering into a caller-owned buffer (cleared and
-    /// reused); f32 analogue of [`ZeroPhaseFir::filter_into`].
-    /// Steady-state calls at warm sizes do not allocate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] if `signal` is empty.
-    pub fn filter_into(
-        &self,
-        signal: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput { what: "FIR input" });
-        }
-        self.core.run(signal, self.lead, signal.len(), scratch, out)
-    }
-
-    /// Creates an online ingestion feed for this engine (see
-    /// [`ChunkFeed`]).
-    #[must_use]
-    pub fn chunk_feed(&self) -> ChunkFeed<f32> {
-        let template_len = self.core.block_len() - self.core.step() + 1;
-        ChunkFeed::new(self.lead, self.core.block_len(), template_len)
-    }
-
-    /// Pushes `chunk` into `feed`, appending every filtered sample whose
-    /// FFT block completed to `out` (f32 analogue of
-    /// [`ZeroPhaseFir::push_chunk_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `feed` was created by a
-    /// different engine or has already been finished.
-    pub fn push_chunk_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        self.core.feed_push(feed, self.lead, chunk, scratch, out)
-    }
-
-    /// Flushes `feed`, appending the remaining filtered samples to `out`
-    /// (f32 analogue of [`ZeroPhaseFir::finish_chunks_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ZeroPhaseFir::finish_chunks_into`].
-    pub fn finish_chunks_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        if !feed.is_finished() && feed.pushed() == 0 {
-            return Err(DspError::EmptyInput { what: "FIR input" });
-        }
-        self.core.feed_finish(feed, self.lead, scratch, out)
+        self.core.run(signal, scratch, std::slice::from_mut(out))
     }
 }
 
@@ -713,62 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_fir_is_bit_identical_to_one_shot() {
-        let fs = 44_100.0;
-        let bp = FirFilter::band_pass(2_000.0, 6_400.0, fs, 127, Window::Hamming).unwrap();
-        let engine = ZeroPhaseFir::new(&bp).unwrap();
-        let signal: Vec<f64> = (0..2345)
-            .map(|i| (i as f64 * 0.13).sin() + 0.4 * (i as f64 * 0.031).cos())
-            .collect();
-        let mut scratch = DspScratch::new();
-        let mut reference = Vec::new();
-        engine
-            .filter_into(&signal, &mut scratch, &mut reference)
-            .unwrap();
-        for chunk_len in [1usize, 5, 127, 512, signal.len()] {
-            let mut feed = engine.chunk_feed();
-            let mut out = Vec::new();
-            for chunk in signal.chunks(chunk_len) {
-                engine
-                    .push_chunk_into(&mut feed, chunk, &mut scratch, &mut out)
-                    .unwrap();
-            }
-            engine
-                .finish_chunks_into(&mut feed, &mut scratch, &mut out)
-                .unwrap();
-            assert_eq!(out, reference, "chunk_len {chunk_len}");
-            // Reset gives a clean second stream on the same feed.
-            feed.reset();
-            let mut again = Vec::new();
-            engine
-                .push_chunk_into(&mut feed, &signal, &mut scratch, &mut again)
-                .unwrap();
-            engine
-                .finish_chunks_into(&mut feed, &mut scratch, &mut again)
-                .unwrap();
-            assert_eq!(again, reference);
-        }
-    }
-
-    #[test]
-    fn chunked_fir_rejects_empty_stream_and_foreign_feeds() {
-        let lp = FirFilter::low_pass(5_000.0, 44_100.0, 61, Window::Hamming).unwrap();
-        let engine = ZeroPhaseFir::new(&lp).unwrap();
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        let mut feed = engine.chunk_feed();
-        assert!(matches!(
-            engine.finish_chunks_into(&mut feed, &mut scratch, &mut out),
-            Err(DspError::EmptyInput { .. })
-        ));
-        let other = FirFilter::low_pass(5_000.0, 44_100.0, 31, Window::Hamming).unwrap();
-        let mut foreign = ZeroPhaseFir::new(&other).unwrap().chunk_feed();
-        assert!(engine
-            .push_chunk_into(&mut foreign, &[1.0], &mut scratch, &mut out)
-            .is_err());
-    }
-
-    #[test]
     fn blocked_zero_phase_is_bit_identical_to_naive_loop() {
         // The interior/edge split with 4-wide output blocks must
         // reproduce the historical per-sample checked loop to the last
@@ -811,72 +603,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn f32_zero_phase_tracks_f64_engine() {
-        let fs = 44_100.0;
-        let bp = FirFilter::band_pass(2_000.0, 6_400.0, fs, 127, Window::Hamming).unwrap();
-        let signal: Vec<f64> = (0..3000)
-            .map(|i| (i as f64 * 0.13).sin() + 0.4 * (i as f64 * 0.031).cos())
-            .collect();
-        let direct = bp.filter_zero_phase(&signal).unwrap();
-        let engine = ZeroPhaseFir32::new(&bp).unwrap();
-        assert_eq!(engine.block_len(), 512);
-        let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        engine
-            .filter_into(&signal32, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out.len(), direct.len());
-        let scale = 1.0 + direct.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (i, (&x, &y)) in out.iter().zip(&direct).enumerate() {
-            assert!(
-                (x as f64 - y).abs() < 1e-4 * scale,
-                "sample {i}: {x} vs {y}"
-            );
-        }
-        assert!(engine.filter_into(&[], &mut scratch, &mut out).is_err());
-    }
-
-    #[test]
-    fn f32_chunked_fir_is_bit_identical_to_f32_one_shot() {
-        let bp = FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, 127, Window::Hamming).unwrap();
-        let engine = ZeroPhaseFir32::new(&bp).unwrap();
-        let signal32: Vec<f32> = (0..2345)
-            .map(|i| ((i as f64 * 0.13).sin() + 0.4 * (i as f64 * 0.031).cos()) as f32)
-            .collect();
-        let mut scratch = DspScratch::new();
-        let mut reference = Vec::new();
-        engine
-            .filter_into(&signal32, &mut scratch, &mut reference)
-            .unwrap();
-        for chunk_len in [1usize, 127, 512, signal32.len()] {
-            let mut feed = engine.chunk_feed();
-            let mut out = Vec::new();
-            for chunk in signal32.chunks(chunk_len) {
-                engine
-                    .push_chunk_into(&mut feed, chunk, &mut scratch, &mut out)
-                    .unwrap();
-            }
-            engine
-                .finish_chunks_into(&mut feed, &mut scratch, &mut out)
-                .unwrap();
-            assert_eq!(out, reference, "chunk_len {chunk_len}");
-        }
-        // Empty stream and foreign feeds are rejected like the f64 engine.
-        let mut fresh = engine.chunk_feed();
-        let mut out = Vec::new();
-        assert!(matches!(
-            engine.finish_chunks_into(&mut fresh, &mut scratch, &mut out),
-            Err(DspError::EmptyInput { .. })
-        ));
-        let other = FirFilter::low_pass(5_000.0, 44_100.0, 31, Window::Hamming).unwrap();
-        let mut foreign = ZeroPhaseFir32::new(&other).unwrap().chunk_feed();
-        assert!(engine
-            .push_chunk_into(&mut foreign, &[1.0], &mut scratch, &mut out)
-            .is_err());
     }
 
     #[test]

@@ -16,5 +16,5 @@ pub mod fir;
 pub mod sma;
 
 pub use biquad::{Biquad, BiquadKind};
-pub use fir::{FirFilter, ZeroPhaseFir, ZeroPhaseFir32};
+pub use fir::{FirFilter, ZeroPhaseFir};
 pub use sma::MovingAverage;

@@ -13,8 +13,10 @@
 //! - [`filter`] — windowed-sinc FIR design, RBJ biquads, zero-phase
 //!   filtering, and the simple-moving-average filter the paper uses on
 //!   inertial signals.
-//! - [`correlate`] — FFT-accelerated cross-correlation and the matched
-//!   filter used for chirp beacon detection (BeepBeep-style).
+//! - [`correlate`] — FFT-accelerated cross-correlation and the one
+//!   overlap-save matched-filter engine (single template or K-template
+//!   bank, band-pass optionally folded in) used for chirp beacon
+//!   detection (BeepBeep-style).
 //! - [`chirp`] — linear and up-down chirp synthesis (the HyperEar beacon).
 //! - [`estimator`] — robust TDoA estimator kernels: floored GCC-PHAT
 //!   whitening, sub-band coherence weighting, and MCCI cross-channel
@@ -41,7 +43,7 @@
 //!
 //! ```
 //! use hyperear_dsp::chirp::{Chirp, ChirpShape};
-//! use hyperear_dsp::correlate::MatchedFilter;
+//! use hyperear_dsp::correlate::StreamingMatchedFilter;
 //!
 //! # fn main() -> Result<(), hyperear_dsp::DspError> {
 //! let fs = 44_100.0;
@@ -52,7 +54,7 @@
 //! let mut recording = vec![0.0f64; 8192];
 //! recording[1000..1000 + reference.len()].copy_from_slice(reference);
 //!
-//! let filter = MatchedFilter::new(reference)?;
+//! let filter = StreamingMatchedFilter::new(reference)?;
 //! let output = filter.correlate(&recording)?;
 //! let peak = output
 //!     .iter()
@@ -67,13 +69,7 @@
 //!
 //! [HyperEar]: https://doi.org/10.1109/ICDCS.2019.00073
 
-// The crate is `forbid(unsafe_code)` in its default build. The opt-in
-// `simd` feature needs `core::arch` intrinsics, which are unsafe by
-// definition; under that feature the lint drops to `deny` so the one
-// runtime-dispatched kernel module in `complex` can scope a targeted
-// `allow` — everything else still refuses unsafe.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chirp;

@@ -523,387 +523,6 @@ impl RealFftPlan {
     }
 }
 
-/// A precomputed single-precision FFT plan over **split re/im planes**.
-///
-/// The opt-in f32 pipeline (see `Precision::F32` in the core crate) does
-/// not reuse [`FftPlan`] with narrower scalars; it stores the real and
-/// imaginary parts in separate `&mut [f32]` planes. Split planes keep
-/// every operand stream contiguous and homogeneous, so the plain chunked
-/// loops below autovectorize to 8-wide f32 arithmetic on AVX without the
-/// shuffles an interleaved complex layout forces — that layout change is
-/// where most of the reduced-precision throughput comes from.
-///
-/// Twiddles are generated by the f64 recurrence of [`FftPlan`] and then
-/// rounded once to f32, so table error does not accumulate per stage.
-/// The f32 path carries no bit-identity contract; f64 remains the
-/// conformance reference (DESIGN.md §11).
-#[derive(Debug, Clone)]
-pub struct Fft32Plan {
-    n: usize,
-    bit_rev: Vec<usize>,
-    fwd_re: Vec<f32>,
-    fwd_im: Vec<f32>,
-    inv_re: Vec<f32>,
-    inv_im: Vec<f32>,
-}
-
-impl Fft32Plan {
-    /// Builds a single-precision plan for transforms of length `n`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FftPlan::new`].
-    pub fn new(n: usize) -> Result<Self, DspError> {
-        if n == 0 {
-            return Err(DspError::EmptyInput { what: "fft input" });
-        }
-        if !n.is_power_of_two() {
-            return Err(DspError::invalid(
-                "data.len()",
-                format!("FFT length must be a power of two, got {n}"),
-            ));
-        }
-        let bits = n.trailing_zeros();
-        let bit_rev = if n == 1 {
-            vec![0]
-        } else {
-            (0..n)
-                .map(|i| i.reverse_bits() >> (usize::BITS - bits))
-                .collect()
-        };
-        let (fwd_re, fwd_im) = twiddle_planes(n, -1.0);
-        let (inv_re, inv_im) = twiddle_planes(n, 1.0);
-        Ok(Fft32Plan {
-            n,
-            bit_rev,
-            fwd_re,
-            fwd_im,
-            inv_re,
-            inv_im,
-        })
-    }
-
-    /// The transform length this plan was built for.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the plan length is zero (never true for a constructed plan).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// In-place forward FFT over split planes. Allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if either plane's length
-    /// does not match the plan length.
-    pub fn fft(&self, re: &mut [f32], im: &mut [f32]) -> Result<(), DspError> {
-        self.check_len(re.len(), im.len())?;
-        self.run(re, im, &self.fwd_re, &self.fwd_im);
-        Ok(())
-    }
-
-    /// In-place inverse FFT over split planes, normalized by `1/N`.
-    /// Allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Fft32Plan::fft`].
-    pub fn ifft(&self, re: &mut [f32], im: &mut [f32]) -> Result<(), DspError> {
-        self.check_len(re.len(), im.len())?;
-        self.run(re, im, &self.inv_re, &self.inv_im);
-        crate::complex::scale_planes(re, im, 1.0 / self.n as f32);
-        Ok(())
-    }
-
-    fn check_len(&self, re_len: usize, im_len: usize) -> Result<(), DspError> {
-        if re_len == self.n && im_len == self.n {
-            Ok(())
-        } else {
-            Err(DspError::invalid(
-                "re.len()/im.len()",
-                format!(
-                    "plan built for length {}, got planes of {re_len}/{im_len}",
-                    self.n
-                ),
-            ))
-        }
-    }
-
-    /// The butterfly passes shared by both directions, on split planes.
-    ///
-    /// Six equal-length streams (lo/hi × re/im, plus the two twiddle
-    /// planes) with no cross-lane data motion: each `k` is independent,
-    /// which is exactly the shape the autovectorizer turns into packed
-    /// f32 multiply/adds.
-    fn run(&self, re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im: &[f32]) {
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-        for i in 0..n {
-            let j = self.bit_rev[i];
-            if j > i {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-        let mut offset = 0;
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let stage_re = &tw_re[offset..offset + half];
-            let stage_im = &tw_im[offset..offset + half];
-            for (block_re, block_im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
-                let (lr, hr) = block_re.split_at_mut(half);
-                let (li, hi) = block_im.split_at_mut(half);
-                let lo = lr.iter_mut().zip(li.iter_mut());
-                let hi = hr.iter_mut().zip(hi.iter_mut());
-                let tw = stage_re.iter().zip(stage_im);
-                for (((ar, ai), (br_s, bi_s)), (&wr, &wi)) in lo.zip(hi).zip(tw) {
-                    let br = *br_s * wr - *bi_s * wi;
-                    let bi = *br_s * wi + *bi_s * wr;
-                    let (a_re, a_im) = (*ar, *ai);
-                    *ar = a_re + br;
-                    *ai = a_im + bi;
-                    *br_s = a_re - br;
-                    *bi_s = a_im - bi;
-                }
-            }
-            offset += half;
-            len <<= 1;
-        }
-    }
-}
-
-/// A precomputed single-precision real-input plan over split planes.
-///
-/// The f32 analogue of [`RealFftPlan`]: packs `n` real samples into an
-/// `n/2`-point [`Fft32Plan`] and recovers the `n/2 + 1` half-spectrum
-/// bins — stored as separate `re`/`im` planes — with the same
-/// conjugate-symmetric split algebra. This is the transform behind the
-/// reduced-precision matched filter and zero-phase FIR engines.
-#[derive(Debug, Clone)]
-pub struct RealFft32Plan {
-    n: usize,
-    half: Option<Fft32Plan>,
-    split_re: Vec<f32>,
-    split_im: Vec<f32>,
-}
-
-impl RealFft32Plan {
-    /// Builds a single-precision real-input plan for length `n`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FftPlan::new`].
-    pub fn new(n: usize) -> Result<Self, DspError> {
-        if n == 0 {
-            return Err(DspError::EmptyInput { what: "rfft input" });
-        }
-        if !n.is_power_of_two() {
-            return Err(DspError::invalid(
-                "n",
-                format!("FFT length must be a power of two, got {n}"),
-            ));
-        }
-        let (half, split_re, split_im) = if n == 1 {
-            (None, Vec::new(), Vec::new())
-        } else {
-            let angle = -2.0 * std::f64::consts::PI / n as f64;
-            let mut split_re = Vec::with_capacity(n / 4 + 1);
-            let mut split_im = Vec::with_capacity(n / 4 + 1);
-            for k in 0..=n / 4 {
-                let w = Complex::from_angle(angle * k as f64);
-                split_re.push(w.re as f32);
-                split_im.push(w.im as f32);
-            }
-            (Some(Fft32Plan::new(n / 2)?), split_re, split_im)
-        };
-        Ok(RealFft32Plan {
-            n,
-            half,
-            split_re,
-            split_im,
-        })
-    }
-
-    /// The real transform length this plan was built for.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the plan length is zero (never true for a constructed plan).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The number of half-spectrum bins produced: `n/2 + 1`.
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        if self.n == 1 {
-            1
-        } else {
-            self.n / 2 + 1
-        }
-    }
-
-    /// Forward FFT of a real f32 signal zero-padded to the plan length,
-    /// written as `n/2 + 1` half-spectrum bins into the `out_re`/`out_im`
-    /// planes (cleared and refilled; capacity reused). Allocation-free
-    /// once the planes have grown to `num_bins()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] for an empty signal and
-    /// [`DspError::InvalidParameter`] when the signal exceeds the plan
-    /// length.
-    pub fn rfft_half_into(
-        &self,
-        signal: &[f32],
-        out_re: &mut Vec<f32>,
-        out_im: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput { what: "rfft input" });
-        }
-        if self.n < signal.len() {
-            return Err(DspError::invalid(
-                "signal.len()",
-                format!(
-                    "plan length {} is smaller than the signal ({})",
-                    self.n,
-                    signal.len()
-                ),
-            ));
-        }
-        out_re.clear();
-        out_im.clear();
-        let Some(half_plan) = &self.half else {
-            out_re.push(signal[0]);
-            out_im.push(0.0);
-            return Ok(());
-        };
-        let h = self.n / 2;
-        let at = |j: usize| signal.get(j).copied().unwrap_or(0.0);
-        out_re.extend((0..h).map(|k| at(2 * k)));
-        out_im.extend((0..h).map(|k| at(2 * k + 1)));
-        half_plan.fft(out_re, out_im)?;
-        let z0r = out_re[0];
-        let z0i = out_im[0];
-        out_re.push(z0r - z0i);
-        out_im.push(0.0);
-        out_re[0] = z0r + z0i;
-        out_im[0] = 0.0;
-        for k in 1..=h / 2 {
-            let ar = out_re[k];
-            let ai = out_im[k];
-            let br = out_re[h - k];
-            let bi = out_im[h - k];
-            let xe_r = 0.5 * (ar + br);
-            let xe_i = 0.5 * (ai - bi);
-            let xo_r = 0.5 * (ai + bi);
-            let xo_i = -0.5 * (ar - br);
-            let wr = self.split_re[k];
-            let wi = self.split_im[k];
-            let t_r = wr * xo_r - wi * xo_i;
-            let t_i = wr * xo_i + wi * xo_r;
-            out_re[k] = xe_r + t_r;
-            out_im[k] = xe_i + t_i;
-            out_re[h - k] = xe_r - t_r;
-            out_im[h - k] = -(xe_i - t_i);
-        }
-        Ok(())
-    }
-
-    /// Inverse of [`RealFft32Plan::rfft_half_into`]: merges the
-    /// half-spectrum planes back into packed form **in place**, runs one
-    /// `n/2`-point inverse FFT, and writes the `n` real samples into
-    /// `out` (cleared and refilled; capacity reused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if either plane's length is
-    /// not `num_bins()`.
-    pub fn irfft_half_into(
-        &self,
-        half_re: &mut [f32],
-        half_im: &mut [f32],
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        if half_re.len() != self.num_bins() || half_im.len() != self.num_bins() {
-            return Err(DspError::invalid(
-                "half planes",
-                format!(
-                    "plan for length {} expects {} bins, got {}/{}",
-                    self.n,
-                    self.num_bins(),
-                    half_re.len(),
-                    half_im.len()
-                ),
-            ));
-        }
-        out.clear();
-        let Some(half_plan) = &self.half else {
-            out.push(half_re[0]);
-            return Ok(());
-        };
-        let h = self.n / 2;
-        let ar = half_re[0];
-        let ai = half_im[0];
-        let br = half_re[h];
-        let bi = half_im[h];
-        let xe_r = 0.5 * (ar + br);
-        let xe_i = 0.5 * (ai - bi);
-        let xo_r = 0.5 * (ar - br);
-        let xo_i = 0.5 * (ai + bi);
-        half_re[0] = xe_r - xo_i;
-        half_im[0] = xe_i + xo_r;
-        for k in 1..=h / 2 {
-            let ar = half_re[k];
-            let ai = half_im[k];
-            let br = half_re[h - k];
-            let bi = half_im[h - k];
-            let xe_r = 0.5 * (ar + br);
-            let xe_i = 0.5 * (ai - bi);
-            let t_r = 0.5 * (ar - br);
-            let t_i = 0.5 * (ai + bi);
-            let wr = self.split_re[k];
-            let wi = self.split_im[k];
-            // conj(split[k]) * t
-            let xo_r = wr * t_r + wi * t_i;
-            let xo_i = wr * t_i - wi * t_r;
-            half_re[k] = xe_r - xo_i;
-            half_im[k] = xe_i + xo_r;
-            half_re[h - k] = xe_r + xo_i;
-            half_im[h - k] = -xe_i + xo_r;
-        }
-        half_plan.ifft(&mut half_re[..h], &mut half_im[..h])?;
-        out.reserve(self.n);
-        for k in 0..h {
-            out.push(half_re[k]);
-            out.push(half_im[k]);
-        }
-        Ok(())
-    }
-}
-
-/// Generates split-plane f32 twiddle tables from the exact f64
-/// recurrence, rounding once at the end so table error stays at one ulp
-/// per entry instead of accumulating through the recurrence in f32.
-fn twiddle_planes(n: usize, sign: f64) -> (Vec<f32>, Vec<f32>) {
-    let table = twiddle_table(n, sign);
-    let re = table.iter().map(|w| w.re as f32).collect();
-    let im = table.iter().map(|w| w.im as f32).collect();
-    (re, im)
-}
-
 /// Generates the flattened per-stage twiddle table.
 ///
 /// Uses the exact recurrence of the historical inline transform
@@ -934,7 +553,6 @@ fn twiddle_table(n: usize, sign: f64) -> Vec<Complex> {
 pub struct PlanCache {
     plans: Vec<Arc<FftPlan>>,
     real_plans: Vec<Arc<RealFftPlan>>,
-    real32_plans: Vec<Arc<RealFft32Plan>>,
 }
 
 impl PlanCache {
@@ -978,22 +596,6 @@ impl PlanCache {
         Ok(plan)
     }
 
-    /// The single-precision real-input plan for length `n`, building and
-    /// memoizing it on first use (two-level lookup, like
-    /// [`PlanCache::plan`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RealFft32Plan::new`].
-    pub fn real_plan32(&mut self, n: usize) -> Result<Arc<RealFft32Plan>, DspError> {
-        if let Some(p) = self.real32_plans.iter().find(|p| p.len() == n) {
-            return Ok(Arc::clone(p));
-        }
-        let plan = shared_real_plan32(n)?;
-        self.real32_plans.push(Arc::clone(&plan));
-        Ok(plan)
-    }
-
     /// The number of distinct complex sizes planned so far.
     #[must_use]
     pub fn size_count(&self) -> usize {
@@ -1005,13 +607,6 @@ impl PlanCache {
     pub fn real_size_count(&self) -> usize {
         self.real_plans.len()
     }
-
-    /// The number of distinct single-precision real-input sizes planned
-    /// so far.
-    #[must_use]
-    pub fn real32_size_count(&self) -> usize {
-        self.real32_plans.len()
-    }
 }
 
 /// The process-wide table of immutable plan tables behind every
@@ -1022,7 +617,6 @@ impl PlanCache {
 struct SharedPlans {
     plans: Vec<Arc<FftPlan>>,
     real_plans: Vec<Arc<RealFftPlan>>,
-    real32_plans: Vec<Arc<RealFft32Plan>>,
 }
 
 static SHARED_PLANS: OnceLock<Mutex<SharedPlans>> = OnceLock::new();
@@ -1037,7 +631,6 @@ fn shared_tables() -> &'static Mutex<SharedPlans> {
         Mutex::new(SharedPlans {
             plans: Vec::new(),
             real_plans: Vec::new(),
-            real32_plans: Vec::new(),
         })
     })
 }
@@ -1086,26 +679,6 @@ pub fn shared_real_plan(n: usize) -> Result<Arc<RealFftPlan>, DspError> {
     Ok(plan)
 }
 
-/// The process-shared single-precision real-input plan for length `n`
-/// (see [`shared_plan`]).
-///
-/// # Errors
-///
-/// Same conditions as [`RealFft32Plan::new`].
-pub fn shared_real_plan32(n: usize) -> Result<Arc<RealFft32Plan>, DspError> {
-    let mut tables = shared_tables()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if let Some(p) = tables.real32_plans.iter().find(|p| p.len() == n) {
-        SHARED_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(p));
-    }
-    let plan = Arc::new(RealFft32Plan::new(n)?);
-    SHARED_MISSES.fetch_add(1, Ordering::Relaxed);
-    tables.real32_plans.push(Arc::clone(&plan));
-    Ok(plan)
-}
-
 /// Cumulative count of plan requests served from the shared registry
 /// without building anything — the observable proof that parallel
 /// workers reuse tables instead of rebuilding them.
@@ -1136,20 +709,6 @@ pub struct DspScratch {
     pub c2: Vec<Complex>,
     /// Real workspace (windowed frames, intermediate magnitudes).
     pub r1: Vec<f64>,
-    /// Single-precision half-spectrum workspace, real plane (the f32
-    /// pipeline's split layout — see [`RealFft32Plan`]).
-    pub f1_re: Vec<f32>,
-    /// Single-precision half-spectrum workspace, imaginary plane.
-    pub f1_im: Vec<f32>,
-    /// Single-precision real workspace (f32 overlap-save block outputs).
-    pub r32: Vec<f32>,
-    /// Second single-precision half-spectrum pair, real plane. The f32
-    /// template-bank fan-out keeps the shared input spectrum in
-    /// `f1_re`/`f1_im` and stages each lane's conjugate product here,
-    /// because the split-plane inverse transform consumes its input.
-    pub f2_re: Vec<f32>,
-    /// Second single-precision half-spectrum pair, imaginary plane.
-    pub f2_im: Vec<f32>,
 }
 
 impl DspScratch {
@@ -1165,12 +724,6 @@ impl DspScratch {
         self.c1.capacity() * std::mem::size_of::<Complex>()
             + self.c2.capacity() * std::mem::size_of::<Complex>()
             + self.r1.capacity() * std::mem::size_of::<f64>()
-            + (self.f1_re.capacity()
-                + self.f1_im.capacity()
-                + self.r32.capacity()
-                + self.f2_re.capacity()
-                + self.f2_im.capacity())
-                * std::mem::size_of::<f32>()
     }
 }
 
@@ -1343,125 +896,8 @@ mod tests {
         assert_eq!(scratch.capacity_bytes(), 0);
         scratch.c1.reserve(16);
         assert!(scratch.capacity_bytes() >= 16 * std::mem::size_of::<Complex>());
-        scratch.f1_re.reserve(8);
-        scratch.r32.reserve(8);
+        scratch.r1.reserve(8);
         assert!(scratch.capacity_bytes() >= 16 * std::mem::size_of::<Complex>() + 64);
-    }
-
-    #[test]
-    fn fft32_tracks_f64_plan_and_round_trips() {
-        for &n in &[1usize, 2, 8, 64, 512] {
-            let data: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
-                .collect();
-            let mut re: Vec<f32> = data.iter().map(|z| z.re as f32).collect();
-            let mut im: Vec<f32> = data.iter().map(|z| z.im as f32).collect();
-            let plan32 = Fft32Plan::new(n).unwrap();
-            assert_eq!(plan32.len(), n);
-            assert!(!plan32.is_empty());
-            plan32.fft(&mut re, &mut im).unwrap();
-            let mut reference = data.clone();
-            FftPlan::new(n).unwrap().fft(&mut reference).unwrap();
-            let scale = 1.0 + reference.iter().map(|z| z.abs()).fold(0.0, f64::max);
-            for k in 0..n {
-                assert!(
-                    (re[k] as f64 - reference[k].re).abs() < 1e-4 * scale
-                        && (im[k] as f64 - reference[k].im).abs() < 1e-4 * scale,
-                    "n={n} bin {k}: ({}, {}) vs {:?}",
-                    re[k],
-                    im[k],
-                    reference[k]
-                );
-            }
-            plan32.ifft(&mut re, &mut im).unwrap();
-            for k in 0..n {
-                assert!(
-                    (re[k] as f64 - data[k].re).abs() < 1e-5
-                        && (im[k] as f64 - data[k].im).abs() < 1e-5,
-                    "n={n} round trip sample {k}"
-                );
-            }
-        }
-        assert!(matches!(
-            Fft32Plan::new(0),
-            Err(DspError::EmptyInput { .. })
-        ));
-        assert!(Fft32Plan::new(12).is_err());
-        let plan = Fft32Plan::new(8).unwrap();
-        assert!(plan.fft(&mut [0.0; 4], &mut [0.0; 8]).is_err());
-        assert!(plan.ifft(&mut [0.0; 8], &mut [0.0; 4]).is_err());
-    }
-
-    #[test]
-    fn rfft32_half_tracks_f64_half_spectrum_and_round_trips() {
-        for &n in &[1usize, 2, 4, 8, 64, 256, 1024] {
-            let signal: Vec<f64> = (0..n.min(3 * n / 4 + 1))
-                .map(|i| (i as f64 * 0.37).sin() + 0.3 * (i as f64 * 0.011).cos())
-                .collect();
-            let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-            let rplan32 = RealFft32Plan::new(n).unwrap();
-            assert_eq!(rplan32.len(), n);
-            assert!(!rplan32.is_empty());
-            let mut half_re = Vec::new();
-            let mut half_im = Vec::new();
-            rplan32
-                .rfft_half_into(&signal32, &mut half_re, &mut half_im)
-                .unwrap();
-            assert_eq!(half_re.len(), rplan32.num_bins());
-            assert_eq!(half_im.len(), rplan32.num_bins());
-            let rplan = RealFftPlan::new(n).unwrap();
-            let mut reference = Vec::new();
-            rplan.rfft_half_into(&signal, &mut reference).unwrap();
-            let scale = 1.0 + reference.iter().map(|z| z.abs()).fold(0.0, f64::max);
-            for (k, bin) in reference.iter().enumerate() {
-                assert!(
-                    (half_re[k] as f64 - bin.re).abs() < 1e-4 * scale
-                        && (half_im[k] as f64 - bin.im).abs() < 1e-4 * scale,
-                    "n={n} bin {k}: ({}, {}) vs {bin:?}",
-                    half_re[k],
-                    half_im[k]
-                );
-            }
-            let mut back = Vec::new();
-            rplan32
-                .irfft_half_into(&mut half_re, &mut half_im, &mut back)
-                .unwrap();
-            assert_eq!(back.len(), n);
-            for (i, &x) in back.iter().enumerate() {
-                let want = signal.get(i).copied().unwrap_or(0.0);
-                assert!(
-                    (x as f64 - want).abs() < 1e-5,
-                    "n={n} sample {i}: {x} vs {want}"
-                );
-            }
-        }
-        assert!(matches!(
-            RealFft32Plan::new(0),
-            Err(DspError::EmptyInput { .. })
-        ));
-        assert!(RealFft32Plan::new(12).is_err());
-        let rplan32 = RealFft32Plan::new(8).unwrap();
-        let mut re = Vec::new();
-        let mut im = Vec::new();
-        assert!(rplan32.rfft_half_into(&[], &mut re, &mut im).is_err());
-        assert!(rplan32.rfft_half_into(&[0.0; 9], &mut re, &mut im).is_err());
-        assert!(rplan32
-            .irfft_half_into(&mut [0.0; 3], &mut [0.0; 3], &mut Vec::new())
-            .is_err());
-    }
-
-    #[test]
-    fn cache_memoizes_real32_plans_through_shared_registry() {
-        let mut cache = PlanCache::new();
-        let a = cache.real_plan32(64).unwrap();
-        let b = cache.real_plan32(64).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.real32_size_count(), 1);
-        assert!(cache.real_plan32(10).is_err());
-        // A second, fresh cache must receive the same shared allocation.
-        let mut other = PlanCache::new();
-        let c = other.real_plan32(64).unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
     }
 
     #[test]

@@ -10,10 +10,8 @@
 
 use hyperear::config::HyperEarConfig;
 use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
-use hyperear_dsp::correlate::{
-    xcorr_into, MatchedFilter, StreamingMatchedFilter, StreamingMatchedFilter32,
-};
-use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir, ZeroPhaseFir32};
+use hyperear_dsp::correlate::{xcorr_into, StreamingMatchedFilter};
+use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir};
 use hyperear_dsp::plan::{DspScratch, PlanCache};
 use hyperear_dsp::window::Window;
 use hyperear_sim::environment::Environment;
@@ -50,30 +48,6 @@ fn warm_xcorr_path_does_not_allocate() {
         "steady-state xcorr_into must not allocate"
     );
     assert_eq!(out, expected, "warm path must stay bit-identical");
-
-    // --- Matched filter with cached template spectrum. ----------------
-    let mut filter = MatchedFilter::new(&template).unwrap();
-    let mut out = Vec::new();
-    // Warm-up computes the template spectrum for this padded length.
-    filter
-        .correlate_normalized_into(&signal, &mut scratch, &mut out)
-        .unwrap();
-    assert_eq!(filter.template_fft_count(), 1);
-
-    let before = ALLOC.allocations();
-    for _ in 0..3 {
-        filter
-            .correlate_normalized_into(&signal, &mut scratch, &mut out)
-            .unwrap();
-    }
-    let after = ALLOC.allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state matched filtering must not allocate"
-    );
-    // Still exactly one template FFT for this (template, padded-length).
-    assert_eq!(filter.template_fft_count(), 1);
 
     // --- Overlap-save streaming matched filter. -----------------------
     // Block-sized FFTs instead of one capture-sized transform; the same
@@ -118,62 +92,6 @@ fn warm_xcorr_path_does_not_allocate() {
         "steady-state zero-phase FIR filtering must not allocate"
     );
     assert_eq!(out, expected, "warm FIR path must stay bit-identical");
-
-    // --- f32 split-plane engines: same zero-allocation contract. ------
-    // The opt-in reduced-precision pipeline shares the scratch arena
-    // (its f32 planes live next to the complex/real f64 buffers), so a
-    // warm f32 correlation or filtering pass must also be free of heap
-    // traffic — including under the `simd` feature, where the same call
-    // sites dispatch into the runtime-detected intrinsic kernels.
-    let template32: Vec<f32> = template.iter().map(|&x| x as f32).collect();
-    let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-    let streaming32 = StreamingMatchedFilter32::new(&template32).unwrap();
-    let mut out32 = Vec::new();
-    streaming32
-        .correlate_normalized_into(&signal32, &mut scratch, &mut out32)
-        .unwrap();
-    let expected32 = out32.clone();
-
-    let before = ALLOC.allocations();
-    for _ in 0..3 {
-        streaming32
-            .correlate_normalized_into(&signal32, &mut scratch, &mut out32)
-            .unwrap();
-    }
-    let after = ALLOC.allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state f32 streaming matched filtering must not allocate"
-    );
-    assert_eq!(
-        out32, expected32,
-        "warm f32 streaming path must stay bit-identical"
-    );
-
-    let fir32 = ZeroPhaseFir32::new(&bp).unwrap();
-    let mut out32 = Vec::new();
-    fir32
-        .filter_into(&signal32, &mut scratch, &mut out32)
-        .unwrap();
-    let expected32 = out32.clone();
-
-    let before = ALLOC.allocations();
-    for _ in 0..3 {
-        fir32
-            .filter_into(&signal32, &mut scratch, &mut out32)
-            .unwrap();
-    }
-    let after = ALLOC.allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state f32 zero-phase FIR filtering must not allocate"
-    );
-    assert_eq!(
-        out32, expected32,
-        "warm f32 FIR path must stay bit-identical"
-    );
 
     // --- Full pipeline session through a warm SessionEngine. ----------
     // Everything downstream of the matched filter — peak picking,
@@ -220,32 +138,6 @@ fn warm_xcorr_path_does_not_allocate() {
         peak < rec.audio.left.len(),
         "peak FFT length ({peak}) must be independent of capture length ({})",
         rec.audio.left.len()
-    );
-
-    // --- f32-precision session engine: same steady-state contract. ----
-    // Precision::F32 swaps the detection hot path onto the split-plane
-    // engines; everything downstream is unchanged, so a warm f32 session
-    // must be exactly as allocation-free as the f64 reference.
-    let mut cfg32 = HyperEarConfig::galaxy_s4();
-    cfg32.precision = hyperear::config::Precision::F32;
-    let mut engine32 = SessionEngine::new(cfg32).unwrap();
-    let mut result32 = SessionResult::empty();
-    engine32.run_into(&input, &mut result32).unwrap();
-    let expected32 = result32.clone();
-
-    let before = ALLOC.allocations();
-    for _ in 0..2 {
-        engine32.run_into(&input, &mut result32).unwrap();
-    }
-    let after = ALLOC.allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state f32 SessionEngine::run_into must not allocate"
-    );
-    assert_eq!(
-        result32, expected32,
-        "warm f32 session must stay bit-identical"
     );
 
     // --- Estimator bank: every variant allocation-free when warm. -----

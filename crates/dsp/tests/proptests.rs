@@ -3,10 +3,10 @@
 //! `HYPEREAR_PROP_CASES` seeded cases (default 64) and reports the
 //! failing seed on a counterexample.
 
-use hyperear_dsp::correlate::{xcorr, xcorr_into, MatchedFilter, StreamingMatchedFilter};
+use hyperear_dsp::correlate::{xcorr, xcorr_into, StreamingMatchedFilter};
 use hyperear_dsp::delay::delay_fractional_into_len;
 use hyperear_dsp::fft::{fft, ifft, next_pow2, rfft};
-use hyperear_dsp::filter::MovingAverage;
+use hyperear_dsp::filter::{FirFilter, MovingAverage};
 use hyperear_dsp::interpolate::parabolic_peak;
 use hyperear_dsp::level::{db_to_power_ratio, noise_gain_for_snr, power_ratio_to_db, snr_db};
 use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache};
@@ -265,38 +265,6 @@ fn planned_xcorr_bit_identical_to_one_shot() {
     );
 }
 
-#[test]
-fn cached_matched_filter_bit_identical_to_one_shot() {
-    let strat = (signal_strategy(192), vec_f64(-1.0, 1.0, 8, 24));
-    prop::check(
-        "cached_matched_filter_bit_identical_to_one_shot",
-        strat,
-        |(signal, template)| {
-            prop_assume!(template.len() <= signal.len());
-            let energy: f64 = template.iter().map(|x| x * x).sum();
-            prop_assume!(energy > 1e-6);
-            let mut filter = MatchedFilter::new(template).unwrap();
-            let plain = filter.correlate(signal).unwrap();
-            let normalized = filter.correlate_normalized(signal).unwrap();
-            let mut scratch = DspScratch::new();
-            let mut out = Vec::new();
-            for _ in 0..2 {
-                filter
-                    .correlate_into(signal, &mut scratch, &mut out)
-                    .unwrap();
-                prop_assert_eq!(&out, &plain);
-                filter
-                    .correlate_normalized_into(signal, &mut scratch, &mut out)
-                    .unwrap();
-                prop_assert_eq!(&out, &normalized);
-            }
-            // All four calls share one padded length: one template FFT.
-            prop_assert_eq!(filter.template_fft_count(), 1);
-            prop::pass()
-        },
-    );
-}
-
 // ---- Real-input fast path (the PR-4 perf contract): the packed
 // half-size transform and the overlap-save streaming engine must be
 // *bit-close* to their full-size references — identical up to the
@@ -382,6 +350,54 @@ fn streaming_matched_filter_matches_one_shot_xcorr() {
                         "lag {i}: streaming {a} vs one-shot {r} (block {block})"
                     );
                 }
+            }
+            prop::pass()
+        },
+    );
+}
+
+/// The blocked zero-phase FIR is bit-identical to the naive scalar loop
+/// over random designs, signal lengths, and contents.
+#[test]
+fn blocked_fir_is_bit_identical_to_scalar_reference() {
+    let strat = (
+        usize_range(11, 201),
+        usize_range(1, 3_000),
+        usize_range(0, 999),
+    );
+    prop::check(
+        "blocked_fir_is_bit_identical_to_scalar_reference",
+        strat,
+        |&(taps, n, seed)| {
+            let taps = taps | 1; // FIR designs use odd tap counts
+            let filter = FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, taps, Window::Hamming)
+                .expect("design");
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (seed as u64) << 7;
+            let signal: Vec<f64> = (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    2.0 * ((state >> 11) as f64 / (1u64 << 53) as f64) - 1.0
+                })
+                .collect();
+            let blocked = filter.filter_zero_phase(&signal).expect("filter");
+            // The historical scalar loop, verbatim: per-output sequential
+            // accumulation over the taps with boundary checks.
+            let t = filter.taps();
+            let delay = (t.len() - 1) / 2;
+            for (i, &b) in blocked.iter().enumerate() {
+                let mut acc = 0.0;
+                for (k, &tap) in t.iter().enumerate() {
+                    if i + delay >= k && i + delay - k < n {
+                        acc += tap * signal[i + delay - k];
+                    }
+                }
+                prop_assert!(
+                    acc.to_bits() == b.to_bits(),
+                    "sample {i} differs: scalar {acc:e} vs blocked {b:e} \
+                     (taps {taps}, n {n}, seed {seed})"
+                );
             }
             prop::pass()
         },

@@ -156,6 +156,12 @@ impl Shared {
 
 /// A set-once gate a thread can block on, built from `std`'s
 /// futex-backed primitives so neither arming nor signalling allocates.
+///
+/// A latch lives in the waiter's stack frame, which may unwind as soon
+/// as the waiter sees the latch set. So the setter raises the flag under
+/// the lock and touches nothing after releasing it, and every waiter
+/// takes the lock once before reporting the latch set: the setter has
+/// then finished with the latch.
 struct Latch {
     flag: AtomicBool,
     lock: Mutex<()>,
@@ -171,16 +177,26 @@ impl Latch {
         }
     }
 
+    /// Whether the latch is set. A `true` answer means the setter has
+    /// released the latch, so the caller may free it.
     fn probe(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+        if !self.flag.load(Ordering::Acquire) {
+            return false;
+        }
+        drop(
+            self.lock
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
+        true
     }
 
     fn set(&self) {
-        self.flag.store(true, Ordering::Release);
         let _guard = self
             .lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.flag.store(true, Ordering::Release);
         self.cv.notify_all();
     }
 
@@ -192,7 +208,7 @@ impl Latch {
             .lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while !self.probe() {
+        while !self.flag.load(Ordering::Acquire) {
             guard = self
                 .cv
                 .wait(guard)
@@ -255,13 +271,16 @@ unsafe impl<F: Send, R: Send> Sync for StackJob<F, R> {}
 struct Region<F> {
     /// Next unclaimed item index.
     cursor: AtomicUsize,
-    /// Items fully processed (including items whose closure panicked).
-    finished: AtomicUsize,
     /// Total items.
     len: usize,
-    /// Broadcast tasks still queued or running (decremented on task
-    /// exit and by owner-side reclamation of never-started tasks).
-    tasks_live: AtomicUsize,
+    /// Participants still able to touch the region: one token per
+    /// broadcast task (returned on task exit, or by the owner for tasks
+    /// it reclaims unstarted) plus the owner's own token, returned once
+    /// its share of the items is done. Items only run inside a
+    /// participant, so when the count reaches zero every item has
+    /// finished; whoever returns the last token sets the latch as its
+    /// final touch of the region.
+    pending: AtomicUsize,
     first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     latch: Latch,
     /// `f(slot, item)`: `slot` is the executing participant's stable
@@ -288,19 +307,17 @@ impl<F: Fn(usize, usize) + Sync> Region<F> {
                     *first = Some(payload);
                 }
             }
-            self.finished.fetch_add(1, Ordering::AcqRel);
         }
     }
 
-    fn is_complete(&self) -> bool {
-        self.finished.load(Ordering::Acquire) == self.len
-            && self.tasks_live.load(Ordering::Acquire) == 0
-    }
-
-    /// Sets the latch if the region just completed. Called after every
-    /// completion-relevant update, so whichever update is last fires it.
-    fn maybe_finish(&self) {
-        if self.is_complete() {
+    /// Returns `tokens` to the pending count, setting the latch if they
+    /// were the last: after this the caller must not touch the region
+    /// (the owner may already have returned). `AcqRel`: each
+    /// participant's item writes and panic payload are released by its
+    /// decrement and acquired by the last one, which then publishes them
+    /// to the owner through the latch's lock.
+    fn release(&self, tokens: usize) {
+        if self.pending.fetch_sub(tokens, Ordering::AcqRel) == tokens {
             self.latch.set();
         }
     }
@@ -311,8 +328,7 @@ impl<F: Fn(usize, usize) + Sync> Region<F> {
         // `w` owns participant slot `w + 1` (slot 0 is the caller's).
         let slot = WORKER.get().map_or(0, |(_, w)| w + 1);
         region.work(slot);
-        region.tasks_live.fetch_sub(1, Ordering::AcqRel);
-        region.maybe_finish();
+        region.release(1);
     }
 }
 
@@ -626,9 +642,8 @@ impl Pool {
         let broadcast = self.shared.deques.len() - usize::from(here.is_some());
         let region = Region {
             cursor: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
             len,
-            tasks_live: AtomicUsize::new(broadcast),
+            pending: AtomicUsize::new(broadcast + 1),
             first_panic: Mutex::new(None),
             latch: Latch::new(),
             f,
@@ -651,7 +666,7 @@ impl Pool {
         let owner_slot = here.map_or(0, |w| w + 1);
         region.work(owner_slot);
         // Reclaim broadcast tasks nobody started: the cursor is
-        // exhausted, so they would only decrement `tasks_live` — and a
+        // exhausted, so they would only return their token — and a
         // queued task must not outlive this frame.
         let mut reclaimed = 0usize;
         for deque in &self.shared.deques {
@@ -662,10 +677,7 @@ impl Pool {
             deque.retain(|t| !std::ptr::eq(t.data, task.data));
             reclaimed += before - deque.len();
         }
-        if reclaimed > 0 {
-            region.tasks_live.fetch_sub(reclaimed, Ordering::AcqRel);
-        }
-        region.maybe_finish();
+        region.release(reclaimed + 1);
         self.wait_on(&region.latch);
         let payload = region
             .first_panic

@@ -3,11 +3,16 @@
 //! workload shapes pinned against sequential execution. The unit tests in
 //! `pool.rs` cover the happy paths; this binary hammers the scheduling
 //! edges that only show up under contention.
+//!
+//! Latches and regions live in the waiting caller's stack frame, so a
+//! completion signal that touches them after the caller may have seen
+//! it corrupts whatever that frame is reused for next; the short-region
+//! churn below reuses those frames thousands of times.
 
 use hyperear_util::pool::Pool;
 use hyperear_util::rng::Xoshiro256pp;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A deterministic per-item workload whose cost varies with the index,
 /// so items finish out of order and stealing actually happens.
@@ -139,5 +144,31 @@ fn interleaved_primitives_share_one_pool() {
             }
         });
         assert_eq!(total.load(Ordering::SeqCst) as usize, len);
+    }
+}
+
+/// Runs `rounds` tiny fork/join regions and checks each one's result.
+fn churn(pool: &Pool, rounds: usize) {
+    for round in 0..rounds {
+        let (a, b) = pool.join(|| round.wrapping_mul(3), || [round; 4]);
+        assert_eq!(a, round.wrapping_mul(3));
+        assert_eq!(b, [round; 4]);
+        let hits = AtomicUsize::new(0);
+        pool.parallel_for_each(3, |i| {
+            hits.fetch_add(i + 1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 6, "round {round}");
+    }
+}
+
+#[test]
+fn short_regions_complete_from_outside_and_inside_the_pool() {
+    for threads in [2, 4] {
+        let pool = Pool::new(threads);
+        // From a thread outside the pool: parks on every latch.
+        churn(&pool, 5_000);
+        // From pool workers (and the caller): spins on every latch while
+        // helping, and broadcasts nested regions to sibling workers.
+        pool.parallel_for_each(2 * threads, |_| churn(&pool, 1_000));
     }
 }

@@ -8,7 +8,6 @@
 #   scripts/verify.sh --stream     # tier-1 gate + streaming soak smoke
 #   scripts/verify.sh --doa        # tier-1 gate + DOA contract property sweep
 #   scripts/verify.sh --estimators # tier-1 gate + estimator-bank contract sweep
-#   scripts/verify.sh --simd       # tier-1 gate + SIMD/precision matrix
 #   scripts/verify.sh --multibeacon # tier-1 gate + K-beacon bank contracts
 #
 # The --faults tier drives the full fault-injection matrix through the
@@ -40,15 +39,6 @@
 # fault-matrix accuracy-vs-cost sweep (`repro --fast estimators`), and
 # greps the `estimator-contract: ... HELD` lines from both.
 #
-# The --simd tier builds and tests the DSP crate with and without the
-# `simd` feature (runtime-detected x86_64 intrinsic kernels), then runs
-# the precision property sweep (f32 pipeline vs the f64 reference) under
-# both feature states at HYPEREAR_THREADS=1 and =4, grepping the
-# `precision-contract: ... HELD` lines: vectorized f64 kernels must stay
-# bit-identical to the scalar loops, and the f32 pipeline must sit
-# within the 7.78 mm one-sample floor on clean sessions and within two
-# samples of f64 under the fault matrix.
-#
 # The --multibeacon tier runs the K-concurrent-beacon contracts: the
 # multi-beacon conformance suite (per-beacon range recovery from one
 # shared capture, outcome bit-identity across thread counts, typed
@@ -56,9 +46,9 @@
 # spectrum sharing gate (one forward-plan build and one template FFT
 # per beacon, clones recompute neither), and the warm MultiBeaconEngine
 # zero-allocation gate. It then smoke-runs the multibeacon bench, whose
-# banked K=4 detector must (a) produce the same arrivals as 4
+# banked K=4 detector must (a) produce bit-identical arrivals to 4
 # independent detectors and (b) on hosts with >= 2 CPUs beat them by
-# >= 1.8x (on one shared CPU the ratio is still printed but not
+# >= 1.25x (on one shared CPU the ratio is still printed but not
 # asserted — timings there swing too much to gate on).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -68,7 +58,6 @@ RUN_BENCH=0
 RUN_STREAM=0
 RUN_DOA=0
 RUN_ESTIMATORS=0
-RUN_SIMD=0
 RUN_MULTIBEACON=0
 for arg in "$@"; do
     case "$arg" in
@@ -77,9 +66,8 @@ for arg in "$@"; do
         --stream) RUN_STREAM=1 ;;
         --doa) RUN_DOA=1 ;;
         --estimators) RUN_ESTIMATORS=1 ;;
-        --simd) RUN_SIMD=1 ;;
         --multibeacon) RUN_MULTIBEACON=1 ;;
-        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --simd, --multibeacon)" >&2; exit 2 ;;
+        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --multibeacon)" >&2; exit 2 ;;
     esac
 done
 
@@ -207,30 +195,6 @@ if [ "$RUN_ESTIMATORS" -eq 1 ]; then
     fi
 fi
 
-if [ "$RUN_SIMD" -eq 1 ]; then
-    echo "== dsp tests with the simd feature (runtime-detected intrinsics) =="
-    cargo test -p hyperear-dsp --features simd -q
-
-    # The precision matrix: the property sweep under both feature states
-    # (portable chunked kernels vs intrinsic dispatch) and both pool
-    # shapes, so f64 bit-identity and the f32 accuracy envelope are
-    # pinned on every combination a deployment can select.
-    for FEATURES in "" "--features simd"; do
-        for THREADS in 1 4; do
-            LABEL="features='${FEATURES:-none}' threads=${THREADS}"
-            echo "== precision property sweep (${LABEL}) =="
-            # shellcheck disable=SC2086
-            OUT="$(HYPEREAR_THREADS=$THREADS \
-                cargo test --release $FEATURES --test precision_property -- --nocapture 2>&1)"
-            echo "$OUT"
-            if [ "$(grep -c "precision-contract:.*HELD" <<<"$OUT")" -lt 4 ]; then
-                echo "SIMD TIER FAILED: precision contract not held (${LABEL})" >&2
-                exit 1
-            fi
-        done
-    done
-fi
-
 if [ "$RUN_MULTIBEACON" -eq 1 ]; then
     echo "== multibeacon conformance + plan sharing (contract grep) =="
     OUT="$(cargo test --release --test conformance_multibeacon --test plan_sharing_multibeacon -- --nocapture)"
@@ -244,9 +208,14 @@ if [ "$RUN_MULTIBEACON" -eq 1 ]; then
     cargo test -p hyperear --test alloc_multibeacon -q
 
     # Bench smoke: the banked K=4 detector vs 4 independent detectors.
-    # The bench binary itself asserts arrival equivalence and the
+    # The bench binary itself asserts bit-identical arrivals and the
     # allocation gate; the speedup assertion is nproc-gated because a
-    # single shared CPU swings timings beyond the 1.8x margin.
+    # single shared CPU swings timings beyond the margin. Every detector
+    # folds its band-pass into the template, so the bank saves only the
+    # K-1 repeated forward transforms per block: 2K/(K+1) = 1.6x fewer
+    # transforms at K=4, measured at 1.39-1.41x on a 2-vCPU host (the
+    # per-beacon peak picking is not shared). 1.25x leaves room for
+    # timing noise.
     echo "== bench smoke (multibeacon, K=4 bank vs independent) =="
     OUT="$(HYPEREAR_BENCH_SAMPLES=5 HYPEREAR_BENCH_SAMPLE_MS=20 HYPEREAR_BENCH_WARMUP_MS=50 \
         cargo bench -p hyperear-bench --bench multibeacon)"
@@ -258,11 +227,11 @@ if [ "$RUN_MULTIBEACON" -eq 1 ]; then
     SPEEDUP="$(grep -o 'multibeacon_speedup_x [0-9.]*' <<<"$OUT" | awk '{print $2}')"
     NPROC="$( (command -v nproc >/dev/null 2>&1 && nproc) || echo 1 )"
     if [ "$NPROC" -ge 2 ]; then
-        if ! awk -v s="$SPEEDUP" 'BEGIN{exit !(s >= 1.8)}'; then
-            echo "MULTIBEACON TIER FAILED: bank speedup ${SPEEDUP}x < 1.8x over 4 independent detectors" >&2
+        if ! awk -v s="$SPEEDUP" 'BEGIN{exit !(s >= 1.25)}'; then
+            echo "MULTIBEACON TIER FAILED: bank speedup ${SPEEDUP}x < 1.25x over 4 independent detectors" >&2
             exit 1
         fi
-        echo "bank speedup ${SPEEDUP}x >= 1.8x over 4 independent detectors"
+        echo "bank speedup ${SPEEDUP}x >= 1.25x over 4 independent detectors"
     else
         echo "host has ${NPROC} CPU(s) < 2; bank speedup ${SPEEDUP}x reported, not asserted"
     fi

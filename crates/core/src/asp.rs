@@ -12,11 +12,12 @@ use crate::config::{HyperEarConfig, Interpolation, MultiBeaconConfig, TdoaEstima
 use crate::HyperEarError;
 use hyperear_dsp::chirp::Chirp;
 use hyperear_dsp::correlate::{ChunkFeed, StreamingMatchedFilter, StreamingMatchedFilterBank};
+use hyperear_dsp::envelope::envelope_with;
 use hyperear_dsp::estimator::{gcc_phat_with, subband_coherence_with, EstimatorScratch};
 use hyperear_dsp::filter::FirFilter;
 use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
 use hyperear_dsp::peak::{find_peaks_into, noise_floor_with, Peak, PeakConfig};
-use hyperear_dsp::plan::DspScratch;
+use hyperear_dsp::plan::{DspScratch, PlanCache};
 use hyperear_dsp::window::Window;
 
 /// One detected beacon arrival on one channel.
@@ -131,9 +132,7 @@ const LEADING_EDGE_RATIO: f64 = 0.7;
 pub struct DetectScratch {
     scratch: DspScratch,
     corr: Vec<f64>,
-    peaks: Vec<Peak>,
-    peaks_scratch: Vec<Peak>,
-    mags: Vec<f64>,
+    pick: PickScratch,
     /// Per-estimator workspace (half spectrum, inverse transform, band
     /// powers) for the spectral-weighting estimators.
     est: EstimatorScratch,
@@ -156,9 +155,8 @@ impl DetectScratch {
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
         self.scratch.capacity_bytes()
-            + (self.corr.capacity() + self.mags.capacity() + self.weighted.capacity())
-                * std::mem::size_of::<f64>()
-            + (self.peaks.capacity() + self.peaks_scratch.capacity()) * std::mem::size_of::<Peak>()
+            + (self.corr.capacity() + self.weighted.capacity()) * std::mem::size_of::<f64>()
+            + self.pick.capacity_bytes()
             + self.est.capacity_bytes()
     }
 
@@ -166,6 +164,34 @@ impl DetectScratch {
     /// [`DetectorCore::correlate_only`] / detection pass.
     pub(crate) fn corr(&self) -> &[f64] {
         &self.corr
+    }
+}
+
+/// The post-correlation working buffers of one detection pass: noise
+/// statistics, peak lists and — in envelope mode — the plan cache, the
+/// analytic-signal workspace and the envelopes themselves. Owned by
+/// every per-channel scratch ([`DetectScratch`], [`StreamingDetector`],
+/// [`MultiBeaconScratch`]) so the threshold/peak stage never allocates
+/// once warm, envelope mode included.
+#[derive(Debug, Clone, Default)]
+struct PickScratch {
+    mags: Vec<f64>,
+    peaks: Vec<Peak>,
+    peaks_scratch: Vec<Peak>,
+    plans: PlanCache,
+    analytic: DspScratch,
+    /// Envelope of the correlation peaks are detected on.
+    env: Vec<f64>,
+    /// Envelope of the channel's own correlation (guided extraction).
+    env_own: Vec<f64>,
+}
+
+impl PickScratch {
+    fn capacity_bytes(&self) -> usize {
+        (self.mags.capacity() + self.env.capacity() + self.env_own.capacity())
+            * std::mem::size_of::<f64>()
+            + (self.peaks.capacity() + self.peaks_scratch.capacity()) * std::mem::size_of::<Peak>()
+            + self.analytic.capacity_bytes()
     }
 }
 
@@ -289,13 +315,9 @@ impl DetectorCore {
         out.clear();
         self.correlate_only(channel, scratch)?;
         match estimator {
-            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion => self.arrivals_from_corr(
-                &scratch.corr,
-                &mut scratch.mags,
-                &mut scratch.peaks_scratch,
-                &mut scratch.peaks,
-                out,
-            ),
+            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion => {
+                self.arrivals_from_corr(&scratch.corr, &mut scratch.pick, out)
+            }
             TdoaEstimator::GccPhat | TdoaEstimator::SubbandCoherence => {
                 scratch.weighted.clear();
                 scratch.weighted.extend_from_slice(&scratch.corr);
@@ -303,21 +325,11 @@ impl DetectorCore {
                     corr,
                     weighted,
                     est,
-                    mags,
-                    peaks_scratch,
-                    peaks,
+                    pick,
                     ..
                 } = scratch;
                 self.apply_estimator(estimator, weighted, est)?;
-                self.arrivals_guided_into(
-                    weighted,
-                    corr,
-                    GuideKind::Weighted,
-                    mags,
-                    peaks_scratch,
-                    peaks,
-                    out,
-                )
+                self.arrivals_guided_into(weighted, corr, GuideKind::Weighted, pick, out)
             }
         }
     }
@@ -375,13 +387,7 @@ impl DetectorCore {
         scratch: &mut DetectScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
-        self.arrivals_from_corr(
-            corr,
-            &mut scratch.mags,
-            &mut scratch.peaks_scratch,
-            &mut scratch.peaks,
-            out,
-        )
+        self.arrivals_from_corr(corr, &mut scratch.pick, out)
     }
 
     /// MCCI-guided arrival extraction: peaks are *detected* on the fused
@@ -400,15 +406,7 @@ impl DetectorCore {
         scratch: &mut DetectScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
-        self.arrivals_guided_into(
-            fused,
-            own,
-            GuideKind::Fused,
-            &mut scratch.mags,
-            &mut scratch.peaks_scratch,
-            &mut scratch.peaks,
-            out,
-        )
+        self.arrivals_guided_into(fused, own, GuideKind::Fused, &mut scratch.pick, out)
     }
 
     /// [`DetectorCore::arrivals_guided`] over explicit buffers — the
@@ -417,24 +415,28 @@ impl DetectorCore {
     /// whose guide correlation lives inside the scratch itself. `kind`
     /// selects the refine radius and whether the leading-edge echo rule
     /// applies (see [`GuideKind`]).
-    #[allow(clippy::too_many_arguments)] // explicit scratch-buffer form shared by three call sites
     fn arrivals_guided_into(
         &self,
         fused: &[f64],
         own: &[f64],
         kind: GuideKind,
-        mags: &mut Vec<f64>,
-        peaks_scratch: &mut Vec<Peak>,
-        peaks: &mut Vec<Peak>,
+        pick: &mut PickScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
         out.clear();
-        let fused_env;
-        let own_env;
+        let PickScratch {
+            mags,
+            peaks,
+            peaks_scratch,
+            plans,
+            analytic,
+            env,
+            env_own,
+        } = pick;
         let (fused, own): (&[f64], &[f64]) = if self.envelope_detection {
-            fused_env = hyperear_dsp::envelope::envelope(fused)?;
-            own_env = hyperear_dsp::envelope::envelope(own)?;
-            (&fused_env, &own_env)
+            envelope_with(fused, plans, analytic, env)?;
+            envelope_with(own, plans, analytic, env_own)?;
+            (env, env_own)
         } else {
             (fused, own)
         };
@@ -505,18 +507,24 @@ impl DetectorCore {
     fn arrivals_from_corr(
         &self,
         corr: &[f64],
-        mags: &mut Vec<f64>,
-        peaks_scratch: &mut Vec<Peak>,
-        peaks: &mut Vec<Peak>,
+        pick: &mut PickScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
         out.clear();
+        let PickScratch {
+            mags,
+            peaks,
+            peaks_scratch,
+            plans,
+            analytic,
+            env,
+            ..
+        } = pick;
         // Envelope detection strips the carrier ripple of high-band
         // beacons (see `DetectionConfig::envelope_detection`).
-        let env_storage;
         let corr: &[f64] = if self.envelope_detection {
-            env_storage = hyperear_dsp::envelope::envelope(corr)?;
-            &env_storage
+            envelope_with(corr, plans, analytic, env)?;
+            env
         } else {
             corr
         };
@@ -662,9 +670,7 @@ impl BeaconDetector {
     /// in a caller-owned buffer that is cleared and reused, and every
     /// intermediate (correlation, peak list, noise statistics) lives in
     /// detector-owned scratch. Once warm, a detection
-    /// pass does not allocate — except in the non-default
-    /// `envelope_detection` branch, whose Hilbert transform still builds
-    /// its own buffers.
+    /// pass does not allocate, envelope detection included.
     ///
     /// # Errors
     ///
@@ -701,9 +707,11 @@ impl BeaconDetector {
 /// # Bounded memory
 ///
 /// Every buffer is preallocated from `max_samples` and the core's block
-/// geometry at construction; pushing more total samples than
-/// `max_samples` is a typed [`HyperEarError::CapacityExceeded`], so the
-/// working set is a function of configuration, never of offered load.
+/// geometry at construction (envelope detection's analytic-signal
+/// buffers grow once, on the first finish, to at most twice
+/// `max_samples`); pushing more total samples than `max_samples` is a
+/// typed [`HyperEarError::CapacityExceeded`], so the working set is a
+/// function of configuration, never of offered load.
 #[derive(Debug, Clone)]
 pub struct StreamingDetector {
     core: std::sync::Arc<DetectorCore>,
@@ -711,9 +719,7 @@ pub struct StreamingDetector {
     scratch: DspScratch,
     /// The accumulated normalized correlation (capacity `max_samples`).
     corr: Vec<f64>,
-    mags: Vec<f64>,
-    peaks: Vec<Peak>,
-    peaks_scratch: Vec<Peak>,
+    pick: PickScratch,
     est: EstimatorScratch,
     /// Weighted copy of the correlation for the spectral-weighting
     /// estimators (detection only; timing reads `corr`).
@@ -749,9 +755,10 @@ impl StreamingDetector {
             feed: core.filter.chunk_feed(),
             scratch: DspScratch::new(),
             corr: Vec::with_capacity(max_samples),
-            mags: Vec::with_capacity(max_samples),
-            peaks: Vec::new(),
-            peaks_scratch: Vec::new(),
+            pick: PickScratch {
+                mags: Vec::with_capacity(max_samples),
+                ..PickScratch::default()
+            },
             est: EstimatorScratch::new(),
             weighted: Vec::new(),
             max_samples,
@@ -857,13 +864,10 @@ impl StreamingDetector {
         // every channel at once and the raw PCM is long discarded;
         // per-channel streaming falls back to plain xcorr.
         match self.core.estimator {
-            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion => self.core.arrivals_from_corr(
-                &self.corr,
-                &mut self.mags,
-                &mut self.peaks_scratch,
-                &mut self.peaks,
-                out,
-            ),
+            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion => {
+                self.core
+                    .arrivals_from_corr(&self.corr, &mut self.pick, out)
+            }
             TdoaEstimator::GccPhat | TdoaEstimator::SubbandCoherence => {
                 self.weighted.clear();
                 self.weighted.extend_from_slice(&self.corr);
@@ -876,9 +880,7 @@ impl StreamingDetector {
                     &self.weighted,
                     &self.corr,
                     GuideKind::Weighted,
-                    &mut self.mags,
-                    &mut self.peaks_scratch,
-                    &mut self.peaks,
+                    &mut self.pick,
                     out,
                 )
             }
@@ -902,9 +904,8 @@ impl StreamingDetector {
     #[must_use]
     pub fn working_set_bytes(&self) -> usize {
         self.scratch.capacity_bytes()
-            + (self.corr.capacity() + self.mags.capacity() + self.weighted.capacity())
-                * std::mem::size_of::<f64>()
-            + (self.peaks.capacity() + self.peaks_scratch.capacity()) * std::mem::size_of::<Peak>()
+            + (self.corr.capacity() + self.weighted.capacity()) * std::mem::size_of::<f64>()
+            + self.pick.capacity_bytes()
             + self.est.capacity_bytes()
             + self.feed.capacity_bytes()
     }
@@ -930,9 +931,7 @@ pub struct MultiBeaconScratch {
     /// K normalized correlation lanes — lane `k` is beacon `k`'s
     /// matched-filter response over the whole capture.
     lanes: Vec<Vec<f64>>,
-    mags: Vec<f64>,
-    peaks: Vec<Peak>,
-    peaks_scratch: Vec<Peak>,
+    pick: PickScratch,
 }
 
 impl MultiBeaconScratch {
@@ -947,9 +946,8 @@ impl MultiBeaconScratch {
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
         self.scratch.capacity_bytes()
-            + (self.lanes.iter().map(Vec::capacity).sum::<usize>() + self.mags.capacity())
-                * std::mem::size_of::<f64>()
-            + (self.peaks.capacity() + self.peaks_scratch.capacity()) * std::mem::size_of::<Peak>()
+            + self.lanes.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f64>()
+            + self.pick.capacity_bytes()
     }
 
     /// Beacon `k`'s normalized correlation from the last detection pass
@@ -1121,15 +1119,9 @@ impl MultiBeaconDetector {
             ));
         }
         self.correlate_only(channel, scratch)?;
-        let MultiBeaconScratch {
-            lanes,
-            mags,
-            peaks,
-            peaks_scratch,
-            ..
-        } = scratch;
+        let MultiBeaconScratch { lanes, pick, .. } = scratch;
         for ((core, lane), arrivals) in self.cores.iter().zip(lanes.iter()).zip(out.iter_mut()) {
-            core.arrivals_from_corr(lane, mags, peaks_scratch, peaks, arrivals)?;
+            core.arrivals_from_corr(lane, pick, arrivals)?;
         }
         Ok(())
     }

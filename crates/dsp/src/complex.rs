@@ -201,9 +201,9 @@ impl Neg for Complex {
 pub const LANES: usize = 4;
 
 /// Multiplies `acc[i] *= by[i].conj()` elementwise — the spectral
-/// correlation kernel shared by `xcorr_into` and the overlap-save engine
-/// behind every matched filter and the zero-phase FIR (which passes
-/// reversed taps so that correlation doubles as convolution).
+/// correlation kernel of the one-shot `xcorr_into`. (The overlap-save
+/// engine behind every matched filter stores its template spectra
+/// pre-conjugated and multiplies plainly.)
 ///
 /// Elementwise with no cross-lane reduction, so the chunked layout is
 /// bit-identical to the scalar loop.

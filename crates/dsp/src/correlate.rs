@@ -8,7 +8,7 @@
 
 use crate::complex::conj_mul_in_place;
 use crate::fft::try_next_pow2;
-use crate::plan::{shared_real_plan, DspScratch, PlanCache, RealFftPlan};
+use crate::plan::{shared_plan, DspScratch, FftPlan, PlanCache};
 use crate::{Complex, DspError};
 use std::sync::Arc;
 
@@ -129,16 +129,29 @@ pub fn normalized_xcorr(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, Ds
 }
 
 /// Overlap-save block cross-correlation of one signal against K ≥ 1
-/// fixed templates that share one forward transform per block.
+/// fixed templates that share one forward transform per block pair.
 ///
-/// Each block gathers `block_len` samples of the (implicitly zero-padded,
-/// `lead`-shifted) signal and forward-transforms them once. Every
-/// template then multiplies that half-spectrum by its own conjugated
-/// half-spectrum and inverse-transforms, keeping the first
-/// `block_len - template_len + 1` outputs — the lags free of circular
-/// wraparound. Blocks advance by that step, overlapping by
-/// `template_len - 1` samples. Templates shorter than the longest are
-/// implicitly zero-padded to it, which changes no correlation value.
+/// The (implicitly zero-padded, `lead`-shifted) signal is cut into
+/// blocks of `block_len` samples that advance by `step = block_len -
+/// template_len + 1`, overlapping by `template_len - 1`. Blocks are
+/// processed in **pairs** counted from stream start: block `2m` rides in
+/// the real part and block `2m+1` in the imaginary part of one complex
+/// `block_len`-point transform (a trailing odd block pairs with zeros).
+/// Because every template is real, the product with its spectrum keeps
+/// the two blocks apart: after the inverse, the real part holds block
+/// `2m`'s correlation and the imaginary part block `2m+1`'s, of which
+/// the first `step` lags are free of circular wraparound.
+///
+/// The forward transform is the plan's decimation-in-frequency pass
+/// (natural in, bit-reversed out) and the inverse its decimation-in-time
+/// pass (bit-reversed in, natural out); each template spectrum is stored
+/// pre-conjugated, in that bit-reversed order, with the exact
+/// power-of-two `1/block_len` folded in — so a block pair costs one
+/// forward transform plus, per template, one pointwise multiply, one
+/// inverse transform and one copy-out, with no permutation, split,
+/// merge or scale pass. Templates shorter than the
+/// longest are implicitly zero-padded to it, which changes no
+/// correlation value.
 ///
 /// This is the one engine behind [`StreamingMatchedFilter`] (K = 1),
 /// [`StreamingMatchedFilterBank`] (any K, one shared forward FFT) and
@@ -148,9 +161,10 @@ pub fn normalized_xcorr(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, Ds
 pub(crate) struct OverlapSave {
     /// Shared, read-only FFT tables for the block size: every engine at
     /// one block length in the process points at the same plan.
-    plan: Arc<RealFftPlan>,
-    /// One half-spectrum per template at `block_len` (not conjugated),
-    /// behind an `Arc` so clones share instead of re-transforming.
+    plan: Arc<FftPlan>,
+    /// One spectrum per template at `block_len`: conjugated, scaled by
+    /// `1/block_len` and in bit-reversed bin order, behind an `Arc` so
+    /// clones share instead of re-transforming.
     specs: Vec<Arc<Vec<Complex>>>,
     /// The shared (longest) template length; sets the block step.
     template_len: usize,
@@ -181,17 +195,22 @@ impl OverlapSave {
                 format!("block ({block_len}) shorter than template ({template_len})"),
             ));
         }
-        let plan = shared_real_plan(block_len)?;
+        let plan = shared_plan(block_len)?;
+        // 1/N is a power of two, so folding it into the spectrum is exact.
+        let inv_n = 1.0 / block_len as f64;
         let specs = templates
             .iter()
             .map(|template| {
-                // `rfft_half_into` zero-pads to the plan length, so a short
-                // template's spectrum equals its padded twin's exactly.
-                let mut spec = Vec::with_capacity(plan.num_bins());
-                plan.rfft_half_into(template, &mut spec)?;
-                Ok(Arc::new(spec))
+                let mut spec: Vec<Complex> =
+                    template.iter().map(|&x| Complex::from_real(x)).collect();
+                spec.resize(block_len, Complex::ZERO);
+                plan.dif(&mut spec);
+                for z in &mut spec {
+                    *z = z.conj().scale(inv_n);
+                }
+                Arc::new(spec)
             })
-            .collect::<Result<_, DspError>>()?;
+            .collect();
         Ok(OverlapSave {
             plan,
             specs,
@@ -223,44 +242,55 @@ impl OverlapSave {
         Ok(())
     }
 
-    /// Fans the input half-spectrum in `scratch.c1` out across every
-    /// template: conjugate-multiply, inverse-transform, append the first
-    /// `take` lags to that template's output. The inverse transform
-    /// consumes its input, so every template but the last works on a
-    /// copy in `scratch.c2`; the last multiplies `c1` in place, and a
-    /// single template copies nothing. Copying is exact, so each output
-    /// is bit-identical to a one-template engine's.
+    /// Forward-transforms the block pair packed in `scratch.c1`, then
+    /// fans it out across every template: multiply by the template
+    /// spectrum, inverse-transform, append the first `take.0` lags of
+    /// the real part (block `2m`) and then the first `take.1` lags of the
+    /// imaginary part (block `2m+1`) to that template's output, each
+    /// multiplied by the lane's gain (`1` for raw output, `1/energy` for
+    /// normalized). The inverse transform consumes its input, so every
+    /// template but the last works on a copy in `scratch.c2`; the last
+    /// multiplies `c1` in place, and a single template copies nothing.
+    /// Copying is exact, so each output is bit-identical to a
+    /// one-template engine's.
     fn fan_out(
         &self,
         scratch: &mut DspScratch,
-        take: usize,
+        take: (usize, usize),
+        gains: Option<&[f64]>,
         outs: &mut [Vec<f64>],
-    ) -> Result<(), DspError> {
+    ) {
+        let DspScratch { c1, c2, .. } = scratch;
+        self.plan.dif(c1);
         let last = self.specs.len() - 1;
         for (k, (spec, out)) in self.specs.iter().zip(outs.iter_mut()).enumerate() {
-            let DspScratch { c1, c2, r1 } = &mut *scratch;
             let spectrum = if k == last {
-                c1
+                &mut *c1
             } else {
                 c2.clear();
                 c2.extend_from_slice(c1);
-                c2
+                &mut *c2
             };
-            conj_mul_in_place(spectrum, spec);
-            self.plan.irfft_half_into(spectrum, r1)?;
-            out.extend_from_slice(&r1[..take]);
+            for (z, &t) in spectrum.iter_mut().zip(spec.iter()) {
+                *z *= t;
+            }
+            self.plan.dit(spectrum);
+            let gain = gains.map_or(1.0, |g| g[k]);
+            out.extend(spectrum[..take.0].iter().map(|z| z.re * gain));
+            out.extend(spectrum[..take.1].iter().map(|z| z.im * gain));
         }
-        Ok(())
     }
 
-    /// Writes `outs[t][k] = Σ_n signal[n + k - lead] · template_t[n]`
-    /// for `k` in `0..signal.len()`, treating the signal as zero outside
-    /// its bounds. Each output is cleared first. `lead = 0` reproduces
-    /// the [`xcorr`] convention.
+    /// Writes `outs[t][k] = gain_t · Σ_n signal[n + k - lead] ·
+    /// template_t[n]` for `k` in `0..signal.len()`, treating the signal
+    /// as zero outside its bounds (`gain_t = 1` when `gains` is `None`).
+    /// Each output is cleared first. `lead = 0` reproduces the [`xcorr`]
+    /// convention.
     pub(crate) fn run(
         &self,
         signal: &[f64],
         scratch: &mut DspScratch,
+        gains: Option<&[f64]>,
         outs: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
         self.check_outs(outs)?;
@@ -269,22 +299,36 @@ impl OverlapSave {
             out.clear();
             out.reserve(out_len);
         }
-        let block = self.block_len();
         let step = self.step();
         let mut pos = 0;
         while pos < out_len {
-            scratch.r1.clear();
-            scratch.r1.extend((pos..pos + block).map(|j| {
-                j.checked_sub(self.lead)
-                    .and_then(|i| signal.get(i))
-                    .copied()
-                    .unwrap_or(0.0)
-            }));
-            self.plan.rfft_half_into(&scratch.r1, &mut scratch.c1)?;
-            self.fan_out(scratch, step.min(out_len - pos), outs)?;
-            pos += step;
+            let odd = pos + step;
+            let take_odd = out_len.saturating_sub(odd).min(step);
+            let re = self.padded_window(signal, pos);
+            let im = if take_odd > 0 {
+                self.padded_window(signal, odd)
+            } else {
+                (0, &[][..])
+            };
+            pack_pair(&mut scratch.c1, self.block_len(), re, im);
+            self.fan_out(scratch, (step.min(out_len - pos), take_odd), gains, outs);
+            pos += 2 * step;
         }
         Ok(())
+    }
+
+    /// The part of the lead-shifted, zero-extended signal that falls in
+    /// the block starting at padded position `start`: the offset of its
+    /// first sample within the block, and the samples themselves.
+    fn padded_window<'a>(&self, signal: &'a [f64], start: usize) -> (usize, &'a [f64]) {
+        let block = self.block_len();
+        let (offset, from) = match start.checked_sub(self.lead) {
+            Some(from) => (0, from),
+            None => (self.lead - start, 0),
+        };
+        let from = from.min(signal.len());
+        let to = (start + block).saturating_sub(self.lead).min(signal.len());
+        (offset, &signal[from..to.max(from)])
     }
 
     fn chunk_feed(&self) -> ChunkFeed {
@@ -310,46 +354,57 @@ impl OverlapSave {
         Ok(())
     }
 
-    /// Forward-transforms the (full) block in `feed.buf` into
-    /// `scratch.c1` and slides the buffer forward by one step, so only
-    /// the `template_len - 1` overlap tail remains.
-    fn feed_transform(
+    /// Packs the block pair at the front of `feed.buf` (block `2m` at
+    /// offset 0, block `2m+1` at offset `step`, or zeros for the odd
+    /// block when `take.1` is zero) into `scratch.c1`, fans it out, and
+    /// slides the buffer forward by two steps, so only the
+    /// `template_len - 1` overlap tail remains.
+    fn feed_pair(
         &self,
         feed: &mut ChunkFeed,
         scratch: &mut DspScratch,
-    ) -> Result<(), DspError> {
-        debug_assert_eq!(feed.buf.len(), self.block_len());
-        self.plan.rfft_half_into(&feed.buf, &mut scratch.c1)?;
+        take: (usize, usize),
+        gains: Option<&[f64]>,
+        outs: &mut [Vec<f64>],
+    ) {
+        let block = self.block_len();
         let step = self.step();
-        feed.buf.copy_within(step.., 0);
-        feed.buf.truncate(self.block_len() - step);
-        Ok(())
+        debug_assert_eq!(feed.buf.len(), block + step);
+        let im = if take.1 > 0 {
+            &feed.buf[step..]
+        } else {
+            &[][..]
+        };
+        pack_pair(&mut scratch.c1, block, (0, &feed.buf[..block]), (0, im));
+        self.fan_out(scratch, take, gains, outs);
+        feed.buf.copy_within(2 * step.., 0);
+        feed.buf.truncate(block - step);
+        feed.emitted += take.0 + take.1;
     }
 
     /// Appends `chunk` to the feed, emitting (appending to every output)
-    /// the lags of every FFT block that fills. Emission never runs ahead
-    /// of ingestion: `emitted <= pushed` holds throughout because
+    /// the lags of every block pair that fills. Emission never runs
+    /// ahead of ingestion: `emitted <= pushed` holds throughout because
     /// `lead <= template_len - 1`.
     fn feed_push(
         &self,
         feed: &mut ChunkFeed,
         chunk: &[f64],
         scratch: &mut DspScratch,
+        gains: Option<&[f64]>,
         outs: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
         self.check_outs(outs)?;
         self.check_feed(feed)?;
-        let block = self.block_len();
+        let span = self.block_len() + self.step();
         let step = self.step();
         let mut rest = chunk;
         while !rest.is_empty() {
-            let take = (block - feed.buf.len()).min(rest.len());
+            let take = (span - feed.buf.len()).min(rest.len());
             feed.buf.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
-            if feed.buf.len() == block {
-                self.feed_transform(feed, scratch)?;
-                self.fan_out(scratch, step, outs)?;
-                feed.emitted += step;
+            if feed.buf.len() == span {
+                self.feed_pair(feed, scratch, (step, step), gains, outs);
             }
         }
         feed.pushed += chunk.len();
@@ -357,55 +412,83 @@ impl OverlapSave {
         Ok(())
     }
 
-    /// Flushes the feed: zero-pads the final blocks and emits every
+    /// Flushes the feed: zero-pads the final block pairs and emits every
     /// remaining lag up to the `pushed` total, exactly reproducing
-    /// [`OverlapSave::run`]'s output for the concatenated input. Marks
-    /// the feed finished.
+    /// [`OverlapSave::run`]'s output for the concatenated input (pairs
+    /// counted from stream start, a trailing odd block paired with
+    /// zeros). Marks the feed finished.
     fn feed_finish(
         &self,
         feed: &mut ChunkFeed,
         scratch: &mut DspScratch,
+        gains: Option<&[f64]>,
         outs: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
         self.check_outs(outs)?;
         self.check_feed(feed)?;
         let total = feed.pushed;
+        let step = self.step();
         while feed.emitted < total {
-            feed.buf.resize(self.block_len(), 0.0);
-            self.feed_transform(feed, scratch)?;
-            let take = self.step().min(total - feed.emitted);
-            self.fan_out(scratch, take, outs)?;
-            feed.emitted += take;
+            feed.buf.resize(self.block_len() + step, 0.0);
+            let left = total - feed.emitted;
+            let take = (step.min(left), left.saturating_sub(step).min(step));
+            self.feed_pair(feed, scratch, take, gains, outs);
         }
         feed.finished = true;
         Ok(())
     }
 }
 
+/// Packs two real blocks into one complex block of `len` samples:
+/// `re.1` lands at offset `re.0` of the real parts and `im.1` at offset
+/// `im.0` of the imaginary parts, everything else is zero.
+fn pack_pair(buf: &mut Vec<Complex>, len: usize, re: (usize, &[f64]), im: (usize, &[f64])) {
+    buf.clear();
+    if re.0 == 0 && im.0 == 0 && re.1.len() >= len && im.1.len() >= len {
+        // Interior pair: one pass, no zero fill.
+        buf.extend(
+            re.1[..len]
+                .iter()
+                .zip(&im.1[..len])
+                .map(|(&a, &b)| Complex::new(a, b)),
+        );
+        return;
+    }
+    buf.resize(len, Complex::ZERO);
+    for (z, &x) in buf[re.0..].iter_mut().zip(re.1) {
+        z.re = x;
+    }
+    for (z, &x) in buf[im.0..].iter_mut().zip(im.1) {
+        z.im = x;
+    }
+}
+
 /// Incremental ingestion state for one matched filter or bank: the
-/// partial FFT block under assembly plus push/emit progress counters.
+/// partial FFT block pair under assembly plus push/emit progress
+/// counters.
 ///
 /// A feed turns a blocked engine ([`StreamingMatchedFilter`],
 /// [`StreamingMatchedFilterBank`]) into an online one: samples arrive in
 /// chunks of any size (single samples to whole captures) and completed
-/// output lags are emitted as soon as their FFT block fills. The engine
-/// itself stays `&self` and immutable — all mutable state lives here, so
-/// one engine can serve many concurrent feeds.
+/// output lags are emitted as soon as their FFT block pair fills. The
+/// engine itself stays `&self` and immutable — all mutable state lives
+/// here, so one engine can serve many concurrent feeds.
 ///
-/// Because a block is transformed exactly when it reaches `block_len`
-/// samples, the block contents — and therefore every emitted value — are
+/// Because a pair is transformed exactly when both of its blocks are
+/// complete, and pairs are counted from stream start as in the one-shot
+/// call, the transform inputs — and therefore every emitted value — are
 /// **bit-identical** regardless of how the input was chunked, and
 /// bit-identical to the corresponding one-shot `correlate_into` call on
 /// the concatenated input.
 ///
-/// The working set is one `block_len` buffer, independent of how many
-/// samples have been pushed.
+/// The working set is one `block_len + step` buffer (two overlapping
+/// blocks), independent of how many samples have been pushed.
 #[derive(Debug, Clone)]
 pub struct ChunkFeed {
     /// The sliding window of the implicitly padded input stream
     /// (`lead` zeros, then every pushed sample, then flush-time zeros):
-    /// always equal to `padded[blocks_done * step ..]`, capacity
-    /// `block_len`.
+    /// always equal to `padded[pairs_done * 2 * step ..]`, capacity
+    /// `block_len + step`.
     buf: Vec<f64>,
     lead: usize,
     block_len: usize,
@@ -417,7 +500,8 @@ pub struct ChunkFeed {
 
 impl ChunkFeed {
     fn new(lead: usize, block_len: usize, template_len: usize) -> Self {
-        let mut buf = Vec::with_capacity(block_len);
+        let step = block_len - template_len + 1;
+        let mut buf = Vec::with_capacity(block_len + step);
         buf.resize(lead, 0.0);
         ChunkFeed {
             buf,
@@ -429,7 +513,6 @@ impl ChunkFeed {
             finished: false,
         }
     }
-
     /// Samples pushed since construction or the last reset.
     #[must_use]
     pub fn pushed(&self) -> usize {
@@ -776,9 +859,11 @@ impl StreamingMatchedFilter {
 #[derive(Debug, Clone)]
 pub struct StreamingMatchedFilterBank {
     engine: OverlapSave,
-    /// `Σ x²` of each **original** (pre-fold) template: lane `k`'s
-    /// normalizer.
+    /// `Σ x²` of each **original** (pre-fold) template.
     energies: Vec<f64>,
+    /// `1 / energies[k]`: lane `k`'s normalized-output gain, applied as
+    /// the lags are copied out of the inverse transform.
+    gains: Vec<f64>,
     /// The shortest signal accepted: the longest original template.
     /// Folding lengthens the engine's templates by `taps − 1`, but zero
     /// extension lets any capture that holds one original template
@@ -814,6 +899,7 @@ impl StreamingMatchedFilterBank {
         Ok(StreamingMatchedFilterBank {
             min_len: engine.template_len,
             engine,
+            gains: energies.iter().map(|e| 1.0 / e).collect(),
             energies,
         })
     }
@@ -861,6 +947,7 @@ impl StreamingMatchedFilterBank {
         let refs: Vec<&[f64]> = folded.iter().map(Vec::as_slice).collect();
         Ok(StreamingMatchedFilterBank {
             engine: OverlapSave::new(&refs, block, delay)?,
+            gains: energies.iter().map(|e| 1.0 / e).collect(),
             energies,
             min_len: templates.iter().map(|t| t.len()).max().unwrap_or(0),
         })
@@ -961,19 +1048,6 @@ impl StreamingMatchedFilterBank {
         Ok(())
     }
 
-    /// Scales the last `appended` values of every lane by its template
-    /// energy (every lane receives the same lag count per call, so one
-    /// counter covers them all — no per-lane bookkeeping to allocate).
-    fn normalize_tail(&self, appended: usize, lanes: &mut [Vec<f64>]) {
-        for (&energy, out) in self.energies.iter().zip(lanes.iter_mut()) {
-            let k = 1.0 / energy;
-            let start = out.len() - appended;
-            for v in &mut out[start..] {
-                *v *= k;
-            }
-        }
-    }
-
     /// One-shot banked correlation: lane `k` receives exactly the output
     /// of an independent [`StreamingMatchedFilter`] for template `k` at
     /// the bank geometry ([`xcorr`] convention), but the input forward
@@ -992,7 +1066,7 @@ impl StreamingMatchedFilterBank {
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
         self.check_signal(signal.len())?;
-        self.engine.run(signal, scratch, lanes)
+        self.engine.run(signal, scratch, None, lanes)
     }
 
     /// [`StreamingMatchedFilterBank::correlate_into`] with each lane
@@ -1007,9 +1081,8 @@ impl StreamingMatchedFilterBank {
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        self.correlate_into(signal, scratch, lanes)?;
-        self.normalize_tail(signal.len(), lanes);
-        Ok(())
+        self.check_signal(signal.len())?;
+        self.engine.run(signal, scratch, Some(&self.gains), lanes)
     }
 
     /// Creates an online ingestion feed for this bank (see
@@ -1039,7 +1112,7 @@ impl StreamingMatchedFilterBank {
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        self.engine.feed_push(feed, chunk, scratch, lanes)
+        self.engine.feed_push(feed, chunk, scratch, None, lanes)
     }
 
     /// [`StreamingMatchedFilterBank::push_chunk_into`] with the emitted
@@ -1055,10 +1128,8 @@ impl StreamingMatchedFilterBank {
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        let before = feed.emitted;
-        self.push_chunk_into(feed, chunk, scratch, lanes)?;
-        self.normalize_tail(feed.emitted - before, lanes);
-        Ok(())
+        self.engine
+            .feed_push(feed, chunk, scratch, Some(&self.gains), lanes)
     }
 
     /// Flushes `feed`, appending the remaining raw lags to every lane so
@@ -1079,10 +1150,7 @@ impl StreamingMatchedFilterBank {
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        if !feed.finished {
-            self.check_signal(feed.pushed)?;
-        }
-        self.engine.feed_finish(feed, scratch, lanes)
+        self.finish_with(feed, scratch, None, lanes)
     }
 
     /// [`StreamingMatchedFilterBank::finish_chunks_into`] with the
@@ -1098,10 +1166,20 @@ impl StreamingMatchedFilterBank {
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        let before = feed.emitted;
-        self.finish_chunks_into(feed, scratch, lanes)?;
-        self.normalize_tail(feed.emitted - before, lanes);
-        Ok(())
+        self.finish_with(feed, scratch, Some(&self.gains), lanes)
+    }
+
+    fn finish_with(
+        &self,
+        feed: &mut ChunkFeed,
+        scratch: &mut DspScratch,
+        gains: Option<&[f64]>,
+        lanes: &mut [Vec<f64>],
+    ) -> Result<(), DspError> {
+        if !feed.finished {
+            self.check_signal(feed.pushed)?;
+        }
+        self.engine.feed_finish(feed, scratch, gains, lanes)
     }
 }
 

@@ -10,7 +10,8 @@
 //! removes the carrier: take the magnitude of the analytic signal and
 //! pick peaks on that.
 
-use crate::fft::{fft, ifft, next_pow2};
+use crate::fft::try_next_pow2;
+use crate::plan::{with_thread_ctx, DspScratch, PlanCache};
 use crate::{Complex, DspError};
 
 /// Computes the analytic signal of `x` via the frequency-domain Hilbert
@@ -23,17 +24,31 @@ use crate::{Complex, DspError};
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal.
 pub fn analytic_signal(x: &[f64]) -> Result<Vec<Complex>, DspError> {
+    let mut out = Vec::new();
+    with_thread_ctx(|plans, _| analytic_signal_into(x, plans, &mut out))?;
+    Ok(out)
+}
+
+/// [`analytic_signal`] into `out` (cleared and refilled; it grows to the
+/// padded power-of-two length), with the FFT plan from `plans`.
+fn analytic_signal_into(
+    x: &[f64],
+    plans: &mut PlanCache,
+    out: &mut Vec<Complex>,
+) -> Result<(), DspError> {
     if x.is_empty() {
         return Err(DspError::EmptyInput {
             what: "analytic_signal input",
         });
     }
-    let n = next_pow2(x.len());
-    let mut buf: Vec<Complex> = x.iter().map(|&v| Complex::from_real(v)).collect();
-    buf.resize(n, Complex::ZERO);
-    fft(&mut buf)?;
+    let n = try_next_pow2(x.len())?;
+    let plan = plans.plan(n)?;
+    out.clear();
+    out.extend(x.iter().map(|&v| Complex::from_real(v)));
+    out.resize(n, Complex::ZERO);
+    plan.fft(out)?;
     // H[0] and H[n/2] stay; positive freqs double; negatives zero.
-    for (k, v) in buf.iter_mut().enumerate() {
+    for (k, v) in out.iter_mut().enumerate() {
         if k == 0 || k == n / 2 {
             continue;
         } else if k < n / 2 {
@@ -42,9 +57,9 @@ pub fn analytic_signal(x: &[f64]) -> Result<Vec<Complex>, DspError> {
             *v = Complex::ZERO;
         }
     }
-    ifft(&mut buf)?;
-    buf.truncate(x.len());
-    Ok(buf)
+    plan.ifft(out)?;
+    out.truncate(x.len());
+    Ok(())
 }
 
 /// The envelope `|analytic(x)|` of a signal.
@@ -69,7 +84,29 @@ pub fn analytic_signal(x: &[f64]) -> Result<Vec<Complex>, DspError> {
 /// assert!(env[64] > 0.95 && env[65] > 0.95);
 /// ```
 pub fn envelope(x: &[f64]) -> Result<Vec<f64>, DspError> {
-    Ok(analytic_signal(x)?.into_iter().map(Complex::abs).collect())
+    let mut out = Vec::new();
+    with_thread_ctx(|plans, scratch| envelope_with(x, plans, scratch, &mut out))?;
+    Ok(out)
+}
+
+/// Planned form of [`envelope`]: identical output, with the FFT plan
+/// from `plans`, the complex analytic signal in `scratch.c1`, and the
+/// envelope written into `out` (cleared and refilled; capacity reused).
+/// Steady-state calls at warm sizes do not allocate.
+///
+/// # Errors
+///
+/// Same conditions as [`envelope`].
+pub fn envelope_with(
+    x: &[f64],
+    plans: &mut PlanCache,
+    scratch: &mut DspScratch,
+    out: &mut Vec<f64>,
+) -> Result<(), DspError> {
+    analytic_signal_into(x, plans, &mut scratch.c1)?;
+    out.clear();
+    out.extend(scratch.c1.iter().map(|z| z.abs()));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -161,6 +198,20 @@ mod tests {
         let e0 = argmax(&envelope(&make(0.0)).unwrap());
         let e1 = argmax(&envelope(&make(1.3)).unwrap());
         assert!((e0 - e1).abs() <= 2, "envelope peaks {e0} vs {e1}");
+    }
+
+    #[test]
+    fn planned_envelope_matches_one_shot_and_reuses_buffers() {
+        let x: Vec<f64> = (0..300).map(|i| (i as f64 * 0.41).sin()).collect();
+        let mut plans = PlanCache::new();
+        let mut scratch = DspScratch::new();
+        let mut out = Vec::new();
+        envelope_with(&x, &mut plans, &mut scratch, &mut out).unwrap();
+        assert_eq!(out, envelope(&x).unwrap());
+        let ptr = out.as_ptr();
+        envelope_with(&x, &mut plans, &mut scratch, &mut out).unwrap();
+        assert_eq!(ptr, out.as_ptr(), "capacity must be reused");
+        assert!(envelope_with(&[], &mut plans, &mut scratch, &mut out).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Iterative radix-2 fast Fourier transform.
+//! Fast Fourier transform (radix-4, see [`crate::plan::FftPlan`]).
 //!
 //! The transform is the workhorse behind [`crate::correlate`] (matched
 //! filtering of chirp beacons) and [`crate::spectrum`]. Sizes must be powers

@@ -281,8 +281,8 @@ impl FirFilter {
 /// FFT-accelerated zero-phase FIR application via overlap-save blocks.
 ///
 /// [`FirFilter::filter_zero_phase_into`] is O(N·taps) per call. This
-/// engine runs the same zero-phase convolution as blocked half-spectrum
-/// multiplications — O(N log B) with a peak FFT size of
+/// engine runs the same zero-phase convolution as blocked spectral
+/// multiplications (two blocks per complex transform) — O(N log B) with a peak FFT size of
 /// [`ZeroPhaseFir::block_len`], independent of signal length. (Beacon
 /// detection needs neither: it folds the band-pass into the matched
 /// filter, see
@@ -349,7 +349,8 @@ impl ZeroPhaseFir {
         if signal.is_empty() {
             return Err(DspError::EmptyInput { what: "FIR input" });
         }
-        self.core.run(signal, scratch, std::slice::from_mut(out))
+        self.core
+            .run(signal, scratch, None, std::slice::from_mut(out))
     }
 }
 

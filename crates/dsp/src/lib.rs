@@ -4,7 +4,7 @@
 //! reproduction. The Rust acoustic-DSP ecosystem is thin, so everything the
 //! HyperEar pipeline needs is implemented here from scratch:
 //!
-//! - [`fft`] — iterative radix-2 complex FFT/IFFT and real-signal helpers.
+//! - [`fft`] — radix-4 complex FFT/IFFT and real-signal helpers.
 //! - [`plan`] — planned FFT execution: precomputed twiddle/bit-reversal
 //!   tables ([`plan::FftPlan`], [`plan::PlanCache`]) and the
 //!   [`plan::DspScratch`] buffer arena behind the allocation-free hot

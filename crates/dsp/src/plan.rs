@@ -11,11 +11,11 @@
 //! warm. The one-shot functions elsewhere in the crate remain as thin
 //! wrappers over this module.
 //!
-//! The planned transforms are **bit-identical** to the historical one-shot
-//! implementations: the twiddle tables are generated with the exact
-//! recurrence (`w *= wlen`) the former inline loop used, so cached and
+//! The one-shot wrappers execute through these same plans, so cached and
 //! fresh executions produce the same floating-point results to the last
-//! ulp. The equivalence property tests in `tests/proptests.rs` pin this.
+//! ulp (pinned by the equivalence property tests in `tests/proptests.rs`).
+//! Twiddles come from exact angles, not a recurrence, and the transforms
+//! are checked against a direct O(n²) DFT there too.
 //!
 //! # Example
 //!
@@ -71,20 +71,33 @@ pub fn with_thread_ctx<T>(f: impl FnOnce(&mut PlanCache, &mut DspScratch) -> T) 
 
 /// A precomputed execution plan for one FFT size.
 ///
-/// Holds the bit-reversal permutation and the per-stage twiddle factors
-/// for both transform directions, so [`FftPlan::fft`] and
-/// [`FftPlan::ifft`] run the pure butterfly passes with no trigonometry
-/// and no allocation.
+/// Holds the bit-reversal permutation and the radix-4 twiddle factors,
+/// so every transform runs the pure butterfly passes with no
+/// trigonometry and no allocation.
+///
+/// There is one butterfly kernel, in two directions:
+///
+/// - [`FftPlan::dif`], the forward decimation-in-frequency pass, reads
+///   natural order and leaves the spectrum in **bit-reversed** order;
+/// - [`FftPlan::dit`], the inverse decimation-in-time pass with
+///   conjugate twiddles, reads bit-reversed order and writes natural
+///   order, unscaled.
+///
+/// Both are radix-4, with one twiddle-free radix-2 stage when `log2 n`
+/// is odd. A pointwise spectral product does not care about bin order,
+/// so the overlap-save correlator runs `dif → multiply → dit` with no
+/// permutation at all; [`FftPlan::fft`] and [`FftPlan::ifft`] add the
+/// one bit-reversal pass that ordered spectra need.
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
     /// Bit-reversed index of each position (identity entries included).
     bit_rev: Vec<usize>,
-    /// Forward twiddles, stages flattened: stage `len` contributes
-    /// `len/2` entries, for `len = 2, 4, …, n` — `n − 1` entries total.
-    fwd: Vec<Complex>,
-    /// Inverse twiddles, same layout.
-    inv: Vec<Complex>,
+    /// Forward twiddles `[w^j, w^2j, w^3j]` (`w = e^{-2πi/L}`) for each
+    /// butterfly column `j` in `0..L/4` of each radix-4 stage of span
+    /// `L`, stages flattened from `L = n` down. The inverse uses the
+    /// conjugates.
+    twiddles: Vec<[Complex; 3]>,
 }
 
 impl FftPlan {
@@ -112,11 +125,22 @@ impl FftPlan {
                 .map(|i| i.reverse_bits() >> (usize::BITS - bits))
                 .collect()
         };
+        let mut twiddles = Vec::new();
+        let mut span = n;
+        while span >= 4 {
+            twiddles.extend((0..span / 4).map(|j| {
+                [
+                    unit_root(j, span),
+                    unit_root(2 * j, span),
+                    unit_root(3 * j, span),
+                ]
+            }));
+            span /= 4;
+        }
         Ok(FftPlan {
             n,
             bit_rev,
-            fwd: twiddle_table(n, -1.0),
-            inv: twiddle_table(n, 1.0),
+            twiddles,
         })
     }
 
@@ -132,7 +156,8 @@ impl FftPlan {
         self.n == 0
     }
 
-    /// In-place forward FFT. Allocation-free.
+    /// In-place forward FFT, `X[k] = Σ_n x[n]·e^{-2πi·kn/N}`, in natural
+    /// order. Allocation-free.
     ///
     /// Identical results to [`crate::fft::fft`].
     ///
@@ -142,7 +167,8 @@ impl FftPlan {
     /// match the plan length.
     pub fn fft(&self, data: &mut [Complex]) -> Result<(), DspError> {
         self.check_len(data.len())?;
-        self.run(data, &self.fwd);
+        self.dif(data);
+        self.permute(data);
         Ok(())
     }
 
@@ -155,10 +181,8 @@ impl FftPlan {
     /// Same conditions as [`FftPlan::fft`].
     pub fn ifft(&self, data: &mut [Complex]) -> Result<(), DspError> {
         self.check_len(data.len())?;
-        self.run(data, &self.inv);
-        // `z / n` is defined as `z.scale(1.0 / n)`, so the shared lane
-        // kernel with the reciprocal precomputed is bit-identical to the
-        // historical per-element division.
+        self.permute(data);
+        self.dit(data);
         crate::complex::scale_in_place(data, 1.0 / data.len() as f64);
         Ok(())
     }
@@ -190,8 +214,7 @@ impl FftPlan {
         out.clear();
         out.extend(signal.iter().map(|&x| Complex::from_real(x)));
         out.resize(self.n, Complex::ZERO);
-        self.run(out, &self.fwd);
-        Ok(())
+        self.fft(out)
     }
 
     fn check_len(&self, len: usize) -> Result<(), DspError> {
@@ -205,42 +228,117 @@ impl FftPlan {
         }
     }
 
-    /// The butterfly passes shared by both directions.
-    ///
-    /// Each stage walks `split_at_mut` halves in lockstep with the stage's
-    /// twiddle slice, so the inner loop carries no bounds checks and
-    /// presents the autovectorizer three equal-length streams. The
-    /// floating-point operations and their order are exactly the
-    /// historical indexed loop's, so results stay bit-identical.
-    fn run(&self, data: &mut [Complex], twiddles: &[Complex]) {
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-        for i in 0..n {
-            let j = self.bit_rev[i];
+    /// Swaps every element with its bit-reversed position: the one
+    /// permutation pass between the kernel's bit-reversed spectra and
+    /// natural order (an involution, so it serves both directions).
+    fn permute(&self, data: &mut [Complex]) {
+        for (i, &j) in self.bit_rev.iter().enumerate() {
             if j > i {
                 data.swap(i, j);
             }
         }
+    }
+
+    /// Forward decimation-in-frequency pass: natural order in,
+    /// bit-reversed spectrum out, unscaled. `data.len()` must equal the
+    /// plan length.
+    ///
+    /// Each radix-4 stage of span `L` splits every `L`-block into four
+    /// quarters walked in lockstep with the stage's twiddle triples (no
+    /// bounds checks in the inner loop). The two middle outputs are
+    /// stored swapped — the `(X₀, X₂, X₁, X₃)` order of two merged
+    /// radix-2 stages — which is what makes the overall output order
+    /// bit-reversed rather than base-4 digit-reversed.
+    pub(crate) fn dif(&self, data: &mut [Complex]) {
+        debug_assert_eq!(data.len(), self.n);
+        let mut span = self.n;
         let mut offset = 0;
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let stage = &twiddles[offset..offset + half];
-            for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-                    let a = *u;
-                    let b = *v * w;
-                    *u = a + b;
-                    *v = a - b;
+        while span >= 4 {
+            let q = span / 4;
+            let tw = &self.twiddles[offset..offset + q];
+            for block in data.chunks_exact_mut(span) {
+                let (a, rest) = block.split_at_mut(q);
+                let (b, rest) = rest.split_at_mut(q);
+                let (c, d) = rest.split_at_mut(q);
+                for ((((x0, x1), x2), x3), w) in a.iter_mut().zip(b).zip(c).zip(d).zip(tw) {
+                    let s02 = *x0 + *x2;
+                    let d02 = *x0 - *x2;
+                    let s13 = *x1 + *x3;
+                    let d13 = mul_i(*x1 - *x3);
+                    *x0 = s02 + s13;
+                    *x1 = (s02 - s13) * w[1];
+                    *x2 = (d02 - d13) * w[0];
+                    *x3 = (d02 + d13) * w[2];
                 }
             }
-            offset += half;
-            len <<= 1;
+            offset += q;
+            span = q;
+        }
+        if span == 2 {
+            radix2(data);
         }
     }
+
+    /// Inverse decimation-in-time pass: bit-reversed spectrum in,
+    /// natural order out, **unscaled** (the caller owns the `1/N`).
+    /// Exactly the transpose of [`FftPlan::dif`]: the same stages in
+    /// reverse order with conjugated twiddles.
+    pub(crate) fn dit(&self, data: &mut [Complex]) {
+        debug_assert_eq!(data.len(), self.n);
+        let odd = self.n.trailing_zeros() % 2 == 1;
+        if odd {
+            radix2(data);
+        }
+        let mut span = if odd { 8 } else { 4 };
+        let mut offset = self.twiddles.len();
+        while span <= self.n {
+            let q = span / 4;
+            offset -= q;
+            let tw = &self.twiddles[offset..offset + q];
+            for block in data.chunks_exact_mut(span) {
+                let (a, rest) = block.split_at_mut(q);
+                let (b, rest) = rest.split_at_mut(q);
+                let (c, d) = rest.split_at_mut(q);
+                for ((((y0, y1), y2), y3), w) in a.iter_mut().zip(b).zip(c).zip(d).zip(tw) {
+                    let t1 = *y1 * w[1].conj();
+                    let t2 = *y2 * w[0].conj();
+                    let t3 = *y3 * w[2].conj();
+                    let s = *y0 + t1;
+                    let d = *y0 - t1;
+                    let s23 = t2 + t3;
+                    let d23 = mul_i(t2 - t3);
+                    *y0 = s + s23;
+                    *y1 = d + d23;
+                    *y2 = s - s23;
+                    *y3 = d - d23;
+                }
+            }
+            span *= 4;
+        }
+    }
+}
+
+/// The twiddle-free radix-2 stage of span 2 that completes a transform
+/// whose `log2 n` is odd (last in [`FftPlan::dif`], first in
+/// [`FftPlan::dit`]).
+fn radix2(data: &mut [Complex]) {
+    for pair in data.chunks_exact_mut(2) {
+        let (a, b) = (pair[0], pair[1]);
+        pair[0] = a + b;
+        pair[1] = a - b;
+    }
+}
+
+/// `i·c`.
+#[inline]
+fn mul_i(c: Complex) -> Complex {
+    Complex::new(-c.im, c.re)
+}
+
+/// `e^{-2πi·k/n}`, computed from the exact angle (no recurrence, so no
+/// error accumulates across a stage's twiddles).
+fn unit_root(k: usize, n: usize) -> Complex {
+    Complex::from_angle(-2.0 * std::f64::consts::PI * k as f64 / n as f64)
 }
 
 /// A read-only view of the `n/2 + 1` non-redundant bins of a real
@@ -340,13 +438,14 @@ impl<'a> HalfSpectrum<'a> {
 /// Packs the `n` real samples into an `n/2`-point complex FFT (`z[k] =
 /// x[2k] + i·x[2k+1]`) and recovers the `n/2 + 1` half-spectrum with a
 /// conjugate-symmetric split pass — roughly half the butterflies and half
-/// the complex scratch of the equivalent full transform, which matters
-/// because every hot HyperEar kernel (matched filter, STFT, periodogram,
-/// mic equalization) transforms real audio. See DESIGN.md for the
-/// split/merge algebra.
+/// the complex scratch of the equivalent full transform. The simulator's
+/// mic equalization, the STFT, the periodogram, the estimators and the
+/// one-shot [`crate::correlate::xcorr`] use it; the overlap-save matched
+/// filter does not (it packs two real *blocks* into one complex transform
+/// instead, see DESIGN.md). See DESIGN.md for the split/merge algebra.
 ///
 /// Unlike [`FftPlan`]'s complex path, the half-spectrum route is **not**
-/// bit-identical to the historical full transform — it evaluates the same
+/// bit-identical to the full complex transform — it evaluates the same
 /// DFT through a different factorization, so results agree to roughly
 /// `1e-12` relative (pinned by the `rfft_half` property test), not to the
 /// last ulp.
@@ -521,27 +620,6 @@ impl RealFftPlan {
         }
         Ok(())
     }
-}
-
-/// Generates the flattened per-stage twiddle table.
-///
-/// Uses the exact recurrence of the historical inline transform
-/// (`w = ONE; w *= wlen` per butterfly) so planned output is bit-identical
-/// to the one-shot path.
-fn twiddle_table(n: usize, sign: f64) -> Vec<Complex> {
-    let mut table = Vec::with_capacity(n.saturating_sub(1));
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_angle(ang);
-        let mut w = Complex::ONE;
-        for _ in 0..len / 2 {
-            table.push(w);
-            w *= wlen;
-        }
-        len <<= 1;
-    }
-    table
 }
 
 /// A memo of [`FftPlan`]s keyed by transform length.
@@ -755,6 +833,28 @@ mod tests {
             plan.ifft(&mut planned).unwrap();
             crate::fft::ifft(&mut oneshot).unwrap();
             assert_eq!(planned, oneshot, "inverse n={n}");
+        }
+    }
+
+    #[test]
+    fn dif_is_bit_reversed_fft_and_dit_inverts_it_unscaled() {
+        for &n in &[1usize, 2, 4, 8, 32, 128, 512] {
+            let data: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+                .collect();
+            let plan = FftPlan::new(n).unwrap();
+            let mut ordered = data.clone();
+            plan.fft(&mut ordered).unwrap();
+            let mut dif = data.clone();
+            plan.dif(&mut dif);
+            for (i, &j) in plan.bit_rev.iter().enumerate() {
+                assert_eq!(dif[i], ordered[j], "n={n} position {i}");
+            }
+            plan.dit(&mut dif);
+            for (a, b) in dif.iter().zip(&data) {
+                let d = *a - b.scale(n as f64);
+                assert!(d.abs() < 1e-12 * n as f64, "n={n}: {a:?} vs {n}·{b:?}");
+            }
         }
     }
 

@@ -164,6 +164,37 @@ fn warm_xcorr_path_does_not_allocate() {
         );
     }
 
+    // --- Envelope-mode detection allocation-free when warm. -----------
+    // The Hilbert envelope runs on the detector's plan cache and its
+    // scratch-owned buffers: the plain path (peaks on the envelope of
+    // the correlation) and a weighted estimator's guided path (envelopes
+    // of both the weighted and the own correlation).
+    let mut env_cfg = HyperEarConfig::galaxy_s4();
+    env_cfg.detection.envelope_detection = true;
+    let mut env_engine = SessionEngine::new(env_cfg).unwrap();
+    for est in [TdoaEstimator::PlainXcorr, TdoaEstimator::GccPhat] {
+        env_engine
+            .run_estimated_into(&input, est, &mut result)
+            .unwrap();
+        let expected = result.clone();
+        let before = ALLOC.allocations();
+        for _ in 0..2 {
+            env_engine
+                .run_estimated_into(&input, est, &mut result)
+                .unwrap();
+        }
+        let after = ALLOC.allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state envelope-mode run_estimated_into({est:?}) must not allocate"
+        );
+        assert_eq!(
+            result, expected,
+            "warm envelope-mode {est:?} session must stay bit-identical"
+        );
+    }
+
     // --- Escalation retries allocation-free when warm. ----------------
     // An escalate_below of 1.0 forces every monitored session through
     // the full retry ladder (clean slides score ≈ 0.99 < 1.0), so the

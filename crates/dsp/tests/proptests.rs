@@ -3,7 +3,9 @@
 //! `HYPEREAR_PROP_CASES` seeded cases (default 64) and reports the
 //! failing seed on a counterexample.
 
-use hyperear_dsp::correlate::{xcorr, xcorr_into, StreamingMatchedFilter};
+use hyperear_dsp::correlate::{
+    xcorr, xcorr_into, StreamingMatchedFilter, StreamingMatchedFilterBank,
+};
 use hyperear_dsp::delay::delay_fractional_into_len;
 use hyperear_dsp::fft::{fft, ifft, next_pow2, rfft};
 use hyperear_dsp::filter::{FirFilter, MovingAverage};
@@ -14,7 +16,7 @@ use hyperear_dsp::quantize::{dequantize_i16, quantize_i16};
 use hyperear_dsp::resample::resample;
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
-use hyperear_util::prop::{self, f64_range, usize_range, vec_f64};
+use hyperear_util::prop::{self, f64_range, usize_range, vec_f64, vec_of};
 use hyperear_util::{prop_assert, prop_assert_eq, prop_assume};
 
 fn signal_strategy(max_len: usize) -> prop::VecOf<prop::F64Range> {
@@ -193,9 +195,86 @@ fn fractional_delay_places_pulse() {
     );
 }
 
+/// Direct O(n²) DFT, `X[k] = Σ_j x[j]·e^{sign·2πi·jk/n}`, as the
+/// accuracy oracle for the fast transforms. Each twiddle comes from the
+/// exact angle of `jk mod n` and the sums are compensated (Neumaier), so
+/// the oracle's own error stays near `2ε·Σ|x|` at every size.
+fn direct_dft(x: &[Complex], sign: f64) -> Vec<Complex> {
+    fn add(sum: &mut (f64, f64), v: f64) {
+        let t = sum.0 + v;
+        sum.1 += if sum.0.abs() >= v.abs() {
+            (sum.0 - t) + v
+        } else {
+            (v - t) + sum.0
+        };
+        sum.0 = t;
+    }
+    let n = x.len();
+    (0..n)
+        .map(|k| {
+            let (mut re, mut im) = ((0.0, 0.0), (0.0, 0.0));
+            for (j, v) in x.iter().enumerate() {
+                let angle = sign * 2.0 * std::f64::consts::PI * ((j * k) % n) as f64 / n as f64;
+                let w = Complex::from_angle(angle);
+                add(&mut re, v.re * w.re);
+                add(&mut re, -v.im * w.im);
+                add(&mut im, v.re * w.im);
+                add(&mut im, v.im * w.re);
+            }
+            Complex::new(re.0 + re.1, im.0 + im.1)
+        })
+        .collect()
+}
+
+/// The FFT kernel against the direct DFT for every power of two from 1
+/// to 1024 (odd and even `log2 n`, so both the pure radix-4 and the
+/// radix-4 + radix-2 stage plans). Round trip and Parseval cannot see a
+/// consistent conjugation or bin-permutation error; this can.
+///
+/// Bound: every output bin of `fft` is within `C·max(log2 n, 1)·ε·Σ|x|`
+/// of the exact DFT, and every sample of `ifft` within the same bound
+/// divided by `n` (its `1/n` scaling), with `C = 4`. That is the classic
+/// `O(log n)` forward-error growth of a Cooley–Tukey FFT in the max norm,
+/// plus headroom for the oracle's own rounding. Observed errors stay
+/// below `0.4·max(log2 n, 1)·ε·Σ|x|` (300 cases).
+#[test]
+fn fft_matches_direct_dft() {
+    const C: f64 = 4.0;
+    let strat = (usize_range(0, 11), vec_f64(-1.0, 1.0, 2048, 2049));
+    prop::check("fft_matches_direct_dft", strat, |(pow, values)| {
+        let n = 1usize << pow;
+        let x: Vec<Complex> = (0..n)
+            .map(|i| Complex::new(values[2 * i], values[2 * i + 1]))
+            .collect();
+        let l1: f64 = x.iter().map(|z| z.re.abs() + z.im.abs()).sum();
+        let bound = C * (*pow).max(1) as f64 * f64::EPSILON * l1;
+        let plan = FftPlan::new(n).unwrap();
+        let mut fast = x.clone();
+        plan.fft(&mut fast).unwrap();
+        for (k, (a, r)) in fast.iter().zip(&direct_dft(&x, -1.0)).enumerate() {
+            let err = (*a - *r).abs();
+            prop_assert!(
+                err <= bound,
+                "fft n={n} bin {k}: error {err:e} > bound {bound:e}"
+            );
+        }
+        let mut inv = x.clone();
+        plan.ifft(&mut inv).unwrap();
+        for (k, (a, r)) in inv.iter().zip(&direct_dft(&x, 1.0)).enumerate() {
+            let err = (*a - *r / n as f64).abs();
+            prop_assert!(
+                err <= bound / n as f64,
+                "ifft n={n} sample {k}: error {err:e} > bound {:e}",
+                bound / n as f64
+            );
+        }
+        prop::pass()
+    });
+}
+
 // ---- Planned-vs-one-shot equivalence (the PR-2 refactor contract):
 // the planned, allocation-free variants must be *bit-identical* to the
-// historical one-shot functions, for any signal at any size.
+// one-shot functions, for any signal at any size.
 
 #[test]
 fn planned_fft_bit_identical_to_one_shot() {
@@ -318,16 +397,18 @@ fn streaming_matched_filter_matches_one_shot_xcorr() {
     // Block sizes from the minimum legal (next_pow2(m), where the step
     // can be as small as 1 and the template dominates the block) up to
     // 8x the template; signals from shorter than one block to many
-    // blocks long.
+    // blocks long, so both odd block counts (a last pair whose odd half
+    // is zeros) and even ones occur. Chunk sizes run 0 to 3 blocks.
     let strat = (
         signal_strategy(192),
         vec_f64(-1.0, 1.0, 8, 24),
         usize_range(0, 3),
+        (vec_of(usize_range(0, 4_096), 1, 12), usize_range(1, 4)),
     );
     prop::check(
         "streaming_matched_filter_matches_one_shot_xcorr",
         strat,
-        |(signal, template, extra_pow)| {
+        |(signal, template, extra_pow, (chunks, lanes))| {
             prop_assume!(template.len() <= signal.len());
             let energy: f64 = template.iter().map(|x| x * x).sum();
             prop_assume!(energy > 1e-6);
@@ -350,6 +431,45 @@ fn streaming_matched_filter_matches_one_shot_xcorr() {
                         "lag {i}: streaming {a} vs one-shot {r} (block {block})"
                     );
                 }
+            }
+            // The chunk feed pairs blocks exactly as the one-shot call
+            // does, whatever the chunking: bit-identical.
+            let sizes: Vec<usize> = chunks.iter().map(|&c| c % (3 * block + 1)).collect();
+            prop_assume!(sizes.iter().any(|&n| n > 0));
+            let mut feed = filter.chunk_feed();
+            let mut streamed = Vec::new();
+            let mut pos = 0;
+            for &n in sizes.iter().cycle() {
+                if pos == signal.len() {
+                    break;
+                }
+                let n = n.min(signal.len() - pos);
+                filter
+                    .push_chunk_into(
+                        &mut feed,
+                        &signal[pos..pos + n],
+                        &mut scratch,
+                        &mut streamed,
+                    )
+                    .unwrap();
+                pos += n;
+            }
+            filter
+                .finish_chunks_into(&mut feed, &mut scratch, &mut streamed)
+                .unwrap();
+            prop_assert_eq!(&streamed, &out);
+            // A bank of copies of the template: every lane bit-identical
+            // to the solo filter.
+            let copies = vec![template.as_slice(); *lanes];
+            let bank = StreamingMatchedFilterBank::with_block_len(&copies, block).unwrap();
+            let mut banked = vec![Vec::new(); *lanes];
+            bank.correlate_into(signal, &mut scratch, &mut banked)
+                .unwrap();
+            for (k, lane) in banked.iter().enumerate() {
+                prop_assert!(
+                    lane == &out,
+                    "bank lane {k} of {lanes} diverged from the solo filter"
+                );
             }
             prop::pass()
         },

@@ -148,59 +148,85 @@ fn bench_peak_refinement(suite: &mut Suite) {
     });
 }
 
-fn bench_estimators(suite: &mut Suite) {
-    use hyperear_dsp::estimator::{
-        gcc_phat_with, mcci_fuse_channel_into, mcci_offsets_with, subband_coherence_with,
-        EstimatorScratch,
-    };
-    // A one-second correlation train: five beacon-like main lobes over a
-    // noise floor, the shape the weighting estimators actually reprocess.
-    let n = 44_100usize;
+/// A correlation train of `seconds` at 44.1 kHz: beacon-like main lobes
+/// every 0.2 s over a noise floor, the shape the weighting estimators
+/// actually reprocess.
+fn correlation_train(seconds: usize) -> Vec<f64> {
+    let n = seconds * 44_100;
     let mut corr = deterministic_signal(n);
     for v in &mut corr {
         *v *= 0.02;
     }
     let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
     let auto = hyperear_dsp::correlate::xcorr(chirp.samples(), chirp.samples()).expect("auto");
-    for k in 0..5 {
-        let at = 2_000 + k * 8_820;
+    for at in (2_000..n).step_by(8_820) {
         for (i, &a) in auto.iter().enumerate() {
             if at + i < n {
                 corr[at + i] += a;
             }
         }
     }
-    let mut scratch = EstimatorScratch::new();
-    let mut work = corr.clone();
-    // Warm-up so the shared plan and scratch are at their high-water mark.
-    gcc_phat_with(&mut work, 0.15, &mut scratch).expect("phat");
-    {
-        let corr = corr.clone();
-        let mut work = work.clone();
-        let mut scratch = scratch.clone();
-        suite.bench_allocfree_with_elements("estimator/gcc_phat/1s", n as u64, move || {
-            work.clear();
-            work.extend_from_slice(&corr);
-            gcc_phat_with(&mut work, 0.15, &mut scratch).expect("phat");
-            black_box(work[0])
-        });
-    }
-    {
-        let corr = corr.clone();
-        let mut work = work.clone();
-        let mut scratch = scratch.clone();
+    corr
+}
+
+fn bench_estimators(suite: &mut Suite) {
+    use hyperear_dsp::estimator::{
+        mcci_fuse_channel_into, mcci_offsets_with, CorrelationSpectrum, EstimatorScratch,
+    };
+    // One weighting rung from scratch: the forward transform of the
+    // correlation, the weights, and the inverse transform into the guide
+    // buffer. The 1 s train runs 65,536-point transforms; the 6 s train
+    // runs the 524,288-point transforms of a faulted session capture.
+    for seconds in [1usize, 6] {
+        let corr = correlation_train(seconds);
+        let n = corr.len() as u64;
+        let mut spectrum = CorrelationSpectrum::new();
+        let mut scratch = EstimatorScratch::new();
+        let mut guide = Vec::new();
+        // Warm-up so the shared plan and the buffers are at their
+        // high-water mark.
+        spectrum.compute(&corr).expect("spectrum");
+        spectrum
+            .gcc_phat_into(0.15, &mut scratch, &mut guide)
+            .expect("phat");
+        {
+            let corr = corr.clone();
+            let mut spectrum = spectrum.clone();
+            let mut scratch = scratch.clone();
+            let mut guide = guide.clone();
+            suite.bench_allocfree_with_elements(
+                &format!("estimator/gcc_phat/{seconds}s"),
+                n,
+                move || {
+                    spectrum.compute(&corr).expect("spectrum");
+                    spectrum
+                        .gcc_phat_into(0.15, &mut scratch, &mut guide)
+                        .expect("phat");
+                    black_box(guide[0])
+                },
+            );
+        }
         suite.bench_allocfree_with_elements(
-            "estimator/subband_coherence/1s",
-            n as u64,
+            &format!("estimator/subband_coherence/{seconds}s"),
+            n,
             move || {
-                work.clear();
-                work.extend_from_slice(&corr);
-                subband_coherence_with(&mut work, 44_100.0, 1_000.0, 20_000.0, 16, &mut scratch)
+                spectrum.compute(&corr).expect("spectrum");
+                spectrum
+                    .subband_coherence_into(
+                        44_100.0,
+                        1_000.0,
+                        20_000.0,
+                        16,
+                        &mut scratch,
+                        &mut guide,
+                    )
                     .expect("coherence");
-                black_box(work[0])
+                black_box(guide[0])
             },
         );
     }
+    let corr = correlation_train(1);
+    let n = corr.len();
     // MCCI identity solve + two-channel fusion over the same train, the
     // per-session cost the escalating policy pays for its heaviest rung.
     let shifted: Vec<f64> = {

@@ -13,7 +13,7 @@ use crate::HyperEarError;
 use hyperear_dsp::chirp::Chirp;
 use hyperear_dsp::correlate::{ChunkFeed, StreamingMatchedFilter, StreamingMatchedFilterBank};
 use hyperear_dsp::envelope::envelope_with;
-use hyperear_dsp::estimator::{gcc_phat_with, subband_coherence_with, EstimatorScratch};
+use hyperear_dsp::estimator::{mcci_fuse_channel_into, CorrelationSpectrum, EstimatorScratch};
 use hyperear_dsp::filter::FirFilter;
 use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
 use hyperear_dsp::peak::{find_peaks_into, noise_floor_with, Peak, PeakConfig};
@@ -67,7 +67,7 @@ pub struct DetectorCore {
 
 /// How far (samples, each side) guided arrival extraction searches a
 /// channel's own correlation around a *spectrally-weighted* guide peak.
-/// The weighted copy lives on the channel's own time line, so the guide
+/// The weighted guide lives on the channel's own time line, so the guide
 /// is already within interpolation distance of the own-correlation peak.
 pub(crate) const MCCI_REFINE: usize = 8;
 
@@ -86,7 +86,7 @@ pub(crate) const FUSED_REFINE: usize = 40;
 /// refine radius and whether the leading-edge echo rule applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum GuideKind {
-    /// Spectrally-weighted copy of the channel's own correlation
+    /// Spectrally-weighted version of the channel's own correlation
     /// (GCC-PHAT, sub-band coherence): exact time alignment, so a tight
     /// refine window; whitening can equalize an echo with the direct
     /// path, so the leading-edge rule is on.
@@ -130,17 +130,12 @@ const LEADING_EDGE_RATIO: f64 = 0.7;
 /// scratch must not be shared between concurrent detections.
 #[derive(Debug, Clone, Default)]
 pub struct DetectScratch {
-    scratch: DspScratch,
-    corr: Vec<f64>,
-    pick: PickScratch,
-    /// Per-estimator workspace (half spectrum, inverse transform, band
-    /// powers) for the spectral-weighting estimators.
-    est: EstimatorScratch,
-    /// Weighted copy of the correlation used by the spectral-weighting
-    /// estimators for *peak detection*; arrival timing always reads the
-    /// plain matched-filter correlation (see
-    /// [`DetectorCore::detect_with_estimator`]).
-    weighted: Vec<f64>,
+    dsp: DspScratch,
+    /// The correlation of a standalone detection pass
+    /// ([`DetectorCore::detect_with`]); the session engine keeps its
+    /// channels' correlations in its own store instead.
+    chan: ChannelCorrelation,
+    extract: ExtractScratch,
 }
 
 impl DetectScratch {
@@ -154,16 +149,56 @@ impl DetectScratch {
     /// Bytes currently reserved by the scratch buffers.
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
-        self.scratch.capacity_bytes()
-            + (self.corr.capacity() + self.weighted.capacity()) * std::mem::size_of::<f64>()
-            + self.pick.capacity_bytes()
-            + self.est.capacity_bytes()
+        self.dsp.capacity_bytes() + self.chan.capacity_bytes() + self.extract.capacity_bytes()
     }
+}
 
-    /// The correlation computed by the last
-    /// [`DetectorCore::correlate_only`] / detection pass.
+/// One channel's normalized matched-filter correlation and — once a
+/// weighting estimator has asked for it — the correlation's forward
+/// half-spectrum. Correlating into it forgets the old spectrum, so the
+/// spectrum always belongs to the correlation beside it; estimator
+/// escalation reruns weight the same spectrum instead of transforming
+/// the correlation again.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChannelCorrelation {
+    corr: Vec<f64>,
+    spectrum: CorrelationSpectrum,
+}
+
+impl ChannelCorrelation {
+    /// The correlation lags.
     pub(crate) fn corr(&self) -> &[f64] {
         &self.corr
+    }
+
+    fn clear(&mut self) {
+        self.corr.clear();
+        self.spectrum.clear();
+    }
+
+    /// Bytes reserved by the correlation and spectrum buffers.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.corr.capacity() * std::mem::size_of::<f64>() + self.spectrum.capacity_bytes()
+    }
+}
+
+/// The per-worker buffers of arrival extraction: peak picking, the
+/// weighting kernels' workspace, and the guide correlation peaks are
+/// detected on when it is not the channel's own (a spectrally weighted
+/// or an MCCI-fused sequence; arrivals are always timed on the own
+/// correlation).
+#[derive(Debug, Clone, Default)]
+struct ExtractScratch {
+    pick: PickScratch,
+    est: EstimatorScratch,
+    guide: Vec<f64>,
+}
+
+impl ExtractScratch {
+    fn capacity_bytes(&self) -> usize {
+        self.pick.capacity_bytes()
+            + self.est.capacity_bytes()
+            + self.guide.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -284,102 +319,111 @@ impl DetectorCore {
         scratch: &mut DetectScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
-        self.detect_with_estimator(channel, self.estimator, scratch, out)
+        let DetectScratch { dsp, chan, extract } = scratch;
+        self.correlate_into(channel, dsp, chan)?;
+        self.arrivals_estimated(self.estimator, chan, extract, out)
     }
 
-    /// [`DetectorCore::detect_with`] under an explicit estimator override
-    /// — the hook estimator escalation uses to re-run a poorly-graded
-    /// session with a heavier estimator without rebuilding the core.
+    /// One channel's detection pass of a session under an explicit
+    /// estimator — the hook estimator escalation uses to rerun a
+    /// poorly-graded session with a heavier estimator without rebuilding
+    /// the core. With `Some(samples)` the channel is correlated into
+    /// `chan` first; with `None`, `chan` already holds this session's
+    /// correlation (and any spectrum an earlier rung computed) and only
+    /// the arrivals are re-extracted. See
+    /// [`DetectorCore::arrivals_estimated`] for the estimators.
+    pub(crate) fn detect_channel(
+        &self,
+        samples: Option<&[f64]>,
+        estimator: TdoaEstimator,
+        chan: &mut ChannelCorrelation,
+        scratch: &mut DetectScratch,
+        out: &mut Vec<BeaconArrival>,
+    ) -> Result<(), HyperEarError> {
+        out.clear();
+        if let Some(samples) = samples {
+            self.correlate_into(samples, &mut scratch.dsp, chan)?;
+        }
+        if estimator == TdoaEstimator::McciFusion {
+            // Cross-channel: the session engine extracts after its joint
+            // alignment solve.
+            return Ok(());
+        }
+        self.arrivals_estimated(estimator, chan, &mut scratch.extract, out)
+    }
+
+    /// The pre-threshold half of detection: the normalized, band-pass
+    /// folded matched-filter correlation of the channel into `chan`,
+    /// whose old spectrum is forgotten.
+    fn correlate_into(
+        &self,
+        channel: &[f64],
+        dsp: &mut DspScratch,
+        chan: &mut ChannelCorrelation,
+    ) -> Result<(), HyperEarError> {
+        chan.spectrum.clear();
+        self.filter
+            .correlate_normalized_into(channel, dsp, &mut chan.corr)?;
+        Ok(())
+    }
+
+    /// Arrival extraction from one channel's correlation under a
+    /// per-channel estimator — the one kernel behind the session
+    /// engine's detection, [`DetectorCore::detect_with`] and
+    /// [`StreamingDetector::finish_into`].
     ///
-    /// The spectral-weighting estimators (PHAT, sub-band coherence)
-    /// reweight a *copy* of the correlation and use it for peak
-    /// detection only; each arrival is then *timed* on the plain
+    /// Plain xcorr picks peaks on the correlation itself. The
+    /// spectral-weighting estimators (PHAT, sub-band coherence) weight
+    /// the correlation's spectrum — computed on first use and kept in
+    /// `chan` for later rungs — into the guide buffer and use it for
+    /// peak detection only; each arrival is then *timed* on the plain
     /// matched-filter correlation near the detected peak (the same
     /// detect-on-weighted / time-on-own split as MCCI fusion). Whitening
     /// equal-weights the band edges, where the Doppler mismatch of a
     /// moving phone puts its largest phase error, so timing directly on
     /// a whitened correlation is biased in proportion to the slide
     /// velocity — the split keeps the weighting's robustness to masking
-    /// and multipath without inheriting that bias.
+    /// and multipath without inheriting that bias. A weighting that is a
+    /// no-op (no usable spectral mass) guides on the correlation itself.
     ///
     /// [`TdoaEstimator::McciFusion`] is cross-channel and cannot run in a
     /// per-channel pass; it falls back to the plain correlation here (the
     /// session engine owns the fusion path).
-    pub(crate) fn detect_with_estimator(
+    fn arrivals_estimated(
         &self,
-        channel: &[f64],
         estimator: TdoaEstimator,
-        scratch: &mut DetectScratch,
+        chan: &mut ChannelCorrelation,
+        x: &mut ExtractScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
-        out.clear();
-        self.correlate_only(channel, scratch)?;
-        match estimator {
-            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion => {
-                self.arrivals_from_corr(&scratch.corr, &mut scratch.pick, out)
-            }
-            TdoaEstimator::GccPhat | TdoaEstimator::SubbandCoherence => {
-                scratch.weighted.clear();
-                scratch.weighted.extend_from_slice(&scratch.corr);
-                let DetectScratch {
-                    corr,
-                    weighted,
-                    est,
-                    pick,
-                    ..
-                } = scratch;
-                self.apply_estimator(estimator, weighted, est)?;
-                self.arrivals_guided_into(weighted, corr, GuideKind::Weighted, pick, out)
-            }
+        if matches!(
+            estimator,
+            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion
+        ) {
+            return self.arrivals_from_corr(&chan.corr, &mut x.pick, out);
         }
-    }
-
-    /// The pre-threshold half of detection: the normalized, band-pass
-    /// folded matched-filter correlation of the channel into
-    /// `scratch.corr` (readable via [`DetectScratch::corr`]). The MCCI
-    /// engine path uses this to collect every channel's correlation
-    /// before fusing.
-    pub(crate) fn correlate_only(
-        &self,
-        channel: &[f64],
-        scratch: &mut DetectScratch,
-    ) -> Result<(), HyperEarError> {
-        self.filter
-            .correlate_normalized_into(channel, &mut scratch.scratch, &mut scratch.corr)?;
-        Ok(())
-    }
-
-    /// Applies a per-channel estimator transform to a correlation in
-    /// place. Plain xcorr — and the cross-channel MCCI estimator, whose
-    /// fusion happens at the engine level — leave it untouched.
-    pub(crate) fn apply_estimator(
-        &self,
-        estimator: TdoaEstimator,
-        corr: &mut Vec<f64>,
-        scratch: &mut EstimatorScratch,
-    ) -> Result<(), HyperEarError> {
-        match estimator {
-            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion => Ok(()),
-            TdoaEstimator::GccPhat => {
-                gcc_phat_with(corr, self.phat_floor, scratch)?;
-                Ok(())
-            }
-            TdoaEstimator::SubbandCoherence => {
-                subband_coherence_with(
-                    corr,
-                    self.sample_rate,
-                    self.coherence_band.0,
-                    self.coherence_band.1,
-                    self.coherence_bands,
-                    scratch,
-                )?;
-                Ok(())
-            }
+        if chan.spectrum.is_empty() {
+            chan.spectrum.compute(&chan.corr)?;
         }
+        let weighted = if estimator == TdoaEstimator::GccPhat {
+            chan.spectrum
+                .gcc_phat_into(self.phat_floor, &mut x.est, &mut x.guide)?
+        } else {
+            chan.spectrum.subband_coherence_into(
+                self.sample_rate,
+                self.coherence_band.0,
+                self.coherence_band.1,
+                self.coherence_bands,
+                &mut x.est,
+                &mut x.guide,
+            )?
+        };
+        let guide = if weighted { &x.guide } else { &chan.corr };
+        self.arrivals_guided_into(guide, &chan.corr, GuideKind::Weighted, &mut x.pick, out)
     }
 
-    /// Arrival extraction over an externally-held correlation (the MCCI
-    /// fallback for channels that could not be fused), reusing the
+    /// Plain arrival extraction over an externally-held correlation (the
+    /// MCCI fallback for channels that could not be fused), reusing the
     /// scratch's peak/noise buffers.
     pub(crate) fn arrivals_with(
         &self,
@@ -387,34 +431,39 @@ impl DetectorCore {
         scratch: &mut DetectScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
-        self.arrivals_from_corr(corr, &mut scratch.pick, out)
+        self.arrivals_from_corr(corr, &mut scratch.extract.pick, out)
     }
 
-    /// MCCI-guided arrival extraction: peaks are *detected* on the fused
-    /// cross-channel correlation (so a beacon masked on this channel can
-    /// be recovered from the redundant channels), but each arrival is
+    /// MCCI-guided arrival extraction for channel `k`: every live
+    /// channel's correlation is shift-and-averaged onto channel `k`'s
+    /// time line (into the scratch's guide buffer), peaks are *detected*
+    /// on that fused correlation (so a beacon masked on this channel can
+    /// be recovered from the redundant channels), and each arrival is
     /// *timed* on the channel's own correlation — the local maximum
-    /// within ±[`MCCI_REFINE`] samples of the fused peak, sub-sample
+    /// within ±[`FUSED_REFINE`] samples of the fused peak, sub-sample
     /// interpolated as usual. Cross-channel averaging therefore improves
     /// detection without ever mixing other channels' propagation delays
     /// into this channel's arrival times, which would cancel the very
     /// inter-channel TDoA the pipeline measures.
-    pub(crate) fn arrivals_guided(
+    pub(crate) fn arrivals_fused(
         &self,
-        fused: &[f64],
-        own: &[f64],
+        corrs: &[&[f64]],
+        offsets: &[f64],
+        live: &[bool],
+        k: usize,
         scratch: &mut DetectScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
-        self.arrivals_guided_into(fused, own, GuideKind::Fused, &mut scratch.pick, out)
+        let x = &mut scratch.extract;
+        mcci_fuse_channel_into(corrs, offsets, live, k, &mut x.guide)?;
+        self.arrivals_guided_into(&x.guide, corrs[k], GuideKind::Fused, &mut x.pick, out)
     }
 
-    /// [`DetectorCore::arrivals_guided`] over explicit buffers — the
-    /// form shared with [`StreamingDetector::finish_into`] and the
-    /// weighting branch of [`DetectorCore::detect_with_estimator`],
-    /// whose guide correlation lives inside the scratch itself. `kind`
-    /// selects the refine radius and whether the leading-edge echo rule
-    /// applies (see [`GuideKind`]).
+    /// Guided arrival extraction: peaks detected on `fused` (a weighted
+    /// or MCCI-fused guide on the channel's time line), each arrival
+    /// timed on `own` near its guide peak. `kind` selects the refine
+    /// radius and whether the leading-edge echo rule applies (see
+    /// [`GuideKind`]).
     fn arrivals_guided_into(
         &self,
         fused: &[f64],
@@ -501,9 +550,10 @@ impl DetectorCore {
     /// The post-correlation half of detection — envelope, noise floor,
     /// two-part threshold, peak picking, sub-sample interpolation — over
     /// an already-computed normalized correlation. Shared verbatim by the
-    /// one-shot path ([`DetectorCore::detect_with`]) and the incremental
-    /// path ([`StreamingDetector::finish_into`]), so the two produce
-    /// bit-identical arrivals from bit-identical correlations.
+    /// one-shot path ([`DetectorCore::detect_with`]), the incremental
+    /// path ([`StreamingDetector::finish_into`]) and the multi-beacon
+    /// lanes, so they produce bit-identical arrivals from bit-identical
+    /// correlations.
     fn arrivals_from_corr(
         &self,
         corr: &[f64],
@@ -716,14 +766,10 @@ impl BeaconDetector {
 pub struct StreamingDetector {
     core: std::sync::Arc<DetectorCore>,
     feed: ChunkFeed,
-    scratch: DspScratch,
+    dsp: DspScratch,
     /// The accumulated normalized correlation (capacity `max_samples`).
-    corr: Vec<f64>,
-    pick: PickScratch,
-    est: EstimatorScratch,
-    /// Weighted copy of the correlation for the spectral-weighting
-    /// estimators (detection only; timing reads `corr`).
-    weighted: Vec<f64>,
+    chan: ChannelCorrelation,
+    extract: ExtractScratch,
     max_samples: usize,
     pushed: usize,
     finished: bool,
@@ -753,14 +799,18 @@ impl StreamingDetector {
         }
         Ok(StreamingDetector {
             feed: core.filter.chunk_feed(),
-            scratch: DspScratch::new(),
-            corr: Vec::with_capacity(max_samples),
-            pick: PickScratch {
-                mags: Vec::with_capacity(max_samples),
-                ..PickScratch::default()
+            dsp: DspScratch::new(),
+            chan: ChannelCorrelation {
+                corr: Vec::with_capacity(max_samples),
+                spectrum: CorrelationSpectrum::new(),
             },
-            est: EstimatorScratch::new(),
-            weighted: Vec::new(),
+            extract: ExtractScratch {
+                pick: PickScratch {
+                    mags: Vec::with_capacity(max_samples),
+                    ..PickScratch::default()
+                },
+                ..ExtractScratch::default()
+            },
             max_samples,
             pushed: 0,
             finished: false,
@@ -823,8 +873,8 @@ impl StreamingDetector {
         self.core.filter.push_chunk_normalized_into(
             &mut self.feed,
             chunk,
-            &mut self.scratch,
-            &mut self.corr,
+            &mut self.dsp,
+            &mut self.chan.corr,
         )?;
         self.pushed = needed;
         Ok(())
@@ -851,48 +901,25 @@ impl StreamingDetector {
         // detector's typed error.
         self.core.filter.finish_chunks_normalized_into(
             &mut self.feed,
-            &mut self.scratch,
-            &mut self.corr,
+            &mut self.dsp,
+            &mut self.chan.corr,
         )?;
-        debug_assert_eq!(self.corr.len(), self.pushed);
+        debug_assert_eq!(self.chan.corr.len(), self.pushed);
         self.finished = true;
         // The accumulated correlation is bit-identical to the one-shot
-        // path's, so applying the configured per-channel estimator here
-        // keeps streaming == one-shot for PHAT / coherence weighting too
-        // (detect on the weighted copy, time on the plain correlation —
-        // see `DetectorCore::detect_with_estimator`). McciFusion needs
+        // path's, so extracting through the same kernel keeps streaming
+        // == one-shot under every per-channel estimator. McciFusion needs
         // every channel at once and the raw PCM is long discarded;
         // per-channel streaming falls back to plain xcorr.
-        match self.core.estimator {
-            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion => {
-                self.core
-                    .arrivals_from_corr(&self.corr, &mut self.pick, out)
-            }
-            TdoaEstimator::GccPhat | TdoaEstimator::SubbandCoherence => {
-                self.weighted.clear();
-                self.weighted.extend_from_slice(&self.corr);
-                self.core.apply_estimator(
-                    self.core.estimator,
-                    &mut self.weighted,
-                    &mut self.est,
-                )?;
-                self.core.arrivals_guided_into(
-                    &self.weighted,
-                    &self.corr,
-                    GuideKind::Weighted,
-                    &mut self.pick,
-                    out,
-                )
-            }
-        }
+        self.core
+            .arrivals_estimated(self.core.estimator, &mut self.chan, &mut self.extract, out)
     }
 
     /// Returns the detector to its initial state for a new capture,
     /// keeping every buffer's capacity (no allocation).
     pub fn reset(&mut self) {
         self.feed.reset();
-        self.corr.clear();
-        self.weighted.clear();
+        self.chan.clear();
         self.pushed = 0;
         self.finished = false;
     }
@@ -903,10 +930,9 @@ impl StreamingDetector {
     /// and the core's block geometry.
     #[must_use]
     pub fn working_set_bytes(&self) -> usize {
-        self.scratch.capacity_bytes()
-            + (self.corr.capacity() + self.weighted.capacity()) * std::mem::size_of::<f64>()
-            + self.pick.capacity_bytes()
-            + self.est.capacity_bytes()
+        self.dsp.capacity_bytes()
+            + self.chan.capacity_bytes()
+            + self.extract.capacity_bytes()
             + self.feed.capacity_bytes()
     }
 }
@@ -1444,15 +1470,24 @@ mod tests {
         let truth = 10_000.0;
         let own_sig = render(&[truth], 20_000, 0.3);
         let fused_sig = render(&[truth + 4.0], 20_000, 0.3);
-        let mut d = detector(Interpolation::Parabolic);
-        let (core, scratch) = d.parts_mut();
-        let mut own_scratch = DetectScratch::new();
-        core.correlate_only(&own_sig, &mut own_scratch).unwrap();
-        core.correlate_only(&fused_sig, scratch).unwrap();
-        let fused_corr = scratch.corr.clone();
-        let mut out = Vec::new();
-        core.arrivals_guided(&fused_corr, own_scratch.corr(), scratch, &mut out)
+        let d = detector(Interpolation::Parabolic);
+        let core = d.core();
+        let mut scratch = DetectScratch::new();
+        let mut own = ChannelCorrelation::default();
+        let mut fused = ChannelCorrelation::default();
+        core.correlate_into(&own_sig, &mut scratch.dsp, &mut own)
             .unwrap();
+        core.correlate_into(&fused_sig, &mut scratch.dsp, &mut fused)
+            .unwrap();
+        let mut out = Vec::new();
+        core.arrivals_guided_into(
+            fused.corr(),
+            own.corr(),
+            GuideKind::Fused,
+            &mut scratch.extract.pick,
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         let err = (out[0].time * FS - truth).abs();
         assert!(err < 0.1, "guided timing error {err}");

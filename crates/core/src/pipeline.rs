@@ -16,7 +16,7 @@
 //!   budget dropping the worst offenders, and always returns a
 //!   [`SessionOutcome`] (never panics, never a bare error).
 
-use crate::asp::{BeaconArrival, BeaconDetector, DetectScratch, DetectorCore};
+use crate::asp::{BeaconArrival, BeaconDetector, ChannelCorrelation, DetectScratch, DetectorCore};
 use crate::config::{DoaFrontEnd, HyperEarConfig, TdoaEstimator};
 use crate::doa::BearingPrior;
 use crate::localize::{localize_with, slide_geometry, Estimate2d, LocalizeScratch, SlideFix};
@@ -24,7 +24,7 @@ use crate::ple::{project, ProjectedEstimate};
 use crate::sfo::{estimate_period_with, PeriodEstimate, SfoScratch};
 use crate::tdoa::{augmented_tdoa_with, AugmentedTdoa, TdoaScratch};
 use crate::HyperEarError;
-use hyperear_dsp::estimator::{mcci_fuse_channel_into, mcci_offsets_with};
+use hyperear_dsp::estimator::mcci_offsets_with;
 use hyperear_geom::rotation::Side;
 use hyperear_geom::triangulate::SlideGeometry;
 use hyperear_geom::{Vec3, MAX_MICS, MAX_PAIRS};
@@ -422,6 +422,9 @@ pub struct SessionEngine {
     /// Second detection scratch: serves the right channel when the two
     /// per-channel detections run concurrently under an attached pool.
     scratch_right: DetectScratch,
+    /// Every channel's correlation for the session in flight, shared by
+    /// the estimator ladder's rungs.
+    store: CorrelationStore,
     tdoa_scratch: TdoaScratch,
     /// Second TDoA scratch for the concurrent half of the slide loop.
     tdoa_scratch_b: TdoaScratch,
@@ -466,6 +469,7 @@ impl SessionEngine {
             config,
             detector: None,
             scratch_right: DetectScratch::new(),
+            store: CorrelationStore::default(),
             tdoa_scratch: TdoaScratch::new(),
             tdoa_scratch_b: TdoaScratch::new(),
             arr_left: Vec::new(),
@@ -543,8 +547,8 @@ impl SessionEngine {
     }
 
     /// Bytes currently reserved by the engine's reusable working buffers
-    /// (detector scratch, correlation buffers, TDoA scratch, arrival
-    /// lists).
+    /// (detector scratch, the per-channel correlation store, TDoA
+    /// scratch, arrival lists).
     ///
     /// Useful for serving-scale capacity planning: after a warm-up
     /// session this figure is the steady-state footprint, since
@@ -555,6 +559,7 @@ impl SessionEngine {
             .as_ref()
             .map_or(0, BeaconDetector::working_set_bytes)
             + self.scratch_right.capacity_bytes()
+            + self.store.capacity_bytes()
             + self.tdoa_scratch.capacity_bytes()
             + self.tdoa_scratch_b.capacity_bytes()
             + (self.arr_left.capacity()
@@ -606,7 +611,7 @@ impl SessionEngine {
     /// [`SessionEngine::run_estimated_into`] for the estimator ladder.
     pub fn run_monitored_into(&mut self, input: &SessionInput<'_>, slot: &mut SessionOutcome) {
         self.escalated_monitored(slot, |engine, estimator, result| {
-            engine.run_estimated_into(input, estimator, result)
+            engine.estimated_into(input, estimator, result)
         });
     }
 
@@ -786,19 +791,36 @@ impl SessionEngine {
     /// `PlainXcorr` is the conformance baseline (bit-identical to the
     /// pre-estimator-bank pipeline). `GccPhat` and `SubbandCoherence`
     /// re-weight each channel's correlation spectrum before arrival
-    /// extraction. `McciFusion` correlates both channels, solves the
+    /// extraction. `McciFusion` correlates both channels (concurrently
+    /// under an attached pool), solves the
     /// cross-channel alignment, and detects peaks on the fused
     /// correlation while timing each arrival on the channel's own
     /// correlation (fusing the timing itself would cancel the
     /// inter-channel TDoA the pipeline measures). The MCCI path runs
-    /// sequentially even under an attached pool — the alignment solve
-    /// needs every channel's correlation — so it is deterministic at any
-    /// thread count.
+    /// its alignment solve and extraction sequentially even under an
+    /// attached pool — the solve needs every channel's correlation — so
+    /// it is deterministic at any thread count.
+    ///
+    /// Every call correlates the channels afresh; only the reruns inside
+    /// one monitored call share correlations and spectra.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SessionEngine::run`].
     pub fn run_estimated_into(
+        &mut self,
+        input: &SessionInput<'_>,
+        estimator: TdoaEstimator,
+        out: &mut SessionResult,
+    ) -> Result<(), HyperEarError> {
+        self.store.valid = false;
+        self.estimated_into(input, estimator, out)
+    }
+
+    /// [`SessionEngine::run_estimated_into`] over the correlation store
+    /// as the caller left it: an escalation rerun of the same input
+    /// re-extracts arrivals from the stored correlations.
+    fn estimated_into(
         &mut self,
         input: &SessionInput<'_>,
         estimator: TdoaEstimator,
@@ -838,49 +860,7 @@ impl SessionEngine {
         if rebuild {
             self.detector = Some(BeaconDetector::new(&self.config, input.audio_sample_rate)?);
         }
-        let pool = self
-            .pool
-            .as_ref()
-            .filter(|p| p.threads() > 1)
-            .map(Arc::clone);
-        let detector = self.detector.as_mut().expect("detector just ensured");
-        if estimator == TdoaEstimator::McciFusion {
-            // Engine-level fusion: the alignment solve needs both
-            // channels' correlations, so this path is sequential by
-            // construction (deterministic at any thread count).
-            let (core, scratch) = detector.parts_mut();
-            let ws = &mut self.tdoa_scratch;
-            let channels = [input.left, input.right];
-            let n_live = mcci_prepare(
-                core,
-                scratch,
-                ws,
-                self.config.estimator.mcci_max_lag,
-                &channels,
-            )?;
-            mcci_extract(core, scratch, ws, n_live, 0, &mut self.arr_left)?;
-            mcci_extract(core, scratch, ws, n_live, 1, &mut self.arr_right)?;
-        } else if let Some(pool) = &pool {
-            // Concurrent per-channel detection: one shared read-only
-            // core, one private scratch per channel. Detection is `&self`
-            // on the core, so the only mutable state each side touches is
-            // its own scratch and arrival list — results are
-            // bit-identical to the sequential calls below.
-            let (core, scratch_left) = detector.parts_mut();
-            let scratch_right = &mut self.scratch_right;
-            let arr_left = &mut self.arr_left;
-            let arr_right = &mut self.arr_right;
-            let (r_left, r_right) = pool.join(
-                || core.detect_with_estimator(input.left, estimator, scratch_left, arr_left),
-                || core.detect_with_estimator(input.right, estimator, scratch_right, arr_right),
-            );
-            r_left?;
-            r_right?;
-        } else {
-            let (core, scratch) = detector.parts_mut();
-            core.detect_with_estimator(input.left, estimator, scratch, &mut self.arr_left)?;
-            core.detect_with_estimator(input.right, estimator, scratch, &mut self.arr_right)?;
-        }
+        self.detect_channels(&[input.left, input.right], estimator)?;
         self.finish_from_arrivals(
             input.audio_sample_rate,
             input.left.len(),
@@ -927,7 +907,7 @@ impl SessionEngine {
         slot: &mut SessionOutcome,
     ) {
         self.escalated_monitored(slot, |engine, estimator, result| {
-            engine.run_array_estimated_into(input, estimator, result)
+            engine.array_estimated_into(input, estimator, result)
         });
     }
 
@@ -941,10 +921,17 @@ impl SessionEngine {
     /// so escalation can never make a session worse. Clean sessions grade
     /// `Ok` and never trigger a rerun, keeping the clean-path cost
     /// identical to the non-escalating engine.
+    ///
+    /// The first run correlates every channel into the engine's
+    /// correlation store; reruns re-extract arrivals from it (weighting
+    /// rungs share one spectrum per channel), so a rerun never runs the
+    /// matched filter. The store is invalidated on entry, as by every
+    /// public session entry point, so it never serves another call.
     fn escalated_monitored<F>(&mut self, slot: &mut SessionOutcome, mut run: F)
     where
         F: FnMut(&mut Self, TdoaEstimator, &mut SessionResult) -> Result<(), HyperEarError>,
     {
+        self.store.valid = false;
         let policy = self.config.estimator;
         self.monitored_with(slot, |engine, result| run(engine, policy.initial, result));
         if !policy.escalation {
@@ -1031,6 +1018,17 @@ impl SessionEngine {
         estimator: TdoaEstimator,
         out: &mut SessionResult,
     ) -> Result<(), HyperEarError> {
+        self.store.valid = false;
+        self.array_estimated_into(input, estimator, out)
+    }
+
+    /// The array sibling of [`SessionEngine::estimated_into`].
+    fn array_estimated_into(
+        &mut self,
+        input: &ArraySessionInput<'_>,
+        estimator: TdoaEstimator,
+        out: &mut SessionResult,
+    ) -> Result<(), HyperEarError> {
         let array = self.config.array;
         crate::doa::validate_channel_count(&array, input.channels.len())?;
         if array.len() == 2 && self.config.doa_front_end == DoaFrontEnd::None {
@@ -1042,7 +1040,7 @@ impl SessionEngine {
                 accel: input.accel,
                 gyro: input.gyro,
             };
-            return self.run_estimated_into(&two, estimator, out);
+            return self.estimated_into(&two, estimator, out);
         }
         out.slides.clear();
         out.upper = None;
@@ -1081,102 +1079,9 @@ impl SessionEngine {
         if rebuild {
             self.detector = Some(BeaconDetector::new(&self.config, input.audio_sample_rate)?);
         }
-        let pool = self
-            .pool
-            .as_ref()
-            .filter(|p| p.threads() > 1)
-            .map(Arc::clone);
         self.arr_extra
             .resize_with(array.len().saturating_sub(2), Vec::new);
-        let detector = self.detector.as_mut().expect("detector just ensured");
-        if estimator == TdoaEstimator::McciFusion {
-            // Engine-level fusion over every channel; sequential by
-            // construction (the alignment solve is joint).
-            let (core, scratch) = detector.parts_mut();
-            let ws = &mut self.tdoa_scratch;
-            let n_live = mcci_prepare(
-                core,
-                scratch,
-                ws,
-                self.config.estimator.mcci_max_lag,
-                input.channels,
-            )?;
-            mcci_extract(core, scratch, ws, n_live, 0, &mut self.arr_left)?;
-            mcci_extract(core, scratch, ws, n_live, 1, &mut self.arr_right)?;
-            for (k, slot) in self.arr_extra.iter_mut().enumerate() {
-                mcci_extract(core, scratch, ws, n_live, k + 2, slot)?;
-            }
-        } else {
-            let (core, scratch_a) = detector.parts_mut();
-            let scratch_b = &mut self.scratch_right;
-            let arr_left = &mut self.arr_left;
-            let arr_right = &mut self.arr_right;
-            let arr_extra = self.arr_extra.as_mut_slice();
-            if let Some(pool) = &pool {
-                // Fan the N detections out two at a time: one shared
-                // read-only core, the engine's two private scratches. Each
-                // channel's arrivals depend only on its samples, never on
-                // scratch history, so the lists are bit-identical to the
-                // sequential loop below at any thread count.
-                let (r_left, r_right) = pool.join(
-                    || {
-                        core.detect_with_estimator(
-                            input.channels[0],
-                            estimator,
-                            scratch_a,
-                            arr_left,
-                        )
-                    },
-                    || {
-                        core.detect_with_estimator(
-                            input.channels[1],
-                            estimator,
-                            scratch_b,
-                            arr_right,
-                        )
-                    },
-                );
-                r_left?;
-                r_right?;
-                let mut rest = arr_extra;
-                let mut k = 2usize;
-                while rest.len() >= 2 {
-                    let (a, tail) = rest.split_at_mut(1);
-                    let (b, tail) = tail.split_at_mut(1);
-                    let (ra, rb) = pool.join(
-                        || {
-                            core.detect_with_estimator(
-                                input.channels[k],
-                                estimator,
-                                scratch_a,
-                                &mut a[0],
-                            )
-                        },
-                        || {
-                            core.detect_with_estimator(
-                                input.channels[k + 1],
-                                estimator,
-                                scratch_b,
-                                &mut b[0],
-                            )
-                        },
-                    );
-                    ra?;
-                    rb?;
-                    rest = tail;
-                    k += 2;
-                }
-                if let Some(last) = rest.first_mut() {
-                    core.detect_with_estimator(input.channels[k], estimator, scratch_a, last)?;
-                }
-            } else {
-                core.detect_with_estimator(input.channels[0], estimator, scratch_a, arr_left)?;
-                core.detect_with_estimator(input.channels[1], estimator, scratch_a, arr_right)?;
-                for (k, slot) in arr_extra.iter_mut().enumerate() {
-                    core.detect_with_estimator(input.channels[k + 2], estimator, scratch_a, slot)?;
-                }
-            }
-        }
+        self.detect_channels(input.channels, estimator)?;
         self.finish_from_arrivals(
             input.audio_sample_rate,
             len0,
@@ -1187,6 +1092,132 @@ impl SessionEngine {
         )?;
         out.estimator = estimator;
         self.attach_bearing(input, out);
+        Ok(())
+    }
+
+    /// Beacon detection on every channel of a session (stereo: left,
+    /// right) into the engine's arrival lists, under `estimator`.
+    ///
+    /// Each channel is correlated into the correlation store — unless the
+    /// store already holds this session's correlations (an escalation
+    /// rerun) — and its arrivals extracted from there. Under an attached
+    /// pool the channels run two at a time against the engine's two
+    /// private scratches; each channel's result depends only on its own
+    /// samples, so the arrival lists are bit-identical to the sequential
+    /// loop at any thread count. `McciFusion` then solves the joint
+    /// alignment and extracts every channel sequentially.
+    fn detect_channels(
+        &mut self,
+        channels: &[&[f64]],
+        estimator: TdoaEstimator,
+    ) -> Result<(), HyperEarError> {
+        let n = channels.len();
+        debug_assert!(2 + self.arr_extra.len() >= n, "an arrival list per channel");
+        if self.store.channels.len() < n {
+            self.store
+                .channels
+                .resize_with(n, ChannelCorrelation::default);
+        }
+        let reuse = std::mem::replace(&mut self.store.valid, false);
+        let pool = self.pool.as_ref().filter(|p| p.threads() > 1);
+        let (core, scratch_a) = self
+            .detector
+            .as_mut()
+            .expect("detector built before detection")
+            .parts_mut();
+        let scratch_b = &mut self.scratch_right;
+        let arrivals = [&mut self.arr_left, &mut self.arr_right]
+            .into_iter()
+            .chain(self.arr_extra.iter_mut());
+        type Job<'a> = (
+            &'a [f64],
+            &'a mut ChannelCorrelation,
+            &'a mut Vec<BeaconArrival>,
+        );
+        let run = |(samples, chan, out): Job<'_>, scratch: &mut DetectScratch| {
+            let samples = (!reuse).then_some(samples);
+            core.detect_channel(samples, estimator, chan, scratch, out)
+        };
+        let mut jobs = channels
+            .iter()
+            .zip(&mut self.store.channels)
+            .zip(arrivals)
+            .map(|((samples, chan), out)| (*samples, chan, out));
+        while let Some(a) = jobs.next() {
+            match (pool, jobs.next()) {
+                (Some(pool), Some(b)) => {
+                    let (ra, rb) = pool.join(|| run(a, scratch_a), || run(b, scratch_b));
+                    ra?;
+                    rb?;
+                }
+                (_, b) => {
+                    run(a, scratch_a)?;
+                    if let Some(b) = b {
+                        run(b, scratch_a)?;
+                    }
+                }
+            }
+        }
+        drop(jobs);
+        if estimator == TdoaEstimator::McciFusion {
+            self.extract_fused(n)?;
+        }
+        self.store.valid = true;
+        Ok(())
+    }
+
+    /// MCCI extraction over the first `n` stored correlations: solves the
+    /// cross-channel alignment offsets, then extracts each channel's
+    /// arrivals. When fusion is possible (≥ 2 live channels and this
+    /// channel is live) the peaks are detected on the shift-and-averaged
+    /// fused correlation and each arrival is *timed* on the channel's own
+    /// correlation — fusing the timing itself would average away the
+    /// inter-channel TDoA the pipeline exists to measure. Dead channels
+    /// and unfusable sessions fall back to plain extraction. `max_lag` is
+    /// clamped to the correlation length so degenerate captures degrade
+    /// to the fallback instead of erroring.
+    fn extract_fused(&mut self, n: usize) -> Result<(), HyperEarError> {
+        let (core, scratch) = self
+            .detector
+            .as_mut()
+            .expect("detector built before detection")
+            .parts_mut();
+        let CorrelationStore {
+            channels,
+            offsets,
+            live,
+            ..
+        } = &mut self.store;
+        let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
+        for (slot, c) in refs.iter_mut().zip(&channels[..n]) {
+            *slot = c.corr();
+        }
+        let corrs = &refs[..n];
+        let lag = self
+            .config
+            .estimator
+            .mcci_max_lag
+            .min(corrs[0].len().saturating_sub(1));
+        let n_live = if lag == 0 {
+            // Capture too short to align; mark everything for the fallback.
+            live.clear();
+            live.resize(n, false);
+            offsets.clear();
+            offsets.resize(n, 0.0);
+            0
+        } else {
+            mcci_offsets_with(corrs, lag, offsets, live)?
+        };
+        let arrivals = [&mut self.arr_left, &mut self.arr_right]
+            .into_iter()
+            .chain(self.arr_extra.iter_mut());
+        for (k, out) in arrivals.take(n).enumerate() {
+            if n_live >= 2 && live[k] {
+                core.arrivals_fused(corrs, offsets, live, k, scratch, out)?;
+            } else {
+                core.arrivals_with(corrs[k], scratch, out)?;
+            }
+        }
         Ok(())
     }
 
@@ -1518,81 +1549,33 @@ impl SessionEngine {
     }
 }
 
-/// Correlates every channel with the matched filter, copies the
-/// per-channel correlations into the MCCI workspace, and solves the
-/// cross-channel alignment offsets. Returns the number of live channels
-/// (fewer than two means fusion is impossible and extraction falls back
-/// to the plain per-channel path). `max_lag` is clamped to the
-/// correlation length so degenerate captures degrade to the fallback
-/// instead of erroring.
-fn mcci_prepare(
-    core: &DetectorCore,
-    scratch: &mut DetectScratch,
-    ws: &mut TdoaScratch,
-    max_lag: usize,
-    channels: &[&[f64]],
-) -> Result<usize, HyperEarError> {
-    ws.mcci.corrs.resize_with(channels.len(), Vec::new);
-    for (k, ch) in channels.iter().enumerate() {
-        core.correlate_only(ch, scratch)?;
-        let dst = &mut ws.mcci.corrs[k];
-        dst.clear();
-        dst.extend_from_slice(scratch.corr());
-    }
-    let n = ws.mcci.corrs[0].len();
-    let lag = max_lag.min(n.saturating_sub(1));
-    if lag == 0 {
-        // Capture too short to align; mark everything for the fallback.
-        ws.mcci.live.clear();
-        ws.mcci.live.resize(channels.len(), false);
-        ws.mcci.offsets.clear();
-        ws.mcci.offsets.resize(channels.len(), 0.0);
-        return Ok(0);
-    }
-    let crate::tdoa::McciWorkspace {
-        corrs,
-        offsets,
-        live,
-        ..
-    } = &mut ws.mcci;
-    let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
-    for (slot, c) in refs.iter_mut().zip(corrs.iter()) {
-        *slot = c;
-    }
-    let n_live = mcci_offsets_with(&refs[..corrs.len()], lag, offsets, live)?;
-    Ok(n_live)
+/// The engine's per-channel correlation store: each channel's
+/// matched-filter correlation (with its spectrum, once a weighting rung
+/// asked for it) and the MCCI alignment solution. `valid` marks the
+/// correlations as the current session's; every public entry point
+/// clears it, so the store never carries one session's correlations
+/// into another.
+#[derive(Debug, Clone, Default)]
+struct CorrelationStore {
+    channels: Vec<ChannelCorrelation>,
+    valid: bool,
+    /// Least-squares per-channel alignment offsets, samples.
+    offsets: Vec<f64>,
+    /// Which channels carried energy (dead channels are excluded from
+    /// the solve and fall back to plain extraction).
+    live: Vec<bool>,
 }
 
-/// Extracts channel `k`'s beacon arrivals under the MCCI estimator:
-/// when fusion is possible (≥ 2 live channels and this channel is live)
-/// the peaks are detected on the shift-and-averaged fused correlation
-/// and each arrival is *timed* on the channel's own correlation — fusing
-/// the timing itself would average away the inter-channel TDoA the
-/// pipeline exists to measure. Dead channels and unfusable sessions fall
-/// back to plain extraction on the channel's own correlation.
-fn mcci_extract(
-    core: &DetectorCore,
-    scratch: &mut DetectScratch,
-    ws: &mut TdoaScratch,
-    n_live: usize,
-    k: usize,
-    out: &mut Vec<BeaconArrival>,
-) -> Result<(), HyperEarError> {
-    let crate::tdoa::McciWorkspace {
-        corrs,
-        fused,
-        offsets,
-        live,
-    } = &mut ws.mcci;
-    if n_live >= 2 && live[k] {
-        let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
-        for (slot, c) in refs.iter_mut().zip(corrs.iter()) {
-            *slot = c;
-        }
-        mcci_fuse_channel_into(&refs[..corrs.len()], offsets, live, k, fused)?;
-        core.arrivals_guided(fused, &corrs[k], scratch, out)
-    } else {
-        core.arrivals_with(&corrs[k], scratch, out)
+impl CorrelationStore {
+    /// Bytes reserved by the correlations, spectra and MCCI tables.
+    fn capacity_bytes(&self) -> usize {
+        self.channels
+            .iter()
+            .map(ChannelCorrelation::capacity_bytes)
+            .sum::<usize>()
+            + self.channels.capacity() * std::mem::size_of::<ChannelCorrelation>()
+            + self.offsets.capacity() * std::mem::size_of::<f64>()
+            + self.live.capacity()
     }
 }
 

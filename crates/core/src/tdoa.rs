@@ -39,11 +39,6 @@ pub struct TdoaScratch {
     pre: Vec<f64>,
     post: Vec<f64>,
     deltas: Vec<f64>,
-    /// Workspace for the MCCI fusion estimator (per-channel correlation
-    /// copies, the fused sequence, alignment offsets). Lives here so the
-    /// session engine's existing TDoA scratch grows with the estimator
-    /// bank instead of adding a new allocation site.
-    pub(crate) mcci: McciWorkspace,
 }
 
 impl TdoaScratch {
@@ -57,42 +52,11 @@ impl TdoaScratch {
     ///
     /// Feeds the session-level working-set accounting
     /// ([`crate::pipeline::SessionEngine::working_set_bytes`]); sized by
-    /// beacons per slide, not capture length — except the MCCI workspace,
-    /// which holds per-channel correlation copies while the
-    /// `McciFusion` estimator is in use.
+    /// beacons per slide, not capture length.
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
         (self.pre.capacity() + self.post.capacity() + self.deltas.capacity())
             * std::mem::size_of::<f64>()
-            + self.mcci.capacity_bytes()
-    }
-}
-
-/// Working storage for the `McciFusion` estimator: one correlation copy
-/// per channel, the fused sequence, and the cross-channel alignment
-/// solution. Grows to a high-water mark on first MCCI session and is
-/// reused warm thereafter.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct McciWorkspace {
-    /// Per-channel matched-filter correlation copies.
-    pub(crate) corrs: Vec<Vec<f64>>,
-    /// The shift-and-averaged fused correlation for the channel being
-    /// extracted.
-    pub(crate) fused: Vec<f64>,
-    /// Least-squares per-channel alignment offsets, samples.
-    pub(crate) offsets: Vec<f64>,
-    /// Which channels carried energy (dead channels are excluded from
-    /// the solve and fall back to plain extraction).
-    pub(crate) live: Vec<bool>,
-}
-
-impl McciWorkspace {
-    /// Bytes currently reserved by the workspace buffers.
-    pub(crate) fn capacity_bytes(&self) -> usize {
-        let corr_elems: usize = self.corrs.iter().map(Vec::capacity).sum();
-        (corr_elems + self.fused.capacity() + self.offsets.capacity()) * std::mem::size_of::<f64>()
-            + self.corrs.capacity() * std::mem::size_of::<Vec<f64>>()
-            + self.live.capacity()
     }
 }
 

@@ -9,23 +9,24 @@
 //! correlation sequence *between* matched filtering and peak extraction so
 //! the rest of the pipeline is untouched:
 //!
-//! - [`gcc_phat_with`] — GCC-PHAT-style spectral whitening with a
-//!   configurable magnitude floor. Each half-spectrum bin is divided by
-//!   `max(|R(f)|, floor · max|R|)^β` (β = [`PHAT_BETA`], partial
-//!   whitening), equalizing the band's contribution and sharpening the
-//!   correlation main lobe — the classic defence against
-//!   multipath-induced lobe smearing. The floor bounds the whitening gain
-//!   so near-empty bins cannot amplify noise without limit (plain PHAT's
-//!   known low-SNR failure mode), and β < 1 keeps part of the magnitude
-//!   spectrum so whitening a periodic beacon train does not raise
-//!   phase-only ghost images at multiples of the beacon period.
-//! - [`subband_coherence_with`] — Wiener-style per-band weighting inside
-//!   the beacon band. The band is split into sub-bands; each sub-band `b`
-//!   with mean power `S_b` is scaled by `S_b / (S_b + N)` where `N` is the
-//!   median sub-band power (a robust noise reference), and out-of-band
-//!   bins are zeroed. Bands dominated by narrowband interference or
-//!   notched by frequency-selective fading are attenuated instead of
-//!   voting on the peak position.
+//! - [`CorrelationSpectrum::gcc_phat_into`] — GCC-PHAT-style spectral
+//!   whitening with a configurable magnitude floor. Each half-spectrum
+//!   bin is divided by `max(|R(f)|, floor · max|R|)^β` (β =
+//!   [`PHAT_BETA`], partial whitening), equalizing the band's
+//!   contribution and sharpening the correlation main lobe — the classic
+//!   defence against multipath-induced lobe smearing. The floor bounds
+//!   the whitening gain so near-empty bins cannot amplify noise without
+//!   limit (plain PHAT's known low-SNR failure mode), and β < 1 keeps
+//!   part of the magnitude spectrum so whitening a periodic beacon train
+//!   does not raise phase-only ghost images at multiples of the beacon
+//!   period.
+//! - [`CorrelationSpectrum::subband_coherence_into`] — Wiener-style
+//!   per-band weighting inside the beacon band. The band is split into
+//!   sub-bands; each sub-band `b` with mean power `S_b` is scaled by
+//!   `S_b / (S_b + N)` where `N` is the median sub-band power (a robust
+//!   noise reference), and out-of-band bins are zeroed. Bands dominated
+//!   by narrowband interference or notched by frequency-selective fading
+//!   are attenuated instead of voting on the peak position.
 //! - [`mcci_offsets_with`] / [`mcci_fuse_channel_into`] — multiple
 //!   cross-correlation identity (MCCI) fusion across redundant channels.
 //!   Each channel's correlation images the same beacon train shifted by
@@ -35,29 +36,36 @@
 //!   channel onto one channel's time line averages down uncorrelated
 //!   noise and dropout while the common beacon structure adds coherently.
 //!
+//! Both weighting estimators start from the same forward transform, so
+//! it is computed once per correlation ([`CorrelationSpectrum::compute`])
+//! and kept: each weighting then costs one pass over the bins and one
+//! inverse transform, written straight into the caller's output. A
+//! session that escalates from PHAT to sub-band coherence pays one
+//! forward transform per channel, not one per rung.
+//!
 //! All spectral weights are real and non-negative, i.e. zero-phase: they
 //! reshape lobe widths and relative amplitudes but cannot bias the peak
 //! position of an isolated arrival. All kernels are allocation-free once
-//! their [`EstimatorScratch`] has grown to the working size, and degrade
-//! gracefully (a no-op leaving the correlation unchanged) on inputs with
-//! no usable spectral mass instead of producing NaNs.
+//! their buffers have grown to the working size, and degrade gracefully
+//! (reporting a no-op, so the caller keeps the unweighted correlation)
+//! on inputs with no usable spectral mass instead of producing NaNs.
 
 use crate::complex::{axpy, dot_seq};
 use crate::fft::try_next_pow2;
 use crate::plan::shared_real_plan;
 use crate::{Complex, DspError};
 
-/// Reusable workspace for the estimator kernels.
+/// Reusable workspace for the weighting kernels.
 ///
-/// Holds the half-spectrum buffer, the inverse-transform output, and the
+/// Holds the weighted half spectrum (the inverse transform consumes its
+/// input, so the weights are applied into this copy and the
+/// [`CorrelationSpectrum`] survives for the next weighting) and the
 /// per-band power table. Grows to a high-water mark on first use and is
 /// allocation-free afterwards, mirroring [`crate::plan::DspScratch`].
 #[derive(Debug, Clone, Default)]
 pub struct EstimatorScratch {
-    /// Half-spectrum bins of the forward real FFT.
+    /// Weighted half-spectrum bins, consumed by the inverse transform.
     pub half: Vec<Complex>,
-    /// Real output of the inverse transform.
-    pub real: Vec<f64>,
     /// Per-sub-band mean power (coherence weighting).
     pub band_power: Vec<f64>,
     /// Sorted copy of `band_power` for the median noise reference.
@@ -75,12 +83,12 @@ impl EstimatorScratch {
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
         self.half.capacity() * std::mem::size_of::<Complex>()
-            + (self.real.capacity() + self.band_power.capacity() + self.band_sort.capacity())
-                * std::mem::size_of::<f64>()
+            + (self.band_power.capacity() + self.band_sort.capacity()) * std::mem::size_of::<f64>()
     }
 }
 
-/// Partial-whitening exponent for [`gcc_phat_with`] (PHAT-β).
+/// Partial-whitening exponent for [`CorrelationSpectrum::gcc_phat_into`]
+/// (PHAT-β).
 ///
 /// Full phase-only whitening (β = 1) of a *periodic* beacon train
 /// manufactures ghost images one beacon period before/after the real
@@ -92,158 +100,248 @@ impl EstimatorScratch {
 /// the lobe sharpening that makes PHAT robust under multipath.
 pub const PHAT_BETA: f64 = 0.5;
 
-/// Whitens a correlation sequence in place with a floored PHAT-β weight.
+/// The forward half-spectrum of one correlation sequence: the shared
+/// first half of both weighting estimators.
 ///
-/// Each half-spectrum bin is divided by
-/// `max(|R(f)|, floor · max_f|R(f)|)^β` (β = [`PHAT_BETA`]), then the
-/// sequence is inverse-transformed back to the lag domain. The transform
-/// length is the next power of two above `corr.len()` (shared
-/// process-wide plan, so warm calls do not allocate).
-///
-/// A correlation with no spectral mass at all (all zeros) is left
-/// unchanged — whitening has nothing to normalize and the division floor
-/// would otherwise manufacture NaNs.
-///
-/// # Errors
-///
-/// - [`DspError::EmptyInput`] when `corr` is empty.
-/// - [`DspError::InvalidParameter`] when `floor` is not in `(0, 1)`.
-pub fn gcc_phat_with(
-    corr: &mut Vec<f64>,
-    floor: f64,
-    scratch: &mut EstimatorScratch,
-) -> Result<(), DspError> {
-    if corr.is_empty() {
-        return Err(DspError::EmptyInput {
-            what: "gcc_phat correlation",
-        });
-    }
-    if !floor.is_finite() || floor <= 0.0 || floor >= 1.0 {
-        return Err(DspError::invalid(
-            "floor",
-            format!("PHAT whitening floor must be in (0, 1), got {floor}"),
-        ));
-    }
-    let n = corr.len();
-    let plan = shared_real_plan(try_next_pow2(n)?)?;
-    plan.rfft_half_into(corr, &mut scratch.half)?;
-    let max_mag = scratch.half.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
-    if max_mag <= 0.0 || !max_mag.is_finite() {
-        // All-zero (or non-finite) spectrum: graceful no-op.
-        return Ok(());
-    }
-    let eps = floor * max_mag;
-    for z in &mut scratch.half {
-        // PHAT_BETA = 0.5: divide by the floored magnitude's square root.
-        *z = z.scale(1.0 / z.abs().max(eps).sqrt());
-    }
-    plan.irfft_half_into(&mut scratch.half, &mut scratch.real)?;
-    corr.clear();
-    corr.extend_from_slice(&scratch.real[..n]);
-    Ok(())
+/// [`CorrelationSpectrum::compute`] runs the real FFT once (length: the
+/// next power of two above the correlation length, on the shared
+/// process-wide plan); every weighting afterwards reads the bins without
+/// modifying them, so any number of weightings can be applied to one
+/// spectrum. An empty spectrum (new, or after
+/// [`CorrelationSpectrum::clear`]) holds nothing to weight.
+#[derive(Debug, Clone, Default)]
+pub struct CorrelationSpectrum {
+    bins: Vec<Complex>,
+    /// Length of the correlation the bins came from; 0 when empty.
+    corr_len: usize,
+    fft_len: usize,
 }
 
-/// Re-weights a correlation sequence in place by per-sub-band coherence.
-///
-/// The half-spectrum bins covering `band_lo..band_hi` Hz are split into
-/// `bands` equal sub-bands. Each sub-band with mean power `S_b` is scaled
-/// by the Wiener-style coherence weight `S_b / (S_b + N)`, where `N` is
-/// the median sub-band power (minimum when fewer than three sub-bands
-/// exist, so a single-band request degenerates to a pure band-pass).
-/// Bins outside the band are zeroed.
-///
-/// A correlation with no in-band spectral mass is left unchanged.
-///
-/// # Errors
-///
-/// - [`DspError::EmptyInput`] when `corr` is empty.
-/// - [`DspError::InvalidParameter`] when the band edges are not
-///   `0 < band_lo < band_hi <= sample_rate / 2` or `bands == 0`.
-pub fn subband_coherence_with(
-    corr: &mut Vec<f64>,
-    sample_rate: f64,
-    band_lo: f64,
-    band_hi: f64,
-    bands: usize,
-    scratch: &mut EstimatorScratch,
-) -> Result<(), DspError> {
-    if corr.is_empty() {
-        return Err(DspError::EmptyInput {
-            what: "subband_coherence correlation",
-        });
+impl CorrelationSpectrum {
+    /// An empty spectrum; the bin buffer grows on the first
+    /// [`CorrelationSpectrum::compute`].
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
     }
-    if sample_rate.is_nan() || sample_rate <= 0.0 {
-        return Err(DspError::invalid(
-            "sample_rate",
-            format!("must be positive, got {sample_rate}"),
-        ));
-    }
-    if !(band_lo > 0.0 && band_lo < band_hi && band_hi <= sample_rate / 2.0) {
-        return Err(DspError::invalid(
-            "band",
-            format!("need 0 < lo < hi <= fs/2, got {band_lo}..{band_hi} at fs {sample_rate}"),
-        ));
-    }
-    if bands == 0 {
-        return Err(DspError::invalid("bands", "need at least one sub-band"));
-    }
-    let n = corr.len();
-    let m = try_next_pow2(n)?;
-    let plan = shared_real_plan(m)?;
-    plan.rfft_half_into(corr, &mut scratch.half)?;
-    let bins = scratch.half.len();
-    let bin_hz = sample_rate / m as f64;
-    let k_lo = (band_lo / bin_hz).ceil() as usize;
-    let k_hi = ((band_hi / bin_hz).floor() as usize).min(bins - 1);
-    if k_lo > k_hi {
-        // The transform is too short to resolve the band: no-op.
-        return Ok(());
-    }
-    let span = k_hi - k_lo + 1;
-    let b_count = bands.min(span);
-    let band_of = |k: usize| ((k - k_lo) * b_count / span).min(b_count - 1);
-    scratch.band_power.clear();
-    scratch.band_power.resize(b_count, 0.0);
-    for k in k_lo..=k_hi {
-        scratch.band_power[band_of(k)] += scratch.half[k].norm_sqr();
-    }
-    // Equal-width bands up to rounding; normalize by each band's bin count.
-    for b in 0..b_count {
-        let lo = k_lo + (b * span).div_ceil(b_count);
-        let hi = k_lo + ((b + 1) * span).div_ceil(b_count);
-        let width = hi.saturating_sub(lo).max(1);
-        scratch.band_power[b] /= width as f64;
-    }
-    let total: f64 = scratch.band_power.iter().sum();
-    if total <= 0.0 || !total.is_finite() {
-        // No in-band spectral mass: graceful no-op.
-        return Ok(());
-    }
-    scratch.band_sort.clear();
-    scratch.band_sort.extend_from_slice(&scratch.band_power);
-    scratch.band_sort.sort_unstable_by(f64::total_cmp);
-    let noise = if b_count >= 3 {
-        scratch.band_sort[b_count / 2]
-    } else {
-        scratch.band_sort[0]
-    };
-    for (k, z) in scratch.half.iter_mut().enumerate() {
-        if k < k_lo || k > k_hi {
-            *z = Complex::ZERO;
-        } else {
-            let s = scratch.band_power[band_of(k)];
-            let w = if s + noise > 0.0 {
-                s / (s + noise)
-            } else {
-                0.0
-            };
-            *z = z.scale(w);
+
+    /// Replaces the spectrum with the forward transform of `corr`. On
+    /// error the spectrum is left empty.
+    ///
+    /// # Errors
+    ///
+    /// [`DspError::EmptyInput`] when `corr` is empty.
+    pub fn compute(&mut self, corr: &[f64]) -> Result<(), DspError> {
+        self.clear();
+        if corr.is_empty() {
+            return Err(DspError::EmptyInput {
+                what: "correlation spectrum",
+            });
         }
+        let m = try_next_pow2(corr.len())?;
+        shared_real_plan(m)?.rfft_half_into(corr, &mut self.bins)?;
+        self.corr_len = corr.len();
+        self.fft_len = m;
+        Ok(())
     }
-    plan.irfft_half_into(&mut scratch.half, &mut scratch.real)?;
-    corr.clear();
-    corr.extend_from_slice(&scratch.real[..n]);
-    Ok(())
+
+    /// Forgets the spectrum, keeping the bin buffer's capacity.
+    pub fn clear(&mut self) {
+        self.bins.clear();
+        self.corr_len = 0;
+    }
+
+    /// Whether no spectrum has been computed since construction or the
+    /// last [`CorrelationSpectrum::clear`].
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.corr_len == 0
+    }
+
+    /// Heap capacity held by the bin buffer, in bytes.
+    #[must_use]
+    pub fn capacity_bytes(&self) -> usize {
+        self.bins.capacity() * std::mem::size_of::<Complex>()
+    }
+
+    /// Writes the correlation whitened with a floored PHAT-β weight into
+    /// `out` (cleared and refilled to the correlation's length).
+    ///
+    /// Each half-spectrum bin is divided by
+    /// `max(|R(f)|, floor · max_f|R(f)|)^β` (β = [`PHAT_BETA`]), then the
+    /// sequence is inverse-transformed back to the lag domain. The
+    /// weight is computed from the bin power `|R(f)|²`
+    /// (`max(|R|², eps²)^(−1/4)`), so no bin pays for an
+    /// overflow-safe magnitude; a spectrum whose power is not finite is
+    /// treated as unusable.
+    ///
+    /// Returns `false`, leaving `out` untouched, when the spectrum has no
+    /// usable mass (all zeros, or non-finite): whitening has nothing to
+    /// normalize and the division floor would otherwise manufacture
+    /// NaNs, so the caller keeps the unweighted correlation.
+    ///
+    /// # Errors
+    ///
+    /// - [`DspError::EmptyInput`] when the spectrum is empty.
+    /// - [`DspError::InvalidParameter`] when `floor` is not in `(0, 1)`.
+    pub fn gcc_phat_into(
+        &self,
+        floor: f64,
+        scratch: &mut EstimatorScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<bool, DspError> {
+        self.check_computed("gcc_phat spectrum")?;
+        if !floor.is_finite() || floor <= 0.0 || floor >= 1.0 {
+            return Err(DspError::invalid(
+                "floor",
+                format!("PHAT whitening floor must be in (0, 1), got {floor}"),
+            ));
+        }
+        // Largest bin power; a NaN anywhere makes the maximum NaN.
+        let max_power = self.bins.iter().fold(0.0f64, |m, z| {
+            let p = z.norm_sqr();
+            if p > m || p.is_nan() {
+                p
+            } else {
+                m
+            }
+        });
+        if max_power <= 0.0 || !max_power.is_finite() {
+            return Ok(false);
+        }
+        let eps = floor * max_power.sqrt();
+        let eps_sq = eps * eps;
+        scratch.half.clear();
+        // PHAT_BETA = 0.5: divide by the floored magnitude's square root,
+        // i.e. by the fourth root of the floored power.
+        scratch.half.extend(
+            self.bins
+                .iter()
+                .map(|z| z.scale(1.0 / z.norm_sqr().max(eps_sq).sqrt().sqrt())),
+        );
+        self.inverse_into(scratch, out)?;
+        Ok(true)
+    }
+
+    /// Writes the correlation re-weighted by per-sub-band coherence into
+    /// `out` (cleared and refilled to the correlation's length).
+    ///
+    /// The half-spectrum bins covering `band_lo..band_hi` Hz are split
+    /// into `bands` equal sub-bands. Each sub-band with mean power `S_b`
+    /// is scaled by the Wiener-style coherence weight `S_b / (S_b + N)`,
+    /// where `N` is the median sub-band power (minimum when fewer than
+    /// three sub-bands exist, so a single-band request degenerates to a
+    /// pure band-pass). Bins outside the band are zeroed.
+    ///
+    /// Returns `false`, leaving `out` untouched, when the spectrum has no
+    /// in-band mass (or the transform is too short to resolve the band):
+    /// the caller keeps the unweighted correlation.
+    ///
+    /// # Errors
+    ///
+    /// - [`DspError::EmptyInput`] when the spectrum is empty.
+    /// - [`DspError::InvalidParameter`] when the band edges are not
+    ///   `0 < band_lo < band_hi <= sample_rate / 2` or `bands == 0`.
+    pub fn subband_coherence_into(
+        &self,
+        sample_rate: f64,
+        band_lo: f64,
+        band_hi: f64,
+        bands: usize,
+        scratch: &mut EstimatorScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<bool, DspError> {
+        self.check_computed("subband_coherence spectrum")?;
+        if sample_rate.is_nan() || sample_rate <= 0.0 {
+            return Err(DspError::invalid(
+                "sample_rate",
+                format!("must be positive, got {sample_rate}"),
+            ));
+        }
+        if !(band_lo > 0.0 && band_lo < band_hi && band_hi <= sample_rate / 2.0) {
+            return Err(DspError::invalid(
+                "band",
+                format!("need 0 < lo < hi <= fs/2, got {band_lo}..{band_hi} at fs {sample_rate}"),
+            ));
+        }
+        if bands == 0 {
+            return Err(DspError::invalid("bands", "need at least one sub-band"));
+        }
+        let bins = self.bins.len();
+        let bin_hz = sample_rate / self.fft_len as f64;
+        let k_lo = (band_lo / bin_hz).ceil() as usize;
+        let k_hi = ((band_hi / bin_hz).floor() as usize).min(bins - 1);
+        if k_lo > k_hi {
+            // The transform is too short to resolve the band: no-op.
+            return Ok(false);
+        }
+        let span = k_hi - k_lo + 1;
+        let b_count = bands.min(span);
+        let band_of = |k: usize| ((k - k_lo) * b_count / span).min(b_count - 1);
+        scratch.band_power.clear();
+        scratch.band_power.resize(b_count, 0.0);
+        for k in k_lo..=k_hi {
+            scratch.band_power[band_of(k)] += self.bins[k].norm_sqr();
+        }
+        // Equal-width bands up to rounding; normalize by each band's bin count.
+        for b in 0..b_count {
+            let lo = k_lo + (b * span).div_ceil(b_count);
+            let hi = k_lo + ((b + 1) * span).div_ceil(b_count);
+            let width = hi.saturating_sub(lo).max(1);
+            scratch.band_power[b] /= width as f64;
+        }
+        let total: f64 = scratch.band_power.iter().sum();
+        if total <= 0.0 || !total.is_finite() {
+            // No in-band spectral mass: graceful no-op.
+            return Ok(false);
+        }
+        scratch.band_sort.clear();
+        scratch.band_sort.extend_from_slice(&scratch.band_power);
+        scratch.band_sort.sort_unstable_by(f64::total_cmp);
+        let noise = if b_count >= 3 {
+            scratch.band_sort[b_count / 2]
+        } else {
+            scratch.band_sort[0]
+        };
+        let EstimatorScratch {
+            half, band_power, ..
+        } = scratch;
+        half.clear();
+        half.extend(self.bins.iter().enumerate().map(|(k, z)| {
+            if k < k_lo || k > k_hi {
+                Complex::ZERO
+            } else {
+                let s = band_power[band_of(k)];
+                let w = if s + noise > 0.0 {
+                    s / (s + noise)
+                } else {
+                    0.0
+                };
+                z.scale(w)
+            }
+        }));
+        self.inverse_into(scratch, out)?;
+        Ok(true)
+    }
+
+    fn check_computed(&self, what: &'static str) -> Result<(), DspError> {
+        if self.is_empty() {
+            return Err(DspError::EmptyInput { what });
+        }
+        Ok(())
+    }
+
+    /// Inverse-transforms the weighted bins in `scratch.half` into `out`,
+    /// trimmed to the source correlation's length.
+    fn inverse_into(
+        &self,
+        scratch: &mut EstimatorScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<(), DspError> {
+        shared_real_plan(self.fft_len)?.irfft_half_into(&mut scratch.half, out)?;
+        out.truncate(self.corr_len);
+        Ok(())
+    }
 }
 
 /// Estimates least-squares-consistent per-channel alignment offsets from
@@ -482,12 +580,39 @@ mod tests {
             .0
     }
 
+    /// One weighting applied to a fresh spectrum of `corr`; a no-op
+    /// returns the correlation unchanged, as the detector uses it.
+    fn weighted(
+        corr: &[f64],
+        weigh: impl FnOnce(
+            &CorrelationSpectrum,
+            &mut EstimatorScratch,
+            &mut Vec<f64>,
+        ) -> Result<bool, DspError>,
+    ) -> Result<Vec<f64>, DspError> {
+        let mut spectrum = CorrelationSpectrum::new();
+        spectrum.compute(corr)?;
+        let mut out = Vec::new();
+        let applied = weigh(&spectrum, &mut EstimatorScratch::new(), &mut out)?;
+        Ok(if applied { out } else { corr.to_vec() })
+    }
+
+    fn phat(corr: &[f64], floor: f64) -> Result<Vec<f64>, DspError> {
+        weighted(corr, |s, scratch, out| s.gcc_phat_into(floor, scratch, out))
+    }
+
+    fn coherence(corr: &[f64], bands: usize) -> Result<Vec<f64>, DspError> {
+        weighted(corr, |s, scratch, out| {
+            s.subband_coherence_into(44_100.0, 1_800.0, 7_040.0, bands, scratch, out)
+        })
+    }
+
     #[test]
     fn phat_preserves_peak_position() {
-        let mut corr = beacon_corr(&[5_000.0], 16_384, 7);
+        let corr = beacon_corr(&[5_000.0], 16_384, 7);
         let before = argmax(&corr);
-        let mut scratch = EstimatorScratch::new();
-        gcc_phat_with(&mut corr, 0.15, &mut scratch).expect("phat");
+        let corr = phat(&corr, 0.15).expect("phat");
+        assert_eq!(corr.len(), 16_384);
         let after = argmax(&corr);
         assert!(
             (before as isize - after as isize).abs() <= 1,
@@ -498,61 +623,71 @@ mod tests {
 
     #[test]
     fn phat_all_zero_is_graceful_noop() {
-        let mut corr = vec![0.0f64; 4_096];
-        let mut scratch = EstimatorScratch::new();
-        gcc_phat_with(&mut corr, 0.15, &mut scratch).expect("no-op");
-        assert!(corr.iter().all(|&v| v == 0.0));
+        let mut spectrum = CorrelationSpectrum::new();
+        spectrum.compute(&[0.0f64; 4_096]).expect("spectrum");
+        let mut out = vec![7.0];
+        let applied = spectrum
+            .gcc_phat_into(0.15, &mut EstimatorScratch::new(), &mut out)
+            .expect("no-op");
+        assert!(!applied);
+        assert_eq!(out, vec![7.0], "a no-op leaves the output untouched");
     }
 
     #[test]
     fn phat_rejects_bad_floor_and_empty() {
-        let mut scratch = EstimatorScratch::new();
-        let mut corr = vec![1.0f64; 16];
-        assert!(gcc_phat_with(&mut corr, 0.0, &mut scratch).is_err());
-        assert!(gcc_phat_with(&mut corr, 1.0, &mut scratch).is_err());
-        let mut empty = Vec::new();
-        assert!(gcc_phat_with(&mut empty, 0.15, &mut scratch).is_err());
+        let corr = vec![1.0f64; 16];
+        assert!(phat(&corr, 0.0).is_err());
+        assert!(phat(&corr, 1.0).is_err());
+        assert!(phat(&[], 0.15).is_err());
+        // Weighting a spectrum that was never computed is typed too.
+        let mut out = Vec::new();
+        assert!(CorrelationSpectrum::new()
+            .gcc_phat_into(0.15, &mut EstimatorScratch::new(), &mut out)
+            .is_err());
     }
 
     #[test]
     fn coherence_preserves_peak_and_handles_single_band() {
-        let mut corr = beacon_corr(&[5_000.0], 16_384, 11);
+        let corr = beacon_corr(&[5_000.0], 16_384, 11);
         let before = argmax(&corr);
-        let mut scratch = EstimatorScratch::new();
-        subband_coherence_with(&mut corr, 44_100.0, 1_800.0, 7_040.0, 16, &mut scratch)
-            .expect("coherence");
+        let corr = coherence(&corr, 16).expect("coherence");
         assert!((before as isize - argmax(&corr) as isize).abs() <= 1);
         assert!(corr.iter().all(|v| v.is_finite()));
         // Single-band collapse degenerates to a pure band-pass, no panic.
-        let mut corr = beacon_corr(&[5_000.0], 16_384, 13);
-        subband_coherence_with(&mut corr, 44_100.0, 1_800.0, 7_040.0, 1, &mut scratch)
-            .expect("single band");
+        let corr = coherence(&beacon_corr(&[5_000.0], 16_384, 13), 1).expect("single band");
         assert!(corr.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn coherence_all_zero_is_graceful_noop() {
-        let mut corr = vec![0.0f64; 4_096];
-        let mut scratch = EstimatorScratch::new();
-        subband_coherence_with(&mut corr, 44_100.0, 1_800.0, 7_040.0, 8, &mut scratch)
+        let mut spectrum = CorrelationSpectrum::new();
+        spectrum.compute(&[0.0f64; 4_096]).expect("spectrum");
+        let mut out = Vec::new();
+        let applied = spectrum
+            .subband_coherence_into(
+                44_100.0,
+                1_800.0,
+                7_040.0,
+                8,
+                &mut EstimatorScratch::new(),
+                &mut out,
+            )
             .expect("no-op");
-        assert!(corr.iter().all(|&v| v == 0.0));
+        assert!(!applied);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn coherence_rejects_bad_band() {
-        let mut scratch = EstimatorScratch::new();
-        let mut corr = vec![1.0f64; 64];
-        assert!(
-            subband_coherence_with(&mut corr, 44_100.0, 7_040.0, 1_800.0, 8, &mut scratch).is_err()
-        );
-        assert!(
-            subband_coherence_with(&mut corr, 44_100.0, 1_800.0, 30_000.0, 8, &mut scratch)
-                .is_err()
-        );
-        assert!(
-            subband_coherence_with(&mut corr, 44_100.0, 1_800.0, 7_040.0, 0, &mut scratch).is_err()
-        );
+        let corr = vec![1.0f64; 64];
+        let with_band = |lo: f64, hi: f64, bands: usize| {
+            weighted(&corr, |s, scratch, out| {
+                s.subband_coherence_into(44_100.0, lo, hi, bands, scratch, out)
+            })
+        };
+        assert!(with_band(7_040.0, 1_800.0, 8).is_err());
+        assert!(with_band(1_800.0, 30_000.0, 8).is_err());
+        assert!(with_band(1_800.0, 7_040.0, 0).is_err());
     }
 
     #[test]
@@ -601,16 +736,40 @@ mod tests {
 
     #[test]
     fn kernels_are_allocation_free_when_warm() {
-        // Capacity-based proxy: after one warm call, buffers stop growing.
+        // Warm every kernel at the high-water size (a 20,000-lag
+        // correlation: 32,768-point transform; 32 sub-bands), then run
+        // them again at that size and below it. Warm buffers must keep
+        // their exact capacity: growth means a warm call allocated, and
+        // shrinkage means the next large call would.
+        let big = beacon_corr(&[3_000.0, 15_000.0], 20_000, 29);
+        let small = beacon_corr(&[3_000.0], 9_000, 31);
+        let mut spectrum = CorrelationSpectrum::new();
         let mut scratch = EstimatorScratch::new();
-        let mut corr = beacon_corr(&[3_000.0], 8_192, 29);
-        gcc_phat_with(&mut corr, 0.15, &mut scratch).expect("warm-up");
-        let cap = scratch.capacity_bytes();
-        let mut corr = beacon_corr(&[3_000.0], 8_192, 31);
-        gcc_phat_with(&mut corr, 0.15, &mut scratch).expect("warm");
-        subband_coherence_with(&mut corr, 44_100.0, 1_800.0, 7_040.0, 16, &mut scratch)
-            .expect("warm");
-        assert_eq!(scratch.capacity_bytes(), cap.max(scratch.capacity_bytes()));
-        assert!(scratch.capacity_bytes() >= cap);
+        let mut out = Vec::new();
+        let mut run_all = |corr: &[f64], bands: usize| {
+            spectrum.compute(corr).expect("spectrum");
+            assert!(spectrum
+                .gcc_phat_into(0.15, &mut scratch, &mut out)
+                .expect("phat"));
+            assert!(spectrum
+                .subband_coherence_into(44_100.0, 1_800.0, 7_040.0, bands, &mut scratch, &mut out)
+                .expect("coherence"));
+            assert_eq!(out.len(), corr.len());
+            (
+                spectrum.capacity_bytes(),
+                scratch.half.capacity(),
+                scratch.band_power.capacity(),
+                scratch.band_sort.capacity(),
+                out.capacity(),
+            )
+        };
+        let warm = run_all(&big, 32);
+        assert_eq!(run_all(&big, 32), warm, "warm call at the high-water size");
+        assert_eq!(
+            run_all(&small, 16),
+            warm,
+            "warm call below the high-water size"
+        );
+        assert_eq!(run_all(&big, 32), warm, "high-water size again");
     }
 }

@@ -19,8 +19,8 @@
 //!   detection (BeepBeep-style).
 //! - [`chirp`] — linear and up-down chirp synthesis (the HyperEar beacon).
 //! - [`estimator`] — robust TDoA estimator kernels: floored GCC-PHAT
-//!   whitening, sub-band coherence weighting, and MCCI cross-channel
-//!   correlation fusion.
+//!   whitening and sub-band coherence weighting from one shared
+//!   correlation spectrum, and MCCI cross-channel correlation fusion.
 //! - [`interpolate`] — parabolic and windowed-sinc sub-sample interpolation
 //!   for pushing TDoA resolution below the 44.1 kHz sampling grid.
 //! - [`delay`] — integer and fractional signal delays (propagation

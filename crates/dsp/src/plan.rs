@@ -542,6 +542,9 @@ impl RealFftPlan {
             return Ok(());
         };
         let h = self.n / 2;
+        // All n/2 + 1 bins up front, so pushing the Nyquist bin after the
+        // packed transform never doubles a fresh buffer's capacity.
+        out.reserve(h + 1);
         // Pack even samples into re, odd into im (zero-padded).
         let at = |j: usize| signal.get(j).copied().unwrap_or(0.0);
         out.extend((0..h).map(|k| Complex::new(at(2 * k), at(2 * k + 1))));

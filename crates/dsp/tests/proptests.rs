@@ -581,3 +581,240 @@ fn parabolic_vertex_recovery() {
         prop::pass()
     });
 }
+
+/// A random correlation: a noise floor of random level plus up to five
+/// beacon main lobes (the chirp's autocorrelation) at random positions
+/// and amplitudes — zero lobes gives a pure-noise correlation.
+fn random_beacon_train(len: usize, beacons: usize, noise: f64, seed: u64) -> Vec<f64> {
+    let mut state = seed | 1;
+    let mut uniform = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut corr: Vec<f64> = (0..len).map(|_| noise * (2.0 * uniform() - 1.0)).collect();
+    let chirp = hyperear_dsp::chirp::Chirp::hyperear_beacon(44_100.0).unwrap();
+    let lobe = xcorr(chirp.samples(), chirp.samples()).unwrap();
+    let peak = lobe.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    for _ in 0..beacons {
+        let at = (uniform() * len as f64) as usize;
+        let gain = (0.2 + 0.8 * uniform()) / peak;
+        for (i, &v) in lobe.iter().enumerate() {
+            if let Some(c) = corr.get_mut(at + i) {
+                *c += gain * v;
+            }
+        }
+    }
+    corr
+}
+
+/// Sub-band coherence as a stand-alone in-place kernel computed it
+/// before the spectrum was shared: its own forward transform, the
+/// weights applied in place, the inverse into a separate buffer and a
+/// copy back. The shared-spectrum kernel must match it bit for bit.
+fn reference_subband(corr: &mut [f64], fs: f64, lo: f64, hi: f64, bands: usize) {
+    let n = corr.len();
+    let m = next_pow2(n);
+    let plan = hyperear_dsp::plan::shared_real_plan(m).unwrap();
+    let mut half = Vec::new();
+    plan.rfft_half_into(corr, &mut half).unwrap();
+    let bins = half.len();
+    let bin_hz = fs / m as f64;
+    let k_lo = (lo / bin_hz).ceil() as usize;
+    let k_hi = ((hi / bin_hz).floor() as usize).min(bins - 1);
+    if k_lo > k_hi {
+        return;
+    }
+    let span = k_hi - k_lo + 1;
+    let b_count = bands.min(span);
+    let band_of = |k: usize| ((k - k_lo) * b_count / span).min(b_count - 1);
+    let mut power = vec![0.0f64; b_count];
+    for k in k_lo..=k_hi {
+        power[band_of(k)] += half[k].norm_sqr();
+    }
+    for (b, p) in power.iter_mut().enumerate() {
+        let lo = k_lo + (b * span).div_ceil(b_count);
+        let hi = k_lo + ((b + 1) * span).div_ceil(b_count);
+        *p /= hi.saturating_sub(lo).max(1) as f64;
+    }
+    let total: f64 = power.iter().sum();
+    if total <= 0.0 || !total.is_finite() {
+        return;
+    }
+    let mut sorted = power.clone();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let noise = if b_count >= 3 {
+        sorted[b_count / 2]
+    } else {
+        sorted[0]
+    };
+    for (k, z) in half.iter_mut().enumerate() {
+        if k < k_lo || k > k_hi {
+            *z = Complex::ZERO;
+        } else {
+            let s = power[band_of(k)];
+            let w = if s + noise > 0.0 {
+                s / (s + noise)
+            } else {
+                0.0
+            };
+            *z = z.scale(w);
+        }
+    }
+    let mut real = Vec::new();
+    plan.irfft_half_into(&mut half, &mut real).unwrap();
+    corr.copy_from_slice(&real[..n]);
+}
+
+/// PHAT-β whitening with overflow-safe magnitudes (`hypot`) for every
+/// bin, the form the power-based kernel replaced. Returns the
+/// L1 norm of the weighted half spectrum (0 on a no-op), which scales
+/// the inverse transform's rounding error.
+fn reference_phat_hypot(corr: &mut [f64], floor: f64) -> f64 {
+    let n = corr.len();
+    let m = next_pow2(n);
+    let plan = hyperear_dsp::plan::shared_real_plan(m).unwrap();
+    let mut half = Vec::new();
+    plan.rfft_half_into(corr, &mut half).unwrap();
+    let max_mag = half.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
+    if max_mag <= 0.0 || !max_mag.is_finite() {
+        return 0.0;
+    }
+    let eps = floor * max_mag;
+    for z in &mut half {
+        *z = z.scale(1.0 / z.abs().max(eps).sqrt());
+    }
+    let l1: f64 = half.iter().map(|z| z.abs()).sum();
+    let mut real = Vec::new();
+    plan.irfft_half_into(&mut half, &mut real).unwrap();
+    corr.copy_from_slice(&real[..n]);
+    l1
+}
+
+/// Peak indices the detector would act on: local maxima at or above
+/// 30% of the maximum, 64 samples apart.
+fn strong_peaks(v: &[f64]) -> Vec<usize> {
+    let max = v.iter().fold(0.0f64, |m, &x| m.max(x));
+    let config = hyperear_dsp::peak::PeakConfig::new(0.3 * max, 64).unwrap();
+    hyperear_dsp::peak::find_peaks(v, &config)
+        .unwrap()
+        .iter()
+        .map(|p| p.index)
+        .collect()
+}
+
+/// The weighting kernels over one shared spectrum: sub-band coherence is
+/// bit-identical to the stand-alone kernel, power-based PHAT stays
+/// within a rounding bound of the `hypot` form and picks the same
+/// peaks, and weighting never disturbs the spectrum (PHAT, then
+/// coherence, then PHAT again from one spectrum give the same PHAT).
+///
+/// The PHAT bound: the two kernels' per-bin weights differ by a few
+/// ulps (a square root of the power against `hypot`, then the same
+/// floor and square root), so the weighted bins differ by at most
+/// `4ε·|W_k|`, and each inverse transform adds at most
+/// `log2(M)·ε` relative rounding. The lag-domain difference is therefore
+/// bounded by `(4 + 2·log2 M)·ε · (2/M)·Σ_k|W_k|`, the `2/M` turning the
+/// half-spectrum L1 norm into the inverse transform's amplitude scale.
+#[test]
+fn shared_spectrum_weighting_matches_standalone_kernels() {
+    use hyperear_dsp::estimator::{CorrelationSpectrum, EstimatorScratch};
+    let strat = (
+        usize_range(64, 12_000),
+        usize_range(0, 5),
+        f64_range(1e-4, 0.5),
+        usize_range(0, 1 << 30),
+    );
+    let worst = std::cell::Cell::new(0.0f64);
+    prop::check(
+        "shared_spectrum_weighting_matches_standalone_kernels",
+        strat,
+        |&(len, beacons, noise, seed)| {
+            let corr = random_beacon_train(len, beacons, noise, seed as u64);
+            let mut spectrum = CorrelationSpectrum::new();
+            spectrum.compute(&corr).unwrap();
+            let mut scratch = EstimatorScratch::new();
+            let mut phat = Vec::new();
+            prop_assert!(spectrum
+                .gcc_phat_into(0.15, &mut scratch, &mut phat)
+                .unwrap());
+            let mut coherence = Vec::new();
+            let applied = spectrum
+                .subband_coherence_into(
+                    44_100.0,
+                    1_800.0,
+                    7_040.0,
+                    16,
+                    &mut scratch,
+                    &mut coherence,
+                )
+                .unwrap();
+            let mut reference = corr.clone();
+            reference_subband(&mut reference, 44_100.0, 1_800.0, 7_040.0, 16);
+            if applied {
+                prop_assert_eq!(coherence, reference);
+            } else {
+                prop_assert_eq!(reference, corr);
+            }
+
+            let mut again = Vec::new();
+            prop_assert!(spectrum
+                .gcc_phat_into(0.15, &mut scratch, &mut again)
+                .unwrap());
+            prop_assert_eq!(&again, &phat);
+
+            let mut hypot = corr.clone();
+            let l1 = reference_phat_hypot(&mut hypot, 0.15);
+            let m = next_pow2(len) as f64;
+            let bound = (4.0 + 2.0 * m.log2()) * f64::EPSILON * 2.0 * l1 / m;
+            let diff = phat
+                .iter()
+                .zip(&hypot)
+                .fold(0.0f64, |d, (a, b)| d.max((a - b).abs()));
+            prop_assert!(diff <= bound, "PHAT differs by {diff:e}, bound {bound:e}");
+            worst.set(worst.get().max(diff / bound));
+            prop_assert_eq!(strong_peaks(&phat), strong_peaks(&hypot));
+            prop::pass()
+        },
+    );
+    println!("worst PHAT difference: {:.3} of the bound", worst.get());
+}
+
+/// Spectra with no usable mass are reported as no-ops (the detector then
+/// guides on the unweighted correlation) and leave the output untouched:
+/// all-zero correlations, and correlations carrying a non-finite sample
+/// anywhere.
+#[test]
+fn degenerate_spectra_are_weighting_no_ops() {
+    use hyperear_dsp::estimator::{CorrelationSpectrum, EstimatorScratch};
+    let strat = (
+        usize_range(1, 4_096),
+        usize_range(0, 4_095),
+        usize_range(0, 2),
+    );
+    prop::check(
+        "degenerate_spectra_are_weighting_no_ops",
+        strat,
+        |&(len, at, kind)| {
+            let mut corr = random_beacon_train(len, 1, 0.01, len as u64);
+            match kind {
+                0 => corr.fill(0.0),
+                1 => corr[at % len] = f64::INFINITY,
+                _ => corr[at % len] = f64::NAN,
+            }
+            let mut spectrum = CorrelationSpectrum::new();
+            spectrum.compute(&corr).unwrap();
+            let mut scratch = EstimatorScratch::new();
+            let mut out = vec![42.0];
+            prop_assert!(!spectrum
+                .gcc_phat_into(0.15, &mut scratch, &mut out)
+                .unwrap());
+            prop_assert!(!spectrum
+                .subband_coherence_into(44_100.0, 1_800.0, 7_040.0, 16, &mut scratch, &mut out)
+                .unwrap());
+            prop_assert_eq!(out, vec![42.0]);
+            prop::pass()
+        },
+    );
+}

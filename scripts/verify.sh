@@ -35,9 +35,14 @@
 #
 # The --estimators tier runs the TDoA-estimator property sweep (clean
 # recovery within the 7.78 mm resolution floor, weighting estimators no
-# worse than plain xcorr under seeded NLOS/burst faults) plus the fast
+# worse than plain xcorr under seeded NLOS/burst faults), the escalation
+# equivalence test at HYPEREAR_THREADS=1 and =4 (a warm escalating engine
+# fed faulted sessions A, B, A, stereo and 3-/4-mic arrays, must end each
+# ladder exactly where a fresh engine on the winning estimator does, so a
+# rerun never reads another session's stored correlations), plus the fast
 # fault-matrix accuracy-vs-cost sweep (`repro --fast estimators`), and
-# greps the `estimator-contract: ... HELD` lines from both.
+# greps the `estimator-contract: ... HELD` and `escalation-contract: ...
+# HELD` lines.
 #
 # The --multibeacon tier runs the K-concurrent-beacon contracts: the
 # multi-beacon conformance suite (per-beacon range recovery from one
@@ -185,6 +190,16 @@ if [ "$RUN_ESTIMATORS" -eq 1 ]; then
         echo "ESTIMATORS TIER FAILED: estimator property contract not held" >&2
         exit 1
     fi
+
+    for threads in 1 4; do
+        echo "== escalation equivalence (HYPEREAR_THREADS=${threads}, contract grep) =="
+        OUT="$(HYPEREAR_THREADS="$threads" cargo test --release --test escalation_equivalence -- --nocapture)"
+        echo "$OUT"
+        if [ "$(grep -c "escalation-contract:.*HELD" <<<"$OUT")" -lt 3 ]; then
+            echo "ESTIMATORS TIER FAILED: escalation reruns diverge from fresh engines at ${threads} thread(s)" >&2
+            exit 1
+        fi
+    done
 
     echo "== repro estimators (--fast, fault-matrix accuracy-vs-cost sweep) =="
     OUT="$(cargo run --release -p hyperear-bench --bin repro -- --fast estimators)"

@@ -331,43 +331,59 @@ fn streaming_misuse_is_typed_never_a_panic() {
 #[test]
 fn degenerate_estimator_inputs_are_typed_or_graceful() {
     use hyperear_dsp::estimator::{
-        gcc_phat_with, mcci_fuse_channel_into, mcci_offsets_with, subband_coherence_with,
-        EstimatorScratch,
+        mcci_fuse_channel_into, mcci_offsets_with, CorrelationSpectrum, EstimatorScratch,
     };
 
     let mut scratch = EstimatorScratch::new();
+    let mut spectrum = CorrelationSpectrum::new();
+    let mut out = Vec::new();
 
     // All-zero correlation under PHAT whitening: the division floor has
-    // nothing to normalize against, so the sequence passes through
-    // unchanged instead of turning into NaNs.
-    let mut zeros = vec![0.0f64; 1_024];
-    gcc_phat_with(&mut zeros, 0.15, &mut scratch).unwrap();
+    // nothing to normalize against, so the weighting reports a no-op
+    // (the detector keeps the unweighted correlation) and writes nothing
+    // instead of NaNs.
+    spectrum.compute(&[0.0f64; 1_024]).unwrap();
     assert!(
-        zeros.iter().all(|&v| v == 0.0),
+        !spectrum
+            .gcc_phat_into(0.15, &mut scratch, &mut out)
+            .unwrap(),
         "whitened silence is silence"
     );
+    assert!(out.is_empty());
 
-    // Out-of-range whitening floors are typed parameter errors.
+    // Out-of-range whitening floors are typed parameter errors, and so
+    // is an empty correlation.
     let mut pulse = vec![0.0f64; 256];
     pulse[40] = 1.0;
-    assert!(gcc_phat_with(&mut pulse.clone(), 0.0, &mut scratch).is_err());
-    assert!(gcc_phat_with(&mut pulse.clone(), 1.0, &mut scratch).is_err());
-    assert!(gcc_phat_with(&mut Vec::new(), 0.15, &mut scratch).is_err());
+    spectrum.compute(&pulse).unwrap();
+    assert!(spectrum.gcc_phat_into(0.0, &mut scratch, &mut out).is_err());
+    assert!(spectrum.gcc_phat_into(1.0, &mut scratch, &mut out).is_err());
+    assert!(spectrum.compute(&[]).is_err());
+    assert!(spectrum
+        .gcc_phat_into(0.15, &mut scratch, &mut out)
+        .is_err());
 
     // Single-band coherence collapses to a pure band-pass (the noise
     // reference degenerates to the band's own power) — finite output,
     // no NaN, and the all-zero case is again a no-op.
-    let mut band = pulse.clone();
-    subband_coherence_with(&mut band, FS_AUDIO, 1_000.0, 20_000.0, 1, &mut scratch).unwrap();
-    assert!(band.iter().all(|v| v.is_finite()));
-    let mut silent = vec![0.0f64; 512];
-    subband_coherence_with(&mut silent, FS_AUDIO, 1_000.0, 20_000.0, 1, &mut scratch).unwrap();
-    assert!(silent.iter().all(|&v| v == 0.0));
+    spectrum.compute(&pulse).unwrap();
+    assert!(spectrum
+        .subband_coherence_into(FS_AUDIO, 1_000.0, 20_000.0, 1, &mut scratch, &mut out)
+        .unwrap());
+    assert_eq!(out.len(), pulse.len());
+    assert!(out.iter().all(|v| v.is_finite()));
+    spectrum.compute(&[0.0f64; 512]).unwrap();
+    assert!(!spectrum
+        .subband_coherence_into(FS_AUDIO, 1_000.0, 20_000.0, 1, &mut scratch, &mut out)
+        .unwrap());
     // Inverted/over-Nyquist band edges and zero band count are typed.
-    let mut b = pulse.clone();
-    assert!(subband_coherence_with(&mut b, FS_AUDIO, 5_000.0, 1_000.0, 4, &mut scratch).is_err());
-    assert!(subband_coherence_with(&mut b, FS_AUDIO, 1_000.0, 90_000.0, 4, &mut scratch).is_err());
-    assert!(subband_coherence_with(&mut b, FS_AUDIO, 1_000.0, 20_000.0, 0, &mut scratch).is_err());
+    spectrum.compute(&pulse).unwrap();
+    let mut band = |lo: f64, hi: f64, bands: usize| {
+        spectrum.subband_coherence_into(FS_AUDIO, lo, hi, bands, &mut scratch, &mut out)
+    };
+    assert!(band(5_000.0, 1_000.0, 4).is_err());
+    assert!(band(1_000.0, 90_000.0, 4).is_err());
+    assert!(band(1_000.0, 20_000.0, 0).is_err());
 
     // MCCI with a dead channel: the offset solver marks it dead and
     // reports too few live channels for fusion instead of aligning

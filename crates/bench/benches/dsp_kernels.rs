@@ -1,14 +1,16 @@
 //! Micro-benchmarks of the DSP kernels on the pipeline's hot path: FFT,
 //! matched-filter correlation, band-pass filtering, fractional delay,
-//! and sub-sample peak refinement. Runs on the workspace's own std-only
+//! the detection epilogue (threshold and peak picking), and sub-sample
+//! peak refinement. Runs on the workspace's own std-only
 //! harness (`hyperear_util::bench`).
 
-use hyperear_dsp::chirp::Chirp;
-use hyperear_dsp::correlate::StreamingMatchedFilter;
+use hyperear_dsp::chirp::{Chirp, ChirpShape};
+use hyperear_dsp::correlate::{StreamingMatchedFilter, StreamingMatchedFilterBank};
 use hyperear_dsp::delay::mix_delayed_local;
 use hyperear_dsp::fft::{fft, rfft};
 use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir};
 use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
+use hyperear_dsp::peak::{detect_peaks_into, PeakScratch, ThresholdRule};
 use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
@@ -169,6 +171,76 @@ fn correlation_train(seconds: usize) -> Vec<f64> {
     corr
 }
 
+/// The four normalized lanes of a K = 4 bank over `seconds` of
+/// 44.1 kHz capture: uniform noise plus four half-overlapping sub-band
+/// chirps (alternating sweep direction), each repeating every 0.2 s at
+/// its own offset, as in a multi-beacon session.
+fn bank_lanes(seconds: usize) -> Vec<Vec<f64>> {
+    let n = seconds * 44_100;
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut signal: Vec<f64> = (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            0.05 * (2.0 * ((state >> 11) as f64 / (1u64 << 53) as f64) - 1.0)
+        })
+        .collect();
+    let chirps: Vec<Chirp> = (0..4)
+        .map(|k| {
+            let f0 = 2_000.0 + 880.0 * k as f64;
+            let shape = if k % 2 == 0 {
+                ChirpShape::Up
+            } else {
+                ChirpShape::Down
+            };
+            Chirp::new(f0, f0 + 1_760.0, 0.04, 44_100.0, shape).expect("chirp")
+        })
+        .collect();
+    for (k, chirp) in chirps.iter().enumerate() {
+        for at in (1_000 + 2_000 * k..n).step_by(8_820) {
+            for (s, &c) in signal[at..].iter_mut().zip(chirp.samples()) {
+                *s += c;
+            }
+        }
+    }
+    let templates: Vec<&[f64]> = chirps.iter().map(Chirp::samples).collect();
+    let bank = StreamingMatchedFilterBank::new(&templates).expect("bank");
+    let mut lanes = vec![Vec::new(); templates.len()];
+    bank.correlate_normalized_into(&signal, &mut DspScratch::new(), &mut lanes)
+        .expect("correlate");
+    lanes
+}
+
+fn bench_detection_epilogue(suite: &mut Suite) {
+    // The detector's default rule: 6x the noise floor, a quarter of the
+    // maximum, peaks 0.7 beacon periods (0.2 s) apart.
+    let rule = ThresholdRule {
+        noise_factor: 6.0,
+        relative: 0.25,
+        min_distance: 6_174,
+    };
+    let mut scratch = PeakScratch::new();
+    let mut peaks = Vec::new();
+    // One 6 s lane: the statistics pass, the threshold and the
+    // candidate scan over a clean session channel's correlation.
+    let lane = correlation_train(6);
+    detect_peaks_into(&lane, &rule, &mut scratch, &mut peaks).expect("warm-up");
+    suite.bench_allocfree_with_elements("detect/epilogue/6s", lane.len() as u64, || {
+        detect_peaks_into(&lane, &rule, &mut scratch, &mut peaks).expect("epilogue");
+        black_box(peaks.len())
+    });
+    // The four lanes a K = 4 channel hands to its per-beacon epilogues.
+    let lanes = bank_lanes(3);
+    let total: usize = lanes.iter().map(Vec::len).sum();
+    suite.bench_allocfree_with_elements("detect/epilogue_k4/3s", total as u64, || {
+        for lane in &lanes {
+            detect_peaks_into(lane, &rule, &mut scratch, &mut peaks).expect("epilogue");
+        }
+        black_box(peaks.len())
+    });
+}
+
 fn bench_estimators(suite: &mut Suite) {
     use hyperear_dsp::estimator::{
         mcci_fuse_channel_into, mcci_offsets_with, CorrelationSpectrum, EstimatorScratch,
@@ -279,6 +351,7 @@ fn main() {
     bench_matched_filter(&mut suite);
     bench_band_pass(&mut suite);
     bench_fractional_delay(&mut suite);
+    bench_detection_epilogue(&mut suite);
     bench_peak_refinement(&mut suite);
     bench_estimators(&mut suite);
     bench_rfft_spectrum(&mut suite);

@@ -16,7 +16,7 @@ use hyperear_dsp::envelope::envelope_with;
 use hyperear_dsp::estimator::{mcci_fuse_channel_into, CorrelationSpectrum, EstimatorScratch};
 use hyperear_dsp::filter::FirFilter;
 use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
-use hyperear_dsp::peak::{find_peaks_into, noise_floor_with, Peak, PeakConfig};
+use hyperear_dsp::peak::{detect_peaks_into, Peak, PeakScratch, ThresholdRule};
 use hyperear_dsp::plan::{DspScratch, PlanCache};
 use hyperear_dsp::window::Window;
 
@@ -50,9 +50,7 @@ pub struct DetectorCore {
     /// accepts (folding lengthens the engine template, not this).
     chirp_len: usize,
     sample_rate: f64,
-    min_spacing: usize,
-    threshold_factor: f64,
-    relative_threshold: f64,
+    threshold: ThresholdRule,
     interpolation: Interpolation,
     envelope_detection: bool,
     /// The configured initial estimator (see `EstimatorPolicy::initial`);
@@ -210,9 +208,8 @@ impl ExtractScratch {
 /// once warm, envelope mode included.
 #[derive(Debug, Clone, Default)]
 struct PickScratch {
-    mags: Vec<f64>,
+    peak: PeakScratch,
     peaks: Vec<Peak>,
-    peaks_scratch: Vec<Peak>,
     plans: PlanCache,
     analytic: DspScratch,
     /// Envelope of the correlation peaks are detected on.
@@ -223,9 +220,9 @@ struct PickScratch {
 
 impl PickScratch {
     fn capacity_bytes(&self) -> usize {
-        (self.mags.capacity() + self.env.capacity() + self.env_own.capacity())
-            * std::mem::size_of::<f64>()
-            + (self.peaks.capacity() + self.peaks_scratch.capacity()) * std::mem::size_of::<Peak>()
+        (self.env.capacity() + self.env_own.capacity()) * std::mem::size_of::<f64>()
+            + self.peaks.capacity() * std::mem::size_of::<Peak>()
+            + self.peak.capacity_bytes()
             + self.analytic.capacity_bytes()
     }
 }
@@ -265,11 +262,18 @@ impl DetectorCore {
             filter,
             chirp_len: chirp.samples().len(),
             sample_rate,
-            min_spacing: (config.detection.min_spacing_fraction
-                * config.beacon.period
-                * sample_rate) as usize,
-            threshold_factor: config.detection.threshold_factor,
-            relative_threshold: config.detection.relative_threshold,
+            // Two-part threshold: beacons must clear the statistical
+            // noise floor AND be within an order of magnitude of the
+            // session's strongest beacon — the latter keeps numerical
+            // dust in quiet recordings from ever counting as a detection.
+            threshold: ThresholdRule {
+                noise_factor: config.detection.threshold_factor,
+                relative: config.detection.relative_threshold,
+                min_distance: ((config.detection.min_spacing_fraction
+                    * config.beacon.period
+                    * sample_rate) as usize)
+                    .max(1),
+            },
             interpolation: config.detection.interpolation,
             envelope_detection: config.detection.envelope_detection,
             estimator: config.estimator.initial,
@@ -474,9 +478,8 @@ impl DetectorCore {
     ) -> Result<(), HyperEarError> {
         out.clear();
         let PickScratch {
-            mags,
+            peak,
             peaks,
-            peaks_scratch,
             plans,
             analytic,
             env,
@@ -489,15 +492,7 @@ impl DetectorCore {
         } else {
             (fused, own)
         };
-        let floor = noise_floor_with(fused, mags)?;
-        let peak_max = fused.iter().fold(0.0f64, |m, &v| m.max(v));
-        let threshold = (self.threshold_factor * floor).max(self.relative_threshold * peak_max);
-        find_peaks_into(
-            fused,
-            &PeakConfig::new(threshold, self.min_spacing.max(1))?,
-            peaks_scratch,
-            peaks,
-        )?;
+        detect_peaks_into(fused, &self.threshold, peak, peaks)?;
         out.reserve(peaks.len());
         let refine = kind.refine();
         let backtrack = if kind.leading_edge() {
@@ -562,9 +557,8 @@ impl DetectorCore {
     ) -> Result<(), HyperEarError> {
         out.clear();
         let PickScratch {
-            mags,
+            peak,
             peaks,
-            peaks_scratch,
             plans,
             analytic,
             env,
@@ -578,19 +572,7 @@ impl DetectorCore {
         } else {
             corr
         };
-        let floor = noise_floor_with(corr, mags)?;
-        let peak_max = corr.iter().fold(0.0f64, |m, &v| m.max(v));
-        // Two-part threshold: beacons must clear the statistical noise
-        // floor AND be within an order of magnitude of the session's
-        // strongest beacon — the latter keeps numerical dust in quiet
-        // recordings from ever counting as a detection.
-        let threshold = (self.threshold_factor * floor).max(self.relative_threshold * peak_max);
-        find_peaks_into(
-            corr,
-            &PeakConfig::new(threshold, self.min_spacing.max(1))?,
-            peaks_scratch,
-            peaks,
-        )?;
+        detect_peaks_into(corr, &self.threshold, peak, peaks)?;
         out.reserve(peaks.len());
         for p in peaks.iter() {
             let (pos, value) = match self.interpolation {
@@ -806,7 +788,7 @@ impl StreamingDetector {
             },
             extract: ExtractScratch {
                 pick: PickScratch {
-                    mags: Vec::with_capacity(max_samples),
+                    peak: PeakScratch::with_capacity(max_samples),
                     ..PickScratch::default()
                 },
                 ..ExtractScratch::default()

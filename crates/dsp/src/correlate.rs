@@ -249,9 +249,9 @@ impl OverlapSave {
     /// imaginary part (block `2m+1`) to that template's output, each
     /// multiplied by the lane's gain (`1` for raw output, `1/energy` for
     /// normalized). The inverse transform consumes its input, so every
-    /// template but the last works on a copy in `scratch.c2`; the last
-    /// multiplies `c1` in place, and a single template copies nothing.
-    /// Copying is exact, so each output is bit-identical to a
+    /// template but the last writes its product `c1 · spectrum` into
+    /// `scratch.c2` in one pass; the last multiplies `c1` in place. Both
+    /// compute the same products, so each output is bit-identical to a
     /// one-template engine's.
     fn fan_out(
         &self,
@@ -265,15 +265,15 @@ impl OverlapSave {
         let last = self.specs.len() - 1;
         for (k, (spec, out)) in self.specs.iter().zip(outs.iter_mut()).enumerate() {
             let spectrum = if k == last {
+                for (z, &t) in c1.iter_mut().zip(spec.iter()) {
+                    *z *= t;
+                }
                 &mut *c1
             } else {
                 c2.clear();
-                c2.extend_from_slice(c1);
+                c2.extend(c1.iter().zip(spec.iter()).map(|(&z, &t)| z * t));
                 &mut *c2
             };
-            for (z, &t) in spectrum.iter_mut().zip(spec.iter()) {
-                *z *= t;
-            }
             self.plan.dit(spectrum);
             let gain = gains.map_or(1.0, |g| g[k]);
             out.extend(spectrum[..take.0].iter().map(|z| z.re * gain));

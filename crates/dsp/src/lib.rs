@@ -29,7 +29,8 @@
 //!   peak detection of high-band beacons.
 //! - [`resample`] — arbitrary-ratio resampling used to model and to correct
 //!   sampling-frequency offset (SFO).
-//! - [`peak`] — threshold-based peak picking over correlation magnitudes.
+//! - [`peak`] — the detection epilogue: exact median and maximum of a
+//!   correlation in one pass, then threshold-based peak picking.
 //! - [`spectrum`] — periodograms and band-energy measurements.
 //! - [`level`] — RMS / dB / SNR utilities.
 //! - [`goertzel`] — single-bin DFT for cheap tone probing.

@@ -2,9 +2,32 @@
 //!
 //! Beacon detection reduces to finding correlation peaks that stand
 //! "significantly larger than ... background noise" (Section IV-A), spaced
-//! roughly one beacon period apart.
+//! roughly one beacon period apart. [`detect_peaks_into`] is that whole
+//! post-correlation stage in two passes over the signal: a statistics
+//! pass ([`signal_stats_with`]: the median of `|x|` and the maximum) and
+//! a candidate scan ([`find_peaks_into`]).
 
 use crate::DspError;
+
+/// `v.to_bits() & ABS_MASK` is the bit pattern of `|v|`. Patterns with a
+/// clear sign bit order as unsigned integers exactly as their values
+/// order under `f64::total_cmp` (±0 < subnormals < normals < ∞ < NaN).
+const ABS_MASK: u64 = !(1 << 63);
+
+/// The median bracket is chosen on every `SAMPLE_STRIDE`-th `|x|`.
+const SAMPLE_STRIDE: usize = 32;
+
+/// Inputs shorter than this skip the bracket and select in full: a
+/// sample of fewer than 64 values brackets too loosely to pay for itself.
+const MIN_BRACKETED_LEN: usize = 64 * SAMPLE_STRIDE;
+
+/// The statistics pass collects bracketed values a block at a time
+/// (a power of two: the write cursor is masked to it).
+const COLLECT_BLOCK: usize = 1024;
+
+/// The candidate scan tests this many samples against the threshold at
+/// once and skips the block when none reaches it.
+const SCAN_CHUNK: usize = 64;
 
 /// A detected peak.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,6 +62,71 @@ impl PeakConfig {
             threshold,
             min_distance,
         })
+    }
+}
+
+/// The two-part detection threshold of [`detect_peaks_into`]: a peak
+/// must reach `max(noise_factor · floor, relative · max(0, max x))`,
+/// where `floor = median(|x|) / 0.6745` (see [`noise_floor`]), and
+/// accepted peaks lie at least `min_distance` samples apart.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ThresholdRule {
+    /// Multiple of the robust noise floor a peak must reach.
+    pub noise_factor: f64,
+    /// Fraction of the signal's maximum a peak must reach.
+    pub relative: f64,
+    /// Minimum distance between accepted peaks, in samples.
+    pub min_distance: usize,
+}
+
+/// The statistics the detection threshold is built from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SignalStats {
+    /// `median(|x|)`: element `len / 2` of `|x|` sorted by
+    /// `f64::total_cmp` (so NaN and ±∞ take part, NaN above +∞).
+    pub median_abs: f64,
+    /// `max(0, max x)` over the non-NaN samples — the value
+    /// `x.iter().fold(0.0, |m, &v| m.max(v))` returns.
+    pub max: f64,
+    /// Whether the median came from a selection over every `|x|` (short
+    /// inputs, or data on which the sampled bracket missed the median)
+    /// rather than over the bracketed values alone.
+    pub full_select: bool,
+}
+
+/// Caller-owned buffers of [`signal_stats_with`], [`noise_floor_with`]
+/// and [`detect_peaks_into`]. Once warm, calls at or below the
+/// high-water signal length and candidate count do not allocate.
+#[derive(Debug, Clone, Default)]
+pub struct PeakScratch {
+    /// `|x|` bit patterns: the sample, then the bracketed values (or all
+    /// of them on the full-selection path). Capacity: the signal length.
+    keys: Vec<u64>,
+    /// Candidate peaks during non-maximum suppression.
+    candidates: Vec<Peak>,
+}
+
+impl PeakScratch {
+    /// An empty scratch.
+    #[must_use]
+    pub fn new() -> Self {
+        PeakScratch::default()
+    }
+
+    /// A scratch already sized for signals of up to `len` samples.
+    #[must_use]
+    pub fn with_capacity(len: usize) -> Self {
+        PeakScratch {
+            keys: Vec::with_capacity(len),
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Bytes currently reserved by the scratch buffers.
+    #[must_use]
+    pub fn capacity_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<u64>()
+            + self.candidates.capacity() * std::mem::size_of::<Peak>()
     }
 }
 
@@ -77,17 +165,26 @@ pub fn find_peaks_into(
             what: "find_peaks input",
         });
     }
-    // Collect strict local maxima (plateau-tolerant: first sample of a
-    // plateau wins).
-    for i in 0..signal.len() {
-        let v = signal[i];
-        if v < config.threshold {
+    let threshold = config.threshold;
+    for (c, chunk) in signal.chunks(SCAN_CHUNK).enumerate() {
+        // A chunk with every sample below the threshold holds no
+        // candidate. A NaN is not below it, so it keeps its chunk.
+        if chunk.iter().fold(true, |below, &v| below & (v < threshold)) {
             continue;
         }
-        let left_ok = i == 0 || signal[i - 1] < v;
-        let right_ok = i + 1 == signal.len() || signal[i + 1] <= v;
-        if left_ok && right_ok {
-            out.push(Peak { index: i, value: v });
+        // Collect strict local maxima (plateau-tolerant: first sample of
+        // a plateau wins). Neighbours are read across chunk edges.
+        let start = c * SCAN_CHUNK;
+        for i in start..start + chunk.len() {
+            let v = signal[i];
+            if v < threshold {
+                continue;
+            }
+            let left_ok = i == 0 || signal[i - 1] < v;
+            let right_ok = i + 1 == signal.len() || signal[i + 1] <= v;
+            if left_ok && right_ok {
+                out.push(Peak { index: i, value: v });
+            }
         }
     }
     if config.min_distance <= 1 || out.len() <= 1 {
@@ -114,6 +211,34 @@ pub fn find_peaks_into(
     Ok(())
 }
 
+/// The detection epilogue over one correlation (or guide): the
+/// statistics pass of [`signal_stats_with`], the threshold of `rule`, and
+/// the candidate scan and non-maximum suppression of
+/// [`find_peaks_into`]. Reads `signal` in two passes (plus a strided
+/// sample) and allocates nothing once `scratch` and `out` are warm.
+///
+/// # Errors
+///
+/// Returns [`DspError::EmptyInput`] for an empty signal and
+/// [`DspError::InvalidParameter`] if the threshold is not finite (an
+/// infinite sample, say).
+pub fn detect_peaks_into(
+    signal: &[f64],
+    rule: &ThresholdRule,
+    scratch: &mut PeakScratch,
+    out: &mut Vec<Peak>,
+) -> Result<(), DspError> {
+    let stats = signal_stats_with(signal, scratch)?;
+    let floor = stats.median_abs / 0.6745;
+    let threshold = (rule.noise_factor * floor).max(rule.relative * stats.max);
+    find_peaks_into(
+        signal,
+        &PeakConfig::new(threshold, rule.min_distance)?,
+        &mut scratch.candidates,
+        out,
+    )
+}
+
 /// Estimates the noise floor of a correlation output as
 /// `k · median(|signal|)`.
 ///
@@ -124,27 +249,151 @@ pub fn find_peaks_into(
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal.
 pub fn noise_floor(signal: &[f64]) -> Result<f64, DspError> {
-    let mut mags = Vec::new();
-    noise_floor_with(signal, &mut mags)
+    noise_floor_with(signal, &mut PeakScratch::new())
 }
 
-/// Allocation-free form of [`noise_floor`]: the magnitude work array is
-/// a caller-owned buffer that is cleared and reused.
+/// Allocation-free form of [`noise_floor`]: the selection works in a
+/// caller-owned scratch.
 ///
 /// # Errors
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal.
-pub fn noise_floor_with(signal: &[f64], mags: &mut Vec<f64>) -> Result<f64, DspError> {
+pub fn noise_floor_with(signal: &[f64], scratch: &mut PeakScratch) -> Result<f64, DspError> {
+    Ok(signal_stats_with(signal, scratch)?.median_abs / 0.6745)
+}
+
+/// The median of `|signal|` and the maximum of `signal`, exactly (see
+/// [`SignalStats`]), in one pass over the signal plus a strided sample.
+///
+/// The median is selected from a bracket. Two order statistics of a
+/// strided sample of `|x|`, four standard errors either side of the
+/// sample median, bound it. One pass then takes the maximum, counts the
+/// values below the bracket and collects those inside it, and the
+/// median is selected among the collected values alone (a few percent
+/// of the signal). If the bracket misses the median — only data built
+/// against the stride does that — the median is selected over every
+/// `|x|` instead; [`SignalStats::full_select`] reports it. Both paths
+/// compare `|x|` as bit patterns, the order `f64::total_cmp` gives.
+///
+/// # Errors
+///
+/// Returns [`DspError::EmptyInput`] for an empty signal.
+pub fn signal_stats_with(
+    signal: &[f64],
+    scratch: &mut PeakScratch,
+) -> Result<SignalStats, DspError> {
     if signal.is_empty() {
         return Err(DspError::EmptyInput {
             what: "noise_floor input",
         });
     }
-    mags.clear();
-    mags.extend(signal.iter().map(|x| x.abs()));
-    let mid = mags.len() / 2;
-    mags.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
-    Ok(mags[mid] / 0.6745)
+    let keys = &mut scratch.keys;
+    keys.clear();
+    // The full selection needs a key per sample. Reserving that much on
+    // every path keeps a warm scratch allocation-free whichever path
+    // the data takes; pages the bracketed path never writes stay
+    // untouched.
+    keys.reserve(signal.len());
+    let mid = signal.len() / 2;
+    let mut max = None;
+    if signal.len() >= MIN_BRACKETED_LEN {
+        let (lo, hi) = sample_bracket(signal, keys);
+        let (pass_max, below) = bracket_pass(signal, lo, hi, keys);
+        if let Some(rank) = mid.checked_sub(below).filter(|&r| r < keys.len()) {
+            let median = *keys.select_nth_unstable(rank).1;
+            return Ok(SignalStats {
+                median_abs: f64::from_bits(median),
+                max: pass_max,
+                full_select: false,
+            });
+        }
+        max = Some(pass_max);
+    }
+    keys.clear();
+    keys.extend(signal.iter().map(|&v| v.to_bits() & ABS_MASK));
+    let median = *keys.select_nth_unstable(mid).1;
+    Ok(SignalStats {
+        median_abs: f64::from_bits(median),
+        max: max.unwrap_or_else(|| signal.iter().copied().fold(0.0, max_of)),
+        full_select: true,
+    })
+}
+
+/// The `|x|` bit patterns bounding the bracket: the order statistics
+/// `2·√m` ranks either side of the median of the `m`-value strided
+/// sample. For independent samples the sample median's rank has
+/// standard error `√m / 2`, so that is four standard errors.
+fn sample_bracket(signal: &[f64], keys: &mut Vec<u64>) -> (u64, u64) {
+    keys.extend(
+        signal
+            .iter()
+            .step_by(SAMPLE_STRIDE)
+            .map(|&v| v.to_bits() & ABS_MASK),
+    );
+    let m = keys.len();
+    let margin = 2 * m.isqrt();
+    let hi_rank = (m / 2 + margin).min(m - 1);
+    let lo_rank = (m / 2).saturating_sub(margin);
+    let hi = *keys.select_nth_unstable(hi_rank).1;
+    let lo = *keys[..hi_rank].select_nth_unstable(lo_rank).1;
+    keys.clear();
+    (lo, hi)
+}
+
+/// The statistics pass: returns `max(0, max x)` and the count of `|x|`
+/// below `lo`, and appends every `|x|` pattern in `lo..=hi` to `keys`. Each block is
+/// collected with branchless writes into a stack buffer (every pattern
+/// is stored at the cursor, which advances only when it is inside; the
+/// cursor never passes the sample index, so masking it to the buffer
+/// length changes nothing but drops the bounds check), then its inside
+/// values are appended. Four register accumulators carry the maximum, so
+/// no compare waits on the previous one.
+fn bracket_pass(signal: &[f64], lo: u64, hi: u64, keys: &mut Vec<u64>) -> (f64, usize) {
+    let span = hi - lo;
+    let mut max = [0.0f64; 4];
+    let mut below = 0usize;
+    let mut buf = [0u64; COLLECT_BLOCK];
+    for block in signal.chunks(COLLECT_BLOCK) {
+        let mut cursor = 0;
+        let mut put = |v: f64| {
+            let key = v.to_bits() & ABS_MASK;
+            below += usize::from(key < lo);
+            buf[cursor & (COLLECT_BLOCK - 1)] = key;
+            cursor += usize::from(key.wrapping_sub(lo) <= span);
+        };
+        let mut quads = block.chunks_exact(4);
+        for quad in &mut quads {
+            let [a, b, c, d] = [quad[0], quad[1], quad[2], quad[3]];
+            max = [
+                max_of(max[0], a),
+                max_of(max[1], b),
+                max_of(max[2], c),
+                max_of(max[3], d),
+            ];
+            put(a);
+            put(b);
+            put(c);
+            put(d);
+        }
+        for &v in quads.remainder() {
+            max[0] = max_of(max[0], v);
+            put(v);
+        }
+        keys.extend_from_slice(&buf[..cursor]);
+    }
+    (max.into_iter().fold(0.0, max_of), below)
+}
+
+/// The running maximum step of both statistics paths. Folded from
+/// `0.0`, it gives what a serial `fold(0.0, f64::max)` gives: `m` is
+/// replaced only by a strictly larger sample, so NaN is skipped and the
+/// result is `+0.0` when no sample is positive.
+fn max_of(m: f64, v: f64) -> f64 {
+    if v > m {
+        v
+    } else {
+        m
+    }
 }
 
 #[cfg(test)]
@@ -255,7 +504,76 @@ mod tests {
         assert!(PeakConfig::new(f64::NAN, 1).is_err());
         let (mut s, mut o) = (Vec::new(), Vec::new());
         assert!(find_peaks_into(&[], &cfg, &mut s, &mut o).is_err());
-        assert!(noise_floor_with(&[], &mut Vec::new()).is_err());
+        assert!(noise_floor_with(&[], &mut PeakScratch::new()).is_err());
+    }
+
+    /// A deterministic correlation-like train: uniform noise of
+    /// amplitude `noise` with a spike of height 1 every `period` samples.
+    fn spike_train(len: usize, period: usize, noise: f64) -> Vec<f64> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                if i % period == 0 {
+                    1.0
+                } else {
+                    noise * (2.0 * u - 1.0)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn epilogue_scratch_is_allocation_free_when_warm() {
+        // Warm at the high-water length on both statistics paths: a
+        // noise train (bracketed) and a train with a spike on every
+        // sampled position (the bracket misses, so the full selection
+        // runs). Then run again at that length and below it, on every
+        // path including the short full selection. Every buffer must
+        // keep its exact capacity: growth means a warm call allocated,
+        // and shrinkage means the next large call would.
+        let rule = ThresholdRule {
+            noise_factor: 6.0,
+            relative: 0.25,
+            min_distance: 20,
+        };
+        let big = spike_train(50_000, 250, 0.01);
+        let big_miss = spike_train(50_000, SAMPLE_STRIDE, 0.01);
+        let small = spike_train(9_000, 300, 0.02);
+        let small_miss = spike_train(8_192, SAMPLE_STRIDE, 0.02);
+        let short = spike_train(1_000, 100, 0.01);
+        let mut scratch = PeakScratch::new();
+        let mut out = Vec::new();
+        let mut run = |signal: &[f64], fallback: bool| {
+            let stats = signal_stats_with(signal, &mut scratch).unwrap();
+            assert_eq!(stats.full_select, fallback);
+            detect_peaks_into(signal, &rule, &mut scratch, &mut out).unwrap();
+            assert!(!out.is_empty());
+            (
+                scratch.keys.capacity(),
+                scratch.candidates.capacity(),
+                out.capacity(),
+            )
+        };
+        run(&big, false);
+        let warm = run(&big_miss, true);
+        for (signal, fallback, what) in [
+            (&big, false, "bracketed, high-water length"),
+            (&big_miss, true, "bracket miss, high-water length"),
+            (&small, false, "bracketed, below the high-water length"),
+            (
+                &small_miss,
+                true,
+                "bracket miss, below the high-water length",
+            ),
+            (&short, true, "short full selection"),
+            (&big, false, "high-water length again"),
+        ] {
+            assert_eq!(run(signal, fallback), warm, "{what}");
+        }
     }
 
     #[test]
@@ -278,10 +596,10 @@ mod tests {
                 assert_eq!(out, reference, "min_distance {min_distance}");
             }
         }
-        let mut mags = Vec::new();
+        let mut scratch = PeakScratch::new();
         assert_eq!(
             noise_floor(&signal).unwrap(),
-            noise_floor_with(&signal, &mut mags).unwrap()
+            noise_floor_with(&signal, &mut scratch).unwrap()
         );
     }
 }

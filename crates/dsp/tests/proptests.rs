@@ -818,3 +818,259 @@ fn degenerate_spectra_are_weighting_no_ops() {
         },
     );
 }
+
+/// The detection epilogue as it stood before the two-pass kernel: copy
+/// every `|x|`, quickselect the median with `total_cmp`, fold the
+/// maximum serially. Returns `(median(|x|), max(0, max x))`.
+fn reference_stats(signal: &[f64]) -> (f64, f64) {
+    let mut mags: Vec<f64> = signal.iter().map(|x| x.abs()).collect();
+    let mid = mags.len() / 2;
+    mags.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
+    let max = signal.iter().fold(0.0f64, |m, &v| m.max(v));
+    (mags[mid], max)
+}
+
+/// The plain candidate scan (every sample against the threshold) with
+/// the same greedy non-maximum suppression, as it stood before the
+/// chunk-skipping scan.
+fn reference_find_peaks(
+    signal: &[f64],
+    config: &hyperear_dsp::peak::PeakConfig,
+) -> Vec<hyperear_dsp::peak::Peak> {
+    use hyperear_dsp::peak::Peak;
+    let mut out = Vec::new();
+    for i in 0..signal.len() {
+        let v = signal[i];
+        if v < config.threshold {
+            continue;
+        }
+        let left_ok = i == 0 || signal[i - 1] < v;
+        let right_ok = i + 1 == signal.len() || signal[i + 1] <= v;
+        if left_ok && right_ok {
+            out.push(Peak { index: i, value: v });
+        }
+    }
+    if config.min_distance <= 1 || out.len() <= 1 {
+        return out;
+    }
+    let mut candidates = out.clone();
+    candidates.sort_unstable_by(|a, b| b.value.total_cmp(&a.value).then(a.index.cmp(&b.index)));
+    out.clear();
+    for cand in candidates {
+        if out
+            .iter()
+            .all(|t: &Peak| cand.index.abs_diff(t.index) >= config.min_distance)
+        {
+            out.push(cand);
+        }
+    }
+    out.sort_unstable_by_key(|p| p.index);
+    out
+}
+
+/// Peaks as `(index, value bits)`, so a NaN peak compares equal to itself.
+fn peak_bits(peaks: &[hyperear_dsp::peak::Peak]) -> Vec<(usize, u64)> {
+    peaks.iter().map(|p| (p.index, p.value.to_bits())).collect()
+}
+
+/// Signals that stress the statistics pass: one value family per case
+/// (a constant, heavy ties, noise with ±0/±∞/NaN/subnormals sprinkled
+/// in, mostly special values, subnormals, a heavy-tailed Cauchy draw,
+/// noise with spikes aligned to the sampling stride, sorted and
+/// reversed noise), at lengths 1–3, below the bracketed-path minimum,
+/// and well past it. Shrinks by halving the length.
+#[derive(Debug, Clone, Copy)]
+struct EdgeSignals;
+
+const SPECIALS: [f64; 8] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    f64::MIN_POSITIVE / 8.0,
+    -5e-324,
+];
+
+impl prop::Strategy for EdgeSignals {
+    type Value = Vec<f64>;
+
+    fn generate(&self, g: &mut prop::Gen) -> Vec<f64> {
+        let len = match g.usize_in(0, 4) {
+            0 => g.usize_in(1, 4),
+            1 => g.usize_in(4, 2_048),
+            _ => g.usize_in(2_048, 12_000),
+        };
+        let family = g.usize_in(0, 10);
+        let constant = if g.bool() {
+            SPECIALS[g.usize_in(0, SPECIALS.len())]
+        } else {
+            g.f64_in(-3.0, 3.0)
+        };
+        let mut v: Vec<f64> = (0..len)
+            .map(|i| match family {
+                0 => constant,
+                1 => 0.5 * (g.usize_in(0, 5) as f64 - 2.0),
+                2 if g.usize_in(0, 20) == 0 => SPECIALS[g.usize_in(0, SPECIALS.len())],
+                3 if g.bool() => SPECIALS[g.usize_in(0, SPECIALS.len())],
+                4 => {
+                    let sub = f64::from_bits(g.usize_in(0, 1 << 52) as u64);
+                    if g.bool() {
+                        -sub
+                    } else {
+                        sub
+                    }
+                }
+                5 => (std::f64::consts::PI * (g.f64_in(0.0, 1.0) - 0.5)).tan(),
+                // Large on every position the 32-sample stride samples:
+                // the sampled bracket misses the median.
+                6 if i % 32 == 0 => g.f64_in(10.0, 20.0),
+                _ => g.f64_in(-1.0, 1.0) + g.f64_in(-1.0, 1.0) + g.f64_in(-1.0, 1.0),
+            })
+            .collect();
+        match family {
+            7 => v.sort_by(f64::total_cmp),
+            8 => v.sort_by(|a, b| b.total_cmp(a)),
+            _ => {}
+        }
+        v
+    }
+
+    fn shrink(&self, v: &Vec<f64>) -> Vec<Vec<f64>> {
+        if v.len() > 1 {
+            vec![v[..1].to_vec(), v[..v.len() / 2].to_vec()]
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// The statistics pass is exact: the median of `|x|` and the maximum are
+/// bit-identical to a full `total_cmp` selection and a serial fold, on
+/// every value family (NaN, ±∞, ±0, subnormals, ties, sorted input) and
+/// at every length, whichever path (bracketed or full) the data takes.
+/// Each case runs twice through one scratch, so stale contents cannot
+/// leak into the second call.
+#[test]
+fn signal_stats_equal_full_selection() {
+    use hyperear_dsp::peak::{noise_floor_with, signal_stats_with, PeakScratch};
+    prop::check("signal_stats_equal_full_selection", EdgeSignals, |signal| {
+        let (median, max) = reference_stats(signal);
+        let mut scratch = PeakScratch::new();
+        for _ in 0..2 {
+            let stats = signal_stats_with(signal, &mut scratch).unwrap();
+            prop_assert_eq!(stats.median_abs.to_bits(), median.to_bits());
+            prop_assert_eq!(stats.max.to_bits(), max.to_bits());
+            prop_assert_eq!(
+                noise_floor_with(signal, &mut scratch).unwrap().to_bits(),
+                (median / 0.6745).to_bits()
+            );
+        }
+        prop::pass()
+    });
+}
+
+/// A signal built against the 32-sample stride — every sampled position
+/// large, every other sample small — puts the sampled bracket far above
+/// the true median. The kernel must notice the miss, select over every
+/// sample instead, and still return the exact statistics; a noise-like
+/// signal of the same length must take the bracketed path.
+#[test]
+fn bracket_miss_falls_back_to_full_selection() {
+    use hyperear_dsp::peak::{signal_stats_with, PeakScratch};
+    let mut scratch = PeakScratch::new();
+    let adversarial: Vec<f64> = (0..8_192)
+        .map(|i| {
+            if i % 32 == 0 {
+                1.0 + i as f64
+            } else {
+                1e-3 * (i % 7) as f64
+            }
+        })
+        .collect();
+    let noise = random_beacon_train(8_192, 2, 0.05, 7);
+    for (signal, fallback) in [(&adversarial, true), (&noise, false)] {
+        let stats = signal_stats_with(signal, &mut scratch).unwrap();
+        let (median, max) = reference_stats(signal);
+        assert_eq!(stats.full_select, fallback);
+        assert_eq!(stats.median_abs.to_bits(), median.to_bits());
+        assert_eq!(stats.max.to_bits(), max.to_bits());
+    }
+}
+
+/// The chunk-skipping candidate scan equals the plain scan: runs of
+/// equal values (plateaus, many straddling a 64-sample chunk edge), a
+/// threshold equal to a sample value, NaN samples, and lengths that are
+/// not a multiple of the chunk, at several suppression distances.
+#[test]
+fn chunked_peak_scan_equals_plain_scan() {
+    use hyperear_dsp::peak::{find_peaks_into, PeakConfig};
+    let strat = (
+        vec_of(
+            (usize_range(0, 5), usize_range(1, 12), usize_range(0, 40)),
+            1,
+            60,
+        ),
+        usize_range(0, 1_000),
+        usize_range(1, 40),
+    );
+    prop::check(
+        "chunked_peak_scan_equals_plain_scan",
+        strat,
+        |(runs, pick, min_distance)| {
+            // Each run is (level, length, NaN marker): a marker of 0
+            // makes the run's first sample NaN.
+            let mut signal = Vec::new();
+            for &(level, len, nan) in runs {
+                let start = signal.len();
+                signal.extend(std::iter::repeat_n(level as f64, len));
+                if nan == 0 {
+                    signal[start] = f64::NAN;
+                }
+            }
+            let finite: Vec<f64> = signal.iter().copied().filter(|v| !v.is_nan()).collect();
+            let threshold = if finite.is_empty() {
+                1.0
+            } else {
+                finite[pick % finite.len()]
+            };
+            let config = PeakConfig::new(threshold, *min_distance).unwrap();
+            let (mut scratch, mut out) = (Vec::new(), Vec::new());
+            find_peaks_into(&signal, &config, &mut scratch, &mut out).unwrap();
+            prop_assert_eq!(
+                peak_bits(&out),
+                peak_bits(&reference_find_peaks(&signal, &config))
+            );
+            prop::pass()
+        },
+    );
+}
+
+/// The whole epilogue — statistics, two-part threshold, chunked scan —
+/// equals the reference epilogue on every value family, errors
+/// included (an infinite sample makes the threshold non-finite).
+#[test]
+fn detect_peaks_equals_reference_epilogue() {
+    use hyperear_dsp::peak::{detect_peaks_into, PeakConfig, PeakScratch, ThresholdRule};
+    let rule = ThresholdRule {
+        noise_factor: 6.0,
+        relative: 0.25,
+        min_distance: 30,
+    };
+    prop::check(
+        "detect_peaks_equals_reference_epilogue",
+        EdgeSignals,
+        |signal| {
+            let (median, max) = reference_stats(signal);
+            let threshold = (rule.noise_factor * (median / 0.6745)).max(rule.relative * max);
+            let reference = PeakConfig::new(threshold, rule.min_distance)
+                .map(|config| peak_bits(&reference_find_peaks(signal, &config)));
+            let mut out = Vec::new();
+            let got = detect_peaks_into(signal, &rule, &mut PeakScratch::new(), &mut out)
+                .map(|()| peak_bits(&out));
+            prop_assert_eq!(got, reference);
+            prop::pass()
+        },
+    );
+}

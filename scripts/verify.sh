@@ -229,13 +229,13 @@ if [ "$RUN_MULTIBEACON" -eq 1 ]; then
     # folds its band-pass into the template, so the bank saves only the
     # K-1 repeated forward transforms per block pair: 2K/(K+1) = 1.6x
     # fewer transforms at K=4; the unshared per-beacon peak picking
-    # keeps the measured ratio lower. Re-measured after the paired
-    # radix-4 overlap-save pipeline made every transform cheaper: at
-    # these settings on a 2-vCPU shared host the change read 1.19-1.61x
-    # over 15 runs (median 1.35x) and the parent 1.14-2.16x over 6 runs
-    # in the same session (median 1.39x). The distribution did not move,
-    # so the floor stays 1.25x; a reading below it on a busy host, as
-    # on both sides above, is timing noise - rerun the tier.
+    # keeps the measured ratio lower. Re-measured after the two-pass
+    # detection epilogue made that peak picking 2.4x cheaper: at these
+    # settings on a 2-vCPU shared host the bench read 1.41-1.69x over
+    # 8 runs (median 1.58x), and 1.43-1.82x (median 1.46x) over 8 runs
+    # of the one-pass epilogue alternated with them. The floor stays
+    # 1.25x; a reading below it on a busy host is timing noise - rerun
+    # the tier.
     echo "== bench smoke (multibeacon, K=4 bank vs independent) =="
     OUT="$(HYPEREAR_BENCH_SAMPLES=5 HYPEREAR_BENCH_SAMPLE_MS=20 HYPEREAR_BENCH_WARMUP_MS=50 \
         cargo bench -p hyperear-bench --bench multibeacon)"

@@ -4,7 +4,7 @@
 
 use hyperear::asp::BeaconDetector;
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput};
+use hyperear::pipeline::{SessionEngine, SessionInput};
 use hyperear_geom::triangulate::{solve_joint, solve_slide, SlideGeometry};
 use hyperear_geom::Vec2;
 use hyperear_imu::analyze::{analyze_session, SessionConfig};
@@ -81,9 +81,7 @@ fn bench_triangulation(suite: &mut Suite) {
 
 fn bench_full_session(suite: &mut Suite, rec: &Recording) {
     // A reused session engine, as a figure-reproduction worker holds it.
-    let mut engine = HyperEar::new(HyperEarConfig::galaxy_s4())
-        .expect("engine")
-        .engine();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).expect("engine");
     let input = SessionInput {
         audio_sample_rate: rec.audio.sample_rate,
         left: &rec.audio.left,

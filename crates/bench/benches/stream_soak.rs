@@ -16,7 +16,7 @@
 //! readers interpret the numbers.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionOutcome};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionOutcome};
 use hyperear::stream::{AdmissionError, SessionId, StreamConfig, StreamError, StreamService};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
@@ -61,9 +61,7 @@ fn render_all() -> Vec<Recording> {
 }
 
 fn one_shot(rec: &Recording) -> SessionOutcome {
-    let mut engine = HyperEar::new(HyperEarConfig::galaxy_s4())
-        .expect("config")
-        .engine();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).expect("config");
     engine.run_monitored(&SessionInput {
         audio_sample_rate: rec.audio.sample_rate,
         left: &rec.audio.left,

@@ -10,7 +10,7 @@
 //! phone captures would reach for.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionResult};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear_bench::io::ImuCsv;
 use hyperear_dsp::wav::WavFile;
 use hyperear_geom::Vec3;
@@ -157,7 +157,7 @@ fn analyze(
     let imu = ImuCsv::load(imu_path)?;
     let accel: Vec<Vec3> = imu.accel;
     let gyro: Vec<Vec3> = imu.gyro;
-    let engine = HyperEar::new(config)?;
+    let mut engine = SessionEngine::new(config)?;
     let result = engine.run(&SessionInput {
         audio_sample_rate: f64::from(wav.sample_rate),
         left: &wav.channels[0],

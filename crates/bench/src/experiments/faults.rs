@@ -127,7 +127,7 @@ fn array_dropout_cell(report: &mut Report, n: usize) {
             dropped += 1;
         }
         let refs: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
-        let outcome = engine.run_array_monitored(&ArraySessionInput {
+        let outcome = engine.run_monitored(&ArraySessionInput {
             audio_sample_rate: rec.audio.sample_rate,
             channels: &refs,
             imu_sample_rate: rec.imu.sample_rate,

@@ -245,13 +245,16 @@ impl DetectorCore {
                 ),
             ));
         }
+        // The config is valid, so a template this rate cannot build
+        // (non-finite, or too many samples) is a sample-rate error.
         let chirp = Chirp::new(
             config.beacon.f0,
             config.beacon.f1,
             config.beacon.duration,
             sample_rate,
             config.beacon.pattern.shape(),
-        )?;
+        )
+        .map_err(|e| HyperEarError::invalid("sample_rate", e.to_string()))?;
         let filter = if config.detection.band_pass {
             let design = band_pass_design(config.beacon.f0, config.beacon.f1, sample_rate, config)?;
             StreamingMatchedFilter::with_zero_phase_prefilter(chirp.samples(), design.taps())?

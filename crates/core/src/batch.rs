@@ -1,6 +1,8 @@
 //! Deterministic parallel batch session processing.
 //!
-//! [`BatchEngine`] processes a slice of [`SessionInput`]s across a
+//! [`BatchEngine`] processes a slice of session captures (stereo
+//! [`SessionInput`]s or N-microphone
+//! [`crate::pipeline::ArraySessionInput`]s) across a
 //! work-stealing [`Pool`], pinning one warm [`SessionEngine`] (with all
 //! of its scratch — detector buffers, TDoA/localization scratch, slide
 //! storage) to each pool participant. Immutable detection state — the
@@ -27,7 +29,7 @@
 
 use crate::asp::{BeaconArrival, DetectorCore, MultiBeaconDetector, MultiBeaconScratch};
 use crate::config::{HyperEarConfig, MultiBeaconConfig};
-use crate::pipeline::{ArraySessionInput, SessionEngine, SessionInput, SessionOutcome};
+use crate::pipeline::{check_capture, Capture, SessionEngine, SessionInput, SessionOutcome};
 use crate::HyperEarError;
 use hyperear_util::pool::{Pool, PoolStats};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -146,11 +148,11 @@ impl BatchEngine {
     /// once with a representative workload; afterwards batches of
     /// sessions no more demanding than the warm-up set allocate
     /// nothing, regardless of steal schedule.
-    pub fn warm(&mut self, inputs: &[SessionInput<'_>]) {
+    pub fn warm<C: Capture>(&mut self, inputs: &[C]) {
         let mut slot = SessionOutcome::idle();
         for w in 0..self.workers.len() {
             for input in inputs {
-                let core = self.core_for(input.audio_sample_rate).ok();
+                let core = self.core_for(input.parts().audio_sample_rate).ok();
                 let worker = &mut self.workers[w];
                 if let Some(core) = &core {
                     worker.engine.install_detector_core(core);
@@ -160,72 +162,11 @@ impl BatchEngine {
         }
     }
 
-    /// The array sibling of [`BatchEngine::warm`]: deterministically
-    /// warms every worker engine on a representative N-microphone
-    /// workload, so later array batches allocate nothing regardless of
-    /// steal schedule.
-    pub fn warm_arrays(&mut self, inputs: &[ArraySessionInput<'_>]) {
-        let mut slot = SessionOutcome::idle();
-        for w in 0..self.workers.len() {
-            for input in inputs {
-                let core = self.core_for(input.audio_sample_rate).ok();
-                let worker = &mut self.workers[w];
-                if let Some(core) = &core {
-                    worker.engine.install_detector_core(core);
-                }
-                worker.engine.run_array_monitored_into(input, &mut slot);
-            }
-        }
-    }
-
-    /// Processes a batch of N-microphone sessions, returning one
-    /// outcome per input in input order.
-    ///
-    /// Convenience wrapper over [`BatchEngine::run_array_batch_into`].
-    pub fn run_array_batch(&mut self, inputs: &[ArraySessionInput<'_>]) -> Vec<SessionOutcome> {
-        let mut out = Vec::new();
-        self.run_array_batch_into(inputs, &mut out);
-        out
-    }
-
-    /// The array sibling of [`BatchEngine::run_batch_into`]: each item
-    /// runs under [`SessionEngine::run_array_monitored_into`] semantics
-    /// on its worker's warm engine, with the same index-addressed,
-    /// bit-identical-at-any-thread-count contract.
-    pub fn run_array_batch_into(
-        &mut self,
-        inputs: &[ArraySessionInput<'_>],
-        out: &mut Vec<SessionOutcome>,
-    ) {
-        for input in inputs {
-            let _ = self.core_for(input.audio_sample_rate);
-        }
-        if out.len() > inputs.len() {
-            out.truncate(inputs.len());
-        }
-        while out.len() < inputs.len() {
-            out.push(SessionOutcome::idle());
-        }
-        let cores = self.cores.lock().unwrap_or_else(PoisonError::into_inner);
-        let workers = &mut self.workers;
-        self.pool
-            .parallel_update(workers, out, |worker, idx, slot| {
-                let input = &inputs[idx];
-                if let Some((_, core)) = cores
-                    .iter()
-                    .find(|(rate, _)| *rate == input.audio_sample_rate)
-                {
-                    worker.engine.install_detector_core(core);
-                }
-                worker.engine.run_array_monitored_into(input, slot);
-            });
-    }
-
     /// Processes a batch, returning one outcome per input in input
     /// order.
     ///
     /// Convenience wrapper over [`BatchEngine::run_batch_into`].
-    pub fn run_batch(&mut self, inputs: &[SessionInput<'_>]) -> Vec<SessionOutcome> {
+    pub fn run_batch<C: Capture>(&mut self, inputs: &[C]) -> Vec<SessionOutcome> {
         let mut out = Vec::new();
         self.run_batch_into(inputs, &mut out);
         out
@@ -241,13 +182,13 @@ impl BatchEngine {
     /// slot without affecting any other item. After a warm-up batch at a
     /// given sample rate and capture size, processing allocates nothing
     /// in steady state.
-    pub fn run_batch_into(&mut self, inputs: &[SessionInput<'_>], out: &mut Vec<SessionOutcome>) {
+    pub fn run_batch_into<C: Capture>(&mut self, inputs: &[C], out: &mut Vec<SessionOutcome>) {
         // Build the shared detector cores for every distinct sample rate
         // up front, on this thread: workers then only `Arc`-clone them.
         // A rate the config cannot serve is left to fail per item, where
         // the error lands in that item's own slot.
         for input in inputs {
-            let _ = self.core_for(input.audio_sample_rate);
+            let _ = self.core_for(input.parts().audio_sample_rate);
         }
         // Reuse outcome slots; `idle()` placeholders are heap-free.
         if out.len() > inputs.len() {
@@ -261,10 +202,8 @@ impl BatchEngine {
         self.pool
             .parallel_update(workers, out, |worker, idx, slot| {
                 let input = &inputs[idx];
-                if let Some((_, core)) = cores
-                    .iter()
-                    .find(|(rate, _)| *rate == input.audio_sample_rate)
-                {
+                let rate = input.parts().audio_sample_rate;
+                if let Some((_, core)) = cores.iter().find(|(r, _)| *r == rate) {
                     worker.engine.install_detector_core(core);
                 }
                 worker.engine.run_monitored_into(input, slot);
@@ -397,17 +336,6 @@ impl MultiBeaconEngine {
                 * std::mem::size_of::<BeaconArrival>()
     }
 
-    /// Processes one K-beacon session, returning one monitored outcome
-    /// per configured signature.
-    ///
-    /// Convenience wrapper over [`MultiBeaconEngine::run_session_into`].
-    #[must_use]
-    pub fn run_session(&mut self, input: &SessionInput<'_>) -> Vec<SessionOutcome> {
-        let mut out = Vec::new();
-        self.run_session_into(input, &mut out);
-        out
-    }
-
     /// Processes one K-beacon session into a caller-owned outcome
     /// vector (`out[k]` is signature `k`'s outcome; previous contents'
     /// result storage is scavenged and reused).
@@ -428,56 +356,37 @@ impl MultiBeaconEngine {
         while out.len() < k {
             out.push(SessionOutcome::idle());
         }
-        if input.left.len() != input.right.len() {
-            let reason = HyperEarError::invalid(
-                "left/right",
-                format!(
-                    "channel length mismatch: {} vs {}",
-                    input.left.len(),
-                    input.right.len()
-                ),
+        let detected = check_capture(
+            &[input.left, input.right],
+            input.audio_sample_rate,
+            input.imu_sample_rate,
+        )
+        .and_then(|()| self.detector_for(input.audio_sample_rate))
+        .and_then(|detector| {
+            for lane in self
+                .arrivals_left
+                .iter_mut()
+                .chain(&mut self.arrivals_right)
+            {
+                lane.clear();
+            }
+            // Banked detection, both channels concurrently: the detector
+            // is shared read-only, each side owns its scratch and lanes.
+            let scratch_left = &mut self.scratch_left;
+            let scratch_right = &mut self.scratch_right;
+            let arrivals_left = &mut self.arrivals_left;
+            let arrivals_right = &mut self.arrivals_right;
+            let det = &*detector;
+            let (r_left, r_right) = self.pool.join(
+                || det.detect_into(input.left, scratch_left, arrivals_left),
+                || det.detect_into(input.right, scratch_right, arrivals_right),
             );
-            for slot in out.iter_mut() {
-                *slot = SessionOutcome::Failed {
-                    reason: reason.clone(),
-                    diagnostics: None,
-                };
-            }
-            return;
-        }
-        let detector = match self.detector_for(input.audio_sample_rate) {
-            Ok(det) => det,
-            Err(reason) => {
-                // The whole front end is unusable at this rate: every
-                // beacon fails with the same typed reason.
-                for slot in out.iter_mut() {
-                    *slot = SessionOutcome::Failed {
-                        reason: reason.clone(),
-                        diagnostics: None,
-                    };
-                }
-                return;
-            }
-        };
-        for lane in self
-            .arrivals_left
-            .iter_mut()
-            .chain(&mut self.arrivals_right)
-        {
-            lane.clear();
-        }
-        // Banked detection, both channels concurrently: the detector is
-        // shared read-only, each side owns its scratch and lanes.
-        let scratch_left = &mut self.scratch_left;
-        let scratch_right = &mut self.scratch_right;
-        let arrivals_left = &mut self.arrivals_left;
-        let arrivals_right = &mut self.arrivals_right;
-        let det = &*detector;
-        let (r_left, r_right) = self.pool.join(
-            || det.detect_into(input.left, scratch_left, arrivals_left),
-            || det.detect_into(input.right, scratch_right, arrivals_right),
-        );
-        if let Err(reason) = r_left.and(r_right) {
+            r_left.and(r_right)
+        });
+        if let Err(reason) = detected {
+            // The whole front end is unusable (bad input, a rate the
+            // bank cannot serve, a detection error): every beacon fails
+            // with the same typed reason.
             for slot in out.iter_mut() {
                 *slot = SessionOutcome::Failed {
                     reason: reason.clone(),

@@ -28,7 +28,7 @@
 //! # Quick start
 //!
 //! ```
-//! use hyperear::pipeline::{HyperEar, SessionInput};
+//! use hyperear::pipeline::{SessionEngine, SessionInput};
 //! use hyperear::config::HyperEarConfig;
 //! use hyperear_sim::{phone::PhoneModel, scenario::ScenarioBuilder};
 //! use hyperear_sim::environment::Environment;
@@ -42,8 +42,9 @@
 //!     .seed(7)
 //!     .render()?;
 //!
-//! // Run the HyperEar pipeline on the recording.
-//! let engine = HyperEar::new(HyperEarConfig::galaxy_s4())?;
+//! // Run the HyperEar pipeline on the recording. The engine keeps its
+//! // detector and scratch warm, so hold it across sessions.
+//! let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4())?;
 //! let result = engine.run(&SessionInput {
 //!     audio_sample_rate: rec.audio.sample_rate,
 //!     left: &rec.audio.left,

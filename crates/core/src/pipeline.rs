@@ -6,7 +6,9 @@
 //! two-hyperbola triangulation → multi-slide aggregation → projected
 //! location estimation when the session used two statures.
 //!
-//! Two entry points:
+//! Every entry point takes any [`Capture`] — the stereo
+//! [`SessionInput`] or the N-microphone [`ArraySessionInput`] — and runs
+//! it through one session body; stereo is simply the two-channel case.
 //!
 //! - [`SessionEngine::run`] (and the allocation-free
 //!   [`SessionEngine::run_into`]) — the raw pipeline; any unrecoverable
@@ -62,7 +64,8 @@ pub struct SessionInput<'a> {
 /// Borrowed views of an N-microphone session recording: one audio slice
 /// per microphone of the configured [`hyperear_geom::MicArray`], in
 /// array index order (channel 0 is the primary Mic1, channel 1 the
-/// Mic2 `mic_separation` metres along device +y).
+/// Mic2 `mic_separation` metres along device +y). Two channels are
+/// always accepted and run the primary pair, like a [`SessionInput`].
 #[derive(Debug, Clone, Copy)]
 pub struct ArraySessionInput<'a> {
     /// Audio sample rate the OS reports, hertz.
@@ -75,6 +78,123 @@ pub struct ArraySessionInput<'a> {
     pub accel: &'a [Vec3],
     /// Raw gyroscope samples, rad/s.
     pub gyro: &'a [Vec3],
+}
+
+/// A session capture [`SessionEngine`] can process: the stereo
+/// [`SessionInput`] or the N-microphone [`ArraySessionInput`]. The trait
+/// only hides the channel layout; it is sealed, so these two inputs are
+/// the whole set.
+pub trait Capture: sealed::Sealed + Sync {}
+
+impl Capture for SessionInput<'_> {}
+impl Capture for ArraySessionInput<'_> {}
+
+pub(crate) mod sealed {
+    use hyperear_geom::{Vec3, MAX_MICS};
+
+    /// A capture's rates, IMU traces and up to [`MAX_MICS`] channel
+    /// slices (array index order) in fixed storage.
+    pub struct Parts<'a> {
+        pub audio_sample_rate: f64,
+        pub imu_sample_rate: f64,
+        pub accel: &'a [Vec3],
+        pub gyro: &'a [Vec3],
+        pub channels: [&'a [f64]; MAX_MICS],
+        /// Channels the caller gave; may exceed [`MAX_MICS`], in which
+        /// case only the first `MAX_MICS` are stored.
+        pub channel_count: usize,
+    }
+
+    pub trait Sealed {
+        fn parts(&self) -> Parts<'_>;
+    }
+
+    impl Sealed for super::SessionInput<'_> {
+        fn parts(&self) -> Parts<'_> {
+            let mut channels: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
+            channels[0] = self.left;
+            channels[1] = self.right;
+            Parts {
+                audio_sample_rate: self.audio_sample_rate,
+                imu_sample_rate: self.imu_sample_rate,
+                accel: self.accel,
+                gyro: self.gyro,
+                channels,
+                channel_count: 2,
+            }
+        }
+    }
+
+    impl Sealed for super::ArraySessionInput<'_> {
+        fn parts(&self) -> Parts<'_> {
+            let mut channels: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
+            for (slot, ch) in channels.iter_mut().zip(self.channels) {
+                *slot = ch;
+            }
+            Parts {
+                audio_sample_rate: self.audio_sample_rate,
+                imu_sample_rate: self.imu_sample_rate,
+                accel: self.accel,
+                gyro: self.gyro,
+                channels,
+                channel_count: self.channels.len(),
+            }
+        }
+    }
+}
+
+/// The IMU sample rates a session accepts, hertz. Phone inertial sensors
+/// report 50–500 Hz; the band leaves well over a decade of headroom on
+/// both sides while rejecting rates whose sample period is absurd (a
+/// subnormal rate's period overflows to infinity).
+const IMU_RATE_HZ: std::ops::RangeInclusive<f64> = 1.0..=100_000.0;
+
+/// The sample-rate check every session entry shares (one-shot, batch,
+/// multi-beacon, streaming `open`): the audio rate must be finite and
+/// positive (a bare `rate <= 0.0` would let NaN and ±inf through; the
+/// detector then rejects a rate that cannot carry the beacon), and the
+/// IMU rate must lie in [`IMU_RATE_HZ`].
+pub(crate) fn check_rates(
+    audio_sample_rate: f64,
+    imu_sample_rate: f64,
+) -> Result<(), HyperEarError> {
+    if !(audio_sample_rate.is_finite() && audio_sample_rate > 0.0) {
+        return Err(HyperEarError::invalid(
+            "audio_sample_rate",
+            format!("must be finite and positive, got {audio_sample_rate:e}"),
+        ));
+    }
+    if !IMU_RATE_HZ.contains(&imu_sample_rate) {
+        return Err(HyperEarError::invalid(
+            "imu_sample_rate",
+            format!(
+                "must be within [{}, {}] Hz, got {imu_sample_rate:e}",
+                IMU_RATE_HZ.start(),
+                IMU_RATE_HZ.end()
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// The input check of every one-shot session: equal channel lengths,
+/// then [`check_rates`].
+pub(crate) fn check_capture(
+    channels: &[&[f64]],
+    audio_sample_rate: f64,
+    imu_sample_rate: f64,
+) -> Result<(), HyperEarError> {
+    let len0 = channels.first().map_or(0, |ch| ch.len());
+    if let Some((k, ch)) = channels.iter().enumerate().find(|(_, ch)| ch.len() != len0) {
+        return Err(HyperEarError::invalid(
+            "channels",
+            format!(
+                "channel length mismatch: channel {k} has {} samples, channel 0 has {len0}",
+                ch.len()
+            ),
+        ));
+    }
+    check_rates(audio_sample_rate, imu_sample_rate)
 }
 
 /// Which stature phase a slide belongs to.
@@ -198,9 +318,9 @@ pub struct SessionResult {
     /// monitored path escalated to a heavier estimator and its rerun won.
     pub estimator: TdoaEstimator,
     /// Per-pair session-median delays `t_i − t_j` (seconds) in
-    /// [`hyperear_geom::MicArray::pairs`] order — filled by the array
-    /// entry points ([`SessionEngine::run_array_into`]) when a DOA
-    /// front-end is active; empty on the classic two-channel path.
+    /// [`hyperear_geom::MicArray::pairs`] order — filled when a DOA
+    /// front-end is configured and the capture carries every microphone
+    /// of the array; empty otherwise.
     pub pair_delays: Vec<f64>,
     /// The direction-finding prior from the configured
     /// [`DoaFrontEnd`], when one was active and its estimate succeeded.
@@ -346,64 +466,6 @@ impl SessionOutcome {
     }
 }
 
-/// The HyperEar engine: a validated configuration ready to process
-/// sessions.
-#[derive(Debug, Clone)]
-pub struct HyperEar {
-    config: HyperEarConfig,
-}
-
-impl HyperEar {
-    /// Creates an engine from a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HyperEarError::InvalidParameter`] for an invalid config.
-    pub fn new(config: HyperEarConfig) -> Result<Self, HyperEarError> {
-        config.validate()?;
-        Ok(HyperEar { config })
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &HyperEarConfig {
-        &self.config
-    }
-
-    /// A reusable session engine for this configuration.
-    ///
-    /// The engine caches the beacon detector (matched filter, FFT plans,
-    /// scratch buffers) across sessions; callers processing many sessions
-    /// should hold one engine and call [`SessionEngine::run`] repeatedly
-    /// instead of [`HyperEar::run`], which builds a fresh engine per call.
-    #[must_use]
-    pub fn engine(&self) -> SessionEngine {
-        SessionEngine::from_validated_config(self.config.clone())
-    }
-
-    /// Processes one session.
-    ///
-    /// Convenience wrapper that builds a throwaway [`SessionEngine`];
-    /// results are identical to running the same input through a reused
-    /// engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionEngine::run`].
-    pub fn run(&self, input: &SessionInput<'_>) -> Result<SessionResult, HyperEarError> {
-        self.engine().run(input)
-    }
-
-    /// Processes one N-microphone session with a throwaway engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionEngine::run_array_into`].
-    pub fn run_array(&self, input: &ArraySessionInput<'_>) -> Result<SessionResult, HyperEarError> {
-        self.engine().run_array(input)
-    }
-}
-
 /// A reusable session-processing engine.
 ///
 /// Owns everything the pipeline needs between sessions: the validated
@@ -419,8 +481,9 @@ impl HyperEar {
 pub struct SessionEngine {
     config: HyperEarConfig,
     detector: Option<BeaconDetector>,
-    /// Second detection scratch: serves the right channel when the two
-    /// per-channel detections run concurrently under an attached pool.
+    /// Second detection scratch: serves the second channel of each pair
+    /// when two per-channel detections run concurrently under an
+    /// attached pool.
     scratch_right: DetectScratch,
     /// Every channel's correlation for the session in flight, shared by
     /// the estimator ladder's rungs.
@@ -428,12 +491,11 @@ pub struct SessionEngine {
     tdoa_scratch: TdoaScratch,
     /// Second TDoA scratch for the concurrent half of the slide loop.
     tdoa_scratch_b: TdoaScratch,
-    arr_left: Vec<BeaconArrival>,
-    arr_right: Vec<BeaconArrival>,
-    /// Arrival lists for array channels beyond the primary pair
-    /// (channel `k` lives at index `k − 2`); sized on the first array
-    /// session and reused warm thereafter.
-    arr_extra: Vec<Vec<BeaconArrival>>,
+    /// One arrival list per channel, array index order. Always holds
+    /// at least the primary pair's two (channel 0 = left, 1 = right);
+    /// grows on the first N-channel session and is reused warm
+    /// thereafter.
+    arrivals: Vec<Vec<BeaconArrival>>,
     analysis: SessionAnalysis,
     analyze_scratch: AnalyzeScratch,
     movements: Vec<(f64, f64)>,
@@ -461,20 +523,14 @@ impl SessionEngine {
     /// Returns [`HyperEarError::InvalidParameter`] for an invalid config.
     pub fn new(config: HyperEarConfig) -> Result<Self, HyperEarError> {
         config.validate()?;
-        Ok(SessionEngine::from_validated_config(config))
-    }
-
-    fn from_validated_config(config: HyperEarConfig) -> Self {
-        SessionEngine {
+        Ok(SessionEngine {
             config,
             detector: None,
             scratch_right: DetectScratch::new(),
             store: CorrelationStore::default(),
             tdoa_scratch: TdoaScratch::new(),
             tdoa_scratch_b: TdoaScratch::new(),
-            arr_left: Vec::new(),
-            arr_right: Vec::new(),
-            arr_extra: Vec::new(),
+            arrivals: vec![Vec::new(), Vec::new()],
             analysis: SessionAnalysis {
                 gravity: Vec3::ZERO,
                 slides: Vec::new(),
@@ -491,7 +547,7 @@ impl SessionEngine {
             geoms: Vec::new(),
             retry_slot: SessionOutcome::idle(),
             pool: None,
-        }
+        })
     }
 
     /// Attaches a work-stealing pool: subsequent sessions run the two
@@ -562,9 +618,7 @@ impl SessionEngine {
             + self.store.capacity_bytes()
             + self.tdoa_scratch.capacity_bytes()
             + self.tdoa_scratch_b.capacity_bytes()
-            + (self.arr_left.capacity()
-                + self.arr_right.capacity()
-                + self.arr_extra.iter().map(Vec::capacity).sum::<usize>())
+            + self.arrivals.iter().map(Vec::capacity).sum::<usize>()
                 * std::mem::size_of::<BeaconArrival>()
     }
 
@@ -572,13 +626,16 @@ impl SessionEngine {
     ///
     /// # Errors
     ///
-    /// - [`HyperEarError::InvalidParameter`] for inconsistent inputs,
+    /// - [`HyperEarError::InvalidParameter`] for inconsistent inputs: a
+    ///   channel count other than 2 or the configured array's, unequal
+    ///   channel lengths, or a sample rate that is not finite and
+    ///   positive (or cannot carry the beacon),
     /// - [`HyperEarError::InsufficientBeacons`] when detection or SFO
     ///   estimation runs short,
     /// - [`HyperEarError::NoUsableSlides`] when every detected slide was
     ///   rejected or unlocalizable,
     /// - plus propagated component errors.
-    pub fn run(&mut self, input: &SessionInput<'_>) -> Result<SessionResult, HyperEarError> {
+    pub fn run<C: Capture>(&mut self, input: &C) -> Result<SessionResult, HyperEarError> {
         let mut out = SessionResult::empty();
         self.run_into(input, &mut out)?;
         Ok(out)
@@ -590,7 +647,7 @@ impl SessionEngine {
     /// [`crate::config::DegradationPolicy`]'s re-slide budget (the
     /// estimate is then re-aggregated from the surviving slides), and
     /// `Failed` with the typed reason otherwise.
-    pub fn run_monitored(&mut self, input: &SessionInput<'_>) -> SessionOutcome {
+    pub fn run_monitored<C: Capture>(&mut self, input: &C) -> SessionOutcome {
         let mut outcome = SessionOutcome::idle();
         self.run_monitored_into(input, &mut outcome);
         outcome
@@ -609,9 +666,10 @@ impl SessionEngine {
     /// [`TdoaEstimator`]s (within the degradation policy's retry budget)
     /// and the best graded outcome wins — see
     /// [`SessionEngine::run_estimated_into`] for the estimator ladder.
-    pub fn run_monitored_into(&mut self, input: &SessionInput<'_>, slot: &mut SessionOutcome) {
+    pub fn run_monitored_into<C: Capture>(&mut self, input: &C, slot: &mut SessionOutcome) {
+        let parts = input.parts();
         self.escalated_monitored(slot, |engine, estimator, result| {
-            engine.estimated_into(input, estimator, result)
+            engine.estimated_into(&parts, estimator, result)
         });
     }
 
@@ -775,9 +833,9 @@ impl SessionEngine {
     /// # Errors
     ///
     /// Same conditions as [`SessionEngine::run`].
-    pub fn run_into(
+    pub fn run_into<C: Capture>(
         &mut self,
-        input: &SessionInput<'_>,
+        input: &C,
         out: &mut SessionResult,
     ) -> Result<(), HyperEarError> {
         let estimator = self.config.estimator.initial;
@@ -791,12 +849,13 @@ impl SessionEngine {
     /// `PlainXcorr` is the conformance baseline (bit-identical to the
     /// pre-estimator-bank pipeline). `GccPhat` and `SubbandCoherence`
     /// re-weight each channel's correlation spectrum before arrival
-    /// extraction. `McciFusion` correlates both channels (concurrently
-    /// under an attached pool), solves the
-    /// cross-channel alignment, and detects peaks on the fused
-    /// correlation while timing each arrival on the channel's own
-    /// correlation (fusing the timing itself would cancel the
-    /// inter-channel TDoA the pipeline measures). The MCCI path runs
+    /// extraction. `McciFusion` correlates every channel (concurrently
+    /// under an attached pool), solves the cross-channel alignment —
+    /// every channel of an N-microphone capture joins the solve, so the
+    /// fusion gain grows with the array's redundancy — and detects peaks
+    /// on the fused correlation while timing each arrival on the
+    /// channel's own correlation (fusing the timing itself would cancel
+    /// the inter-channel TDoA the pipeline measures). The MCCI path runs
     /// its alignment solve and extraction sequentially even under an
     /// attached pool — the solve needs every channel's correlation — so
     /// it is deterministic at any thread count.
@@ -807,108 +866,14 @@ impl SessionEngine {
     /// # Errors
     ///
     /// Same conditions as [`SessionEngine::run`].
-    pub fn run_estimated_into(
+    pub fn run_estimated_into<C: Capture>(
         &mut self,
-        input: &SessionInput<'_>,
+        input: &C,
         estimator: TdoaEstimator,
         out: &mut SessionResult,
     ) -> Result<(), HyperEarError> {
         self.store.valid = false;
-        self.estimated_into(input, estimator, out)
-    }
-
-    /// [`SessionEngine::run_estimated_into`] over the correlation store
-    /// as the caller left it: an escalation rerun of the same input
-    /// re-extracts arrivals from the stored correlations.
-    fn estimated_into(
-        &mut self,
-        input: &SessionInput<'_>,
-        estimator: TdoaEstimator,
-        out: &mut SessionResult,
-    ) -> Result<(), HyperEarError> {
-        out.slides.clear();
-        out.upper = None;
-        out.lower = None;
-        out.stature_drop = None;
-        out.projected = None;
-        out.pair_delays.clear();
-        out.bearing = None;
-        if input.left.len() != input.right.len() {
-            return Err(HyperEarError::invalid(
-                "left/right",
-                format!(
-                    "channel length mismatch: {} vs {}",
-                    input.left.len(),
-                    input.right.len()
-                ),
-            ));
-        }
-        if input.audio_sample_rate <= 0.0 || input.imu_sample_rate <= 0.0 {
-            return Err(HyperEarError::invalid(
-                "sample rates",
-                "audio and IMU sample rates must be positive",
-            ));
-        }
-
-        // ---- Beacon detection (ASP). ------------------------------------
-        // The detector is cached across sessions; only a sample-rate
-        // change forces a rebuild (new chirp template and band-pass).
-        let rebuild = self
-            .detector
-            .as_ref()
-            .is_none_or(|d| d.sample_rate() != input.audio_sample_rate);
-        if rebuild {
-            self.detector = Some(BeaconDetector::new(&self.config, input.audio_sample_rate)?);
-        }
-        self.detect_channels(&[input.left, input.right], estimator)?;
-        self.finish_from_arrivals(
-            input.audio_sample_rate,
-            input.left.len(),
-            input.imu_sample_rate,
-            input.accel,
-            input.gyro,
-            out,
-        )?;
-        out.estimator = estimator;
-        Ok(())
-    }
-
-    /// Processes one N-microphone session, allocating the result.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionEngine::run_array_into`].
-    pub fn run_array(
-        &mut self,
-        input: &ArraySessionInput<'_>,
-    ) -> Result<SessionResult, HyperEarError> {
-        let mut out = SessionResult::empty();
-        self.run_array_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    /// The monitored (policy-graded, never-panicking) form of
-    /// [`SessionEngine::run_array`] — the array sibling of
-    /// [`SessionEngine::run_monitored`].
-    pub fn run_array_monitored(&mut self, input: &ArraySessionInput<'_>) -> SessionOutcome {
-        let mut outcome = SessionOutcome::idle();
-        self.run_array_monitored_into(input, &mut outcome);
-        outcome
-    }
-
-    /// Allocation-free form of [`SessionEngine::run_array_monitored`]:
-    /// the outcome lands in a caller-owned slot whose previous result
-    /// storage is scavenged and reused. Applies the same
-    /// estimator-escalation policy as
-    /// [`SessionEngine::run_monitored_into`].
-    pub fn run_array_monitored_into(
-        &mut self,
-        input: &ArraySessionInput<'_>,
-        slot: &mut SessionOutcome,
-    ) {
-        self.escalated_monitored(slot, |engine, estimator, result| {
-            engine.array_estimated_into(input, estimator, result)
-        });
+        self.estimated_into(&input.parts(), estimator, out)
     }
 
     /// The estimator-escalation wrapper around the monitored contract:
@@ -969,79 +934,26 @@ impl SessionEngine {
         }
     }
 
-    /// Allocation-free N-microphone session processing over the
-    /// configured [`hyperear_geom::MicArray`].
+    /// The one session body behind every entry point, over the correlation
+    /// store as the caller left it (an escalation rerun of the same input
+    /// re-extracts arrivals from the stored correlations).
     ///
-    /// Channels 0 and 1 — the primary pair, spanning device +y — drive
-    /// the full slide pipeline exactly as [`SessionEngine::run_into`].
-    /// When the configured array is the two-microphone compatibility
-    /// preset with no DOA front-end, this method delegates to
-    /// `run_into` verbatim, so results are bit-identical to the stereo
-    /// path (pinned by the conformance suite). Additional channels are
-    /// beacon-detected — fanned out over the attached pool two at a
-    /// time against the engine's pre-assigned scratch pair — and feed
-    /// the configured [`DoaFrontEnd`], which attaches the per-pair
-    /// session delays and a [`BearingPrior`] to the result.
-    ///
-    /// Front-end failures that depend on the *data* (an extra channel
-    /// with no beacons, an infeasible pair delay) leave
-    /// `bearing = None` without failing the session — the prior is
-    /// advisory, the primary-pair estimate is not. Configuration-level
-    /// mismatches are typed errors.
-    ///
-    /// # Errors
-    ///
-    /// [`HyperEarError::InvalidParameter`] when the channel count
-    /// disagrees with the configured array or channel lengths mismatch,
-    /// plus the conditions of [`SessionEngine::run_into`].
-    pub fn run_array_into(
+    /// A capture has two channels or one per configured microphone;
+    /// any other count is a typed error. Channels 0 and 1 — the primary
+    /// pair, spanning device +y — drive the slide pipeline. When the
+    /// capture carries every microphone of the configured array, every
+    /// channel is beacon-detected (two at a time under an attached
+    /// pool) and the configured [`DoaFrontEnd`], if any, attaches the
+    /// per-pair session delays and a [`BearingPrior`]. Front-end failures
+    /// that depend on the *data* (an extra channel with no beacons, an
+    /// infeasible pair delay) leave `bearing = None` without failing the
+    /// session — the prior is advisory, the primary-pair estimate is not.
+    fn estimated_into(
         &mut self,
-        input: &ArraySessionInput<'_>,
-        out: &mut SessionResult,
-    ) -> Result<(), HyperEarError> {
-        let estimator = self.config.estimator.initial;
-        self.run_array_estimated_into(input, estimator, out)
-    }
-
-    /// [`SessionEngine::run_array_into`] with an explicit
-    /// [`TdoaEstimator`] — the array sibling of
-    /// [`SessionEngine::run_estimated_into`]. Under `McciFusion` *every*
-    /// configured channel joins the cross-channel alignment solve, so the
-    /// fusion gain grows with the array's redundancy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionEngine::run_array_into`].
-    pub fn run_array_estimated_into(
-        &mut self,
-        input: &ArraySessionInput<'_>,
+        input: &sealed::Parts<'_>,
         estimator: TdoaEstimator,
         out: &mut SessionResult,
     ) -> Result<(), HyperEarError> {
-        self.store.valid = false;
-        self.array_estimated_into(input, estimator, out)
-    }
-
-    /// The array sibling of [`SessionEngine::estimated_into`].
-    fn array_estimated_into(
-        &mut self,
-        input: &ArraySessionInput<'_>,
-        estimator: TdoaEstimator,
-        out: &mut SessionResult,
-    ) -> Result<(), HyperEarError> {
-        let array = self.config.array;
-        crate::doa::validate_channel_count(&array, input.channels.len())?;
-        if array.len() == 2 && self.config.doa_front_end == DoaFrontEnd::None {
-            let two = SessionInput {
-                audio_sample_rate: input.audio_sample_rate,
-                left: input.channels[0],
-                right: input.channels[1],
-                imu_sample_rate: input.imu_sample_rate,
-                accel: input.accel,
-                gyro: input.gyro,
-            };
-            return self.estimated_into(&two, estimator, out);
-        }
         out.slides.clear();
         out.upper = None;
         out.lower = None;
@@ -1049,29 +961,22 @@ impl SessionEngine {
         out.projected = None;
         out.pair_delays.clear();
         out.bearing = None;
-        let len0 = input.channels[0].len();
-        if let Some((k, ch)) = input
-            .channels
-            .iter()
-            .enumerate()
-            .find(|(_, ch)| ch.len() != len0)
-        {
+        let mics = self.config.array.len();
+        let n = input.channel_count;
+        if n != 2 && n != mics {
             return Err(HyperEarError::invalid(
                 "channels",
                 format!(
-                    "channel length mismatch: channel {k} has {} samples, channel 0 has {len0}",
-                    ch.len()
+                    "the array describes {mics} microphones; need 2 or {mics} channels, got {n}"
                 ),
             ));
         }
-        if input.audio_sample_rate <= 0.0 || input.imu_sample_rate <= 0.0 {
-            return Err(HyperEarError::invalid(
-                "sample rates",
-                "audio and IMU sample rates must be positive",
-            ));
-        }
+        let channels = &input.channels[..n];
+        check_capture(channels, input.audio_sample_rate, input.imu_sample_rate)?;
 
-        // ---- Beacon detection on every channel. -------------------------
+        // ---- Beacon detection (ASP) on every channel. --------------------
+        // The detector is cached across sessions; only a sample-rate
+        // change forces a rebuild (new chirp template and band-pass).
         let rebuild = self
             .detector
             .as_ref()
@@ -1079,24 +984,24 @@ impl SessionEngine {
         if rebuild {
             self.detector = Some(BeaconDetector::new(&self.config, input.audio_sample_rate)?);
         }
-        self.arr_extra
-            .resize_with(array.len().saturating_sub(2), Vec::new);
-        self.detect_channels(input.channels, estimator)?;
+        self.detect_channels(channels, estimator)?;
         self.finish_from_arrivals(
             input.audio_sample_rate,
-            len0,
+            channels[0].len(),
             input.imu_sample_rate,
             input.accel,
             input.gyro,
             out,
         )?;
         out.estimator = estimator;
-        self.attach_bearing(input, out);
+        if n == mics && self.config.doa_front_end != DoaFrontEnd::None {
+            self.attach_bearing(channels, input.audio_sample_rate, out);
+        }
         Ok(())
     }
 
-    /// Beacon detection on every channel of a session (stereo: left,
-    /// right) into the engine's arrival lists, under `estimator`.
+    /// Beacon detection on every channel of a session into the engine's
+    /// per-channel arrival lists, under `estimator`.
     ///
     /// Each channel is correlated into the correlation store — unless the
     /// store already holds this session's correlations (an escalation
@@ -1112,7 +1017,9 @@ impl SessionEngine {
         estimator: TdoaEstimator,
     ) -> Result<(), HyperEarError> {
         let n = channels.len();
-        debug_assert!(2 + self.arr_extra.len() >= n, "an arrival list per channel");
+        if self.arrivals.len() < n {
+            self.arrivals.resize_with(n, Vec::new);
+        }
         if self.store.channels.len() < n {
             self.store
                 .channels
@@ -1126,9 +1033,6 @@ impl SessionEngine {
             .expect("detector built before detection")
             .parts_mut();
         let scratch_b = &mut self.scratch_right;
-        let arrivals = [&mut self.arr_left, &mut self.arr_right]
-            .into_iter()
-            .chain(self.arr_extra.iter_mut());
         type Job<'a> = (
             &'a [f64],
             &'a mut ChannelCorrelation,
@@ -1141,7 +1045,7 @@ impl SessionEngine {
         let mut jobs = channels
             .iter()
             .zip(&mut self.store.channels)
-            .zip(arrivals)
+            .zip(&mut self.arrivals)
             .map(|((samples, chan), out)| (*samples, chan, out));
         while let Some(a) = jobs.next() {
             match (pool, jobs.next()) {
@@ -1208,10 +1112,7 @@ impl SessionEngine {
         } else {
             mcci_offsets_with(corrs, lag, offsets, live)?
         };
-        let arrivals = [&mut self.arr_left, &mut self.arr_right]
-            .into_iter()
-            .chain(self.arr_extra.iter_mut());
-        for (k, out) in arrivals.take(n).enumerate() {
+        for (k, out) in self.arrivals.iter_mut().take(n).enumerate() {
             if n_live >= 2 && live[k] {
                 core.arrivals_fused(corrs, offsets, live, k, scratch, out)?;
             } else {
@@ -1223,10 +1124,11 @@ impl SessionEngine {
 
     /// Runs the configured DOA front-end over the session's arrival
     /// lists (planar) or the initial stationary hold of the raw
-    /// channels (phase tracking), attaching the per-pair delays and the
-    /// bearing prior to the result. Data-dependent front-end failures
-    /// leave `bearing = None`; the session result stands either way.
-    fn attach_bearing(&self, input: &ArraySessionInput<'_>, out: &mut SessionResult) {
+    /// `channels` (phase tracking, one per configured microphone),
+    /// attaching the per-pair delays and the bearing prior to the
+    /// result. Data-dependent front-end failures leave `bearing = None`;
+    /// the session result stands either way.
+    fn attach_bearing(&self, channels: &[&[f64]], fs: f64, out: &mut SessionResult) {
         let array = self.config.array;
         let c = self.config.speed_of_sound;
         let mut delays = [0.0f64; MAX_PAIRS];
@@ -1234,10 +1136,8 @@ impl SessionEngine {
             DoaFrontEnd::None => return,
             DoaFrontEnd::Planar => {
                 let mut refs: [&[BeaconArrival]; MAX_MICS] = [&[]; MAX_MICS];
-                refs[0] = &self.arr_left;
-                refs[1] = &self.arr_right;
-                for (k, list) in self.arr_extra.iter().enumerate() {
-                    refs[k + 2] = list;
+                for (slot, list) in refs.iter_mut().zip(&self.arrivals) {
+                    *slot = list;
                 }
                 crate::doa::arrival_pair_delays(&array, &refs[..array.len()], &mut delays)
             }
@@ -1245,8 +1145,7 @@ impl SessionEngine {
                 // Phase is only meaningful while the geometry holds
                 // still: probe the initial stationary hold, before the
                 // first detected movement.
-                let fs = input.audio_sample_rate;
-                let full = input.channels[0].len();
+                let full = channels[0].len();
                 let hold_end = self
                     .movements
                     .first()
@@ -1260,8 +1159,8 @@ impl SessionEngine {
                     prefix = full;
                 }
                 let mut chans: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
-                for (k, ch) in input.channels.iter().enumerate() {
-                    chans[k] = &ch[..prefix];
+                for (slot, ch) in chans.iter_mut().zip(channels) {
+                    *slot = &ch[..prefix];
                 }
                 crate::doa::phase_pair_delays(
                     &array,
@@ -1283,13 +1182,15 @@ impl SessionEngine {
     /// path fills these from a [`crate::asp::StreamingDetector`] and then
     /// calls [`SessionEngine::finish_from_arrivals`]).
     pub(crate) fn arrivals_mut(&mut self) -> (&mut Vec<BeaconArrival>, &mut Vec<BeaconArrival>) {
-        (&mut self.arr_left, &mut self.arr_right)
+        let (left, rest) = self.arrivals.split_at_mut(1);
+        (&mut left[0], &mut rest[0])
     }
 
     /// Everything downstream of beacon detection: inertial analysis,
     /// rotation correction, SFO estimation, per-slide TDoA and
-    /// triangulation, aggregation and projection. Reads the arrival lists
-    /// previously left in the engine (by [`SessionEngine::run_into`]'s
+    /// triangulation, aggregation and projection. Reads the primary
+    /// pair's arrival lists (channels 0 and 1) previously left in the
+    /// engine (by [`SessionEngine::run_into`]'s
     /// detection stage or via [`SessionEngine::arrivals_mut`]) — it never
     /// touches the audio samples themselves, which is what lets streaming
     /// ingestion discard PCM as soon as it has been correlated.
@@ -1318,10 +1219,11 @@ impl SessionEngine {
             .as_ref()
             .filter(|p| p.threads() > 1)
             .map(Arc::clone);
-        if self.arr_left.len() < 2 || self.arr_right.len() < 2 {
+        let found = self.arrivals[0].len().min(self.arrivals[1].len());
+        if found < 2 {
             return Err(HyperEarError::InsufficientBeacons {
                 stage: "beacon detection",
-                found: self.arr_left.len().min(self.arr_right.len()),
+                found,
                 required: 2,
             });
         }
@@ -1378,7 +1280,7 @@ impl SessionEngine {
                 Side::Right => 1.0,
                 Side::Left => -1.0,
             };
-            for a in &mut self.arr_right {
+            for a in &mut self.arrivals[1] {
                 let yaw = yaw_at(&self.yaw, imu_sample_rate, a.time);
                 a.time +=
                     sign * self.config.mic_separation * yaw.sin() / self.config.speed_of_sound;
@@ -1391,13 +1293,13 @@ impl SessionEngine {
             // the left channel (both share the ADC clock) and averaging
             // with the right.
             let pl = estimate_period_with(
-                &self.arr_left,
+                &self.arrivals[0],
                 &self.stationary,
                 self.config.beacon.period,
                 &mut self.sfo_scratch,
             )?;
             let pr = estimate_period_with(
-                &self.arr_right,
+                &self.arrivals[1],
                 &self.stationary,
                 self.config.beacon.period,
                 &mut self.sfo_scratch,
@@ -1437,14 +1339,9 @@ impl SessionEngine {
             .first()
             .map(|c| c.height_change.abs());
 
-        let strength_sum: f64 = self
-            .arr_left
-            .iter()
-            .chain(self.arr_right.iter())
-            .map(|a| a.strength)
-            .sum();
-        let mean_beacon_strength =
-            strength_sum / (self.arr_left.len() + self.arr_right.len()) as f64;
+        let (arr_left, arr_right) = (&self.arrivals[0], &self.arrivals[1]);
+        let strength_sum: f64 = arr_left.iter().chain(arr_right).map(|a| a.strength).sum();
+        let mean_beacon_strength = strength_sum / (arr_left.len() + arr_right.len()) as f64;
 
         // ---- Per-slide confidence, TDoA + triangulation. -----------------------
         // Session-level SFO confidence: all slides share the clock fit.
@@ -1454,8 +1351,8 @@ impl SessionEngine {
         );
         let ctx = SlideCtx {
             config: &self.config,
-            arr_left: &self.arr_left,
-            arr_right: &self.arr_right,
+            arr_left,
+            arr_right,
             movements: &self.movements,
             slides: &self.analysis.slides,
             period: period.period,
@@ -1537,8 +1434,8 @@ impl SessionEngine {
             _ => None,
         };
 
-        out.beacons_left = self.arr_left.len();
-        out.beacons_right = self.arr_right.len();
+        out.beacons_left = self.arrivals[0].len();
+        out.beacons_right = self.arrivals[1].len();
         out.mean_beacon_strength = mean_beacon_strength;
         out.period = period;
         out.upper = upper;
@@ -1915,7 +1812,7 @@ mod tests {
             .seed(11)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let result = engine.run(&input(&rec)).unwrap();
         assert!(result.beacons_left >= 10);
         assert_eq!(result.slides.len(), 2);
@@ -1943,7 +1840,7 @@ mod tests {
             .seed(12)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let result = engine.run(&input(&rec)).unwrap();
         // Speaker +23 ppm, phone ADC +12 ppm: recorded period offset is
         // (1+23e-6)/(1+12e-6) − 1 ≈ +11 ppm... measured on the *nominal*
@@ -1967,7 +1864,7 @@ mod tests {
             .seed(13)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let result = engine.run(&input(&rec)).unwrap();
         assert!(result.upper.is_some());
         assert!(result.lower.is_some());
@@ -1994,7 +1891,7 @@ mod tests {
         let mut array_engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let stereo = stereo_engine.run_monitored(&input(&rec));
         let chans: [&[f64]; 2] = [&rec.audio.left, &rec.audio.right];
-        let array = array_engine.run_array_monitored(&ArraySessionInput {
+        let array = array_engine.run_monitored(&ArraySessionInput {
             audio_sample_rate: rec.audio.sample_rate,
             channels: &chans,
             imu_sample_rate: rec.imu.sample_rate,
@@ -2020,7 +1917,7 @@ mod tests {
         let mut engine = SessionEngine::new(config).unwrap();
         let refs: Vec<&[f64]> = rec.audio.channels.iter().map(|c| c.as_slice()).collect();
         let result = engine
-            .run_array(&ArraySessionInput {
+            .run(&ArraySessionInput {
                 audio_sample_rate: rec.audio.sample_rate,
                 channels: &refs,
                 imu_sample_rate: rec.imu.sample_rate,
@@ -2073,7 +1970,7 @@ mod tests {
         let mut engine = SessionEngine::new(config).unwrap();
         let refs: Vec<&[f64]> = rec.audio.channels.iter().map(|c| c.as_slice()).collect();
         let result = engine
-            .run_array(&ArraySessionInput {
+            .run(&ArraySessionInput {
                 audio_sample_rate: rec.audio.sample_rate,
                 channels: &refs,
                 imu_sample_rate: rec.imu.sample_rate,
@@ -2103,7 +2000,7 @@ mod tests {
         let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let chans: [&[f64]; 3] = [&rec.audio.left, &rec.audio.right, &rec.audio.left];
         let err = engine
-            .run_array(&ArraySessionInput {
+            .run(&ArraySessionInput {
                 audio_sample_rate: rec.audio.sample_rate,
                 channels: &chans,
                 imu_sample_rate: rec.imu.sample_rate,
@@ -2126,7 +2023,7 @@ mod tests {
             .seed(14)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let mut bad = input(&rec);
         bad.left = &rec.audio.left[..100];
         assert!(engine.run(&bad).is_err());
@@ -2141,7 +2038,7 @@ mod tests {
             .seed(15)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let silent_left = vec![0.0; rec.audio.left.len()];
         let silent_right = vec![0.0; rec.audio.right.len()];
         let mut silent = input(&rec);
@@ -2187,7 +2084,7 @@ mod tests {
             .seed(16)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         match engine.run(&input(&rec)) {
             Err(HyperEarError::NoUsableSlides { detected, rejected }) => {
                 assert_eq!(detected, 2);
@@ -2199,15 +2096,14 @@ mod tests {
         // but the session completes).
         let mut cfg = HyperEarConfig::galaxy_s4();
         cfg.quality_gate_enabled = false;
-        let engine = HyperEar::new(cfg).unwrap();
+        let mut engine = SessionEngine::new(cfg).unwrap();
         let result = engine.run(&input(&rec)).unwrap();
         assert!(result.upper.is_some());
     }
 
     #[test]
     fn reused_engine_matches_one_shot_runs() {
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
-        let mut session = engine.engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         assert_eq!(session.config().mic_separation, 0.1366);
         for seed in [21, 22] {
             let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
@@ -2218,7 +2114,10 @@ mod tests {
                 .render()
                 .unwrap();
             let reused = session.run(&input(&rec)).unwrap();
-            let fresh = engine.run(&input(&rec)).unwrap();
+            let fresh = SessionEngine::new(HyperEarConfig::galaxy_s4())
+                .unwrap()
+                .run(&input(&rec))
+                .unwrap();
             assert_eq!(reused, fresh, "seed {seed}");
         }
         // A standalone engine built from the same config behaves the same.
@@ -2232,14 +2131,16 @@ mod tests {
             .unwrap();
         assert_eq!(
             standalone.run(&input(&rec)).unwrap(),
-            engine.run(&input(&rec)).unwrap()
+            SessionEngine::new(HyperEarConfig::galaxy_s4())
+                .unwrap()
+                .run(&input(&rec))
+                .unwrap()
         );
     }
 
     #[test]
     fn run_into_reuses_result_storage() {
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
-        let mut session = engine.engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let mut out = SessionResult::empty();
         for seed in [21, 22] {
             let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
@@ -2250,7 +2151,10 @@ mod tests {
                 .render()
                 .unwrap();
             session.run_into(&input(&rec), &mut out).unwrap();
-            let fresh = engine.run(&input(&rec)).unwrap();
+            let fresh = SessionEngine::new(HyperEarConfig::galaxy_s4())
+                .unwrap()
+                .run(&input(&rec))
+                .unwrap();
             assert_eq!(out, fresh, "seed {seed}");
         }
     }
@@ -2264,8 +2168,7 @@ mod tests {
             .seed(11)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
-        let mut session = engine.engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let outcome = session.run_monitored(&input(&rec));
         assert!(outcome.is_usable());
         match &outcome {
@@ -2275,7 +2178,10 @@ mod tests {
             other => panic!("expected Ok, got {other:?}"),
         }
         // A monitored run's result matches the raw pipeline's.
-        let raw = engine.run(&input(&rec)).unwrap();
+        let raw = SessionEngine::new(HyperEarConfig::galaxy_s4())
+            .unwrap()
+            .run(&input(&rec))
+            .unwrap();
         assert_eq!(outcome.result(), Some(&raw));
     }
 
@@ -2288,7 +2194,7 @@ mod tests {
             .seed(15)
             .render()
             .unwrap();
-        let mut session = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap().engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let silent_left = vec![0.0; rec.audio.left.len()];
         let silent_right = vec![0.0; rec.audio.right.len()];
         let mut silent = input(&rec);
@@ -2314,7 +2220,7 @@ mod tests {
             .seed(16)
             .render()
             .unwrap();
-        let mut session = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap().engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         match session.run_monitored(&input(&rec)) {
             SessionOutcome::Failed {
                 reason: HyperEarError::NoUsableSlides { .. },
@@ -2342,7 +2248,7 @@ mod tests {
         cfg.degradation.min_confidence = 1.0;
         cfg.degradation.retry_budget = 2;
         cfg.degradation.min_slides = 1;
-        let mut session = HyperEar::new(cfg).unwrap().engine();
+        let mut session = SessionEngine::new(cfg).unwrap();
         match session.run_monitored(&input(&rec)) {
             SessionOutcome::Degraded {
                 result,
@@ -2385,7 +2291,7 @@ mod tests {
         let mut cfg = HyperEarConfig::galaxy_s4();
         cfg.degradation.min_confidence = 1.0;
         cfg.degradation.enabled = false;
-        let mut session = HyperEar::new(cfg).unwrap().engine();
+        let mut session = SessionEngine::new(cfg).unwrap();
         let outcome = session.run_monitored(&input(&rec));
         let result = outcome.result().expect("usable");
         assert!(result.slides.iter().all(|s| !s.dropped));
@@ -2393,8 +2299,7 @@ mod tests {
 
     #[test]
     fn outcome_tally_aggregates_batches() {
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
-        let mut session = engine.engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let mut tally = OutcomeTally::new();
         let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
             .environment(Environment::anechoic())
@@ -2505,14 +2410,14 @@ mod tests {
     fn engine_construction_validates() {
         let mut cfg = HyperEarConfig::galaxy_s4();
         cfg.mic_separation = 0.0;
-        assert!(HyperEar::new(cfg).is_err());
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        assert!(SessionEngine::new(cfg).is_err());
+        let engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         assert_eq!(engine.config().mic_separation, 0.1366);
     }
 
     #[test]
     fn cold_engine_reports_empty_working_set() {
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap().engine();
+        let engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         assert_eq!(engine.peak_fft_len(), None);
         assert_eq!(engine.working_set_bytes(), 0);
     }

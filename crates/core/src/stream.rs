@@ -47,11 +47,14 @@
 //!
 //! Streaming ingest is two-channel: it serves the phone's stereo
 //! recording path, which is also the only real-time capture the paper's
-//! hardware offers. N-microphone [`hyperear_geom::MicArray`] sessions
-//! (and the DOA front-ends that ride on them) go through the one-shot
-//! [`SessionEngine::run_array_into`] or the batch
-//! [`crate::batch::BatchEngine::run_array_batch_into`] path instead;
-//! the extra [`crate::pipeline::SessionResult`] fields those populate
+//! hardware offers, and it finishes the primary pair (channels 0 and 1)
+//! exactly as the one-shot engine does for a stereo capture.
+//! N-microphone [`hyperear_geom::MicArray`] captures (and the DOA
+//! front-ends that ride on them) go through the one-shot
+//! [`SessionEngine::run_into`] or the batch
+//! [`crate::batch::BatchEngine::run_batch_into`] with an
+//! [`crate::pipeline::ArraySessionInput`] instead; the extra
+//! [`crate::pipeline::SessionResult`] fields those populate
 //! (`pair_delays`, `bearing`) simply pass through a streamed outcome
 //! empty/`None`.
 //!
@@ -87,7 +90,7 @@
 
 use crate::asp::{DetectorCore, StreamingDetector};
 use crate::config::HyperEarConfig;
-use crate::pipeline::{SessionEngine, SessionOutcome};
+use crate::pipeline::{check_rates, SessionEngine, SessionOutcome};
 use crate::HyperEarError;
 use hyperear_geom::Vec3;
 use hyperear_util::pool::Pool;
@@ -609,14 +612,7 @@ impl StreamService {
                 capacity: self.capacity(),
             });
         }
-        // `is_finite && > 0` (not `<= 0`) so NaN rates are rejected too.
-        let positive = |rate: f64| rate.is_finite() && rate > 0.0;
-        if !positive(audio_rate) || !positive(imu_rate) {
-            return Err(AdmissionError::Rejected(HyperEarError::invalid(
-                "sample rates",
-                "audio and IMU sample rates must be positive",
-            )));
-        }
+        check_rates(audio_rate, imu_rate)?;
         let core = self.core_for(audio_rate)?;
         let session = match self.parked.pop() {
             Some(mut s) => {

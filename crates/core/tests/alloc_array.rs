@@ -61,23 +61,23 @@ fn warm_array_sessions_do_not_allocate() {
     let pool = Arc::new(Pool::new(2));
     let mut batch = BatchEngine::new(config.clone(), pool).unwrap();
     let mut out: Vec<SessionOutcome> = Vec::new();
-    batch.warm_arrays(&inputs);
-    batch.run_array_batch_into(&inputs, &mut out);
+    batch.warm(&inputs);
+    batch.run_batch_into(&inputs, &mut out);
     assert!(out.iter().all(SessionOutcome::is_usable));
     assert!(out
         .iter()
         .all(|o| o.result().is_some_and(|r| r.bearing.is_some())));
-    batch.run_array_batch_into(&inputs, &mut out);
+    batch.run_batch_into(&inputs, &mut out);
     let expected = out.clone();
 
     let before = ALLOC.allocations();
     for _ in 0..2 {
-        batch.run_array_batch_into(&inputs, &mut out);
+        batch.run_batch_into(&inputs, &mut out);
     }
     assert_eq!(
         ALLOC.allocations() - before,
         0,
-        "steady-state run_array_batch_into must not allocate"
+        "steady-state run_batch_into must not allocate"
     );
     assert_eq!(out, expected, "warm array batch must stay bit-identical");
 
@@ -87,13 +87,13 @@ fn warm_array_sessions_do_not_allocate() {
     phase_cfg.doa_front_end = DoaFrontEnd::PhaseTracking;
     let mut engine = SessionEngine::new(phase_cfg).unwrap();
     let mut slot = SessionOutcome::idle();
-    engine.run_array_monitored_into(&inputs[0], &mut slot);
-    engine.run_array_monitored_into(&inputs[0], &mut slot);
+    engine.run_monitored_into(&inputs[0], &mut slot);
+    engine.run_monitored_into(&inputs[0], &mut slot);
     let expected = slot.clone();
 
     let before = ALLOC.allocations();
     for _ in 0..2 {
-        engine.run_array_monitored_into(&inputs[0], &mut slot);
+        engine.run_monitored_into(&inputs[0], &mut slot);
     }
     assert_eq!(
         ALLOC.allocations() - before,

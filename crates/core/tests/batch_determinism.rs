@@ -6,7 +6,7 @@
 
 use hyperear::batch::BatchEngine;
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionOutcome};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionOutcome};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::{Recording, ScenarioBuilder};
@@ -36,7 +36,7 @@ fn render(seed: u64, slides: usize) -> Recording {
 
 /// Sequential reference: one engine, `run_monitored` per input in order.
 fn sequential(inputs: &[SessionInput<'_>]) -> Vec<SessionOutcome> {
-    let mut engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap().engine();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
     inputs.iter().map(|i| engine.run_monitored(i)).collect()
 }
 
@@ -119,12 +119,11 @@ fn intra_session_parallelism_matches_sequential_engine() {
         .seed(500)
         .render()
         .unwrap();
-    let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
-    let mut sequential_engine = engine.engine();
+    let mut sequential_engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
     let reference = sequential_engine.run_monitored(&input(&rec));
     assert!(reference.is_usable());
     for threads in [1, 2, 4] {
-        let mut parallel_engine = engine.engine();
+        let mut parallel_engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         parallel_engine.attach_pool(Arc::new(Pool::new(threads)));
         let got = parallel_engine.run_monitored(&input(&rec));
         assert_eq!(got, reference, "threads = {threads}");

@@ -9,7 +9,7 @@
 //! wrap points.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionOutcome};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionOutcome};
 use hyperear::stream::{StreamConfig, StreamError, StreamService};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
@@ -29,7 +29,7 @@ fn render(seed: u64) -> Recording {
 }
 
 fn one_shot(rec: &Recording) -> SessionOutcome {
-    let mut engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap().engine();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
     engine.run_monitored(&SessionInput {
         audio_sample_rate: rec.audio.sample_rate,
         left: &rec.audio.left,

@@ -56,6 +56,11 @@ impl Chirp {
     pub const HYPEREAR_DURATION: f64 = 0.04;
     /// The beacon repetition period: "playing chirp signals on every 200ms".
     pub const HYPEREAR_PERIOD: f64 = 0.2;
+    /// The longest template [`Chirp::new`] synthesizes, in samples:
+    /// 2²⁴ (about 350 s at 48 kHz, 128 MiB of `f64`). A beacon is tens
+    /// of milliseconds; the cap turns an absurd `duration × sample_rate`
+    /// into a typed error instead of an impossible allocation.
+    pub const MAX_LEN: usize = 1 << 24;
 
     /// Synthesizes a chirp.
     ///
@@ -65,8 +70,10 @@ impl Chirp {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidParameter`] if frequencies are not in
-    /// `(0, fs/2)`, `f0 >= f1`, or the duration yields fewer than 8 samples.
+    /// Returns [`DspError::InvalidParameter`] if `sample_rate` is not
+    /// finite and positive, frequencies are not in `(0, fs/2)`,
+    /// `f0 >= f1`, or the duration yields fewer than 8 samples or more
+    /// than [`Chirp::MAX_LEN`].
     pub fn new(
         f0: f64,
         f1: f64,
@@ -74,8 +81,11 @@ impl Chirp {
         sample_rate: f64,
         shape: ChirpShape,
     ) -> Result<Self, DspError> {
-        if sample_rate <= 0.0 {
-            return Err(DspError::invalid("sample_rate", "must be positive"));
+        if !(sample_rate.is_finite() && sample_rate > 0.0) {
+            return Err(DspError::invalid(
+                "sample_rate",
+                "must be finite and positive",
+            ));
         }
         let nyquist = sample_rate / 2.0;
         if !(f0 > 0.0 && f0 < nyquist && f1 > 0.0 && f1 < nyquist) {
@@ -90,7 +100,17 @@ impl Chirp {
                 format!("need f0 < f1, got {f0} >= {f1}"),
             ));
         }
-        let n = (duration * sample_rate).round() as usize;
+        let len = (duration * sample_rate).round();
+        if len.is_nan() || len > Self::MAX_LEN as f64 {
+            return Err(DspError::invalid(
+                "duration",
+                format!(
+                    "{duration} s at {sample_rate:e} Hz is {len:e} samples, over the {} limit",
+                    Self::MAX_LEN
+                ),
+            ));
+        }
+        let n = len as usize;
         if n < 8 {
             return Err(DspError::invalid(
                 "duration",
@@ -291,6 +311,13 @@ mod tests {
         assert!(Chirp::new(6_400.0, 2_000.0, 0.04, 44_100.0, ChirpShape::Up).is_err());
         assert!(Chirp::new(2_000.0, 6_400.0, 0.00001, 44_100.0, ChirpShape::Up).is_err());
         assert!(Chirp::new(2_000.0, 6_400.0, 0.04, 0.0, ChirpShape::Up).is_err());
+        // Non-finite rates, and templates past MAX_LEN, are typed errors
+        // rather than a `usize::MAX`-sample allocation.
+        for fs in [f64::NAN, f64::INFINITY, 1e300] {
+            assert!(Chirp::new(2_000.0, 6_400.0, 0.04, fs, ChirpShape::Up).is_err());
+        }
+        assert!(Chirp::new(2_000.0, 6_400.0, 1e9, 44_100.0, ChirpShape::Up).is_err());
+        assert!(Chirp::new(2_000.0, 6_400.0, f64::NAN, 44_100.0, ChirpShape::Up).is_err());
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //!   rendering in the simulator).
 //! - [`envelope`] — analytic-signal (Hilbert) envelopes for carrier-free
 //!   peak detection of high-band beacons.
-//! - [`resample`] — arbitrary-ratio resampling used to model and to correct
-//!   sampling-frequency offset (SFO).
 //! - [`peak`] — the detection epilogue: exact median and maximum of a
 //!   correlation in one pass, then threshold-based peak picking.
 //! - [`spectrum`] — periodograms and band-energy measurements.
@@ -88,7 +86,6 @@ pub mod level;
 pub mod peak;
 pub mod plan;
 pub mod quantize;
-pub mod resample;
 pub mod spectrum;
 pub mod stft;
 pub mod wav;

@@ -13,7 +13,6 @@ use hyperear_dsp::interpolate::parabolic_peak;
 use hyperear_dsp::level::{db_to_power_ratio, noise_gain_for_snr, power_ratio_to_db, snr_db};
 use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache};
 use hyperear_dsp::quantize::{dequantize_i16, quantize_i16};
-use hyperear_dsp::resample::resample;
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
 use hyperear_util::prop::{self, f64_range, usize_range, vec_f64, vec_of};
@@ -157,17 +156,6 @@ fn noise_gain_hits_any_target() {
             prop::pass()
         },
     );
-}
-
-#[test]
-fn resample_output_length() {
-    let strat = (f64_range(0.5, 2.0), usize_range(16, 256));
-    prop::check("resample_output_length", strat, |(ratio, len)| {
-        let signal = vec![0.25; *len];
-        let out = resample(&signal, *ratio, 8).unwrap();
-        prop_assert_eq!(out.len(), (*len as f64 * ratio).round() as usize);
-        prop::pass()
-    });
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! protocol; the pipeline reports where on the floor map the keys are.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionResult};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear::sdf::{find_crossings, guidance, Guidance, RollObservation};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .stature_drop(0.4)
         .seed(4242)
         .render()?;
-    let mut engine = HyperEar::new(HyperEarConfig::galaxy_s4())?.engine();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4())?;
     let mut result = SessionResult::empty();
     engine.run_into(
         &SessionInput {

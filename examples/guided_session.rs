@@ -14,7 +14,7 @@ use hyperear::config::HyperEarConfig;
 use hyperear::guide::{Instruction, SessionGuide};
 use hyperear::imu::analyze::{analyze_session, SessionConfig, SlideEstimate};
 use hyperear::imu::segment::Segment;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionResult};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::{rotation_sweep, ScenarioBuilder};
@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- The pipeline crunches the recording. ------------------------------
-    let mut engine = HyperEar::new(HyperEarConfig::galaxy_s4())?.engine();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4())?;
     let mut result = SessionResult::empty();
     engine.run_into(
         &SessionInput {

@@ -10,7 +10,7 @@
 //! noise progressively erode accuracy.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionResult};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::ScenarioBuilder;
@@ -19,7 +19,7 @@ use hyperear_sim::volunteer::roster;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One warm engine across all four environments, processing into a
     // reused result whose slide storage is scavenged between sessions.
-    let mut engine = HyperEar::new(HyperEarConfig::galaxy_s4())?.engine();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4())?;
     let mut result = SessionResult::empty();
     let user = &roster()[0];
     println!("Localizing a tag 7 m away across environments (3D, in hand):\n");

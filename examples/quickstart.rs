@@ -11,7 +11,7 @@
 //! infrastructure.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionResult};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::ScenarioBuilder;
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Run the HyperEar pipeline exactly as a phone app would: build
     //    a reusable engine once, then process sessions into a caller-
     //    owned result (the allocation-free steady state of a real app).
-    let mut engine = HyperEar::new(HyperEarConfig::galaxy_s4())?.engine();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4())?;
     let mut result = SessionResult::empty();
     engine.run_into(
         &SessionInput {

@@ -10,7 +10,7 @@
 
 use hyperear::baseline::{naive_two_position_error, NaiveConfig};
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionResult};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear_geom::Vec2;
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One warm engine for the whole sweep: detector tables, FFT plans
     // and scratch buffers are built once, and the reused result's slide
     // storage is scavenged between sessions.
-    let mut engine = HyperEar::new(HyperEarConfig::galaxy_s4())?.engine();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4())?;
     let mut result = SessionResult::empty();
     let naive_config = NaiveConfig::galaxy_s4();
     println!("range    naive scheme (quantized)    HyperEar (5 slides, ruler)");

@@ -79,6 +79,12 @@ done
 echo "== cargo build --release =="
 cargo build --release
 
+# The end-to-end benchmark is a package of its own, outside the
+# workspace: build it here so a library API change that breaks its call
+# sites fails the gate even when every workspace test passes.
+echo "== cargo build (end-to-end benchmark package) =="
+cargo build --offline --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
 echo "== cargo test -q (root package) =="
 cargo test -q
 

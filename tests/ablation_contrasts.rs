@@ -2,7 +2,7 @@
 //! in the way the paper's design narrative predicts.
 
 use hyperear::config::{HyperEarConfig, Interpolation};
-use hyperear::pipeline::{HyperEar, SessionInput, SessionResult};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear::HyperEarError;
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
@@ -19,7 +19,7 @@ fn render(seed: u64) -> Recording {
 }
 
 fn run(rec: &Recording, config: HyperEarConfig) -> Result<SessionResult, HyperEarError> {
-    HyperEar::new(config)?.run(&SessionInput {
+    SessionEngine::new(config)?.run(&SessionInput {
         audio_sample_rate: rec.audio.sample_rate,
         left: &rec.audio.left,
         right: &rec.audio.right,

@@ -52,7 +52,9 @@ fn input(rec: &Recording) -> SessionInput<'_> {
 fn run(rec: &Recording, threads: usize) -> Vec<SessionOutcome> {
     let config = MultiBeaconConfig::distinct_bands(HyperEarConfig::galaxy_s4(), BEACONS);
     let mut engine = MultiBeaconEngine::new(config, Arc::new(Pool::new(threads))).unwrap();
-    engine.run_session(&input(rec))
+    let mut out = Vec::new();
+    engine.run_session_into(&input(rec), &mut out);
+    out
 }
 
 #[test]

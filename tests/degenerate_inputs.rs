@@ -524,7 +524,7 @@ fn degenerate_array_inputs_are_typed_or_soft() {
     ));
 
     // Session layer: channel-count and channel-length mismatches are
-    // typed errors through the array entry point.
+    // typed errors for an array capture.
     let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
         .environment(Environment::anechoic())
         .speaker_range(2.0)
@@ -542,7 +542,7 @@ fn degenerate_array_inputs_are_typed_or_soft() {
         gyro: &rec.imu.gyro,
     };
     assert!(matches!(
-        engine.run_array(&base),
+        engine.run(&base),
         Err(HyperEarError::InvalidParameter { .. })
     ));
 
@@ -564,7 +564,7 @@ fn degenerate_array_inputs_are_typed_or_soft() {
     let mut ragged_input = base;
     ragged_input.channels = &ragged;
     assert!(matches!(
-        tri_engine.run_array(&ragged_input),
+        tri_engine.run(&ragged_input),
         Err(HyperEarError::InvalidParameter { .. })
     ));
 
@@ -579,8 +579,127 @@ fn degenerate_array_inputs_are_typed_or_soft() {
     ];
     let mut muted_input = base;
     muted_input.channels = &muted;
-    let outcome = tri_engine.run_array_monitored(&muted_input);
+    let outcome = tri_engine.run_monitored(&muted_input);
     let result = outcome.result().expect("session survives a dead channel");
     assert!(result.bearing.is_none(), "no prior from starved front-end");
     assert!(result.pair_delays.is_empty());
+}
+
+/// Hostile sample rates at every session entry: zero, negative, NaN,
+/// ±inf, a finite rate no template fits (`1e300`) and the smallest
+/// subnormal (`5e-324`), on the audio and on the IMU side, through the
+/// one-shot entries, the batch engine at 1 and 4 threads, the
+/// multi-beacon engine and `StreamService::open`. Each is a typed
+/// `InvalidParameter` (a `Rejected` admission for the stream), never a
+/// panic and never a detection-stage grade. The capture itself is a
+/// clean session that localizes at its real rates.
+#[test]
+fn hostile_sample_rates_are_typed_at_every_entry() {
+    use hyperear::batch::{BatchEngine, MultiBeaconEngine};
+    use hyperear::config::{MultiBeaconConfig, TdoaEstimator};
+    use hyperear::pipeline::SessionResult;
+    use hyperear::stream::AdmissionError;
+
+    let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
+        .environment(Environment::anechoic())
+        .speaker_range(2.0)
+        .slides(1)
+        .seed(31)
+        .render()
+        .unwrap();
+    let clean = SessionInput {
+        audio_sample_rate: rec.audio.sample_rate,
+        left: &rec.audio.left,
+        right: &rec.audio.right,
+        imu_sample_rate: rec.imu.sample_rate,
+        accel: &rec.imu.accel,
+        gyro: &rec.imu.gyro,
+    };
+    let config = HyperEarConfig::galaxy_s4();
+    let mut engine = SessionEngine::new(config.clone()).unwrap();
+    assert!(
+        engine.run(&clean).is_ok(),
+        "the capture is a usable session"
+    );
+
+    let invalid = |what: &str, outcome: &SessionOutcome| {
+        assert!(
+            matches!(
+                outcome,
+                SessionOutcome::Failed {
+                    reason: HyperEarError::InvalidParameter { .. },
+                    ..
+                }
+            ),
+            "{what}: {outcome:?}"
+        );
+    };
+    let hostile = [
+        0.0,
+        -1.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e300,
+        5e-324,
+    ];
+    let mut batches: Vec<BatchEngine> = [1, 4]
+        .into_iter()
+        .map(|threads| BatchEngine::new(config.clone(), Arc::new(Pool::new(threads))).unwrap())
+        .collect();
+    let multi_config = MultiBeaconConfig::distinct_bands(config.clone(), 2);
+    let mut multi = MultiBeaconEngine::new(multi_config, Arc::new(Pool::new(2))).unwrap();
+    let mut stream = StreamService::new(
+        config.clone(),
+        StreamConfig::for_pool(&Pool::new(1)),
+        Arc::new(Pool::new(1)),
+    )
+    .unwrap();
+
+    for rate in hostile {
+        for side in ["audio", "imu"] {
+            let mut input = clean;
+            match side {
+                "audio" => input.audio_sample_rate = rate,
+                _ => input.imu_sample_rate = rate,
+            }
+            let what = format!("{side} rate {rate:e}");
+
+            let err = engine.run(&input).unwrap_err();
+            assert!(
+                matches!(err, HyperEarError::InvalidParameter { .. }),
+                "{what} run: {err}"
+            );
+            let mut out = SessionResult::empty();
+            let err = engine
+                .run_estimated_into(&input, TdoaEstimator::McciFusion, &mut out)
+                .unwrap_err();
+            assert!(
+                matches!(err, HyperEarError::InvalidParameter { .. }),
+                "{what} run_estimated_into: {err}"
+            );
+            let mut slot = SessionOutcome::idle();
+            engine.run_monitored_into(&input, &mut slot);
+            invalid(&format!("{what} run_monitored_into"), &slot);
+
+            for batch in &mut batches {
+                let mut outs = Vec::new();
+                batch.run_batch_into(&[input, clean], &mut outs);
+                invalid(&format!("{what} batch x{}", batch.threads()), &outs[0]);
+                assert!(outs[1].is_usable(), "{what}: a bad item spoils its batch");
+            }
+
+            let mut outs = Vec::new();
+            multi.run_session_into(&input, &mut outs);
+            assert_eq!(outs.len(), 2);
+            for outcome in &outs {
+                invalid(&format!("{what} multi-beacon"), outcome);
+            }
+
+            match stream.open(input.audio_sample_rate, input.imu_sample_rate) {
+                Err(AdmissionError::Rejected(HyperEarError::InvalidParameter { .. })) => {}
+                other => panic!("{what} stream open: {other:?}"),
+            }
+        }
+    }
 }

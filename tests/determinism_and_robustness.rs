@@ -2,14 +2,14 @@
 //! behaviour of the full stack.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionResult};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear::HyperEarError;
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::{Recording, ScenarioBuilder};
 
 fn run(rec: &Recording) -> Result<SessionResult, HyperEarError> {
-    HyperEar::new(HyperEarConfig::galaxy_s4())?.run(&SessionInput {
+    SessionEngine::new(HyperEarConfig::galaxy_s4())?.run(&SessionInput {
         audio_sample_rate: rec.audio.sample_rate,
         left: &rec.audio.left,
         right: &rec.audio.right,
@@ -70,7 +70,7 @@ fn truncated_imu_is_rejected_cleanly() {
         .seed(5300)
         .render()
         .expect("render");
-    let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).expect("config");
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).expect("config");
     let result = engine.run(&SessionInput {
         audio_sample_rate: rec.audio.sample_rate,
         left: &rec.audio.left,
@@ -96,7 +96,7 @@ fn wrong_beacon_config_fails_gracefully() {
         .expect("render");
     let mut config = HyperEarConfig::galaxy_s4();
     config.beacon.period = 0.15;
-    let engine = HyperEar::new(config).expect("config");
+    let mut engine = SessionEngine::new(config).expect("config");
     let outcome = engine.run(&SessionInput {
         audio_sample_rate: rec.audio.sample_rate,
         left: &rec.audio.left,
@@ -141,7 +141,7 @@ fn stereo_recording_round_trips_through_pcm() {
     let right_back = dequantize_i16(&r2);
     // Recording samples are already on the 16-bit grid, so the round
     // trip is exact and the pipeline result is identical.
-    let result = HyperEar::new(HyperEarConfig::galaxy_s4())
+    let result = SessionEngine::new(HyperEarConfig::galaxy_s4())
         .expect("config")
         .run(&SessionInput {
             audio_sample_rate: rec.audio.sample_rate,

@@ -3,13 +3,13 @@
 
 use hyperear::config::{Aggregation, HyperEarConfig};
 use hyperear::metrics::stats;
-use hyperear::pipeline::{HyperEar, SessionInput};
+use hyperear::pipeline::{SessionEngine, SessionInput};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::{Recording, ScenarioBuilder};
 
 fn run(rec: &Recording, config: HyperEarConfig) -> hyperear::pipeline::SessionResult {
-    HyperEar::new(config)
+    SessionEngine::new(config)
         .expect("valid config")
         .run(&SessionInput {
             audio_sample_rate: rec.audio.sample_rate,

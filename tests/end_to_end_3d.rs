@@ -2,7 +2,7 @@
 //! protocol against ground truth, in hand.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput};
+use hyperear::pipeline::{SessionEngine, SessionInput};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::ScenarioBuilder;
@@ -22,7 +22,7 @@ fn projected_location_recovers_floor_distance() {
         .seed(3100)
         .render()
         .expect("render");
-    let result = HyperEar::new(HyperEarConfig::galaxy_s4())
+    let result = SessionEngine::new(HyperEarConfig::galaxy_s4())
         .expect("config")
         .run(&SessionInput {
             audio_sample_rate: rec.audio.sample_rate,
@@ -71,7 +71,7 @@ fn every_volunteer_completes_a_session() {
             .seed(3200 + i as u64)
             .render()
             .expect("render");
-        let result = HyperEar::new(HyperEarConfig::galaxy_s4())
+        let result = SessionEngine::new(HyperEarConfig::galaxy_s4())
             .expect("config")
             .run(&SessionInput {
                 audio_sample_rate: rec.audio.sample_rate,
@@ -105,7 +105,7 @@ fn shaky_hands_reject_more_slides_than_the_ruler() {
         .seed(3300)
         .render()
         .expect("render");
-    let result = HyperEar::new(HyperEarConfig::galaxy_s4())
+    let result = SessionEngine::new(HyperEarConfig::galaxy_s4())
         .expect("config")
         .run(&SessionInput {
             audio_sample_rate: rec.audio.sample_rate,

@@ -14,8 +14,8 @@
 //! from another session, breaks one of the equalities: the first when
 //! the spoiled rung wins, the second when it loses.
 //!
-//! The stereo path (`run_monitored_into`) and the array path
-//! (`run_array_monitored_into`, 3 and 4 microphones) are both covered.
+//! Stereo captures and N-microphone array captures (3 and 4
+//! microphones), both through `run_monitored_into`, are covered.
 //! The warm engine runs on the environment's pool (`HYPEREAR_THREADS`)
 //! and the references run sequentially, so the check also pins thread
 //! invariance. `scripts/verify.sh --estimators` runs this binary at
@@ -237,10 +237,10 @@ fn array_reruns_match_fresh_engines_across_sessions() {
                 ("B", &b, &chans_b),
                 ("A again", &a, &chans_a),
             ] {
-                engine.run_array_monitored_into(&array_input(rec, chans), &mut slot);
+                engine.run_monitored_into(&array_input(rec, chans), &mut slot);
                 let what = format!("{} from {} {name}", preset.name, initial.name());
                 check(&what, &ladder, &slot, |fresh, out| {
-                    fresh.run_array_monitored_into(&array_input(rec, chans), out);
+                    fresh.run_monitored_into(&array_input(rec, chans), out);
                 });
                 winners.push(winner(&slot));
             }

@@ -3,7 +3,7 @@
 //! surface `examples/quickstart.rs` and `examples/find_keys.rs` drive.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput};
+use hyperear::pipeline::{SessionEngine, SessionInput};
 use hyperear::sdf::{find_crossings, guidance, Guidance, RollObservation};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
@@ -11,7 +11,7 @@ use hyperear_sim::scenario::{rotation_sweep, Recording, ScenarioBuilder};
 use hyperear_sim::volunteer::roster;
 
 fn run_pipeline(recording: &Recording) -> hyperear::pipeline::SessionResult {
-    let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).expect("engine");
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).expect("engine");
     engine
         .run(&SessionInput {
             audio_sample_rate: recording.audio.sample_rate,

@@ -2,7 +2,7 @@
 //! and non-line-of-sight operation.
 
 use hyperear::config::HyperEarConfig;
-use hyperear::pipeline::{HyperEar, SessionInput, SessionResult};
+use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear::HyperEarError;
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
@@ -10,7 +10,7 @@ use hyperear_sim::scenario::{Recording, ScenarioBuilder};
 use hyperear_sim::speaker::SpeakerModel;
 
 fn run(rec: &Recording, config: HyperEarConfig) -> Result<SessionResult, HyperEarError> {
-    HyperEar::new(config)?.run(&SessionInput {
+    SessionEngine::new(config)?.run(&SessionInput {
         audio_sample_rate: rec.audio.sample_rate,
         left: &rec.audio.left,
         right: &rec.audio.right,

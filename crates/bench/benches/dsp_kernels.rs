@@ -1,9 +1,12 @@
 //! Micro-benchmarks of the DSP kernels on the pipeline's hot path: FFT,
-//! matched-filter correlation, band-pass filtering, fractional delay,
-//! the detection epilogue (threshold and peak picking), and sub-sample
-//! peak refinement. Runs on the workspace's own std-only
-//! harness (`hyperear_util::bench`).
+//! matched-filter correlation (full-rate and band-limited), band-pass
+//! filtering, fractional delay, the detection epilogue (threshold and
+//! peak picking), whole band-limited detection passes, and sub-sample
+//! peak refinement. Runs on the workspace's own std-only harness
+//! (`hyperear_util::bench`).
 
+use hyperear::asp::{BeaconDetector, MultiBeaconDetector, MultiBeaconScratch};
+use hyperear::config::{HyperEarConfig, MultiBeaconConfig};
 use hyperear_dsp::chirp::{Chirp, ChirpShape};
 use hyperear_dsp::correlate::{StreamingMatchedFilter, StreamingMatchedFilterBank};
 use hyperear_dsp::delay::mix_delayed_local;
@@ -99,6 +102,46 @@ fn bench_matched_filter(suite: &mut Suite) {
             },
         );
     }
+    // What the detector runs: the same folded filter copied out as the
+    // decimated analytic correlation (two short inverses per block pair
+    // instead of one block-length inverse).
+    let band = folded.band_limited().expect("band-limited");
+    let mut lanes = vec![Vec::new()];
+    for &seconds in &[1usize, 4] {
+        let n = 44_100 * seconds;
+        let signal = deterministic_signal(n);
+        suite.bench_allocfree_with_elements(
+            &format!("matched_filter/bandlimited/{seconds}s"),
+            n as u64,
+            || {
+                band.correlate_into(&signal, &mut scratch, &mut lanes)
+                    .expect("correlate");
+                black_box(lanes[0][0])
+            },
+        );
+    }
+}
+
+/// `seconds` of 44.1 kHz capture: uniform noise plus the HyperEar chirp
+/// every 0.2 s, the raw input one channel's detection pass reads.
+fn beacon_capture(seconds: usize) -> Vec<f64> {
+    let n = seconds * 44_100;
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut signal: Vec<f64> = (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            0.05 * (2.0 * ((state >> 11) as f64 / (1u64 << 53) as f64) - 1.0)
+        })
+        .collect();
+    let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
+    for at in (1_500..n).step_by(8_820) {
+        for (s, &c) in signal[at..].iter_mut().zip(chirp.samples()) {
+            *s += 0.3 * c;
+        }
+    }
+    signal
 }
 
 fn bench_band_pass(suite: &mut Suite) {
@@ -172,10 +215,22 @@ fn correlation_train(seconds: usize) -> Vec<f64> {
 }
 
 /// The four normalized lanes of a K = 4 bank over `seconds` of
-/// 44.1 kHz capture: uniform noise plus four half-overlapping sub-band
-/// chirps (alternating sweep direction), each repeating every 0.2 s at
-/// its own offset, as in a multi-beacon session.
+/// 44.1 kHz capture (see [`bank_capture`]).
 fn bank_lanes(seconds: usize) -> Vec<Vec<f64>> {
+    let (signal, chirps) = bank_capture(seconds);
+    let templates: Vec<&[f64]> = chirps.iter().map(Chirp::samples).collect();
+    let bank = StreamingMatchedFilterBank::new(&templates).expect("bank");
+    let mut lanes = vec![Vec::new(); templates.len()];
+    bank.correlate_normalized_into(&signal, &mut DspScratch::new(), &mut lanes)
+        .expect("correlate");
+    lanes
+}
+
+/// `seconds` of 44.1 kHz capture: uniform noise plus four
+/// half-overlapping sub-band chirps (alternating sweep direction), each
+/// repeating every 0.2 s at its own offset, as in a multi-beacon
+/// session; and the four chirps.
+fn bank_capture(seconds: usize) -> (Vec<f64>, Vec<Chirp>) {
     let n = seconds * 44_100;
     let mut state = 0x2545_f491_4f6c_dd1du64;
     let mut signal: Vec<f64> = (0..n)
@@ -204,12 +259,7 @@ fn bank_lanes(seconds: usize) -> Vec<Vec<f64>> {
             }
         }
     }
-    let templates: Vec<&[f64]> = chirps.iter().map(Chirp::samples).collect();
-    let bank = StreamingMatchedFilterBank::new(&templates).expect("bank");
-    let mut lanes = vec![Vec::new(); templates.len()];
-    bank.correlate_normalized_into(&signal, &mut DspScratch::new(), &mut lanes)
-        .expect("correlate");
-    lanes
+    (signal, chirps)
 }
 
 fn bench_detection_epilogue(suite: &mut Suite) {
@@ -238,6 +288,39 @@ fn bench_detection_epilogue(suite: &mut Suite) {
             detect_peaks_into(lane, &rule, &mut scratch, &mut peaks).expect("epilogue");
         }
         black_box(peaks.len())
+    });
+}
+
+fn bench_bandlimited_detection(suite: &mut Suite) {
+    // A whole detection pass as the session engine runs it per channel:
+    // band-limited correlation, the envelope epilogue and the full-rate
+    // refinement of every candidate.
+    let capture = beacon_capture(6);
+    let mut detector =
+        BeaconDetector::new(&HyperEarConfig::galaxy_s4(), 44_100.0).expect("detector");
+    let mut arrivals = Vec::new();
+    detector
+        .detect_into(&capture, &mut arrivals)
+        .expect("warm-up");
+    suite.bench_allocfree_with_elements("detect/bandlimited/6s", capture.len() as u64, || {
+        detector
+            .detect_into(&capture, &mut arrivals)
+            .expect("detect");
+        black_box(arrivals.len())
+    });
+    // The K = 4 bank: one forward transform, four band-rate lanes, four
+    // per-beacon epilogues and refinements.
+    let (signal, _) = bank_capture(3);
+    let multi = MultiBeaconConfig::distinct_bands(HyperEarConfig::galaxy_s4(), 4);
+    let bank = MultiBeaconDetector::new(&multi, 44_100.0).expect("bank");
+    let mut scratch = MultiBeaconScratch::new();
+    let mut lanes = vec![Vec::new(); 4];
+    bank.detect_into(&signal, &mut scratch, &mut lanes)
+        .expect("warm-up");
+    suite.bench_allocfree_with_elements("detect/bandlimited_k4/3s", signal.len() as u64, || {
+        bank.detect_into(&signal, &mut scratch, &mut lanes)
+            .expect("detect");
+        black_box(lanes[0].len())
     });
 }
 
@@ -297,6 +380,41 @@ fn bench_estimators(suite: &mut Suite) {
             },
         );
     }
+    // The band-limited detector's rung: PHAT on the decimated analytic
+    // correlation of a 6 s capture (131,072-point complex transforms
+    // instead of 524,288-point real ones).
+    {
+        use hyperear_dsp::estimator::AnalyticSpectrum;
+        let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
+        let bp = FirFilter::band_pass(1_800.0, 7_040.0, 44_100.0, 127, Window::Hamming)
+            .expect("band-pass");
+        let band = StreamingMatchedFilter::with_zero_phase_prefilter(chirp.samples(), bp.taps())
+            .and_then(|f| f.band_limited())
+            .expect("filter");
+        let capture = beacon_capture(6);
+        let mut lanes = vec![Vec::new()];
+        band.correlate_into(&capture, &mut DspScratch::new(), &mut lanes)
+            .expect("correlate");
+        let seq = lanes.pop().expect("one lane");
+        let mut spectrum = AnalyticSpectrum::new();
+        let mut scratch = EstimatorScratch::new();
+        let mut guide = Vec::new();
+        spectrum.compute(&seq).expect("spectrum");
+        spectrum
+            .gcc_phat_into(0.15, &mut scratch, &mut guide)
+            .expect("phat");
+        suite.bench_allocfree_with_elements(
+            "estimator/gcc_phat_bandlimited/6s",
+            capture.len() as u64,
+            move || {
+                spectrum.compute(&seq).expect("spectrum");
+                spectrum
+                    .gcc_phat_into(0.15, &mut scratch, &mut guide)
+                    .expect("phat");
+                black_box(guide[0])
+            },
+        );
+    }
     let corr = correlation_train(1);
     let n = corr.len();
     // MCCI identity solve + two-channel fusion over the same train, the
@@ -352,6 +470,7 @@ fn main() {
     bench_band_pass(&mut suite);
     bench_fractional_delay(&mut suite);
     bench_detection_epilogue(&mut suite);
+    bench_bandlimited_detection(&mut suite);
     bench_peak_refinement(&mut suite);
     bench_estimators(&mut suite);
     bench_rfft_spectrum(&mut suite);

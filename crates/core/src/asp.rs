@@ -7,18 +7,31 @@
 //! stand well above the background-noise floor. Arrival times are then
 //! refined below the sampling grid — without that refinement the TDoA
 //! resolution would be stuck at 7.78 mm per sample (paper §II-C).
+//!
+//! The beacon occupies a narrow band, so detection runs at the band's
+//! rate: the matched filter produces the decimated analytic correlation
+//! ([`BandLimitedBank`]), the threshold and peak picking run on its
+//! envelope, and each accepted arrival is timed on full-rate
+//! correlation values rebuilt at the few lags the sub-sample fit reads
+//! ([`Decimation::rebuild_into`]).
 
 use crate::config::{HyperEarConfig, Interpolation, MultiBeaconConfig, TdoaEstimator};
 use crate::HyperEarError;
 use hyperear_dsp::chirp::Chirp;
-use hyperear_dsp::correlate::{ChunkFeed, StreamingMatchedFilter, StreamingMatchedFilterBank};
+use hyperear_dsp::correlate::{
+    BandLimitedBank, ChunkFeed, StreamingMatchedFilter, StreamingMatchedFilterBank,
+};
 use hyperear_dsp::envelope::envelope_with;
-use hyperear_dsp::estimator::{mcci_fuse_channel_into, CorrelationSpectrum, EstimatorScratch};
+use hyperear_dsp::estimator::{mcci_fuse_channel_into, AnalyticSpectrum, EstimatorScratch};
 use hyperear_dsp::filter::FirFilter;
-use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
-use hyperear_dsp::peak::{detect_peaks_into, Peak, PeakScratch, ThresholdRule};
+use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak, Decimation};
+use hyperear_dsp::peak::{
+    detect_envelope_peaks_into, detect_peaks_into, Peak, PeakScratch, ThresholdRule,
+};
 use hyperear_dsp::plan::{DspScratch, PlanCache};
 use hyperear_dsp::window::Window;
+use hyperear_dsp::Complex;
+use hyperear_geom::MAX_MICS;
 
 /// One detected beacon arrival on one channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,14 +51,20 @@ pub struct BeaconArrival {
 /// The configured band-pass FIR is folded into the matched-filter
 /// template (`corr(bp(x), t) = corr(x, bp⋆t)`, see
 /// [`StreamingMatchedFilter::with_zero_phase_prefilter`]), so detection
-/// is one overlap-save pass over the raw channel. The engine's hot
-/// methods take `&self`, so one core can serve any number of channels
-/// (or batch workers) concurrently — each caller brings its own
-/// [`DetectScratch`]. Template spectra and FFT tables therefore exist
-/// once per sample rate per process instead of once per worker.
+/// is one overlap-save pass over the raw channel, copied out band-limited
+/// ([`BandLimitedBank`]). The full-rate form of the same filter serves
+/// only the MCCI rung. The engine's hot methods take `&self`, so one
+/// core can serve any number of channels (or batch workers)
+/// concurrently — each caller brings its own [`DetectScratch`]. Template
+/// spectra and FFT tables therefore exist once per sample rate per
+/// process instead of once per worker.
 #[derive(Debug, Clone)]
 pub struct DetectorCore {
+    /// The full-rate folded filter: MCCI fusion's on-demand correlation.
     filter: StreamingMatchedFilter,
+    /// Its band-limited form (shared template spectrum): every other
+    /// detection pass.
+    band: BandLimitedBank,
     /// The chirp template length: the shortest channel detection
     /// accepts (folding lengthens the engine template, not this).
     chirp_len: usize,
@@ -67,7 +86,7 @@ pub struct DetectorCore {
 /// channel's own correlation around a *spectrally-weighted* guide peak.
 /// The weighted guide lives on the channel's own time line, so the guide
 /// is already within interpolation distance of the own-correlation peak.
-pub(crate) const MCCI_REFINE: usize = 8;
+pub(crate) const WEIGHTED_REFINE: usize = 8;
 
 /// Refine radius (samples, each side) around an *MCCI-fused* guide peak.
 /// Fusion aligns channels with one session-constant offset per channel,
@@ -79,36 +98,6 @@ pub(crate) const MCCI_REFINE: usize = 8;
 /// the own-correlation direct peak dominates any echo inside the window
 /// regardless (echoes arrive attenuated on the unweighted correlation).
 pub(crate) const FUSED_REFINE: usize = 40;
-
-/// Which kind of correlation is guiding arrival timing — determines the
-/// refine radius and whether the leading-edge echo rule applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GuideKind {
-    /// Spectrally-weighted version of the channel's own correlation
-    /// (GCC-PHAT, sub-band coherence): exact time alignment, so a tight
-    /// refine window; whitening can equalize an echo with the direct
-    /// path, so the leading-edge rule is on.
-    Weighted,
-    /// MCCI shift-and-average across channels: the guide carries the
-    /// residual misalignment of session-constant offsets, so a wide
-    /// refine window; averaging never promotes an echo above the direct
-    /// path, and misalignment doublets would false-trigger the
-    /// leading-edge rule, so it is off.
-    Fused,
-}
-
-impl GuideKind {
-    fn refine(self) -> usize {
-        match self {
-            GuideKind::Weighted => MCCI_REFINE,
-            GuideKind::Fused => FUSED_REFINE,
-        }
-    }
-
-    fn leading_edge(self) -> bool {
-        matches!(self, GuideKind::Weighted)
-    }
-}
 
 /// Leading-edge backtrack window for guided arrival extraction, seconds.
 /// NLOS multipath puts an echo *after* the direct path at millisecond
@@ -151,63 +140,103 @@ impl DetectScratch {
     }
 }
 
-/// One channel's normalized matched-filter correlation and — once a
-/// weighting estimator has asked for it — the correlation's forward
-/// half-spectrum. Correlating into it forgets the old spectrum, so the
+/// One channel's band-limited correlation — the normalized decimated
+/// analytic sequence and the number of full-rate lags it covers — and,
+/// once a weighting estimator has asked for it, the sequence's forward
+/// spectrum. Correlating into it forgets the old spectrum, so the
 /// spectrum always belongs to the correlation beside it; estimator
 /// escalation reruns weight the same spectrum instead of transforming
 /// the correlation again.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChannelCorrelation {
-    corr: Vec<f64>,
-    spectrum: CorrelationSpectrum,
+    corr: Vec<Complex>,
+    lags: usize,
+    spectrum: AnalyticSpectrum,
 }
 
 impl ChannelCorrelation {
-    /// The correlation lags.
-    pub(crate) fn corr(&self) -> &[f64] {
-        &self.corr
-    }
-
     fn clear(&mut self) {
         self.corr.clear();
+        self.lags = 0;
         self.spectrum.clear();
     }
 
     /// Bytes reserved by the correlation and spectrum buffers.
     pub(crate) fn capacity_bytes(&self) -> usize {
-        self.corr.capacity() * std::mem::size_of::<f64>() + self.spectrum.capacity_bytes()
+        self.corr.capacity() * std::mem::size_of::<Complex>() + self.spectrum.capacity_bytes()
     }
 }
 
 /// The per-worker buffers of arrival extraction: peak picking, the
-/// weighting kernels' workspace, and the guide correlation peaks are
-/// detected on when it is not the channel's own (a spectrally weighted
-/// or an MCCI-fused sequence; arrivals are always timed on the own
-/// correlation).
+/// weighting kernels' workspace, and the spectrally weighted guide
+/// sequence peaks are detected on when it is not the channel's own
+/// (arrivals are always timed on the own correlation).
 #[derive(Debug, Clone, Default)]
 struct ExtractScratch {
     pick: PickScratch,
     est: EstimatorScratch,
-    guide: Vec<f64>,
+    guide: Vec<Complex>,
 }
 
 impl ExtractScratch {
     fn capacity_bytes(&self) -> usize {
         self.pick.capacity_bytes()
             + self.est.capacity_bytes()
-            + self.guide.capacity() * std::mem::size_of::<f64>()
+            + self.guide.capacity() * std::mem::size_of::<Complex>()
     }
 }
 
-/// The post-correlation working buffers of one detection pass: noise
-/// statistics, peak lists and — in envelope mode — the plan cache, the
-/// analytic-signal workspace and the envelopes themselves. Owned by
-/// every per-channel scratch ([`DetectScratch`], [`StreamingDetector`],
-/// [`MultiBeaconScratch`]) so the threshold/peak stage never allocates
-/// once warm, envelope mode included.
+/// The post-correlation working buffers of one band-limited detection
+/// pass: the guide's envelope, noise statistics, candidate peaks, the
+/// rebuilt full-rate lags around one candidate, and each candidate's
+/// full-rate apex. Owned by every per-channel scratch
+/// ([`DetectScratch`], [`StreamingDetector`], [`MultiBeaconScratch`]) so
+/// the threshold/peak stage never allocates once warm.
 #[derive(Debug, Clone, Default)]
 struct PickScratch {
+    peak: PeakScratch,
+    peaks: Vec<Peak>,
+    /// `|guide|`, one value per decimated lag.
+    env: Vec<f64>,
+    /// Rebuilt full-rate values around the candidate being refined.
+    window: Vec<f64>,
+    /// Each candidate's full-rate apex on the guide.
+    apex: Vec<f64>,
+}
+
+impl PickScratch {
+    fn with_capacity(decimated: usize) -> Self {
+        PickScratch {
+            peak: PeakScratch::with_capacity(decimated),
+            env: Vec::with_capacity(decimated),
+            ..PickScratch::default()
+        }
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        (self.env.capacity() + self.window.capacity() + self.apex.capacity())
+            * std::mem::size_of::<f64>()
+            + self.peaks.capacity() * std::mem::size_of::<Peak>()
+            + self.peak.capacity_bytes()
+    }
+}
+
+/// The MCCI rung's on-demand full-rate buffers: every channel's
+/// normalized full-rate correlation, the fused guide, and the full-rate
+/// threshold/peak workspace (with the envelope buffers envelope
+/// detection needs there). MCCI fuses channels sample by sample on the
+/// full-rate correlation exactly as it always has, so its outcomes do not
+/// depend on the band-limited path.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct McciScratch {
+    corrs: Vec<Vec<f64>>,
+    guide: Vec<f64>,
+    pick: FullRatePick,
+}
+
+/// The full-rate threshold/peak workspace of the MCCI rung.
+#[derive(Debug, Clone, Default)]
+struct FullRatePick {
     peak: PeakScratch,
     peaks: Vec<Peak>,
     plans: PlanCache,
@@ -218,12 +247,27 @@ struct PickScratch {
     env_own: Vec<f64>,
 }
 
-impl PickScratch {
-    fn capacity_bytes(&self) -> usize {
-        (self.env.capacity() + self.env_own.capacity()) * std::mem::size_of::<f64>()
-            + self.peaks.capacity() * std::mem::size_of::<Peak>()
-            + self.peak.capacity_bytes()
-            + self.analytic.capacity_bytes()
+impl McciScratch {
+    /// The first `n` channels' full-rate correlation buffers (grown on
+    /// first use).
+    pub(crate) fn corrs_mut(&mut self, n: usize) -> &mut [Vec<f64>] {
+        if self.corrs.len() < n {
+            self.corrs.resize_with(n, Vec::new);
+        }
+        &mut self.corrs[..n]
+    }
+
+    /// Bytes reserved by the correlations and the extraction buffers.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        let p = &self.pick;
+        (self.corrs.iter().map(Vec::capacity).sum::<usize>()
+            + self.guide.capacity()
+            + p.env.capacity()
+            + p.env_own.capacity())
+            * std::mem::size_of::<f64>()
+            + p.peaks.capacity() * std::mem::size_of::<Peak>()
+            + p.peak.capacity_bytes()
+            + p.analytic.capacity_bytes()
     }
 }
 
@@ -262,6 +306,7 @@ impl DetectorCore {
             StreamingMatchedFilter::new(chirp.samples())?
         };
         Ok(DetectorCore {
+            band: filter.band_limited()?,
             filter,
             chirp_len: chirp.samples().len(),
             sample_rate,
@@ -308,7 +353,13 @@ impl DetectorCore {
     /// — never on the capture length.
     #[must_use]
     pub fn peak_fft_len(&self) -> usize {
-        self.filter.block_len()
+        self.band.block_len()
+    }
+
+    /// How detection decimates the correlation (factor, kept band,
+    /// rebuild interpolator).
+    pub(crate) fn decimation(&self) -> &Decimation {
+        self.band.decimation(0)
     }
 
     /// Detects beacon arrivals in one audio channel, using a
@@ -331,7 +382,7 @@ impl DetectorCore {
         self.arrivals_estimated(self.estimator, chan, extract, out)
     }
 
-    /// One channel's detection pass of a session under an explicit
+    /// One channel's detection pass of a session under a per-channel
     /// estimator — the hook estimator escalation uses to rerun a
     /// poorly-graded session with a heavier estimator without rebuilding
     /// the core. With `Some(samples)` the channel is correlated into
@@ -351,26 +402,22 @@ impl DetectorCore {
         if let Some(samples) = samples {
             self.correlate_into(samples, &mut scratch.dsp, chan)?;
         }
-        if estimator == TdoaEstimator::McciFusion {
-            // Cross-channel: the session engine extracts after its joint
-            // alignment solve.
-            return Ok(());
-        }
         self.arrivals_estimated(estimator, chan, &mut scratch.extract, out)
     }
 
     /// The pre-threshold half of detection: the normalized, band-pass
-    /// folded matched-filter correlation of the channel into `chan`,
-    /// whose old spectrum is forgotten.
+    /// folded, band-limited matched-filter correlation of the channel
+    /// into `chan`, whose old spectrum is forgotten.
     fn correlate_into(
         &self,
         channel: &[f64],
         dsp: &mut DspScratch,
         chan: &mut ChannelCorrelation,
     ) -> Result<(), HyperEarError> {
-        chan.spectrum.clear();
-        self.filter
-            .correlate_normalized_into(channel, dsp, &mut chan.corr)?;
+        chan.clear();
+        self.band
+            .correlate_into(channel, dsp, std::slice::from_mut(&mut chan.corr))?;
+        chan.lags = channel.len();
         Ok(())
     }
 
@@ -403,11 +450,12 @@ impl DetectorCore {
         x: &mut ExtractScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
+        let dec = self.band.decimation(0);
         if matches!(
             estimator,
             TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion
         ) {
-            return self.arrivals_from_corr(&chan.corr, &mut x.pick, out);
+            return self.arrivals_band(dec, &chan.corr, None, chan.lags, &mut x.pick, out);
         }
         if chan.spectrum.is_empty() {
             chan.spectrum.compute(&chan.corr)?;
@@ -416,66 +464,49 @@ impl DetectorCore {
             chan.spectrum
                 .gcc_phat_into(self.phat_floor, &mut x.est, &mut x.guide)?
         } else {
-            chan.spectrum.subband_coherence_into(
-                self.sample_rate,
-                self.coherence_band.0,
-                self.coherence_band.1,
-                self.coherence_bands,
-                &mut x.est,
-                &mut x.guide,
-            )?
+            // The coherence band in the decimated sequence's baseband
+            // frequencies.
+            let rate = self.sample_rate / dec.factor() as f64;
+            let center = dec.carrier() * self.sample_rate;
+            let lo = (self.coherence_band.0 - center).max(-rate / 2.0);
+            let hi = (self.coherence_band.1 - center).min(rate / 2.0);
+            lo < hi
+                && chan.spectrum.subband_coherence_into(
+                    rate,
+                    lo,
+                    hi,
+                    self.coherence_bands,
+                    &mut x.est,
+                    &mut x.guide,
+                )?
         };
         let guide = if weighted { &x.guide } else { &chan.corr };
-        self.arrivals_guided_into(guide, &chan.corr, GuideKind::Weighted, &mut x.pick, out)
+        self.arrivals_band(dec, guide, Some(&chan.corr), chan.lags, &mut x.pick, out)
     }
 
-    /// Plain arrival extraction over an externally-held correlation (the
-    /// MCCI fallback for channels that could not be fused), reusing the
-    /// scratch's peak/noise buffers.
-    pub(crate) fn arrivals_with(
+    /// Band-limited arrival extraction over decimated analytic sequences
+    /// covering `lags` full-rate lags.
+    ///
+    /// Candidates are picked on the guide's envelope `|guide|`
+    /// ([`detect_envelope_peaks_into`]: Rayleigh noise floor, minimum
+    /// spacing in decimated lags) at a threshold lowered by the
+    /// decimation's worst-case grid loss, so the `D`-lag grid cannot
+    /// drop a beacon. Each candidate's full-rate apex is then rebuilt on
+    /// the guide, and a candidate is accepted when its apex reaches the
+    /// full-rate two-part threshold `max(noise_factor · σ, relative ·
+    /// strongest apex)`. With `own = None` (plain detection) the arrival
+    /// is the guide's apex, sub-sample refined; with a weighted guide it
+    /// is timed on `own`: the leading-edge rule backtracks along the
+    /// guide's envelope, and `own`'s full-rate maximum within
+    /// [`WEIGHTED_REFINE`] lags of the guide is refined. In envelope mode
+    /// every rebuilt value is the envelope `|a|` instead of the
+    /// correlation `Re a`.
+    fn arrivals_band(
         &self,
-        corr: &[f64],
-        scratch: &mut DetectScratch,
-        out: &mut Vec<BeaconArrival>,
-    ) -> Result<(), HyperEarError> {
-        self.arrivals_from_corr(corr, &mut scratch.extract.pick, out)
-    }
-
-    /// MCCI-guided arrival extraction for channel `k`: every live
-    /// channel's correlation is shift-and-averaged onto channel `k`'s
-    /// time line (into the scratch's guide buffer), peaks are *detected*
-    /// on that fused correlation (so a beacon masked on this channel can
-    /// be recovered from the redundant channels), and each arrival is
-    /// *timed* on the channel's own correlation — the local maximum
-    /// within ±[`FUSED_REFINE`] samples of the fused peak, sub-sample
-    /// interpolated as usual. Cross-channel averaging therefore improves
-    /// detection without ever mixing other channels' propagation delays
-    /// into this channel's arrival times, which would cancel the very
-    /// inter-channel TDoA the pipeline measures.
-    pub(crate) fn arrivals_fused(
-        &self,
-        corrs: &[&[f64]],
-        offsets: &[f64],
-        live: &[bool],
-        k: usize,
-        scratch: &mut DetectScratch,
-        out: &mut Vec<BeaconArrival>,
-    ) -> Result<(), HyperEarError> {
-        let x = &mut scratch.extract;
-        mcci_fuse_channel_into(corrs, offsets, live, k, &mut x.guide)?;
-        self.arrivals_guided_into(&x.guide, corrs[k], GuideKind::Fused, &mut x.pick, out)
-    }
-
-    /// Guided arrival extraction: peaks detected on `fused` (a weighted
-    /// or MCCI-fused guide on the channel's time line), each arrival
-    /// timed on `own` near its guide peak. `kind` selects the refine
-    /// radius and whether the leading-edge echo rule applies (see
-    /// [`GuideKind`]).
-    fn arrivals_guided_into(
-        &self,
-        fused: &[f64],
-        own: &[f64],
-        kind: GuideKind,
+        dec: &Decimation,
+        guide: &[Complex],
+        own: Option<&[Complex]>,
+        lags: usize,
         pick: &mut PickScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
@@ -483,10 +514,201 @@ impl DetectorCore {
         let PickScratch {
             peak,
             peaks,
+            env,
+            window,
+            apex,
+        } = pick;
+        env.clear();
+        env.extend(guide.iter().map(|z| z.norm_sqr().sqrt()));
+        let d = dec.factor();
+        // Carrier mode reads `Re a` at integer lags, up to half a sample
+        // off a crest of the highest kept frequency.
+        let crest = if self.envelope_detection {
+            1.0
+        } else {
+            (std::f64::consts::PI * dec.kept_band().1).cos()
+        };
+        let loss = dec.scalloping_gain() * crest;
+        let rule = &self.threshold;
+        let candidates = ThresholdRule {
+            noise_factor: rule.noise_factor * dec.scalloping_gain(),
+            relative: rule.relative * loss * loss,
+            min_distance: rule.min_distance.div_ceil(d),
+        };
+        let floor = detect_envelope_peaks_into(env, &candidates, peak, peaks)?;
+        // The apex search radius: half a grid step, plus one carrier
+        // period in carrier mode.
+        let radius = d / 2
+            + if self.envelope_detection {
+                1
+            } else {
+                (1.0 / dec.carrier()).ceil() as usize
+            };
+        let margin = match self.interpolation {
+            Interpolation::None => 0,
+            Interpolation::Parabolic => 1,
+            Interpolation::Sinc => SINC_HALF_WIDTH + 1,
+        };
+        let backtrack = (LEADING_EDGE_WINDOW * self.sample_rate) as usize / d;
+        apex.clear();
+        out.reserve(peaks.len());
+        for p in peaks.iter() {
+            let at = p.index * d;
+            let search = at.saturating_sub(radius)..(at + radius + 1).min(lags);
+            let arrival = match own {
+                None => {
+                    let (arrival, value) = self.refined(dec, guide, search, margin, lags, window);
+                    apex.push(value);
+                    arrival
+                }
+                Some(own) => {
+                    let start = search.start;
+                    dec.rebuild_into(guide, search, self.envelope_detection, window);
+                    let best = first_max(window, 0..window.len());
+                    apex.push(window[best]);
+                    // Leading-edge rule: inside the cluster the apex may
+                    // be an echo; guide the timing from the earliest
+                    // near-equal envelope maximum instead (the direct
+                    // path precedes its echoes).
+                    let cutoff = LEADING_EDGE_RATIO * env[p.index];
+                    let mut at = start + best;
+                    for t in p.index.saturating_sub(backtrack)..p.index {
+                        if env[t] >= cutoff
+                            && (t == 0 || env[t] >= env[t - 1])
+                            && env[t] >= env[t + 1]
+                        {
+                            at = t * d;
+                            break;
+                        }
+                    }
+                    let search =
+                        at.saturating_sub(WEIGHTED_REFINE)..(at + WEIGHTED_REFINE + 1).min(lags);
+                    self.refined(dec, own, search, margin, lags, window).0
+                }
+            };
+            out.push(arrival);
+        }
+        let strongest = apex.iter().copied().fold(0.0, f64::max);
+        let threshold = (rule.noise_factor * floor).max(rule.relative * strongest);
+        let mut k = 0;
+        out.retain(|_| {
+            k += 1;
+            apex[k - 1] >= threshold
+        });
+        Ok(())
+    }
+
+    /// The arrival at the largest rebuilt full-rate value of `seq` over
+    /// `search` (the first on ties), sub-sample refined on lags rebuilt
+    /// `margin` either side, clipped to `0..lags` — so, as at a
+    /// correlation's ends, a fit that needs a lag outside it falls back
+    /// to the integer lag. Also returns the integer-lag value.
+    fn refined(
+        &self,
+        dec: &Decimation,
+        seq: &[Complex],
+        search: std::ops::Range<usize>,
+        margin: usize,
+        lags: usize,
+        window: &mut Vec<f64>,
+    ) -> (BeaconArrival, f64) {
+        let lo = search.start.saturating_sub(margin);
+        let hi = (search.end + margin).min(lags);
+        dec.rebuild_into(seq, lo..hi, self.envelope_detection, window);
+        let best = first_max(window, search.start - lo..search.end - lo);
+        let value = window[best];
+        let (pos, refined) = match self.interpolation {
+            Interpolation::None => (best as f64, value),
+            Interpolation::Parabolic => {
+                parabolic_peak(window, best).unwrap_or((best as f64, value))
+            }
+            Interpolation::Sinc => {
+                sinc_peak(window, best, SINC_HALF_WIDTH).unwrap_or((best as f64, value))
+            }
+        };
+        let arrival = BeaconArrival {
+            time: (lo as f64 + pos) / self.sample_rate,
+            strength: refined,
+        };
+        (arrival, value)
+    }
+
+    /// The channel's normalized full-rate correlation into `out` — the
+    /// MCCI rung's on-demand input.
+    pub(crate) fn correlate_full_into(
+        &self,
+        channel: &[f64],
+        scratch: &mut DetectScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<(), HyperEarError> {
+        self.filter
+            .correlate_normalized_into(channel, &mut scratch.dsp, out)?;
+        Ok(())
+    }
+
+    /// Plain full-rate arrival extraction over channel `k` of `mcci`'s
+    /// correlations (the MCCI fallback for channels that could not be
+    /// fused).
+    pub(crate) fn arrivals_full(
+        &self,
+        k: usize,
+        mcci: &mut McciScratch,
+        out: &mut Vec<BeaconArrival>,
+    ) -> Result<(), HyperEarError> {
+        let McciScratch { corrs, pick, .. } = mcci;
+        self.arrivals_from_corr(&corrs[k], pick, out)
+    }
+
+    /// MCCI-guided arrival extraction for channel `k` of `mcci`'s
+    /// full-rate correlations: every live channel's correlation is
+    /// shift-and-averaged onto channel `k`'s time line (into the guide
+    /// buffer), peaks are *detected* on that fused correlation (so a
+    /// beacon masked on this channel can be recovered from the redundant
+    /// channels), and each arrival is *timed* on the channel's own
+    /// correlation — the local maximum within ±[`FUSED_REFINE`] samples
+    /// of the fused peak, sub-sample interpolated as usual.
+    /// Cross-channel averaging therefore improves detection without ever
+    /// mixing other channels' propagation delays into this channel's
+    /// arrival times, which would cancel the very inter-channel TDoA the
+    /// pipeline measures.
+    pub(crate) fn arrivals_fused(
+        &self,
+        mcci: &mut McciScratch,
+        n: usize,
+        offsets: &[f64],
+        live: &[bool],
+        k: usize,
+        out: &mut Vec<BeaconArrival>,
+    ) -> Result<(), HyperEarError> {
+        let McciScratch { corrs, guide, pick } = mcci;
+        let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
+        for (slot, c) in refs.iter_mut().zip(&corrs[..n]) {
+            *slot = c;
+        }
+        let corrs = &refs[..n];
+        mcci_fuse_channel_into(corrs, offsets, live, k, guide)?;
+        self.arrivals_fused_into(guide, corrs[k], pick, out)
+    }
+
+    /// Fused-guide arrival extraction at the full rate: peaks detected
+    /// on `fused`, each arrival timed on `own` within ±[`FUSED_REFINE`]
+    /// samples of its guide peak.
+    fn arrivals_fused_into(
+        &self,
+        fused: &[f64],
+        own: &[f64],
+        pick: &mut FullRatePick,
+        out: &mut Vec<BeaconArrival>,
+    ) -> Result<(), HyperEarError> {
+        out.clear();
+        let FullRatePick {
+            peak,
+            peaks,
             plans,
             analytic,
             env,
             env_own,
+            ..
         } = pick;
         let (fused, own): (&[f64], &[f64]) = if self.envelope_detection {
             envelope_with(fused, plans, analytic, env)?;
@@ -497,69 +719,31 @@ impl DetectorCore {
         };
         detect_peaks_into(fused, &self.threshold, peak, peaks)?;
         out.reserve(peaks.len());
-        let refine = kind.refine();
-        let backtrack = if kind.leading_edge() {
-            (LEADING_EDGE_WINDOW * self.sample_rate) as usize
-        } else {
-            0
-        };
         for p in peaks.iter() {
-            // Leading-edge rule: inside the cluster the apex may be an
-            // echo; guide the timing from the earliest near-equal local
-            // maximum instead (the direct path precedes its echoes).
-            let cutoff = LEADING_EDGE_RATIO * p.value;
-            let mut guide = p.index;
-            for t in p.index.saturating_sub(backtrack)..p.index {
-                if fused[t] >= cutoff
-                    && (t == 0 || fused[t] >= fused[t - 1])
-                    && fused[t] >= fused[t + 1]
-                {
-                    guide = t;
-                    break;
-                }
-            }
-            let lo = guide.saturating_sub(refine);
-            let hi = (guide + refine + 1).min(own.len());
+            let lo = p.index.saturating_sub(FUSED_REFINE);
+            let hi = (p.index + FUSED_REFINE + 1).min(own.len());
             let mut best = lo;
             for t in lo..hi {
                 if own[t] > own[best] {
                     best = t;
                 }
             }
-            let (pos, value) = match self.interpolation {
-                Interpolation::None => (best as f64, own[best]),
-                Interpolation::Parabolic => match parabolic_peak(own, best) {
-                    Ok(refined) => refined,
-                    Err(_) => (best as f64, own[best]),
-                },
-                Interpolation::Sinc => match sinc_peak(own, best, 8) {
-                    Ok(refined) => refined,
-                    Err(_) => (best as f64, own[best]),
-                },
-            };
-            out.push(BeaconArrival {
-                time: pos / self.sample_rate,
-                strength: value,
-            });
+            out.push(self.interpolated(own, best, own[best]));
         }
         Ok(())
     }
 
-    /// The post-correlation half of detection — envelope, noise floor,
-    /// two-part threshold, peak picking, sub-sample interpolation — over
-    /// an already-computed normalized correlation. Shared verbatim by the
-    /// one-shot path ([`DetectorCore::detect_with`]), the incremental
-    /// path ([`StreamingDetector::finish_into`]) and the multi-beacon
-    /// lanes, so they produce bit-identical arrivals from bit-identical
-    /// correlations.
+    /// Plain full-rate extraction — envelope, noise floor, two-part
+    /// threshold, peak picking, sub-sample interpolation — over a
+    /// normalized correlation.
     fn arrivals_from_corr(
         &self,
         corr: &[f64],
-        pick: &mut PickScratch,
+        pick: &mut FullRatePick,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
         out.clear();
-        let PickScratch {
+        let FullRatePick {
             peak,
             peaks,
             plans,
@@ -578,24 +762,40 @@ impl DetectorCore {
         detect_peaks_into(corr, &self.threshold, peak, peaks)?;
         out.reserve(peaks.len());
         for p in peaks.iter() {
-            let (pos, value) = match self.interpolation {
-                Interpolation::None => (p.index as f64, p.value),
-                Interpolation::Parabolic => match parabolic_peak(corr, p.index) {
-                    Ok(refined) => refined,
-                    Err(_) => (p.index as f64, p.value), // boundary peak
-                },
-                Interpolation::Sinc => match sinc_peak(corr, p.index, 8) {
-                    Ok(refined) => refined,
-                    Err(_) => (p.index as f64, p.value),
-                },
-            };
-            out.push(BeaconArrival {
-                time: pos / self.sample_rate,
-                strength: value,
-            });
+            out.push(self.interpolated(corr, p.index, p.value));
         }
         Ok(())
     }
+
+    /// The arrival at full-rate lag `at` of `corr`, sub-sample refined
+    /// (the integer lag and `value` at a boundary).
+    fn interpolated(&self, corr: &[f64], at: usize, value: f64) -> BeaconArrival {
+        let (pos, value) = match self.interpolation {
+            Interpolation::None => (at as f64, value),
+            Interpolation::Parabolic => parabolic_peak(corr, at).unwrap_or((at as f64, value)),
+            Interpolation::Sinc => {
+                sinc_peak(corr, at, SINC_HALF_WIDTH).unwrap_or((at as f64, value))
+            }
+        };
+        BeaconArrival {
+            time: pos / self.sample_rate,
+            strength: value,
+        }
+    }
+}
+
+/// Half width of the windowed-sinc sub-sample fit.
+const SINC_HALF_WIDTH: usize = 8;
+
+/// The index of the first maximum of `values` over `range` (non-empty).
+fn first_max(values: &[f64], range: std::ops::Range<usize>) -> usize {
+    let mut best = range.start;
+    for t in range {
+        if values[t] > values[best] {
+            best = t;
+        }
+    }
+    best
 }
 
 /// The detection band-pass for a chirp sweeping `f0 → f1`: ±10% band
@@ -723,13 +923,14 @@ impl BeaconDetector {
 /// of a [`DetectorCore`].
 ///
 /// Audio arrives in chunks of any size via [`StreamingDetector::push`];
-/// each chunk flows through the folded matched-filter overlap-save
-/// engine *as it arrives* (the chunk feed keeps per-block FFT cost
-/// amortized and the transform working set at one block), and the resulting
-/// normalized correlation lags accumulate in a buffer preallocated to a
-/// hard `max_samples` cap. [`StreamingDetector::finish_into`] then runs
-/// the exact threshold/peak stage of the one-shot detector over the
-/// accumulated correlation.
+/// each chunk flows through the folded, band-limited matched-filter
+/// overlap-save engine *as it arrives* (the chunk feed keeps per-block
+/// FFT cost amortized and the transform working set at one block), and
+/// the resulting decimated analytic correlation accumulates in a buffer
+/// preallocated to a hard `max_samples` cap (one complex value per `D`
+/// samples). [`StreamingDetector::finish_into`] then runs the exact
+/// threshold/peak stage of the one-shot detector over the accumulated
+/// correlation.
 ///
 /// # Equivalence
 ///
@@ -742,17 +943,17 @@ impl BeaconDetector {
 /// # Bounded memory
 ///
 /// Every buffer is preallocated from `max_samples` and the core's block
-/// geometry at construction (envelope detection's analytic-signal
-/// buffers grow once, on the first finish, to at most twice
-/// `max_samples`); pushing more total samples than `max_samples` is a
-/// typed [`HyperEarError::CapacityExceeded`], so the working set is a
-/// function of configuration, never of offered load.
+/// geometry at construction (a weighting estimator's spectrum and guide
+/// grow once, on the first finish); pushing more total samples than
+/// `max_samples` is a typed [`HyperEarError::CapacityExceeded`], so the
+/// working set is a function of configuration, never of offered load.
 #[derive(Debug, Clone)]
 pub struct StreamingDetector {
     core: std::sync::Arc<DetectorCore>,
     feed: ChunkFeed,
     dsp: DspScratch,
-    /// The accumulated normalized correlation (capacity `max_samples`).
+    /// The accumulated normalized decimated correlation (capacity for
+    /// `max_samples` lags).
     chan: ChannelCorrelation,
     extract: ExtractScratch,
     max_samples: usize,
@@ -782,18 +983,16 @@ impl StreamingDetector {
                 ),
             ));
         }
+        let decimated = core.decimation().decimated_len(max_samples);
         Ok(StreamingDetector {
-            feed: core.filter.chunk_feed(),
+            feed: core.band.chunk_feed(),
             dsp: DspScratch::new(),
             chan: ChannelCorrelation {
-                corr: Vec::with_capacity(max_samples),
-                spectrum: CorrelationSpectrum::new(),
+                corr: Vec::with_capacity(decimated),
+                ..ChannelCorrelation::default()
             },
             extract: ExtractScratch {
-                pick: PickScratch {
-                    peak: PeakScratch::with_capacity(max_samples),
-                    ..PickScratch::default()
-                },
+                pick: PickScratch::with_capacity(decimated),
                 ..ExtractScratch::default()
             },
             max_samples,
@@ -855,11 +1054,11 @@ impl StreamingDetector {
                 capacity: self.max_samples,
             });
         }
-        self.core.filter.push_chunk_normalized_into(
+        self.core.band.push_chunk_into(
             &mut self.feed,
             chunk,
             &mut self.dsp,
-            &mut self.chan.corr,
+            std::slice::from_mut(&mut self.chan.corr),
         )?;
         self.pushed = needed;
         Ok(())
@@ -884,12 +1083,16 @@ impl StreamingDetector {
         }
         // An empty or short capture fails here with the one-shot
         // detector's typed error.
-        self.core.filter.finish_chunks_normalized_into(
+        self.core.band.finish_chunks_into(
             &mut self.feed,
             &mut self.dsp,
-            &mut self.chan.corr,
+            std::slice::from_mut(&mut self.chan.corr),
         )?;
-        debug_assert_eq!(self.chan.corr.len(), self.pushed);
+        self.chan.lags = self.pushed;
+        debug_assert_eq!(
+            self.chan.corr.len(),
+            self.core.decimation().decimated_len(self.pushed)
+        );
         self.finished = true;
         // The accumulated correlation is bit-identical to the one-shot
         // path's, so extracting through the same kernel keeps streaming
@@ -939,9 +1142,9 @@ pub struct TaggedArrival {
 #[derive(Debug, Clone, Default)]
 pub struct MultiBeaconScratch {
     scratch: DspScratch,
-    /// K normalized correlation lanes — lane `k` is beacon `k`'s
-    /// matched-filter response over the whole capture.
-    lanes: Vec<Vec<f64>>,
+    /// K normalized decimated correlation lanes — lane `k` is beacon
+    /// `k`'s band-limited matched-filter response over the whole capture.
+    lanes: Vec<Vec<Complex>>,
     pick: PickScratch,
 }
 
@@ -957,33 +1160,32 @@ impl MultiBeaconScratch {
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
         self.scratch.capacity_bytes()
-            + self.lanes.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f64>()
+            + self.lanes.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Complex>()
             + self.pick.capacity_bytes()
     }
 
-    /// Beacon `k`'s normalized correlation from the last detection pass
-    /// (the conformance surface the bank tests pin against independent
-    /// single-template engines).
+    /// Beacon `k`'s normalized decimated correlation from the last
+    /// detection pass (the conformance surface the bank tests pin against
+    /// independent single-template engines).
     #[cfg(test)]
-    pub(crate) fn lane(&self, k: usize) -> &[f64] {
+    pub(crate) fn lane(&self, k: usize) -> &[Complex] {
         &self.lanes[k]
     }
 }
 
-/// K-beacon detection over one shared forward FFT: a
-/// [`StreamingMatchedFilterBank`] whose lanes carry one beacon
-/// signature each, plus the K per-beacon [`DetectorCore`]s that own the
-/// threshold/peak epilogues (and double as the per-beacon session
-/// pipeline cores).
+/// K-beacon detection over one shared forward FFT: a band-limited
+/// [`BandLimitedBank`] whose lanes carry one beacon signature each, plus
+/// the K per-beacon [`DetectorCore`]s that own the threshold/peak
+/// epilogues (and double as the per-beacon session pipeline cores).
 ///
-/// Detection cost per channel is ~one forward transform + K inverse
-/// transforms per block, instead of the K×(forward + inverse) that K
-/// independent detectors spend. Every signature's band-pass FIR is
-/// folded into its template at construction
+/// Detection cost per channel is ~one forward transform + K short
+/// (band-rate) inverse transforms per block, instead of the K×(forward +
+/// inverse) that K independent detectors spend. Every signature's
+/// band-pass FIR is folded into its template at construction
 /// (`corr(bp(x), tᵢ) = corr(x, bp⋆tᵢ)`), exactly as in each solo
 /// [`DetectorCore`], so each lane is **bit-identical** to the solo
-/// detector's correlation and arrivals equal K independent detectors'
-/// exactly (conformance-pinned).
+/// detector's band-limited correlation and arrivals equal K independent
+/// detectors' exactly (conformance-pinned).
 ///
 /// The hot methods take `&self` — clone the detector (cheap: template
 /// spectra and cores are `Arc`-shared) or hand out per-worker
@@ -991,7 +1193,7 @@ impl MultiBeaconScratch {
 #[derive(Debug, Clone)]
 pub struct MultiBeaconDetector {
     cores: Vec<std::sync::Arc<DetectorCore>>,
-    bank: StreamingMatchedFilterBank,
+    bank: BandLimitedBank,
     sample_rate: f64,
 }
 
@@ -1038,7 +1240,8 @@ impl MultiBeaconDetector {
         } else {
             let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
             StreamingMatchedFilterBank::new(&refs)?
-        };
+        }
+        .band_limited()?;
         Ok(MultiBeaconDetector {
             cores,
             bank,
@@ -1070,10 +1273,10 @@ impl MultiBeaconDetector {
         &self.cores[k]
     }
 
-    /// The shared f64 template bank (e.g. for inspecting
-    /// [`StreamingMatchedFilterBank::template_fft_count`]).
+    /// The shared band-limited template bank (e.g. for inspecting
+    /// [`BandLimitedBank::template_fft_count`]).
     #[must_use]
-    pub fn bank(&self) -> &StreamingMatchedFilterBank {
+    pub fn bank(&self) -> &BandLimitedBank {
         &self.bank
     }
 
@@ -1085,8 +1288,8 @@ impl MultiBeaconDetector {
     }
 
     /// The pre-threshold half of multi-beacon detection: one banked
-    /// correlation pass filling `scratch`'s K normalized lanes (one
-    /// forward FFT per block, K conjugate-MAC + inverse fan-outs).
+    /// correlation pass filling `scratch`'s K normalized decimated lanes
+    /// (one forward FFT per block, K band-rate fan-outs).
     fn correlate_only(
         &self,
         channel: &[f64],
@@ -1094,7 +1297,7 @@ impl MultiBeaconDetector {
     ) -> Result<(), HyperEarError> {
         scratch.lanes.resize_with(self.cores.len(), Vec::new);
         self.bank
-            .correlate_normalized_into(channel, &mut scratch.scratch, &mut scratch.lanes)?;
+            .correlate_into(channel, &mut scratch.scratch, &mut scratch.lanes)?;
         Ok(())
     }
 
@@ -1131,8 +1334,21 @@ impl MultiBeaconDetector {
         }
         self.correlate_only(channel, scratch)?;
         let MultiBeaconScratch { lanes, pick, .. } = scratch;
-        for ((core, lane), arrivals) in self.cores.iter().zip(lanes.iter()).zip(out.iter_mut()) {
-            core.arrivals_from_corr(lane, pick, arrivals)?;
+        for (k, ((core, lane), arrivals)) in self
+            .cores
+            .iter()
+            .zip(lanes.iter())
+            .zip(out.iter_mut())
+            .enumerate()
+        {
+            core.arrivals_band(
+                self.bank.decimation(k),
+                lane,
+                None,
+                channel.len(),
+                pick,
+                arrivals,
+            )?;
         }
         Ok(())
     }
@@ -1387,7 +1603,10 @@ mod tests {
         stream.finish_into(&mut out).unwrap();
         stream.reset();
         let warm = stream.working_set_bytes();
-        assert!(warm >= 2 * 120_000 * std::mem::size_of::<f64>());
+        // Preallocated up front: the decimated complex correlation plus
+        // the envelope and peak workspace over the same lags.
+        let lags = d.core().decimation().decimated_len(120_000);
+        assert!(warm >= lags * (std::mem::size_of::<Complex>() + 2 * std::mem::size_of::<f64>()));
         // A 4x longer capture (same content plus silence) grows nothing.
         for round in 0..4 {
             for chunk in signal.chunks(777) {
@@ -1458,17 +1677,41 @@ mod tests {
         let d = detector(Interpolation::Parabolic);
         let core = d.core();
         let mut scratch = DetectScratch::new();
-        let mut own = ChannelCorrelation::default();
-        let mut fused = ChannelCorrelation::default();
+        let mut mcci = McciScratch::default();
+        for (samples, corr) in [&own_sig, &fused_sig].into_iter().zip(mcci.corrs_mut(2)) {
+            core.correlate_full_into(samples, &mut scratch, corr)
+                .unwrap();
+        }
+        let McciScratch { corrs, pick, .. } = &mut mcci;
+        let mut out = Vec::new();
+        core.arrivals_fused_into(&corrs[1], &corrs[0], pick, &mut out)
+            .unwrap();
+        assert_eq!(out.len(), 1);
+        let err = (out[0].time * FS - truth).abs();
+        assert!(err < 0.1, "guided timing error {err}");
+    }
+
+    #[test]
+    fn weighted_guides_time_on_own_correlation() {
+        // A guide 4 samples off the own-channel truth must still be timed
+        // at the own-channel peak.
+        let truth = 10_000.0;
+        let own_sig = render(&[truth], 20_000, 0.3);
+        let guide_sig = render(&[truth + 4.0], 20_000, 0.3);
+        let d = detector(Interpolation::Parabolic);
+        let core = d.core();
+        let mut scratch = DetectScratch::new();
+        let (mut own, mut guide) = (ChannelCorrelation::default(), ChannelCorrelation::default());
         core.correlate_into(&own_sig, &mut scratch.dsp, &mut own)
             .unwrap();
-        core.correlate_into(&fused_sig, &mut scratch.dsp, &mut fused)
+        core.correlate_into(&guide_sig, &mut scratch.dsp, &mut guide)
             .unwrap();
         let mut out = Vec::new();
-        core.arrivals_guided_into(
-            fused.corr(),
-            own.corr(),
-            GuideKind::Fused,
+        core.arrivals_band(
+            core.decimation(),
+            &guide.corr,
+            Some(&own.corr),
+            own.lags,
             &mut scratch.extract.pick,
             &mut out,
         )
@@ -1553,12 +1796,19 @@ mod tests {
                     chirp.samples(),
                     taps.taps(),
                 )
+                .unwrap()
+                .band_limited()
                 .unwrap();
             // Same geometry: equal chirp durations and tap counts give every
             // lane the single-engine default block.
             assert_eq!(engine.block_len(), detector.bank().block_len());
+            assert_eq!(engine.decimation(0), detector.bank().decimation(k));
             engine
-                .correlate_normalized_into(&signal, &mut dsp_scratch, &mut reference)
+                .correlate_into(
+                    &signal,
+                    &mut dsp_scratch,
+                    std::slice::from_mut(&mut reference),
+                )
                 .unwrap();
             assert_eq!(scratch.lane(k), reference.as_slice(), "lane {k}");
         }

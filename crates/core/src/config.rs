@@ -210,11 +210,15 @@ pub struct DetectionConfig {
     pub band_pass_taps: usize,
     /// Sub-sample refinement method.
     pub interpolation: Interpolation,
-    /// Detect peaks on the correlation *envelope* (analytic-signal
-    /// magnitude) instead of the raw correlation. Essential for
-    /// high-band (near-ultrasonic) beacons whose correlation rings at a
-    /// carrier period of a few samples; unnecessary for the paper's
-    /// audible chirp.
+    /// Detect and time peaks on the correlation *envelope* (the
+    /// analytic correlation's magnitude `|a|`) instead of the raw
+    /// correlation `Re a`. Detection always picks candidates on the
+    /// envelope of the decimated analytic correlation; this switch
+    /// decides what each arrival is timed on — the rebuilt full-rate
+    /// envelope instead of the rebuilt full-rate correlation — so it
+    /// costs nothing extra. Essential for high-band (near-ultrasonic)
+    /// beacons whose correlation rings at a carrier period of a few
+    /// samples; unnecessary for the paper's audible chirp.
     pub envelope_detection: bool,
 }
 

@@ -18,7 +18,9 @@
 //!   budget dropping the worst offenders, and always returns a
 //!   [`SessionOutcome`] (never panics, never a bare error).
 
-use crate::asp::{BeaconArrival, BeaconDetector, ChannelCorrelation, DetectScratch, DetectorCore};
+use crate::asp::{
+    BeaconArrival, BeaconDetector, ChannelCorrelation, DetectScratch, DetectorCore, McciScratch,
+};
 use crate::config::{DoaFrontEnd, HyperEarConfig, TdoaEstimator};
 use crate::doa::BearingPrior;
 use crate::localize::{localize_with, slide_geometry, Estimate2d, LocalizeScratch, SlideFix};
@@ -1003,14 +1005,15 @@ impl SessionEngine {
     /// Beacon detection on every channel of a session into the engine's
     /// per-channel arrival lists, under `estimator`.
     ///
-    /// Each channel is correlated into the correlation store — unless the
-    /// store already holds this session's correlations (an escalation
-    /// rerun) — and its arrivals extracted from there. Under an attached
-    /// pool the channels run two at a time against the engine's two
-    /// private scratches; each channel's result depends only on its own
-    /// samples, so the arrival lists are bit-identical to the sequential
-    /// loop at any thread count. `McciFusion` then solves the joint
-    /// alignment and extracts every channel sequentially.
+    /// Each channel is correlated band-limited into the correlation
+    /// store — unless the store already holds this session's
+    /// correlations (an escalation rerun) — and its arrivals extracted
+    /// from there. Under an attached pool the channels run two at a time
+    /// against the engine's two private scratches; each channel's result
+    /// depends only on its own samples, so the arrival lists are
+    /// bit-identical to the sequential loop at any thread count.
+    /// `McciFusion` runs on the full-rate correlations instead (see
+    /// [`SessionEngine::extract_fused`]).
     fn detect_channels(
         &mut self,
         channels: &[&[f64]],
@@ -1019,6 +1022,9 @@ impl SessionEngine {
         let n = channels.len();
         if self.arrivals.len() < n {
             self.arrivals.resize_with(n, Vec::new);
+        }
+        if estimator == TdoaEstimator::McciFusion {
+            return self.extract_fused(channels);
         }
         if self.store.channels.len() < n {
             self.store
@@ -1033,75 +1039,72 @@ impl SessionEngine {
             .expect("detector built before detection")
             .parts_mut();
         let scratch_b = &mut self.scratch_right;
-        type Job<'a> = (
-            &'a [f64],
-            &'a mut ChannelCorrelation,
-            &'a mut Vec<BeaconArrival>,
-        );
-        let run = |(samples, chan, out): Job<'_>, scratch: &mut DetectScratch| {
-            let samples = (!reuse).then_some(samples);
-            core.detect_channel(samples, estimator, chan, scratch, out)
-        };
-        let mut jobs = channels
+        let jobs = channels
             .iter()
             .zip(&mut self.store.channels)
             .zip(&mut self.arrivals)
             .map(|((samples, chan), out)| (*samples, chan, out));
-        while let Some(a) = jobs.next() {
-            match (pool, jobs.next()) {
-                (Some(pool), Some(b)) => {
-                    let (ra, rb) = pool.join(|| run(a, scratch_a), || run(b, scratch_b));
-                    ra?;
-                    rb?;
-                }
-                (_, b) => {
-                    run(a, scratch_a)?;
-                    if let Some(b) = b {
-                        run(b, scratch_a)?;
-                    }
-                }
-            }
-        }
-        drop(jobs);
-        if estimator == TdoaEstimator::McciFusion {
-            self.extract_fused(n)?;
-        }
+        in_pairs(
+            pool,
+            jobs,
+            scratch_a,
+            scratch_b,
+            |(samples, chan, out), scratch| {
+                let samples = (!reuse).then_some(samples);
+                core.detect_channel(samples, estimator, chan, scratch, out)
+            },
+        )?;
         self.store.valid = true;
         Ok(())
     }
 
-    /// MCCI extraction over the first `n` stored correlations: solves the
-    /// cross-channel alignment offsets, then extracts each channel's
-    /// arrivals. When fusion is possible (≥ 2 live channels and this
-    /// channel is live) the peaks are detected on the shift-and-averaged
-    /// fused correlation and each arrival is *timed* on the channel's own
-    /// correlation — fusing the timing itself would average away the
-    /// inter-channel TDoA the pipeline exists to measure. Dead channels
-    /// and unfusable sessions fall back to plain extraction. `max_lag` is
-    /// clamped to the correlation length so degenerate captures degrade
-    /// to the fallback instead of erroring.
-    fn extract_fused(&mut self, n: usize) -> Result<(), HyperEarError> {
-        let (core, scratch) = self
+    /// MCCI extraction over every channel's full-rate correlation,
+    /// computed on demand (the band-limited store is left as it is):
+    /// solves the cross-channel alignment offsets, then extracts each
+    /// channel's arrivals. When fusion is possible (≥ 2 live channels and
+    /// this channel is live) the peaks are detected on the
+    /// shift-and-averaged fused correlation and each arrival is *timed*
+    /// on the channel's own correlation — fusing the timing itself would
+    /// average away the inter-channel TDoA the pipeline exists to
+    /// measure. Dead channels and unfusable sessions fall back to plain
+    /// extraction. `max_lag` is clamped to the correlation length so
+    /// degenerate captures degrade to the fallback instead of erroring.
+    /// The correlations run two at a time under an attached pool, as in
+    /// [`SessionEngine::detect_channels`].
+    fn extract_fused(&mut self, channels: &[&[f64]]) -> Result<(), HyperEarError> {
+        let n = channels.len();
+        let pool = self.pool.as_ref().filter(|p| p.threads() > 1);
+        let (core, scratch_a) = self
             .detector
             .as_mut()
             .expect("detector built before detection")
             .parts_mut();
+        let scratch_b = &mut self.scratch_right;
         let CorrelationStore {
-            channels,
             offsets,
             live,
+            mcci,
             ..
         } = &mut self.store;
+        let jobs = channels.iter().zip(mcci.corrs_mut(n));
+        in_pairs(
+            pool,
+            jobs,
+            scratch_a,
+            scratch_b,
+            |(samples, corr), scratch| core.correlate_full_into(samples, scratch, corr),
+        )?;
+        let corrs = mcci.corrs_mut(n);
         let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
-        for (slot, c) in refs.iter_mut().zip(&channels[..n]) {
-            *slot = c.corr();
+        for (slot, c) in refs.iter_mut().zip(corrs.iter()) {
+            *slot = c;
         }
-        let corrs = &refs[..n];
+        let refs = &refs[..n];
         let lag = self
             .config
             .estimator
             .mcci_max_lag
-            .min(corrs[0].len().saturating_sub(1));
+            .min(refs[0].len().saturating_sub(1));
         let n_live = if lag == 0 {
             // Capture too short to align; mark everything for the fallback.
             live.clear();
@@ -1110,13 +1113,13 @@ impl SessionEngine {
             offsets.resize(n, 0.0);
             0
         } else {
-            mcci_offsets_with(corrs, lag, offsets, live)?
+            mcci_offsets_with(refs, lag, offsets, live)?
         };
         for (k, out) in self.arrivals.iter_mut().take(n).enumerate() {
             if n_live >= 2 && live[k] {
-                core.arrivals_fused(corrs, offsets, live, k, scratch, out)?;
+                core.arrivals_fused(mcci, n, offsets, live, k, out)?;
             } else {
-                core.arrivals_with(corrs[k], scratch, out)?;
+                core.arrivals_full(k, mcci, out)?;
             }
         }
         Ok(())
@@ -1447,11 +1450,11 @@ impl SessionEngine {
 }
 
 /// The engine's per-channel correlation store: each channel's
-/// matched-filter correlation (with its spectrum, once a weighting rung
-/// asked for it) and the MCCI alignment solution. `valid` marks the
-/// correlations as the current session's; every public entry point
-/// clears it, so the store never carries one session's correlations
-/// into another.
+/// band-limited matched-filter correlation (with its spectrum, once a
+/// weighting rung asked for it), and the MCCI rung's full-rate buffers
+/// and alignment solution. `valid` marks the band-limited correlations
+/// as the current session's; every public entry point clears it, so the
+/// store never carries one session's correlations into another.
 #[derive(Debug, Clone, Default)]
 struct CorrelationStore {
     channels: Vec<ChannelCorrelation>,
@@ -1461,10 +1464,12 @@ struct CorrelationStore {
     /// Which channels carried energy (dead channels are excluded from
     /// the solve and fall back to plain extraction).
     live: Vec<bool>,
+    /// MCCI's on-demand full-rate correlations and extraction buffers.
+    mcci: McciScratch,
 }
 
 impl CorrelationStore {
-    /// Bytes reserved by the correlations, spectra and MCCI tables.
+    /// Bytes reserved by the correlations, spectra and MCCI buffers.
     fn capacity_bytes(&self) -> usize {
         self.channels
             .iter()
@@ -1473,7 +1478,37 @@ impl CorrelationStore {
             + self.channels.capacity() * std::mem::size_of::<ChannelCorrelation>()
             + self.offsets.capacity() * std::mem::size_of::<f64>()
             + self.live.capacity()
+            + self.mcci.capacity_bytes()
     }
+}
+
+/// Runs `run` over `jobs`: two at a time under `pool`, one on each
+/// scratch, or one after another on `a` without one. Each job's result
+/// depends only on its own inputs, so the outcome is the same either
+/// way.
+fn in_pairs<J: Send>(
+    pool: Option<&Arc<Pool>>,
+    mut jobs: impl Iterator<Item = J>,
+    a: &mut DetectScratch,
+    b: &mut DetectScratch,
+    run: impl Fn(J, &mut DetectScratch) -> Result<(), HyperEarError> + Sync,
+) -> Result<(), HyperEarError> {
+    while let Some(first) = jobs.next() {
+        match (pool, jobs.next()) {
+            (Some(pool), Some(second)) => {
+                let (ra, rb) = pool.join(|| run(first, a), || run(second, b));
+                ra?;
+                rb?;
+            }
+            (_, second) => {
+                run(first, a)?;
+                if let Some(second) = second {
+                    run(second, a)?;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Whether a graded outcome shows the acoustic trouble a heavier

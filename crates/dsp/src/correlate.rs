@@ -8,6 +8,7 @@
 
 use crate::complex::conj_mul_in_place;
 use crate::fft::try_next_pow2;
+use crate::interpolate::{Decimation, MAX_DECIMATION};
 use crate::plan::{shared_plan, DspScratch, FftPlan, PlanCache};
 use crate::{Complex, DspError};
 use std::sync::Arc;
@@ -154,8 +155,10 @@ pub fn normalized_xcorr(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, Ds
 /// correlation value.
 ///
 /// This is the one engine behind [`StreamingMatchedFilter`] (K = 1),
-/// [`StreamingMatchedFilterBank`] (any K, one shared forward FFT) and
-/// the FFT zero-phase FIR (K = 1, `lead` compensating the group delay).
+/// [`StreamingMatchedFilterBank`] (any K, one shared forward FFT), their
+/// band-limited form [`BandLimitedBank`] (the same spectra, copied out
+/// as decimated analytic lanes, see [`Lanes`]) and the FFT zero-phase
+/// FIR (K = 1, `lead` compensating the group delay).
 /// Peak FFT size is `block_len`, independent of how long the signal is.
 #[derive(Debug, Clone)]
 pub(crate) struct OverlapSave {
@@ -166,11 +169,163 @@ pub(crate) struct OverlapSave {
     /// `1/block_len` and in bit-reversed bin order, behind an `Arc` so
     /// clones share instead of re-transforming.
     specs: Vec<Arc<Vec<Complex>>>,
-    /// The shared (longest) template length; sets the block step.
+    /// The shared (longest) template length.
     template_len: usize,
+    /// Output lags per block: at most `block_len - template_len + 1`,
+    /// the lags free of circular wraparound.
+    step: usize,
     /// Zeros implicitly preceding the signal: output lag `k` reads the
     /// signal from `k - lead`.
     lead: usize,
+}
+
+/// Where a block pair's lags go: full-rate real lanes, or the decimated
+/// analytic lanes of a band-limited bank.
+pub(crate) enum Lanes<'a> {
+    /// Lane `k` receives `gain_k · r(n)` for every lag (`gain_k = 1`
+    /// when `gains` is `None`).
+    Full {
+        gains: Option<&'a [f64]>,
+        outs: &'a mut [Vec<f64>],
+    },
+    /// Lane `k` receives `gain_k · b(q)`, the baseband analytic
+    /// correlation of band `k` at every `D_k`-th lag.
+    Decimated {
+        bands: &'a [Arc<Band>],
+        gains: &'a [f64],
+        outs: &'a mut [Vec<Complex>],
+    },
+}
+
+impl Lanes<'_> {
+    fn count(&self) -> usize {
+        match self {
+            Lanes::Full { outs, .. } => outs.len(),
+            Lanes::Decimated { outs, .. } => outs.len(),
+        }
+    }
+
+    /// Clears every lane and reserves room for `lags` full-rate lags.
+    fn reset(&mut self, lags: usize) {
+        match self {
+            Lanes::Full { outs, .. } => outs.iter_mut().for_each(|out| {
+                out.clear();
+                out.reserve(lags);
+            }),
+            Lanes::Decimated { bands, outs, .. } => {
+                for (band, out) in bands.iter().zip(outs.iter_mut()) {
+                    out.clear();
+                    out.reserve(band.dec.decimated_len(lags));
+                }
+            }
+        }
+    }
+}
+
+/// One lane of a band-limited bank: how its product spectrum maps to
+/// baseband, and the short inverse transform that decimates it.
+#[derive(Debug)]
+pub(crate) struct Band {
+    dec: Decimation,
+    /// Per kept bin `k`: the bit-reversed positions of `k` and `N − k`
+    /// in the block spectrum, and of `k − center (mod N/D)` in the
+    /// decimated one.
+    map: Vec<[usize; 3]>,
+    /// The template spectrum at each kept bin, in `map` order.
+    coef: Vec<Complex>,
+    /// The `N/D`-point plan.
+    plan: Arc<FftPlan>,
+}
+
+impl Band {
+    fn new(spec: &[Complex], block_len: usize) -> Result<Self, DspError> {
+        let bits = block_len.trailing_zeros();
+        let rev = |k: usize, bits: u32| {
+            if bits == 0 {
+                0
+            } else {
+                k.reverse_bits() >> (usize::BITS - bits)
+            }
+        };
+        // The stored spectrum is conj(T)/N in bit-reversed order.
+        let mags: Vec<f64> = (0..=block_len / 2)
+            .map(|k| spec[rev(k, bits)].abs())
+            .collect();
+        let dec = Decimation::for_spectrum(&mags, block_len)?;
+        let m = block_len / dec.factor();
+        let (lo, hi) = dec.kept_bins();
+        let center = dec.center();
+        let mut map: Vec<[usize; 3]> = (lo..=hi)
+            .map(|k| {
+                let j = (k + m - center % m) % m;
+                let mirror = (block_len - k) % block_len;
+                [rev(k, bits), rev(mirror, bits), rev(j, m.trailing_zeros())]
+            })
+            .collect();
+        // Every bin writes its own output, so the order is free: walk the
+        // block spectrum forwards.
+        map.sort_unstable();
+        // DC and Nyquist are their own mirrors: the analytic spectrum
+        // holds them once, not doubled.
+        let coef = map
+            .iter()
+            .map(|&[at, mirror, _]| spec[at].scale(if at == mirror { 0.5 } else { 1.0 }))
+            .collect();
+        Ok(Band {
+            plan: shared_plan(m)?,
+            coef,
+            dec,
+            map,
+        })
+    }
+
+    /// Separates the block pair's two analytic correlations from the
+    /// forward spectrum `fwd` at the kept bins only, shifts each to
+    /// baseband, inverse-transforms it at `N/D` and appends its first
+    /// `take` lags' decimated values, scaled by `gain` and the block's
+    /// baseband shift. Block `2m` starts at lag `pos`, block `2m+1` at
+    /// `pos + step`.
+    ///
+    /// The packed pair's spectrum is `Z = X₀ + i·X₁`, so the real-part
+    /// block's spectrum is `X₀(k) = (Z(k) + conj Z(N−k))/2` and the
+    /// imaginary-part block's `X₁(k) = −i·(Z(k) − conj Z(N−k))/2`. Its
+    /// analytic correlation's spectrum is `2·X(k)·S(k)` at the kept bins
+    /// (`X(k)·S(k)` at DC and Nyquist) and zero elsewhere, with `S` the
+    /// stored template spectrum (conjugated, `1/N` folded in).
+    #[allow(clippy::too_many_arguments)]
+    fn emit(
+        &self,
+        fwd: &[Complex],
+        work: &mut Vec<Complex>,
+        pos: usize,
+        step: usize,
+        take: (usize, usize),
+        gain: f64,
+        out: &mut Vec<Complex>,
+    ) {
+        let m = self.plan.len();
+        work.resize(2 * m, Complex::ZERO);
+        work.fill(Complex::ZERO);
+        let (even, odd) = work.split_at_mut(m);
+        for (&[k, mirror, j], &s) in self.map.iter().zip(&self.coef) {
+            let (z, w) = (fwd[k], fwd[mirror].conj());
+            even[j] = (z + w) * s;
+            let d = (z - w) * s;
+            odd[j] = Complex::new(d.im, -d.re);
+        }
+        for (block, lags, start) in [(even, take.0, pos), (odd, take.1, pos + step)] {
+            if lags == 0 {
+                continue;
+            }
+            self.plan.dit(block);
+            let scale = self.dec.shift(start).scale(gain);
+            out.extend(
+                block[..self.dec.decimated_len(lags)]
+                    .iter()
+                    .map(|&z| z * scale),
+            );
+        }
+    }
 }
 
 impl OverlapSave {
@@ -215,7 +370,29 @@ impl OverlapSave {
             plan,
             specs,
             template_len,
+            step: block_len - template_len + 1,
             lead,
+        })
+    }
+
+    /// The same engine (shared plan and template spectra) with its step
+    /// rounded down to a multiple of [`MAX_DECIMATION`], so every block
+    /// starts on every decimation factor's grid.
+    fn aligned(&self) -> Result<Self, DspError> {
+        let step = self.step / MAX_DECIMATION * MAX_DECIMATION;
+        if step == 0 {
+            return Err(DspError::invalid(
+                "block_len",
+                format!(
+                    "block ({}) leaves fewer than {MAX_DECIMATION} lags per block for template ({})",
+                    self.block_len(),
+                    self.template_len
+                ),
+            ));
+        }
+        Ok(OverlapSave {
+            step,
+            ..self.clone()
         })
     }
 
@@ -223,82 +400,91 @@ impl OverlapSave {
         self.plan.len()
     }
 
-    /// Valid (wraparound-free) output lags per block.
+    /// Output lags per block.
     pub(crate) fn step(&self) -> usize {
-        self.block_len() - self.template_len + 1
+        self.step
     }
 
-    fn check_outs(&self, outs: &[Vec<f64>]) -> Result<(), DspError> {
-        if outs.len() != self.specs.len() {
+    fn check_outs(&self, lanes: &Lanes<'_>) -> Result<(), DspError> {
+        if lanes.count() != self.specs.len() {
             return Err(DspError::invalid(
                 "lanes",
                 format!(
                     "bank holds {} templates but {} output lanes were provided",
                     self.specs.len(),
-                    outs.len()
+                    lanes.count()
                 ),
             ));
         }
         Ok(())
     }
 
-    /// Forward-transforms the block pair packed in `scratch.c1`, then
-    /// fans it out across every template: multiply by the template
-    /// spectrum, inverse-transform, append the first `take.0` lags of
-    /// the real part (block `2m`) and then the first `take.1` lags of the
-    /// imaginary part (block `2m+1`) to that template's output, each
-    /// multiplied by the lane's gain (`1` for raw output, `1/energy` for
-    /// normalized). The inverse transform consumes its input, so every
-    /// template but the last writes its product `c1 · spectrum` into
-    /// `scratch.c2` in one pass; the last multiplies `c1` in place. Both
-    /// compute the same products, so each output is bit-identical to a
-    /// one-template engine's.
+    /// Forward-transforms the block pair packed in `scratch.c1` (block
+    /// `2m` starting at lag `pos`), then fans it out across every
+    /// template, appending the first `take.0` lags of block `2m` and then
+    /// the first `take.1` lags of block `2m+1` to that template's lane.
+    ///
+    /// Full-rate lanes multiply by the template spectrum, inverse-
+    /// transform and copy the real part (block `2m`) and the imaginary
+    /// part (block `2m+1`), each multiplied by the lane's gain (`1` for
+    /// raw output, `1/energy` for normalized). The inverse transform
+    /// consumes its input, so every template but the last writes its
+    /// product `c1 · spectrum` into `scratch.c2` in one pass; the last
+    /// multiplies `c1` in place. Both compute the same products, so each
+    /// output is bit-identical to a one-template engine's. Decimated
+    /// lanes read `c1` at their kept bins only (see [`Band`]), using
+    /// `scratch.c2` for their short inverses.
     fn fan_out(
         &self,
         scratch: &mut DspScratch,
+        pos: usize,
         take: (usize, usize),
-        gains: Option<&[f64]>,
-        outs: &mut [Vec<f64>],
+        lanes: &mut Lanes<'_>,
     ) {
         let DspScratch { c1, c2, .. } = scratch;
         self.plan.dif(c1);
-        let last = self.specs.len() - 1;
-        for (k, (spec, out)) in self.specs.iter().zip(outs.iter_mut()).enumerate() {
-            let spectrum = if k == last {
-                for (z, &t) in c1.iter_mut().zip(spec.iter()) {
-                    *z *= t;
+        match lanes {
+            Lanes::Full { gains, outs } => {
+                let last = self.specs.len() - 1;
+                for (k, (spec, out)) in self.specs.iter().zip(outs.iter_mut()).enumerate() {
+                    let spectrum = if k == last {
+                        for (z, &t) in c1.iter_mut().zip(spec.iter()) {
+                            *z *= t;
+                        }
+                        &mut *c1
+                    } else {
+                        c2.clear();
+                        c2.extend(c1.iter().zip(spec.iter()).map(|(&z, &t)| z * t));
+                        &mut *c2
+                    };
+                    self.plan.dit(spectrum);
+                    let gain = gains.map_or(1.0, |g| g[k]);
+                    out.extend(spectrum[..take.0].iter().map(|z| z.re * gain));
+                    out.extend(spectrum[..take.1].iter().map(|z| z.im * gain));
                 }
-                &mut *c1
-            } else {
-                c2.clear();
-                c2.extend(c1.iter().zip(spec.iter()).map(|(&z, &t)| z * t));
-                &mut *c2
-            };
-            self.plan.dit(spectrum);
-            let gain = gains.map_or(1.0, |g| g[k]);
-            out.extend(spectrum[..take.0].iter().map(|z| z.re * gain));
-            out.extend(spectrum[..take.1].iter().map(|z| z.im * gain));
+            }
+            Lanes::Decimated { bands, gains, outs } => {
+                for ((band, &gain), out) in bands.iter().zip(gains.iter()).zip(outs.iter_mut()) {
+                    band.emit(c1, c2, pos, self.step, take, gain, out);
+                }
+            }
         }
     }
 
-    /// Writes `outs[t][k] = gain_t · Σ_n signal[n + k - lead] ·
-    /// template_t[n]` for `k` in `0..signal.len()`, treating the signal
-    /// as zero outside its bounds (`gain_t = 1` when `gains` is `None`).
-    /// Each output is cleared first. `lead = 0` reproduces the [`xcorr`]
-    /// convention.
+    /// Writes `lanes[t][k] = gain_t · Σ_n signal[n + k - lead] ·
+    /// template_t[n]` for `k` in `0..signal.len()` (decimated lanes: the
+    /// baseband analytic form at every `D`-th `k`), treating the signal
+    /// as zero outside its bounds. Each lane is cleared first. `lead = 0`
+    /// reproduces the [`xcorr`] convention.
     pub(crate) fn run(
         &self,
         signal: &[f64],
         scratch: &mut DspScratch,
-        gains: Option<&[f64]>,
-        outs: &mut [Vec<f64>],
+        lanes: &mut Lanes<'_>,
     ) -> Result<(), DspError> {
-        self.check_outs(outs)?;
+        self.check_outs(lanes)?;
         let out_len = signal.len();
-        for out in outs.iter_mut() {
-            out.clear();
-            out.reserve(out_len);
-        }
+        lanes.reset(out_len);
         let step = self.step();
         let mut pos = 0;
         while pos < out_len {
@@ -311,7 +497,7 @@ impl OverlapSave {
                 (0, &[][..])
             };
             pack_pair(&mut scratch.c1, self.block_len(), re, im);
-            self.fan_out(scratch, (step.min(out_len - pos), take_odd), gains, outs);
+            self.fan_out(scratch, pos, (step.min(out_len - pos), take_odd), lanes);
             pos += 2 * step;
         }
         Ok(())
@@ -332,14 +518,11 @@ impl OverlapSave {
     }
 
     fn chunk_feed(&self) -> ChunkFeed {
-        ChunkFeed::new(self.lead, self.block_len(), self.template_len)
+        ChunkFeed::new(self.lead, self.block_len(), self.step)
     }
 
     fn check_feed(&self, feed: &ChunkFeed) -> Result<(), DspError> {
-        if feed.block_len != self.block_len()
-            || feed.template_len != self.template_len
-            || feed.lead != self.lead
-        {
+        if feed.block_len != self.block_len() || feed.step != self.step || feed.lead != self.lead {
             return Err(DspError::invalid(
                 "feed",
                 "chunk feed was created for a different engine",
@@ -358,14 +541,13 @@ impl OverlapSave {
     /// offset 0, block `2m+1` at offset `step`, or zeros for the odd
     /// block when `take.1` is zero) into `scratch.c1`, fans it out, and
     /// slides the buffer forward by two steps, so only the
-    /// `template_len - 1` overlap tail remains.
+    /// `block_len - step` overlap tail remains.
     fn feed_pair(
         &self,
         feed: &mut ChunkFeed,
         scratch: &mut DspScratch,
         take: (usize, usize),
-        gains: Option<&[f64]>,
-        outs: &mut [Vec<f64>],
+        lanes: &mut Lanes<'_>,
     ) {
         let block = self.block_len();
         let step = self.step();
@@ -376,7 +558,7 @@ impl OverlapSave {
             &[][..]
         };
         pack_pair(&mut scratch.c1, block, (0, &feed.buf[..block]), (0, im));
-        self.fan_out(scratch, take, gains, outs);
+        self.fan_out(scratch, feed.emitted, take, lanes);
         feed.buf.copy_within(2 * step.., 0);
         feed.buf.truncate(block - step);
         feed.emitted += take.0 + take.1;
@@ -385,16 +567,15 @@ impl OverlapSave {
     /// Appends `chunk` to the feed, emitting (appending to every output)
     /// the lags of every block pair that fills. Emission never runs
     /// ahead of ingestion: `emitted <= pushed` holds throughout because
-    /// `lead <= template_len - 1`.
+    /// `lead <= template_len - 1 <= block_len - step`.
     fn feed_push(
         &self,
         feed: &mut ChunkFeed,
         chunk: &[f64],
         scratch: &mut DspScratch,
-        gains: Option<&[f64]>,
-        outs: &mut [Vec<f64>],
+        lanes: &mut Lanes<'_>,
     ) -> Result<(), DspError> {
-        self.check_outs(outs)?;
+        self.check_outs(lanes)?;
         self.check_feed(feed)?;
         let span = self.block_len() + self.step();
         let step = self.step();
@@ -404,7 +585,7 @@ impl OverlapSave {
             feed.buf.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
             if feed.buf.len() == span {
-                self.feed_pair(feed, scratch, (step, step), gains, outs);
+                self.feed_pair(feed, scratch, (step, step), lanes);
             }
         }
         feed.pushed += chunk.len();
@@ -421,10 +602,9 @@ impl OverlapSave {
         &self,
         feed: &mut ChunkFeed,
         scratch: &mut DspScratch,
-        gains: Option<&[f64]>,
-        outs: &mut [Vec<f64>],
+        lanes: &mut Lanes<'_>,
     ) -> Result<(), DspError> {
-        self.check_outs(outs)?;
+        self.check_outs(lanes)?;
         self.check_feed(feed)?;
         let total = feed.pushed;
         let step = self.step();
@@ -432,11 +612,28 @@ impl OverlapSave {
             feed.buf.resize(self.block_len() + step, 0.0);
             let left = total - feed.emitted;
             let take = (step.min(left), left.saturating_sub(step).min(step));
-            self.feed_pair(feed, scratch, take, gains, outs);
+            self.feed_pair(feed, scratch, take, lanes);
         }
         feed.finished = true;
         Ok(())
     }
+}
+
+/// The one-shot input checks for a `len`-sample signal against a bank
+/// whose shortest accepted signal is `min_len` samples.
+fn check_signal(min_len: usize, len: usize) -> Result<(), DspError> {
+    if len == 0 {
+        return Err(DspError::EmptyInput {
+            what: "xcorr signal",
+        });
+    }
+    if min_len > len {
+        return Err(DspError::invalid(
+            "template",
+            format!("template ({min_len}) longer than signal ({len})"),
+        ));
+    }
+    Ok(())
 }
 
 /// Packs two real blocks into one complex block of `len` samples:
@@ -463,16 +660,15 @@ fn pack_pair(buf: &mut Vec<Complex>, len: usize, re: (usize, &[f64]), im: (usize
     }
 }
 
-/// Incremental ingestion state for one matched filter or bank: the
-/// partial FFT block pair under assembly plus push/emit progress
-/// counters.
+/// Incremental ingestion state for one band-limited bank: the partial
+/// FFT block pair under assembly plus push/emit progress counters.
 ///
-/// A feed turns a blocked engine ([`StreamingMatchedFilter`],
-/// [`StreamingMatchedFilterBank`]) into an online one: samples arrive in
-/// chunks of any size (single samples to whole captures) and completed
-/// output lags are emitted as soon as their FFT block pair fills. The
-/// engine itself stays `&self` and immutable — all mutable state lives
-/// here, so one engine can serve many concurrent feeds.
+/// A feed turns the blocked engine behind a [`BandLimitedBank`] into an
+/// online one: samples arrive in chunks of any size (single samples to
+/// whole captures) and completed output lags are emitted as soon as
+/// their FFT block pair fills. The engine itself stays `&self` and
+/// immutable — all mutable state lives here, so one engine can serve
+/// many concurrent feeds.
 ///
 /// Because a pair is transformed exactly when both of its blocks are
 /// complete, and pairs are counted from stream start as in the one-shot
@@ -492,22 +688,21 @@ pub struct ChunkFeed {
     buf: Vec<f64>,
     lead: usize,
     block_len: usize,
-    template_len: usize,
+    step: usize,
     pushed: usize,
     emitted: usize,
     finished: bool,
 }
 
 impl ChunkFeed {
-    fn new(lead: usize, block_len: usize, template_len: usize) -> Self {
-        let step = block_len - template_len + 1;
+    fn new(lead: usize, block_len: usize, step: usize) -> Self {
         let mut buf = Vec::with_capacity(block_len + step);
         buf.resize(lead, 0.0);
         ChunkFeed {
             buf,
             lead,
             block_len,
-            template_len,
+            step,
             pushed: 0,
             emitted: 0,
             finished: false,
@@ -737,95 +932,6 @@ impl StreamingMatchedFilter {
         crate::plan::with_thread_ctx(|_, scratch| self.correlate_into(signal, scratch, &mut out))?;
         Ok(out)
     }
-
-    /// Creates an online ingestion feed for this filter (see
-    /// [`ChunkFeed`]). One filter can serve any number of concurrent
-    /// feeds; each feed belongs to exactly one logical stream.
-    #[must_use]
-    pub fn chunk_feed(&self) -> ChunkFeed {
-        self.bank.chunk_feed()
-    }
-
-    /// Pushes `chunk` (any length, empty included) into `feed`, appending
-    /// every raw correlation lag whose FFT block completed to `out`.
-    ///
-    /// Once the stream is flushed with
-    /// [`StreamingMatchedFilter::finish_chunks_into`], the concatenation
-    /// of everything appended is **bit-identical** to
-    /// [`StreamingMatchedFilter::correlate_into`] over the concatenated
-    /// chunks — independent of the chunking. Steady-state calls at warm
-    /// sizes do not allocate beyond `out`'s growth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `feed` was created by a
-    /// different engine or has already been finished.
-    pub fn push_chunk_into(
-        &self,
-        feed: &mut ChunkFeed,
-        chunk: &[f64],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.bank
-            .push_chunk_into(feed, chunk, scratch, std::slice::from_mut(out))
-    }
-
-    /// [`StreamingMatchedFilter::push_chunk_into`] with the emitted lags
-    /// template-energy normalized, matching
-    /// [`StreamingMatchedFilter::correlate_normalized_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilter::push_chunk_into`].
-    pub fn push_chunk_normalized_into(
-        &self,
-        feed: &mut ChunkFeed,
-        chunk: &[f64],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.bank
-            .push_chunk_normalized_into(feed, chunk, scratch, std::slice::from_mut(out))
-    }
-
-    /// Flushes `feed`, appending the remaining raw lags to `out` so the
-    /// stream's total output matches the one-shot call exactly (one lag
-    /// per pushed sample). The feed is then finished; call
-    /// [`ChunkFeed::reset`] to reuse it for a new stream.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`StreamingMatchedFilter::correlate_into`] on the
-    /// concatenated input: [`DspError::EmptyInput`] when nothing was
-    /// pushed, [`DspError::InvalidParameter`] when fewer samples than the
-    /// template length were pushed (or the feed belongs to a different
-    /// engine / was already finished).
-    pub fn finish_chunks_into(
-        &self,
-        feed: &mut ChunkFeed,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.bank
-            .finish_chunks_into(feed, scratch, std::slice::from_mut(out))
-    }
-
-    /// [`StreamingMatchedFilter::finish_chunks_into`] with the emitted
-    /// lags template-energy normalized.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilter::finish_chunks_into`].
-    pub fn finish_chunks_normalized_into(
-        &self,
-        feed: &mut ChunkFeed,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.bank
-            .finish_chunks_normalized_into(feed, scratch, std::slice::from_mut(out))
-    }
 }
 
 /// K matched filters sharing one forward FFT per overlap-save block.
@@ -1032,22 +1138,6 @@ impl StreamingMatchedFilterBank {
         self.energies.get(k).copied()
     }
 
-    /// Mirrors the one-shot input checks for a signal of `len` samples.
-    fn check_signal(&self, len: usize) -> Result<(), DspError> {
-        if len == 0 {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if self.min_len > len {
-            return Err(DspError::invalid(
-                "template",
-                format!("template ({}) longer than signal ({len})", self.min_len),
-            ));
-        }
-        Ok(())
-    }
-
     /// One-shot banked correlation: lane `k` receives exactly the output
     /// of an independent [`StreamingMatchedFilter`] for template `k` at
     /// the bank geometry ([`xcorr`] convention), but the input forward
@@ -1065,8 +1155,15 @@ impl StreamingMatchedFilterBank {
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        self.check_signal(signal.len())?;
-        self.engine.run(signal, scratch, None, lanes)
+        check_signal(self.min_len, signal.len())?;
+        self.engine.run(
+            signal,
+            scratch,
+            &mut Lanes::Full {
+                gains: None,
+                outs: lanes,
+            },
+        )
     }
 
     /// [`StreamingMatchedFilterBank::correlate_into`] with each lane
@@ -1081,23 +1178,152 @@ impl StreamingMatchedFilterBank {
         scratch: &mut DspScratch,
         lanes: &mut [Vec<f64>],
     ) -> Result<(), DspError> {
-        self.check_signal(signal.len())?;
-        self.engine.run(signal, scratch, Some(&self.gains), lanes)
+        check_signal(self.min_len, signal.len())?;
+        self.engine.run(
+            signal,
+            scratch,
+            &mut Lanes::Full {
+                gains: Some(&self.gains),
+                outs: lanes,
+            },
+        )
+    }
+}
+
+/// The band-limited form of a matched-filter bank: the same overlap-save
+/// engine and template spectra, copied out as each lane's decimated
+/// analytic correlation instead of its full-rate real one.
+///
+/// A beacon template occupies a narrow band, so most bins of a block's
+/// product spectrum are (numerically) zero. Each lane keeps only its
+/// template's band (see [`Decimation`]), separates the block pair's two
+/// blocks there, shifts the band to baseband and inverse-transforms it
+/// at `block_len / D`: lane `k` receives `b_k(q) = a_k(D·q)·e^{−iω_c·D·q}`,
+/// the template-energy normalized analytic correlation `a_k` (whose real
+/// part is the full-rate correlation) at every `D`-th lag. A block pair
+/// costs one forward transform plus, per lane, two `N/D`-point inverses
+/// instead of one `N`-point inverse; [`Decimation::rebuild_into`]
+/// recovers full-rate values where a caller needs them.
+///
+/// The block step is rounded down to a multiple of 16 (the largest
+/// factor), so the block partition is the same for every factor, decimated index `q` is
+/// full-rate lag `D·q` counted from stream start, and — as for the
+/// full-rate engine — chunked ingestion is bit-identical to one-shot and
+/// every lane to a one-template band-limited engine.
+#[derive(Debug, Clone)]
+pub struct BandLimitedBank {
+    engine: OverlapSave,
+    bands: Vec<Arc<Band>>,
+    gains: Vec<f64>,
+    min_len: usize,
+}
+
+impl StreamingMatchedFilterBank {
+    /// The band-limited form of this bank, sharing its FFT plan and
+    /// template spectra (no template is transformed again).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidParameter`] when the block leaves fewer
+    /// than 16 lags per block.
+    pub fn band_limited(&self) -> Result<BandLimitedBank, DspError> {
+        let block = self.engine.block_len();
+        let bands = self
+            .engine
+            .specs
+            .iter()
+            .map(|spec| Band::new(spec, block).map(Arc::new))
+            .collect::<Result<_, _>>()?;
+        Ok(BandLimitedBank {
+            engine: self.engine.aligned()?,
+            bands,
+            gains: self.gains.clone(),
+            min_len: self.min_len,
+        })
+    }
+}
+
+impl StreamingMatchedFilter {
+    /// The band-limited form of this filter: a one-lane
+    /// [`BandLimitedBank`] sharing its plan and template spectrum.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StreamingMatchedFilterBank::band_limited`].
+    pub fn band_limited(&self) -> Result<BandLimitedBank, DspError> {
+        self.bank.band_limited()
+    }
+}
+
+impl BandLimitedBank {
+    /// The FFT block length — the largest transform of every call.
+    #[must_use]
+    pub fn block_len(&self) -> usize {
+        self.engine.block_len()
+    }
+
+    /// Full-rate lags produced per block: a multiple of 16, whatever
+    /// each lane's factor.
+    #[must_use]
+    pub fn step(&self) -> usize {
+        self.engine.step()
+    }
+
+    /// Template FFTs behind this bank: one per template, shared with the
+    /// full-rate bank it was derived from.
+    #[must_use]
+    pub fn template_fft_count(&self) -> usize {
+        self.engine.specs.len()
+    }
+
+    /// Lane `k`'s decimation (factor, band, rebuild interpolator).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    #[must_use]
+    pub fn decimation(&self, k: usize) -> &Decimation {
+        &self.bands[k].dec
+    }
+
+    fn lanes_for<'a>(&'a self, outs: &'a mut [Vec<Complex>]) -> Lanes<'a> {
+        Lanes::Decimated {
+            bands: &self.bands,
+            gains: &self.gains,
+            outs,
+        }
+    }
+
+    /// One-shot band-limited correlation: lane `k` is cleared and
+    /// refilled with template `k`'s normalized decimated analytic
+    /// correlation, `decimation(k).decimated_len(signal.len())` values.
+    /// Steady-state calls at warm sizes do not allocate.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`xcorr`], plus
+    /// [`DspError::InvalidParameter`] when `lanes.len()` differs from
+    /// the bank's lane count.
+    pub fn correlate_into(
+        &self,
+        signal: &[f64],
+        scratch: &mut DspScratch,
+        lanes: &mut [Vec<Complex>],
+    ) -> Result<(), DspError> {
+        check_signal(self.min_len, signal.len())?;
+        self.engine.run(signal, scratch, &mut self.lanes_for(lanes))
     }
 
     /// Creates an online ingestion feed for this bank (see
-    /// [`ChunkFeed`]). One feed drives all K lanes — the shared block
-    /// geometry is the point of the bank.
+    /// [`ChunkFeed`]).
     #[must_use]
     pub fn chunk_feed(&self) -> ChunkFeed {
         self.engine.chunk_feed()
     }
 
-    /// Pushes `chunk` into `feed`, appending every raw correlation lag
-    /// whose FFT block completed to all K lanes (one forward transform
-    /// per completed block, K inverse transforms). Flushed streams are
-    /// bit-identical per lane to
-    /// [`StreamingMatchedFilterBank::correlate_into`] over the
+    /// Pushes `chunk` into `feed`, appending every decimated value whose
+    /// block completed to its lane. Flushed streams are bit-identical
+    /// per lane to [`BandLimitedBank::correlate_into`] over the
     /// concatenated chunks, independent of chunking.
     ///
     /// # Errors
@@ -1110,76 +1336,32 @@ impl StreamingMatchedFilterBank {
         feed: &mut ChunkFeed,
         chunk: &[f64],
         scratch: &mut DspScratch,
-        lanes: &mut [Vec<f64>],
-    ) -> Result<(), DspError> {
-        self.engine.feed_push(feed, chunk, scratch, None, lanes)
-    }
-
-    /// [`StreamingMatchedFilterBank::push_chunk_into`] with the emitted
-    /// lags normalized per lane.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilterBank::push_chunk_into`].
-    pub fn push_chunk_normalized_into(
-        &self,
-        feed: &mut ChunkFeed,
-        chunk: &[f64],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f64>],
+        lanes: &mut [Vec<Complex>],
     ) -> Result<(), DspError> {
         self.engine
-            .feed_push(feed, chunk, scratch, Some(&self.gains), lanes)
+            .feed_push(feed, chunk, scratch, &mut self.lanes_for(lanes))
     }
 
-    /// Flushes `feed`, appending the remaining raw lags to every lane so
-    /// each lane's total output matches the one-shot call exactly (one
-    /// lag per pushed sample). The feed is then finished; call
-    /// [`ChunkFeed::reset`] to reuse it.
+    /// Flushes `feed`, appending the remaining decimated values so each
+    /// lane matches the one-shot call exactly. The feed is then
+    /// finished; call [`ChunkFeed::reset`] to reuse it.
     ///
     /// # Errors
     ///
-    /// Mirrors [`StreamingMatchedFilterBank::correlate_into`] on the
-    /// concatenated input: [`DspError::EmptyInput`] when nothing was
-    /// pushed, [`DspError::InvalidParameter`] when fewer samples than the
-    /// longest template were pushed, the feed belongs to a different
-    /// engine or was already finished, or `lanes` is mis-sized.
+    /// Mirrors [`BandLimitedBank::correlate_into`] on the concatenated
+    /// input, plus the feed and lane checks of
+    /// [`BandLimitedBank::push_chunk_into`].
     pub fn finish_chunks_into(
         &self,
         feed: &mut ChunkFeed,
         scratch: &mut DspScratch,
-        lanes: &mut [Vec<f64>],
-    ) -> Result<(), DspError> {
-        self.finish_with(feed, scratch, None, lanes)
-    }
-
-    /// [`StreamingMatchedFilterBank::finish_chunks_into`] with the
-    /// emitted lags normalized per lane.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::finish_chunks_into`].
-    pub fn finish_chunks_normalized_into(
-        &self,
-        feed: &mut ChunkFeed,
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f64>],
-    ) -> Result<(), DspError> {
-        self.finish_with(feed, scratch, Some(&self.gains), lanes)
-    }
-
-    fn finish_with(
-        &self,
-        feed: &mut ChunkFeed,
-        scratch: &mut DspScratch,
-        gains: Option<&[f64]>,
-        lanes: &mut [Vec<f64>],
+        lanes: &mut [Vec<Complex>],
     ) -> Result<(), DspError> {
         if !feed.finished {
-            self.check_signal(feed.pushed)?;
+            check_signal(self.min_len, feed.pushed)?;
         }
-        self.engine.feed_finish(feed, scratch, gains, lanes)
+        self.engine
+            .feed_finish(feed, scratch, &mut self.lanes_for(lanes))
     }
 }
 
@@ -1345,109 +1527,96 @@ mod tests {
         assert_eq!(filter.template_len(), 3);
     }
 
-    /// Feeds `signal` through a chunk feed in pieces of the given sizes
-    /// (cycled) and returns the full emitted output.
-    fn run_chunked(filter: &StreamingMatchedFilter, signal: &[f64], sizes: &[usize]) -> Vec<f64> {
-        let mut feed = filter.chunk_feed();
+    /// Feeds `signal` through a chunk feed of `bank` in pieces of the
+    /// given sizes (cycled) and returns every lane's emitted output.
+    fn run_chunked(bank: &BandLimitedBank, signal: &[f64], sizes: &[usize]) -> Vec<Vec<Complex>> {
+        let mut feed = bank.chunk_feed();
         let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
+        let mut lanes = vec![Vec::new(); bank.template_fft_count()];
         let mut pos = 0;
         let mut i = 0;
         while pos < signal.len() {
             let n = sizes[i % sizes.len()].min(signal.len() - pos);
-            filter
-                .push_chunk_into(&mut feed, &signal[pos..pos + n], &mut scratch, &mut out)
+            bank.push_chunk_into(&mut feed, &signal[pos..pos + n], &mut scratch, &mut lanes)
                 .unwrap();
             pos += n;
             i += 1;
         }
-        filter
-            .finish_chunks_into(&mut feed, &mut scratch, &mut out)
+        bank.finish_chunks_into(&mut feed, &mut scratch, &mut lanes)
             .unwrap();
         assert!(feed.is_finished());
         assert_eq!(feed.pushed(), signal.len());
         assert_eq!(feed.emitted(), signal.len());
-        out
+        lanes
     }
 
-    #[test]
-    fn chunked_feed_is_bit_identical_to_one_shot() {
+    /// A one-template band-limited engine (a 37-tap template at a
+    /// 256-point block) and a test capture.
+    fn band_fixture() -> (BandLimitedBank, Vec<f64>) {
         let template: Vec<f64> = (0..37)
             .map(|i| (i as f64 * 0.4).sin() - 0.3 * (i as f64 * 0.09).cos())
             .collect();
         let signal: Vec<f64> = (0..1777)
             .map(|i| (i as f64 * 0.021).sin() * (i as f64 * 0.0047).cos())
             .collect();
-        let filter = StreamingMatchedFilter::new(&template).unwrap();
-        let reference = filter.correlate(&signal).unwrap();
-        // Single samples, prime sizes, block-aligned sizes, whole capture.
-        for sizes in [
-            &[1usize][..],
-            &[3, 7, 11][..],
-            &[256][..],
-            &[signal.len()][..],
-            &[255, 1, 513][..],
-        ] {
-            let streamed = run_chunked(&filter, &signal, sizes);
-            assert_eq!(streamed, reference, "chunk sizes {sizes:?}");
-        }
+        let filter = StreamingMatchedFilter::with_block_len(&template, 256).unwrap();
+        (filter.band_limited().unwrap(), signal)
     }
 
     #[test]
-    fn chunked_feed_normalized_matches_one_shot_normalized() {
-        let template = [2.0, 0.0, -2.0, 1.0];
-        let signal: Vec<f64> = (0..300).map(|i| (i as f64 * 0.17).sin()).collect();
-        let filter = StreamingMatchedFilter::new(&template).unwrap();
-        let mut scratch = DspScratch::new();
-        let mut reference = Vec::new();
-        filter
-            .correlate_normalized_into(&signal, &mut scratch, &mut reference)
+    fn chunked_feed_is_bit_identical_to_one_shot() {
+        let (templates, signal) = bank_fixtures();
+        let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
+        let (solo, _) = band_fixture();
+        let bank = StreamingMatchedFilterBank::new(&refs)
+            .unwrap()
+            .band_limited()
             .unwrap();
-        let mut feed = filter.chunk_feed();
-        let mut out = Vec::new();
-        for chunk in signal.chunks(23) {
-            filter
-                .push_chunk_normalized_into(&mut feed, chunk, &mut scratch, &mut out)
+        for bank in [solo, bank] {
+            let mut reference = vec![Vec::new(); bank.template_fft_count()];
+            bank.correlate_into(&signal, &mut DspScratch::new(), &mut reference)
                 .unwrap();
+            // Single samples, prime sizes, block-aligned sizes, whole capture.
+            for sizes in [
+                &[1usize][..],
+                &[3, 7, 11][..],
+                &[256][..],
+                &[signal.len()][..],
+                &[255, 1, 513][..],
+            ] {
+                let streamed = run_chunked(&bank, &signal, sizes);
+                assert_eq!(streamed, reference, "chunk sizes {sizes:?}");
+            }
         }
-        filter
-            .finish_chunks_normalized_into(&mut feed, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, reference);
     }
 
     #[test]
     fn chunk_feed_reset_supports_reuse_and_empty_chunks() {
-        let template = [1.0, -1.0, 0.5];
-        let signal: Vec<f64> = (0..97).map(|i| (i as f64 * 0.3).cos()).collect();
-        let filter = StreamingMatchedFilter::new(&template).unwrap();
-        let reference = filter.correlate(&signal).unwrap();
-        let mut feed = filter.chunk_feed();
+        let (band, signal) = band_fixture();
         let mut scratch = DspScratch::new();
+        let mut reference = vec![Vec::new()];
+        band.correlate_into(&signal, &mut scratch, &mut reference)
+            .unwrap();
+        let mut feed = band.chunk_feed();
         for round in 0..3 {
-            let mut out = Vec::new();
+            let mut out = vec![Vec::new()];
             // Zero-length chunks are no-ops anywhere in the stream.
-            filter
-                .push_chunk_into(&mut feed, &[], &mut scratch, &mut out)
+            band.push_chunk_into(&mut feed, &[], &mut scratch, &mut out)
                 .unwrap();
-            filter
-                .push_chunk_into(&mut feed, &signal[..40], &mut scratch, &mut out)
+            band.push_chunk_into(&mut feed, &signal[..400], &mut scratch, &mut out)
                 .unwrap();
-            filter
-                .push_chunk_into(&mut feed, &[], &mut scratch, &mut out)
+            band.push_chunk_into(&mut feed, &[], &mut scratch, &mut out)
                 .unwrap();
-            filter
-                .push_chunk_into(&mut feed, &signal[40..], &mut scratch, &mut out)
+            band.push_chunk_into(&mut feed, &signal[400..], &mut scratch, &mut out)
                 .unwrap();
-            filter
-                .finish_chunks_into(&mut feed, &mut scratch, &mut out)
+            band.finish_chunks_into(&mut feed, &mut scratch, &mut out)
                 .unwrap();
             assert_eq!(out, reference, "round {round}");
             // A finished feed rejects further traffic until reset.
-            assert!(filter
+            assert!(band
                 .push_chunk_into(&mut feed, &signal[..1], &mut scratch, &mut out)
                 .is_err());
-            assert!(filter
+            assert!(band
                 .finish_chunks_into(&mut feed, &mut scratch, &mut out)
                 .is_err());
             feed.reset();
@@ -1456,27 +1625,32 @@ mod tests {
 
     #[test]
     fn chunk_feed_finish_mirrors_one_shot_errors() {
-        let filter = StreamingMatchedFilter::new(&[1.0, 2.0, 3.0]).unwrap();
+        let band = StreamingMatchedFilter::with_block_len(&[1.0, 2.0, 3.0], 64)
+            .unwrap()
+            .band_limited()
+            .unwrap();
         let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
+        let mut out = vec![Vec::new()];
         // Nothing pushed: same error class as correlate(&[]).
-        let mut feed = filter.chunk_feed();
+        let mut feed = band.chunk_feed();
         assert!(matches!(
-            filter.finish_chunks_into(&mut feed, &mut scratch, &mut out),
+            band.finish_chunks_into(&mut feed, &mut scratch, &mut out),
             Err(DspError::EmptyInput { .. })
         ));
         // Fewer samples than the template: same error as the one-shot.
         feed.reset();
-        filter
-            .push_chunk_into(&mut feed, &[1.0, 2.0], &mut scratch, &mut out)
+        band.push_chunk_into(&mut feed, &[1.0, 2.0], &mut scratch, &mut out)
             .unwrap();
-        assert!(filter
+        assert!(band
             .finish_chunks_into(&mut feed, &mut scratch, &mut out)
             .is_err());
+        assert!(band
+            .correlate_into(&[1.0, 2.0], &mut scratch, &mut out)
+            .is_err());
         // A feed from a different engine geometry is rejected.
-        let other = StreamingMatchedFilter::new(&[1.0; 64]).unwrap();
+        let (other, _) = band_fixture();
         let mut foreign = other.chunk_feed();
-        assert!(filter
+        assert!(band
             .push_chunk_into(&mut foreign, &[1.0], &mut scratch, &mut out)
             .is_err());
     }
@@ -1566,55 +1740,6 @@ mod tests {
         assert!(bank.template_energy(3).is_none());
     }
 
-    #[test]
-    fn bank_chunked_feed_is_bit_identical_to_one_shot() {
-        let (templates, signal) = bank_fixtures();
-        let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
-        let bank = StreamingMatchedFilterBank::new(&refs).unwrap();
-        let mut scratch = DspScratch::new();
-        let mut reference: Vec<Vec<f64>> = vec![Vec::new(); bank.len()];
-        bank.correlate_into(&signal, &mut scratch, &mut reference)
-            .unwrap();
-        for sizes in [
-            &[1usize][..],
-            &[3, 7, 11][..],
-            &[256][..],
-            &[signal.len()][..],
-            &[255, 1, 513][..],
-        ] {
-            let mut feed = bank.chunk_feed();
-            let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); bank.len()];
-            let mut pos = 0;
-            let mut i = 0;
-            while pos < signal.len() {
-                let n = sizes[i % sizes.len()].min(signal.len() - pos);
-                bank.push_chunk_into(&mut feed, &signal[pos..pos + n], &mut scratch, &mut lanes)
-                    .unwrap();
-                pos += n;
-                i += 1;
-            }
-            bank.finish_chunks_into(&mut feed, &mut scratch, &mut lanes)
-                .unwrap();
-            assert!(feed.is_finished());
-            assert_eq!(feed.pushed(), signal.len());
-            assert_eq!(feed.emitted(), signal.len());
-            assert_eq!(lanes, reference, "chunk sizes {sizes:?}");
-        }
-        // Normalized chunked flow matches the normalized one-shot.
-        let mut normalized: Vec<Vec<f64>> = vec![Vec::new(); bank.len()];
-        bank.correlate_normalized_into(&signal, &mut scratch, &mut normalized)
-            .unwrap();
-        let mut feed = bank.chunk_feed();
-        let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); bank.len()];
-        for chunk in signal.chunks(97) {
-            bank.push_chunk_normalized_into(&mut feed, chunk, &mut scratch, &mut lanes)
-                .unwrap();
-        }
-        bank.finish_chunks_normalized_into(&mut feed, &mut scratch, &mut lanes)
-            .unwrap();
-        assert_eq!(lanes, normalized);
-    }
-
     /// Folded-prefilter bank: each lane bit-identical to an independent
     /// folded engine. Equal-length templates give both paths the same
     /// geometry automatically.
@@ -1670,16 +1795,12 @@ mod tests {
                 .unwrap();
             assert_eq!(lanes[k], reference, "folded lane {k}");
         }
-        // Chunked folded bank honours the shared lead.
-        let mut feed = bank.chunk_feed();
-        let mut chunked: Vec<Vec<f64>> = vec![Vec::new(); bank.len()];
-        for chunk in signal.chunks(113) {
-            bank.push_chunk_normalized_into(&mut feed, chunk, &mut scratch, &mut chunked)
-                .unwrap();
-        }
-        bank.finish_chunks_normalized_into(&mut feed, &mut scratch, &mut chunked)
+        // The chunked band-limited folded bank honours the shared lead.
+        let band = bank.band_limited().unwrap();
+        let mut reference = vec![Vec::new(); bank.len()];
+        band.correlate_into(&signal, &mut scratch, &mut reference)
             .unwrap();
-        assert_eq!(chunked, lanes);
+        assert_eq!(run_chunked(&band, &signal, &[113]), reference);
     }
 
     /// The folded f64 single engine itself must reproduce band-pass →
@@ -1706,32 +1827,25 @@ mod tests {
         assert_eq!(streamed.len(), reference.len());
         let full = signal.len() - folded.template_len() + 1;
         assert_bit_close(&streamed[..full], &reference[..full]);
-        // The chunked feed honours the folded lead: bit-identical to the
-        // folded one-shot, independent of chunking.
-        let mut scratch = DspScratch::new();
-        let mut feed = folded.chunk_feed();
-        let mut chunked = Vec::new();
-        for chunk in signal.chunks(97) {
-            folded
-                .push_chunk_into(&mut feed, chunk, &mut scratch, &mut chunked)
-                .unwrap();
-        }
-        folded
-            .finish_chunks_into(&mut feed, &mut scratch, &mut chunked)
-            .unwrap();
-        assert_eq!(chunked, streamed);
         // Folding lengthens the engine template, not the shortest signal
         // accepted: one original template's worth still correlates, one
-        // sample less does not — one-shot and chunked alike.
+        // sample less does not — full-rate, band-limited and chunked
+        // alike.
         let short = &signal[..template.len()];
         assert_eq!(folded.correlate(short).unwrap().len(), template.len());
         assert!(folded.correlate(&short[1..]).is_err());
-        let mut feed = folded.chunk_feed();
-        let mut out = Vec::new();
-        folded
-            .push_chunk_into(&mut feed, &short[1..], &mut scratch, &mut out)
+        let band = folded.band_limited().unwrap();
+        let mut scratch = DspScratch::new();
+        let mut out = vec![Vec::new()];
+        band.correlate_into(short, &mut scratch, &mut out).unwrap();
+        assert_eq!(run_chunked(&band, short, &[7]), out);
+        assert!(band
+            .correlate_into(&short[1..], &mut scratch, &mut out)
+            .is_err());
+        let mut feed = band.chunk_feed();
+        band.push_chunk_into(&mut feed, &short[1..], &mut scratch, &mut out)
             .unwrap();
-        assert!(folded
+        assert!(band
             .finish_chunks_into(&mut feed, &mut scratch, &mut out)
             .is_err());
         // Degenerate folds are rejected.
@@ -1786,31 +1900,37 @@ mod tests {
         assert!(bank
             .correlate_into(&[1.0; 16], &mut scratch, &mut short)
             .is_err());
-        let mut feed = bank.chunk_feed();
-        assert!(bank
+        let band =
+            StreamingMatchedFilterBank::with_block_len(&[&[1.0, 2.0][..], &[2.0, -1.0][..]], 64)
+                .unwrap()
+                .band_limited()
+                .unwrap();
+        let mut short: Vec<Vec<Complex>> = vec![Vec::new(); 1];
+        let mut lanes: Vec<Vec<Complex>> = vec![Vec::new(); 2];
+        assert!(band
+            .correlate_into(&[1.0; 16], &mut scratch, &mut short)
+            .is_err());
+        let mut feed = band.chunk_feed();
+        assert!(band
             .push_chunk_into(&mut feed, &[1.0], &mut scratch, &mut short)
             .is_err());
-        assert!(bank
+        assert!(band
             .finish_chunks_into(&mut feed, &mut scratch, &mut short)
             .is_err());
-        // Feed error mirroring: nothing pushed, short stream, foreign feed.
+        // Feed error mirroring: nothing pushed, short stream.
         assert!(matches!(
-            bank.finish_chunks_into(&mut feed, &mut scratch, &mut lanes),
+            band.finish_chunks_into(&mut feed, &mut scratch, &mut lanes),
             Err(DspError::EmptyInput { .. })
         ));
-        bank.push_chunk_into(&mut feed, &[1.0], &mut scratch, &mut lanes)
+        band.push_chunk_into(&mut feed, &[1.0], &mut scratch, &mut lanes)
             .unwrap();
-        assert!(bank
+        assert!(band
             .finish_chunks_into(&mut feed, &mut scratch, &mut lanes)
             .is_err());
-        let other = StreamingMatchedFilterBank::new(&[&[1.0; 64][..]]).unwrap();
-        let mut foreign = other.chunk_feed();
-        let mut one: Vec<Vec<f64>> = vec![Vec::new(); 1];
-        assert!(other
-            .push_chunk_into(&mut feed, &[1.0], &mut scratch, &mut one)
-            .is_err());
-        assert!(bank
-            .push_chunk_into(&mut foreign, &[1.0], &mut scratch, &mut lanes)
+        // A block that leaves fewer than 16 lags has no band-limited form.
+        assert!(StreamingMatchedFilter::with_block_len(&[1.0; 8], 16)
+            .unwrap()
+            .band_limited()
             .is_err());
     }
 }

@@ -41,7 +41,9 @@
 //! and kept: each weighting then costs one pass over the bins and one
 //! inverse transform, written straight into the caller's output. A
 //! session that escalates from PHAT to sub-band coherence pays one
-//! forward transform per channel, not one per rung.
+//! forward transform per channel, not one per rung. The detector applies
+//! the same two weightings to its decimated analytic correlation through
+//! [`AnalyticSpectrum`], whose transforms are `D` times shorter.
 //!
 //! All spectral weights are real and non-negative, i.e. zero-phase: they
 //! reshape lobe widths and relative amplitudes but cannot bias the peak
@@ -52,7 +54,7 @@
 
 use crate::complex::{axpy, dot_seq};
 use crate::fft::try_next_pow2;
-use crate::plan::shared_real_plan;
+use crate::plan::{shared_plan, shared_real_plan};
 use crate::{Complex, DspError};
 
 /// Reusable workspace for the weighting kernels.
@@ -191,34 +193,9 @@ impl CorrelationSpectrum {
         out: &mut Vec<f64>,
     ) -> Result<bool, DspError> {
         self.check_computed("gcc_phat spectrum")?;
-        if !floor.is_finite() || floor <= 0.0 || floor >= 1.0 {
-            return Err(DspError::invalid(
-                "floor",
-                format!("PHAT whitening floor must be in (0, 1), got {floor}"),
-            ));
-        }
-        // Largest bin power; a NaN anywhere makes the maximum NaN.
-        let max_power = self.bins.iter().fold(0.0f64, |m, z| {
-            let p = z.norm_sqr();
-            if p > m || p.is_nan() {
-                p
-            } else {
-                m
-            }
-        });
-        if max_power <= 0.0 || !max_power.is_finite() {
+        if !phat_weighted(&self.bins, floor, 1.0, &mut scratch.half)? {
             return Ok(false);
         }
-        let eps = floor * max_power.sqrt();
-        let eps_sq = eps * eps;
-        scratch.half.clear();
-        // PHAT_BETA = 0.5: divide by the floored magnitude's square root,
-        // i.e. by the fourth root of the floored power.
-        scratch.half.extend(
-            self.bins
-                .iter()
-                .map(|z| z.scale(1.0 / z.norm_sqr().max(eps_sq).sqrt().sqrt())),
-        );
         self.inverse_into(scratch, out)?;
         Ok(true)
     }
@@ -252,74 +229,26 @@ impl CorrelationSpectrum {
         out: &mut Vec<f64>,
     ) -> Result<bool, DspError> {
         self.check_computed("subband_coherence spectrum")?;
-        if sample_rate.is_nan() || sample_rate <= 0.0 {
-            return Err(DspError::invalid(
-                "sample_rate",
-                format!("must be positive, got {sample_rate}"),
-            ));
-        }
+        check_rate(sample_rate)?;
         if !(band_lo > 0.0 && band_lo < band_hi && band_hi <= sample_rate / 2.0) {
             return Err(DspError::invalid(
                 "band",
                 format!("need 0 < lo < hi <= fs/2, got {band_lo}..{band_hi} at fs {sample_rate}"),
             ));
         }
-        if bands == 0 {
-            return Err(DspError::invalid("bands", "need at least one sub-band"));
-        }
-        let bins = self.bins.len();
         let bin_hz = sample_rate / self.fft_len as f64;
-        let k_lo = (band_lo / bin_hz).ceil() as usize;
-        let k_hi = ((band_hi / bin_hz).floor() as usize).min(bins - 1);
-        if k_lo > k_hi {
-            // The transform is too short to resolve the band: no-op.
+        let k_lo = (band_lo / bin_hz).ceil() as isize;
+        let k_hi = ((band_hi / bin_hz).floor() as isize).min(self.bins.len() as isize - 1);
+        if !subband_weighted(
+            &self.bins,
+            |k| k as usize,
+            (k_lo, k_hi),
+            bands,
+            1.0,
+            scratch,
+        )? {
             return Ok(false);
         }
-        let span = k_hi - k_lo + 1;
-        let b_count = bands.min(span);
-        let band_of = |k: usize| ((k - k_lo) * b_count / span).min(b_count - 1);
-        scratch.band_power.clear();
-        scratch.band_power.resize(b_count, 0.0);
-        for k in k_lo..=k_hi {
-            scratch.band_power[band_of(k)] += self.bins[k].norm_sqr();
-        }
-        // Equal-width bands up to rounding; normalize by each band's bin count.
-        for b in 0..b_count {
-            let lo = k_lo + (b * span).div_ceil(b_count);
-            let hi = k_lo + ((b + 1) * span).div_ceil(b_count);
-            let width = hi.saturating_sub(lo).max(1);
-            scratch.band_power[b] /= width as f64;
-        }
-        let total: f64 = scratch.band_power.iter().sum();
-        if total <= 0.0 || !total.is_finite() {
-            // No in-band spectral mass: graceful no-op.
-            return Ok(false);
-        }
-        scratch.band_sort.clear();
-        scratch.band_sort.extend_from_slice(&scratch.band_power);
-        scratch.band_sort.sort_unstable_by(f64::total_cmp);
-        let noise = if b_count >= 3 {
-            scratch.band_sort[b_count / 2]
-        } else {
-            scratch.band_sort[0]
-        };
-        let EstimatorScratch {
-            half, band_power, ..
-        } = scratch;
-        half.clear();
-        half.extend(self.bins.iter().enumerate().map(|(k, z)| {
-            if k < k_lo || k > k_hi {
-                Complex::ZERO
-            } else {
-                let s = band_power[band_of(k)];
-                let w = if s + noise > 0.0 {
-                    s / (s + noise)
-                } else {
-                    0.0
-                };
-                z.scale(w)
-            }
-        }));
         self.inverse_into(scratch, out)?;
         Ok(true)
     }
@@ -340,6 +269,292 @@ impl CorrelationSpectrum {
     ) -> Result<(), DspError> {
         shared_real_plan(self.fft_len)?.irfft_half_into(&mut scratch.half, out)?;
         out.truncate(self.corr_len);
+        Ok(())
+    }
+}
+
+fn check_rate(sample_rate: f64) -> Result<(), DspError> {
+    if sample_rate.is_nan() || sample_rate <= 0.0 {
+        return Err(DspError::invalid(
+            "sample_rate",
+            format!("must be positive, got {sample_rate}"),
+        ));
+    }
+    Ok(())
+}
+
+/// Writes `bins` whitened by the floored PHAT-β weight (and multiplied
+/// by `scale`) into `half`. Returns `false`, writing nothing, when the
+/// spectrum has no usable mass (all zeros, or non-finite).
+fn phat_weighted(
+    bins: &[Complex],
+    floor: f64,
+    scale: f64,
+    half: &mut Vec<Complex>,
+) -> Result<bool, DspError> {
+    if !floor.is_finite() || floor <= 0.0 || floor >= 1.0 {
+        return Err(DspError::invalid(
+            "floor",
+            format!("PHAT whitening floor must be in (0, 1), got {floor}"),
+        ));
+    }
+    // Largest bin power; a NaN anywhere makes the maximum NaN.
+    let max_power = bins.iter().fold(0.0f64, |m, z| {
+        let p = z.norm_sqr();
+        if p > m || p.is_nan() {
+            p
+        } else {
+            m
+        }
+    });
+    if max_power <= 0.0 || !max_power.is_finite() {
+        return Ok(false);
+    }
+    let eps = floor * max_power.sqrt();
+    let eps_sq = eps * eps;
+    half.clear();
+    // PHAT_BETA = 0.5: divide by the floored magnitude's square root,
+    // i.e. by the fourth root of the floored power.
+    half.extend(
+        bins.iter()
+            .map(|z| z.scale(scale / z.norm_sqr().max(eps_sq).sqrt().sqrt())),
+    );
+    Ok(true)
+}
+
+/// Writes `bins` re-weighted by per-sub-band coherence (and multiplied
+/// by `scale`) into `scratch.half`: the band is the bin range
+/// `k_lo..=k_hi` (signed, so an analytic spectrum's band may straddle
+/// DC), `at(k)` is the position of bin `k` in `bins`, and every other
+/// position is zeroed. Returns `false`, writing nothing, when the band
+/// is empty or holds no spectral mass.
+fn subband_weighted(
+    bins: &[Complex],
+    at: impl Fn(isize) -> usize,
+    (k_lo, k_hi): (isize, isize),
+    bands: usize,
+    scale: f64,
+    scratch: &mut EstimatorScratch,
+) -> Result<bool, DspError> {
+    if bands == 0 {
+        return Err(DspError::invalid("bands", "need at least one sub-band"));
+    }
+    if k_lo > k_hi {
+        // The transform is too short to resolve the band: no-op.
+        return Ok(false);
+    }
+    let span = (k_hi - k_lo + 1) as usize;
+    let b_count = bands.min(span);
+    let band_of = |k: isize| ((k - k_lo) as usize * b_count / span).min(b_count - 1);
+    scratch.band_power.clear();
+    scratch.band_power.resize(b_count, 0.0);
+    for k in k_lo..=k_hi {
+        scratch.band_power[band_of(k)] += bins[at(k)].norm_sqr();
+    }
+    // Equal-width bands up to rounding; normalize by each band's bin count.
+    for b in 0..b_count {
+        let lo = (b * span).div_ceil(b_count);
+        let hi = ((b + 1) * span).div_ceil(b_count);
+        let width = hi.saturating_sub(lo).max(1);
+        scratch.band_power[b] /= width as f64;
+    }
+    let total: f64 = scratch.band_power.iter().sum();
+    if total <= 0.0 || !total.is_finite() {
+        // No in-band spectral mass: graceful no-op.
+        return Ok(false);
+    }
+    scratch.band_sort.clear();
+    scratch.band_sort.extend_from_slice(&scratch.band_power);
+    scratch.band_sort.sort_unstable_by(f64::total_cmp);
+    let noise = if b_count >= 3 {
+        scratch.band_sort[b_count / 2]
+    } else {
+        scratch.band_sort[0]
+    };
+    let EstimatorScratch {
+        half, band_power, ..
+    } = scratch;
+    half.clear();
+    half.resize(bins.len(), Complex::ZERO);
+    for k in k_lo..=k_hi {
+        let s = band_power[band_of(k)];
+        let w = if s + noise > 0.0 {
+            s / (s + noise)
+        } else {
+            0.0
+        };
+        let i = at(k);
+        half[i] = bins[i].scale(w * scale);
+    }
+    Ok(true)
+}
+
+/// The forward spectrum of one decimated analytic correlation (see
+/// [`crate::correlate::BandLimitedBank`]): the two weighting estimators
+/// of [`CorrelationSpectrum`] applied to a complex baseband sequence.
+///
+/// The band-limited detector whitens and sub-band-weights this short
+/// complex sequence instead of transforming the full-rate real
+/// correlation: the transform is `D` times shorter at the same frequency
+/// resolution. Weights are real and non-negative, so the weighted
+/// sequence keeps the baseband form and the decimation's rebuild applies
+/// to it unchanged. The spectrum is held in the transform's bit-reversed
+/// order (weights are per bin, so no permutation pass is needed).
+#[derive(Debug, Clone, Default)]
+pub struct AnalyticSpectrum {
+    bins: Vec<Complex>,
+    /// Length of the sequence the bins came from; 0 when empty.
+    seq_len: usize,
+}
+
+impl AnalyticSpectrum {
+    /// An empty spectrum; the bin buffer grows on the first
+    /// [`AnalyticSpectrum::compute`].
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replaces the spectrum with the forward transform of `seq`
+    /// zero-padded to the next power of two. On error the spectrum is
+    /// left empty.
+    ///
+    /// # Errors
+    ///
+    /// [`DspError::EmptyInput`] when `seq` is empty.
+    pub fn compute(&mut self, seq: &[Complex]) -> Result<(), DspError> {
+        self.clear();
+        if seq.is_empty() {
+            return Err(DspError::EmptyInput {
+                what: "analytic spectrum",
+            });
+        }
+        let m = try_next_pow2(seq.len())?;
+        let plan = shared_plan(m)?;
+        self.bins.extend_from_slice(seq);
+        self.bins.resize(m, Complex::ZERO);
+        plan.dif(&mut self.bins);
+        self.seq_len = seq.len();
+        Ok(())
+    }
+
+    /// Forgets the spectrum, keeping the bin buffer's capacity.
+    pub fn clear(&mut self) {
+        self.bins.clear();
+        self.seq_len = 0;
+    }
+
+    /// Whether no spectrum has been computed since construction or the
+    /// last [`AnalyticSpectrum::clear`].
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.seq_len == 0
+    }
+
+    /// Heap capacity held by the bin buffer, in bytes.
+    #[must_use]
+    pub fn capacity_bytes(&self) -> usize {
+        self.bins.capacity() * std::mem::size_of::<Complex>()
+    }
+
+    /// [`CorrelationSpectrum::gcc_phat_into`] on the analytic sequence:
+    /// writes the whitened sequence into `out` (cleared and refilled to
+    /// the sequence's length), or returns `false`, leaving `out`
+    /// untouched, when the spectrum has no usable mass.
+    ///
+    /// # Errors
+    ///
+    /// - [`DspError::EmptyInput`] when the spectrum is empty.
+    /// - [`DspError::InvalidParameter`] when `floor` is not in `(0, 1)`.
+    pub fn gcc_phat_into(
+        &self,
+        floor: f64,
+        scratch: &mut EstimatorScratch,
+        out: &mut Vec<Complex>,
+    ) -> Result<bool, DspError> {
+        self.check_computed("gcc_phat spectrum")?;
+        let scale = 1.0 / self.bins.len() as f64;
+        if !phat_weighted(&self.bins, floor, scale, &mut scratch.half)? {
+            return Ok(false);
+        }
+        self.inverse_into(scratch, out)?;
+        Ok(true)
+    }
+
+    /// [`CorrelationSpectrum::subband_coherence_into`] on the analytic
+    /// sequence. The sequence is sampled at `sample_rate` and the band
+    /// `band_lo..band_hi` is given in its own (baseband) frequencies, so
+    /// either edge may be negative; bins outside it are zeroed. Writes
+    /// the weighted sequence into `out` (cleared and refilled to the
+    /// sequence's length), or returns `false`, leaving `out` untouched,
+    /// when the band holds no mass or no bin.
+    ///
+    /// # Errors
+    ///
+    /// - [`DspError::EmptyInput`] when the spectrum is empty.
+    /// - [`DspError::InvalidParameter`] when the band edges are not
+    ///   `−sample_rate/2 <= band_lo < band_hi <= sample_rate/2` or
+    ///   `bands == 0`.
+    pub fn subband_coherence_into(
+        &self,
+        sample_rate: f64,
+        band_lo: f64,
+        band_hi: f64,
+        bands: usize,
+        scratch: &mut EstimatorScratch,
+        out: &mut Vec<Complex>,
+    ) -> Result<bool, DspError> {
+        self.check_computed("subband_coherence spectrum")?;
+        check_rate(sample_rate)?;
+        let nyquist = sample_rate / 2.0;
+        if !(band_lo >= -nyquist && band_lo < band_hi && band_hi <= nyquist) {
+            return Err(DspError::invalid(
+                "band",
+                format!(
+                    "need -fs/2 <= lo < hi <= fs/2, got {band_lo}..{band_hi} at fs {sample_rate}"
+                ),
+            ));
+        }
+        let m = self.bins.len();
+        let half = (m / 2) as isize;
+        let bin_hz = sample_rate / m as f64;
+        let k_lo = ((band_lo / bin_hz).ceil() as isize).max(-half);
+        let k_hi = ((band_hi / bin_hz).floor() as isize).min(half - 1);
+        let bits = m.trailing_zeros();
+        let at = |k: isize| {
+            let k = k.rem_euclid(m as isize) as usize;
+            if bits == 0 {
+                k
+            } else {
+                k.reverse_bits() >> (usize::BITS - bits)
+            }
+        };
+        let scale = 1.0 / m as f64;
+        if !subband_weighted(&self.bins, at, (k_lo, k_hi), bands, scale, scratch)? {
+            return Ok(false);
+        }
+        self.inverse_into(scratch, out)?;
+        Ok(true)
+    }
+
+    fn check_computed(&self, what: &'static str) -> Result<(), DspError> {
+        if self.is_empty() {
+            return Err(DspError::EmptyInput { what });
+        }
+        Ok(())
+    }
+
+    /// Inverse-transforms the weighted bit-reversed bins in
+    /// `scratch.half` (the `1/m` already folded into the weights) into
+    /// `out`, trimmed to the source sequence's length.
+    fn inverse_into(
+        &self,
+        scratch: &mut EstimatorScratch,
+        out: &mut Vec<Complex>,
+    ) -> Result<(), DspError> {
+        shared_plan(self.bins.len())?.dit(&mut scratch.half);
+        out.clear();
+        out.extend_from_slice(&scratch.half[..self.seq_len]);
         Ok(())
     }
 }

@@ -6,7 +6,7 @@
 //! symmetric FIR delays every frequency by exactly `(taps-1)/2` samples,
 //! which [`FirFilter::filter_zero_phase`] compensates.
 
-use crate::correlate::OverlapSave;
+use crate::correlate::{Lanes, OverlapSave};
 use crate::fft::try_next_pow2;
 use crate::plan::DspScratch;
 use crate::window::Window;
@@ -349,8 +349,14 @@ impl ZeroPhaseFir {
         if signal.is_empty() {
             return Err(DspError::EmptyInput { what: "FIR input" });
         }
-        self.core
-            .run(signal, scratch, None, std::slice::from_mut(out))
+        self.core.run(
+            signal,
+            scratch,
+            &mut Lanes::Full {
+                gains: None,
+                outs: std::slice::from_mut(out),
+            },
+        )
     }
 }
 

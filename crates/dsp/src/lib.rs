@@ -15,20 +15,24 @@
 //!   inertial signals.
 //! - [`correlate`] — FFT-accelerated cross-correlation and the one
 //!   overlap-save matched-filter engine (single template or K-template
-//!   bank, band-pass optionally folded in) used for chirp beacon
-//!   detection (BeepBeep-style).
+//!   bank, band-pass optionally folded in, copied out full-rate or as
+//!   the band-limited decimated analytic correlation detection runs on)
+//!   used for chirp beacon detection (BeepBeep-style).
 //! - [`chirp`] — linear and up-down chirp synthesis (the HyperEar beacon).
 //! - [`estimator`] — robust TDoA estimator kernels: floored GCC-PHAT
 //!   whitening and sub-band coherence weighting from one shared
-//!   correlation spectrum, and MCCI cross-channel correlation fusion.
+//!   correlation spectrum (real, or the decimated analytic sequence),
+//!   and MCCI cross-channel correlation fusion.
 //! - [`interpolate`] — parabolic and windowed-sinc sub-sample interpolation
-//!   for pushing TDoA resolution below the 44.1 kHz sampling grid.
+//!   for pushing TDoA resolution below the 44.1 kHz sampling grid, and
+//!   the full-rate rebuild of a band-limited decimated correlation.
 //! - [`delay`] — integer and fractional signal delays (propagation
 //!   rendering in the simulator).
 //! - [`envelope`] — analytic-signal (Hilbert) envelopes for carrier-free
 //!   peak detection of high-band beacons.
 //! - [`peak`] — the detection epilogue: exact median and maximum of a
-//!   correlation in one pass, then threshold-based peak picking.
+//!   correlation (or its envelope, with the Rayleigh noise floor) in one
+//!   pass, then threshold-based peak picking.
 //! - [`spectrum`] — periodograms and band-energy measurements.
 //! - [`level`] — RMS / dB / SNR utilities.
 //! - [`goertzel`] — single-bin DFT for cheap tone probing.

@@ -65,10 +65,24 @@ impl PeakConfig {
     }
 }
 
+/// `median(|x|) / GAUSS_MEDIAN_ABS` estimates the deviation σ of
+/// zero-mean Gaussian noise `x` (see [`noise_floor`]).
+const GAUSS_MEDIAN_ABS: f64 = 0.6745;
+
+/// `√(2 ln 2)`: the median of a Rayleigh variable in units of its scale.
+/// The envelope `|a|` of an analytic correlation whose real and
+/// imaginary parts are Gaussian with deviation σ is Rayleigh with scale
+/// σ, so `median(|a|) / RAYLEIGH_MEDIAN` estimates the same σ that
+/// `median(|x|) / 0.6745` does on the real correlation, and a
+/// threshold factor keeps its meaning in noise-σ units on either.
+pub const RAYLEIGH_MEDIAN: f64 = 1.177_410_022_515_474_7;
+
 /// The two-part detection threshold of [`detect_peaks_into`]: a peak
 /// must reach `max(noise_factor · floor, relative · max(0, max x))`,
 /// where `floor = median(|x|) / 0.6745` (see [`noise_floor`]), and
 /// accepted peaks lie at least `min_distance` samples apart.
+/// [`detect_envelope_peaks_into`] applies it to an envelope with the
+/// Rayleigh floor instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdRule {
     /// Multiple of the robust noise floor a peak must reach.
@@ -228,15 +242,44 @@ pub fn detect_peaks_into(
     scratch: &mut PeakScratch,
     out: &mut Vec<Peak>,
 ) -> Result<(), DspError> {
+    pick_into(signal, GAUSS_MEDIAN_ABS, rule, scratch, out).map(|_| ())
+}
+
+/// [`detect_peaks_into`] over a correlation envelope `|a|`: the noise
+/// floor is `median(|a|) / RAYLEIGH_MEDIAN`, the same σ the real
+/// correlation's floor estimates. Returns that floor.
+///
+/// # Errors
+///
+/// Same conditions as [`detect_peaks_into`].
+pub fn detect_envelope_peaks_into(
+    envelope: &[f64],
+    rule: &ThresholdRule,
+    scratch: &mut PeakScratch,
+    out: &mut Vec<Peak>,
+) -> Result<f64, DspError> {
+    pick_into(envelope, RAYLEIGH_MEDIAN, rule, scratch, out)
+}
+
+/// The shared epilogue: the floor `median(|x|) / median_per_sigma`, the
+/// two-part threshold and the candidate scan. Returns the floor.
+fn pick_into(
+    signal: &[f64],
+    median_per_sigma: f64,
+    rule: &ThresholdRule,
+    scratch: &mut PeakScratch,
+    out: &mut Vec<Peak>,
+) -> Result<f64, DspError> {
     let stats = signal_stats_with(signal, scratch)?;
-    let floor = stats.median_abs / 0.6745;
+    let floor = stats.median_abs / median_per_sigma;
     let threshold = (rule.noise_factor * floor).max(rule.relative * stats.max);
     find_peaks_into(
         signal,
         &PeakConfig::new(threshold, rule.min_distance)?,
         &mut scratch.candidates,
         out,
-    )
+    )?;
+    Ok(floor)
 }
 
 /// Estimates the noise floor of a correlation output as
@@ -259,7 +302,7 @@ pub fn noise_floor(signal: &[f64]) -> Result<f64, DspError> {
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal.
 pub fn noise_floor_with(signal: &[f64], scratch: &mut PeakScratch) -> Result<f64, DspError> {
-    Ok(signal_stats_with(signal, scratch)?.median_abs / 0.6745)
+    Ok(signal_stats_with(signal, scratch)?.median_abs / GAUSS_MEDIAN_ABS)
 }
 
 /// The median of `|signal|` and the maximum of `signal`, exactly (see

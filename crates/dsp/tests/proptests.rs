@@ -386,17 +386,17 @@ fn streaming_matched_filter_matches_one_shot_xcorr() {
     // can be as small as 1 and the template dominates the block) up to
     // 8x the template; signals from shorter than one block to many
     // blocks long, so both odd block counts (a last pair whose odd half
-    // is zeros) and even ones occur. Chunk sizes run 0 to 3 blocks.
+    // is zeros) and even ones occur.
     let strat = (
         signal_strategy(192),
         vec_f64(-1.0, 1.0, 8, 24),
         usize_range(0, 3),
-        (vec_of(usize_range(0, 4_096), 1, 12), usize_range(1, 4)),
+        usize_range(1, 4),
     );
     prop::check(
         "streaming_matched_filter_matches_one_shot_xcorr",
         strat,
-        |(signal, template, extra_pow, (chunks, lanes))| {
+        |(signal, template, extra_pow, lanes)| {
             prop_assume!(template.len() <= signal.len());
             let energy: f64 = template.iter().map(|x| x * x).sum();
             prop_assume!(energy > 1e-6);
@@ -420,32 +420,6 @@ fn streaming_matched_filter_matches_one_shot_xcorr() {
                     );
                 }
             }
-            // The chunk feed pairs blocks exactly as the one-shot call
-            // does, whatever the chunking: bit-identical.
-            let sizes: Vec<usize> = chunks.iter().map(|&c| c % (3 * block + 1)).collect();
-            prop_assume!(sizes.iter().any(|&n| n > 0));
-            let mut feed = filter.chunk_feed();
-            let mut streamed = Vec::new();
-            let mut pos = 0;
-            for &n in sizes.iter().cycle() {
-                if pos == signal.len() {
-                    break;
-                }
-                let n = n.min(signal.len() - pos);
-                filter
-                    .push_chunk_into(
-                        &mut feed,
-                        &signal[pos..pos + n],
-                        &mut scratch,
-                        &mut streamed,
-                    )
-                    .unwrap();
-                pos += n;
-            }
-            filter
-                .finish_chunks_into(&mut feed, &mut scratch, &mut streamed)
-                .unwrap();
-            prop_assert_eq!(&streamed, &out);
             // A bank of copies of the template: every lane bit-identical
             // to the solo filter.
             let copies = vec![template.as_slice(); *lanes];
@@ -1058,6 +1032,209 @@ fn detect_peaks_equals_reference_epilogue() {
             let got = detect_peaks_into(signal, &rule, &mut PeakScratch::new(), &mut out)
                 .map(|()| peak_bits(&out));
             prop_assert_eq!(got, reference);
+            prop::pass()
+        },
+    );
+}
+
+/// A random beacon template for the band-limited properties: a chirp of
+/// random band and direction, optionally with a band-pass folded in (the
+/// detector's form), as a full-rate filter.
+fn beacon_filter(
+    f0: f64,
+    width: f64,
+    up: bool,
+    folded: bool,
+) -> (Vec<f64>, StreamingMatchedFilter) {
+    use hyperear_dsp::chirp::{Chirp, ChirpShape};
+    let shape = if up { ChirpShape::Up } else { ChirpShape::Down };
+    let chirp = Chirp::new(f0, f0 + width, 0.03, 44_100.0, shape).unwrap();
+    let template = chirp.samples().to_vec();
+    let filter = if folded {
+        let taps = FirFilter::band_pass(
+            f0 * 0.9,
+            ((f0 + width) * 1.1).min(22_000.0),
+            44_100.0,
+            127,
+            Window::Hamming,
+        )
+        .unwrap();
+        StreamingMatchedFilter::with_zero_phase_prefilter(&template, taps.taps()).unwrap()
+    } else {
+        StreamingMatchedFilter::new(&template).unwrap()
+    };
+    (template, filter)
+}
+
+/// Noise, the template at random offsets, and a strong tone outside the
+/// beacon band (+35 dB over the beacons).
+fn beacon_capture(
+    template: &[f64],
+    len: usize,
+    spots: &[usize],
+    tone_hz: f64,
+    seed: u64,
+) -> Vec<f64> {
+    let mut state = seed | 1;
+    let mut signal: Vec<f64> = (0..len)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let noise = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.02;
+            let tone = 5.6 * (2.0 * std::f64::consts::PI * tone_hz * i as f64 / 44_100.0).sin();
+            noise + tone
+        })
+        .collect();
+    for &at in spots {
+        for (s, &t) in signal[at % len..].iter_mut().zip(template) {
+            *s += 0.1 * t;
+        }
+    }
+    signal
+}
+
+/// The band-limited engine's decimated output is bit-identical across
+/// random chunkings and to the one-shot call, and its rebuilt full-rate
+/// values stay within `1e-5 · max|r|` of the full-rate normalized
+/// correlation at every interior lag — noise, chirps at random offsets
+/// and a strong out-of-band tone included. The templates are the
+/// detector's: chirps with the band-pass folded in, whose spectrum falls
+/// below the kept-band level outside the band. (A bare chirp's hard
+/// edges leak just under that level across the whole spectrum, so a
+/// +35 dB tone there reaches ~2e-5 · max|r|.)
+#[test]
+fn bandlimited_correlation_is_chunk_exact_and_rebuilds_full_rate() {
+    use hyperear_dsp::interpolate::INTERP_HALF;
+    let strat = (
+        (f64_range(1_500.0, 12_000.0), f64_range(800.0, 5_000.0)),
+        usize_range(0, 1),
+        (
+            usize_range(4_000, 40_000),
+            vec_of(usize_range(0, 40_000), 1, 4),
+        ),
+        (
+            vec_of(usize_range(0, 20_000), 1, 8),
+            usize_range(0, u32::MAX as usize),
+        ),
+    );
+    prop::check(
+        "bandlimited_correlation_is_chunk_exact_and_rebuilds_full_rate",
+        strat,
+        |((f0, width), up, (len, spots), (chunks, seed))| {
+            let (template, full) = beacon_filter(*f0, *width, *up == 1, true);
+            prop_assume!(template.len() <= *len);
+            let band = full.band_limited().unwrap();
+            let dec = band.decimation(0);
+            // A tone below the band (or above it for low bands).
+            let tone = if *f0 > 3_000.0 { 400.0 } else { 18_000.0 };
+            let signal = beacon_capture(&template, *len, spots, tone, *seed as u64);
+            let mut scratch = DspScratch::new();
+            let mut one_shot = vec![Vec::new()];
+            band.correlate_into(&signal, &mut scratch, &mut one_shot)
+                .unwrap();
+            prop_assert_eq!(one_shot[0].len(), dec.decimated_len(signal.len()));
+            let sizes: Vec<usize> = chunks.iter().map(|&c| c.max(1)).collect();
+            let mut feed = band.chunk_feed();
+            let mut streamed = vec![Vec::new()];
+            let mut pos = 0;
+            for &n in sizes.iter().cycle() {
+                if pos == signal.len() {
+                    break;
+                }
+                let n = n.min(signal.len() - pos);
+                band.push_chunk_into(
+                    &mut feed,
+                    &signal[pos..pos + n],
+                    &mut scratch,
+                    &mut streamed,
+                )
+                .unwrap();
+                pos += n;
+            }
+            band.finish_chunks_into(&mut feed, &mut scratch, &mut streamed)
+                .unwrap();
+            prop_assert!(
+                streamed == one_shot,
+                "chunked output diverged from one-shot"
+            );
+
+            let mut reference = Vec::new();
+            full.correlate_normalized_into(&signal, &mut scratch, &mut reference)
+                .unwrap();
+            let edge = INTERP_HALF * dec.factor();
+            prop_assume!(signal.len() > 2 * edge);
+            let mut rebuilt = Vec::new();
+            dec.rebuild_into(&one_shot[0], edge..signal.len() - edge, false, &mut rebuilt);
+            let max = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (i, (&r, &b)) in reference[edge..].iter().zip(&rebuilt).enumerate() {
+                prop_assert!(
+                    (r - b).abs() <= 1e-5 * max,
+                    "lag {}: rebuilt {b} vs full-rate {r} (max {max}, D {})",
+                    edge + i,
+                    dec.factor()
+                );
+            }
+            prop::pass()
+        },
+    );
+}
+
+/// Every lane of a band-limited bank is bit-identical to a one-template
+/// band-limited engine, also when fed in chunks, and the block step is
+/// the same for every decimation factor at one block and template
+/// length. The templates are bare chirps, so factors from 1 to 16 occur.
+#[test]
+fn bandlimited_bank_lanes_equal_solo_engines_at_one_step() {
+    let strat = (
+        vec_of(
+            (f64_range(1_500.0, 14_000.0), f64_range(600.0, 6_000.0)),
+            1,
+            4,
+        ),
+        usize_range(4_000, 30_000),
+        (usize_range(1, 9_000), usize_range(0, u32::MAX as usize)),
+    );
+    prop::check(
+        "bandlimited_bank_lanes_equal_solo_engines_at_one_step",
+        strat,
+        |(bands, len, (chunk, seed))| {
+            // Equal durations: every template has one length, so one
+            // block, whatever its band.
+            let filters: Vec<(Vec<f64>, StreamingMatchedFilter)> = bands
+                .iter()
+                .map(|&(f0, width)| beacon_filter(f0, width, true, false))
+                .collect();
+            let templates: Vec<&[f64]> = filters.iter().map(|(t, _)| t.as_slice()).collect();
+            prop_assume!(templates[0].len() <= *len);
+            let bank = StreamingMatchedFilterBank::new(&templates)
+                .unwrap()
+                .band_limited()
+                .unwrap();
+            let signal = beacon_capture(templates[0], *len, &[*len / 3], 300.0, *seed as u64);
+            let mut scratch = DspScratch::new();
+            let mut lanes = vec![Vec::new(); templates.len()];
+            bank.correlate_into(&signal, &mut scratch, &mut lanes)
+                .unwrap();
+            let mut feed = bank.chunk_feed();
+            let mut streamed = vec![Vec::new(); templates.len()];
+            for piece in signal.chunks(*chunk) {
+                bank.push_chunk_into(&mut feed, piece, &mut scratch, &mut streamed)
+                    .unwrap();
+            }
+            bank.finish_chunks_into(&mut feed, &mut scratch, &mut streamed)
+                .unwrap();
+            prop_assert!(streamed == lanes, "chunked bank diverged from one-shot");
+            for (k, (_, filter)) in filters.iter().enumerate() {
+                let solo = filter.band_limited().unwrap();
+                prop_assert_eq!(solo.step(), bank.step());
+                prop_assert_eq!(solo.step() % 16, 0);
+                prop_assert_eq!(solo.decimation(0), bank.decimation(k));
+                let mut out = vec![Vec::new()];
+                solo.correlate_into(&signal, &mut scratch, &mut out)
+                    .unwrap();
+                prop_assert!(out[0] == lanes[k], "lane {k} diverged from its solo engine");
+            }
             prop::pass()
         },
     );

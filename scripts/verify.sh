@@ -40,9 +40,13 @@
 # fed faulted sessions A, B, A, stereo and 3-/4-mic arrays, must end each
 # ladder exactly where a fresh engine on the winning estimator does, so a
 # rerun never reads another session's stored correlations), plus the fast
-# fault-matrix accuracy-vs-cost sweep (`repro --fast estimators`), and
-# greps the `estimator-contract: ... HELD` and `escalation-contract: ...
-# HELD` lines.
+# fault-matrix accuracy-vs-cost sweep (`repro --fast estimators`), the
+# band-limited detection agreement oracle (clean and K=4 arrivals equal
+# the full-rate path's within 1e-3 samples, faulted disagreements only at
+# the threshold, in carrier and envelope mode and under the GCC-PHAT and
+# sub-band guides), and greps the `estimator-contract: ... HELD`,
+# `escalation-contract: ... HELD`, `bandlimited-contract: ... HELD` and
+# `bandlimited-contract (guides): ... HELD` lines.
 #
 # The --multibeacon tier runs the K-concurrent-beacon contracts: the
 # multi-beacon conformance suite (per-beacon range recovery from one
@@ -212,6 +216,15 @@ if [ "$RUN_ESTIMATORS" -eq 1 ]; then
     echo "$OUT"
     if ! grep -q "estimator-contract:.*HELD" <<<"$OUT"; then
         echo "ESTIMATORS TIER FAILED: estimator bank contract not held" >&2
+        exit 1
+    fi
+
+    echo "== band-limited detection agreement (full-rate oracle, contract grep) =="
+    OUT="$(cargo test --release --test bandlimited_agreement -- --nocapture)"
+    echo "$OUT"
+    if ! grep -q "bandlimited-contract:.*HELD" <<<"$OUT" \
+        || ! grep -q "bandlimited-contract (guides):.*HELD" <<<"$OUT"; then
+        echo "ESTIMATORS TIER FAILED: band-limited detection disagrees with the full-rate path" >&2
         exit 1
     fi
 fi

@@ -5,32 +5,38 @@
 //! one two-pass kernel (`hyperear_dsp::peak::detect_peaks_into`). This
 //! file pins it against an in-test copy of the epilogue it replaced
 //! (copy every `|x|`, quickselect the median, fold the maximum serially,
-//! scan every sample) on real detector inputs: the correlations of a
-//! clean stereo capture, their envelopes, the spectrally weighted
-//! (GCC-PHAT, sub-band coherence) and MCCI-fused guides of faulted
-//! captures, and the four lanes of a K = 4 template bank.
+//! scan every sample) on real detector inputs: the full-rate
+//! correlations of a clean stereo capture, their envelopes, the
+//! spectrally weighted (GCC-PHAT, sub-band coherence) and MCCI-fused
+//! guides of faulted captures, and the four lanes of a K = 4 template
+//! bank.
 //!
-//! Peaks must be identical on every input. Where a public detector
-//! reports arrivals for that input (plain and envelope detection, the
-//! weighted guides through `BeaconDetector`, the bank lanes through
-//! `MultiBeaconDetector`), its arrivals must equal the ones the copied
-//! epilogue produces from the replicated correlation. The MCCI-fused
-//! guide is built only inside the session engine, so it is checked at
-//! the peak level on a guide built from the same public kernels.
+//! Peaks must be identical on every input. The detectors themselves run
+//! band-limited: where a public detector reports arrivals (plain and
+//! envelope detection, the weighted guides through `BeaconDetector`, the
+//! bank lanes through `MultiBeaconDetector`), its arrivals must equal the
+//! ones an in-test copy of the band-limited extraction produces from the
+//! replicated decimated correlation. The MCCI-fused guide is built only
+//! inside the session engine, so it is checked at the peak level on a
+//! guide built from the same public kernels.
 
 use hyperear::asp::{BeaconArrival, BeaconDetector, MultiBeaconDetector, MultiBeaconScratch};
 use hyperear::config::{HyperEarConfig, MultiBeaconConfig, TdoaEstimator};
 use hyperear_dsp::chirp::Chirp;
-use hyperear_dsp::correlate::StreamingMatchedFilter;
+use hyperear_dsp::correlate::{BandLimitedBank, StreamingMatchedFilter};
 use hyperear_dsp::envelope::envelope_with;
 use hyperear_dsp::estimator::{
-    mcci_fuse_channel_into, mcci_offsets_with, CorrelationSpectrum, EstimatorScratch,
+    mcci_fuse_channel_into, mcci_offsets_with, AnalyticSpectrum, CorrelationSpectrum,
+    EstimatorScratch,
 };
 use hyperear_dsp::filter::FirFilter;
-use hyperear_dsp::interpolate::parabolic_peak;
-use hyperear_dsp::peak::{detect_peaks_into, Peak, PeakScratch, ThresholdRule};
+use hyperear_dsp::interpolate::{parabolic_peak, Decimation};
+use hyperear_dsp::peak::{
+    detect_envelope_peaks_into, detect_peaks_into, Peak, PeakScratch, ThresholdRule,
+};
 use hyperear_dsp::plan::{DspScratch, PlanCache};
 use hyperear_dsp::window::Window;
+use hyperear_dsp::Complex;
 use hyperear_sim::environment::Environment;
 use hyperear_sim::fault::{matrix, FaultPlan};
 use hyperear_sim::phone::PhoneModel;
@@ -38,7 +44,7 @@ use hyperear_sim::scenario::{Recording, ScenarioBuilder};
 use hyperear_sim::speaker::SpeakerModel;
 
 /// Refine radius and leading-edge rule of weighted-guide extraction
-/// (`asp::MCCI_REFINE`, `LEADING_EDGE_WINDOW`, `LEADING_EDGE_RATIO`).
+/// (`asp::WEIGHTED_REFINE`, `LEADING_EDGE_WINDOW`, `LEADING_EDGE_RATIO`).
 const WEIGHTED_REFINE: usize = 8;
 const LEADING_EDGE_WINDOW: f64 = 0.004;
 const LEADING_EDGE_RATIO: f64 = 0.7;
@@ -101,59 +107,125 @@ fn checked_peaks(signal: &[f64], rule: &ThresholdRule, what: &str) -> Vec<Peak> 
     peaks
 }
 
-/// Plain extraction: each peak parabolically refined on the signal it
-/// was picked on.
-fn plain_arrivals(signal: &[f64], peaks: &[Peak], sample_rate: f64) -> Vec<BeaconArrival> {
-    peaks
-        .iter()
-        .map(|p| {
-            let (pos, value) = parabolic_peak(signal, p.index).unwrap_or((p.index as f64, p.value));
-            BeaconArrival {
-                time: pos / sample_rate,
-                strength: value,
+/// Band-limited extraction as the detector runs it: candidates picked on
+/// the guide's envelope at a threshold lowered by the grid loss, each
+/// candidate's full-rate apex rebuilt on the guide and accepted against
+/// the full-rate threshold, and the arrival timed — on the guide itself,
+/// or with `own` on the own correlation near the guide apex (after the
+/// leading-edge backtrack along the guide envelope) — by a parabolic fit
+/// on rebuilt lags.
+fn band_arrivals(
+    dec: &Decimation,
+    guide: &[Complex],
+    own: Option<&[Complex]>,
+    lags: usize,
+    rule: &ThresholdRule,
+    envelope: bool,
+    sample_rate: f64,
+) -> Vec<BeaconArrival> {
+    let d = dec.factor();
+    let env: Vec<f64> = guide.iter().map(|z| z.norm_sqr().sqrt()).collect();
+    let crest = if envelope {
+        1.0
+    } else {
+        (std::f64::consts::PI * dec.kept_band().1).cos()
+    };
+    let loss = dec.scalloping_gain() * crest;
+    let candidates = ThresholdRule {
+        noise_factor: rule.noise_factor * dec.scalloping_gain(),
+        relative: rule.relative * loss * loss,
+        min_distance: rule.min_distance.div_ceil(d),
+    };
+    let mut peaks = Vec::new();
+    let floor =
+        detect_envelope_peaks_into(&env, &candidates, &mut PeakScratch::new(), &mut peaks).unwrap();
+    let radius = d / 2
+        + if envelope {
+            1
+        } else {
+            (1.0 / dec.carrier()).ceil() as usize
+        };
+    let argmax = |w: &[f64], from: usize, to: usize| {
+        let mut best = from;
+        for t in from..to {
+            if w[t] > w[best] {
+                best = t;
             }
-        })
+        }
+        best
+    };
+    let fit = |seq: &[Complex], lo: usize, hi: usize| {
+        let (wlo, whi) = (lo.saturating_sub(1), (hi + 1).min(lags));
+        let mut w = Vec::new();
+        dec.rebuild_into(seq, wlo..whi, envelope, &mut w);
+        let best = argmax(&w, lo - wlo, hi - wlo);
+        let (pos, value) = parabolic_peak(&w, best).unwrap_or((best as f64, w[best]));
+        let arrival = BeaconArrival {
+            time: (wlo as f64 + pos) / sample_rate,
+            strength: value,
+        };
+        (arrival, w[best])
+    };
+    let backtrack = (LEADING_EDGE_WINDOW * sample_rate) as usize / d;
+    let mut found = Vec::new();
+    for p in &peaks {
+        let at = p.index * d;
+        let (lo, hi) = (at.saturating_sub(radius), (at + radius + 1).min(lags));
+        found.push(match own {
+            None => {
+                let (arrival, apex) = fit(guide, lo, hi);
+                (arrival, apex)
+            }
+            Some(own) => {
+                let mut w = Vec::new();
+                dec.rebuild_into(guide, lo..hi, envelope, &mut w);
+                let best = argmax(&w, 0, w.len());
+                let cutoff = LEADING_EDGE_RATIO * env[p.index];
+                let mut at = lo + best;
+                for t in p.index.saturating_sub(backtrack)..p.index {
+                    if env[t] >= cutoff && (t == 0 || env[t] >= env[t - 1]) && env[t] >= env[t + 1]
+                    {
+                        at = t * d;
+                        break;
+                    }
+                }
+                let lo_own = at.saturating_sub(WEIGHTED_REFINE);
+                let hi_own = (at + WEIGHTED_REFINE + 1).min(lags);
+                (fit(own, lo_own, hi_own).0, w[best])
+            }
+        });
+    }
+    let strongest = found.iter().fold(0.0f64, |m, &(_, apex)| m.max(apex));
+    let threshold = (rule.noise_factor * floor).max(rule.relative * strongest);
+    found
+        .into_iter()
+        .filter(|&(_, apex)| apex >= threshold)
+        .map(|(arrival, _)| arrival)
         .collect()
 }
 
-/// Weighted-guide extraction: leading-edge backtrack on the guide, then
-/// the own correlation's maximum within the refine radius, refined.
-fn guided_arrivals(
-    guide: &[f64],
-    own: &[f64],
-    peaks: &[Peak],
-    sample_rate: f64,
-) -> Vec<BeaconArrival> {
-    let backtrack = (LEADING_EDGE_WINDOW * sample_rate) as usize;
-    peaks
-        .iter()
-        .map(|p| {
-            let cutoff = LEADING_EDGE_RATIO * p.value;
-            let mut at = p.index;
-            for t in p.index.saturating_sub(backtrack)..p.index {
-                if guide[t] >= cutoff
-                    && (t == 0 || guide[t] >= guide[t - 1])
-                    && guide[t] >= guide[t + 1]
-                {
-                    at = t;
-                    break;
-                }
-            }
-            let lo = at.saturating_sub(WEIGHTED_REFINE);
-            let hi = (at + WEIGHTED_REFINE + 1).min(own.len());
-            let mut best = lo;
-            for t in lo..hi {
-                if own[t] > own[best] {
-                    best = t;
-                }
-            }
-            let (pos, value) = parabolic_peak(own, best).unwrap_or((best as f64, own[best]));
-            BeaconArrival {
-                time: pos / sample_rate,
-                strength: value,
-            }
-        })
-        .collect()
+/// The detector's folded filter for `config`: the chirp template with
+/// the detection band-pass folded in.
+fn folded_filter(config: &HyperEarConfig, sample_rate: f64) -> StreamingMatchedFilter {
+    let b = &config.beacon;
+    let chirp = Chirp::new(b.f0, b.f1, b.duration, sample_rate, b.pattern.shape()).unwrap();
+    let band_pass = FirFilter::band_pass(
+        b.f0 * 0.9,
+        b.f1 * 1.1,
+        sample_rate,
+        config.detection.band_pass_taps,
+        Window::Hamming,
+    )
+    .unwrap();
+    StreamingMatchedFilter::with_zero_phase_prefilter(chirp.samples(), band_pass.taps()).unwrap()
+}
+
+/// The detector's band-limited correlation of `channel`.
+fn correlate_band(bank: &BandLimitedBank, channel: &[f64]) -> Vec<Complex> {
+    let mut lanes = vec![Vec::new()];
+    bank.correlate_into(channel, &mut DspScratch::new(), &mut lanes)
+        .unwrap();
+    lanes.pop().unwrap()
 }
 
 /// The detector's normalized correlation of `channel`: the chirp
@@ -198,20 +270,24 @@ fn clean_stereo_and_envelope_arrivals_equal_the_reference_epilogue() {
     let mut detector = BeaconDetector::new(&config, fs).unwrap();
     config.detection.envelope_detection = true;
     let mut envelope_detector = BeaconDetector::new(&config, fs).unwrap();
+    let bank = folded_filter(&config, fs).band_limited().unwrap();
+    let dec = bank.decimation(0);
     let (mut plans, mut scratch, mut env) = (PlanCache::new(), DspScratch::new(), Vec::new());
     for (name, channel) in [("left", &rec.audio.left), ("right", &rec.audio.right)] {
         let corr = correlate(&config, fs, channel);
-        let peaks = checked_peaks(&corr, &rule, name);
+        checked_peaks(&corr, &rule, name);
+        let band = correlate_band(&bank, channel);
+        let lags = channel.len();
         assert_eq!(
             detector.detect(channel).unwrap(),
-            plain_arrivals(&corr, &peaks, fs),
+            band_arrivals(dec, &band, None, lags, &rule, false, fs),
             "{name}: plain arrivals"
         );
         envelope_with(&corr, &mut plans, &mut scratch, &mut env).unwrap();
-        let peaks = checked_peaks(&env, &rule, name);
+        checked_peaks(&env, &rule, name);
         assert_eq!(
             envelope_detector.detect(channel).unwrap(),
-            plain_arrivals(&env, &peaks, fs),
+            band_arrivals(dec, &band, None, lags, &rule, true, fs),
             "{name}: envelope arrivals"
         );
     }
@@ -233,7 +309,10 @@ fn faulted_weighted_and_fused_guides_equal_the_reference_epilogue() {
             correlate(&base, fs, &rec.audio.left),
             correlate(&base, fs, &rec.audio.right),
         ];
-        let (mut est, mut guide) = (EstimatorScratch::new(), Vec::new());
+        let bank = folded_filter(&base, fs).band_limited().unwrap();
+        let dec = bank.decimation(0);
+        let (mut est, mut guide, mut band_guide) =
+            (EstimatorScratch::new(), Vec::new(), Vec::new());
         for estimator in [TdoaEstimator::GccPhat, TdoaEstimator::SubbandCoherence] {
             let mut config = base.clone();
             config.estimator.initial = estimator;
@@ -260,10 +339,36 @@ fn faulted_weighted_and_fused_guides_equal_the_reference_epilogue() {
                 };
                 weighted_guides += usize::from(weighted);
                 let guide: &[f64] = if weighted { &guide } else { corr };
-                let peaks = checked_peaks(guide, &rule, &what);
+                checked_peaks(guide, &rule, &what);
+                // The detector weighs the decimated analytic sequence.
+                let own = correlate_band(&bank, channel);
+                let mut spectrum = AnalyticSpectrum::new();
+                spectrum.compute(&own).unwrap();
+                let rate = fs / dec.factor() as f64;
+                let center = dec.carrier() * fs;
+                let weighted = if estimator == TdoaEstimator::GccPhat {
+                    spectrum
+                        .gcc_phat_into(config.estimator.phat_floor, &mut est, &mut band_guide)
+                        .unwrap()
+                } else {
+                    let lo = (config.beacon.f0 * 0.9 - center).max(-rate / 2.0);
+                    let hi = ((config.beacon.f1 * 1.1).min(fs / 2.0) - center).min(rate / 2.0);
+                    spectrum
+                        .subband_coherence_into(
+                            rate,
+                            lo,
+                            hi,
+                            config.estimator.coherence_bands,
+                            &mut est,
+                            &mut band_guide,
+                        )
+                        .unwrap()
+                };
+                let band_guide: &[Complex] = if weighted { &band_guide } else { &own };
+                let lags = channel.len();
                 assert_eq!(
                     detector.detect(channel).unwrap(),
-                    guided_arrivals(guide, corr, &peaks, fs),
+                    band_arrivals(dec, band_guide, Some(&own), lags, &rule, false, fs),
                     "{what}: weighted-guide arrivals"
                 );
             }
@@ -305,9 +410,15 @@ fn k4_bank_lane_arrivals_equal_the_reference_epilogue() {
     let rule = rule(&config.session, fs);
     let detector = MultiBeaconDetector::new(&config, fs).unwrap();
     let mut lanes = vec![Vec::new(); BEACONS];
-    detector
-        .bank()
-        .correlate_normalized_into(&rec.audio.left, &mut DspScratch::new(), &mut lanes)
+    let full = (0..BEACONS).map(|k| folded_filter(&config.session_config(k), fs));
+    for (lane, filter) in lanes.iter_mut().zip(full) {
+        filter
+            .correlate_normalized_into(&rec.audio.left, &mut DspScratch::new(), lane)
+            .unwrap();
+    }
+    let bank = detector.bank();
+    let mut band_lanes = vec![Vec::new(); BEACONS];
+    bank.correlate_into(&rec.audio.left, &mut DspScratch::new(), &mut band_lanes)
         .unwrap();
     let mut arrivals = vec![Vec::new(); BEACONS];
     detector
@@ -317,8 +428,14 @@ fn k4_bank_lane_arrivals_equal_the_reference_epilogue() {
             &mut arrivals,
         )
         .unwrap();
-    for (k, (lane, got)) in lanes.iter().zip(&arrivals).enumerate() {
-        let peaks = checked_peaks(lane, &rule, &format!("lane {k}"));
-        assert_eq!(*got, plain_arrivals(lane, &peaks, fs), "lane {k}: arrivals");
+    let lags = rec.audio.left.len();
+    for (k, ((lane, band), got)) in lanes.iter().zip(&band_lanes).zip(&arrivals).enumerate() {
+        checked_peaks(lane, &rule, &format!("lane {k}"));
+        let dec = bank.decimation(k);
+        assert_eq!(
+            *got,
+            band_arrivals(dec, band, None, lags, &rule, false, fs),
+            "lane {k}: arrivals"
+        );
     }
 }

@@ -8,7 +8,7 @@
 use hyperear::asp::{BeaconDetector, MultiBeaconDetector, MultiBeaconScratch};
 use hyperear::config::{HyperEarConfig, MultiBeaconConfig};
 use hyperear_dsp::chirp::{Chirp, ChirpShape};
-use hyperear_dsp::correlate::{StreamingMatchedFilter, StreamingMatchedFilterBank};
+use hyperear_dsp::correlate::StreamingMatchedFilter;
 use hyperear_dsp::delay::mix_delayed_local;
 use hyperear_dsp::fft::{fft, rfft};
 use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir};
@@ -61,7 +61,7 @@ fn bench_fft(suite: &mut Suite) {
 }
 
 fn bench_matched_filter(suite: &mut Suite) {
-    let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
+    let chirp = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).expect("chirp");
     let mut scratch = DspScratch::new();
     let mut out = Vec::new();
     // The overlap-save engine with a cached template spectrum, reused
@@ -135,7 +135,7 @@ fn beacon_capture(seconds: usize) -> Vec<f64> {
             0.05 * (2.0 * ((state >> 11) as f64 / (1u64 << 53) as f64) - 1.0)
         })
         .collect();
-    let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
+    let chirp = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).expect("chirp");
     for at in (1_500..n).step_by(8_820) {
         for (s, &c) in signal[at..].iter_mut().zip(chirp.samples()) {
             *s += 0.3 * c;
@@ -164,7 +164,7 @@ fn bench_band_pass(suite: &mut Suite) {
 }
 
 fn bench_fractional_delay(suite: &mut Suite) {
-    let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
+    let chirp = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).expect("chirp");
     let mut acc = vec![0.0; 44_100];
     suite.bench("mix_delayed_local_one_beacon", || {
         mix_delayed_local(&mut acc, chirp.samples(), 10_000.37, 0.3, 16).expect("mix");
@@ -174,7 +174,7 @@ fn bench_fractional_delay(suite: &mut Suite) {
 
 fn bench_peak_refinement(suite: &mut Suite) {
     // A realistic correlation main lobe.
-    let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
+    let chirp = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).expect("chirp");
     let m = chirp.samples().len();
     let mut padded = vec![0.0; 3 * m];
     padded[m..2 * m].copy_from_slice(chirp.samples());
@@ -202,7 +202,7 @@ fn correlation_train(seconds: usize) -> Vec<f64> {
     for v in &mut corr {
         *v *= 0.02;
     }
-    let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
+    let chirp = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).expect("chirp");
     let auto = hyperear_dsp::correlate::xcorr(chirp.samples(), chirp.samples()).expect("auto");
     for at in (2_000..n).step_by(8_820) {
         for (i, &a) in auto.iter().enumerate() {
@@ -214,16 +214,24 @@ fn correlation_train(seconds: usize) -> Vec<f64> {
     corr
 }
 
-/// The four normalized lanes of a K = 4 bank over `seconds` of
-/// 44.1 kHz capture (see [`bank_capture`]).
+/// The four normalized full-rate correlations of a K = 4 capture over
+/// `seconds` of 44.1 kHz (see [`bank_capture`]), one solo filter per
+/// chirp. The chirps share one length, hence one block, so each equals
+/// the matching lane of a shared-transform bank bit for bit.
 fn bank_lanes(seconds: usize) -> Vec<Vec<f64>> {
     let (signal, chirps) = bank_capture(seconds);
-    let templates: Vec<&[f64]> = chirps.iter().map(Chirp::samples).collect();
-    let bank = StreamingMatchedFilterBank::new(&templates).expect("bank");
-    let mut lanes = vec![Vec::new(); templates.len()];
-    bank.correlate_normalized_into(&signal, &mut DspScratch::new(), &mut lanes)
-        .expect("correlate");
-    lanes
+    let mut scratch = DspScratch::new();
+    chirps
+        .iter()
+        .map(|chirp| {
+            let mut lane = Vec::new();
+            StreamingMatchedFilter::new(chirp.samples())
+                .expect("filter")
+                .correlate_normalized_into(&signal, &mut scratch, &mut lane)
+                .expect("correlate");
+            lane
+        })
+        .collect()
 }
 
 /// `seconds` of 44.1 kHz capture: uniform noise plus four
@@ -270,7 +278,7 @@ fn bench_detection_epilogue(suite: &mut Suite) {
         relative: 0.25,
         min_distance: 6_174,
     };
-    let mut scratch = PeakScratch::new();
+    let mut scratch = PeakScratch::default();
     let mut peaks = Vec::new();
     // One 6 s lane: the statistics pass, the threshold and the
     // candidate scan over a clean session channel's correlation.
@@ -335,8 +343,8 @@ fn bench_estimators(suite: &mut Suite) {
     for seconds in [1usize, 6] {
         let corr = correlation_train(seconds);
         let n = corr.len() as u64;
-        let mut spectrum = CorrelationSpectrum::new();
-        let mut scratch = EstimatorScratch::new();
+        let mut spectrum = CorrelationSpectrum::default();
+        let mut scratch = EstimatorScratch::default();
         let mut guide = Vec::new();
         // Warm-up so the shared plan and the buffers are at their
         // high-water mark.
@@ -385,7 +393,8 @@ fn bench_estimators(suite: &mut Suite) {
     // instead of 524,288-point real ones).
     {
         use hyperear_dsp::estimator::AnalyticSpectrum;
-        let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
+        let chirp =
+            Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).expect("chirp");
         let bp = FirFilter::band_pass(1_800.0, 7_040.0, 44_100.0, 127, Window::Hamming)
             .expect("band-pass");
         let band = StreamingMatchedFilter::with_zero_phase_prefilter(chirp.samples(), bp.taps())
@@ -396,8 +405,8 @@ fn bench_estimators(suite: &mut Suite) {
         band.correlate_into(&capture, &mut DspScratch::new(), &mut lanes)
             .expect("correlate");
         let seq = lanes.pop().expect("one lane");
-        let mut spectrum = AnalyticSpectrum::new();
-        let mut scratch = EstimatorScratch::new();
+        let mut spectrum = AnalyticSpectrum::default();
+        let mut scratch = EstimatorScratch::default();
         let mut guide = Vec::new();
         spectrum.compute(&seq).expect("spectrum");
         spectrum
@@ -441,16 +450,6 @@ fn bench_rfft_spectrum(suite: &mut Suite) {
     suite.bench("rfft_1s_padded", || {
         black_box(rfft(&signal, 65_536).expect("rfft"))
     });
-    let mut plans = PlanCache::new();
-    let mut buf = Vec::new();
-    {
-        let signal = signal.clone();
-        suite.bench_allocfree("rfft_planned_1s_padded", move || {
-            let plan = plans.plan(65_536).expect("plan");
-            plan.rfft_into(&signal, &mut buf).expect("rfft");
-            black_box(buf[0])
-        });
-    }
     // The real-input fast path: packed half-size transform, half the
     // butterflies and scratch of the full complex rfft.
     let mut plans = PlanCache::new();

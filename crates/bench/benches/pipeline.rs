@@ -15,6 +15,16 @@ use hyperear_util::alloc_counter::CountingAllocator;
 use hyperear_util::bench::Suite;
 use std::hint::black_box;
 
+/// One detection pass into a fresh arrival list.
+fn detect(
+    detector: &mut hyperear::asp::BeaconDetector,
+    channel: &[f64],
+) -> Result<Vec<hyperear::asp::BeaconArrival>, hyperear::HyperEarError> {
+    let mut arrivals = Vec::new();
+    detector.detect_into(channel, &mut arrivals)?;
+    Ok(arrivals)
+}
+
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
@@ -38,7 +48,7 @@ fn bench_detection(suite: &mut Suite, rec: &Recording) {
     let mut detector =
         BeaconDetector::new(&HyperEarConfig::galaxy_s4(), rec.audio.sample_rate).expect("detector");
     suite.bench("beacon_detection_per_channel", || {
-        black_box(detector.detect(&rec.audio.left).expect("detect"))
+        black_box(detect(&mut detector, &rec.audio.left).expect("detect"))
     });
     // The engine-internal form: arrivals land in a reused buffer.
     let mut arrivals = Vec::new();

@@ -24,7 +24,7 @@ fn mean_of(errors: &[f64]) -> f64 {
 
 /// Runs all ablations.
 #[must_use]
-pub fn run(scale: &Scale) -> Report {
+pub(crate) fn run(scale: &Scale) -> Report {
     let mut report = Report::new(
         "ablations",
         "Ablations: per-stage contribution at 5 m (ruler 2D unless noted)",

@@ -190,7 +190,7 @@ fn mean_ms(cell: &Cell) -> f64 {
 /// Runs the experiment.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn run(scale: &Scale) -> Report {
+pub(crate) fn run(scale: &Scale) -> Report {
     let mut report = Report::new(
         "estimators",
         "TDoA estimator bank: accuracy vs. cost across the fault matrix",

@@ -22,7 +22,7 @@ use super::Scale;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run(scale: &Scale) -> Report {
+pub(crate) fn run(scale: &Scale) -> Report {
     let mut report = Report::new(
         "ext-inaudible",
         "Extension: audible (2-6.4 kHz) vs near-ultrasonic (16-19.5 kHz) beacon, ruler, 5 m",

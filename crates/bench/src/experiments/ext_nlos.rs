@@ -20,7 +20,7 @@ use super::Scale;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run(scale: &Scale) -> Report {
+pub(crate) fn run(scale: &Scale) -> Report {
     let mut report = Report::new(
         "ext-nlos",
         "Extension: direct-path obstruction sweep (ruler 2D, 5 m, meeting room)",

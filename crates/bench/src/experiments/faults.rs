@@ -168,7 +168,7 @@ fn array_dropout_cell(report: &mut Report, n: usize) {
 
 /// Runs the experiment.
 #[must_use]
-pub fn run(scale: &Scale) -> Report {
+pub(crate) fn run(scale: &Scale) -> Report {
     let mut report = Report::new(
         "faults",
         "Fault-matrix sweep: session outcomes and error CDFs vs. fault intensity",

@@ -13,7 +13,7 @@ use hyperear_geom::Vec2;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let mut report = Report::new(
         "fig03",
         "Fig. 3: ambiguity-region width versus speaker distance",

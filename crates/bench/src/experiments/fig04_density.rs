@@ -13,7 +13,7 @@ use hyperear_geom::Vec2;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let mut report = Report::new(
         "fig04",
         "Fig. 4: hyperbola density — uneven distribution and baseline expansion",

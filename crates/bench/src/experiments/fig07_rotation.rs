@@ -8,7 +8,7 @@ use hyperear_sim::scenario::rotation_sweep;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let mut report = Report::new(
         "fig07",
         "Fig. 7: TDoA versus roll angle α (speaker 5 m away, Galaxy S4)",

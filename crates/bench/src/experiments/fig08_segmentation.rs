@@ -14,7 +14,7 @@ use hyperear_sim::scenario::ScenarioBuilder;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let mut report = Report::new(
         "fig08",
         "Fig. 8: movement segmentation from y-axis acceleration power",

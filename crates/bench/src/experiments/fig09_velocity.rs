@@ -12,7 +12,7 @@ use hyperear_sim::scenario::ScenarioBuilder;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let mut report = Report::new(
         "fig09",
         "Fig. 9: velocity-integral drift and the Eq. 4 linear correction",

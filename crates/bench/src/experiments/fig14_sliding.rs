@@ -16,7 +16,7 @@ use super::Scale;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run(scale: &Scale) -> Report {
+pub(crate) fn run(scale: &Scale) -> Report {
     let mut report = Report::new(
         "fig14",
         "Fig. 14: 2D error CDF vs sliding distance (Note3, ruler, 5 m)",

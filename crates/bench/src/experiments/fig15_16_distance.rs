@@ -56,7 +56,7 @@ fn run_phone(
 
 /// Fig. 15 (Galaxy S4).
 #[must_use]
-pub fn run_s4(scale: &Scale) -> Report {
+pub(crate) fn run_s4(scale: &Scale) -> Report {
     run_phone(
         "fig15",
         "Fig. 15: 2D error CDF vs range (S4, ruler, 50-60 cm slides)",
@@ -69,7 +69,7 @@ pub fn run_s4(scale: &Scale) -> Report {
 
 /// Fig. 16 (Galaxy Note3).
 #[must_use]
-pub fn run_note3(scale: &Scale) -> Report {
+pub(crate) fn run_note3(scale: &Scale) -> Report {
     run_phone(
         "fig16",
         "Fig. 16: 2D error CDF vs range (Note3, ruler, 50-60 cm slides)",

@@ -57,7 +57,7 @@ fn run_phone(
 
 /// Fig. 17 (Galaxy S4, in hand).
 #[must_use]
-pub fn run_s4(scale: &Scale) -> Report {
+pub(crate) fn run_s4(scale: &Scale) -> Report {
     run_phone(
         "fig17",
         "Fig. 17: 3D error CDF vs range (S4 in hand, 5-slide aggregation)",
@@ -70,7 +70,7 @@ pub fn run_s4(scale: &Scale) -> Report {
 
 /// Fig. 18 (Galaxy Note3, in hand).
 #[must_use]
-pub fn run_note3(scale: &Scale) -> Report {
+pub(crate) fn run_note3(scale: &Scale) -> Report {
     run_phone(
         "fig18",
         "Fig. 18: 3D error CDF vs range (Note3 in hand, 5-slide aggregation)",

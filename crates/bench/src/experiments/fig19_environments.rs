@@ -17,7 +17,7 @@ use super::Scale;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run(scale: &Scale) -> Report {
+pub(crate) fn run(scale: &Scale) -> Report {
     let mut report = Report::new(
         "fig19",
         "Fig. 19: 3D error CDFs across environments (S4 in hand, 7 m)",

@@ -14,7 +14,7 @@ use hyperear_geom::Vec2;
 
 /// Runs the experiment.
 #[must_use]
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let mut report = Report::new(
         "restrictions",
         "§II-C: hardware limits of naive TDoA localization",

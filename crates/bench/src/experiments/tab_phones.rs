@@ -7,7 +7,7 @@ use hyperear_sim::speaker::SpeakerModel;
 
 /// Runs the check.
 #[must_use]
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let mut report = Report::new("tab-phones", "§VII-A: experimental hardware constants");
     report.line("  phone                      mic sep   fs        bits  N (Eq. 2)");
     for phone in [PhoneModel::galaxy_s4(), PhoneModel::galaxy_note3()] {

@@ -29,7 +29,7 @@ use hyperear_sim::volunteer::{roster, Volunteer};
 /// built from the first spec it runs and reused afterwards, so do not
 /// share one worker across specs with different pipeline configurations.
 #[derive(Debug, Default)]
-pub struct TrialWorker {
+pub(crate) struct TrialWorker {
     engine: Option<SessionEngine>,
     render_ctx: RenderContext,
 }
@@ -37,7 +37,7 @@ pub struct TrialWorker {
 impl TrialWorker {
     /// A fresh worker; engine and plans materialize on first use.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TrialWorker::default()
     }
 }
@@ -179,7 +179,7 @@ impl SessionSpec {
     /// # Errors
     ///
     /// Propagates simulator and pipeline errors.
-    pub fn run(&self, seed: u64) -> Result<(Recording, SessionResult), HyperEarError> {
+    pub(crate) fn run(&self, seed: u64) -> Result<(Recording, SessionResult), HyperEarError> {
         self.run_with(seed, &mut TrialWorker::new())
     }
 
@@ -190,7 +190,7 @@ impl SessionSpec {
     /// # Errors
     ///
     /// Propagates simulator and pipeline errors.
-    pub fn run_with(
+    pub(crate) fn run_with(
         &self,
         seed: u64,
         worker: &mut TrialWorker,
@@ -222,7 +222,7 @@ impl SessionSpec {
     /// # Errors
     ///
     /// Propagates render and fault-injection parameter errors.
-    pub fn run_monitored_with(
+    pub(crate) fn run_monitored_with(
         &self,
         seed: u64,
         fault_plan: Option<&FaultPlan>,
@@ -257,7 +257,7 @@ impl SessionSpec {
 /// (x along the slide axis from the midpoint of Mic1's travel; y the
 /// slant distance from the slide line).
 #[must_use]
-pub fn truth_in_slide_frame(rec: &Recording, slide_index: usize) -> Option<Vec2> {
+pub(crate) fn truth_in_slide_frame(rec: &Recording, slide_index: usize) -> Option<Vec2> {
     let slide = rec.truth.motion.slides.get(slide_index)?;
     let a = rec.truth.motion.mic1_position(slide.start_time);
     let b = rec.truth.motion.mic1_position(slide.end_time());
@@ -275,7 +275,7 @@ pub fn truth_in_slide_frame(rec: &Recording, slide_index: usize) -> Option<Vec2>
 /// distance between each accepted slide's fix and the ground truth in
 /// that slide's frame (the scoring of paper Figs. 14–16).
 #[must_use]
-pub fn per_slide_errors(rec: &Recording, result: &SessionResult) -> Vec<f64> {
+pub(crate) fn per_slide_errors(rec: &Recording, result: &SessionResult) -> Vec<f64> {
     result
         .slides
         .iter()
@@ -308,7 +308,7 @@ pub fn floor_error(rec: &Recording, result: &SessionResult) -> Option<f64> {
 
 /// Runs `f(seed)` for each seed across worker threads, preserving input
 /// order in the output. Failed trials yield `None`.
-pub fn parallel_trials<T, F>(seeds: &[u64], f: F) -> Vec<Option<T>>
+pub(crate) fn parallel_trials<T, F>(seeds: &[u64], f: F) -> Vec<Option<T>>
 where
     T: Send,
     F: Fn(u64) -> Option<T> + Sync,
@@ -324,7 +324,7 @@ where
 /// thread instead of rebuilding it per seed. Output slot `i` always
 /// holds seed `i`'s result regardless of steal order; failed trials
 /// yield `None`.
-pub fn parallel_trials_with_state<S, T, I, F>(seeds: &[u64], init: I, f: F) -> Vec<Option<T>>
+pub(crate) fn parallel_trials_with_state<S, T, I, F>(seeds: &[u64], init: I, f: F) -> Vec<Option<T>>
 where
     S: Send,
     T: Send,
@@ -337,7 +337,7 @@ where
 
 /// Collects per-slide 2D errors over many seeded sessions in parallel.
 #[must_use]
-pub fn collect_slide_errors(spec: &SessionSpec, seeds: &[u64]) -> Vec<f64> {
+pub(crate) fn collect_slide_errors(spec: &SessionSpec, seeds: &[u64]) -> Vec<f64> {
     parallel_trials_with_state(seeds, TrialWorker::new, |worker, seed| {
         let (rec, result) = spec.run_with(seed, worker).ok()?;
         Some(per_slide_errors(&rec, &result))
@@ -350,7 +350,7 @@ pub fn collect_slide_errors(spec: &SessionSpec, seeds: &[u64]) -> Vec<f64> {
 
 /// Collects session-level floor errors over many seeded sessions.
 #[must_use]
-pub fn collect_floor_errors(spec: &SessionSpec, seeds: &[u64]) -> Vec<f64> {
+pub(crate) fn collect_floor_errors(spec: &SessionSpec, seeds: &[u64]) -> Vec<f64> {
     parallel_trials_with_state(seeds, TrialWorker::new, |worker, seed| {
         let (rec, result) = spec.run_with(seed, worker).ok()?;
         floor_error(&rec, &result)
@@ -363,7 +363,7 @@ pub fn collect_floor_errors(spec: &SessionSpec, seeds: &[u64]) -> Vec<f64> {
 /// Seeds `base..base+n` — experiments use disjoint bases so conditions
 /// never share randomness.
 #[must_use]
-pub fn seed_range(base: u64, n: usize) -> Vec<u64> {
+pub(crate) fn seed_range(base: u64, n: usize) -> Vec<u64> {
     (0..n as u64).map(|i| base + i).collect()
 }
 

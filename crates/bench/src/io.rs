@@ -76,7 +76,7 @@ impl ImuCsv {
     ///
     /// Returns [`IoError::Parse`] for malformed rows, non-monotonic or
     /// irregular timestamps, or fewer than two samples.
-    pub fn parse(text: &str) -> Result<Self, IoError> {
+    pub(crate) fn parse(text: &str) -> Result<Self, IoError> {
         let mut times = Vec::new();
         let mut accel = Vec::new();
         let mut gyro = Vec::new();
@@ -164,7 +164,7 @@ impl ImuCsv {
 
     /// Serializes to CSV text (with header).
     #[must_use]
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::from("t,ax,ay,az,gx,gy,gz\n");
         let dt = 1.0 / self.sample_rate;
         for (i, (a, g)) in self.accel.iter().zip(&self.gyro).enumerate() {

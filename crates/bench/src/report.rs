@@ -21,7 +21,7 @@ pub struct Report {
 impl Report {
     /// Creates an empty report.
     #[must_use]
-    pub fn new(id: &str, title: &str) -> Self {
+    pub(crate) fn new(id: &str, title: &str) -> Self {
         Report {
             id: id.to_string(),
             title: title.to_string(),
@@ -31,18 +31,18 @@ impl Report {
     }
 
     /// Appends a line.
-    pub fn line(&mut self, text: impl Into<String>) {
+    pub(crate) fn line(&mut self, text: impl Into<String>) {
         self.lines.push(text.into());
     }
 
     /// Appends a blank line.
-    pub fn blank(&mut self) {
+    pub(crate) fn blank(&mut self) {
         self.lines.push(String::new());
     }
 
     /// Appends a labelled CDF summary row: mean / median / p90 / max.
     /// The raw errors are also retained for CSV export.
-    pub fn cdf_row(&mut self, label: &str, errors: &[f64]) {
+    pub(crate) fn cdf_row(&mut self, label: &str, errors: &[f64]) {
         self.series.push((label.to_string(), errors.to_vec()));
         match Cdf::new(errors) {
             Ok(cdf) => {
@@ -62,7 +62,7 @@ impl Report {
 
     /// Appends a compact CDF curve: fraction of errors below fixed grid
     /// points (the numeric equivalent of the paper's CDF plots).
-    pub fn cdf_curve(&mut self, label: &str, errors: &[f64], grid_m: &[f64]) {
+    pub(crate) fn cdf_curve(&mut self, label: &str, errors: &[f64], grid_m: &[f64]) {
         match Cdf::new(errors) {
             Ok(cdf) => {
                 let mut row = format!("  {label:<34}");
@@ -159,25 +159,11 @@ impl FromJson for Report {
     }
 }
 
-impl Report {
-    /// Writes the report as JSON into `dir/<id>.json` (alongside the CSV
-    /// export), so downstream tooling can reload exact error series.
-    ///
-    /// # Errors
-    ///
-    /// Returns any filesystem error as `std::io::Error`.
-    pub fn write_json(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(
-            dir.join(format!("{}.json", self.id)),
-            self.to_json().render(),
-        )
-    }
-}
+impl Report {}
 
 /// Formats metres adaptively (cm below 1 m).
 #[must_use]
-pub fn fmt_m(v: f64) -> String {
+pub(crate) fn fmt_m(v: f64) -> String {
     if v.abs() < 1.0 {
         format!("{:.1}cm", v * 100.0)
     } else {
@@ -249,18 +235,6 @@ mod tests {
         assert_eq!(back.title, r.title);
         assert_eq!(back.lines, r.lines);
         assert_eq!(back.series, r.series);
-    }
-
-    #[test]
-    fn json_export_writes_file() {
-        let mut r = Report::new("jsontest", "t");
-        r.cdf_row("cond", &[0.1, 0.2]);
-        let dir = std::env::temp_dir().join("hyperear_report_json_test");
-        r.write_json(&dir).unwrap();
-        let text = std::fs::read_to_string(dir.join("jsontest.json")).unwrap();
-        let back = Report::from_json(&hyperear_util::Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.series, r.series);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

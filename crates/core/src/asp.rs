@@ -18,9 +18,7 @@
 use crate::config::{HyperEarConfig, Interpolation, MultiBeaconConfig, TdoaEstimator};
 use crate::HyperEarError;
 use hyperear_dsp::chirp::Chirp;
-use hyperear_dsp::correlate::{
-    BandLimitedBank, ChunkFeed, StreamingMatchedFilter, StreamingMatchedFilterBank,
-};
+use hyperear_dsp::correlate::{BandLimitedBank, ChunkFeed, StreamingMatchedFilter};
 use hyperear_dsp::envelope::envelope_with;
 use hyperear_dsp::estimator::{mcci_fuse_channel_into, AnalyticSpectrum, EstimatorScratch};
 use hyperear_dsp::filter::FirFilter;
@@ -59,7 +57,7 @@ pub struct BeaconArrival {
 /// spectra and FFT tables therefore exist once per sample rate per
 /// process instead of once per worker.
 #[derive(Debug, Clone)]
-pub struct DetectorCore {
+pub(crate) struct DetectorCore {
     /// The full-rate folded filter: MCCI fusion's on-demand correlation.
     filter: StreamingMatchedFilter,
     /// Its band-limited form (shared template spectrum): every other
@@ -116,7 +114,7 @@ const LEADING_EDGE_RATIO: f64 = 0.7;
 /// arena and every intermediate buffer a detection pass fills. One
 /// scratch must not be shared between concurrent detections.
 #[derive(Debug, Clone, Default)]
-pub struct DetectScratch {
+pub(crate) struct DetectScratch {
     dsp: DspScratch,
     /// The correlation of a standalone detection pass
     /// ([`DetectorCore::detect_with`]); the session engine keeps its
@@ -129,13 +127,13 @@ impl DetectScratch {
     /// An empty scratch; buffers grow to their high-water mark on first
     /// use and are then reused allocation-free.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DetectScratch::default()
     }
 
     /// Bytes currently reserved by the scratch buffers.
     #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.dsp.capacity_bytes() + self.chan.capacity_bytes() + self.extract.capacity_bytes()
     }
 }
@@ -278,7 +276,7 @@ impl DetectorCore {
     ///
     /// Returns [`HyperEarError::InvalidParameter`] for an invalid config
     /// or a sample rate that cannot carry the chirp band.
-    pub fn new(config: &HyperEarConfig, sample_rate: f64) -> Result<Self, HyperEarError> {
+    pub(crate) fn new(config: &HyperEarConfig, sample_rate: f64) -> Result<Self, HyperEarError> {
         config.validate()?;
         if sample_rate <= 2.0 * config.beacon.f1 {
             return Err(HyperEarError::invalid(
@@ -334,15 +332,9 @@ impl DetectorCore {
         })
     }
 
-    /// The configured initial TDoA estimator.
-    #[must_use]
-    pub fn estimator(&self) -> TdoaEstimator {
-        self.estimator
-    }
-
     /// The sample rate this core was built for.
     #[must_use]
-    pub fn sample_rate(&self) -> f64 {
+    pub(crate) fn sample_rate(&self) -> f64 {
         self.sample_rate
     }
 
@@ -351,8 +343,7 @@ impl DetectorCore {
     /// Detection processes the capture in overlap-save blocks, so this
     /// bound depends only on the chirp template and band-pass tap count
     /// — never on the capture length.
-    #[must_use]
-    pub fn peak_fft_len(&self) -> usize {
+    pub(crate) fn peak_fft_len(&self) -> usize {
         self.band.block_len()
     }
 
@@ -371,7 +362,7 @@ impl DetectorCore {
     /// # Errors
     ///
     /// Returns [`HyperEarError::Dsp`] for an empty or too-short channel.
-    pub fn detect_with(
+    pub(crate) fn detect_with(
         &self,
         channel: &[f64],
         scratch: &mut DetectScratch,
@@ -819,7 +810,7 @@ fn band_pass_design(
 /// [`DetectorCore`] plus one private [`DetectScratch`].
 ///
 /// This is the convenient single-channel handle the pipeline has always
-/// exposed — [`BeaconDetector::detect`] takes `&mut self` and, once
+/// exposed — [`BeaconDetector::detect_into`] takes `&mut self` and, once
 /// warm, correlates without allocating. Workers that share one core
 /// across threads (batch processing, per-channel parallelism) construct
 /// it via [`BeaconDetector::from_core`] so template spectra and FFT
@@ -845,7 +836,7 @@ impl BeaconDetector {
 
     /// Wraps an existing shared core with a fresh scratch.
     #[must_use]
-    pub fn from_core(core: std::sync::Arc<DetectorCore>) -> Self {
+    pub(crate) fn from_core(core: std::sync::Arc<DetectorCore>) -> Self {
         BeaconDetector {
             core,
             scratch: DetectScratch::new(),
@@ -855,27 +846,20 @@ impl BeaconDetector {
     /// The shared read-only core (clone the `Arc` to share it with
     /// another worker or channel).
     #[must_use]
-    pub fn core(&self) -> &std::sync::Arc<DetectorCore> {
+    pub(crate) fn core(&self) -> &std::sync::Arc<DetectorCore> {
         &self.core
     }
 
     /// Splits the detector into its shared core and its private scratch,
     /// for callers that drive two channels concurrently.
-    pub fn parts_mut(&mut self) -> (&DetectorCore, &mut DetectScratch) {
+    pub(crate) fn parts_mut(&mut self) -> (&DetectorCore, &mut DetectScratch) {
         (&self.core, &mut self.scratch)
     }
 
     /// The sample rate this detector was built for.
     #[must_use]
-    pub fn sample_rate(&self) -> f64 {
+    pub(crate) fn sample_rate(&self) -> f64 {
         self.core.sample_rate()
-    }
-
-    /// The largest FFT the detector ever runs, in samples (see
-    /// [`DetectorCore::peak_fft_len`]).
-    #[must_use]
-    pub fn peak_fft_len(&self) -> usize {
-        self.core.peak_fft_len()
     }
 
     /// Bytes currently reserved by the detector's private working
@@ -883,7 +867,7 @@ impl BeaconDetector {
     /// FFT plans) are not counted: they exist once per process, not once
     /// per detector.
     #[must_use]
-    pub fn working_set_bytes(&self) -> usize {
+    pub(crate) fn working_set_bytes(&self) -> usize {
         self.scratch.capacity_bytes()
     }
 
@@ -895,21 +879,6 @@ impl BeaconDetector {
     /// # Errors
     ///
     /// Returns [`HyperEarError::Dsp`] for an empty or too-short channel.
-    pub fn detect(&mut self, channel: &[f64]) -> Result<Vec<BeaconArrival>, HyperEarError> {
-        let mut arrivals = Vec::new();
-        self.detect_into(channel, &mut arrivals)?;
-        Ok(arrivals)
-    }
-
-    /// Allocation-free form of [`BeaconDetector::detect`]: arrivals land
-    /// in a caller-owned buffer that is cleared and reused, and every
-    /// intermediate (correlation, peak list, noise statistics) lives in
-    /// detector-owned scratch. Once warm, a detection
-    /// pass does not allocate, envelope detection included.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BeaconDetector::detect`].
     pub fn detect_into(
         &mut self,
         channel: &[f64],
@@ -948,7 +917,7 @@ impl BeaconDetector {
 /// `max_samples` is a typed [`HyperEarError::CapacityExceeded`], so the
 /// working set is a function of configuration, never of offered load.
 #[derive(Debug, Clone)]
-pub struct StreamingDetector {
+pub(crate) struct StreamingDetector {
     core: std::sync::Arc<DetectorCore>,
     feed: ChunkFeed,
     dsp: DspScratch,
@@ -970,7 +939,7 @@ impl StreamingDetector {
     /// Returns [`HyperEarError::InvalidParameter`] if `max_samples` is
     /// zero or smaller than the core's chirp template (no capture that
     /// short can be correlated).
-    pub fn new(
+    pub(crate) fn new(
         core: std::sync::Arc<DetectorCore>,
         max_samples: usize,
     ) -> Result<Self, HyperEarError> {
@@ -1004,27 +973,8 @@ impl StreamingDetector {
 
     /// The shared read-only core.
     #[must_use]
-    pub fn core(&self) -> &std::sync::Arc<DetectorCore> {
+    pub(crate) fn core(&self) -> &std::sync::Arc<DetectorCore> {
         &self.core
-    }
-
-    /// The configured per-capture sample capacity.
-    #[must_use]
-    pub fn max_samples(&self) -> usize {
-        self.max_samples
-    }
-
-    /// Samples ingested since construction or the last reset.
-    #[must_use]
-    pub fn pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Whether [`StreamingDetector::finish_into`] has run for the current
-    /// stream.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.finished
     }
 
     /// Ingests one audio chunk (any length; empty chunks are no-ops).
@@ -1036,7 +986,7 @@ impl StreamingDetector {
     /// - [`HyperEarError::InvalidParameter`] when the stream was already
     ///   finished (reset first),
     /// - propagated DSP errors.
-    pub fn push(&mut self, chunk: &[f64]) -> Result<(), HyperEarError> {
+    pub(crate) fn push(&mut self, chunk: &[f64]) -> Result<(), HyperEarError> {
         if self.finished {
             return Err(HyperEarError::invalid(
                 "stream",
@@ -1074,7 +1024,10 @@ impl StreamingDetector {
     /// Mirrors [`DetectorCore::detect_with`] on the concatenated capture:
     /// a typed DSP error for an empty or shorter-than-template capture,
     /// plus [`HyperEarError::InvalidParameter`] for a double finish.
-    pub fn finish_into(&mut self, out: &mut Vec<BeaconArrival>) -> Result<(), HyperEarError> {
+    pub(crate) fn finish_into(
+        &mut self,
+        out: &mut Vec<BeaconArrival>,
+    ) -> Result<(), HyperEarError> {
         if self.finished {
             return Err(HyperEarError::invalid(
                 "stream",
@@ -1105,7 +1058,7 @@ impl StreamingDetector {
 
     /// Returns the detector to its initial state for a new capture,
     /// keeping every buffer's capacity (no allocation).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.feed.reset();
         self.chan.clear();
         self.pushed = 0;
@@ -1117,22 +1070,12 @@ impl StreamingDetector {
     /// number of samples ingested: everything is sized by `max_samples`
     /// and the core's block geometry.
     #[must_use]
-    pub fn working_set_bytes(&self) -> usize {
+    pub(crate) fn working_set_bytes(&self) -> usize {
         self.dsp.capacity_bytes()
             + self.chan.capacity_bytes()
             + self.extract.capacity_bytes()
             + self.feed.capacity_bytes()
     }
-}
-
-/// One beacon arrival tagged with the identity of the beacon whose
-/// template matched it — the multi-beacon analogue of [`BeaconArrival`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaggedArrival {
-    /// Index of the matching signature in the [`MultiBeaconConfig`].
-    pub beacon: usize,
-    /// The arrival itself (time, matched-filter strength).
-    pub arrival: BeaconArrival,
 }
 
 /// The mutable, per-channel half of a [`MultiBeaconDetector`]: the FFT
@@ -1158,7 +1101,7 @@ impl MultiBeaconScratch {
 
     /// Bytes currently reserved by the scratch buffers.
     #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.scratch.capacity_bytes()
             + self.lanes.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Complex>()
             + self.pick.capacity_bytes()
@@ -1194,7 +1137,6 @@ impl MultiBeaconScratch {
 pub struct MultiBeaconDetector {
     cores: Vec<std::sync::Arc<DetectorCore>>,
     bank: BandLimitedBank,
-    sample_rate: f64,
 }
 
 impl MultiBeaconDetector {
@@ -1236,41 +1178,12 @@ impl MultiBeaconDetector {
                 .zip(&taps)
                 .map(|(t, h)| (t.as_slice(), h.as_slice()))
                 .collect();
-            StreamingMatchedFilterBank::with_zero_phase_prefilters(&entries)?
+            BandLimitedBank::with_zero_phase_prefilters(&entries)?
         } else {
             let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
-            StreamingMatchedFilterBank::new(&refs)?
-        }
-        .band_limited()?;
-        Ok(MultiBeaconDetector {
-            cores,
-            bank,
-            sample_rate,
-        })
-    }
-
-    /// Number of beacons (bank lanes).
-    #[must_use]
-    pub fn beacons(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// The sample rate this detector was built for.
-    #[must_use]
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
-    /// Beacon `k`'s shared single-beacon detection core — the per-beacon
-    /// session pipelines install these so template spectra and FFT
-    /// tables exist once per process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    #[must_use]
-    pub fn core(&self, k: usize) -> &std::sync::Arc<DetectorCore> {
-        &self.cores[k]
+            BandLimitedBank::new(&refs)?
+        };
+        Ok(MultiBeaconDetector { cores, bank })
     }
 
     /// The shared band-limited template bank (e.g. for inspecting
@@ -1278,13 +1191,6 @@ impl MultiBeaconDetector {
     #[must_use]
     pub fn bank(&self) -> &BandLimitedBank {
         &self.bank
-    }
-
-    /// The largest FFT a detection pass ever runs, in samples: the
-    /// bank's block length.
-    #[must_use]
-    pub fn peak_fft_len(&self) -> usize {
-        self.bank.block_len()
     }
 
     /// The pre-threshold half of multi-beacon detection: one banked
@@ -1352,39 +1258,21 @@ impl MultiBeaconDetector {
         }
         Ok(())
     }
-
-    /// [`MultiBeaconDetector::detect_into`] plus a time-sorted merged
-    /// view: `tagged` receives every arrival across all beacons, each
-    /// tagged with its beacon identity, ordered by arrival time. The
-    /// per-beacon lists in `per_beacon` are filled as usual (they are
-    /// what the per-beacon session pipelines consume).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiBeaconDetector::detect_into`].
-    pub fn detect_tagged_into(
-        &self,
-        channel: &[f64],
-        scratch: &mut MultiBeaconScratch,
-        per_beacon: &mut [Vec<BeaconArrival>],
-        tagged: &mut Vec<TaggedArrival>,
-    ) -> Result<(), HyperEarError> {
-        self.detect_into(channel, scratch, per_beacon)?;
-        tagged.clear();
-        for (beacon, lane) in per_beacon.iter().enumerate() {
-            tagged.extend(
-                lane.iter()
-                    .map(|&arrival| TaggedArrival { beacon, arrival }),
-            );
-        }
-        tagged.sort_unstable_by(|a, b| a.arrival.time.total_cmp(&b.arrival.time));
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One detection pass into a fresh arrival list.
+    fn detect(
+        d: &mut BeaconDetector,
+        channel: &[f64],
+    ) -> Result<Vec<BeaconArrival>, HyperEarError> {
+        let mut arrivals = Vec::new();
+        d.detect_into(channel, &mut arrivals)?;
+        Ok(arrivals)
+    }
     use hyperear_dsp::delay::mix_delayed_local;
 
     const FS: f64 = 44_100.0;
@@ -1396,7 +1284,16 @@ mod tests {
     }
 
     fn chirp_samples() -> Vec<f64> {
-        Chirp::hyperear_beacon(FS).unwrap().samples().to_vec()
+        Chirp::new(
+            2_000.0,
+            6_400.0,
+            0.04,
+            FS,
+            hyperear_dsp::chirp::ChirpShape::UpDown,
+        )
+        .unwrap()
+        .samples()
+        .to_vec()
     }
 
     /// Renders beacons at the given fractional sample positions.
@@ -1413,7 +1310,7 @@ mod tests {
     fn detects_clean_beacons_at_period() {
         let positions: Vec<f64> = (0..5).map(|k| 2_000.0 + k as f64 * 8_820.0).collect();
         let signal = render(&positions, 50_000, 0.3);
-        let arrivals = detector(Interpolation::Parabolic).detect(&signal).unwrap();
+        let arrivals = detect(&mut detector(Interpolation::Parabolic), &signal).unwrap();
         assert_eq!(arrivals.len(), 5);
         for (a, &p) in arrivals.iter().zip(&positions) {
             assert!(
@@ -1429,7 +1326,7 @@ mod tests {
     fn sub_sample_accuracy_with_parabolic() {
         let truth = 10_000.37;
         let signal = render(&[truth], 20_000, 0.3);
-        let arrivals = detector(Interpolation::Parabolic).detect(&signal).unwrap();
+        let arrivals = detect(&mut detector(Interpolation::Parabolic), &signal).unwrap();
         assert_eq!(arrivals.len(), 1);
         let err = (arrivals[0].time * FS - truth).abs();
         assert!(err < 0.05, "sub-sample error {err}");
@@ -1439,7 +1336,7 @@ mod tests {
     fn interpolation_none_is_integer_quantized() {
         let truth = 10_000.43;
         let signal = render(&[truth], 20_000, 0.3);
-        let arrivals = detector(Interpolation::None).detect(&signal).unwrap();
+        let arrivals = detect(&mut detector(Interpolation::None), &signal).unwrap();
         assert_eq!(arrivals.len(), 1);
         let pos = arrivals[0].time * FS;
         assert_eq!(pos, pos.round(), "integer-only position");
@@ -1449,7 +1346,7 @@ mod tests {
     fn sinc_refinement_also_recovers_fraction() {
         let truth = 10_000.25;
         let signal = render(&[truth], 20_000, 0.3);
-        let arrivals = detector(Interpolation::Sinc).detect(&signal).unwrap();
+        let arrivals = detect(&mut detector(Interpolation::Sinc), &signal).unwrap();
         assert_eq!(arrivals.len(), 1);
         let err = (arrivals[0].time * FS - truth).abs();
         assert!(err < 0.05, "sinc error {err}");
@@ -1461,7 +1358,7 @@ mod tests {
         let signal: Vec<f64> = (0..30_000)
             .map(|i| 1e-4 * (((i * 2654435761usize) % 1000) as f64 / 500.0 - 1.0))
             .collect();
-        let arrivals = detector(Interpolation::Parabolic).detect(&signal).unwrap();
+        let arrivals = detect(&mut detector(Interpolation::Parabolic), &signal).unwrap();
         assert!(arrivals.is_empty(), "got {arrivals:?}");
     }
 
@@ -1477,7 +1374,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             *s += 0.05 * (2.0 * ((state >> 11) as f64 / (1u64 << 53) as f64) - 1.0);
         }
-        let arrivals = detector(Interpolation::Parabolic).detect(&signal).unwrap();
+        let arrivals = detect(&mut detector(Interpolation::Parabolic), &signal).unwrap();
         assert_eq!(arrivals.len(), 4, "arrivals {arrivals:?}");
     }
 
@@ -1489,7 +1386,7 @@ mod tests {
         for (i, s) in signal.iter_mut().enumerate() {
             *s += 0.5 * (2.0 * std::f64::consts::PI * 500.0 * i as f64 / FS).sin();
         }
-        let arrivals = detector(Interpolation::Parabolic).detect(&signal).unwrap();
+        let arrivals = detect(&mut detector(Interpolation::Parabolic), &signal).unwrap();
         assert_eq!(arrivals.len(), 1);
         assert!((arrivals[0].time * FS - truth).abs() < 1.0);
     }
@@ -1502,7 +1399,7 @@ mod tests {
         let mut signal = vec![0.0; 30_000];
         mix_delayed_local(&mut signal, &chirp, 10_000.0, 0.3, 16).unwrap();
         mix_delayed_local(&mut signal, &chirp, 10_100.0, 0.15, 16).unwrap();
-        let arrivals = detector(Interpolation::Parabolic).detect(&signal).unwrap();
+        let arrivals = detect(&mut detector(Interpolation::Parabolic), &signal).unwrap();
         assert_eq!(arrivals.len(), 1);
         assert!((arrivals[0].time * FS - 10_000.0).abs() < 1.0);
     }
@@ -1518,7 +1415,7 @@ mod tests {
         let positions: Vec<f64> = (0..5).map(|k| 2_000.0 + k as f64 * 8_820.0).collect();
         let signal = render(&positions, 50_000, 0.3);
         let mut d = detector(Interpolation::Parabolic);
-        let reference = d.detect(&signal).unwrap();
+        let reference = detect(&mut d, &signal).unwrap();
         let mut out = vec![
             BeaconArrival {
                 time: 9.0,
@@ -1536,7 +1433,7 @@ mod tests {
     #[test]
     fn empty_channel_is_error() {
         let mut d = detector(Interpolation::Parabolic);
-        assert!(d.detect(&[]).is_err());
+        assert!(detect(&mut d, &[]).is_err());
         assert_eq!(d.sample_rate(), FS);
     }
 
@@ -1545,7 +1442,7 @@ mod tests {
         let positions: Vec<f64> = (0..5).map(|k| 2_000.0 + k as f64 * 8_820.0).collect();
         let signal = render(&positions, 50_000, 0.3);
         let mut d = detector(Interpolation::Parabolic);
-        let reference = d.detect(&signal).unwrap();
+        let reference = detect(&mut d, &signal).unwrap();
         assert_eq!(reference.len(), 5);
         let core = std::sync::Arc::clone(d.core());
         let mut stream = StreamingDetector::new(core, signal.len()).unwrap();
@@ -1565,7 +1462,7 @@ mod tests {
         let d = detector(Interpolation::Parabolic);
         let core = std::sync::Arc::clone(d.core());
         let mut stream = StreamingDetector::new(std::sync::Arc::clone(&core), 10_000).unwrap();
-        assert_eq!(stream.max_samples(), 10_000);
+        assert_eq!(stream.max_samples, 10_000);
         // Over-capacity push is a typed error and ingests nothing.
         stream.push(&vec![0.0; 6_000]).unwrap();
         let err = stream.push(&vec![0.0; 6_000]).unwrap_err();
@@ -1573,12 +1470,12 @@ mod tests {
             matches!(err, HyperEarError::CapacityExceeded { .. }),
             "{err}"
         );
-        assert_eq!(stream.pushed(), 6_000);
+        assert_eq!(stream.pushed, 6_000);
         // Empty chunks are free.
         stream.push(&[]).unwrap();
         let mut out = Vec::new();
         stream.finish_into(&mut out).unwrap();
-        assert!(stream.is_finished());
+        assert!(stream.finished);
         // Double finish and push-after-finish are typed errors.
         assert!(stream.finish_into(&mut out).is_err());
         assert!(stream.push(&[1.0]).is_err());
@@ -1639,7 +1536,7 @@ mod tests {
             let mut config = HyperEarConfig::galaxy_s4();
             config.estimator.initial = est;
             let mut d = BeaconDetector::new(&config, FS).unwrap();
-            let arrivals = d.detect(&signal).unwrap();
+            let arrivals = detect(&mut d, &signal).unwrap();
             assert_eq!(arrivals.len(), 1, "{est:?}");
             let err = (arrivals[0].time * FS - truth).abs();
             assert!(err < 1.0, "{est:?} timing error {err}");
@@ -1654,7 +1551,7 @@ mod tests {
             let mut config = HyperEarConfig::galaxy_s4();
             config.estimator.initial = est;
             let mut d = BeaconDetector::new(&config, FS).unwrap();
-            let reference = d.detect(&signal).unwrap();
+            let reference = detect(&mut d, &signal).unwrap();
             assert_eq!(reference.len(), 5, "{est:?}");
             let mut stream =
                 StreamingDetector::new(std::sync::Arc::clone(d.core()), signal.len()).unwrap();
@@ -1724,15 +1621,15 @@ mod tests {
     #[test]
     fn peak_fft_len_is_capture_independent() {
         let mut d = detector(Interpolation::Parabolic);
-        let bound = d.peak_fft_len();
+        let bound = d.core().peak_fft_len();
         // Detection over wildly different capture lengths never grows the
         // FFT bound — the overlap-save engines block the capture instead
         // of padding it whole.
         for &n in &[20_000usize, 50_000, 200_000] {
             let signal = render(&[10_000.0], n, 0.3);
-            let arrivals = d.detect(&signal).unwrap();
+            let arrivals = detect(&mut d, &signal).unwrap();
             assert_eq!(arrivals.len(), 1);
-            assert_eq!(d.peak_fft_len(), bound);
+            assert_eq!(d.core().peak_fft_len(), bound);
         }
         // The bound is a small multiple of the template, nowhere near the
         // next_pow2(capture + template) a one-shot correlation would need.
@@ -1830,7 +1727,7 @@ mod tests {
             .unwrap();
         for (k, lane) in out.iter().enumerate() {
             let mut solo = BeaconDetector::new(&multi.session_config(k), FS).unwrap();
-            let reference = solo.detect(&signal).unwrap();
+            let reference = detect(&mut solo, &signal).unwrap();
             assert!(!reference.is_empty(), "beacon {k}");
             // Solo detectors fold the band-pass into the template exactly
             // as every bank lane does, so arrivals are bit-identical.
@@ -1842,23 +1739,16 @@ mod tests {
     fn multi_beacon_assigns_arrivals_to_their_beacon() {
         let multi = multi_config(2);
         let detector = MultiBeaconDetector::new(&multi, FS).unwrap();
-        // Beacon 1 chirps *earlier* than beacon 0 so the tagged merge has
-        // to reorder across lanes.
         let signal = render_multi(&multi, &[&[20_000.0], &[8_000.0]], 30_000);
         let mut scratch = MultiBeaconScratch::new();
         let mut per_beacon = vec![Vec::new(); 2];
-        let mut tagged = Vec::new();
         detector
-            .detect_tagged_into(&signal, &mut scratch, &mut per_beacon, &mut tagged)
+            .detect_into(&signal, &mut scratch, &mut per_beacon)
             .unwrap();
         assert_eq!(per_beacon[0].len(), 1, "{per_beacon:?}");
         assert_eq!(per_beacon[1].len(), 1, "{per_beacon:?}");
         assert!((per_beacon[0][0].time * FS - 20_000.0).abs() < 1.0);
         assert!((per_beacon[1][0].time * FS - 8_000.0).abs() < 1.0);
-        assert_eq!(tagged.len(), 2);
-        assert_eq!(tagged[0].beacon, 1, "earlier arrival first");
-        assert_eq!(tagged[1].beacon, 0);
-        assert!(tagged[0].arrival.time < tagged[1].arrival.time);
     }
 
     #[test]
@@ -1872,8 +1762,6 @@ mod tests {
             .detect_into(&signal, &mut scratch, &mut out)
             .unwrap_err();
         assert!(err.to_string().contains("2 beacons"), "{err}");
-        assert_eq!(detector.beacons(), 2);
-        assert_eq!(detector.sample_rate(), FS);
     }
 
     #[test]
@@ -1885,6 +1773,6 @@ mod tests {
         assert_eq!(detector.bank().template_fft_count(), 4);
         let clone = detector.clone();
         assert_eq!(clone.bank().template_fft_count(), 4);
-        assert!(std::sync::Arc::ptr_eq(detector.core(0), clone.core(0)));
+        assert!(std::sync::Arc::ptr_eq(&detector.cores[0], &clone.cores[0]));
     }
 }

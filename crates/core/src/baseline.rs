@@ -56,7 +56,7 @@ impl NaiveConfig {
     ///
     /// Returns [`HyperEarError::InvalidParameter`] for non-positive
     /// fields.
-    pub fn validate(&self) -> Result<(), HyperEarError> {
+    pub(crate) fn validate(&self) -> Result<(), HyperEarError> {
         for (name, v) in [
             ("mic_separation", self.mic_separation),
             ("move_distance", self.move_distance),
@@ -88,7 +88,7 @@ impl NaiveConfig {
 ///
 /// Returns [`HyperEarError::InvalidParameter`] for an invalid config or
 /// a speaker on the movement line, and propagates solver failures.
-pub fn naive_two_position_estimate(
+pub(crate) fn naive_two_position_estimate(
     speaker: Vec2,
     config: &NaiveConfig,
 ) -> Result<Vec2, HyperEarError> {

@@ -90,12 +90,6 @@ impl BatchEngine {
         BatchEngine::new(config, Arc::clone(Pool::global()))
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &HyperEarConfig {
-        &self.config
-    }
-
     /// Number of pool participants (and warm worker engines).
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -268,22 +262,6 @@ impl MultiBeaconEngine {
             arrivals_left: vec![Vec::new(); k],
             arrivals_right: vec![Vec::new(); k],
         })
-    }
-
-    /// Creates a K-beacon engine over the process-wide [`Pool::global`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HyperEarError::InvalidParameter`] for an invalid
-    /// configuration.
-    pub fn from_env(config: MultiBeaconConfig) -> Result<Self, HyperEarError> {
-        MultiBeaconEngine::new(config, Arc::clone(Pool::global()))
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &MultiBeaconConfig {
-        &self.config
     }
 
     /// Number of beacons (and per-beacon outcomes per session).

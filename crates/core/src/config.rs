@@ -317,7 +317,7 @@ impl DegradationPolicy {
     ///
     /// Returns [`HyperEarError::InvalidParameter`] for any out-of-domain
     /// field.
-    pub fn validate(&self) -> Result<(), HyperEarError> {
+    pub(crate) fn validate(&self) -> Result<(), HyperEarError> {
         if !(0.0..=1.0).contains(&self.min_confidence) {
             return Err(HyperEarError::invalid(
                 "degradation.min_confidence",
@@ -461,7 +461,7 @@ impl TdoaEstimator {
     /// The next-heavier estimator in escalation order, or `None` at the
     /// top of the ladder.
     #[must_use]
-    pub fn next_heavier(self) -> Option<TdoaEstimator> {
+    pub(crate) fn next_heavier(self) -> Option<TdoaEstimator> {
         match self {
             TdoaEstimator::PlainXcorr => Some(TdoaEstimator::GccPhat),
             TdoaEstimator::GccPhat => Some(TdoaEstimator::SubbandCoherence),
@@ -560,7 +560,7 @@ impl EstimatorPolicy {
     ///
     /// Returns [`HyperEarError::InvalidParameter`] for any out-of-domain
     /// field.
-    pub fn validate(&self) -> Result<(), HyperEarError> {
+    pub(crate) fn validate(&self) -> Result<(), HyperEarError> {
         if !(self.phat_floor > 0.0 && self.phat_floor < 1.0) {
             return Err(HyperEarError::invalid(
                 "estimator.phat_floor",
@@ -743,7 +743,7 @@ impl HyperEarConfig {
     ///
     /// Returns [`HyperEarError::InvalidParameter`] for any out-of-domain
     /// field.
-    pub fn validate(&self) -> Result<(), HyperEarError> {
+    pub(crate) fn validate(&self) -> Result<(), HyperEarError> {
         if !(0.01..=1.0).contains(&self.mic_separation) {
             return Err(HyperEarError::invalid(
                 "mic_separation",
@@ -1057,7 +1057,7 @@ impl MultiBeaconConfig {
     /// Returns [`HyperEarError::InvalidParameter`] for an empty
     /// signature list, an out-of-domain signature band, or an invalid
     /// derived per-beacon configuration.
-    pub fn validate(&self) -> Result<(), HyperEarError> {
+    pub(crate) fn validate(&self) -> Result<(), HyperEarError> {
         self.session.validate()?;
         if self.signatures.is_empty() {
             return Err(HyperEarError::invalid(
@@ -1214,7 +1214,12 @@ mod tests {
 
     #[test]
     fn array_presets_validate_and_derive_separation() {
-        for preset in devices::DEVICE_PRESETS {
+        for preset in [
+            devices::GALAXY_S4,
+            devices::GALAXY_NOTE3,
+            devices::TABLET_TRIANGLE,
+            devices::SPEAKER_RECT,
+        ] {
             let c = HyperEarConfig::for_device(preset);
             c.validate().unwrap();
             assert_eq!(c.mic_separation, preset.mic_separation);
@@ -1273,7 +1278,10 @@ mod tests {
     #[test]
     fn json_round_trip_of_disabled_quality_gate() {
         let mut c = HyperEarConfig::galaxy_s4();
-        c.quality_gate = QualityGate::disabled();
+        c.quality_gate = QualityGate {
+            min_distance: 0.0,
+            max_rotation_deg: f64::INFINITY,
+        };
         let back = HyperEarConfig::from_json_str(&c.to_json_string()).unwrap();
         assert_eq!(back, c);
         assert!(back.quality_gate.max_rotation_deg.is_infinite());

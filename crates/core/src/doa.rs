@@ -22,10 +22,8 @@
 
 use crate::asp::BeaconArrival;
 use crate::error::HyperEarError;
-use crate::sdf::Guidance;
 use hyperear_dsp::goertzel::goertzel_bin;
 use hyperear_geom::doa::planar_doa;
-use hyperear_geom::rotation::{wrap_degrees, Side};
 use hyperear_geom::{MicArray, Vec2, MAX_MICS, MAX_PAIRS};
 
 /// Cap on matched beacons folded into one pair-delay median. Odd so the
@@ -66,62 +64,6 @@ impl BearingPrior {
             pairs_used,
         }
     }
-
-    /// The paper's roll angle α in degrees `[0, 360)`: the angle between
-    /// the speaker direction and the device +y axis, measured toward +x.
-    #[must_use]
-    pub fn alpha_degrees(&self) -> f64 {
-        wrap_degrees(90.0 - self.bearing.to_degrees())
-    }
-
-    /// Which side of the device the speaker is on, per the paper's
-    /// α-based rule.
-    #[must_use]
-    pub fn side(&self) -> Side {
-        Side::from_alpha_degrees(self.alpha_degrees())
-    }
-
-    /// The far-field TDoA (seconds) the primary mic pair would measure
-    /// at this bearing — the quantity the rolling SDF protocol drives to
-    /// zero.
-    ///
-    /// # Errors
-    ///
-    /// [`HyperEarError::InvalidParameter`] for non-positive separation
-    /// or speed of sound.
-    pub fn equivalent_pair_tdoa(
-        &self,
-        mic_separation: f64,
-        speed_of_sound: f64,
-    ) -> Result<f64, HyperEarError> {
-        if mic_separation <= 0.0 {
-            return Err(HyperEarError::invalid("mic_separation", "must be positive"));
-        }
-        if speed_of_sound <= 0.0 {
-            return Err(HyperEarError::invalid("speed_of_sound", "must be positive"));
-        }
-        // Primary pair spans device +y: c·τ_01 = u·(p_1 − p_0) = u.y·D,
-        // the far-field `D·cos α` of the roll-frame module.
-        Ok(self.direction.y * mic_separation / speed_of_sound)
-    }
-
-    /// Feeds this prior to the existing SDF guide stage: `Stop` when the
-    /// bearing is already in-direction within `tolerance_fraction` of
-    /// the maximum pair TDoA, `KeepRolling` otherwise — without the user
-    /// having rolled the phone at all.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::sdf::guidance`].
-    pub fn guidance(
-        &self,
-        mic_separation: f64,
-        speed_of_sound: f64,
-        tolerance_fraction: f64,
-    ) -> Result<Guidance, HyperEarError> {
-        let tdoa = self.equivalent_pair_tdoa(mic_separation, speed_of_sound)?;
-        crate::sdf::guidance(tdoa, mic_separation, speed_of_sound, tolerance_fraction)
-    }
 }
 
 pub(crate) fn validate_channel_count(
@@ -153,7 +95,7 @@ pub(crate) fn validate_channel_count(
 /// [`HyperEarError::InvalidParameter`] if the channel count disagrees
 /// with the array, `out` is too short, or any channel pair shares no
 /// beacons.
-pub fn arrival_pair_delays(
+pub(crate) fn arrival_pair_delays(
     array: &MicArray,
     arrivals: &[&[BeaconArrival]],
     out: &mut [f64],
@@ -212,7 +154,7 @@ pub fn arrival_pair_delays(
 /// Propagates [`hyperear_geom::GeomError`]s from the planar solver, and
 /// [`HyperEarError::InvalidParameter`] for delay-count mismatches or an
 /// out-of-range pair delay (`|c·τ| > D`).
-pub fn bearing_from_pair_delays(
+pub(crate) fn bearing_from_pair_delays(
     array: &MicArray,
     delays: &[f64],
     speed_of_sound: f64,
@@ -323,7 +265,7 @@ pub fn planar_bearing_from_arrivals(
 ///
 /// [`HyperEarError::InvalidParameter`] for an ambiguous probe frequency
 /// or mismatched channel counts; DSP errors from the Goertzel kernel.
-pub fn phase_pair_delays(
+pub(crate) fn phase_pair_delays(
     array: &MicArray,
     channels: &[&[f64]],
     sample_rate: f64,
@@ -409,6 +351,19 @@ pub fn phase_tracking_bearing(
 mod tests {
     use super::*;
     use hyperear_geom::doa::far_field_pair_delays;
+    use hyperear_geom::rotation::wrap_degrees;
+
+    /// The paper's roll angle α in degrees `[0, 360)`: the angle between
+    /// the speaker direction and the device +y axis, toward +x.
+    fn alpha(prior: &BearingPrior) -> f64 {
+        wrap_degrees(90.0 - prior.bearing.to_degrees())
+    }
+
+    /// `|a − b|` wrapped into `[0, π]`, radians.
+    fn angle_error(a: f64, b: f64) -> f64 {
+        let d = a - b;
+        d.sin().atan2(d.cos()).abs()
+    }
 
     fn arrivals_for_bearing(
         array: &MicArray,
@@ -443,7 +398,7 @@ mod tests {
             let arrivals = arrivals_for_bearing(&array, bearing, 5);
             let refs: Vec<&[BeaconArrival]> = arrivals.iter().map(|a| a.as_slice()).collect();
             let prior = planar_bearing_from_arrivals(&array, &refs, 343.0).unwrap();
-            let err = hyperear_geom::rotation::wrap_radians(prior.bearing - bearing).abs();
+            let err = angle_error(prior.bearing, bearing);
             assert!(err < 1e-9, "bearing {deg}°: err {err}");
             assert!(prior.confidence > 0.99);
             assert_eq!(prior.pairs_used, 3);
@@ -459,8 +414,8 @@ mod tests {
         let refs: Vec<&[BeaconArrival]> = arrivals.iter().map(|a| a.as_slice()).collect();
         let prior = planar_bearing_from_arrivals(&array, &refs, 343.0).unwrap();
         assert!((prior.direction.x - 1.0).abs() < 1e-9);
-        assert_eq!(prior.side(), Side::Right);
-        assert!((prior.alpha_degrees() - 90.0).abs() < 1e-9);
+        assert!(alpha(&prior) < 180.0, "right half-plane");
+        assert!((alpha(&prior) - 90.0).abs() < 1e-9);
         // Endfire up the pair axis (u = (0, 1), α = 0°) is observable...
         let arrivals = arrivals_for_bearing(&array, std::f64::consts::FRAC_PI_2, 3);
         let refs: Vec<&[BeaconArrival]> = arrivals.iter().map(|a| a.as_slice()).collect();
@@ -478,7 +433,7 @@ mod tests {
         let arrivals = arrivals_for_bearing(&array, true_bearing, 3);
         let refs: Vec<&[BeaconArrival]> = arrivals.iter().map(|a| a.as_slice()).collect();
         let prior = planar_bearing_from_arrivals(&array, &refs, 343.0).unwrap();
-        assert!((prior.alpha_degrees() - 170.0).abs() < 1e-6);
+        assert!((alpha(&prior) - 170.0).abs() < 1e-6);
         assert!(prior.direction.x >= 0.0 && prior.direction.y < 0.0);
     }
 
@@ -505,7 +460,7 @@ mod tests {
             .collect();
         let refs: Vec<&[f64]> = channels.iter().map(|c| c.as_slice()).collect();
         let prior = phase_tracking_bearing(&array, &refs, fs, f, 343.0).unwrap();
-        let err = hyperear_geom::rotation::wrap_radians(prior.bearing - bearing).abs();
+        let err = angle_error(prior.bearing, bearing);
         assert!(err < 0.05, "bearing err {err} rad");
         assert!(prior.confidence > 0.5, "confidence {}", prior.confidence);
     }
@@ -554,34 +509,6 @@ mod tests {
         assert!(
             matches!(err, HyperEarError::InvalidParameter { .. }),
             "{err}"
-        );
-    }
-
-    #[test]
-    fn guidance_stops_in_direction_and_rolls_otherwise() {
-        let array = MicArray::triangle(0.1366);
-        // Speaker along +y (α = 0°, device endfire): far from
-        // in-direction, the guide keeps rolling.
-        let endfire = {
-            let arrivals = arrivals_for_bearing(&array, std::f64::consts::FRAC_PI_2, 4);
-            let refs: Vec<&[BeaconArrival]> = arrivals.iter().map(|a| a.as_slice()).collect();
-            planar_bearing_from_arrivals(&array, &refs, 343.0).unwrap()
-        };
-        assert!((endfire.alpha_degrees() - 0.0).abs() < 1e-6);
-        assert_eq!(
-            endfire.guidance(0.1366, 343.0, 0.05).unwrap(),
-            Guidance::KeepRolling
-        );
-        // Speaker along +x (α = 90°): already in-direction, stop.
-        let broadside = {
-            let arrivals = arrivals_for_bearing(&array, 0.0, 4);
-            let refs: Vec<&[BeaconArrival]> = arrivals.iter().map(|a| a.as_slice()).collect();
-            planar_bearing_from_arrivals(&array, &refs, 343.0).unwrap()
-        };
-        assert!((broadside.alpha_degrees() - 90.0).abs() < 1e-6);
-        assert_eq!(
-            broadside.guidance(0.1366, 343.0, 0.05).unwrap(),
-            Guidance::Stop
         );
     }
 }

@@ -132,13 +132,6 @@ impl SessionGuide {
         })
     }
 
-    /// Overrides the slide quality gate (default: the paper's 50 cm/20°).
-    #[must_use]
-    pub fn with_gate(mut self, gate: QualityGate) -> Self {
-        self.gate = gate;
-        self
-    }
-
     /// The instruction the app should currently display.
     #[must_use]
     pub fn current(&self) -> Instruction {
@@ -381,16 +374,6 @@ mod tests {
         guide.observe_stillness(2.0).unwrap();
         assert!(guide.observe_tdoa(0.0).is_err()); // rolling is over
         assert!(guide.observe_stillness(-1.0).is_err());
-    }
-
-    #[test]
-    fn disabled_gate_accepts_everything() {
-        let mut guide = SessionGuide::new(0.1366, 343.0, 1, false)
-            .unwrap()
-            .with_gate(QualityGate::disabled());
-        drive_to_upper_slides(&mut guide);
-        guide.observe_slide(&slide(0.05, 90.0)).unwrap();
-        assert!(guide.is_complete());
     }
 
     #[test]

@@ -83,22 +83,6 @@ pub struct Estimate2d {
     pub slides_used: usize,
 }
 
-/// Solves each slide and aggregates per the configured policy.
-///
-/// # Errors
-///
-/// Returns [`HyperEarError::InvalidParameter`] for an empty input and
-/// propagates solver failures (a slide whose measurements admit no
-/// solution fails the whole call — callers filter such slides upstream).
-pub fn localize(
-    geometries: &[SlideGeometry],
-    aggregation: Aggregation,
-) -> Result<(Vec<SlideFix>, Estimate2d), HyperEarError> {
-    let mut scratch = LocalizeScratch::new();
-    let estimate = localize_with(geometries, aggregation, &mut scratch)?;
-    Ok((std::mem::take(&mut scratch.fixes), estimate))
-}
-
 /// Reusable working storage for [`localize_with`]: the per-slide fixes
 /// and the median coordinate buffers.
 #[derive(Debug, Clone, Default)]
@@ -118,18 +102,21 @@ impl LocalizeScratch {
 
     /// The per-slide fixes from the most recent [`localize_with`] call.
     #[must_use]
-    pub fn fixes(&self) -> &[SlideFix] {
+    pub(crate) fn fixes(&self) -> &[SlideFix] {
         &self.fixes
     }
 }
 
-/// Allocation-free form of [`localize`]: the per-slide fixes land in
-/// `scratch` (read them back via [`LocalizeScratch::fixes`]) and only the
-/// aggregate estimate is returned.
+/// Solves each slide and aggregates per the configured policy.
+///
+/// The per-slide fixes land in `scratch` (read them back via
+/// [`LocalizeScratch::fixes`]); only the aggregate estimate is returned.
 ///
 /// # Errors
 ///
-/// Same conditions as [`localize`].
+/// Returns [`HyperEarError::InvalidParameter`] for an empty input and
+/// propagates solver failures (a slide whose measurements admit no
+/// solution fails the whole call — callers filter such slides upstream).
 pub fn localize_with(
     geometries: &[SlideGeometry],
     aggregation: Aggregation,
@@ -194,6 +181,16 @@ fn median(values: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-slide fixes and the aggregate of one [`localize_with`] call.
+    fn localize(
+        geometries: &[SlideGeometry],
+        aggregation: Aggregation,
+    ) -> Result<(Vec<SlideFix>, Estimate2d), HyperEarError> {
+        let mut scratch = LocalizeScratch::new();
+        let estimate = localize_with(geometries, aggregation, &mut scratch)?;
+        Ok((scratch.fixes().to_vec(), estimate))
+    }
 
     const D: f64 = 0.1366;
 

@@ -47,18 +47,6 @@ impl Cdf {
         Ok(Cdf { sorted })
     }
 
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the CDF is empty (never true for a constructed value).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// The fraction of errors ≤ `x`.
     #[must_use]
     pub fn fraction_below(&self, x: f64) -> f64 {
@@ -66,28 +54,11 @@ impl Cdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// Checked form of [`Cdf::percentile`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HyperEarError::InvalidParameter`] if `p` is outside
-    /// `[0, 100]` or non-finite, instead of panicking.
-    pub fn try_percentile(&self, p: f64) -> Result<f64, HyperEarError> {
-        if !(0.0..=100.0).contains(&p) {
-            return Err(HyperEarError::invalid(
-                "percentile",
-                format!("must be within [0, 100], got {p}"),
-            ));
-        }
-        Ok(self.percentile(p))
-    }
-
     /// The `p`-th percentile (0–100), linearly interpolated.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is outside `[0, 100]`. Use [`Cdf::try_percentile`]
-    /// when `p` is not a compile-time constant.
+    /// Panics if `p` is outside `[0, 100]`.
     #[must_use]
     pub fn percentile(&self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
@@ -102,20 +73,6 @@ impl Cdf {
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
     }
 
-    /// Samples `points` evenly spaced CDF points as `(error, fraction)`
-    /// pairs — the series a Fig. 14-style plot draws.
-    #[must_use]
-    pub fn points(&self, points: usize) -> Vec<(f64, f64)> {
-        let points = points.max(2);
-        let max = *self.sorted.last().expect("non-empty");
-        (0..=points)
-            .map(|i| {
-                let x = max * i as f64 / points as f64;
-                (x, self.fraction_below(x))
-            })
-            .collect()
-    }
-
     /// Summary statistics of the underlying errors.
     #[must_use]
     pub fn stats(&self) -> ErrorStats {
@@ -128,15 +85,6 @@ impl Cdf {
             max: *self.sorted.last().expect("non-empty"),
         }
     }
-}
-
-/// Convenience: summary statistics straight from raw errors.
-///
-/// # Errors
-///
-/// Same conditions as [`Cdf::new`].
-pub fn stats(errors: &[f64]) -> Result<ErrorStats, HyperEarError> {
-    Ok(Cdf::new(errors)?.stats())
 }
 
 /// Aggregated outcome counts over a batch of monitored sessions —
@@ -217,7 +165,7 @@ mod tests {
     #[test]
     fn stats_of_known_distribution() {
         let errors: Vec<f64> = (1..=100).map(|i| i as f64 / 100.0).collect();
-        let s = stats(&errors).unwrap();
+        let s = Cdf::new(&errors).unwrap().stats();
         assert_eq!(s.count, 100);
         assert!((s.mean - 0.505).abs() < 1e-12);
         assert!((s.median - 0.505).abs() < 0.01);
@@ -231,8 +179,6 @@ mod tests {
         assert_eq!(cdf.fraction_below(0.0), 0.0);
         assert_eq!(cdf.fraction_below(0.2), 0.5);
         assert_eq!(cdf.fraction_below(1.0), 1.0);
-        assert_eq!(cdf.len(), 4);
-        assert!(!cdf.is_empty());
     }
 
     #[test]
@@ -243,19 +189,6 @@ mod tests {
         assert_eq!(cdf.percentile(100.0), 1.0);
         let single = Cdf::new(&[0.7]).unwrap();
         assert_eq!(single.percentile(90.0), 0.7);
-    }
-
-    #[test]
-    fn points_are_monotone() {
-        let errors: Vec<f64> = (0..50).map(|i| (i as f64 * 0.37).sin().abs()).collect();
-        let cdf = Cdf::new(&errors).unwrap();
-        let pts = cdf.points(20);
-        assert_eq!(pts.len(), 21);
-        for w in pts.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert_eq!(pts.last().unwrap().1, 1.0);
     }
 
     #[test]
@@ -270,7 +203,7 @@ mod tests {
         assert!(Cdf::new(&[]).is_err());
         assert!(Cdf::new(&[0.1, f64::NAN]).is_err());
         assert!(Cdf::new(&[f64::INFINITY]).is_err());
-        assert!(stats(&[]).is_err());
+        assert!(Cdf::new(&[]).is_err());
     }
 
     #[test]

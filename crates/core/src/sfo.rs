@@ -59,27 +59,15 @@ impl SfoScratch {
 /// nominal period); windows are combined with information weights
 /// `Σ(k − k̄)²`. Windows with fewer than two arrivals are skipped.
 ///
+/// The per-window index and time buffers live in `scratch`, cleared
+/// and reused.
+///
 /// # Errors
 ///
 /// Returns [`HyperEarError::InsufficientBeacons`] when no window has two
 /// or more arrivals, and [`HyperEarError::InvalidParameter`] when the
 /// estimate deviates from nominal by more than 1000 ppm (the beacon
 /// source is not what the configuration claims).
-pub fn estimate_period(
-    arrivals: &[BeaconArrival],
-    stationary_windows: &[(f64, f64)],
-    nominal_period: f64,
-) -> Result<PeriodEstimate, HyperEarError> {
-    let mut scratch = SfoScratch::new();
-    estimate_period_with(arrivals, stationary_windows, nominal_period, &mut scratch)
-}
-
-/// Allocation-free form of [`estimate_period`]: the per-window index and
-/// time buffers live in caller-owned scratch that is cleared and reused.
-///
-/// # Errors
-///
-/// Same conditions as [`estimate_period`].
 pub fn estimate_period_with(
     arrivals: &[BeaconArrival],
     stationary_windows: &[(f64, f64)],
@@ -184,7 +172,8 @@ mod tests {
     fn exact_period_from_clean_arrivals() {
         let true_period = 0.2 * (1.0 + 35e-6);
         let arrivals = arrivals_with_period(0.05, true_period, 6);
-        let est = estimate_period(&arrivals, &[(0.0, 1.2)], 0.2).unwrap();
+        let est =
+            estimate_period_with(&arrivals, &[(0.0, 1.2)], 0.2, &mut SfoScratch::new()).unwrap();
         assert!((est.period - true_period).abs() < 1e-12);
         assert!((est.offset_ppm - 35.0).abs() < 1e-6);
         assert_eq!(est.beacons_used, 6);
@@ -201,7 +190,8 @@ mod tests {
                 strength: 1.0,
             })
             .collect();
-        let est = estimate_period(&arrivals, &[(0.0, 1.2)], 0.2).unwrap();
+        let est =
+            estimate_period_with(&arrivals, &[(0.0, 1.2)], 0.2, &mut SfoScratch::new()).unwrap();
         assert!(
             (est.period - true_period).abs() < 1e-6,
             "estimated {} vs {true_period}",
@@ -215,7 +205,13 @@ mod tests {
         let mut arrivals = arrivals_with_period(0.05, true_period, 4);
         // Second stationary window after a movement gap; different phase.
         arrivals.extend(arrivals_with_period(2.0, true_period, 4));
-        let est = estimate_period(&arrivals, &[(0.0, 0.9), (1.9, 2.9)], 0.2).unwrap();
+        let est = estimate_period_with(
+            &arrivals,
+            &[(0.0, 0.9), (1.9, 2.9)],
+            0.2,
+            &mut SfoScratch::new(),
+        )
+        .unwrap();
         assert_eq!(est.windows_used, 2);
         assert_eq!(est.beacons_used, 8);
         assert!((est.period - true_period).abs() < 1e-10);
@@ -231,7 +227,13 @@ mod tests {
             strength: 1.0,
         });
         arrivals.extend(arrivals_with_period(2.0, true_period, 4));
-        let est = estimate_period(&arrivals, &[(0.0, 0.9), (1.9, 2.9)], 0.2).unwrap();
+        let est = estimate_period_with(
+            &arrivals,
+            &[(0.0, 0.9), (1.9, 2.9)],
+            0.2,
+            &mut SfoScratch::new(),
+        )
+        .unwrap();
         assert!((est.period - 0.2).abs() < 1e-12);
         assert_eq!(est.beacons_used, 8);
     }
@@ -242,7 +244,8 @@ mod tests {
         let true_period = 0.2 * (1.0 + 10e-6);
         let mut arrivals = arrivals_with_period(0.05, true_period, 5);
         arrivals.remove(2);
-        let est = estimate_period(&arrivals, &[(0.0, 1.2)], 0.2).unwrap();
+        let est =
+            estimate_period_with(&arrivals, &[(0.0, 1.2)], 0.2, &mut SfoScratch::new()).unwrap();
         assert!((est.period - true_period).abs() < 1e-10);
         assert_eq!(est.beacons_used, 4);
     }
@@ -250,12 +253,12 @@ mod tests {
     #[test]
     fn no_stationary_beacons_is_an_error() {
         let arrivals = arrivals_with_period(5.0, 0.2, 4);
-        let result = estimate_period(&arrivals, &[(0.0, 1.0)], 0.2);
+        let result = estimate_period_with(&arrivals, &[(0.0, 1.0)], 0.2, &mut SfoScratch::new());
         assert!(matches!(
             result,
             Err(HyperEarError::InsufficientBeacons { .. })
         ));
-        let result = estimate_period(&[], &[(0.0, 1.0)], 0.2);
+        let result = estimate_period_with(&[], &[(0.0, 1.0)], 0.2, &mut SfoScratch::new());
         assert!(result.is_err());
     }
 
@@ -264,19 +267,19 @@ mod tests {
         // Arrivals every 0.3 s against a nominal of 0.2 s: not this beacon.
         let arrivals = arrivals_with_period(0.05, 0.3, 5);
         // Index rounding maps 0.3 to k = 2, 3... producing a slope far off.
-        let result = estimate_period(&arrivals, &[(0.0, 2.0)], 0.2);
+        let result = estimate_period_with(&arrivals, &[(0.0, 2.0)], 0.2, &mut SfoScratch::new());
         assert!(result.is_err());
     }
 
     #[test]
     fn invalid_nominal_rejected() {
-        assert!(estimate_period(&[], &[(0.0, 1.0)], 0.0).is_err());
+        assert!(estimate_period_with(&[], &[(0.0, 1.0)], 0.0, &mut SfoScratch::new()).is_err());
     }
 
     #[test]
     fn residual_rms_tracks_arrival_jitter() {
         let clean = arrivals_with_period(0.05, 0.2, 6);
-        let est = estimate_period(&clean, &[(0.0, 1.2)], 0.2).unwrap();
+        let est = estimate_period_with(&clean, &[(0.0, 1.2)], 0.2, &mut SfoScratch::new()).unwrap();
         assert!(
             est.residual_rms < 1e-12,
             "clean residual {}",
@@ -289,7 +292,7 @@ mod tests {
                 strength: 1.0,
             })
             .collect();
-        let est = estimate_period(&noisy, &[(0.0, 1.2)], 0.2).unwrap();
+        let est = estimate_period_with(&noisy, &[(0.0, 1.2)], 0.2, &mut SfoScratch::new()).unwrap();
         assert!(
             est.residual_rms > 1e-5 && est.residual_rms < 1e-3,
             "jittered residual {}",
@@ -303,7 +306,8 @@ mod tests {
         let mut arrivals = arrivals_with_period(0.05, true_period, 4);
         arrivals.extend(arrivals_with_period(2.0, true_period, 4));
         let windows = [(0.0, 0.9), (1.9, 2.9)];
-        let reference = estimate_period(&arrivals, &windows, 0.2).unwrap();
+        let reference =
+            estimate_period_with(&arrivals, &windows, 0.2, &mut SfoScratch::new()).unwrap();
         let mut scratch = SfoScratch::new();
         for _ in 0..2 {
             let est = estimate_period_with(&arrivals, &windows, 0.2, &mut scratch).unwrap();
@@ -320,7 +324,13 @@ mod tests {
             time: 5.0,
             strength: 1.0,
         });
-        let est = estimate_period(&arrivals, &[(0.0, 0.7), (4.9, 5.1)], 0.2).unwrap();
+        let est = estimate_period_with(
+            &arrivals,
+            &[(0.0, 0.7), (4.9, 5.1)],
+            0.2,
+            &mut SfoScratch::new(),
+        )
+        .unwrap();
         assert_eq!(est.windows_used, 1);
     }
 }

@@ -99,6 +99,19 @@ use std::sync::Arc;
 
 /// Sizing for a [`StreamService`] and its sessions. Every limit is a
 /// hard bound fixed at construction; see the [module docs](self).
+///
+/// Each limit must lie in `1..=` its maximum:
+/// [`StreamConfig::MAX_SESSIONS`] slots and
+/// [`StreamConfig::MAX_CAPACITY`] samples for each of `ring_capacity`,
+/// `max_samples` and `max_imu_samples`. Together they must also fit the
+/// byte budget [`StreamConfig::MAX_RESERVED_BYTES`]: a session reserves
+/// at most `16·ring_capacity + 48·max_samples + 48·max_imu_samples`
+/// bytes (two `f64` PCM rings, two detectors' `f64` correlation,
+/// envelope and sort-key buffers, and the accelerometer and gyroscope
+/// traces of three `f64`s a sample), and `max_sessions` of them must
+/// fit. [`StreamService::new`] rejects anything else with
+/// [`HyperEarError::InvalidParameter`], so no accepted sizing makes the
+/// sessions' [`StreamService::open`] reserve more than the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Concurrent session slots. Opening beyond this sheds with
@@ -115,34 +128,77 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// A conservative sizing for `pool`: `8 × threads` session slots
-    /// (so offered load beyond that queues at admission, which is the
-    /// backpressure story, not silent memory growth), ~0.7 s of
-    /// 48 kHz audio per ring, 20 s captures, 30 s of 500 Hz IMU.
+    /// The largest accepted [`StreamConfig::max_sessions`].
+    pub const MAX_SESSIONS: usize = 1 << 12;
+
+    /// The largest accepted `ring_capacity`, `max_samples` and
+    /// `max_imu_samples`: 2^26 samples, 25 minutes of 44.1 kHz audio in
+    /// a 512 MiB buffer.
+    pub const MAX_CAPACITY: usize = 1 << 26;
+
+    /// The largest accepted total of the buffers every session slot
+    /// reserves when open: 16 GiB.
+    pub const MAX_RESERVED_BYTES: u64 = 1 << 34;
+
+    /// A conservative sizing for `pool`: `8 × threads` session slots,
+    /// or fewer where that many would exceed
+    /// [`StreamConfig::MAX_RESERVED_BYTES`] (so offered load beyond that
+    /// queues at admission, which is the backpressure story, not silent
+    /// memory growth), ~0.7 s of 48 kHz audio per ring, 20 s captures,
+    /// 30 s of 500 Hz IMU.
     #[must_use]
     pub fn for_pool(pool: &Pool) -> Self {
-        StreamConfig {
-            max_sessions: 8 * pool.threads(),
+        let mut cfg = StreamConfig {
+            max_sessions: 1,
             ring_capacity: 32_768,
             max_samples: 960_000,
             max_imu_samples: 15_000,
-        }
+        };
+        let fits = Self::MAX_RESERVED_BYTES / cfg.session_bytes().unwrap_or(u64::MAX);
+        cfg.max_sessions = (8 * pool.threads())
+            .min(Self::MAX_SESSIONS)
+            .min(usize::try_from(fits).unwrap_or(usize::MAX))
+            .max(1);
+        cfg
+    }
+
+    /// The most bytes one open session reserves for the buffers these
+    /// limits size, or `None` if that overflows `u64`.
+    fn session_bytes(&self) -> Option<u64> {
+        // Per sample: one f64 per PCM ring; a correlation, an envelope
+        // and a sort key per detector; three f64s per IMU trace.
+        let bytes =
+            |samples: usize, per_sample: u64| u64::try_from(samples).ok()?.checked_mul(per_sample);
+        bytes(self.ring_capacity, 2 * 8)?
+            .checked_add(bytes(self.max_samples, 2 * 3 * 8)?)?
+            .checked_add(bytes(self.max_imu_samples, 2 * 3 * 8)?)
     }
 
     fn validate(&self) -> Result<(), HyperEarError> {
-        if self.max_sessions == 0 {
-            return Err(HyperEarError::invalid(
-                "max_sessions",
-                "need at least one session slot",
-            ));
+        for (name, value, max) in [
+            ("max_sessions", self.max_sessions, Self::MAX_SESSIONS),
+            ("ring_capacity", self.ring_capacity, Self::MAX_CAPACITY),
+            ("max_samples", self.max_samples, Self::MAX_CAPACITY),
+            ("max_imu_samples", self.max_imu_samples, Self::MAX_CAPACITY),
+        ] {
+            if !(1..=max).contains(&value) {
+                return Err(HyperEarError::invalid(
+                    name,
+                    format!("{value} is outside 1..={max}"),
+                ));
+            }
         }
-        if self.ring_capacity == 0 || self.max_samples == 0 || self.max_imu_samples == 0 {
-            return Err(HyperEarError::invalid(
+        let budget = Self::MAX_RESERVED_BYTES;
+        match self
+            .session_bytes()
+            .and_then(|per_session| per_session.checked_mul(self.max_sessions as u64))
+        {
+            Some(total) if total <= budget => Ok(()),
+            _ => Err(HyperEarError::invalid(
                 "stream capacities",
-                "ring_capacity, max_samples and max_imu_samples must be positive",
-            ));
+                format!("every session's buffers together exceed the {budget}-byte budget"),
+            )),
         }
-        Ok(())
     }
 }
 
@@ -551,27 +607,15 @@ impl StreamService {
         })
     }
 
-    /// The pipeline configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &HyperEarConfig {
-        &self.config
-    }
-
-    /// The stream sizing in use.
-    #[must_use]
-    pub fn stream_config(&self) -> &StreamConfig {
-        &self.stream
-    }
-
     /// Sessions currently active (opened, outcome not yet collected).
     #[must_use]
-    pub fn active(&self) -> usize {
+    pub(crate) fn active(&self) -> usize {
         self.slots.len() - self.free.len()
     }
 
     /// Configured session capacity.
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 

@@ -13,7 +13,7 @@ use crate::asp::BeaconArrival;
 use crate::HyperEarError;
 
 /// A time window `[start, end]` in seconds.
-pub type TimeWindow = (f64, f64);
+pub(crate) type TimeWindow = (f64, f64);
 
 /// The augmented TDoA measurements of one slide.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +54,7 @@ impl TdoaScratch {
     /// ([`crate::pipeline::SessionEngine::working_set_bytes`]); sized by
     /// beacons per slide, not capture length.
     #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         (self.pre.capacity() + self.post.capacity() + self.deltas.capacity())
             * std::mem::size_of::<f64>()
     }
@@ -63,32 +63,12 @@ impl TdoaScratch {
 /// Computes one channel's augmented time difference, averaged over up to
 /// `beacons_per_side` pre-slide and post-slide beacons.
 ///
+/// Working storage comes from `scratch` (cleared and reused).
+///
 /// # Errors
 ///
 /// Returns [`HyperEarError::InsufficientBeacons`] when either side of the
 /// slide has no usable beacon.
-pub fn channel_delta_t(
-    arrivals: &[BeaconArrival],
-    pre_window: TimeWindow,
-    post_window: TimeWindow,
-    period: f64,
-    beacons_per_side: usize,
-) -> Result<(f64, usize), HyperEarError> {
-    channel_delta_t_with(
-        arrivals,
-        pre_window,
-        post_window,
-        period,
-        beacons_per_side,
-        &mut TdoaScratch::new(),
-    )
-}
-
-/// [`channel_delta_t`] with caller-provided working storage.
-///
-/// # Errors
-///
-/// Same conditions as [`channel_delta_t`].
 pub fn channel_delta_t_with(
     arrivals: &[BeaconArrival],
     pre_window: TimeWindow,
@@ -161,36 +141,12 @@ pub fn channel_delta_t_with(
 /// SFO-corrected beacon period; `speed_of_sound` converts time to
 /// distance.
 ///
+/// Working storage comes from `scratch` (cleared and reused).
+///
 /// # Errors
 ///
 /// Returns [`HyperEarError::InsufficientBeacons`] when either channel
 /// lacks beacons on either side.
-pub fn augmented_tdoa(
-    left: &[BeaconArrival],
-    right: &[BeaconArrival],
-    pre_window: TimeWindow,
-    post_window: TimeWindow,
-    period: f64,
-    speed_of_sound: f64,
-    beacons_per_side: usize,
-) -> Result<AugmentedTdoa, HyperEarError> {
-    augmented_tdoa_with(
-        left,
-        right,
-        pre_window,
-        post_window,
-        period,
-        speed_of_sound,
-        beacons_per_side,
-        &mut TdoaScratch::new(),
-    )
-}
-
-/// [`augmented_tdoa`] with caller-provided working storage.
-///
-/// # Errors
-///
-/// Same conditions as [`augmented_tdoa`].
 #[allow(clippy::too_many_arguments)]
 pub fn augmented_tdoa_with(
     left: &[BeaconArrival],
@@ -259,12 +215,13 @@ mod tests {
         let period = 0.2;
         let dt_true = 0.002 / S;
         let a = arrivals(0.05, period, 13, 8, dt_true);
-        let (dt, pairs) = channel_delta_t(
+        let (dt, pairs) = channel_delta_t_with(
             &a,
             (0.0, 0.05 + 4.2 * period),
             (0.05 + 7.8 * period, 10.0),
             period,
             3,
+            &mut TdoaScratch::new(),
         )
         .unwrap();
         assert!((dt - dt_true).abs() < 1e-12, "dt {dt} vs {dt_true}");
@@ -280,9 +237,11 @@ mod tests {
         let a = arrivals(0.05, true_period, 13, 8, dt_true);
         let pre = (0.0, 0.05 + 4.2 * true_period);
         let post = (0.05 + 7.8 * true_period, 10.0);
-        let (dt_good, _) = channel_delta_t(&a, pre, post, true_period, 3).unwrap();
+        let (dt_good, _) =
+            channel_delta_t_with(&a, pre, post, true_period, 3, &mut TdoaScratch::new()).unwrap();
         assert!((dt_good - dt_true).abs() < 1e-12);
-        let (dt_bad, _) = channel_delta_t(&a, pre, post, 0.2, 3).unwrap();
+        let (dt_bad, _) =
+            channel_delta_t_with(&a, pre, post, 0.2, 3, &mut TdoaScratch::new()).unwrap();
         // Nominal-period error: ~8 periods × 0.2 s × 50 ppm = 80 µs.
         assert!(
             (dt_bad - dt_true).abs() > 5e-5,
@@ -302,8 +261,10 @@ mod tests {
         }
         let pre = (0.0, 0.9);
         let post = (1.6, 10.0);
-        let (dt3, _) = channel_delta_t(&a, pre, post, period, 3).unwrap();
-        let (dt1, _) = channel_delta_t(&a, pre, post, period, 1).unwrap();
+        let (dt3, _) =
+            channel_delta_t_with(&a, pre, post, period, 3, &mut TdoaScratch::new()).unwrap();
+        let (dt1, _) =
+            channel_delta_t_with(&a, pre, post, period, 1, &mut TdoaScratch::new()).unwrap();
         assert!(
             (dt3 - dt_true).abs() <= (dt1 - dt_true).abs() + 1e-12,
             "averaging should not hurt: {dt3} vs {dt1}"
@@ -317,7 +278,17 @@ mod tests {
         let dt2 = 0.0015 / S;
         let left = arrivals(0.05, period, 13, 8, dt1);
         let right = arrivals(0.051, period, 13, 8, dt2);
-        let result = augmented_tdoa(&left, &right, (0.0, 0.9), (1.65, 10.0), period, S, 3).unwrap();
+        let result = augmented_tdoa_with(
+            &left,
+            &right,
+            (0.0, 0.9),
+            (1.65, 10.0),
+            period,
+            S,
+            3,
+            &mut TdoaScratch::new(),
+        )
+        .unwrap();
         assert!((result.delta_d1 - 0.0020).abs() < 1e-9);
         assert!((result.delta_d2 - 0.0015).abs() < 1e-9);
         assert_eq!(result.pairs_mic1, 9);
@@ -328,7 +299,14 @@ mod tests {
     fn missing_beacons_on_one_side_is_an_error() {
         let period = 0.2;
         let a = arrivals(0.05, period, 5, 99, 0.0); // all pre-slide
-        let result = channel_delta_t(&a, (0.0, 2.0), (3.0, 4.0), period, 3);
+        let result = channel_delta_t_with(
+            &a,
+            (0.0, 2.0),
+            (3.0, 4.0),
+            period,
+            3,
+            &mut TdoaScratch::new(),
+        );
         assert!(matches!(
             result,
             Err(HyperEarError::InsufficientBeacons { .. })
@@ -340,7 +318,15 @@ mod tests {
         let period = 0.2;
         let dt_true = -0.005 / S; // mic moved toward the speaker
         let a = arrivals(0.05, period, 13, 8, dt_true);
-        let (dt, _) = channel_delta_t(&a, (0.0, 0.9), (1.6, 10.0), period, 2).unwrap();
+        let (dt, _) = channel_delta_t_with(
+            &a,
+            (0.0, 0.9),
+            (1.6, 10.0),
+            period,
+            2,
+            &mut TdoaScratch::new(),
+        )
+        .unwrap();
         assert!((dt - dt_true).abs() < 1e-12);
         assert!(dt < 0.0);
     }
@@ -348,9 +334,25 @@ mod tests {
     #[test]
     fn invalid_parameters_rejected() {
         let a = arrivals(0.05, 0.2, 13, 8, 0.0);
-        assert!(channel_delta_t(&a, (0.0, 0.9), (1.6, 9.0), 0.0, 3).is_err());
-        assert!(channel_delta_t(&a, (0.0, 0.9), (1.6, 9.0), 0.2, 0).is_err());
-        assert!(augmented_tdoa(&a, &a, (0.0, 0.9), (1.6, 9.0), 0.2, 0.0, 3).is_err());
+        assert!(
+            channel_delta_t_with(&a, (0.0, 0.9), (1.6, 9.0), 0.0, 3, &mut TdoaScratch::new())
+                .is_err()
+        );
+        assert!(
+            channel_delta_t_with(&a, (0.0, 0.9), (1.6, 9.0), 0.2, 0, &mut TdoaScratch::new())
+                .is_err()
+        );
+        assert!(augmented_tdoa_with(
+            &a,
+            &a,
+            (0.0, 0.9),
+            (1.6, 9.0),
+            0.2,
+            0.0,
+            3,
+            &mut TdoaScratch::new()
+        )
+        .is_err());
     }
 
     #[test]
@@ -361,7 +363,15 @@ mod tests {
         let period = 0.2;
         let dt_true = 0.116;
         let a = arrivals(0.05, period, 13, 8, dt_true);
-        let (dt, _) = channel_delta_t(&a, (0.0, 0.9), (1.8, 10.0), period, 1).unwrap();
+        let (dt, _) = channel_delta_t_with(
+            &a,
+            (0.0, 0.9),
+            (1.8, 10.0),
+            period,
+            1,
+            &mut TdoaScratch::new(),
+        )
+        .unwrap();
         assert!((dt - (dt_true - period)).abs() < 1e-12, "aliased dt {dt}");
     }
 }

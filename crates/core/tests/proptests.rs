@@ -4,10 +4,10 @@
 use hyperear::asp::BeaconArrival;
 use hyperear::baseline::{naive_two_position_error, NaiveConfig};
 use hyperear::config::Aggregation;
-use hyperear::localize::{localize, slide_geometry};
+use hyperear::localize::{localize_with, slide_geometry, LocalizeScratch};
 use hyperear::metrics::Cdf;
-use hyperear::sfo::estimate_period;
-use hyperear::tdoa::{augmented_tdoa, channel_delta_t};
+use hyperear::sfo::{estimate_period_with, SfoScratch};
+use hyperear::tdoa::{augmented_tdoa_with, channel_delta_t_with, TdoaScratch};
 use hyperear_geom::triangulate::SlideGeometry;
 use hyperear_geom::Vec2;
 use hyperear_util::prop::{self, bool_any, f64_range, usize_range, vec_f64};
@@ -32,7 +32,9 @@ fn sfo_recovers_any_plausible_clock_offset() {
                 })
                 .collect();
             let window_end = phase + count as f64 * period + 0.1;
-            let est = estimate_period(&arrivals, &[(0.0, window_end)], 0.2).unwrap();
+            let est =
+                estimate_period_with(&arrivals, &[(0.0, window_end)], 0.2, &mut SfoScratch::new())
+                    .unwrap();
             prop_assert!((est.period - period).abs() < 1e-12);
             prop_assert!((est.offset_ppm - ppm).abs() < 1e-3);
             prop::pass()
@@ -60,8 +62,15 @@ fn augmented_tdoa_recovers_any_step() {
                     }
                 })
                 .collect();
-            let (dt, pairs) =
-                channel_delta_t(&arrivals, (0.0, 0.9), (1.6, 10.0), period, 3).unwrap();
+            let (dt, pairs) = channel_delta_t_with(
+                &arrivals,
+                (0.0, 0.9),
+                (1.6, 10.0),
+                period,
+                3,
+                &mut TdoaScratch::new(),
+            )
+            .unwrap();
             prop_assert!(pairs >= 1);
             // Median over pairs bounds the jitter's influence.
             prop_assert!(
@@ -91,8 +100,17 @@ fn augmented_pair_is_consistent_across_channels() {
             };
             let left = mk(0.0);
             let right = mk(0.000_2);
-            let t =
-                augmented_tdoa(&left, &right, (0.0, 0.9), (1.6, 10.0), period, 343.0, 3).unwrap();
+            let t = augmented_tdoa_with(
+                &left,
+                &right,
+                (0.0, 0.9),
+                (1.6, 10.0),
+                period,
+                343.0,
+                3,
+                &mut TdoaScratch::new(),
+            )
+            .unwrap();
             prop_assert!((t.delta_d1 - step_mm / 1_000.0).abs() < 1e-9);
             prop_assert!((t.delta_d2 - step_mm / 1_000.0).abs() < 1e-9);
             prop::pass()
@@ -121,7 +139,8 @@ fn localize_round_trips_through_slide_geometry() {
                 pairs_mic2: 1,
             };
             let g = slide_geometry(dist, 0.1366, &tdoa).unwrap();
-            let (_, est) = localize(&[g], Aggregation::Median).unwrap();
+            let est =
+                localize_with(&[g], Aggregation::Median, &mut LocalizeScratch::new()).unwrap();
             prop_assert!(
                 (est.position - speaker).norm() < 1e-4,
                 "speaker {speaker:?} got {:?}",
@@ -187,17 +206,13 @@ fn metrics_reject_degenerate_inputs_with_typed_errors() {
         |(excess, errors)| {
             // Empty and non-finite inputs are errors, not panics.
             prop_assert!(Cdf::new(&[]).is_err());
-            prop_assert!(hyperear::metrics::stats(&[]).is_err());
             prop_assert!(Cdf::new(&[1.0, f64::NAN]).is_err());
             prop_assert!(Cdf::new(&[f64::INFINITY]).is_err());
-            // Out-of-range percentiles are typed errors via the checked
-            // form; in-range ones agree with the panicking form.
+            // In-range percentiles lie within the sample range.
             let cdf = Cdf::new(errors).unwrap();
-            prop_assert!(cdf.try_percentile(-excess).is_err());
-            prop_assert!(cdf.try_percentile(100.0 + excess).is_err());
-            prop_assert!(cdf.try_percentile(f64::NAN).is_err());
             let p = (excess % 100.0).clamp(0.0, 100.0);
-            prop_assert!(cdf.try_percentile(p).unwrap() == cdf.percentile(p));
+            let v = cdf.percentile(p);
+            prop_assert!(v >= cdf.percentile(0.0) && v <= cdf.percentile(100.0));
             prop::pass()
         },
     );

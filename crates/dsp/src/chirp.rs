@@ -28,7 +28,7 @@ pub enum ChirpShape {
 /// use hyperear_dsp::chirp::{Chirp, ChirpShape};
 ///
 /// # fn main() -> Result<(), hyperear_dsp::DspError> {
-/// let beacon = Chirp::hyperear_beacon(44_100.0)?;
+/// let beacon = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown)?;
 /// assert_eq!(beacon.samples().len(), (0.04 * 44_100.0) as usize);
 /// # Ok(())
 /// # }
@@ -60,7 +60,7 @@ impl Chirp {
     /// 2²⁴ (about 350 s at 48 kHz, 128 MiB of `f64`). A beacon is tens
     /// of milliseconds; the cap turns an absurd `duration × sample_rate`
     /// into a typed error instead of an impossible allocation.
-    pub const MAX_LEN: usize = 1 << 24;
+    pub(crate) const MAX_LEN: usize = 1 << 24;
 
     /// Synthesizes a chirp.
     ///
@@ -128,68 +128,10 @@ impl Chirp {
         })
     }
 
-    /// The standard HyperEar beacon: 2–6.4 kHz up-down chirp, 40 ms.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `sample_rate` cannot carry
-    /// the 6.4 kHz band edge.
-    pub fn hyperear_beacon(sample_rate: f64) -> Result<Self, DspError> {
-        Chirp::new(
-            Self::HYPEREAR_F0,
-            Self::HYPEREAR_F1,
-            Self::HYPEREAR_DURATION,
-            sample_rate,
-            ChirpShape::UpDown,
-        )
-    }
-
     /// The chirp samples (unit peak amplitude envelope).
     #[must_use]
     pub fn samples(&self) -> &[f64] {
         &self.samples
-    }
-
-    /// The lower band edge in hertz.
-    #[must_use]
-    pub fn f0(&self) -> f64 {
-        self.f0
-    }
-
-    /// The upper band edge in hertz.
-    #[must_use]
-    pub fn f1(&self) -> f64 {
-        self.f1
-    }
-
-    /// The duration in seconds.
-    #[must_use]
-    pub fn duration(&self) -> f64 {
-        self.duration
-    }
-
-    /// The sample rate the chirp was synthesized at.
-    #[must_use]
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
-    /// The frequency trajectory shape.
-    #[must_use]
-    pub fn shape(&self) -> ChirpShape {
-        self.shape
-    }
-
-    /// The swept bandwidth `f1 - f0` in hertz.
-    #[must_use]
-    pub fn bandwidth(&self) -> f64 {
-        self.f1 - self.f0
-    }
-
-    /// Time-bandwidth product, the matched-filter processing gain.
-    #[must_use]
-    pub fn time_bandwidth(&self) -> f64 {
-        self.duration * self.bandwidth()
     }
 }
 
@@ -239,12 +181,7 @@ mod tests {
 
     #[test]
     fn beacon_parameters() {
-        let c = Chirp::hyperear_beacon(44_100.0).unwrap();
-        assert_eq!(c.f0(), 2_000.0);
-        assert_eq!(c.f1(), 6_400.0);
-        assert_eq!(c.shape(), ChirpShape::UpDown);
-        assert!((c.bandwidth() - 4_400.0).abs() < 1e-9);
-        assert!((c.time_bandwidth() - 176.0).abs() < 1e-9);
+        let c = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).unwrap();
         assert_eq!(c.samples().len(), 1764);
     }
 
@@ -258,14 +195,14 @@ mod tests {
 
     #[test]
     fn energy_is_confined_to_band() {
-        let c = Chirp::hyperear_beacon(44_100.0).unwrap();
+        let c = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).unwrap();
         let frac = band_energy_fraction(c.samples(), 44_100.0, 1_800.0, 6_600.0).unwrap();
         assert!(frac > 0.97, "in-band energy fraction was {frac}");
     }
 
     #[test]
     fn autocorrelation_peaks_sharply_at_zero_lag() {
-        let c = Chirp::hyperear_beacon(44_100.0).unwrap();
+        let c = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).unwrap();
         let n = c.samples().len();
         let mut padded = vec![0.0; n * 3];
         padded[n..2 * n].copy_from_slice(c.samples());
@@ -295,7 +232,7 @@ mod tests {
     fn updown_is_nearly_symmetric_in_band() {
         // The up-down chirp spends equal time at each frequency; spectral
         // content of the two halves should match closely.
-        let c = Chirp::hyperear_beacon(44_100.0).unwrap();
+        let c = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).unwrap();
         let n = c.samples().len();
         let first: Vec<f64> = c.samples()[..n / 2].to_vec();
         let second: Vec<f64> = c.samples()[n / 2..].to_vec();
@@ -318,12 +255,5 @@ mod tests {
         }
         assert!(Chirp::new(2_000.0, 6_400.0, 1e9, 44_100.0, ChirpShape::Up).is_err());
         assert!(Chirp::new(2_000.0, 6_400.0, f64::NAN, 44_100.0, ChirpShape::Up).is_err());
-    }
-
-    #[test]
-    fn duration_accessor_matches_request() {
-        let c = Chirp::new(2_000.0, 6_400.0, 0.05, 48_000.0, ChirpShape::UpDown).unwrap();
-        assert_eq!(c.duration(), 0.05);
-        assert_eq!(c.sample_rate(), 48_000.0);
     }
 }

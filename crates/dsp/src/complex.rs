@@ -38,8 +38,6 @@ pub struct Complex {
 impl Complex {
     /// The additive identity.
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-    /// The multiplicative identity.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
 
     /// Creates a complex number from real and imaginary parts.
     #[inline]
@@ -81,12 +79,6 @@ impl Complex {
     #[inline]
     pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
-    }
-
-    /// Returns the argument (phase angle) in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
     }
 
     /// Multiplies by a real scalar.
@@ -198,7 +190,7 @@ impl Neg for Complex {
 /// Lane width the chunked kernels are written around: four `f64`
 /// complexes (one cache line) per block, which the autovectorizer maps
 /// onto 2×128-bit, 2×256-bit or 1×512-bit vectors as the target allows.
-pub const LANES: usize = 4;
+pub(crate) const LANES: usize = 4;
 
 /// Multiplies `acc[i] *= by[i].conj()` elementwise — the spectral
 /// correlation kernel of the one-shot `xcorr_into`. (The overlap-save
@@ -212,7 +204,7 @@ pub const LANES: usize = 4;
 ///
 /// Panics if the slices differ in length (internal kernel contract; all
 /// call sites pass same-length spectra).
-pub fn conj_mul_in_place(acc: &mut [Complex], by: &[Complex]) {
+pub(crate) fn conj_mul_in_place(acc: &mut [Complex], by: &[Complex]) {
     assert_eq!(acc.len(), by.len(), "conj_mul_in_place length mismatch");
     let mut a = acc.chunks_exact_mut(LANES);
     let mut b = by.chunks_exact(LANES);
@@ -230,7 +222,7 @@ pub fn conj_mul_in_place(acc: &mut [Complex], by: &[Complex]) {
 /// Scales every element by the real factor `k` — the inverse-FFT
 /// normalization and template-energy normalization kernel. Elementwise,
 /// hence bit-identical to the scalar loop at any lane width.
-pub fn scale_in_place(data: &mut [Complex], k: f64) {
+pub(crate) fn scale_in_place(data: &mut [Complex], k: f64) {
     let mut it = data.chunks_exact_mut(LANES);
     for block in &mut it {
         for v in block {
@@ -248,7 +240,7 @@ pub fn scale_in_place(data: &mut [Complex], k: f64) {
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn mul_assign_real(out: &mut [f64], by: &[f64]) {
+pub(crate) fn mul_assign_real(out: &mut [f64], by: &[f64]) {
     assert_eq!(out.len(), by.len(), "mul_assign_real length mismatch");
     for (o, &b) in out.iter_mut().zip(by) {
         *o *= b;
@@ -263,7 +255,7 @@ pub fn mul_assign_real(out: &mut [f64], by: &[f64]) {
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn axpy(out: &mut [f64], k: f64, src: &[f64]) {
+pub(crate) fn axpy(out: &mut [f64], k: f64, src: &[f64]) {
     assert_eq!(out.len(), src.len(), "axpy length mismatch");
     for (o, &s) in out.iter_mut().zip(src) {
         *o += k * s;
@@ -278,7 +270,7 @@ pub fn axpy(out: &mut [f64], k: f64, src: &[f64]) {
 /// data parallelism across lags (independent outputs), never inside one
 /// accumulation.
 #[must_use]
-pub fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = 0.0;
     for (&x, &y) in a.iter().zip(b) {
         acc += x * y;
@@ -296,7 +288,6 @@ mod tests {
     fn arithmetic_identities() {
         let a = Complex::new(3.0, -4.0);
         assert_eq!(a + Complex::ZERO, a);
-        assert_eq!(a * Complex::ONE, a);
         assert_eq!(a - a, Complex::ZERO);
         assert_eq!(-a, Complex::new(-3.0, 4.0));
     }
@@ -328,7 +319,6 @@ mod tests {
             let theta = k as f64 * std::f64::consts::PI / 8.0;
             let z = Complex::from_angle(theta);
             assert!((z.abs() - 1.0).abs() < EPS);
-            assert!((z.arg() - theta.sin().atan2(theta.cos())).abs() < EPS);
         }
     }
 

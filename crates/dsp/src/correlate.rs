@@ -91,44 +91,6 @@ pub fn xcorr_into(
     Ok(())
 }
 
-/// Normalized cross-correlation: [`xcorr`] scaled so a perfect match of the
-/// template at a lag yields 1.0.
-///
-/// Normalization divides by `‖template‖ · ‖signal window‖` at each lag,
-/// making the output comparable across recordings with different gains.
-///
-/// # Errors
-///
-/// Same conditions as [`xcorr`].
-pub fn normalized_xcorr(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, DspError> {
-    let raw = xcorr(signal, template)?;
-    let tpl_energy: f64 = template.iter().map(|x| x * x).sum();
-    let tpl_norm = tpl_energy.sqrt();
-    if tpl_norm == 0.0 {
-        return Err(DspError::invalid("template", "template has zero energy"));
-    }
-    // Sliding window energy of the signal via prefix sums.
-    let mut prefix = vec![0.0; signal.len() + 1];
-    for (i, &s) in signal.iter().enumerate() {
-        prefix[i + 1] = prefix[i] + s * s;
-    }
-    let m = template.len();
-    let out = raw
-        .iter()
-        .enumerate()
-        .map(|(k, &r)| {
-            let end = (k + m).min(signal.len());
-            let win_energy = prefix[end] - prefix[k];
-            if win_energy <= 0.0 {
-                0.0
-            } else {
-                r / (tpl_norm * win_energy.sqrt())
-            }
-        })
-        .collect();
-    Ok(out)
-}
-
 /// Overlap-save block cross-correlation of one signal against K ≥ 1
 /// fixed templates that share one forward transform per block pair.
 ///
@@ -154,11 +116,11 @@ pub fn normalized_xcorr(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, Ds
 /// longest are implicitly zero-padded to it, which changes no
 /// correlation value.
 ///
-/// This is the one engine behind [`StreamingMatchedFilter`] (K = 1),
-/// [`StreamingMatchedFilterBank`] (any K, one shared forward FFT), their
-/// band-limited form [`BandLimitedBank`] (the same spectra, copied out
-/// as decimated analytic lanes, see [`Lanes`]) and the FFT zero-phase
-/// FIR (K = 1, `lead` compensating the group delay).
+/// This is the one engine behind [`StreamingMatchedFilter`] (K = 1,
+/// full-rate real output), [`BandLimitedBank`] (any K, one shared
+/// forward FFT, copied out as decimated analytic lanes, see [`Lanes`])
+/// and the FFT zero-phase FIR (K = 1, `lead` compensating the group
+/// delay).
 /// Peak FFT size is `block_len`, independent of how long the signal is.
 #[derive(Debug, Clone)]
 pub(crate) struct OverlapSave {
@@ -179,15 +141,11 @@ pub(crate) struct OverlapSave {
     lead: usize,
 }
 
-/// Where a block pair's lags go: full-rate real lanes, or the decimated
-/// analytic lanes of a band-limited bank.
+/// Where a block pair's lags go: one full-rate real lane, or the
+/// decimated analytic lanes of a band-limited bank.
 pub(crate) enum Lanes<'a> {
-    /// Lane `k` receives `gain_k · r(n)` for every lag (`gain_k = 1`
-    /// when `gains` is `None`).
-    Full {
-        gains: Option<&'a [f64]>,
-        outs: &'a mut [Vec<f64>],
-    },
+    /// The one template's `gain · r(n)` for every lag.
+    Full { gain: f64, out: &'a mut Vec<f64> },
     /// Lane `k` receives `gain_k · b(q)`, the baseband analytic
     /// correlation of band `k` at every `D_k`-th lag.
     Decimated {
@@ -200,7 +158,7 @@ pub(crate) enum Lanes<'a> {
 impl Lanes<'_> {
     fn count(&self) -> usize {
         match self {
-            Lanes::Full { outs, .. } => outs.len(),
+            Lanes::Full { .. } => 1,
             Lanes::Decimated { outs, .. } => outs.len(),
         }
     }
@@ -208,10 +166,10 @@ impl Lanes<'_> {
     /// Clears every lane and reserves room for `lags` full-rate lags.
     fn reset(&mut self, lags: usize) {
         match self {
-            Lanes::Full { outs, .. } => outs.iter_mut().for_each(|out| {
+            Lanes::Full { out, .. } => {
                 out.clear();
                 out.reserve(lags);
-            }),
+            }
             Lanes::Decimated { bands, outs, .. } => {
                 for (band, out) in bands.iter().zip(outs.iter_mut()) {
                     out.clear();
@@ -424,16 +382,12 @@ impl OverlapSave {
     /// template, appending the first `take.0` lags of block `2m` and then
     /// the first `take.1` lags of block `2m+1` to that template's lane.
     ///
-    /// Full-rate lanes multiply by the template spectrum, inverse-
-    /// transform and copy the real part (block `2m`) and the imaginary
-    /// part (block `2m+1`), each multiplied by the lane's gain (`1` for
-    /// raw output, `1/energy` for normalized). The inverse transform
-    /// consumes its input, so every template but the last writes its
-    /// product `c1 · spectrum` into `scratch.c2` in one pass; the last
-    /// multiplies `c1` in place. Both compute the same products, so each
-    /// output is bit-identical to a one-template engine's. Decimated
-    /// lanes read `c1` at their kept bins only (see [`Band`]), using
-    /// `scratch.c2` for their short inverses.
+    /// The full-rate lane multiplies `c1` by the template spectrum in
+    /// place, inverse-transforms it and copies the real part (block
+    /// `2m`) and the imaginary part (block `2m+1`), each multiplied by
+    /// the lane's gain (`1` for raw output, `1/energy` for normalized).
+    /// Decimated lanes read `c1` at their kept bins only (see [`Band`]),
+    /// using `scratch.c2` for their short inverses.
     fn fan_out(
         &self,
         scratch: &mut DspScratch,
@@ -444,24 +398,13 @@ impl OverlapSave {
         let DspScratch { c1, c2, .. } = scratch;
         self.plan.dif(c1);
         match lanes {
-            Lanes::Full { gains, outs } => {
-                let last = self.specs.len() - 1;
-                for (k, (spec, out)) in self.specs.iter().zip(outs.iter_mut()).enumerate() {
-                    let spectrum = if k == last {
-                        for (z, &t) in c1.iter_mut().zip(spec.iter()) {
-                            *z *= t;
-                        }
-                        &mut *c1
-                    } else {
-                        c2.clear();
-                        c2.extend(c1.iter().zip(spec.iter()).map(|(&z, &t)| z * t));
-                        &mut *c2
-                    };
-                    self.plan.dit(spectrum);
-                    let gain = gains.map_or(1.0, |g| g[k]);
-                    out.extend(spectrum[..take.0].iter().map(|z| z.re * gain));
-                    out.extend(spectrum[..take.1].iter().map(|z| z.im * gain));
+            Lanes::Full { gain, out } => {
+                for (z, &t) in c1.iter_mut().zip(self.specs[0].iter()) {
+                    *z *= t;
                 }
+                self.plan.dit(c1);
+                out.extend(c1[..take.0].iter().map(|z| z.re * *gain));
+                out.extend(c1[..take.1].iter().map(|z| z.im * *gain));
             }
             Lanes::Decimated { bands, gains, outs } => {
                 for ((band, &gain), out) in bands.iter().zip(gains.iter()).zip(outs.iter_mut()) {
@@ -708,24 +651,6 @@ impl ChunkFeed {
             finished: false,
         }
     }
-    /// Samples pushed since construction or the last reset.
-    #[must_use]
-    pub fn pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Output values emitted so far (always `<=` [`ChunkFeed::pushed`]).
-    #[must_use]
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
-    /// Whether the stream has been finished; a finished feed rejects
-    /// further pushes until [`ChunkFeed::reset`].
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
 
     /// Returns the feed to its initial state for a fresh stream, keeping
     /// the block buffer's capacity (no allocation).
@@ -751,7 +676,7 @@ impl ChunkFeed {
 /// exactly for every full-overlap lag (`corr(bp(x), t) = corr(x, bp⋆t)`
 /// for LTI filtering under zero-extension boundaries) — the algebra
 /// behind [`StreamingMatchedFilter::with_zero_phase_prefilter`] and
-/// [`StreamingMatchedFilterBank::with_zero_phase_prefilters`], which pay
+/// [`BandLimitedBank::with_zero_phase_prefilters`], which pay
 /// for the prefilter once at construction instead of once per input
 /// pass.
 fn fold_zero_phase_taps(template: &[f64], taps: &[f64]) -> Vec<f64> {
@@ -771,16 +696,83 @@ fn fold_zero_phase_taps(template: &[f64], taps: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// A matched filter that correlates in fixed-size overlap-save blocks —
-/// a [`StreamingMatchedFilterBank`] holding one template.
+/// Per-template emptiness/energy validation; returns the template
+/// energies (the normalized output's lane gains are their inverses).
+fn template_energies(templates: &[&[f64]]) -> Result<Vec<f64>, DspError> {
+    if templates.is_empty() {
+        return Err(DspError::EmptyInput {
+            what: "template bank",
+        });
+    }
+    templates
+        .iter()
+        .map(|template| {
+            if template.is_empty() {
+                return Err(DspError::EmptyInput {
+                    what: "matched-filter template",
+                });
+            }
+            let energy: f64 = template.iter().map(|x| x * x).sum();
+            if energy == 0.0 {
+                return Err(DspError::invalid("template", "template has zero energy"));
+            }
+            Ok(energy)
+        })
+        .collect()
+}
+
+/// The folded engine for `entries` of `(template, taps)`: each template
+/// with its own zero-phase prefilter folded in (see
+/// [`fold_zero_phase_taps`]), at the default block policy
+/// `next_pow2(4 × longest folded template)` and the shared group delay as
+/// lead. Returns the engine and the original templates' energies.
+fn folded_engine(entries: &[(&[f64], &[f64])]) -> Result<(OverlapSave, Vec<f64>), DspError> {
+    let templates: Vec<&[f64]> = entries.iter().map(|&(t, _)| t).collect();
+    let energies = template_energies(&templates)?;
+    let delay = entries
+        .first()
+        .map_or(0, |(_, taps)| taps.len().saturating_sub(1) / 2);
+    let mut folded = Vec::with_capacity(entries.len());
+    for (template, taps) in entries {
+        if taps.is_empty() {
+            return Err(DspError::EmptyInput {
+                what: "prefilter taps",
+            });
+        }
+        if (taps.len() - 1) / 2 != delay {
+            return Err(DspError::invalid(
+                "taps",
+                "all prefilters in a bank must share one group delay",
+            ));
+        }
+        folded.push(fold_zero_phase_taps(template, taps));
+    }
+    let refs: Vec<&[f64]> = folded.iter().map(Vec::as_slice).collect();
+    Ok((
+        OverlapSave::new(&refs, default_block(&refs)?, delay)?,
+        energies,
+    ))
+}
+
+/// The default block policy: `next_pow2(4 × longest template)`.
+fn default_block(templates: &[&[f64]]) -> Result<usize, DspError> {
+    let longest = templates.iter().map(|t| t.len()).max().unwrap_or(0);
+    try_next_pow2(longest.saturating_mul(4))
+}
+
+/// The full-rate matched filter: one template correlated in fixed-size
+/// overlap-save blocks.
 ///
 /// The signal is processed in blocks of `block_len` samples (default
 /// `next_pow2(4 × template)`, so 4–8× the template length) instead of
 /// one `next_pow2(signal + template)` transform: cost is O(N log B) time
-/// and O(B) working memory, and the peak FFT size is
-/// [`StreamingMatchedFilter::block_len`] regardless of capture length,
-/// which is what makes streaming ingestion of unbounded captures
-/// possible.
+/// and O(B) working memory, and the peak FFT size is the block length
+/// regardless of capture length.
+///
+/// Detection runs the band-limited form
+/// ([`StreamingMatchedFilter::band_limited`]); the full-rate output
+/// serves MCCI fusion, which averages full-rate correlations across
+/// channels.
 ///
 /// # Accuracy
 ///
@@ -794,7 +786,15 @@ fn fold_zero_phase_taps(template: &[f64], taps: &[f64]) -> Vec<f64> {
 /// concurrently, each with its own [`DspScratch`].
 #[derive(Debug, Clone)]
 pub struct StreamingMatchedFilter {
-    bank: StreamingMatchedFilterBank,
+    engine: OverlapSave,
+    /// `1 / Σ x²` of the **original** (pre-fold) template: the
+    /// normalized output's gain, applied as lags are copied out.
+    gain: f64,
+    /// The shortest signal accepted: the original template's length.
+    /// Folding lengthens the engine's template by `taps − 1`, but zero
+    /// extension lets any capture that holds one original template
+    /// correlate.
+    min_len: usize,
 }
 
 impl StreamingMatchedFilter {
@@ -806,8 +806,7 @@ impl StreamingMatchedFilter {
     /// Returns [`DspError::EmptyInput`] for an empty template and
     /// [`DspError::InvalidParameter`] for an all-zero template.
     pub fn new(template: &[f64]) -> Result<Self, DspError> {
-        let block = try_next_pow2(template.len().saturating_mul(4))?;
-        Self::with_block_len(template, block)
+        Self::with_block_len(template, default_block(&[template])?)
     }
 
     /// Creates a streaming matched filter with an explicit FFT block
@@ -818,8 +817,11 @@ impl StreamingMatchedFilter {
     /// Same conditions as [`StreamingMatchedFilter::new`], plus
     /// [`DspError::InvalidParameter`] for an invalid `block_len`.
     pub fn with_block_len(template: &[f64], block_len: usize) -> Result<Self, DspError> {
+        let energies = template_energies(&[template])?;
         Ok(StreamingMatchedFilter {
-            bank: StreamingMatchedFilterBank::with_block_len(&[template], block_len)?,
+            engine: OverlapSave::new(&[template], block_len, 0)?,
+            gain: 1.0 / energies[0],
+            min_len: template.len(),
         })
     }
 
@@ -852,36 +854,24 @@ impl StreamingMatchedFilter {
     /// Same conditions as [`StreamingMatchedFilter::new`], plus
     /// [`DspError::EmptyInput`] for an empty `taps` slice.
     pub fn with_zero_phase_prefilter(template: &[f64], taps: &[f64]) -> Result<Self, DspError> {
+        let (engine, energies) = folded_engine(&[(template, taps)])?;
         Ok(StreamingMatchedFilter {
-            bank: StreamingMatchedFilterBank::with_zero_phase_prefilters(&[(template, taps)])?,
+            engine,
+            gain: 1.0 / energies[0],
+            min_len: template.len(),
         })
     }
 
-    /// The engine's template length in samples (for a folded filter, the
-    /// original template plus `taps − 1`).
-    #[must_use]
-    pub fn template_len(&self) -> usize {
-        self.bank.template_len()
-    }
-
-    /// The FFT block length — the peak transform size of every call,
-    /// independent of signal length.
-    #[must_use]
-    pub fn block_len(&self) -> usize {
-        self.bank.block_len()
-    }
-
-    /// Valid correlation lags produced per block
-    /// (`block_len - template_len + 1`).
-    #[must_use]
-    pub fn step(&self) -> usize {
-        self.bank.step()
-    }
-
-    /// The original template's energy `Σ x²`.
-    #[must_use]
-    pub fn template_energy(&self) -> f64 {
-        self.bank.energies[0]
+    fn run(
+        &self,
+        signal: &[f64],
+        gain: f64,
+        scratch: &mut DspScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<(), DspError> {
+        check_signal(self.min_len, signal.len())?;
+        self.engine
+            .run(signal, scratch, &mut Lanes::Full { gain, out })
     }
 
     /// Blocked raw correlation; same output convention as [`xcorr`]
@@ -899,14 +889,13 @@ impl StreamingMatchedFilter {
         scratch: &mut DspScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        self.bank
-            .correlate_into(signal, scratch, std::slice::from_mut(out))
+        self.run(signal, 1.0, scratch, out)
     }
 
     /// Blocked correlation normalized by the template energy, so a
-    /// perfect match of the template at a lag yields 1.0. Unlike
-    /// [`normalized_xcorr`] the signal window energy is not divided out:
-    /// beacon finding wants loud, template-shaped events.
+    /// perfect match of the template at a lag yields 1.0 (the signal
+    /// window energy is not divided out: beacon finding wants loud,
+    /// template-shaped events).
     ///
     /// # Errors
     ///
@@ -917,67 +906,63 @@ impl StreamingMatchedFilter {
         scratch: &mut DspScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        self.bank
-            .correlate_normalized_into(signal, scratch, std::slice::from_mut(out))
+        self.run(signal, self.gain, scratch, out)
     }
 
-    /// One-shot convenience over [`StreamingMatchedFilter::correlate_into`]
-    /// using the thread-local scratch.
+    /// The band-limited form of this filter: a one-lane
+    /// [`BandLimitedBank`] sharing its plan and template spectrum (the
+    /// template is not transformed again).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`xcorr`].
-    pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, DspError> {
-        let mut out = Vec::new();
-        crate::plan::with_thread_ctx(|_, scratch| self.correlate_into(signal, scratch, &mut out))?;
-        Ok(out)
+    /// Returns [`DspError::InvalidParameter`] when the block leaves fewer
+    /// than 16 lags per block.
+    pub fn band_limited(&self) -> Result<BandLimitedBank, DspError> {
+        BandLimitedBank::from_engine(&self.engine, vec![self.gain], self.min_len)
     }
 }
 
-/// K matched filters sharing one forward FFT per overlap-save block.
+/// The band-limited matched filter: K ≥ 1 templates sharing one forward
+/// FFT per overlap-save block pair, each lane copied out as its
+/// decimated analytic correlation.
 ///
-/// A [`StreamingMatchedFilter`] spends each block on one forward
-/// transform of the input, one spectral conjugate-multiply, and one
-/// inverse transform. Correlating the same capture against K templates
-/// through K independent filters repeats the *input* forward transform
-/// K times even though it is template-independent. The bank hoists it:
-/// every template is held at one shared `(block_len, template_len)`
+/// Every template is held at one shared `(block_len, template_len)`
 /// geometry (shorter templates are implicitly zero-padded, which changes
-/// no correlation value), so each block costs **1 forward + K
-/// multiply/inverse** instead of K×(forward + multiply + inverse).
-///
-/// Output goes to K caller-owned correlation lanes (`lanes[k]` receives
-/// template k's lags). Each lane is **bit-identical** to an independent
-/// [`StreamingMatchedFilter::with_block_len`] over template k padded to
-/// the bank's template length at the bank's block length: per-lane
-/// arithmetic is exactly the single-engine sequence (conformance-pinned
-/// by the bank tests).
+/// no correlation value), so a block pair costs one forward transform
+/// for all lanes. A beacon template occupies a narrow band, so most bins
+/// of a block's product spectrum are (numerically) zero. Each lane keeps
+/// only its template's band (see [`Decimation`]), separates the block
+/// pair's two blocks there, shifts the band to baseband and
+/// inverse-transforms it at `block_len / D`: lane `k` receives
+/// `b_k(q) = a_k(D·q)·e^{−iω_c·D·q}`, the template-energy normalized
+/// analytic correlation `a_k` (whose real part is the full-rate
+/// correlation) at every `D`-th lag. Per lane that is two `N/D`-point
+/// inverses instead of one `N`-point inverse;
+/// [`Decimation::rebuild_into`] recovers full-rate values where a caller
+/// needs them.
 ///
 /// Band-pass prefilters fold into the templates
-/// ([`StreamingMatchedFilterBank::with_zero_phase_prefilters`]), so a
-/// K-beacon detection pass runs **zero** FIR passes over the input —
-/// `corr(bp(x), tᵢ) = corr(x, bp⋆tᵢ)` moves each beacon's band-pass
-/// into its own lane's template at construction time.
+/// ([`BandLimitedBank::with_zero_phase_prefilters`]), so a K-beacon
+/// detection pass runs no FIR pass over the input.
 ///
-/// The hot methods take `&self`; clones share template spectra and the
-/// FFT plan by `Arc`, so per-worker state is one [`DspScratch`] plus the
-/// lanes. Steady-state calls at warm sizes do not allocate.
+/// The block step is rounded down to a multiple of 16 (the largest
+/// factor), so the block partition is the same for every factor,
+/// decimated index `q` is full-rate lag `D·q` counted from stream start,
+/// chunked ingestion is bit-identical to one-shot, and every lane is
+/// bit-identical to a one-template engine at the same geometry.
+///
+/// The hot methods take `&self`; clones share the template spectra, the
+/// bands and the FFT plans by `Arc`, so per-worker state is one
+/// [`DspScratch`] plus the lanes.
 #[derive(Debug, Clone)]
-pub struct StreamingMatchedFilterBank {
+pub struct BandLimitedBank {
     engine: OverlapSave,
-    /// `Σ x²` of each **original** (pre-fold) template.
-    energies: Vec<f64>,
-    /// `1 / energies[k]`: lane `k`'s normalized-output gain, applied as
-    /// the lags are copied out of the inverse transform.
+    bands: Vec<Arc<Band>>,
     gains: Vec<f64>,
-    /// The shortest signal accepted: the longest original template.
-    /// Folding lengthens the engine's templates by `taps − 1`, but zero
-    /// extension lets any capture that holds one original template
-    /// correlate.
     min_len: usize,
 }
 
-impl StreamingMatchedFilterBank {
+impl BandLimitedBank {
     /// Creates a bank with the default block policy:
     /// `block_len = next_pow2(4 × longest template)`.
     ///
@@ -985,29 +970,12 @@ impl StreamingMatchedFilterBank {
     ///
     /// Returns [`DspError::EmptyInput`] for an empty template list or an
     /// empty template, and [`DspError::InvalidParameter`] for an
-    /// all-zero template.
+    /// all-zero template or a block that leaves fewer than 16 lags.
     pub fn new(templates: &[&[f64]]) -> Result<Self, DspError> {
-        let longest = templates.iter().map(|t| t.len()).max().unwrap_or(0);
-        let block = try_next_pow2(longest.saturating_mul(4))?;
-        Self::with_block_len(templates, block)
-    }
-
-    /// Creates a bank with an explicit FFT block length (power of two,
-    /// at least the longest template's length).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilterBank::new`], plus
-    /// [`DspError::InvalidParameter`] for an invalid `block_len`.
-    pub fn with_block_len(templates: &[&[f64]], block_len: usize) -> Result<Self, DspError> {
-        let energies = Self::validate_templates(templates)?;
-        let engine = OverlapSave::new(templates, block_len, 0)?;
-        Ok(StreamingMatchedFilterBank {
-            min_len: engine.template_len,
-            engine,
-            gains: energies.iter().map(|e| 1.0 / e).collect(),
-            energies,
-        })
+        let energies = template_energies(templates)?;
+        let engine = OverlapSave::new(templates, default_block(templates)?, 0)?;
+        let min_len = engine.template_len;
+        Self::from_engine(&engine, energies.iter().map(|e| 1.0 / e).collect(), min_len)
     }
 
     /// Creates a bank with a zero-phase FIR prefilter folded into each
@@ -1024,238 +992,36 @@ impl StreamingMatchedFilterBank {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`StreamingMatchedFilterBank::new`], plus
+    /// Same conditions as [`BandLimitedBank::new`], plus
     /// [`DspError::EmptyInput`] for an empty taps slice and
     /// [`DspError::InvalidParameter`] for mismatched group delays.
     pub fn with_zero_phase_prefilters(entries: &[(&[f64], &[f64])]) -> Result<Self, DspError> {
-        let templates: Vec<&[f64]> = entries.iter().map(|&(t, _)| t).collect();
-        let energies = Self::validate_templates(&templates)?;
-        let delay = entries
-            .first()
-            .map_or(0, |(_, taps)| taps.len().saturating_sub(1) / 2);
-        let mut folded = Vec::with_capacity(entries.len());
-        for (template, taps) in entries {
-            if taps.is_empty() {
-                return Err(DspError::EmptyInput {
-                    what: "prefilter taps",
-                });
-            }
-            if (taps.len() - 1) / 2 != delay {
-                return Err(DspError::invalid(
-                    "taps",
-                    "all prefilters in a bank must share one group delay",
-                ));
-            }
-            folded.push(fold_zero_phase_taps(template, taps));
-        }
-        let longest = folded.iter().map(Vec::len).max().unwrap_or(0);
-        let block = try_next_pow2(longest.saturating_mul(4))?;
-        let refs: Vec<&[f64]> = folded.iter().map(Vec::as_slice).collect();
-        Ok(StreamingMatchedFilterBank {
-            engine: OverlapSave::new(&refs, block, delay)?,
-            gains: energies.iter().map(|e| 1.0 / e).collect(),
-            energies,
-            min_len: templates.iter().map(|t| t.len()).max().unwrap_or(0),
-        })
+        let (engine, energies) = folded_engine(entries)?;
+        let min_len = entries.iter().map(|(t, _)| t.len()).max().unwrap_or(0);
+        Self::from_engine(&engine, energies.iter().map(|e| 1.0 / e).collect(), min_len)
     }
 
-    /// Per-template emptiness/energy validation; returns the template
-    /// energies.
-    fn validate_templates(templates: &[&[f64]]) -> Result<Vec<f64>, DspError> {
-        if templates.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "template bank",
-            });
-        }
-        templates
-            .iter()
-            .map(|template| {
-                if template.is_empty() {
-                    return Err(DspError::EmptyInput {
-                        what: "matched-filter template",
-                    });
-                }
-                let energy: f64 = template.iter().map(|x| x * x).sum();
-                if energy == 0.0 {
-                    return Err(DspError::invalid("template", "template has zero energy"));
-                }
-                Ok(energy)
-            })
-            .collect()
-    }
-
-    /// Number of templates (correlation lanes).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.energies.len()
-    }
-
-    /// Whether the bank holds no templates (never true once constructed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.energies.is_empty()
-    }
-
-    /// The shared (padded, and for folded banks prefilter-lengthened)
-    /// template length in samples.
-    #[must_use]
-    pub fn template_len(&self) -> usize {
-        self.engine.template_len
-    }
-
-    /// The FFT block length — the peak transform size of every call.
-    #[must_use]
-    pub fn block_len(&self) -> usize {
-        self.engine.block_len()
-    }
-
-    /// Valid correlation lags produced per block
-    /// (`block_len - template_len + 1`).
-    #[must_use]
-    pub fn step(&self) -> usize {
-        self.engine.step()
-    }
-
-    /// The lag-origin offset (folded prefilter group delay).
-    #[must_use]
-    pub fn lead(&self) -> usize {
-        self.engine.lead
-    }
-
-    /// Template FFTs run over this bank's lifetime: exactly one per
-    /// template, at construction. Clones share the spectra by `Arc` and
-    /// report the same count — the observable proof that sharing a bank
-    /// across pool workers never recomputes a template spectrum.
-    #[must_use]
-    pub fn template_fft_count(&self) -> usize {
-        self.engine.specs.len()
-    }
-
-    /// Template `k`'s original (pre-fold) energy `Σ x²`, or `None` out
-    /// of range.
-    #[must_use]
-    pub fn template_energy(&self, k: usize) -> Option<f64> {
-        self.energies.get(k).copied()
-    }
-
-    /// One-shot banked correlation: lane `k` receives exactly the output
-    /// of an independent [`StreamingMatchedFilter`] for template `k` at
-    /// the bank geometry ([`xcorr`] convention), but the input forward
-    /// FFT runs once per block for all lanes. Each lane is cleared and
-    /// refilled; steady-state calls at warm sizes do not allocate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`xcorr`], plus
-    /// [`DspError::InvalidParameter`] when `lanes.len()` differs from
-    /// the bank's template count.
-    pub fn correlate_into(
-        &self,
-        signal: &[f64],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f64>],
-    ) -> Result<(), DspError> {
-        check_signal(self.min_len, signal.len())?;
-        self.engine.run(
-            signal,
-            scratch,
-            &mut Lanes::Full {
-                gains: None,
-                outs: lanes,
-            },
-        )
-    }
-
-    /// [`StreamingMatchedFilterBank::correlate_into`] with each lane
-    /// normalized by its own template's energy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilterBank::correlate_into`].
-    pub fn correlate_normalized_into(
-        &self,
-        signal: &[f64],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f64>],
-    ) -> Result<(), DspError> {
-        check_signal(self.min_len, signal.len())?;
-        self.engine.run(
-            signal,
-            scratch,
-            &mut Lanes::Full {
-                gains: Some(&self.gains),
-                outs: lanes,
-            },
-        )
-    }
-}
-
-/// The band-limited form of a matched-filter bank: the same overlap-save
-/// engine and template spectra, copied out as each lane's decimated
-/// analytic correlation instead of its full-rate real one.
-///
-/// A beacon template occupies a narrow band, so most bins of a block's
-/// product spectrum are (numerically) zero. Each lane keeps only its
-/// template's band (see [`Decimation`]), separates the block pair's two
-/// blocks there, shifts the band to baseband and inverse-transforms it
-/// at `block_len / D`: lane `k` receives `b_k(q) = a_k(D·q)·e^{−iω_c·D·q}`,
-/// the template-energy normalized analytic correlation `a_k` (whose real
-/// part is the full-rate correlation) at every `D`-th lag. A block pair
-/// costs one forward transform plus, per lane, two `N/D`-point inverses
-/// instead of one `N`-point inverse; [`Decimation::rebuild_into`]
-/// recovers full-rate values where a caller needs them.
-///
-/// The block step is rounded down to a multiple of 16 (the largest
-/// factor), so the block partition is the same for every factor, decimated index `q` is
-/// full-rate lag `D·q` counted from stream start, and — as for the
-/// full-rate engine — chunked ingestion is bit-identical to one-shot and
-/// every lane to a one-template band-limited engine.
-#[derive(Debug, Clone)]
-pub struct BandLimitedBank {
-    engine: OverlapSave,
-    bands: Vec<Arc<Band>>,
-    gains: Vec<f64>,
-    min_len: usize,
-}
-
-impl StreamingMatchedFilterBank {
-    /// The band-limited form of this bank, sharing its FFT plan and
-    /// template spectra (no template is transformed again).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] when the block leaves fewer
-    /// than 16 lags per block.
-    pub fn band_limited(&self) -> Result<BandLimitedBank, DspError> {
-        let block = self.engine.block_len();
-        let bands = self
-            .engine
+    /// The band-limited copy-out of `engine` (sharing its plan and
+    /// template spectra) with lane gains `gains`.
+    fn from_engine(
+        engine: &OverlapSave,
+        gains: Vec<f64>,
+        min_len: usize,
+    ) -> Result<Self, DspError> {
+        let block = engine.block_len();
+        let bands = engine
             .specs
             .iter()
             .map(|spec| Band::new(spec, block).map(Arc::new))
             .collect::<Result<_, _>>()?;
         Ok(BandLimitedBank {
-            engine: self.engine.aligned()?,
+            engine: engine.aligned()?,
             bands,
-            gains: self.gains.clone(),
-            min_len: self.min_len,
+            gains,
+            min_len,
         })
     }
-}
 
-impl StreamingMatchedFilter {
-    /// The band-limited form of this filter: a one-lane
-    /// [`BandLimitedBank`] sharing its plan and template spectrum.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilterBank::band_limited`].
-    pub fn band_limited(&self) -> Result<BandLimitedBank, DspError> {
-        self.bank.band_limited()
-    }
-}
-
-impl BandLimitedBank {
     /// The FFT block length — the largest transform of every call.
     #[must_use]
     pub fn block_len(&self) -> usize {
@@ -1269,8 +1035,10 @@ impl BandLimitedBank {
         self.engine.step()
     }
 
-    /// Template FFTs behind this bank: one per template, shared with the
-    /// full-rate bank it was derived from.
+    /// Template FFTs behind this bank: exactly one per template, at
+    /// construction. Clones share the spectra by `Arc` and report the
+    /// same count — the observable proof that sharing a bank across pool
+    /// workers never recomputes a template spectrum.
     #[must_use]
     pub fn template_fft_count(&self) -> usize {
         self.engine.specs.len()
@@ -1407,30 +1175,10 @@ mod tests {
     }
 
     #[test]
-    fn normalized_peak_is_one_for_exact_match() {
-        let template = [0.5, -1.5, 2.5, 0.25, -0.75];
-        let mut signal = vec![0.0; 32];
-        signal[10..15].copy_from_slice(&template);
-        let out = normalized_xcorr(&signal, &template).unwrap();
-        assert!((out[10] - 1.0).abs() < 1e-9);
-        assert_eq!(argmax(&out), 10);
-    }
-
-    #[test]
-    fn normalized_is_gain_invariant() {
-        let template = [1.0, -1.0, 2.0];
-        let mut quiet = vec![0.0; 32];
-        quiet[5..8].copy_from_slice(&[0.01, -0.01, 0.02]);
-        let out = normalized_xcorr(&quiet, &template).unwrap();
-        assert!((out[5] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn rejects_degenerate_inputs() {
         assert!(xcorr(&[], &[1.0]).is_err());
         assert!(xcorr(&[1.0], &[]).is_err());
         assert!(xcorr(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(normalized_xcorr(&[1.0, 2.0], &[0.0]).is_err());
     }
 
     #[test]
@@ -1461,6 +1209,12 @@ mod tests {
         assert!((out[40] - energy).abs() < 1e-9);
     }
 
+    fn correlate(filter: &StreamingMatchedFilter, signal: &[f64]) -> Result<Vec<f64>, DspError> {
+        let mut out = Vec::new();
+        filter.correlate_into(signal, &mut DspScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
     fn assert_bit_close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
         let scale = 1.0 + b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
@@ -1479,9 +1233,9 @@ mod tests {
             .collect();
         let reference = xcorr(&signal, &template).unwrap();
         let filter = StreamingMatchedFilter::new(&template).unwrap();
-        assert_eq!(filter.block_len(), 256); // next_pow2(4 * 37)
-        assert_eq!(filter.step(), 256 - 37 + 1);
-        let streamed = filter.correlate(&signal).unwrap();
+        assert_eq!(filter.engine.block_len(), 256); // next_pow2(4 * 37)
+        assert_eq!(filter.engine.step(), 256 - 37 + 1);
+        let streamed = correlate(&filter, &signal).unwrap();
         assert_bit_close(&streamed, &reference);
     }
 
@@ -1490,8 +1244,8 @@ mod tests {
         let template = [1.0, -2.0, 3.0, -1.0, 0.5];
         let signal: Vec<f64> = (0..7).map(|i| (i as f64 * 0.9).sin()).collect();
         let filter = StreamingMatchedFilter::new(&template).unwrap();
-        assert!(filter.block_len() > signal.len());
-        let streamed = filter.correlate(&signal).unwrap();
+        assert!(filter.engine.block_len() > signal.len());
+        let streamed = correlate(&filter, &signal).unwrap();
         let reference = xcorr(&signal, &template).unwrap();
         assert_bit_close(&streamed, &reference);
     }
@@ -1500,14 +1254,14 @@ mod tests {
     fn streaming_peak_fft_size_is_capture_independent() {
         let template: Vec<f64> = (0..100).map(|i| (i as f64 * 0.2).sin()).collect();
         let filter = StreamingMatchedFilter::new(&template).unwrap();
-        let block = filter.block_len();
+        let block = filter.engine.block_len();
         for &len in &[200usize, 1000, 50_000] {
             let signal: Vec<f64> = (0..len).map(|i| (i as f64 * 0.01).cos()).collect();
             let reference = xcorr(&signal, &template).unwrap();
-            let streamed = filter.correlate(&signal).unwrap();
+            let streamed = correlate(&filter, &signal).unwrap();
             assert_bit_close(&streamed, &reference);
             // Block length is a property of the template alone.
-            assert_eq!(filter.block_len(), block);
+            assert_eq!(filter.engine.block_len(), block);
         }
     }
 
@@ -1523,8 +1277,8 @@ mod tests {
             .correlate_normalized_into(&signal, &mut scratch, &mut out)
             .unwrap();
         assert!((out[4] - 1.0).abs() < 1e-9);
-        assert!((filter.template_energy() - 8.0).abs() < 1e-12);
-        assert_eq!(filter.template_len(), 3);
+        assert!((filter.gain - 1.0 / 8.0).abs() < 1e-12);
+        assert_eq!(filter.engine.template_len, 3);
     }
 
     /// Feeds `signal` through a chunk feed of `bank` in pieces of the
@@ -1544,9 +1298,9 @@ mod tests {
         }
         bank.finish_chunks_into(&mut feed, &mut scratch, &mut lanes)
             .unwrap();
-        assert!(feed.is_finished());
-        assert_eq!(feed.pushed(), signal.len());
-        assert_eq!(feed.emitted(), signal.len());
+        assert!(feed.finished);
+        assert_eq!(feed.pushed, signal.len());
+        assert_eq!(feed.emitted, signal.len());
         lanes
     }
 
@@ -1568,10 +1322,7 @@ mod tests {
         let (templates, signal) = bank_fixtures();
         let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
         let (solo, _) = band_fixture();
-        let bank = StreamingMatchedFilterBank::new(&refs)
-            .unwrap()
-            .band_limited()
-            .unwrap();
+        let bank = BandLimitedBank::new(&refs).unwrap();
         for bank in [solo, bank] {
             let mut reference = vec![Vec::new(); bank.template_fft_count()];
             bank.correlate_into(&signal, &mut DspScratch::new(), &mut reference)
@@ -1663,8 +1414,8 @@ mod tests {
         assert!(StreamingMatchedFilter::with_block_len(&[1.0; 8], 4).is_err());
         assert!(StreamingMatchedFilter::with_block_len(&[1.0; 8], 12).is_err());
         let filter = StreamingMatchedFilter::new(&[1.0, 2.0]).unwrap();
-        assert!(filter.correlate(&[]).is_err());
-        assert!(filter.correlate(&[1.0]).is_err());
+        assert!(correlate(&filter, &[]).is_err());
+        assert!(correlate(&filter, &[1.0]).is_err());
     }
 
     /// Three deterministic templates of *different* lengths plus a long
@@ -1684,65 +1435,9 @@ mod tests {
         (templates, signal)
     }
 
-    /// The bank's conformance contract: every lane is bit-identical to
-    /// an independent `StreamingMatchedFilter` holding the same template
-    /// at the bank's shared geometry (zero-padded to the bank template
-    /// length, same block length) — one-shot, raw and normalized.
-    #[test]
-    fn bank_lanes_bit_identical_to_independent_engines() {
-        let (templates, signal) = bank_fixtures();
-        let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
-        let bank = StreamingMatchedFilterBank::new(&refs).unwrap();
-        assert_eq!(bank.len(), 3);
-        assert!(!bank.is_empty());
-        assert_eq!(bank.template_len(), 61);
-        assert_eq!(bank.block_len(), 256); // next_pow2(4 * 61)
-        assert_eq!(bank.step(), 256 - 61 + 1);
-        assert_eq!(bank.lead(), 0);
-        let mut scratch = DspScratch::new();
-        let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); bank.len()];
-        bank.correlate_into(&signal, &mut scratch, &mut lanes)
-            .unwrap();
-        for (k, template) in templates.iter().enumerate() {
-            let mut padded = template.clone();
-            padded.resize(bank.template_len(), 0.0);
-            let single = StreamingMatchedFilter::with_block_len(&padded, bank.block_len()).unwrap();
-            let mut reference = Vec::new();
-            single
-                .correlate_into(&signal, &mut scratch, &mut reference)
-                .unwrap();
-            assert_eq!(
-                lanes[k], reference,
-                "lane {k} diverged from independent engine"
-            );
-            // Zero-padding leaves the energy untouched, so the
-            // normalized lane is bit-identical too.
-            assert_eq!(
-                bank.template_energy(k).unwrap(),
-                single.template_energy(),
-                "lane {k} energy"
-            );
-        }
-        let raw = lanes.clone();
-        bank.correlate_normalized_into(&signal, &mut scratch, &mut lanes)
-            .unwrap();
-        for (k, template) in templates.iter().enumerate() {
-            let mut padded = template.clone();
-            padded.resize(bank.template_len(), 0.0);
-            let single = StreamingMatchedFilter::with_block_len(&padded, bank.block_len()).unwrap();
-            let mut reference = Vec::new();
-            single
-                .correlate_normalized_into(&signal, &mut scratch, &mut reference)
-                .unwrap();
-            assert_eq!(lanes[k], reference, "normalized lane {k}");
-            assert_ne!(lanes[k], raw[k]);
-        }
-        assert!(bank.template_energy(3).is_none());
-    }
-
     /// Folded-prefilter bank: each lane bit-identical to an independent
-    /// folded engine. Equal-length templates give both paths the same
-    /// geometry automatically.
+    /// folded band-limited engine. Equal-length templates give both
+    /// paths the same geometry automatically.
     #[test]
     fn bank_folded_prefilters_match_independent_folded_engines() {
         let templates: Vec<Vec<f64>> = [(0.40, 0.09), (0.23, 0.31), (0.57, 0.13), (0.71, 0.05)]
@@ -1778,29 +1473,29 @@ mod tests {
             .zip(&taps)
             .map(|(t, h)| (t.as_slice(), h.as_slice()))
             .collect();
-        let bank = StreamingMatchedFilterBank::with_zero_phase_prefilters(&entries).unwrap();
-        assert_eq!(bank.lead(), 15);
-        assert_eq!(bank.template_len(), 48 + 31 - 1);
+        let bank = BandLimitedBank::with_zero_phase_prefilters(&entries).unwrap();
+        assert_eq!(bank.engine.lead, 15);
+        assert_eq!(bank.engine.template_len, 48 + 31 - 1);
         let mut scratch = DspScratch::new();
-        let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); bank.len()];
-        bank.correlate_normalized_into(&signal, &mut scratch, &mut lanes)
+        let mut lanes: Vec<Vec<Complex>> = vec![Vec::new(); bank.template_fft_count()];
+        bank.correlate_into(&signal, &mut scratch, &mut lanes)
             .unwrap();
         for (k, (template, tap)) in templates.iter().zip(&taps).enumerate() {
-            let single = StreamingMatchedFilter::with_zero_phase_prefilter(template, tap).unwrap();
-            assert_eq!(single.block_len(), bank.block_len());
-            assert_eq!(single.template_len(), bank.template_len());
-            let mut reference = Vec::new();
-            single
-                .correlate_normalized_into(&signal, &mut scratch, &mut reference)
+            let single = StreamingMatchedFilter::with_zero_phase_prefilter(template, tap)
+                .unwrap()
+                .band_limited()
                 .unwrap();
-            assert_eq!(lanes[k], reference, "folded lane {k}");
+            assert_eq!(single.block_len(), bank.block_len());
+            assert_eq!(single.step(), bank.step());
+            assert_eq!(single.decimation(0), bank.decimation(k));
+            let mut reference = vec![Vec::new()];
+            single
+                .correlate_into(&signal, &mut scratch, &mut reference)
+                .unwrap();
+            assert_eq!(lanes[k], reference[0], "folded lane {k}");
         }
-        // The chunked band-limited folded bank honours the shared lead.
-        let band = bank.band_limited().unwrap();
-        let mut reference = vec![Vec::new(); bank.len()];
-        band.correlate_into(&signal, &mut scratch, &mut reference)
-            .unwrap();
-        assert_eq!(run_chunked(&band, &signal, &[113]), reference);
+        // The chunked folded bank honours the shared lead.
+        assert_eq!(run_chunked(&bank, &signal, &[113]), lanes);
     }
 
     /// The folded f64 single engine itself must reproduce band-pass →
@@ -1822,18 +1517,19 @@ mod tests {
         let reference = xcorr(&filtered, &template).unwrap();
         let folded =
             StreamingMatchedFilter::with_zero_phase_prefilter(&template, bp.taps()).unwrap();
-        assert_eq!(folded.template_len(), template.len() + bp.taps().len() - 1);
-        let streamed = folded.correlate(&signal).unwrap();
+        let folded_len = folded.engine.template_len;
+        assert_eq!(folded_len, template.len() + bp.taps().len() - 1);
+        let streamed = correlate(&folded, &signal).unwrap();
         assert_eq!(streamed.len(), reference.len());
-        let full = signal.len() - folded.template_len() + 1;
+        let full = signal.len() - folded_len + 1;
         assert_bit_close(&streamed[..full], &reference[..full]);
         // Folding lengthens the engine template, not the shortest signal
         // accepted: one original template's worth still correlates, one
         // sample less does not — full-rate, band-limited and chunked
         // alike.
         let short = &signal[..template.len()];
-        assert_eq!(folded.correlate(short).unwrap().len(), template.len());
-        assert!(folded.correlate(&short[1..]).is_err());
+        assert_eq!(correlate(&folded, short).unwrap().len(), template.len());
+        assert!(correlate(&folded, &short[1..]).is_err());
         let band = folded.band_limited().unwrap();
         let mut scratch = DspScratch::new();
         let mut out = vec![Vec::new()];
@@ -1858,12 +1554,16 @@ mod tests {
     fn bank_clone_shares_template_spectra() {
         let (templates, _) = bank_fixtures();
         let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
-        let bank = StreamingMatchedFilterBank::new(&refs).unwrap();
+        let bank = BandLimitedBank::new(&refs).unwrap();
         assert_eq!(bank.template_fft_count(), 3);
         let clone = bank.clone();
-        // A clone reuses the Arc'd spectra — no new template FFTs.
+        // A clone reuses the Arc'd spectra and bands — no new template
+        // FFTs, no new band plans.
         assert_eq!(clone.template_fft_count(), 3);
         for (a, b) in bank.engine.specs.iter().zip(&clone.engine.specs) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        for (a, b) in bank.bands.iter().zip(&clone.bands) {
             assert!(Arc::ptr_eq(a, b));
         }
         assert!(Arc::ptr_eq(&bank.engine.plan, &clone.engine.plan));
@@ -1871,42 +1571,27 @@ mod tests {
 
     #[test]
     fn bank_rejects_degenerate_inputs() {
-        assert!(StreamingMatchedFilterBank::new(&[]).is_err());
-        assert!(StreamingMatchedFilterBank::new(&[&[1.0, 2.0][..], &[][..]]).is_err());
-        assert!(StreamingMatchedFilterBank::new(&[&[1.0][..], &[0.0, 0.0][..]]).is_err());
-        assert!(StreamingMatchedFilterBank::with_block_len(&[&[1.0; 8][..]], 4).is_err());
-        assert!(StreamingMatchedFilterBank::with_block_len(&[&[1.0; 8][..]], 12).is_err());
+        assert!(BandLimitedBank::new(&[]).is_err());
+        assert!(BandLimitedBank::new(&[&[1.0, 2.0][..], &[][..]]).is_err());
+        assert!(BandLimitedBank::new(&[&[1.0][..], &[0.0, 0.0][..]]).is_err());
         // Mismatched prefilter group delays are rejected.
-        assert!(StreamingMatchedFilterBank::with_zero_phase_prefilters(&[
+        assert!(BandLimitedBank::with_zero_phase_prefilters(&[
             (&[1.0, 2.0][..], &[0.2, 0.6, 0.2][..]),
             (&[1.0, 2.0][..], &[0.1, 0.2, 0.4, 0.2, 0.1][..]),
         ])
         .is_err());
-        assert!(StreamingMatchedFilterBank::with_zero_phase_prefilters(&[]).is_err());
-        assert!(
-            StreamingMatchedFilterBank::with_zero_phase_prefilters(&[(&[1.0][..], &[][..])])
-                .is_err()
-        );
+        assert!(BandLimitedBank::with_zero_phase_prefilters(&[]).is_err());
+        assert!(BandLimitedBank::with_zero_phase_prefilters(&[(&[1.0][..], &[][..])]).is_err());
 
-        let bank = StreamingMatchedFilterBank::new(&[&[1.0, 2.0][..], &[2.0, -1.0][..]]).unwrap();
+        let band = BandLimitedBank::new(&[&[1.0; 8][..], &[2.0, -1.0][..]]).unwrap();
         let mut scratch = DspScratch::new();
-        let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); 2];
-        assert!(bank.correlate_into(&[], &mut scratch, &mut lanes).is_err());
-        assert!(bank
-            .correlate_into(&[1.0], &mut scratch, &mut lanes)
+        let mut lanes: Vec<Vec<Complex>> = vec![Vec::new(); 2];
+        assert!(band.correlate_into(&[], &mut scratch, &mut lanes).is_err());
+        assert!(band
+            .correlate_into(&[1.0; 7], &mut scratch, &mut lanes)
             .is_err());
         // Mis-sized lane sets are rejected everywhere.
-        let mut short: Vec<Vec<f64>> = vec![Vec::new(); 1];
-        assert!(bank
-            .correlate_into(&[1.0; 16], &mut scratch, &mut short)
-            .is_err());
-        let band =
-            StreamingMatchedFilterBank::with_block_len(&[&[1.0, 2.0][..], &[2.0, -1.0][..]], 64)
-                .unwrap()
-                .band_limited()
-                .unwrap();
         let mut short: Vec<Vec<Complex>> = vec![Vec::new(); 1];
-        let mut lanes: Vec<Vec<Complex>> = vec![Vec::new(); 2];
         assert!(band
             .correlate_into(&[1.0; 16], &mut scratch, &mut short)
             .is_err());

@@ -9,160 +9,21 @@
 
 use crate::DspError;
 
-/// Delays `signal` by an integer number of samples, zero-filling the front.
-///
-/// The output has the same length as the input; samples pushed past the end
-/// are dropped.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty signal.
-///
-/// # Example
-///
-/// ```
-/// let out = hyperear_dsp::delay::delay_integer(&[1.0, 2.0, 3.0, 4.0], 2).unwrap();
-/// assert_eq!(out, vec![0.0, 0.0, 1.0, 2.0]);
-/// ```
-pub fn delay_integer(signal: &[f64], samples: usize) -> Result<Vec<f64>, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput {
-            what: "delay input",
-        });
-    }
-    let n = signal.len();
-    let mut out = vec![0.0; n];
-    if samples < n {
-        out[samples..].copy_from_slice(&signal[..n - samples]);
-    }
-    Ok(out)
-}
-
-/// Delays `signal` by a (possibly fractional, possibly > 1) number of
-/// samples using a Hann-windowed sinc kernel.
-///
-/// `kernel_half_width` controls reconstruction quality; 16 gives ≈-80 dB
-/// interpolation error for band-limited content, plenty below the 16-bit
-/// quantization floor.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty signal and
-/// [`DspError::InvalidParameter`] for a negative delay or zero kernel width.
-pub fn delay_fractional(
-    signal: &[f64],
-    delay_samples: f64,
-    kernel_half_width: usize,
-) -> Result<Vec<f64>, DspError> {
-    delay_fractional_into_len(signal, delay_samples, kernel_half_width, signal.len())
-}
-
-/// Mixes `addend`, delayed by `delay_samples` and scaled by `gain`, into
-/// `accumulator` in place.
-///
-/// This is the inner operation of multipath rendering: each image source
-/// contributes one delayed, attenuated copy of the beacon.
-///
-/// # Errors
-///
-/// Same conditions as [`delay_fractional`]; additionally the accumulator
-/// must be at least as long as the addend contribution is (it is simply
-/// truncated otherwise, never an error).
-pub fn mix_delayed(
-    accumulator: &mut [f64],
-    addend: &[f64],
-    delay_samples: f64,
-    gain: f64,
-    kernel_half_width: usize,
-) -> Result<(), DspError> {
-    if accumulator.is_empty() {
-        return Err(DspError::EmptyInput {
-            what: "mix accumulator",
-        });
-    }
-    let delayed =
-        delay_fractional_into_len(addend, delay_samples, kernel_half_width, accumulator.len())?;
-    for (a, d) in accumulator.iter_mut().zip(delayed.iter()) {
-        *a += gain * d;
-    }
-    Ok(())
-}
-
-/// Like [`delay_fractional`] but renders into an output of length
-/// `out_len`, so short sources can be delayed into long recordings.
-///
-/// # Errors
-///
-/// Same conditions as [`delay_fractional`].
-pub fn delay_fractional_into_len(
-    signal: &[f64],
-    delay_samples: f64,
-    kernel_half_width: usize,
-    out_len: usize,
-) -> Result<Vec<f64>, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput {
-            what: "delay input",
-        });
-    }
-    if delay_samples < 0.0 {
-        return Err(DspError::invalid(
-            "delay_samples",
-            format!("delay must be non-negative, got {delay_samples}"),
-        ));
-    }
-    if kernel_half_width == 0 {
-        return Err(DspError::invalid("kernel_half_width", "must be positive"));
-    }
-    let int_part = delay_samples.floor();
-    let frac = delay_samples - int_part;
-    let int_delay = int_part as usize;
-    let n = signal.len();
-    let mut out = vec![0.0; out_len];
-
-    if frac.abs() < 1e-12 {
-        for (i, &v) in signal.iter().enumerate() {
-            if let Some(o) = out.get_mut(i + int_delay) {
-                *o = v;
-            }
-        }
-        return Ok(out);
-    }
-
-    let hw = kernel_half_width as isize;
-    let mut kernel = Vec::with_capacity((2 * hw + 1) as usize);
-    for k in -hw..=hw {
-        let x = k as f64 - frac;
-        let w = 0.5 + 0.5 * (std::f64::consts::PI * x / (hw as f64 + 1.0)).cos();
-        let w = if x.abs() > hw as f64 + 1.0 { 0.0 } else { w };
-        kernel.push(sinc(x) * w);
-    }
-    for (i, o) in out.iter_mut().enumerate() {
-        let base = i as isize - int_delay as isize;
-        let mut acc = 0.0;
-        for (j, &kv) in kernel.iter().enumerate() {
-            let idx = base - (j as isize - hw);
-            if idx >= 0 && (idx as usize) < n {
-                acc += signal[idx as usize] * kv;
-            }
-        }
-        *o = acc;
-    }
-    Ok(out)
-}
-
 /// Mixes `addend`, delayed by `delay_samples` and scaled by `gain`, into
 /// `accumulator`, touching only the local output window.
 ///
-/// Functionally identical to [`mix_delayed`] but costs
-/// `O(addend.len() · kernel)` instead of `O(accumulator.len() · kernel)`,
-/// which matters when inserting many short beacons into a long recording
-/// (the simulator's hot path). Contributions past the accumulator end are
-/// silently dropped (the event ran off the recording).
+/// A windowed-sinc fractional delay (integer delays are exact copies)
+/// that costs `O(addend.len() · kernel)` rather than
+/// `O(accumulator.len() · kernel)`, which matters when inserting many
+/// short beacons into a long recording (the simulator's hot path).
+/// Contributions past the accumulator end are silently dropped (the
+/// event ran off the recording).
 ///
 /// # Errors
 ///
-/// Same conditions as [`delay_fractional`].
+/// Returns [`DspError::EmptyInput`] for an empty accumulator or addend
+/// and [`DspError::InvalidParameter`] for a negative delay or a zero
+/// kernel half-width.
 pub fn mix_delayed_local(
     accumulator: &mut [f64],
     addend: &[f64],
@@ -243,22 +104,17 @@ mod tests {
     use crate::correlate::xcorr;
     use crate::interpolate::parabolic_peak;
 
-    #[test]
-    fn integer_delay_shifts_exactly() {
-        let out = delay_integer(&[1.0, 2.0, 3.0, 4.0, 5.0], 3).unwrap();
-        assert_eq!(out, vec![0.0, 0.0, 0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn integer_delay_past_end_yields_zeros() {
-        let out = delay_integer(&[1.0, 2.0], 5).unwrap();
-        assert_eq!(out, vec![0.0, 0.0]);
+    /// `signal` delayed by `delay` samples into `len` zeroed samples.
+    fn delayed(signal: &[f64], delay: f64, half_width: usize, len: usize) -> Vec<f64> {
+        let mut out = vec![0.0; len];
+        mix_delayed_local(&mut out, signal, delay, 1.0, half_width).unwrap();
+        out
     }
 
     #[test]
     fn zero_delay_is_identity() {
         let signal = vec![1.0, -2.0, 3.0];
-        assert_eq!(delay_fractional(&signal, 0.0, 8).unwrap(), signal);
+        assert_eq!(delayed(&signal, 0.0, 8, signal.len()), signal);
     }
 
     #[test]
@@ -271,7 +127,7 @@ mod tests {
         let tone: Vec<f64> = (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * f * i as f64 / fs).sin())
             .collect();
-        let delayed = delay_fractional(&tone, 2.5, 16).unwrap();
+        let delayed = delayed(&tone, 2.5, 16, n);
         for (i, &d) in delayed.iter().enumerate().take(n - 64).skip(64) {
             let truth = (2.0 * std::f64::consts::PI * f * (i as f64 - 2.5) / fs).sin();
             assert!((d - truth).abs() < 1e-4, "at {i}: {d} vs {truth}");
@@ -282,10 +138,17 @@ mod tests {
     fn fractional_delay_is_measurable_by_correlation() {
         // The round-trip that matters for HyperEar: render a fractional
         // delay, then recover it with matched filter + parabolic peak.
-        let chirp = crate::chirp::Chirp::hyperear_beacon(44_100.0).unwrap();
+        let chirp = crate::chirp::Chirp::new(
+            2_000.0,
+            6_400.0,
+            0.04,
+            44_100.0,
+            crate::chirp::ChirpShape::UpDown,
+        )
+        .unwrap();
         let m = chirp.samples().len();
         let true_delay = 100.37;
-        let rendered = delay_fractional_into_len(chirp.samples(), true_delay, 16, m + 256).unwrap();
+        let rendered = delayed(chirp.samples(), true_delay, 16, m + 256);
         let corr = xcorr(&rendered, chirp.samples()).unwrap();
         let peak = corr
             .iter()
@@ -301,51 +164,9 @@ mod tests {
     }
 
     #[test]
-    fn mix_delayed_accumulates() {
-        let mut acc = vec![0.0; 10];
-        mix_delayed(&mut acc, &[1.0, 1.0], 2.0, 0.5, 8).unwrap();
-        mix_delayed(&mut acc, &[1.0, 1.0], 4.0, 0.25, 8).unwrap();
-        assert!((acc[2] - 0.5).abs() < 1e-12);
-        assert!((acc[3] - 0.5).abs() < 1e-12);
-        assert!((acc[4] - 0.25).abs() < 1e-12);
-        assert!((acc[5] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn into_len_extends_output() {
-        let out = delay_fractional_into_len(&[1.0, 2.0], 3.0, 8, 8).unwrap();
+        let out = delayed(&[1.0, 2.0], 3.0, 8, 8);
         assert_eq!(out, vec![0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn invalid_inputs_rejected() {
-        assert!(delay_integer(&[], 1).is_err());
-        assert!(delay_fractional(&[1.0], -0.5, 8).is_err());
-        assert!(delay_fractional(&[1.0], 0.5, 0).is_err());
-        assert!(delay_fractional(&[], 0.5, 8).is_err());
-        assert!(delay_fractional_into_len(&[], 0.5, 8, 4).is_err());
-        let mut empty: Vec<f64> = vec![];
-        assert!(mix_delayed(&mut empty, &[1.0], 0.0, 1.0, 8).is_err());
-    }
-
-    #[test]
-    fn local_mix_matches_full_mix() {
-        let chirp = crate::chirp::Chirp::hyperear_beacon(44_100.0).unwrap();
-        let n = 6000;
-        for delay in [100.0, 250.37, 999.99, 4000.5] {
-            let mut full = vec![0.0; n];
-            mix_delayed(&mut full, chirp.samples(), delay, 0.7, 16).unwrap();
-            let mut local = vec![0.0; n];
-            mix_delayed_local(&mut local, chirp.samples(), delay, 0.7, 16).unwrap();
-            for i in 0..n {
-                assert!(
-                    (full[i] - local[i]).abs() < 1e-9,
-                    "delay {delay}, sample {i}: {} vs {}",
-                    full[i],
-                    local[i]
-                );
-            }
-        }
     }
 
     #[test]
@@ -376,10 +197,17 @@ mod tests {
 
     #[test]
     fn energy_roughly_preserved_by_fractional_delay() {
-        let chirp = crate::chirp::Chirp::hyperear_beacon(44_100.0).unwrap();
+        let chirp = crate::chirp::Chirp::new(
+            2_000.0,
+            6_400.0,
+            0.04,
+            44_100.0,
+            crate::chirp::ChirpShape::UpDown,
+        )
+        .unwrap();
         let m = chirp.samples().len();
         let e_in: f64 = chirp.samples().iter().map(|x| x * x).sum();
-        let out = delay_fractional_into_len(chirp.samples(), 10.63, 16, m + 64).unwrap();
+        let out = delayed(chirp.samples(), 10.63, 16, m + 64);
         let e_out: f64 = out.iter().map(|x| x * x).sum();
         assert!((e_out - e_in).abs() / e_in < 0.01, "{e_out} vs {e_in}");
     }

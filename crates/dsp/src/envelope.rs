@@ -15,22 +15,14 @@ use crate::plan::{with_thread_ctx, DspScratch, PlanCache};
 use crate::{Complex, DspError};
 
 /// Computes the analytic signal of `x` via the frequency-domain Hilbert
-/// construction (negative frequencies zeroed, positive doubled).
-///
-/// Returns one complex sample per input sample; the imaginary part is the
+/// construction (negative frequencies zeroed, positive doubled) into
+/// `out` (cleared and refilled; it grows to the padded power-of-two
+/// length), with the FFT plan from `plans`. The imaginary part is the
 /// Hilbert transform of the input.
 ///
 /// # Errors
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal.
-pub fn analytic_signal(x: &[f64]) -> Result<Vec<Complex>, DspError> {
-    let mut out = Vec::new();
-    with_thread_ctx(|plans, _| analytic_signal_into(x, plans, &mut out))?;
-    Ok(out)
-}
-
-/// [`analytic_signal`] into `out` (cleared and refilled; it grows to the
-/// padded power-of-two length), with the FFT plan from `plans`.
 fn analytic_signal_into(
     x: &[f64],
     plans: &mut PlanCache,
@@ -112,6 +104,12 @@ pub fn envelope_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn analytic_signal(x: &[f64]) -> Result<Vec<Complex>, DspError> {
+        let mut out = Vec::new();
+        analytic_signal_into(x, &mut PlanCache::new(), &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn envelope_of_tone_is_flat() {

@@ -59,7 +59,7 @@ impl std::error::Error for DspError {}
 
 impl DspError {
     /// Convenience constructor for [`DspError::InvalidParameter`].
-    pub fn invalid(name: &'static str, reason: impl Into<String>) -> Self {
+    pub(crate) fn invalid(name: &'static str, reason: impl Into<String>) -> Self {
         DspError::InvalidParameter {
             name,
             reason: reason.into(),

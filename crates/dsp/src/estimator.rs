@@ -12,7 +12,7 @@
 //! - [`CorrelationSpectrum::gcc_phat_into`] — GCC-PHAT-style spectral
 //!   whitening with a configurable magnitude floor. Each half-spectrum
 //!   bin is divided by `max(|R(f)|, floor · max|R|)^β` (β =
-//!   [`PHAT_BETA`], partial whitening), equalizing the band's
+//!   β = 0.5, partial whitening), equalizing the band's
 //!   contribution and sharpening the correlation main lobe — the classic
 //!   defence against multipath-induced lobe smearing. The floor bounds
 //!   the whitening gain so near-empty bins cannot amplify noise without
@@ -75,12 +75,6 @@ pub struct EstimatorScratch {
 }
 
 impl EstimatorScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Total heap capacity currently held, in bytes.
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
@@ -88,19 +82,6 @@ impl EstimatorScratch {
             + (self.band_power.capacity() + self.band_sort.capacity()) * std::mem::size_of::<f64>()
     }
 }
-
-/// Partial-whitening exponent for [`CorrelationSpectrum::gcc_phat_into`]
-/// (PHAT-β).
-///
-/// Full phase-only whitening (β = 1) of a *periodic* beacon train
-/// manufactures ghost images one beacon period before/after the real
-/// arrivals — the phase-only spectrum of a pulse train is a comb, and its
-/// inverse transform rings at the comb period at ≈ 0.36 of the main-peak
-/// amplitude, enough to clear the detector's relative threshold on clean
-/// input. β = 0.5 keeps the square root of the magnitude spectrum, which
-/// damps the images below 0.21 of the main peak while retaining most of
-/// the lobe sharpening that makes PHAT robust under multipath.
-pub const PHAT_BETA: f64 = 0.5;
 
 /// The forward half-spectrum of one correlation sequence: the shared
 /// first half of both weighting estimators.
@@ -120,13 +101,6 @@ pub struct CorrelationSpectrum {
 }
 
 impl CorrelationSpectrum {
-    /// An empty spectrum; the bin buffer grows on the first
-    /// [`CorrelationSpectrum::compute`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Replaces the spectrum with the forward transform of `corr`. On
     /// error the spectrum is left empty.
     ///
@@ -134,7 +108,8 @@ impl CorrelationSpectrum {
     ///
     /// [`DspError::EmptyInput`] when `corr` is empty.
     pub fn compute(&mut self, corr: &[f64]) -> Result<(), DspError> {
-        self.clear();
+        self.bins.clear();
+        self.corr_len = 0;
         if corr.is_empty() {
             return Err(DspError::EmptyInput {
                 what: "correlation spectrum",
@@ -147,30 +122,11 @@ impl CorrelationSpectrum {
         Ok(())
     }
 
-    /// Forgets the spectrum, keeping the bin buffer's capacity.
-    pub fn clear(&mut self) {
-        self.bins.clear();
-        self.corr_len = 0;
-    }
-
-    /// Whether no spectrum has been computed since construction or the
-    /// last [`CorrelationSpectrum::clear`].
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.corr_len == 0
-    }
-
-    /// Heap capacity held by the bin buffer, in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.bins.capacity() * std::mem::size_of::<Complex>()
-    }
-
     /// Writes the correlation whitened with a floored PHAT-β weight into
     /// `out` (cleared and refilled to the correlation's length).
     ///
     /// Each half-spectrum bin is divided by
-    /// `max(|R(f)|, floor · max_f|R(f)|)^β` (β = [`PHAT_BETA`]), then the
+    /// `max(|R(f)|, floor · max_f|R(f)|)^β` (β = 0.5), then the
     /// sequence is inverse-transformed back to the lag domain. The
     /// weight is computed from the bin power `|R(f)|²`
     /// (`max(|R|², eps²)^(−1/4)`), so no bin pays for an
@@ -254,7 +210,7 @@ impl CorrelationSpectrum {
     }
 
     fn check_computed(&self, what: &'static str) -> Result<(), DspError> {
-        if self.is_empty() {
+        if self.corr_len == 0 {
             return Err(DspError::EmptyInput { what });
         }
         Ok(())
@@ -313,7 +269,7 @@ fn phat_weighted(
     let eps = floor * max_power.sqrt();
     let eps_sq = eps * eps;
     half.clear();
-    // PHAT_BETA = 0.5: divide by the floored magnitude's square root,
+    // β = 0.5: divide by the floored magnitude's square root,
     // i.e. by the fourth root of the floored power.
     half.extend(
         bins.iter()
@@ -408,13 +364,6 @@ pub struct AnalyticSpectrum {
 }
 
 impl AnalyticSpectrum {
-    /// An empty spectrum; the bin buffer grows on the first
-    /// [`AnalyticSpectrum::compute`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Replaces the spectrum with the forward transform of `seq`
     /// zero-padded to the next power of two. On error the spectrum is
     /// left empty.
@@ -765,7 +714,14 @@ mod tests {
     use crate::plan::DspScratch;
 
     fn beacon_corr(positions: &[f64], n: usize, noise_seed: u64) -> Vec<f64> {
-        let chirp = Chirp::hyperear_beacon(44_100.0).expect("chirp");
+        let chirp = Chirp::new(
+            2_000.0,
+            6_400.0,
+            0.04,
+            44_100.0,
+            crate::chirp::ChirpShape::UpDown,
+        )
+        .expect("chirp");
         let mut signal = vec![0.0f64; n];
         for &p in positions {
             crate::delay::mix_delayed_local(&mut signal, chirp.samples(), p, 1.0, 16).expect("mix");
@@ -805,10 +761,10 @@ mod tests {
             &mut Vec<f64>,
         ) -> Result<bool, DspError>,
     ) -> Result<Vec<f64>, DspError> {
-        let mut spectrum = CorrelationSpectrum::new();
+        let mut spectrum = CorrelationSpectrum::default();
         spectrum.compute(corr)?;
         let mut out = Vec::new();
-        let applied = weigh(&spectrum, &mut EstimatorScratch::new(), &mut out)?;
+        let applied = weigh(&spectrum, &mut EstimatorScratch::default(), &mut out)?;
         Ok(if applied { out } else { corr.to_vec() })
     }
 
@@ -838,11 +794,11 @@ mod tests {
 
     #[test]
     fn phat_all_zero_is_graceful_noop() {
-        let mut spectrum = CorrelationSpectrum::new();
+        let mut spectrum = CorrelationSpectrum::default();
         spectrum.compute(&[0.0f64; 4_096]).expect("spectrum");
         let mut out = vec![7.0];
         let applied = spectrum
-            .gcc_phat_into(0.15, &mut EstimatorScratch::new(), &mut out)
+            .gcc_phat_into(0.15, &mut EstimatorScratch::default(), &mut out)
             .expect("no-op");
         assert!(!applied);
         assert_eq!(out, vec![7.0], "a no-op leaves the output untouched");
@@ -856,8 +812,8 @@ mod tests {
         assert!(phat(&[], 0.15).is_err());
         // Weighting a spectrum that was never computed is typed too.
         let mut out = Vec::new();
-        assert!(CorrelationSpectrum::new()
-            .gcc_phat_into(0.15, &mut EstimatorScratch::new(), &mut out)
+        assert!(CorrelationSpectrum::default()
+            .gcc_phat_into(0.15, &mut EstimatorScratch::default(), &mut out)
             .is_err());
     }
 
@@ -875,7 +831,7 @@ mod tests {
 
     #[test]
     fn coherence_all_zero_is_graceful_noop() {
-        let mut spectrum = CorrelationSpectrum::new();
+        let mut spectrum = CorrelationSpectrum::default();
         spectrum.compute(&[0.0f64; 4_096]).expect("spectrum");
         let mut out = Vec::new();
         let applied = spectrum
@@ -884,7 +840,7 @@ mod tests {
                 1_800.0,
                 7_040.0,
                 8,
-                &mut EstimatorScratch::new(),
+                &mut EstimatorScratch::default(),
                 &mut out,
             )
             .expect("no-op");
@@ -958,8 +914,8 @@ mod tests {
         // shrinkage means the next large call would.
         let big = beacon_corr(&[3_000.0, 15_000.0], 20_000, 29);
         let small = beacon_corr(&[3_000.0], 9_000, 31);
-        let mut spectrum = CorrelationSpectrum::new();
-        let mut scratch = EstimatorScratch::new();
+        let mut spectrum = CorrelationSpectrum::default();
+        let mut scratch = EstimatorScratch::default();
         let mut out = Vec::new();
         let mut run_all = |corr: &[f64], bands: usize| {
             spectrum.compute(corr).expect("spectrum");
@@ -971,7 +927,7 @@ mod tests {
                 .expect("coherence"));
             assert_eq!(out.len(), corr.len());
             (
-                spectrum.capacity_bytes(),
+                spectrum.bins.capacity(),
                 scratch.half.capacity(),
                 scratch.band_power.capacity(),
                 scratch.band_sort.capacity(),

@@ -2,7 +2,7 @@
 //!
 //! The transform is the workhorse behind [`crate::correlate`] (matched
 //! filtering of chirp beacons) and [`crate::spectrum`]. Sizes must be powers
-//! of two; [`next_pow2`] helps choose a padded length.
+//! of two; [`try_next_pow2`] chooses a padded length.
 //!
 //! The functions here are one-shot conveniences: each call borrows the
 //! thread-local plan cache ([`crate::plan::with_thread_ctx`]), so repeated
@@ -29,31 +29,10 @@
 //! # }
 //! ```
 
-use crate::plan::{with_thread_ctx, DspScratch, PlanCache};
+use crate::plan::with_thread_ctx;
 use crate::{Complex, DspError};
 
-/// Returns the smallest power of two greater than or equal to `n`.
-///
-/// Returns 1 for `n == 0`.
-///
-/// # Panics
-///
-/// Panics if no `usize` power of two can hold `n` (i.e.
-/// `n > usize::MAX/2 + 1`). Fallible call sites — anything deriving a pad
-/// length from caller-controlled input — should use [`try_next_pow2`].
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(hyperear_dsp::fft::next_pow2(1000), 1024);
-/// assert_eq!(hyperear_dsp::fft::next_pow2(1024), 1024);
-/// ```
-#[must_use]
-pub fn next_pow2(n: usize) -> usize {
-    try_next_pow2(n).expect("next_pow2 overflow")
-}
-
-/// Fallible form of [`next_pow2`]: the padded FFT length for `n`, or
+/// The padded FFT length for `n` (the smallest power of two `>= n`), or
 /// [`DspError::InvalidParameter`] when `n` exceeds the largest `usize`
 /// power of two (`usize::MAX/2 + 1`), where `next_power_of_two` would
 /// panic in debug builds and silently wrap to 0 in release builds.
@@ -131,46 +110,6 @@ pub fn rfft(signal: &[f64], padded_len: usize) -> Result<Vec<Complex>, DspError>
     Ok(buf)
 }
 
-/// Inverse FFT returning only the real parts.
-///
-/// Intended for spectra known to be conjugate-symmetric (i.e. spectra of
-/// real signals); the discarded imaginary parts are then numerical noise.
-///
-/// The complex working copy lives in the thread-local scratch, so the
-/// only allocation per call is the returned vector; [`irfft_with`] is the
-/// fully allocation-free form.
-///
-/// # Errors
-///
-/// Same conditions as [`ifft`].
-pub fn irfft(spectrum: &[Complex]) -> Result<Vec<f64>, DspError> {
-    let mut out = Vec::with_capacity(spectrum.len());
-    with_thread_ctx(|plans, scratch| irfft_with(spectrum, plans, scratch, &mut out))?;
-    Ok(out)
-}
-
-/// Planned form of [`irfft`]: identical output, with the complex working
-/// copy in `scratch` and the result written into `out` (cleared and
-/// refilled; capacity reused), so steady-state calls at warm sizes do not
-/// allocate.
-///
-/// # Errors
-///
-/// Same conditions as [`ifft`].
-pub fn irfft_with(
-    spectrum: &[Complex],
-    plans: &mut PlanCache,
-    scratch: &mut DspScratch,
-    out: &mut Vec<f64>,
-) -> Result<(), DspError> {
-    scratch.c1.clear();
-    scratch.c1.extend_from_slice(spectrum);
-    plans.plan(spectrum.len())?.ifft(&mut scratch.c1)?;
-    out.clear();
-    out.extend(scratch.c1.iter().map(|c| c.re));
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,7 +136,7 @@ mod tests {
     #[test]
     fn impulse_has_flat_spectrum() {
         let mut data = vec![Complex::ZERO; 16];
-        data[0] = Complex::ONE;
+        data[0] = Complex::from_real(1.0);
         fft(&mut data).unwrap();
         for v in &data {
             assert_close(v.re, 1.0, 1e-12);
@@ -265,23 +204,13 @@ mod tests {
     }
 
     #[test]
-    fn irfft_round_trip() {
-        let signal: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
-        let spec = rfft(&signal, 64).unwrap();
-        let back = irfft(&spec).unwrap();
-        for (a, b) in back.iter().zip(&signal) {
-            assert_close(*a, *b, 1e-10);
-        }
-    }
-
-    #[test]
     fn next_pow2_boundaries() {
-        assert_eq!(next_pow2(0), 1);
-        assert_eq!(next_pow2(1), 1);
-        assert_eq!(next_pow2(2), 2);
-        assert_eq!(next_pow2(3), 4);
-        assert_eq!(next_pow2(4096), 4096);
-        assert_eq!(next_pow2(4097), 8192);
+        assert_eq!(try_next_pow2(0).unwrap(), 1);
+        assert_eq!(try_next_pow2(1).unwrap(), 1);
+        assert_eq!(try_next_pow2(2).unwrap(), 2);
+        assert_eq!(try_next_pow2(3).unwrap(), 4);
+        assert_eq!(try_next_pow2(4096).unwrap(), 4096);
+        assert_eq!(try_next_pow2(4097).unwrap(), 8192);
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Biquad {
 
     /// Processes one sample, updating the filter state.
     #[inline]
-    pub fn process(&mut self, x: f64) -> f64 {
+    pub(crate) fn process(&mut self, x: f64) -> f64 {
         let y = self.b0 * x + self.b1 * self.x1 + self.b2 * self.x2
             - self.a1 * self.y1
             - self.a2 * self.y2;
@@ -128,69 +128,6 @@ impl Biquad {
     /// Processes a block of samples, returning a new vector.
     pub fn process_block(&mut self, signal: &[f64]) -> Vec<f64> {
         signal.iter().map(|&x| self.process(x)).collect()
-    }
-
-    /// Resets the filter state to zero without changing coefficients.
-    pub fn reset(&mut self) {
-        self.x1 = 0.0;
-        self.x2 = 0.0;
-        self.y1 = 0.0;
-        self.y2 = 0.0;
-    }
-
-    /// Magnitude response at `freq_hz`.
-    #[must_use]
-    pub fn response_at(&self, freq_hz: f64, sample_rate: f64) -> f64 {
-        use crate::Complex;
-        let omega = 2.0 * std::f64::consts::PI * freq_hz / sample_rate;
-        let z1 = Complex::from_angle(-omega);
-        let z2 = z1 * z1;
-        let num = Complex::from_real(self.b0) + z1 * self.b1 + z2 * self.b2;
-        let den = Complex::ONE + z1 * self.a1 + z2 * self.a2;
-        (num / den).abs()
-    }
-}
-
-/// A cascade of biquad sections applied in sequence.
-///
-/// Cascading second-order sections is the numerically robust way to build
-/// higher-order IIR responses.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BiquadCascade {
-    sections: Vec<Biquad>,
-}
-
-impl BiquadCascade {
-    /// Creates a cascade from individual sections.
-    #[must_use]
-    pub fn new(sections: Vec<Biquad>) -> Self {
-        BiquadCascade { sections }
-    }
-
-    /// Processes one sample through every section in order.
-    pub fn process(&mut self, x: f64) -> f64 {
-        self.sections.iter_mut().fold(x, |acc, s| s.process(acc))
-    }
-
-    /// Processes a block of samples.
-    pub fn process_block(&mut self, signal: &[f64]) -> Vec<f64> {
-        signal.iter().map(|&x| self.process(x)).collect()
-    }
-
-    /// Resets all section states.
-    pub fn reset(&mut self) {
-        for s in &mut self.sections {
-            s.reset();
-        }
-    }
-
-    /// Magnitude response of the whole cascade at `freq_hz`.
-    #[must_use]
-    pub fn response_at(&self, freq_hz: f64, sample_rate: f64) -> f64 {
-        self.sections
-            .iter()
-            .map(|s| s.response_at(freq_hz, sample_rate))
-            .product()
     }
 }
 
@@ -213,7 +150,7 @@ mod tests {
         let fs = 44_100.0;
         let mut lp = Biquad::design(BiquadKind::LowPass, 1_000.0, fs, 0.707).unwrap();
         let low = lp.process_block(&tone(100.0, fs, 8192));
-        lp.reset();
+        let mut lp = Biquad::design(BiquadKind::LowPass, 1_000.0, fs, 0.707).unwrap();
         let high = lp.process_block(&tone(10_000.0, fs, 8192));
         assert!(rms(&low[2000..]) > 0.6);
         assert!(rms(&high[2000..]) < 0.05);
@@ -224,7 +161,7 @@ mod tests {
         let fs = 44_100.0;
         let mut hp = Biquad::design(BiquadKind::HighPass, 2_000.0, fs, 0.707).unwrap();
         let low = hp.process_block(&tone(100.0, fs, 8192));
-        hp.reset();
+        let mut hp = Biquad::design(BiquadKind::HighPass, 2_000.0, fs, 0.707).unwrap();
         let high = hp.process_block(&tone(10_000.0, fs, 8192));
         assert!(rms(&low[2000..]) < 0.05);
         assert!(rms(&high[2000..]) > 0.6);
@@ -233,50 +170,25 @@ mod tests {
     #[test]
     fn band_pass_peaks_at_center() {
         let fs = 44_100.0;
-        let bp = Biquad::design(BiquadKind::BandPass, 4_000.0, fs, 1.0).unwrap();
-        let center = bp.response_at(4_000.0, fs);
-        assert!((center - 1.0).abs() < 1e-9);
-        assert!(bp.response_at(500.0, fs) < 0.3);
-        assert!(bp.response_at(16_000.0, fs) < 0.3);
+        // Steady-state gain of a unit tone (RMS 1/√2) at `f`.
+        let gain = |f: f64| {
+            let mut bp = Biquad::design(BiquadKind::BandPass, 4_000.0, fs, 1.0).unwrap();
+            rms(&bp.process_block(&tone(f, fs, 8192))[2000..]) * std::f64::consts::SQRT_2
+        };
+        assert!((gain(4_000.0) - 1.0).abs() < 0.01);
+        assert!(gain(500.0) < 0.3);
+        assert!(gain(16_000.0) < 0.3);
     }
 
     #[test]
     fn notch_nulls_center_frequency() {
         let fs = 44_100.0;
-        let notch = Biquad::design(BiquadKind::Notch, 4_000.0, fs, 5.0).unwrap();
-        assert!(notch.response_at(4_000.0, fs) < 1e-9);
-        assert!(notch.response_at(400.0, fs) > 0.9);
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let fs = 44_100.0;
-        let mut lp = Biquad::design(BiquadKind::LowPass, 1_000.0, fs, 0.707).unwrap();
-        let first = lp.process_block(&tone(500.0, fs, 64));
-        lp.reset();
-        let second = lp.process_block(&tone(500.0, fs, 64));
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn cascade_multiplies_responses() {
-        let fs = 44_100.0;
-        let s1 = Biquad::design(BiquadKind::LowPass, 3_000.0, fs, 0.707).unwrap();
-        let s2 = Biquad::design(BiquadKind::HighPass, 300.0, fs, 0.707).unwrap();
-        let expected = s1.response_at(1_000.0, fs) * s2.response_at(1_000.0, fs);
-        let cascade = BiquadCascade::new(vec![s1, s2]);
-        assert!((cascade.response_at(1_000.0, fs) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cascade_processes_in_order() {
-        let fs = 44_100.0;
-        let lp = Biquad::design(BiquadKind::LowPass, 2_000.0, fs, 0.707).unwrap();
-        let mut cascade = BiquadCascade::new(vec![lp.clone(), lp]);
-        let out = cascade.process_block(&tone(8_000.0, fs, 8192));
-        // Double low-pass should attenuate more than a single one.
-        assert!(rms(&out[2000..]) < 0.02);
-        cascade.reset();
+        let gain = |f: f64| {
+            let mut notch = Biquad::design(BiquadKind::Notch, 4_000.0, fs, 5.0).unwrap();
+            rms(&notch.process_block(&tone(f, fs, 16_384))[8_000..]) * std::f64::consts::SQRT_2
+        };
+        assert!(gain(4_000.0) < 1e-3);
+        assert!(gain(400.0) > 0.9);
     }
 
     #[test]
@@ -285,11 +197,5 @@ mod tests {
         assert!(Biquad::design(BiquadKind::LowPass, 30_000.0, 44_100.0, 0.7).is_err());
         assert!(Biquad::design(BiquadKind::LowPass, 100.0, 44_100.0, 0.0).is_err());
         assert!(Biquad::design(BiquadKind::LowPass, 100.0, 0.0, 0.7).is_err());
-    }
-
-    #[test]
-    fn default_cascade_is_passthrough() {
-        let mut c = BiquadCascade::default();
-        assert_eq!(c.process(1.25), 1.25);
     }
 }

@@ -40,62 +40,10 @@ impl FirFilter {
     /// # Errors
     ///
     /// Returns [`DspError::EmptyInput`] if `taps` is empty.
-    pub fn from_taps(taps: Vec<f64>) -> Result<Self, DspError> {
+    pub(crate) fn from_taps(taps: Vec<f64>) -> Result<Self, DspError> {
         if taps.is_empty() {
             return Err(DspError::EmptyInput { what: "FIR taps" });
         }
-        Ok(FirFilter { taps })
-    }
-
-    /// Designs a low-pass filter with the given cut-off frequency.
-    ///
-    /// `num_taps` should be odd for an exactly linear-phase type-I design;
-    /// even values are bumped up by one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `cutoff_hz` is not in
-    /// `(0, fs/2)` or `num_taps == 0`.
-    pub fn low_pass(
-        cutoff_hz: f64,
-        sample_rate: f64,
-        num_taps: usize,
-        window: Window,
-    ) -> Result<Self, DspError> {
-        validate_freq("cutoff_hz", cutoff_hz, sample_rate)?;
-        let n = odd_taps(num_taps)?;
-        let fc = cutoff_hz / sample_rate;
-        let mid = (n - 1) as f64 / 2.0;
-        let mut taps: Vec<f64> = (0..n)
-            .map(|i| {
-                let x = i as f64 - mid;
-                2.0 * fc * sinc(2.0 * fc * x) * window.value(i, n)
-            })
-            .collect();
-        // Normalize DC gain to exactly 1.
-        let sum: f64 = taps.iter().sum();
-        for t in &mut taps {
-            *t /= sum;
-        }
-        Ok(FirFilter { taps })
-    }
-
-    /// Designs a high-pass filter via spectral inversion of a low-pass.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FirFilter::low_pass`].
-    pub fn high_pass(
-        cutoff_hz: f64,
-        sample_rate: f64,
-        num_taps: usize,
-        window: Window,
-    ) -> Result<Self, DspError> {
-        let lp = FirFilter::low_pass(cutoff_hz, sample_rate, num_taps, window)?;
-        let n = lp.taps.len();
-        let mid = (n - 1) / 2;
-        let mut taps: Vec<f64> = lp.taps.iter().map(|t| -t).collect();
-        taps[mid] += 1.0;
         Ok(FirFilter { taps })
     }
 
@@ -142,38 +90,6 @@ impl FirFilter {
         &self.taps
     }
 
-    /// The group delay of this (symmetric) filter, in samples.
-    #[must_use]
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() - 1) as f64 / 2.0
-    }
-
-    /// Causal convolution of `signal` with the filter, same-length output.
-    ///
-    /// The output is delayed by [`FirFilter::group_delay`] samples relative
-    /// to the input; use [`FirFilter::filter_zero_phase`] when timing must
-    /// be preserved.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] if `signal` is empty.
-    pub fn filter(&self, signal: &[f64]) -> Result<Vec<f64>, DspError> {
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput { what: "FIR input" });
-        }
-        let mut out = vec![0.0; signal.len()];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (k, &t) in self.taps.iter().enumerate() {
-                if let Some(j) = i.checked_sub(k) {
-                    acc += t * signal[j];
-                }
-            }
-            *o = acc;
-        }
-        Ok(out)
-    }
-
     /// Zero-phase filtering: convolves and shifts back by the group delay.
     ///
     /// For a symmetric (linear-phase) filter this leaves event timing
@@ -195,7 +111,7 @@ impl FirFilter {
     /// # Errors
     ///
     /// Returns [`DspError::EmptyInput`] if `signal` is empty.
-    pub fn filter_zero_phase_into(
+    pub(crate) fn filter_zero_phase_into(
         &self,
         signal: &[f64],
         out: &mut Vec<f64>,
@@ -262,20 +178,6 @@ impl FirFilter {
         }
         acc
     }
-
-    /// Magnitude of the filter's frequency response at `freq_hz`.
-    ///
-    /// Evaluated directly from the taps; useful for verifying designs.
-    #[must_use]
-    pub fn response_at(&self, freq_hz: f64, sample_rate: f64) -> f64 {
-        let omega = 2.0 * std::f64::consts::PI * freq_hz / sample_rate;
-        let (mut re, mut im) = (0.0, 0.0);
-        for (k, &t) in self.taps.iter().enumerate() {
-            re += t * (omega * k as f64).cos();
-            im -= t * (omega * k as f64).sin();
-        }
-        re.hypot(im)
-    }
 }
 
 /// FFT-accelerated zero-phase FIR application via overlap-save blocks.
@@ -325,13 +227,6 @@ impl ZeroPhaseFir {
         })
     }
 
-    /// The FFT block length — the peak transform size of every call,
-    /// independent of signal length.
-    #[must_use]
-    pub fn block_len(&self) -> usize {
-        self.core.block_len()
-    }
-
     /// Zero-phase filtering into a caller-owned buffer (cleared and
     /// reused); same output convention as
     /// [`FirFilter::filter_zero_phase_into`]. Steady-state calls at warm
@@ -349,14 +244,8 @@ impl ZeroPhaseFir {
         if signal.is_empty() {
             return Err(DspError::EmptyInput { what: "FIR input" });
         }
-        self.core.run(
-            signal,
-            scratch,
-            &mut Lanes::Full {
-                gains: None,
-                outs: std::slice::from_mut(out),
-            },
-        )
+        self.core
+            .run(signal, scratch, &mut Lanes::Full { gain: 1.0, out })
     }
 }
 
@@ -408,17 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn low_pass_passes_low_and_rejects_high() {
-        let fs = 44_100.0;
-        let lp = FirFilter::low_pass(2_000.0, fs, 101, Window::Hamming).unwrap();
-        let low = lp.filter_zero_phase(&tone(500.0, fs, 4096)).unwrap();
-        let high = lp.filter_zero_phase(&tone(10_000.0, fs, 4096)).unwrap();
-        // Compare interior RMS to avoid edge effects.
-        assert!(rms(&low[500..3500]) > 0.6);
-        assert!(rms(&high[500..3500]) < 0.02);
-    }
-
-    #[test]
     fn band_pass_isolates_chirp_band() {
         let fs = 44_100.0;
         let bp = FirFilter::band_pass(2_000.0, 6_400.0, fs, 127, Window::Hamming).unwrap();
@@ -434,19 +312,9 @@ mod tests {
     }
 
     #[test]
-    fn high_pass_complements_low_pass() {
-        let fs = 44_100.0;
-        let hp = FirFilter::high_pass(2_000.0, fs, 101, Window::Hamming).unwrap();
-        let low = hp.filter_zero_phase(&tone(300.0, fs, 4096)).unwrap();
-        let high = hp.filter_zero_phase(&tone(8_000.0, fs, 4096)).unwrap();
-        assert!(rms(&low[500..3500]) < 0.03);
-        assert!(rms(&high[500..3500]) > 0.6);
-    }
-
-    #[test]
     fn zero_phase_preserves_pulse_position() {
         let fs = 44_100.0;
-        let lp = FirFilter::low_pass(5_000.0, fs, 61, Window::Hamming).unwrap();
+        let lp = FirFilter::band_pass(500.0, 5_000.0, fs, 61, Window::Hamming).unwrap();
         let mut signal = vec![0.0; 1024];
         signal[400] = 1.0;
         let out = lp.filter_zero_phase(&signal).unwrap();
@@ -460,57 +328,24 @@ mod tests {
     }
 
     #[test]
-    fn causal_filter_delays_by_group_delay() {
-        let fs = 44_100.0;
-        let lp = FirFilter::low_pass(5_000.0, fs, 61, Window::Hamming).unwrap();
-        let mut signal = vec![0.0; 1024];
-        signal[400] = 1.0;
-        let out = lp.filter(&signal).unwrap();
-        let peak = out
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap()
-            .0;
-        assert_eq!(peak, 400 + 30);
-        assert_eq!(lp.group_delay(), 30.0);
-    }
-
-    #[test]
-    fn dc_gain_of_low_pass_is_unity() {
-        let lp = FirFilter::low_pass(1_000.0, 44_100.0, 81, Window::Hamming).unwrap();
-        let sum: f64 = lp.taps().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert!((lp.response_at(0.0, 44_100.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn response_at_band_center_is_near_unity() {
-        let bp = FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, 127, Window::Hamming).unwrap();
-        let g = bp.response_at(4_200.0, 44_100.0);
-        assert!((g - 1.0).abs() < 0.05, "band-center gain was {g}");
-    }
-
-    #[test]
     fn invalid_parameters_are_rejected() {
-        assert!(FirFilter::low_pass(0.0, 44_100.0, 11, Window::Hann).is_err());
-        assert!(FirFilter::low_pass(30_000.0, 44_100.0, 11, Window::Hann).is_err());
-        assert!(FirFilter::low_pass(100.0, 44_100.0, 0, Window::Hann).is_err());
+        assert!(FirFilter::band_pass(0.0, 1_000.0, 44_100.0, 11, Window::Hann).is_err());
+        assert!(FirFilter::band_pass(100.0, 30_000.0, 44_100.0, 11, Window::Hann).is_err());
+        assert!(FirFilter::band_pass(100.0, 1_000.0, 44_100.0, 0, Window::Hann).is_err());
         assert!(FirFilter::band_pass(5_000.0, 2_000.0, 44_100.0, 11, Window::Hann).is_err());
-        assert!(FirFilter::low_pass(100.0, -1.0, 11, Window::Hann).is_err());
+        assert!(FirFilter::band_pass(100.0, 1_000.0, -1.0, 11, Window::Hann).is_err());
         assert!(FirFilter::from_taps(vec![]).is_err());
     }
 
     #[test]
     fn even_tap_requests_are_bumped_to_odd() {
-        let lp = FirFilter::low_pass(1_000.0, 44_100.0, 10, Window::Hann).unwrap();
+        let lp = FirFilter::band_pass(500.0, 1_000.0, 44_100.0, 10, Window::Hann).unwrap();
         assert_eq!(lp.taps().len() % 2, 1);
     }
 
     #[test]
     fn empty_signal_is_rejected() {
-        let lp = FirFilter::low_pass(1_000.0, 44_100.0, 11, Window::Hann).unwrap();
-        assert!(lp.filter(&[]).is_err());
+        let lp = FirFilter::band_pass(500.0, 1_000.0, 44_100.0, 11, Window::Hann).unwrap();
         assert!(lp.filter_zero_phase(&[]).is_err());
         assert!(lp.filter_zero_phase_into(&[], &mut Vec::new()).is_err());
     }
@@ -532,7 +367,7 @@ mod tests {
             .collect();
         let direct = bp.filter_zero_phase(&signal).unwrap();
         let engine = ZeroPhaseFir::new(&bp).unwrap();
-        assert_eq!(engine.block_len(), 512); // next_pow2(4 * 127)
+        assert_eq!(engine.core.block_len(), 512); // next_pow2(4 * 127)
         let mut scratch = DspScratch::new();
         let mut out = Vec::new();
         engine.filter_into(&signal, &mut scratch, &mut out).unwrap();
@@ -556,7 +391,7 @@ mod tests {
 
     #[test]
     fn fft_zero_phase_handles_short_signals_and_rejects_empty() {
-        let lp = FirFilter::low_pass(5_000.0, 44_100.0, 61, Window::Hamming).unwrap();
+        let lp = FirFilter::band_pass(500.0, 5_000.0, 44_100.0, 61, Window::Hamming).unwrap();
         let engine = ZeroPhaseFir::new(&lp).unwrap();
         let mut scratch = DspScratch::new();
         let mut out = Vec::new();
@@ -591,7 +426,7 @@ mod tests {
         };
         let designs = [
             FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, 127, Window::Hamming).unwrap(),
-            FirFilter::low_pass(5_000.0, 44_100.0, 61, Window::Hann).unwrap(),
+            FirFilter::band_pass(500.0, 5_000.0, 44_100.0, 61, Window::Hann).unwrap(),
             FirFilter::from_taps(vec![0.25, -0.5, 1.0, -0.5, 0.25, 0.1]).unwrap(),
             FirFilter::from_taps(vec![1.0]).unwrap(),
         ];

@@ -1,76 +1,24 @@
 //! Goertzel single-bin DFT.
 //!
-//! Cheaper than an FFT when only one frequency matters — e.g. probing
-//! whether a recording window contains beacon energy at all before paying
-//! for a full matched-filter pass.
+//! Cheaper than an FFT when only one frequency matters — the phase of
+//! one tone across channels, for phase-tracking direction finding.
 
 use crate::DspError;
-
-/// Power of `signal` at the single frequency `freq_hz`, computed with the
-/// Goertzel recurrence.
-///
-/// Returns the squared magnitude of the DFT bin nearest `freq_hz`,
-/// normalized by the signal length so values are comparable across window
-/// sizes.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty signal and
-/// [`DspError::InvalidParameter`] if `freq_hz` is outside `[0, fs/2]`.
-///
-/// # Example
-///
-/// ```
-/// let fs = 8_000.0;
-/// let tone: Vec<f64> = (0..800)
-///     .map(|i| (2.0 * std::f64::consts::PI * 1_000.0 * i as f64 / fs).sin())
-///     .collect();
-/// let p = hyperear_dsp::goertzel::goertzel_power(&tone, 1_000.0, fs).unwrap();
-/// let q = hyperear_dsp::goertzel::goertzel_power(&tone, 3_000.0, fs).unwrap();
-/// assert!(p > 100.0 * q);
-/// ```
-pub fn goertzel_power(signal: &[f64], freq_hz: f64, sample_rate: f64) -> Result<f64, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput {
-            what: "goertzel input",
-        });
-    }
-    if sample_rate <= 0.0 {
-        return Err(DspError::invalid("sample_rate", "must be positive"));
-    }
-    if !(0.0..=sample_rate / 2.0).contains(&freq_hz) {
-        return Err(DspError::invalid(
-            "freq_hz",
-            format!("must be in [0, {}], got {freq_hz}", sample_rate / 2.0),
-        ));
-    }
-    let n = signal.len();
-    let k = (0.5 + n as f64 * freq_hz / sample_rate).floor();
-    let omega = 2.0 * std::f64::consts::PI * k / n as f64;
-    let coeff = 2.0 * omega.cos();
-    let (mut s1, mut s2) = (0.0, 0.0);
-    for &x in signal {
-        let s0 = x + coeff * s1 - s2;
-        s2 = s1;
-        s1 = s0;
-    }
-    let power = s1 * s1 + s2 * s2 - coeff * s1 * s2;
-    Ok(power / (n as f64 * n as f64 / 4.0))
-}
 
 /// Complex DFT bin of `signal` at the frequency nearest `freq_hz`:
 /// `(re, im)`, amplitude-normalized by `n/2` so a unit on-bin tone has
 /// magnitude ≈ 1 regardless of window length.
 ///
-/// This is the phase-aware sibling of [`goertzel_power`]
-/// (`re² + im²` equals the power it reports): phase-tracking direction
-/// finding compares `atan2(im, re)` across channels, where the
-/// inter-channel phase difference `Δφ = 2π·f·τ` encodes the pair delay
-/// `τ` — the Swadloon construction.
+/// `re² + im²` is the bin's power. Phase-tracking direction finding
+/// compares `atan2(im, re)` across channels, where the inter-channel
+/// phase difference `Δφ = 2π·f·τ` encodes the pair delay `τ` — the
+/// Swadloon construction.
 ///
 /// # Errors
 ///
-/// Same conditions as [`goertzel_power`].
+/// Returns [`DspError::EmptyInput`] for an empty signal and
+/// [`DspError::InvalidParameter`] for a non-positive sample rate or a
+/// frequency outside `[0, fs/2]`.
 pub fn goertzel_bin(
     signal: &[f64],
     freq_hz: f64,
@@ -107,32 +55,6 @@ pub fn goertzel_bin(
     Ok((re / half_n, im / half_n))
 }
 
-/// Phase (radians, in `(−π, π]`) of the DFT bin nearest `freq_hz`.
-///
-/// # Errors
-///
-/// Same conditions as [`goertzel_power`].
-pub fn goertzel_phase(signal: &[f64], freq_hz: f64, sample_rate: f64) -> Result<f64, DspError> {
-    let (re, im) = goertzel_bin(signal, freq_hz, sample_rate)?;
-    Ok(im.atan2(re))
-}
-
-/// Scans a set of probe frequencies and returns the per-frequency powers.
-///
-/// # Errors
-///
-/// Same conditions as [`goertzel_power`]; fails on the first invalid probe.
-pub fn goertzel_scan(
-    signal: &[f64],
-    freqs_hz: &[f64],
-    sample_rate: f64,
-) -> Result<Vec<f64>, DspError> {
-    freqs_hz
-        .iter()
-        .map(|&f| goertzel_power(signal, f, sample_rate))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,12 +65,24 @@ mod tests {
             .collect()
     }
 
+    /// The bin's power `|X(f)|²` (normalized by `n²/4`).
+    fn power(signal: &[f64], freq: f64, fs: f64) -> f64 {
+        let (re, im) = goertzel_bin(signal, freq, fs).unwrap();
+        re * re + im * im
+    }
+
+    /// The bin's phase, radians.
+    fn phase(signal: &[f64], freq: f64, fs: f64) -> f64 {
+        let (re, im) = goertzel_bin(signal, freq, fs).unwrap();
+        im.atan2(re)
+    }
+
     #[test]
     fn detects_matching_tone() {
         let fs = 44_100.0;
         let signal = tone(4_000.0, fs, 4410);
-        let on = goertzel_power(&signal, 4_000.0, fs).unwrap();
-        let off = goertzel_power(&signal, 9_000.0, fs).unwrap();
+        let on = power(&signal, 4_000.0, fs);
+        let off = power(&signal, 9_000.0, fs);
         assert!(on > 1000.0 * off, "on {on} off {off}");
     }
 
@@ -157,8 +91,8 @@ mod tests {
         let fs = 8_000.0;
         let s1 = tone(1_000.0, fs, 1600);
         let s2: Vec<f64> = s1.iter().map(|x| 2.0 * x).collect();
-        let p1 = goertzel_power(&s1, 1_000.0, fs).unwrap();
-        let p2 = goertzel_power(&s2, 1_000.0, fs).unwrap();
+        let p1 = power(&s1, 1_000.0, fs);
+        let p2 = power(&s2, 1_000.0, fs);
         assert!((p2 / p1 - 4.0).abs() < 0.01);
     }
 
@@ -167,39 +101,16 @@ mod tests {
         // With the n²/4 normalization a unit-amplitude on-bin tone yields ~1.
         let fs = 8_000.0;
         let signal = tone(1_000.0, fs, 1600);
-        let p = goertzel_power(&signal, 1_000.0, fs).unwrap();
+        let p = power(&signal, 1_000.0, fs);
         assert!((p - 1.0).abs() < 0.05, "power {p}");
     }
 
     #[test]
-    fn scan_orders_results_by_probe() {
-        let fs = 8_000.0;
-        let signal = tone(1_000.0, fs, 1600);
-        let powers = goertzel_scan(&signal, &[500.0, 1_000.0, 2_000.0], fs).unwrap();
-        assert_eq!(powers.len(), 3);
-        assert!(powers[1] > powers[0]);
-        assert!(powers[1] > powers[2]);
-    }
-
-    #[test]
     fn rejects_bad_inputs() {
-        assert!(goertzel_power(&[], 100.0, 8_000.0).is_err());
-        assert!(goertzel_power(&[1.0], -5.0, 8_000.0).is_err());
-        assert!(goertzel_power(&[1.0], 5_000.0, 8_000.0).is_err());
-        assert!(goertzel_power(&[1.0], 100.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn bin_magnitude_matches_power() {
-        let fs = 8_000.0;
-        let signal = tone(1_000.0, fs, 1600);
-        let p = goertzel_power(&signal, 1_000.0, fs).unwrap();
-        let (re, im) = goertzel_bin(&signal, 1_000.0, fs).unwrap();
-        assert!(
-            (re * re + im * im - p).abs() < 1e-9,
-            "{} vs {p}",
-            re * re + im * im
-        );
+        assert!(goertzel_bin(&[], 100.0, 8_000.0).is_err());
+        assert!(goertzel_bin(&[1.0], -5.0, 8_000.0).is_err());
+        assert!(goertzel_bin(&[1.0], 5_000.0, 8_000.0).is_err());
+        assert!(goertzel_bin(&[1.0], 100.0, 0.0).is_err());
     }
 
     #[test]
@@ -216,8 +127,8 @@ mod tests {
         let b: Vec<f64> = (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * f * (i as f64 / fs - tau)).sin())
             .collect();
-        let pa = goertzel_phase(&a, f, fs).unwrap();
-        let pb = goertzel_phase(&b, f, fs).unwrap();
+        let pa = phase(&a, f, fs);
+        let pb = phase(&b, f, fs);
         let mut dphi = pa - pb;
         while dphi > std::f64::consts::PI {
             dphi -= std::f64::consts::TAU;
@@ -236,12 +147,12 @@ mod tests {
     fn bin_rejects_bad_inputs() {
         assert!(goertzel_bin(&[], 100.0, 8_000.0).is_err());
         assert!(goertzel_bin(&[1.0], 5_000.0, 8_000.0).is_err());
-        assert!(goertzel_phase(&[1.0], 100.0, 0.0).is_err());
+        assert!(goertzel_bin(&[1.0], 100.0, 0.0).is_err());
     }
 
     #[test]
     fn silence_has_zero_power() {
-        let p = goertzel_power(&[0.0; 256], 1_000.0, 8_000.0).unwrap();
+        let p = power(&[0.0; 256], 1_000.0, 8_000.0);
         assert_eq!(p, 0.0);
     }
 }

@@ -88,7 +88,7 @@ pub fn parabolic_peak(y: &[f64], peak: usize) -> Result<(f64, f64), DspError> {
 /// Returns [`DspError::EmptyInput`] for an empty signal and
 /// [`DspError::InvalidParameter`] if `t` lies outside `[0, len-1]` or
 /// `half_width` is zero.
-pub fn sinc_interpolate(y: &[f64], t: f64, half_width: usize) -> Result<f64, DspError> {
+pub(crate) fn sinc_interpolate(y: &[f64], t: f64, half_width: usize) -> Result<f64, DspError> {
     if y.is_empty() {
         return Err(DspError::EmptyInput {
             what: "sinc_interpolate input",
@@ -162,31 +162,6 @@ pub fn sinc_peak(y: &[f64], peak: usize, half_width: usize) -> Result<(f64, f64)
     }
     let t = 0.5 * (lo + hi);
     Ok((t, f(t)))
-}
-
-/// Linear interpolation of `y` at fractional index `t`.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidParameter`] if `t` is outside `[0, len-1]`.
-pub fn linear_interpolate(y: &[f64], t: f64) -> Result<f64, DspError> {
-    if y.is_empty() {
-        return Err(DspError::EmptyInput {
-            what: "linear_interpolate input",
-        });
-    }
-    if !(0.0..=(y.len() - 1) as f64).contains(&t) {
-        return Err(DspError::invalid(
-            "t",
-            format!("position {t} outside signal of length {}", y.len()),
-        ));
-    }
-    let i = t.floor() as usize;
-    if i + 1 >= y.len() {
-        return Ok(y[y.len() - 1]);
-    }
-    let frac = t - i as f64;
-    Ok(y[i] * (1.0 - frac) + y[i + 1] * frac)
 }
 
 /// How a band-limited correlation was decimated, and the short fixed
@@ -480,16 +455,6 @@ mod tests {
         assert!(val <= 1.0 + 1e-6);
         let integer_err = (integer_peak as f64 - center).abs();
         assert!((pos - center).abs() < integer_err);
-    }
-
-    #[test]
-    fn linear_interpolation_midpoints() {
-        let y = vec![0.0, 2.0, 4.0];
-        assert_eq!(linear_interpolate(&y, 0.5).unwrap(), 1.0);
-        assert_eq!(linear_interpolate(&y, 1.25).unwrap(), 2.5);
-        assert_eq!(linear_interpolate(&y, 2.0).unwrap(), 4.0);
-        assert!(linear_interpolate(&y, 2.5).is_err());
-        assert!(linear_interpolate(&[], 0.0).is_err());
     }
 
     #[test]

@@ -1,30 +1,10 @@
-//! Signal level, decibel and SNR utilities.
+//! Signal power and decibel utilities.
 //!
 //! Fig. 19 of the paper sweeps environments by signal-to-noise ratio
 //! (> 15 dB quiet room down to 3 dB busy mall); the simulator uses these
-//! helpers to scale noise to an exact target SNR, and the pipeline uses
-//! them to report measured SNR.
+//! helpers to scale noise to an exact target SNR.
 
 use crate::DspError;
-
-/// Root-mean-square level of a signal.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty signal.
-///
-/// # Example
-///
-/// ```
-/// let r = hyperear_dsp::level::rms(&[3.0, -3.0, 3.0, -3.0]).unwrap();
-/// assert!((r - 3.0).abs() < 1e-12);
-/// ```
-pub fn rms(signal: &[f64]) -> Result<f64, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput { what: "rms input" });
-    }
-    Ok((signal.iter().map(|x| x * x).sum::<f64>() / signal.len() as f64).sqrt())
-}
 
 /// Mean power (mean square) of a signal.
 ///
@@ -40,66 +20,10 @@ pub fn power(signal: &[f64]) -> Result<f64, DspError> {
     Ok(signal.iter().map(|x| x * x).sum::<f64>() / signal.len() as f64)
 }
 
-/// Converts a power ratio to decibels: `10·log10(ratio)`.
-#[must_use]
-pub fn power_ratio_to_db(ratio: f64) -> f64 {
-    10.0 * ratio.log10()
-}
-
 /// Converts decibels to a power ratio: `10^(db/10)`.
 #[must_use]
 pub fn db_to_power_ratio(db: f64) -> f64 {
     10f64.powf(db / 10.0)
-}
-
-/// Converts an amplitude ratio to decibels: `20·log10(ratio)`.
-#[must_use]
-pub fn amplitude_ratio_to_db(ratio: f64) -> f64 {
-    20.0 * ratio.log10()
-}
-
-/// Converts decibels to an amplitude ratio: `10^(db/20)`.
-#[must_use]
-pub fn db_to_amplitude_ratio(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
-/// Signal-to-noise ratio in dB given separate signal and noise traces.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if either trace is empty and
-/// [`DspError::InvalidParameter`] if the noise has zero power.
-pub fn snr_db(signal: &[f64], noise: &[f64]) -> Result<f64, DspError> {
-    let ps = power(signal)?;
-    let pn = power(noise)?;
-    if pn == 0.0 {
-        return Err(DspError::invalid("noise", "noise power is zero"));
-    }
-    Ok(power_ratio_to_db(ps / pn))
-}
-
-/// Gain to apply to `noise` so that `signal + gain·noise` has the target
-/// SNR in dB.
-///
-/// # Errors
-///
-/// Same conditions as [`snr_db`].
-pub fn noise_gain_for_snr(
-    signal: &[f64],
-    noise: &[f64],
-    target_snr_db: f64,
-) -> Result<f64, DspError> {
-    let ps = power(signal)?;
-    let pn = power(noise)?;
-    if pn == 0.0 {
-        return Err(DspError::invalid("noise", "noise power is zero"));
-    }
-    if ps == 0.0 {
-        return Err(DspError::invalid("signal", "signal power is zero"));
-    }
-    // target = 10·log10(ps / (g²·pn))  ⇒  g = sqrt(ps / (pn·10^(t/10)))
-    Ok((ps / (pn * db_to_power_ratio(target_snr_db))).sqrt())
 }
 
 #[cfg(test)]
@@ -107,63 +31,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rms_of_constant() {
-        assert!((rms(&[2.0; 16]).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rms_of_sine_is_amplitude_over_sqrt2() {
-        let signal: Vec<f64> = (0..10_000)
-            .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 100.0).sin())
-            .collect();
-        let r = rms(&signal).unwrap();
-        assert!((r - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3);
-    }
-
-    #[test]
-    fn db_round_trips() {
-        for db in [-20.0, -3.0, 0.0, 3.0, 10.0, 15.0] {
-            assert!((power_ratio_to_db(db_to_power_ratio(db)) - db).abs() < 1e-12);
-            assert!((amplitude_ratio_to_db(db_to_amplitude_ratio(db)) - db).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn db_reference_points() {
-        assert!((power_ratio_to_db(10.0) - 10.0).abs() < 1e-12);
-        assert!((power_ratio_to_db(2.0) - 3.0103).abs() < 1e-3);
-        assert!((amplitude_ratio_to_db(10.0) - 20.0).abs() < 1e-12);
+        assert!((db_to_power_ratio(10.0) - 10.0).abs() < 1e-12);
+        assert!((db_to_power_ratio(3.0103) - 2.0).abs() < 1e-4);
+        assert_eq!(db_to_power_ratio(0.0), 1.0);
     }
 
     #[test]
-    fn snr_of_equal_power_is_zero_db() {
-        let a = vec![1.0, -1.0, 1.0, -1.0];
-        assert!((snr_db(&a, &a).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn noise_gain_achieves_target_snr() {
-        let signal: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.3).sin()).collect();
-        let noise: Vec<f64> = (0..4096)
-            .map(|i| ((i * 7919) as f64 * 0.11).sin())
-            .collect();
-        for target in [3.0, 6.0, 9.0, 15.0] {
-            let g = noise_gain_for_snr(&signal, &noise, target).unwrap();
-            let scaled: Vec<f64> = noise.iter().map(|x| g * x).collect();
-            let achieved = snr_db(&signal, &scaled).unwrap();
-            assert!(
-                (achieved - target).abs() < 1e-9,
-                "target {target} got {achieved}"
-            );
-        }
-    }
-
-    #[test]
-    fn degenerate_inputs_rejected() {
-        assert!(rms(&[]).is_err());
+    fn power_is_the_mean_square() {
+        assert!((power(&[1.0, -1.0, 3.0, -3.0]).unwrap() - 5.0).abs() < 1e-12);
         assert!(power(&[]).is_err());
-        assert!(snr_db(&[1.0], &[0.0]).is_err());
-        assert!(noise_gain_for_snr(&[0.0], &[1.0], 3.0).is_err());
-        assert!(noise_gain_for_snr(&[1.0], &[0.0], 3.0).is_err());
     }
 }

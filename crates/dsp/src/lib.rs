@@ -10,14 +10,14 @@
 //!   [`plan::DspScratch`] buffer arena behind the allocation-free hot
 //!   path.
 //! - [`window`] — Hann/Hamming/Blackman/rectangular analysis windows.
-//! - [`filter`] — windowed-sinc FIR design, RBJ biquads, zero-phase
-//!   filtering, and the simple-moving-average filter the paper uses on
-//!   inertial signals.
+//! - [`filter`] — windowed-sinc band-pass FIR design and zero-phase
+//!   filtering, RBJ biquads, and the moving-average window the paper
+//!   uses on inertial signals.
 //! - [`correlate`] — FFT-accelerated cross-correlation and the one
-//!   overlap-save matched-filter engine (single template or K-template
-//!   bank, band-pass optionally folded in, copied out full-rate or as
-//!   the band-limited decimated analytic correlation detection runs on)
-//!   used for chirp beacon detection (BeepBeep-style).
+//!   overlap-save matched-filter engine, band-pass optionally folded in:
+//!   the full-rate single-template filter (MCCI fusion) and the
+//!   K-template band-limited bank whose decimated analytic correlation
+//!   chirp beacon detection runs on (BeepBeep-style).
 //! - [`chirp`] — linear and up-down chirp synthesis (the HyperEar beacon).
 //! - [`estimator`] — robust TDoA estimator kernels: floored GCC-PHAT
 //!   whitening and sub-band coherence weighting from one shared
@@ -26,7 +26,7 @@
 //! - [`interpolate`] — parabolic and windowed-sinc sub-sample interpolation
 //!   for pushing TDoA resolution below the 44.1 kHz sampling grid, and
 //!   the full-rate rebuild of a band-limited decimated correlation.
-//! - [`delay`] — integer and fractional signal delays (propagation
+//! - [`delay`] — windowed-sinc fractional-delay mixing (propagation
 //!   rendering in the simulator).
 //! - [`envelope`] — analytic-signal (Hilbert) envelopes for carrier-free
 //!   peak detection of high-band beacons.
@@ -34,8 +34,8 @@
 //!   correlation (or its envelope, with the Rayleigh noise floor) in one
 //!   pass, then threshold-based peak picking.
 //! - [`spectrum`] — periodograms and band-energy measurements.
-//! - [`level`] — RMS / dB / SNR utilities.
-//! - [`goertzel`] — single-bin DFT for cheap tone probing.
+//! - [`level`] — signal power and dB conversion.
+//! - [`goertzel`] — single-bin DFT (the phase-tracking DOA front-end).
 //! - [`quantize`] — 16-bit ADC quantization and PCM byte codecs.
 //! - [`stft`] — short-time Fourier transform / spectrograms.
 //! - [`wav`] — minimal RIFF PCM16 file reading and writing.
@@ -47,6 +47,7 @@
 //! ```
 //! use hyperear_dsp::chirp::{Chirp, ChirpShape};
 //! use hyperear_dsp::correlate::StreamingMatchedFilter;
+//! use hyperear_dsp::plan::DspScratch;
 //!
 //! # fn main() -> Result<(), hyperear_dsp::DspError> {
 //! let fs = 44_100.0;
@@ -58,7 +59,8 @@
 //! recording[1000..1000 + reference.len()].copy_from_slice(reference);
 //!
 //! let filter = StreamingMatchedFilter::new(reference)?;
-//! let output = filter.correlate(&recording)?;
+//! let mut output = Vec::new();
+//! filter.correlate_into(&recording, &mut DspScratch::new(), &mut output)?;
 //! let peak = output
 //!     .iter()
 //!     .enumerate()
@@ -102,6 +104,3 @@ pub use error::DspError;
 ///
 /// The HyperEar paper uses 343 m/s throughout (Section II).
 pub const SPEED_OF_SOUND: f64 = 343.0;
-
-/// The audio sampling rate Android exposes on the paper's phones, in hertz.
-pub const PHONE_SAMPLE_RATE: f64 = 44_100.0;

@@ -38,7 +38,7 @@ pub struct Peak {
     pub value: f64,
 }
 
-/// Configuration for [`find_peaks`].
+/// Configuration for [`find_peaks_into`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeakConfig {
     /// Absolute threshold a sample must exceed to be a candidate.
@@ -75,7 +75,7 @@ const GAUSS_MEDIAN_ABS: f64 = 0.6745;
 /// σ, so `median(|a|) / RAYLEIGH_MEDIAN` estimates the same σ that
 /// `median(|x|) / 0.6745` does on the real correlation, and a
 /// threshold factor keeps its meaning in noise-σ units on either.
-pub const RAYLEIGH_MEDIAN: f64 = 1.177_410_022_515_474_7;
+pub(crate) const RAYLEIGH_MEDIAN: f64 = 1.177_410_022_515_474_7;
 
 /// The two-part detection threshold of [`detect_peaks_into`]: a peak
 /// must reach `max(noise_factor · floor, relative · max(0, max x))`,
@@ -108,8 +108,8 @@ pub struct SignalStats {
     pub full_select: bool,
 }
 
-/// Caller-owned buffers of [`signal_stats_with`], [`noise_floor_with`]
-/// and [`detect_peaks_into`]. Once warm, calls at or below the
+/// Caller-owned buffers of [`signal_stats_with`] and
+/// [`detect_peaks_into`]. Once warm, calls at or below the
 /// high-water signal length and candidate count do not allocate.
 #[derive(Debug, Clone, Default)]
 pub struct PeakScratch {
@@ -121,12 +121,6 @@ pub struct PeakScratch {
 }
 
 impl PeakScratch {
-    /// An empty scratch.
-    #[must_use]
-    pub fn new() -> Self {
-        PeakScratch::default()
-    }
-
     /// A scratch already sized for signals of up to `len` samples.
     #[must_use]
     pub fn with_capacity(len: usize) -> Self {
@@ -149,20 +143,9 @@ impl PeakScratch {
 ///
 /// Returns peaks sorted by index.
 ///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty signal.
-pub fn find_peaks(signal: &[f64], config: &PeakConfig) -> Result<Vec<Peak>, DspError> {
-    let mut scratch = Vec::new();
-    let mut out = Vec::new();
-    find_peaks_into(signal, config, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Allocation-free form of [`find_peaks`]: candidate storage and the
-/// result live in caller-owned buffers that are cleared and reused, so a
-/// warm detection loop performs no heap allocation. Output in `out` is
-/// identical to [`find_peaks`].
+/// Candidate storage and the result live in caller-owned buffers that
+/// are cleared and reused, so a warm detection loop performs no heap
+/// allocation.
 ///
 /// # Errors
 ///
@@ -292,17 +275,7 @@ fn pick_into(
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal.
 pub fn noise_floor(signal: &[f64]) -> Result<f64, DspError> {
-    noise_floor_with(signal, &mut PeakScratch::new())
-}
-
-/// Allocation-free form of [`noise_floor`]: the selection works in a
-/// caller-owned scratch.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty signal.
-pub fn noise_floor_with(signal: &[f64], scratch: &mut PeakScratch) -> Result<f64, DspError> {
-    Ok(signal_stats_with(signal, scratch)?.median_abs / GAUSS_MEDIAN_ABS)
+    Ok(signal_stats_with(signal, &mut PeakScratch::default())?.median_abs / GAUSS_MEDIAN_ABS)
 }
 
 /// The median of `|signal|` and the maximum of `signal`, exactly (see
@@ -443,6 +416,12 @@ fn max_of(m: f64, v: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn find_peaks(signal: &[f64], config: &PeakConfig) -> Result<Vec<Peak>, DspError> {
+        let mut out = Vec::new();
+        find_peaks_into(signal, config, &mut Vec::new(), &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn finds_isolated_peaks() {
         let mut signal = vec![0.0; 100];
@@ -547,7 +526,7 @@ mod tests {
         assert!(PeakConfig::new(f64::NAN, 1).is_err());
         let (mut s, mut o) = (Vec::new(), Vec::new());
         assert!(find_peaks_into(&[], &cfg, &mut s, &mut o).is_err());
-        assert!(noise_floor_with(&[], &mut PeakScratch::new()).is_err());
+        assert!(noise_floor(&[]).is_err());
     }
 
     /// A deterministic correlation-like train: uniform noise of
@@ -588,7 +567,7 @@ mod tests {
         let small = spike_train(9_000, 300, 0.02);
         let small_miss = spike_train(8_192, SAMPLE_STRIDE, 0.02);
         let short = spike_train(1_000, 100, 0.01);
-        let mut scratch = PeakScratch::new();
+        let mut scratch = PeakScratch::default();
         let mut out = Vec::new();
         let mut run = |signal: &[f64], fallback: bool| {
             let stats = signal_stats_with(signal, &mut scratch).unwrap();
@@ -639,10 +618,5 @@ mod tests {
                 assert_eq!(out, reference, "min_distance {min_distance}");
             }
         }
-        let mut scratch = PeakScratch::new();
-        assert_eq!(
-            noise_floor(&signal).unwrap(),
-            noise_floor_with(&signal, &mut scratch).unwrap()
-        );
     }
 }

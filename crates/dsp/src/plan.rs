@@ -61,7 +61,7 @@ thread_local! {
 ///
 /// Panics if `f` re-enters `with_thread_ctx` (directly or by calling a
 /// one-shot wrapper): the context is a `RefCell`, not a reentrant lock.
-pub fn with_thread_ctx<T>(f: impl FnOnce(&mut PlanCache, &mut DspScratch) -> T) -> T {
+pub(crate) fn with_thread_ctx<T>(f: impl FnOnce(&mut PlanCache, &mut DspScratch) -> T) -> T {
     THREAD_CTX.with(|ctx| {
         let mut ctx = ctx.borrow_mut();
         let (plans, scratch) = &mut *ctx;
@@ -146,14 +146,8 @@ impl FftPlan {
 
     /// The transform length this plan was built for.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Whether the plan length is zero (never true for a constructed plan).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// In-place forward FFT, `X[k] = Σ_n x[n]·e^{-2πi·kn/N}`, in natural
@@ -190,14 +184,12 @@ impl FftPlan {
     /// Forward FFT of a real signal zero-padded to the plan length,
     /// written into `out` (cleared and resized; its capacity is reused).
     ///
-    /// Identical results to [`crate::fft::rfft`] at `padded_len == n`.
-    ///
     /// # Errors
     ///
     /// Returns [`DspError::EmptyInput`] for an empty signal and
     /// [`DspError::InvalidParameter`] when the signal exceeds the plan
     /// length.
-    pub fn rfft_into(&self, signal: &[f64], out: &mut Vec<Complex>) -> Result<(), DspError> {
+    pub(crate) fn rfft_into(&self, signal: &[f64], out: &mut Vec<Complex>) -> Result<(), DspError> {
         if signal.is_empty() {
             return Err(DspError::EmptyInput { what: "rfft input" });
         }
@@ -341,98 +333,6 @@ fn unit_root(k: usize, n: usize) -> Complex {
     Complex::from_angle(-2.0 * std::f64::consts::PI * k as f64 / n as f64)
 }
 
-/// A read-only view of the `n/2 + 1` non-redundant bins of a real
-/// signal's spectrum.
-///
-/// A real signal's DFT is conjugate-symmetric (`X[n−k] = conj(X[k])`), so
-/// only bins `0..=n/2` carry information. [`RealFftPlan::rfft_half_into`]
-/// produces exactly those bins; this view adds the accessors consumers
-/// need — DC, Nyquist, and symmetric access to the folded upper half —
-/// without materializing the redundant mirror bins.
-#[derive(Debug, Clone, Copy)]
-pub struct HalfSpectrum<'a> {
-    bins: &'a [Complex],
-}
-
-impl<'a> HalfSpectrum<'a> {
-    /// Wraps a half-spectrum slice of `n/2 + 1` bins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] for an empty slice and
-    /// [`DspError::InvalidParameter`] when the bin count does not
-    /// correspond to a power-of-two FFT length (`len == 1` maps to
-    /// `n == 1`; otherwise `len − 1` must be a power of two).
-    pub fn new(bins: &'a [Complex]) -> Result<Self, DspError> {
-        if bins.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "half spectrum",
-            });
-        }
-        if bins.len() > 1 && !(bins.len() - 1).is_power_of_two() {
-            return Err(DspError::invalid(
-                "bins.len()",
-                format!(
-                    "{} bins does not match any power-of-two FFT length",
-                    bins.len()
-                ),
-            ));
-        }
-        Ok(HalfSpectrum { bins })
-    }
-
-    /// The number of stored (non-redundant) bins: `n/2 + 1`.
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// The full FFT length `n` this half-spectrum folds.
-    #[must_use]
-    pub fn fft_len(&self) -> usize {
-        if self.bins.len() == 1 {
-            1
-        } else {
-            2 * (self.bins.len() - 1)
-        }
-    }
-
-    /// The stored bins `0..=n/2`.
-    #[must_use]
-    pub fn bins(&self) -> &[Complex] {
-        self.bins
-    }
-
-    /// Full-spectrum bin `k` for any `k < n`, reconstructing folded bins
-    /// by conjugate symmetry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= self.fft_len()`.
-    #[must_use]
-    pub fn bin(&self, k: usize) -> Complex {
-        let n = self.fft_len();
-        assert!(k < n, "bin {k} out of range for FFT length {n}");
-        if k < self.bins.len() {
-            self.bins[k]
-        } else {
-            self.bins[n - k].conj()
-        }
-    }
-
-    /// The DC bin (`k = 0`).
-    #[must_use]
-    pub fn dc(&self) -> Complex {
-        self.bins[0]
-    }
-
-    /// The Nyquist bin (`k = n/2`; equals DC for `n == 1`).
-    #[must_use]
-    pub fn nyquist(&self) -> Complex {
-        self.bins[self.bins.len() - 1]
-    }
-}
-
 /// A precomputed plan for real-input transforms of length `n`.
 ///
 /// Packs the `n` real samples into an `n/2`-point complex FFT (`z[k] =
@@ -465,7 +365,7 @@ impl RealFftPlan {
     /// # Errors
     ///
     /// Same conditions as [`FftPlan::new`].
-    pub fn new(n: usize) -> Result<Self, DspError> {
+    pub(crate) fn new(n: usize) -> Result<Self, DspError> {
         if n == 0 {
             return Err(DspError::EmptyInput { what: "rfft input" });
         }
@@ -489,19 +389,13 @@ impl RealFftPlan {
 
     /// The real transform length this plan was built for.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Whether the plan length is zero (never true for a constructed plan).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// The number of half-spectrum bins produced: `n/2 + 1`.
     #[must_use]
-    pub fn num_bins(&self) -> usize {
+    pub(crate) fn num_bins(&self) -> usize {
         if self.n == 1 {
             1
         } else {
@@ -653,7 +547,7 @@ impl PlanCache {
     /// # Errors
     ///
     /// Same conditions as [`FftPlan::new`].
-    pub fn plan(&mut self, n: usize) -> Result<Arc<FftPlan>, DspError> {
+    pub(crate) fn plan(&mut self, n: usize) -> Result<Arc<FftPlan>, DspError> {
         if let Some(p) = self.plans.iter().find(|p| p.len() == n) {
             return Ok(Arc::clone(p));
         }
@@ -675,18 +569,6 @@ impl PlanCache {
         let plan = shared_real_plan(n)?;
         self.real_plans.push(Arc::clone(&plan));
         Ok(plan)
-    }
-
-    /// The number of distinct complex sizes planned so far.
-    #[must_use]
-    pub fn size_count(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// The number of distinct real-input sizes planned so far.
-    #[must_use]
-    pub fn real_size_count(&self) -> usize {
-        self.real_plans.len()
     }
 }
 
@@ -726,7 +608,7 @@ fn shared_tables() -> &'static Mutex<SharedPlans> {
 /// # Errors
 ///
 /// Same conditions as [`FftPlan::new`].
-pub fn shared_plan(n: usize) -> Result<Arc<FftPlan>, DspError> {
+pub(crate) fn shared_plan(n: usize) -> Result<Arc<FftPlan>, DspError> {
     let mut tables = shared_tables()
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
@@ -868,7 +750,6 @@ mod tests {
         assert!(plan.fft(&mut wrong).is_err());
         assert!(plan.ifft(&mut wrong).is_err());
         assert_eq!(plan.len(), 8);
-        assert!(!plan.is_empty());
     }
 
     #[test]
@@ -893,7 +774,7 @@ mod tests {
         let b = cache.plan(64).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let _ = cache.plan(128).unwrap();
-        assert_eq!(cache.size_count(), 2);
+        assert_eq!(cache.plans.len(), 2);
         assert!(cache.plan(10).is_err());
     }
 
@@ -903,11 +784,11 @@ mod tests {
         // the second call must not grow the size count.
         let count0 = with_thread_ctx(|plans, _| {
             plans.plan(32).unwrap();
-            plans.size_count()
+            plans.plans.len()
         });
         let count1 = with_thread_ctx(|plans, _| {
             plans.plan(32).unwrap();
-            plans.size_count()
+            plans.plans.len()
         });
         assert_eq!(count0, count1);
     }
@@ -954,7 +835,6 @@ mod tests {
         ));
         let rplan = RealFftPlan::new(8).unwrap();
         assert_eq!(rplan.len(), 8);
-        assert!(!rplan.is_empty());
         let mut out = Vec::new();
         assert!(rplan.rfft_half_into(&[], &mut out).is_err());
         assert!(rplan.rfft_half_into(&[0.0; 9], &mut out).is_err());
@@ -963,33 +843,12 @@ mod tests {
     }
 
     #[test]
-    fn half_spectrum_view_accessors() {
-        let signal: Vec<f64> = (0..16).map(|i| (i as f64 * 0.7).sin()).collect();
-        let rplan = RealFftPlan::new(16).unwrap();
-        let mut half = Vec::new();
-        rplan.rfft_half_into(&signal, &mut half).unwrap();
-        let view = HalfSpectrum::new(&half).unwrap();
-        assert_eq!(view.num_bins(), 9);
-        assert_eq!(view.fft_len(), 16);
-        assert_eq!(view.dc(), half[0]);
-        assert_eq!(view.nyquist(), half[8]);
-        let full = crate::fft::rfft(&signal, 16).unwrap();
-        for (k, &reference) in full.iter().enumerate() {
-            let d = view.bin(k) - reference;
-            assert!(d.abs() < 1e-9, "bin {k}");
-        }
-        assert_eq!(HalfSpectrum::new(&half[..1]).unwrap().fft_len(), 1);
-        assert!(HalfSpectrum::new(&[]).is_err());
-        assert!(HalfSpectrum::new(&half[..4]).is_err()); // 3 not a pow2
-    }
-
-    #[test]
     fn cache_memoizes_real_plans() {
         let mut cache = PlanCache::new();
         let a = cache.real_plan(64).unwrap();
         let b = cache.real_plan(64).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.real_size_count(), 1);
+        assert_eq!(cache.real_plans.len(), 1);
         assert!(cache.real_plan(10).is_err());
     }
 

@@ -5,7 +5,7 @@
 //! by tests that check filter behaviour.
 
 use crate::fft::try_next_pow2;
-use crate::plan::{DspScratch, HalfSpectrum, PlanCache};
+use crate::plan::{DspScratch, PlanCache};
 use crate::window::Window;
 use crate::DspError;
 
@@ -19,23 +19,19 @@ use crate::DspError;
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal and
 /// [`DspError::InvalidParameter`] for a non-positive sample rate.
-pub fn power_spectrum(
+pub(crate) fn power_spectrum(
     signal: &[f64],
     sample_rate: f64,
     window: Window,
 ) -> Result<(Vec<f64>, Vec<f64>), DspError> {
     crate::plan::with_thread_ctx(|plans, scratch| {
-        power_spectrum_with(signal, sample_rate, window, plans, scratch)
+        periodogram(signal, sample_rate, window, plans, scratch)
     })
 }
 
-/// Planned periodogram: identical output to [`power_spectrum`], with the
-/// FFT plan and working buffers taken from `plans`/`scratch`.
-///
-/// # Errors
-///
-/// Same conditions as [`power_spectrum`].
-pub fn power_spectrum_with(
+/// [`power_spectrum`] with the FFT plan and working buffers taken from
+/// `plans`/`scratch`.
+fn periodogram(
     signal: &[f64],
     sample_rate: f64,
     window: Window,
@@ -57,13 +53,12 @@ pub fn power_spectrum_with(
     plans
         .real_plan(n)?
         .rfft_half_into(&scratch.r1, &mut scratch.c1)?;
-    let spec = HalfSpectrum::new(&scratch.c1)?;
-    let half = spec.num_bins();
+    let half = scratch.c1.len();
     let gain = window.coherent_gain(signal.len());
     let norm = 1.0 / (n as f64 * signal.len() as f64 * gain * gain);
     let mut freqs = Vec::with_capacity(half);
     let mut power = Vec::with_capacity(half);
-    for (k, c) in spec.bins().iter().enumerate() {
+    for (k, c) in scratch.c1.iter().enumerate() {
         freqs.push(k as f64 * sample_rate / n as f64);
         // One-sided: double interior bins.
         let scale = if k == 0 || k == half - 1 { 1.0 } else { 2.0 };
@@ -113,21 +108,6 @@ pub fn band_energy_fraction(
     Ok(in_band / total)
 }
 
-/// The frequency (Hz) of the strongest spectral bin.
-///
-/// # Errors
-///
-/// Same conditions as [`power_spectrum`].
-pub fn dominant_frequency(signal: &[f64], sample_rate: f64) -> Result<f64, DspError> {
-    let (freqs, power) = power_spectrum(signal, sample_rate, Window::Hann)?;
-    let (idx, _) = power
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .expect("power spectrum is non-empty");
-    Ok(freqs[idx])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,14 +116,6 @@ mod tests {
         (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * freq * i as f64 / fs).sin())
             .collect()
-    }
-
-    #[test]
-    fn dominant_frequency_of_pure_tone() {
-        let fs = 44_100.0;
-        let signal = tone(4_000.0, fs, 8192);
-        let f = dominant_frequency(&signal, fs).unwrap();
-        assert!((f - 4_000.0).abs() < 10.0, "got {f}");
     }
 
     #[test]

@@ -23,12 +23,6 @@ pub struct Spectrogram {
 }
 
 impl Spectrogram {
-    /// The centre time of frame `t`, seconds.
-    #[must_use]
-    pub fn time_of(&self, t: usize) -> f64 {
-        (t * self.hop) as f64 / self.sample_rate
-    }
-
     /// The frequency of bin `k`, hertz.
     #[must_use]
     pub fn freq_of(&self, k: usize) -> f64 {
@@ -40,15 +34,6 @@ impl Spectrogram {
     pub fn bin_of(&self, freq_hz: f64) -> usize {
         ((freq_hz * self.fft_size as f64 / self.sample_rate).round() as usize)
             .min(self.fft_size / 2)
-    }
-
-    /// The frequency (Hz) of the strongest bin in frame `t`, or `None`
-    /// for an out-of-range frame.
-    #[must_use]
-    pub fn peak_frequency(&self, t: usize) -> Option<f64> {
-        let frame = self.frames.get(t)?;
-        let (k, _) = frame.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))?;
-        Some(self.freq_of(k))
     }
 }
 
@@ -132,6 +117,16 @@ pub fn stft_with(
 mod tests {
     use super::*;
 
+    /// The frequency of frame `t`'s strongest bin.
+    fn peak_frequency(spec: &Spectrogram, t: usize) -> f64 {
+        let (k, _) = spec.frames[t]
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .unwrap();
+        spec.freq_of(k)
+    }
+
     #[test]
     fn tone_concentrates_in_one_bin_over_time() {
         let fs = 8_000.0;
@@ -142,20 +137,27 @@ mod tests {
         let spec = stft(&signal, 256, 128, fs).unwrap();
         assert!(spec.frames.len() > 50);
         for t in 0..spec.frames.len() {
-            let peak = spec.peak_frequency(t).unwrap();
+            let peak = peak_frequency(&spec, t);
             assert!((peak - f).abs() < 40.0, "frame {t}: peak {peak}");
         }
     }
 
     #[test]
     fn chirp_peak_frequency_sweeps_up_then_down() {
-        let chirp = crate::chirp::Chirp::hyperear_beacon(44_100.0).unwrap();
+        let chirp = crate::chirp::Chirp::new(
+            2_000.0,
+            6_400.0,
+            0.04,
+            44_100.0,
+            crate::chirp::ChirpShape::UpDown,
+        )
+        .unwrap();
         let spec = stft(chirp.samples(), 256, 64, 44_100.0).unwrap();
         let n = spec.frames.len();
         // Skip the tapered edges (the Hann envelope kills the extremes).
-        let early = spec.peak_frequency(n / 8).unwrap();
-        let mid = spec.peak_frequency(n / 2).unwrap();
-        let late = spec.peak_frequency(7 * n / 8).unwrap();
+        let early = peak_frequency(&spec, n / 8);
+        let mid = peak_frequency(&spec, n / 2);
+        let late = peak_frequency(&spec, 7 * n / 8);
         assert!(mid > early + 1_000.0, "mid {mid} early {early}");
         assert!(mid > late + 1_000.0, "mid {mid} late {late}");
         assert!((5_000.0..6_600.0).contains(&mid), "mid {mid}");
@@ -166,14 +168,11 @@ mod tests {
         let signal = vec![0.0; 2_048];
         let spec = stft(&signal, 256, 128, 8_000.0).unwrap();
         assert_eq!(spec.fft_size, 256);
-        assert_eq!(spec.time_of(0), 0.0);
-        assert!((spec.time_of(10) - 10.0 * 128.0 / 8_000.0).abs() < 1e-12);
         assert_eq!(spec.freq_of(0), 0.0);
         assert!((spec.freq_of(128) - 4_000.0).abs() < 1e-9);
         assert_eq!(spec.bin_of(0.0), 0);
         assert_eq!(spec.bin_of(4_000.0), 128);
         assert_eq!(spec.bin_of(1_000_000.0), 128); // clamped to Nyquist
-        assert!(spec.peak_frequency(10_000).is_none());
     }
 
     #[test]

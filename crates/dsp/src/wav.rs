@@ -55,26 +55,13 @@ impl<'a> Cursor<'a> {
 }
 
 impl WavFile {
-    /// Creates a mono file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] for empty samples and
-    /// [`DspError::InvalidParameter`] for a zero sample rate.
-    pub fn mono(samples: Vec<f64>, sample_rate: u32) -> Result<Self, DspError> {
-        Self::validate(&[&samples], sample_rate)?;
-        Ok(WavFile {
-            sample_rate,
-            channels: vec![samples],
-        })
-    }
-
     /// Creates a stereo file.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::LengthMismatch`] for unequal channels, plus
-    /// the conditions of [`WavFile::mono`].
+    /// Returns [`DspError::LengthMismatch`] for unequal channels,
+    /// [`DspError::EmptyInput`] for empty channels and
+    /// [`DspError::InvalidParameter`] for a zero sample rate.
     pub fn stereo(left: Vec<f64>, right: Vec<f64>, sample_rate: u32) -> Result<Self, DspError> {
         if left.len() != right.len() {
             return Err(DspError::LengthMismatch {
@@ -104,19 +91,13 @@ impl WavFile {
 
     /// Frames per channel.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.channels.first().map_or(0, Vec::len)
-    }
-
-    /// Whether the file holds no frames.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Serializes to RIFF PCM16 bytes.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let num_channels = self.channels.len() as u16;
         let frames = self.len();
         let quantized: Vec<Vec<i16>> = self.channels.iter().map(|c| quantize_i16(c)).collect();
@@ -150,7 +131,7 @@ impl WavFile {
     ///
     /// Returns [`DspError::InvalidParameter`] for malformed headers,
     /// non-PCM16 content, or unsupported channel counts.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DspError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, DspError> {
         let bad = |reason: &str| DspError::invalid("wav", reason.to_string());
         let mut cur = Cursor::new(bytes);
         if cur.remaining() < 12 {
@@ -252,13 +233,22 @@ impl WavFile {
 mod tests {
     use super::*;
 
+    /// A one-channel file (the parser reads any channel count).
+    fn mono(samples: Vec<f64>, sample_rate: u32) -> Result<WavFile, DspError> {
+        WavFile::validate(&[&samples], sample_rate)?;
+        Ok(WavFile {
+            sample_rate,
+            channels: vec![samples],
+        })
+    }
+
     fn tone(n: usize) -> Vec<f64> {
         (0..n).map(|i| 0.5 * (i as f64 * 0.1).sin()).collect()
     }
 
     #[test]
     fn mono_round_trip() {
-        let wav = WavFile::mono(tone(500), 44_100).unwrap();
+        let wav = mono(tone(500), 44_100).unwrap();
         let back = WavFile::from_bytes(&wav.to_bytes()).unwrap();
         assert_eq!(back.sample_rate, 44_100);
         assert_eq!(back.channels.len(), 1);
@@ -285,7 +275,7 @@ mod tests {
 
     #[test]
     fn header_layout_is_canonical() {
-        let wav = WavFile::mono(vec![0.0; 10], 44_100).unwrap();
+        let wav = mono(vec![0.0; 10], 44_100).unwrap();
         let bytes = wav.to_bytes();
         assert_eq!(&bytes[0..4], b"RIFF");
         assert_eq!(&bytes[8..12], b"WAVE");
@@ -300,7 +290,7 @@ mod tests {
         assert!(WavFile::from_bytes(b"RIFFxxxxWAVE").is_err());
         assert!(WavFile::from_bytes(b"JUNKxxxxJUNKJUNK").is_err());
         // Valid header but 8-bit format field.
-        let wav = WavFile::mono(vec![0.1; 4], 8_000).unwrap();
+        let wav = mono(vec![0.1; 4], 8_000).unwrap();
         let mut bytes = wav.to_bytes();
         bytes[34] = 8; // bits per sample
         assert!(WavFile::from_bytes(&bytes).is_err());
@@ -313,11 +303,10 @@ mod tests {
 
     #[test]
     fn construction_validation() {
-        assert!(WavFile::mono(vec![], 44_100).is_err());
-        assert!(WavFile::mono(vec![0.0], 0).is_err());
+        assert!(mono(vec![], 44_100).is_err());
+        assert!(mono(vec![0.0], 0).is_err());
         assert!(WavFile::stereo(vec![0.0; 3], vec![0.0; 4], 44_100).is_err());
-        let wav = WavFile::mono(vec![0.0; 3], 44_100).unwrap();
-        assert!(!wav.is_empty());
+        assert_eq!(mono(vec![0.0; 3], 44_100).unwrap().len(), 3);
     }
 
     #[test]
@@ -336,7 +325,7 @@ mod tests {
     #[test]
     fn skips_ancillary_chunks() {
         // Insert a LIST chunk between fmt and data.
-        let wav = WavFile::mono(vec![0.25; 8], 22_050).unwrap();
+        let wav = mono(vec![0.25; 8], 22_050).unwrap();
         let canonical = wav.to_bytes();
         let mut patched = Vec::new();
         patched.extend_from_slice(&canonical[..36]); // through fmt chunk

@@ -37,7 +37,7 @@ impl Window {
     /// `n - 1`, so the first and last coefficients are the window's
     /// endpoint values.
     #[must_use]
-    pub fn value(self, i: usize, n: usize) -> f64 {
+    pub(crate) fn value(self, i: usize, n: usize) -> f64 {
         if n <= 1 {
             return 1.0;
         }
@@ -68,7 +68,7 @@ impl Window {
     /// # Errors
     ///
     /// Returns [`DspError::EmptyInput`] if the signal is empty.
-    pub fn apply(self, signal: &mut [f64]) -> Result<(), DspError> {
+    pub(crate) fn apply(self, signal: &mut [f64]) -> Result<(), DspError> {
         if signal.is_empty() {
             return Err(DspError::EmptyInput {
                 what: "window apply",
@@ -93,7 +93,7 @@ impl Window {
     ///
     /// Returns [`DspError::EmptyInput`] for an empty signal and
     /// [`DspError::InvalidParameter`] on a length mismatch.
-    pub fn apply_coefficients(coeffs: &[f64], signal: &mut [f64]) -> Result<(), DspError> {
+    pub(crate) fn apply_coefficients(coeffs: &[f64], signal: &mut [f64]) -> Result<(), DspError> {
         if signal.is_empty() {
             return Err(DspError::EmptyInput {
                 what: "window apply",
@@ -117,7 +117,7 @@ impl Window {
     ///
     /// Needed to correct amplitude estimates taken from windowed spectra.
     #[must_use]
-    pub fn coherent_gain(self, n: usize) -> f64 {
+    pub(crate) fn coherent_gain(self, n: usize) -> f64 {
         if n == 0 {
             return 0.0;
         }

@@ -3,14 +3,11 @@
 //! `HYPEREAR_PROP_CASES` seeded cases (default 64) and reports the
 //! failing seed on a counterexample.
 
-use hyperear_dsp::correlate::{
-    xcorr, xcorr_into, StreamingMatchedFilter, StreamingMatchedFilterBank,
-};
-use hyperear_dsp::delay::delay_fractional_into_len;
-use hyperear_dsp::fft::{fft, ifft, next_pow2, rfft};
-use hyperear_dsp::filter::{FirFilter, MovingAverage};
+use hyperear_dsp::correlate::{xcorr, xcorr_into, BandLimitedBank, StreamingMatchedFilter};
+use hyperear_dsp::delay::mix_delayed_local;
+use hyperear_dsp::fft::{fft, ifft, rfft, try_next_pow2};
+use hyperear_dsp::filter::FirFilter;
 use hyperear_dsp::interpolate::parabolic_peak;
-use hyperear_dsp::level::{db_to_power_ratio, noise_gain_for_snr, power_ratio_to_db, snr_db};
 use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache};
 use hyperear_dsp::quantize::{dequantize_i16, quantize_i16};
 use hyperear_dsp::window::Window;
@@ -28,7 +25,7 @@ fn fft_round_trip_recovers_signal() {
         "fft_round_trip_recovers_signal",
         signal_strategy(256),
         |signal| {
-            let n = next_pow2(signal.len());
+            let n = try_next_pow2(signal.len()).unwrap();
             let mut data: Vec<Complex> = signal.iter().map(|&x| Complex::from_real(x)).collect();
             data.resize(n, Complex::ZERO);
             let original = data.clone();
@@ -46,7 +43,7 @@ fn fft_round_trip_recovers_signal() {
 #[test]
 fn parseval_holds() {
     prop::check("parseval_holds", signal_strategy(256), |signal| {
-        let n = next_pow2(signal.len());
+        let n = try_next_pow2(signal.len()).unwrap();
         let spec = rfft(signal, n).unwrap();
         let time_energy: f64 = signal.iter().map(|x| x * x).sum();
         let freq_energy: f64 = spec.iter().map(|c| c.norm_sqr()).sum::<f64>() / n as f64;
@@ -99,21 +96,6 @@ fn quantization_error_is_bounded() {
 }
 
 #[test]
-fn sma_output_within_input_hull() {
-    let strat = (vec_f64(-1.0, 1.0, 8, 128), usize_range(1, 12));
-    prop::check("sma_output_within_input_hull", strat, |(signal, window)| {
-        let sma = MovingAverage::new(*window).unwrap();
-        let out = sma.filter(signal).unwrap();
-        let lo = signal.iter().copied().fold(f64::MAX, f64::min);
-        let hi = signal.iter().copied().fold(f64::MIN, f64::max);
-        for v in out {
-            prop_assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
-        }
-        prop::pass()
-    });
-}
-
-#[test]
 fn window_coefficients_bounded() {
     prop::check("window_coefficients_bounded", usize_range(1, 512), |&n| {
         for w in [
@@ -133,32 +115,6 @@ fn window_coefficients_bounded() {
 }
 
 #[test]
-fn db_round_trip() {
-    prop::check("db_round_trip", f64_range(-60.0, 60.0), |&db| {
-        let back = power_ratio_to_db(db_to_power_ratio(db));
-        prop_assert!((back - db).abs() < 1e-9);
-        prop::pass()
-    });
-}
-
-#[test]
-fn noise_gain_hits_any_target() {
-    prop::check(
-        "noise_gain_hits_any_target",
-        f64_range(-10.0, 30.0),
-        |&target| {
-            let signal: Vec<f64> = (0..512).map(|i| (i as f64 * 0.3).sin()).collect();
-            let noise: Vec<f64> = (0..512).map(|i| (i as f64 * 0.71).cos()).collect();
-            let g = noise_gain_for_snr(&signal, &noise, target).unwrap();
-            let scaled: Vec<f64> = noise.iter().map(|x| g * x).collect();
-            let achieved = snr_db(&signal, &scaled).unwrap();
-            prop_assert!((achieved - target).abs() < 1e-6);
-            prop::pass()
-        },
-    );
-}
-
-#[test]
 fn fractional_delay_places_pulse() {
     prop::check(
         "fractional_delay_places_pulse",
@@ -166,7 +122,8 @@ fn fractional_delay_places_pulse() {
         |&delay| {
             let mut pulse = vec![0.0; 8];
             pulse[4] = 1.0;
-            let out = delay_fractional_into_len(&pulse, delay, 16, 300).unwrap();
+            let mut out = vec![0.0; 300];
+            mix_delayed_local(&mut out, &pulse, delay, 1.0, 16).unwrap();
             let peak = out
                 .iter()
                 .enumerate()
@@ -271,7 +228,7 @@ fn planned_fft_bit_identical_to_one_shot() {
         "planned_fft_bit_identical_to_one_shot",
         strat,
         |(signal, extra_pow)| {
-            let n = next_pow2(signal.len()) << extra_pow;
+            let n = try_next_pow2(signal.len()).unwrap() << extra_pow;
             let mut data: Vec<Complex> = signal.iter().map(|&x| Complex::from_real(x)).collect();
             data.resize(n, Complex::ZERO);
             let mut planned = data.clone();
@@ -282,28 +239,6 @@ fn planned_fft_bit_identical_to_one_shot() {
             plan.ifft(&mut planned).unwrap();
             ifft(&mut data).unwrap();
             prop_assert_eq!(&planned, &data);
-            prop::pass()
-        },
-    );
-}
-
-#[test]
-fn planned_rfft_bit_identical_to_one_shot() {
-    let strat = (signal_strategy(256), usize_range(0, 3));
-    prop::check(
-        "planned_rfft_bit_identical_to_one_shot",
-        strat,
-        |(signal, extra_pow)| {
-            let n = next_pow2(signal.len()) << extra_pow;
-            let mut plans = PlanCache::new();
-            let mut out = Vec::new();
-            plans.plan(n).unwrap().rfft_into(signal, &mut out).unwrap();
-            let reference = rfft(signal, n).unwrap();
-            prop_assert_eq!(&out, &reference);
-            // A second pass through the warm plan and buffer must not
-            // change anything.
-            plans.plan(n).unwrap().rfft_into(signal, &mut out).unwrap();
-            prop_assert_eq!(&out, &reference);
             prop::pass()
         },
     );
@@ -350,7 +285,7 @@ fn rfft_half_expands_to_full_rfft() {
         "rfft_half_expands_to_full_rfft",
         strat,
         |(signal, extra_pow)| {
-            let n = next_pow2(signal.len()) << extra_pow;
+            let n = try_next_pow2(signal.len()).unwrap() << extra_pow;
             let reference = rfft(signal, n).unwrap();
             let mut plans = PlanCache::new();
             let mut half = Vec::new();
@@ -382,7 +317,7 @@ fn rfft_half_expands_to_full_rfft() {
 
 #[test]
 fn streaming_matched_filter_matches_one_shot_xcorr() {
-    // Block sizes from the minimum legal (next_pow2(m), where the step
+    // Block sizes from the minimum legal (next power of two >= m, where the step
     // can be as small as 1 and the template dominates the block) up to
     // 8x the template; signals from shorter than one block to many
     // blocks long, so both odd block counts (a last pair whose odd half
@@ -391,16 +326,15 @@ fn streaming_matched_filter_matches_one_shot_xcorr() {
         signal_strategy(192),
         vec_f64(-1.0, 1.0, 8, 24),
         usize_range(0, 3),
-        usize_range(1, 4),
     );
     prop::check(
         "streaming_matched_filter_matches_one_shot_xcorr",
         strat,
-        |(signal, template, extra_pow, lanes)| {
+        |(signal, template, extra_pow)| {
             prop_assume!(template.len() <= signal.len());
             let energy: f64 = template.iter().map(|x| x * x).sum();
             prop_assume!(energy > 1e-6);
-            let block = next_pow2(template.len()) << extra_pow;
+            let block = try_next_pow2(template.len()).unwrap() << extra_pow;
             let filter = StreamingMatchedFilter::with_block_len(template, block).unwrap();
             let reference = xcorr(signal, template).unwrap();
             let mut scratch = DspScratch::new();
@@ -419,19 +353,6 @@ fn streaming_matched_filter_matches_one_shot_xcorr() {
                         "lag {i}: streaming {a} vs one-shot {r} (block {block})"
                     );
                 }
-            }
-            // A bank of copies of the template: every lane bit-identical
-            // to the solo filter.
-            let copies = vec![template.as_slice(); *lanes];
-            let bank = StreamingMatchedFilterBank::with_block_len(&copies, block).unwrap();
-            let mut banked = vec![Vec::new(); *lanes];
-            bank.correlate_into(signal, &mut scratch, &mut banked)
-                .unwrap();
-            for (k, lane) in banked.iter().enumerate() {
-                prop_assert!(
-                    lane == &out,
-                    "bank lane {k} of {lanes} diverged from the solo filter"
-                );
             }
             prop::pass()
         },
@@ -487,41 +408,20 @@ fn blocked_fir_is_bit_identical_to_scalar_reference() {
 }
 
 #[test]
-fn planned_stft_and_spectrum_match_one_shot() {
+fn planned_stft_matches_one_shot() {
     let strat = (vec_f64(-1.0, 1.0, 64, 512), usize_range(16, 64));
-    prop::check(
-        "planned_stft_and_spectrum_match_one_shot",
-        strat,
-        |(signal, frame)| {
-            prop_assume!(*frame <= signal.len());
-            let mut plans = PlanCache::new();
-            let mut scratch = DspScratch::new();
-            let hop = (frame / 2).max(1);
-            let planned = hyperear_dsp::stft::stft_with(
-                signal,
-                *frame,
-                hop,
-                8_000.0,
-                &mut plans,
-                &mut scratch,
-            )
-            .unwrap();
-            let reference = hyperear_dsp::stft::stft(signal, *frame, hop, 8_000.0).unwrap();
-            prop_assert_eq!(&planned, &reference);
-            let planned_ps = hyperear_dsp::spectrum::power_spectrum_with(
-                signal,
-                8_000.0,
-                Window::Hann,
-                &mut plans,
-                &mut scratch,
-            )
-            .unwrap();
-            let reference_ps =
-                hyperear_dsp::spectrum::power_spectrum(signal, 8_000.0, Window::Hann).unwrap();
-            prop_assert_eq!(&planned_ps, &reference_ps);
-            prop::pass()
-        },
-    );
+    prop::check("planned_stft_matches_one_shot", strat, |(signal, frame)| {
+        prop_assume!(*frame <= signal.len());
+        let mut plans = PlanCache::new();
+        let mut scratch = DspScratch::new();
+        let hop = (frame / 2).max(1);
+        let planned =
+            hyperear_dsp::stft::stft_with(signal, *frame, hop, 8_000.0, &mut plans, &mut scratch)
+                .unwrap();
+        let reference = hyperear_dsp::stft::stft(signal, *frame, hop, 8_000.0).unwrap();
+        prop_assert_eq!(&planned, &reference);
+        prop::pass()
+    });
 }
 
 #[test]
@@ -556,7 +456,14 @@ fn random_beacon_train(len: usize, beacons: usize, noise: f64, seed: u64) -> Vec
         (state >> 11) as f64 / (1u64 << 53) as f64
     };
     let mut corr: Vec<f64> = (0..len).map(|_| noise * (2.0 * uniform() - 1.0)).collect();
-    let chirp = hyperear_dsp::chirp::Chirp::hyperear_beacon(44_100.0).unwrap();
+    let chirp = hyperear_dsp::chirp::Chirp::new(
+        2_000.0,
+        6_400.0,
+        0.04,
+        44_100.0,
+        hyperear_dsp::chirp::ChirpShape::UpDown,
+    )
+    .unwrap();
     let lobe = xcorr(chirp.samples(), chirp.samples()).unwrap();
     let peak = lobe.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     for _ in 0..beacons {
@@ -577,7 +484,7 @@ fn random_beacon_train(len: usize, beacons: usize, noise: f64, seed: u64) -> Vec
 /// copy back. The shared-spectrum kernel must match it bit for bit.
 fn reference_subband(corr: &mut [f64], fs: f64, lo: f64, hi: f64, bands: usize) {
     let n = corr.len();
-    let m = next_pow2(n);
+    let m = try_next_pow2(n).unwrap();
     let plan = hyperear_dsp::plan::shared_real_plan(m).unwrap();
     let mut half = Vec::new();
     plan.rfft_half_into(corr, &mut half).unwrap();
@@ -635,7 +542,7 @@ fn reference_subband(corr: &mut [f64], fs: f64, lo: f64, hi: f64, bands: usize) 
 /// the inverse transform's rounding error.
 fn reference_phat_hypot(corr: &mut [f64], floor: f64) -> f64 {
     let n = corr.len();
-    let m = next_pow2(n);
+    let m = try_next_pow2(n).unwrap();
     let plan = hyperear_dsp::plan::shared_real_plan(m).unwrap();
     let mut half = Vec::new();
     plan.rfft_half_into(corr, &mut half).unwrap();
@@ -659,11 +566,14 @@ fn reference_phat_hypot(corr: &mut [f64], floor: f64) -> f64 {
 fn strong_peaks(v: &[f64]) -> Vec<usize> {
     let max = v.iter().fold(0.0f64, |m, &x| m.max(x));
     let config = hyperear_dsp::peak::PeakConfig::new(0.3 * max, 64).unwrap();
-    hyperear_dsp::peak::find_peaks(v, &config)
-        .unwrap()
-        .iter()
-        .map(|p| p.index)
-        .collect()
+    {
+        let mut out = Vec::new();
+        hyperear_dsp::peak::find_peaks_into(v, &config, &mut Vec::new(), &mut out).map(|()| out)
+    }
+    .unwrap()
+    .iter()
+    .map(|p| p.index)
+    .collect()
 }
 
 /// The weighting kernels over one shared spectrum: sub-band coherence is
@@ -694,9 +604,9 @@ fn shared_spectrum_weighting_matches_standalone_kernels() {
         strat,
         |&(len, beacons, noise, seed)| {
             let corr = random_beacon_train(len, beacons, noise, seed as u64);
-            let mut spectrum = CorrelationSpectrum::new();
+            let mut spectrum = CorrelationSpectrum::default();
             spectrum.compute(&corr).unwrap();
-            let mut scratch = EstimatorScratch::new();
+            let mut scratch = EstimatorScratch::default();
             let mut phat = Vec::new();
             prop_assert!(spectrum
                 .gcc_phat_into(0.15, &mut scratch, &mut phat)
@@ -728,7 +638,7 @@ fn shared_spectrum_weighting_matches_standalone_kernels() {
 
             let mut hypot = corr.clone();
             let l1 = reference_phat_hypot(&mut hypot, 0.15);
-            let m = next_pow2(len) as f64;
+            let m = try_next_pow2(len).unwrap() as f64;
             let bound = (4.0 + 2.0 * m.log2()) * f64::EPSILON * 2.0 * l1 / m;
             let diff = phat
                 .iter()
@@ -765,9 +675,9 @@ fn degenerate_spectra_are_weighting_no_ops() {
                 1 => corr[at % len] = f64::INFINITY,
                 _ => corr[at % len] = f64::NAN,
             }
-            let mut spectrum = CorrelationSpectrum::new();
+            let mut spectrum = CorrelationSpectrum::default();
             spectrum.compute(&corr).unwrap();
-            let mut scratch = EstimatorScratch::new();
+            let mut scratch = EstimatorScratch::default();
             let mut out = vec![42.0];
             prop_assert!(!spectrum
                 .gcc_phat_into(0.15, &mut scratch, &mut out)
@@ -916,16 +826,16 @@ impl prop::Strategy for EdgeSignals {
 /// leak into the second call.
 #[test]
 fn signal_stats_equal_full_selection() {
-    use hyperear_dsp::peak::{noise_floor_with, signal_stats_with, PeakScratch};
+    use hyperear_dsp::peak::{noise_floor, signal_stats_with, PeakScratch};
     prop::check("signal_stats_equal_full_selection", EdgeSignals, |signal| {
         let (median, max) = reference_stats(signal);
-        let mut scratch = PeakScratch::new();
+        let mut scratch = PeakScratch::default();
         for _ in 0..2 {
             let stats = signal_stats_with(signal, &mut scratch).unwrap();
             prop_assert_eq!(stats.median_abs.to_bits(), median.to_bits());
             prop_assert_eq!(stats.max.to_bits(), max.to_bits());
             prop_assert_eq!(
-                noise_floor_with(signal, &mut scratch).unwrap().to_bits(),
+                noise_floor(signal).unwrap().to_bits(),
                 (median / 0.6745).to_bits()
             );
         }
@@ -941,7 +851,7 @@ fn signal_stats_equal_full_selection() {
 #[test]
 fn bracket_miss_falls_back_to_full_selection() {
     use hyperear_dsp::peak::{signal_stats_with, PeakScratch};
-    let mut scratch = PeakScratch::new();
+    let mut scratch = PeakScratch::default();
     let adversarial: Vec<f64> = (0..8_192)
         .map(|i| {
             if i % 32 == 0 {
@@ -1029,7 +939,7 @@ fn detect_peaks_equals_reference_epilogue() {
             let reference = PeakConfig::new(threshold, rule.min_distance)
                 .map(|config| peak_bits(&reference_find_peaks(signal, &config)));
             let mut out = Vec::new();
-            let got = detect_peaks_into(signal, &rule, &mut PeakScratch::new(), &mut out)
+            let got = detect_peaks_into(signal, &rule, &mut PeakScratch::default(), &mut out)
                 .map(|()| peak_bits(&out));
             prop_assert_eq!(got, reference);
             prop::pass()
@@ -1207,10 +1117,7 @@ fn bandlimited_bank_lanes_equal_solo_engines_at_one_step() {
                 .collect();
             let templates: Vec<&[f64]> = filters.iter().map(|(t, _)| t.as_slice()).collect();
             prop_assume!(templates[0].len() <= *len);
-            let bank = StreamingMatchedFilterBank::new(&templates)
-                .unwrap()
-                .band_limited()
-                .unwrap();
+            let bank = BandLimitedBank::new(&templates).unwrap();
             let signal = beacon_capture(templates[0], *len, &[*len / 3], 300.0, *seed as u64);
             let mut scratch = DspScratch::new();
             let mut lanes = vec![Vec::new(); templates.len()];

@@ -33,11 +33,11 @@ pub const MAX_PAIRS: usize = MAX_MICS * (MAX_MICS - 1) / 2;
 /// Two placements closer than this are considered coincident, metres.
 /// An order of magnitude below any plausible mic-capsule spacing, and
 /// far above f64 noise at phone scale.
-pub const COINCIDENT_EPS: f64 = 1e-6;
+pub(crate) const COINCIDENT_EPS: f64 = 1e-6;
 
 /// A set of microphones lying within this perpendicular deviation of a
 /// single line is considered collinear, metres.
-pub const COLLINEAR_EPS: f64 = 1e-6;
+pub(crate) const COLLINEAR_EPS: f64 = 1e-6;
 
 /// One derived microphone pair of an array.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,7 +95,7 @@ impl MicArray {
 
     /// 4-mic rectangle: primary pair `(0,0)`–`(0,height)` plus the same
     /// pair shifted to `x = width`.
-    pub fn rectangle(height: f64, width: f64) -> MicArray {
+    pub(crate) fn rectangle(height: f64, width: f64) -> MicArray {
         let mut positions = [Vec2::ZERO; MAX_MICS];
         positions[1] = Vec2::new(0.0, height);
         positions[2] = Vec2::new(width, height);
@@ -155,7 +155,7 @@ impl MicArray {
     }
 
     /// The microphone positions in the device frame.
-    pub fn positions(&self) -> &[Vec2] {
+    pub(crate) fn positions(&self) -> &[Vec2] {
         &self.positions[..self.len]
     }
 
@@ -232,18 +232,9 @@ impl MicArray {
         best
     }
 
-    /// Centroid of the microphone positions.
-    pub fn centroid(&self) -> Vec2 {
-        let mut c = Vec2::ZERO;
-        for p in self.positions() {
-            c += *p;
-        }
-        c / self.len as f64
-    }
-
     /// Largest perpendicular deviation of any mic from the line through
     /// the pair realizing the aperture. Zero for 2-mic arrays.
-    pub fn max_line_deviation(&self) -> f64 {
+    pub(crate) fn max_line_deviation(&self) -> f64 {
         if self.len <= 2 {
             return 0.0;
         }
@@ -415,14 +406,12 @@ mod tests {
     }
 
     #[test]
-    fn rectangle_pairs_and_centroid() {
+    fn rectangle_pairs_and_aperture() {
         let a = MicArray::rectangle(0.2, 0.1);
         a.validate_planar().unwrap();
         assert_eq!(a.len(), 4);
         assert_eq!(a.pair_count(), 6);
         assert_eq!(a.pairs().count(), 6);
-        let c = a.centroid();
-        assert!((c.x - 0.05).abs() < 1e-15 && (c.y - 0.1).abs() < 1e-15);
         assert!((a.aperture() - (0.2f64 * 0.2 + 0.1 * 0.1).sqrt()).abs() < 1e-15);
     }
 

@@ -63,15 +63,6 @@ pub const SPEAKER_RECT: DevicePreset = DevicePreset {
     mic_count: 4,
 };
 
-/// Every known preset, for table-driven experiments and lookups.
-pub const DEVICE_PRESETS: [DevicePreset; 4] =
-    [GALAXY_S4, GALAXY_NOTE3, TABLET_TRIANGLE, SPEAKER_RECT];
-
-/// Looks a preset up by its stable name.
-pub fn device_preset(name: &str) -> Option<DevicePreset> {
-    DEVICE_PRESETS.iter().copied().find(|p| p.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,16 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_name_round_trips() {
-        for p in DEVICE_PRESETS {
-            assert_eq!(device_preset(p.name), Some(p));
-        }
-        assert_eq!(device_preset("no-such-device"), None);
-    }
-
-    #[test]
     fn preset_arrays_validate_and_match_separation() {
-        for p in DEVICE_PRESETS {
+        for p in [GALAXY_S4, GALAXY_NOTE3, TABLET_TRIANGLE, SPEAKER_RECT] {
             let a = p.array();
             a.validate().unwrap();
             assert_eq!(a.len(), p.mic_count);

@@ -166,7 +166,7 @@ pub fn far_field_pair_delays(
             ),
         ));
     }
-    let u = Vec2::from_angle(bearing);
+    let u = Vec2::new(bearing.cos(), bearing.sin());
     let mut n = 0usize;
     for pair in array.pairs() {
         let pair = pair?;

@@ -63,30 +63,6 @@ impl HalfHyperbola {
         })
     }
 
-    /// First focus.
-    #[must_use]
-    pub fn focus1(&self) -> Vec2 {
-        self.focus1
-    }
-
-    /// Second focus.
-    #[must_use]
-    pub fn focus2(&self) -> Vec2 {
-        self.focus2
-    }
-
-    /// The signed distance difference defining the locus.
-    #[must_use]
-    pub fn delta_d(&self) -> f64 {
-        self.delta_d
-    }
-
-    /// The focal separation.
-    #[must_use]
-    pub fn baseline(&self) -> f64 {
-        self.focus1.distance(self.focus2)
-    }
-
     /// Signed residual `(|p−f1| − |p−f2|) − Δd`; zero on the locus.
     #[must_use]
     pub fn residual(&self, p: Vec2) -> f64 {
@@ -97,57 +73,10 @@ impl HalfHyperbola {
     ///
     /// Returns `None` when `p` coincides with a focus (gradient undefined).
     #[must_use]
-    pub fn residual_gradient(&self, p: Vec2) -> Option<Vec2> {
+    pub(crate) fn residual_gradient(&self, p: Vec2) -> Option<Vec2> {
         let u1 = (p - self.focus1).normalized()?;
         let u2 = (p - self.focus2).normalized()?;
         Some(u1 - u2)
-    }
-
-    /// Samples the locus as a polyline by scanning directions from the
-    /// hyperbola centre and root-finding the radius on each ray.
-    ///
-    /// `max_radius` bounds how far out the branch is traced; `steps`
-    /// controls angular resolution. Intended for plotting the
-    /// density-of-hyperbolas figures (paper Fig. 4); the localization
-    /// solvers never need sampled curves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeomError::InvalidParameter`] for non-positive
-    /// `max_radius` or `steps < 2`.
-    pub fn sample(&self, max_radius: f64, steps: usize) -> Result<Vec<Vec2>, GeomError> {
-        if max_radius <= 0.0 {
-            return Err(GeomError::invalid("max_radius", "must be positive"));
-        }
-        if steps < 2 {
-            return Err(GeomError::invalid("steps", "need at least 2 steps"));
-        }
-        let center = (self.focus1 + self.focus2) * 0.5;
-        let mut points = Vec::new();
-        for k in 0..steps {
-            let theta = k as f64 / steps as f64 * std::f64::consts::TAU;
-            let dir = Vec2::from_angle(theta);
-            // Residual along the ray center + r·dir, r ∈ (0, max_radius].
-            let f = |r: f64| self.residual(center + dir * r);
-            let (mut lo, mut hi) = (1e-9, max_radius);
-            let (flo, fhi) = (f(lo), f(hi));
-            if flo.signum() == fhi.signum() {
-                continue; // The ray does not cross this branch.
-            }
-            let mut flo = flo;
-            for _ in 0..60 {
-                let mid = 0.5 * (lo + hi);
-                let fm = f(mid);
-                if fm.signum() == flo.signum() {
-                    lo = mid;
-                    flo = fm;
-                } else {
-                    hi = mid;
-                }
-            }
-            points.push(center + dir * (0.5 * (lo + hi)));
-        }
-        Ok(points)
     }
 }
 
@@ -199,16 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn accessors() {
-        let (f1, f2) = foci();
-        let h = HalfHyperbola::new(f1, f2, 0.05).unwrap();
-        assert_eq!(h.focus1(), f1);
-        assert_eq!(h.focus2(), f2);
-        assert_eq!(h.delta_d(), 0.05);
-        assert!((h.baseline() - 0.14).abs() < 1e-12);
-    }
-
-    #[test]
     fn gradient_matches_finite_difference() {
         let (f1, f2) = foci();
         let h = HalfHyperbola::new(f1, f2, 0.05).unwrap();
@@ -228,27 +147,6 @@ mod tests {
         let (f1, f2) = foci();
         let h = HalfHyperbola::new(f1, f2, 0.0).unwrap();
         assert!(h.residual_gradient(f1).is_none());
-    }
-
-    #[test]
-    fn sampled_points_lie_on_locus() {
-        let (f1, f2) = foci();
-        let h = HalfHyperbola::new(f1, f2, 0.08).unwrap();
-        let pts = h.sample(5.0, 256).unwrap();
-        assert!(pts.len() > 32, "got {} points", pts.len());
-        for p in &pts {
-            assert!(h.residual(*p).abs() < 1e-6, "residual {}", h.residual(*p));
-        }
-        // Positive Δd ⇒ farther from f1 ⇒ branch bends toward f2 (x > 0).
-        assert!(pts.iter().all(|p| p.x > 0.0));
-    }
-
-    #[test]
-    fn sample_rejects_bad_parameters() {
-        let (f1, f2) = foci();
-        let h = HalfHyperbola::new(f1, f2, 0.05).unwrap();
-        assert!(h.sample(0.0, 100).is_err());
-        assert!(h.sample(1.0, 1).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! elevation angle β and the *projected* (floor-map) distance
 //! `L* = L1·sin β`, with `β = arccos((H² + L1² − L2²) / (2·H·L1))`.
 
-use crate::{GeomError, Vec2};
+use crate::GeomError;
 
 /// The two-stature slant-range measurements of the 3D protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,16 +109,6 @@ pub fn forward_model(
     ProjectionMeasurement::new(l1, l2, h)
 }
 
-/// Combines the projected distance with the speaker's floor-map bearing to
-/// produce a 2D floor position relative to the user.
-///
-/// `bearing` is the unit direction toward the speaker on the floor map
-/// (from Speaker Direction Finding); `l_star` the projected distance.
-#[must_use]
-pub fn floor_position(bearing: Vec2, l_star: f64) -> Vec2 {
-    bearing * l_star
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,12 +185,6 @@ mod tests {
         assert!(ProjectionMeasurement::new(f64::NAN, 1.0, 0.5).is_err());
         assert!(forward_model(0.0, 0.5, 0.4).is_err());
         assert!(forward_model(5.0, 0.5, 0.0).is_err());
-    }
-
-    #[test]
-    fn floor_position_scales_bearing() {
-        let p = floor_position(Vec2::new(0.6, 0.8), 5.0);
-        assert!((p - Vec2::new(3.0, 4.0)).norm() < 1e-12);
     }
 
     #[test]

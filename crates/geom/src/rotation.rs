@@ -3,10 +3,8 @@
 //! Speaker Direction Finding rolls the phone around its z-axis; the angle
 //! `α ∈ [0°, 360°)` between the speaker direction and the phone's +y axis
 //! determines the measured TDoA (paper Fig. 6–7). This module provides the
-//! angle conventions used throughout: wrapping, the left/right side rule,
-//! and far-field TDoA prediction for a rolling phone.
-
-use crate::{GeomError, Vec2};
+//! angle conventions used throughout: degree wrapping and the left/right
+//! side.
 
 /// Wraps an angle in degrees to `[0, 360)`.
 ///
@@ -27,19 +25,6 @@ pub fn wrap_degrees(angle: f64) -> f64 {
     }
 }
 
-/// Wraps an angle in radians to `(-π, π]`.
-#[must_use]
-pub fn wrap_radians(angle: f64) -> f64 {
-    let tau = std::f64::consts::TAU;
-    let mut a = angle % tau;
-    if a <= -std::f64::consts::PI {
-        a += tau;
-    } else if a > std::f64::consts::PI {
-        a -= tau;
-    }
-    a
-}
-
 /// Which side of the phone the speaker is on, per the paper's convention:
 /// "the speaker is considered on the right-side of the phone when
 /// α ∈ [0°, 180°) and on the left-side when α ∈ [180°, 360°)".
@@ -49,18 +34,6 @@ pub enum Side {
     Right,
     /// α ∈ [180°, 360°): speaker toward the phone's -x axis.
     Left,
-}
-
-impl Side {
-    /// Classifies an α angle (degrees, any range) into a side.
-    #[must_use]
-    pub fn from_alpha_degrees(alpha: f64) -> Side {
-        if wrap_degrees(alpha) < 180.0 {
-            Side::Right
-        } else {
-            Side::Left
-        }
-    }
 }
 
 impl hyperear_util::ToJson for Side {
@@ -87,150 +60,6 @@ impl hyperear_util::FromJson for Side {
     }
 }
 
-/// The phone's roll orientation around its z-axis.
-///
-/// `alpha_degrees` is the angle between the direction of the speaker and
-/// the positive y-axis of the phone (the paper's α).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RollFrame {
-    alpha_degrees: f64,
-}
-
-impl RollFrame {
-    /// Creates a roll frame from α in degrees (wrapped to `[0, 360)`).
-    #[must_use]
-    pub fn from_alpha_degrees(alpha: f64) -> Self {
-        RollFrame {
-            alpha_degrees: wrap_degrees(alpha),
-        }
-    }
-
-    /// The α angle in degrees, in `[0, 360)`.
-    #[must_use]
-    pub fn alpha_degrees(&self) -> f64 {
-        self.alpha_degrees
-    }
-
-    /// The side of the phone the speaker is on.
-    #[must_use]
-    pub fn side(&self) -> Side {
-        Side::from_alpha_degrees(self.alpha_degrees)
-    }
-
-    /// Whether this frame is an in-direction position: α = 90° or 270°
-    /// within `tolerance_degrees`, meaning the speaker lies on the phone's
-    /// x-axis and the inter-mic TDoA is zero.
-    #[must_use]
-    pub fn is_in_direction(&self, tolerance_degrees: f64) -> bool {
-        let d90 = (self.alpha_degrees - 90.0).abs();
-        let d270 = (self.alpha_degrees - 270.0).abs();
-        d90 <= tolerance_degrees || d270 <= tolerance_degrees
-    }
-
-    /// Far-field prediction of the inter-microphone distance difference
-    /// `d1 − d2` for a phone whose two microphones sit on its y-axis,
-    /// separated by `mic_separation` metres, with the speaker at angle α.
-    ///
-    /// At α = 0° the speaker is along +y (endfire): the difference is
-    /// maximal at `−D`; at α = 90°/270° (broadside) it is zero. The sign
-    /// convention matches paper Fig. 7: the curve starts negative at
-    /// α = 0°, crosses zero at 90°, peaks at 180°, and returns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeomError::InvalidParameter`] for a non-positive
-    /// separation.
-    pub fn far_field_distance_difference(&self, mic_separation: f64) -> Result<f64, GeomError> {
-        if mic_separation <= 0.0 {
-            return Err(GeomError::invalid(
-                "mic_separation",
-                format!("must be positive, got {mic_separation}"),
-            ));
-        }
-        let alpha_rad = self.alpha_degrees.to_radians();
-        // Mic1 at +D/2 on y, Mic2 at −D/2; speaker direction makes angle α
-        // with +y. d1 − d2 ≈ −D·cos(α).
-        Ok(-mic_separation * alpha_rad.cos())
-    }
-
-    /// The unit direction of the speaker in phone coordinates.
-    ///
-    /// α is measured from the phone's +y axis toward +x, so
-    /// `direction = (sin α, cos α)`.
-    #[must_use]
-    pub fn speaker_direction(&self) -> Vec2 {
-        let a = self.alpha_degrees.to_radians();
-        Vec2::new(a.sin(), a.cos())
-    }
-}
-
-/// Exact (near-field) distance difference `d1 − d2` for two microphones at
-/// `mic1`/`mic2` and a speaker at `speaker`.
-#[must_use]
-pub fn distance_difference(speaker: Vec2, mic1: Vec2, mic2: Vec2) -> f64 {
-    speaker.distance(mic1) - speaker.distance(mic2)
-}
-
-/// Checked variant of [`distance_difference`]: rejects coincident
-/// microphone placements (for which every speaker position measures an
-/// identically zero difference, so the pair carries no information).
-///
-/// # Errors
-///
-/// [`GeomError::CoincidentMics`] if `mic1` and `mic2` are closer than
-/// [`crate::array::COINCIDENT_EPS`].
-pub fn checked_distance_difference(
-    speaker: Vec2,
-    mic1: Vec2,
-    mic2: Vec2,
-) -> Result<f64, GeomError> {
-    let d = mic1.distance(mic2);
-    if d < crate::array::COINCIDENT_EPS {
-        return Err(GeomError::CoincidentMics {
-            i: 0,
-            j: 1,
-            distance: d,
-        });
-    }
-    Ok(distance_difference(speaker, mic1, mic2))
-}
-
-/// Exact distance difference `d_i − d_j` for pair `(i, j)` of a
-/// microphone array, with the array geometry validated first — the
-/// array-aware entry point of the roll-frame module.
-///
-/// When `planar` is set the array must additionally span two dimensions
-/// (the requirement of the planar DOA front-end), so collinear layouts
-/// are rejected with a typed error rather than silently producing a
-/// direction-ambiguous measurement.
-///
-/// # Errors
-///
-/// Everything [`crate::array::MicArray::validate`] rejects
-/// ([`GeomError::CoincidentMics`] included); with `planar`,
-/// [`GeomError::CollinearMics`] as well; and
-/// [`GeomError::InvalidParameter`] for out-of-range indices.
-pub fn pair_distance_difference(
-    speaker: Vec2,
-    array: &crate::array::MicArray,
-    i: usize,
-    j: usize,
-    planar: bool,
-) -> Result<f64, GeomError> {
-    if planar {
-        array.validate_planar()?;
-    } else {
-        array.validate()?;
-    }
-    let pair = array.pair(i, j)?;
-    let half = pair.axis * (pair.baseline / 2.0);
-    Ok(distance_difference(
-        speaker,
-        pair.midpoint - half,
-        pair.midpoint + half,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,134 +71,5 @@ mod tests {
         assert_eq!(wrap_degrees(360.0), 0.0);
         assert_eq!(wrap_degrees(-1.0), 359.0);
         assert_eq!(wrap_degrees(725.0), 5.0);
-    }
-
-    #[test]
-    fn wrap_radians_cases() {
-        use std::f64::consts::PI;
-        assert!((wrap_radians(PI + 0.1) - (-PI + 0.1)).abs() < 1e-12);
-        assert!((wrap_radians(-PI - 0.1) - (PI - 0.1)).abs() < 1e-12);
-        assert_eq!(wrap_radians(0.3), 0.3);
-    }
-
-    #[test]
-    fn side_rule_matches_paper() {
-        assert_eq!(Side::from_alpha_degrees(0.0), Side::Right);
-        assert_eq!(Side::from_alpha_degrees(90.0), Side::Right);
-        assert_eq!(Side::from_alpha_degrees(179.9), Side::Right);
-        assert_eq!(Side::from_alpha_degrees(180.0), Side::Left);
-        assert_eq!(Side::from_alpha_degrees(270.0), Side::Left);
-        assert_eq!(Side::from_alpha_degrees(-90.0), Side::Left);
-    }
-
-    #[test]
-    fn in_direction_at_90_and_270() {
-        assert!(RollFrame::from_alpha_degrees(90.0).is_in_direction(0.5));
-        assert!(RollFrame::from_alpha_degrees(270.0).is_in_direction(0.5));
-        assert!(RollFrame::from_alpha_degrees(92.0).is_in_direction(3.0));
-        assert!(!RollFrame::from_alpha_degrees(80.0).is_in_direction(3.0));
-        assert!(!RollFrame::from_alpha_degrees(0.0).is_in_direction(3.0));
-    }
-
-    #[test]
-    fn far_field_tdoa_shape_matches_fig7() {
-        // Zero at 90 and 270, extremes at 0 and 180, odd-symmetric halves.
-        let d = 0.1366;
-        let at = |alpha: f64| {
-            RollFrame::from_alpha_degrees(alpha)
-                .far_field_distance_difference(d)
-                .unwrap()
-        };
-        assert!(at(90.0).abs() < 1e-12);
-        assert!(at(270.0).abs() < 1e-12);
-        assert!((at(0.0) + d).abs() < 1e-12);
-        assert!((at(180.0) - d).abs() < 1e-12);
-        // Monotonically increasing on (0, 180).
-        let mut prev = at(0.0);
-        for k in 1..=18 {
-            let v = at(k as f64 * 10.0);
-            assert!(v > prev);
-            prev = v;
-        }
-    }
-
-    #[test]
-    fn far_field_agrees_with_exact_at_long_range() {
-        let d = 0.14;
-        let mic1 = Vec2::new(0.0, d / 2.0);
-        let mic2 = Vec2::new(0.0, -d / 2.0);
-        for alpha in [10.0, 45.0, 120.0, 200.0, 300.0] {
-            let frame = RollFrame::from_alpha_degrees(alpha);
-            let dir = frame.speaker_direction();
-            let speaker = dir * 50.0; // 50 m away: far field
-            let exact = distance_difference(speaker, mic1, mic2);
-            let approx = frame.far_field_distance_difference(d).unwrap();
-            assert!(
-                (exact - approx).abs() < 1e-4,
-                "alpha {alpha}: {exact} vs {approx}"
-            );
-        }
-    }
-
-    #[test]
-    fn speaker_direction_conventions() {
-        let up = RollFrame::from_alpha_degrees(0.0).speaker_direction();
-        assert!((up - Vec2::new(0.0, 1.0)).norm() < 1e-12);
-        let right = RollFrame::from_alpha_degrees(90.0).speaker_direction();
-        assert!((right - Vec2::new(1.0, 0.0)).norm() < 1e-12);
-        let left = RollFrame::from_alpha_degrees(270.0).speaker_direction();
-        assert!((left - Vec2::new(-1.0, 0.0)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn invalid_separation_rejected() {
-        assert!(RollFrame::from_alpha_degrees(0.0)
-            .far_field_distance_difference(0.0)
-            .is_err());
-        assert!(RollFrame::from_alpha_degrees(0.0)
-            .far_field_distance_difference(-1.0)
-            .is_err());
-    }
-
-    #[test]
-    fn degenerate_placements_are_typed() {
-        use crate::array::MicArray;
-        let m = Vec2::new(0.0, 0.07);
-        let err = checked_distance_difference(Vec2::new(1.0, 1.0), m, m).unwrap_err();
-        assert!(matches!(err, GeomError::CoincidentMics { .. }), "{err}");
-
-        let line =
-            MicArray::from_positions(&[Vec2::ZERO, Vec2::new(0.07, 0.0), Vec2::new(0.14, 0.0)])
-                .unwrap();
-        // Non-planar use accepts a straight line...
-        // Speaker above mic 0: mic 0 is nearer, so d_0 − d_2 < 0.
-        let dd = pair_distance_difference(Vec2::new(0.0, 5.0), &line, 0, 2, false).unwrap();
-        assert!(dd < 0.0);
-        // ...planar use rejects it typed.
-        let err = pair_distance_difference(Vec2::new(0.0, 5.0), &line, 0, 2, true).unwrap_err();
-        assert!(
-            matches!(err, GeomError::CollinearMics { mics: 3, .. }),
-            "{err}"
-        );
-
-        // Matches the unchecked value when well-formed.
-        let tri = MicArray::triangle(0.14);
-        let speaker = Vec2::new(0.3, 2.0);
-        let via_pair = pair_distance_difference(speaker, &tri, 0, 1, true).unwrap();
-        let direct =
-            distance_difference(speaker, tri.position(0).unwrap(), tri.position(1).unwrap());
-        assert!((via_pair - direct).abs() < 1e-15);
-    }
-
-    #[test]
-    fn distance_difference_signs() {
-        let mic1 = Vec2::new(0.0, 0.07);
-        let mic2 = Vec2::new(0.0, -0.07);
-        // Speaker closer to mic1 ⇒ negative difference.
-        let dd = distance_difference(Vec2::new(0.0, 5.0), mic1, mic2);
-        assert!(dd < 0.0);
-        // Symmetric speaker ⇒ zero.
-        let dd = distance_difference(Vec2::new(5.0, 0.0), mic1, mic2);
-        assert!(dd.abs() < 1e-12);
     }
 }

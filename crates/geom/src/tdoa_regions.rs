@@ -56,32 +56,6 @@ impl TdoaQuantizer {
         })
     }
 
-    /// Creates a quantizer for pair `(i, j)` of a microphone array,
-    /// validating the whole array first — so a coincident pair anywhere
-    /// in the array (not just the requested one) is rejected typed.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`crate::array::MicArray::validate`] rejects, plus the
-    /// conditions of [`TdoaQuantizer::new`] and out-of-range indices.
-    pub fn for_pair(
-        array: &crate::array::MicArray,
-        i: usize,
-        j: usize,
-        sample_rate: f64,
-        speed_of_sound: f64,
-    ) -> Result<Self, GeomError> {
-        array.validate()?;
-        let pair = array.pair(i, j)?;
-        let half = pair.axis * (pair.baseline / 2.0);
-        TdoaQuantizer::new(
-            pair.midpoint - half,
-            pair.midpoint + half,
-            sample_rate,
-            speed_of_sound,
-        )
-    }
-
     /// The distance-difference resolution `S/fs` in metres.
     #[must_use]
     pub fn resolution(&self) -> f64 {
@@ -90,7 +64,7 @@ impl TdoaQuantizer {
 
     /// The receiver baseline in metres.
     #[must_use]
-    pub fn baseline(&self) -> f64 {
+    pub(crate) fn baseline(&self) -> f64 {
         self.mic1.distance(self.mic2)
     }
 
@@ -103,7 +77,7 @@ impl TdoaQuantizer {
 
     /// The exact distance difference `|p−mic1| − |p−mic2|` at a point.
     #[must_use]
-    pub fn distance_difference(&self, p: Vec2) -> f64 {
+    pub(crate) fn distance_difference(&self, p: Vec2) -> f64 {
         p.distance(self.mic1) - p.distance(self.mic2)
     }
 
@@ -116,28 +90,8 @@ impl TdoaQuantizer {
         (self.distance_difference(p) / self.resolution).round() as i64
     }
 
-    /// The local width of the ambiguity region containing `p`, measured
-    /// perpendicular to the hyperbola through `p`, in metres.
-    ///
-    /// Equal to `resolution / |∇Δd(p)|`. Grows without bound as the
-    /// gradient collapses in the far field — the paper's Fig. 3 effect.
-    ///
-    /// Returns `None` at a receiver position (gradient undefined) or deep
-    /// in the endfire cone where the gradient vanishes.
-    #[must_use]
-    pub fn region_width(&self, p: Vec2) -> Option<f64> {
-        let u1 = (p - self.mic1).normalized()?;
-        let u2 = (p - self.mic2).normalized()?;
-        let g = (u1 - u2).norm();
-        if g < 1e-12 {
-            None
-        } else {
-            Some(self.resolution / g)
-        }
-    }
-
-    /// Far-field broadside approximation of [`TdoaQuantizer::region_width`]
-    /// at range `r`: `resolution · r / D`.
+    /// Far-field broadside width of one quantized region at range `r`:
+    /// `resolution · r / D`.
     ///
     /// # Errors
     ///
@@ -147,28 +101,6 @@ impl TdoaQuantizer {
             return Err(GeomError::invalid("r", "range must be positive"));
         }
         Ok(self.resolution * r / self.baseline())
-    }
-
-    /// Half-width of the *range* ambiguity of a two-hyperbola intersection
-    /// at range `r`, with the second baseline `d_prime`:
-    /// `resolution · r² / (2 · D · D′)`.
-    ///
-    /// This is the dominant error of the naive scheme (paper §II-C: up to
-    /// 18.6 cm at 1 m and 266.7 cm at 5 m) and the quantity sliding the
-    /// phone attacks by growing `D′` from 13.66 cm to 50–60 cm.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeomError::InvalidParameter`] for non-positive `r` or
-    /// `d_prime`.
-    pub fn range_ambiguity(&self, r: f64, d_prime: f64) -> Result<f64, GeomError> {
-        if r <= 0.0 {
-            return Err(GeomError::invalid("r", "range must be positive"));
-        }
-        if d_prime <= 0.0 {
-            return Err(GeomError::invalid("d_prime", "baseline must be positive"));
-        }
-        Ok(self.resolution * r * r / (2.0 * self.baseline() * d_prime))
     }
 }
 
@@ -316,59 +248,11 @@ mod tests {
     }
 
     #[test]
-    fn region_width_grows_with_range() {
-        let q = s4_quantizer();
-        let w1 = q.region_width(Vec2::new(0.0, 1.0)).unwrap();
-        let w5 = q.region_width(Vec2::new(0.0, 5.0)).unwrap();
-        assert!(w5 > 4.0 * w1, "w1 {w1} w5 {w5}");
-        // Far-field approximation agrees broadside.
-        let approx = q.broadside_region_width(5.0).unwrap();
-        assert!((w5 - approx).abs() / approx < 0.01, "{w5} vs {approx}");
-    }
-
-    #[test]
     fn broadside_width_numbers() {
         // q·r/D at 1 m for the S4: 0.00778·1/0.1366 ≈ 5.7 cm.
         let q = s4_quantizer();
         let w = q.broadside_region_width(1.0).unwrap();
         assert!((0.05..0.07).contains(&w), "width {w}");
-    }
-
-    #[test]
-    fn range_ambiguity_explodes_quadratically() {
-        let q = s4_quantizer();
-        let e1 = q.range_ambiguity(1.0, q.baseline()).unwrap();
-        let e5 = q.range_ambiguity(5.0, q.baseline()).unwrap();
-        assert!((e5 / e1 - 25.0).abs() < 1e-9);
-        // Same order as the paper's naive-scheme numbers (18.6 cm @ 1 m,
-        // 266.7 cm @ 5 m).
-        assert!((0.1..0.5).contains(&e1), "1 m ambiguity {e1}");
-        assert!((2.0..13.0).contains(&e5), "5 m ambiguity {e5}");
-    }
-
-    #[test]
-    fn sliding_shrinks_range_ambiguity() {
-        // Growing D′ from the phone width to 55 cm divides the range
-        // ambiguity by ~4 — the core HyperEar effect.
-        let q = s4_quantizer();
-        let naive = q.range_ambiguity(5.0, 0.1366).unwrap();
-        let slide = q.range_ambiguity(5.0, 0.55).unwrap();
-        assert!((naive / slide - 0.55 / 0.1366).abs() < 1e-9);
-    }
-
-    #[test]
-    fn region_width_undefined_at_mic() {
-        let q = s4_quantizer();
-        assert!(q.region_width(Vec2::new(-0.0683, 0.0)).is_none());
-    }
-
-    #[test]
-    fn region_width_endfire_larger_than_broadside() {
-        let q = s4_quantizer();
-        let broadside = q.region_width(Vec2::new(0.0, 2.0)).unwrap();
-        // 60° off broadside.
-        let off = q.region_width(Vec2::new(2.0 * 0.866, 2.0 * 0.5)).unwrap();
-        assert!(off > broadside);
     }
 
     #[test]
@@ -406,8 +290,6 @@ mod tests {
         assert!(TdoaQuantizer::new(a, a, FS, S).is_err());
         let q = s4_quantizer();
         assert!(q.broadside_region_width(0.0).is_err());
-        assert!(q.range_ambiguity(0.0, 0.5).is_err());
-        assert!(q.range_ambiguity(1.0, 0.0).is_err());
         assert!(DensityMap::compute(&q, a, 0.01, 0, 5).is_err());
         assert!(DensityMap::compute(&q, a, 0.0, 5, 5).is_err());
     }
@@ -420,25 +302,6 @@ mod tests {
             matches!(err, GeomError::CoincidentMics { i: 0, j: 1, .. }),
             "{err}"
         );
-    }
-
-    #[test]
-    fn for_pair_matches_direct_construction() {
-        let arr = crate::array::MicArray::two_mic(0.1366);
-        let q = TdoaQuantizer::for_pair(&arr, 0, 1, FS, S).unwrap();
-        assert_eq!(q.distinguishable_hyperbolas(), 35);
-        assert!((q.baseline() - 0.1366).abs() < 1e-12);
-        // A coincident pair anywhere in the array is rejected typed.
-        let bad = crate::array::MicArray::from_positions(&[
-            Vec2::ZERO,
-            Vec2::new(0.1, 0.0),
-            Vec2::new(1e-9, 0.0),
-        ])
-        .unwrap();
-        let err = TdoaQuantizer::for_pair(&bad, 0, 1, FS, S).unwrap_err();
-        assert!(matches!(err, GeomError::CoincidentMics { .. }), "{err}");
-        // Out-of-range pair index.
-        assert!(TdoaQuantizer::for_pair(&arr, 0, 5, FS, S).is_err());
     }
 
     #[test]

@@ -39,21 +39,15 @@ impl Vec2 {
         self.x.hypot(self.y)
     }
 
-    /// Squared norm, avoiding the square root.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Dot product.
     #[inline]
-    pub fn dot(self, other: Vec2) -> f64 {
+    pub(crate) fn dot(self, other: Vec2) -> f64 {
         self.x * other.x + self.y * other.y
     }
 
     /// 2D cross product (z-component of the 3D cross product).
     #[inline]
-    pub fn cross(self, other: Vec2) -> f64 {
+    pub(crate) fn cross(self, other: Vec2) -> f64 {
         self.x * other.y - self.y * other.x
     }
 
@@ -66,7 +60,7 @@ impl Vec2 {
     /// Unit vector in the same direction; returns `None` for (near-)zero
     /// vectors.
     #[must_use]
-    pub fn normalized(self) -> Option<Vec2> {
+    pub(crate) fn normalized(self) -> Option<Vec2> {
         let n = self.norm();
         if n < 1e-300 {
             None
@@ -79,12 +73,6 @@ impl Vec2 {
     #[inline]
     pub fn angle(self) -> f64 {
         self.y.atan2(self.x)
-    }
-
-    /// Unit vector at the given polar angle (radians).
-    #[inline]
-    pub fn from_angle(theta: f64) -> Vec2 {
-        Vec2::new(theta.cos(), theta.sin())
     }
 
     /// Rotates the vector by `theta` radians counter-clockwise.
@@ -190,55 +178,10 @@ impl Vec3 {
         (self.x * self.x + self.y * self.y + self.z * self.z).sqrt()
     }
 
-    /// Squared norm.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
-        self.x * self.x + self.y * self.y + self.z * self.z
-    }
-
-    /// Dot product.
-    #[inline]
-    pub fn dot(self, other: Vec3) -> f64 {
-        self.x * other.x + self.y * other.y + self.z * other.z
-    }
-
-    /// Cross product.
-    #[must_use]
-    pub fn cross(self, other: Vec3) -> Vec3 {
-        Vec3::new(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-    }
-
     /// Distance to another point.
     #[inline]
     pub fn distance(self, other: Vec3) -> f64 {
         (self - other).norm()
-    }
-
-    /// Unit vector in the same direction; `None` for (near-)zero vectors.
-    #[must_use]
-    pub fn normalized(self) -> Option<Vec3> {
-        let n = self.norm();
-        if n < 1e-300 {
-            None
-        } else {
-            Some(self / n)
-        }
-    }
-
-    /// The horizontal (floor-plane) projection, dropping z.
-    #[inline]
-    pub fn xy(self) -> Vec2 {
-        Vec2::new(self.x, self.y)
-    }
-
-    /// Lifts a 2D point to 3D at the given height.
-    #[inline]
-    pub fn from_xy(v: Vec2, z: f64) -> Vec3 {
-        Vec3::new(v.x, v.y, z)
     }
 }
 
@@ -320,7 +263,6 @@ mod tests {
     #[test]
     fn vec2_norm_and_distance() {
         assert_eq!(Vec2::new(3.0, 4.0).norm(), 5.0);
-        assert_eq!(Vec2::new(3.0, 4.0).norm_sqr(), 25.0);
         assert_eq!(Vec2::new(1.0, 1.0).distance(Vec2::new(4.0, 5.0)), 5.0);
     }
 
@@ -338,9 +280,6 @@ mod tests {
     #[test]
     fn vec2_angles() {
         assert!((Vec2::new(0.0, 1.0).angle() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-        let u = Vec2::from_angle(0.7);
-        assert!((u.norm() - 1.0).abs() < 1e-12);
-        assert!((u.angle() - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -368,39 +307,13 @@ mod tests {
         assert_eq!(a * 2.0, Vec3::new(2.0, 4.0, 6.0));
         assert_eq!(a / 2.0, Vec3::new(0.5, 1.0, 1.5));
         assert_eq!(-b, Vec3::new(1.0, 0.0, -1.0));
-        assert_eq!(a.dot(b), 2.0);
     }
 
     #[test]
-    fn vec3_cross_is_orthogonal() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(-2.0, 1.0, 0.5);
-        let c = a.cross(b);
-        assert!(c.dot(a).abs() < 1e-12);
-        assert!(c.dot(b).abs() < 1e-12);
-        // Right-handedness: x × y = z.
-        let z = Vec3::new(1.0, 0.0, 0.0).cross(Vec3::new(0.0, 1.0, 0.0));
-        assert_eq!(z, Vec3::new(0.0, 0.0, 1.0));
-    }
-
-    #[test]
-    fn vec3_norm_and_projection() {
+    fn vec3_norm_and_distance() {
         let v = Vec3::new(2.0, 3.0, 6.0);
         assert_eq!(v.norm(), 7.0);
-        assert_eq!(v.norm_sqr(), 49.0);
-        assert_eq!(v.xy(), Vec2::new(2.0, 3.0));
-        assert_eq!(
-            Vec3::from_xy(Vec2::new(1.0, 2.0), 5.0),
-            Vec3::new(1.0, 2.0, 5.0)
-        );
         assert_eq!(Vec3::new(0.0, 0.0, 0.0).distance(v), 7.0);
-    }
-
-    #[test]
-    fn vec3_normalized() {
-        let n = Vec3::new(0.0, 0.0, -4.0).normalized().unwrap();
-        assert_eq!(n, Vec3::new(0.0, 0.0, -1.0));
-        assert!(Vec3::ZERO.normalized().is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use hyperear_geom::hyperbola::HalfHyperbola;
 use hyperear_geom::project::forward_model;
-use hyperear_geom::rotation::{wrap_degrees, wrap_radians, RollFrame};
+use hyperear_geom::rotation::wrap_degrees;
 use hyperear_geom::tdoa_regions::TdoaQuantizer;
 use hyperear_geom::triangulate::{solve_slide, SlideGeometry};
 use hyperear_geom::Vec2;
@@ -111,31 +111,6 @@ fn wrap_degrees_is_idempotent_and_in_range() {
 }
 
 #[test]
-fn wrap_radians_in_range() {
-    prop::check("wrap_radians_in_range", f64_range(-50.0, 50.0), |&angle| {
-        let w = wrap_radians(angle);
-        prop_assert!(w > -std::f64::consts::PI - 1e-12);
-        prop_assert!(w <= std::f64::consts::PI + 1e-12);
-        prop::pass()
-    });
-}
-
-#[test]
-fn far_field_tdoa_is_bounded_by_separation() {
-    let strat = (f64_range(0.0, 360.0), f64_range(0.05, 0.3));
-    prop::check(
-        "far_field_tdoa_is_bounded_by_separation",
-        strat,
-        |&(alpha, d)| {
-            let frame = RollFrame::from_alpha_degrees(alpha);
-            let dd = frame.far_field_distance_difference(d).unwrap();
-            prop_assert!(dd.abs() <= d + 1e-12);
-            prop::pass()
-        },
-    );
-}
-
-#[test]
 fn region_index_is_antisymmetric() {
     let strat = (f64_range(0.05, 4.0), f64_range(0.2, 6.0));
     prop::check("region_index_is_antisymmetric", strat, |&(x, y)| {
@@ -151,29 +126,6 @@ fn region_index_is_antisymmetric() {
         prop_assert_eq!(left, -right);
         prop::pass()
     });
-}
-
-#[test]
-fn region_width_never_below_resolution_over_two() {
-    let strat = (f64_range(-2.0, 2.0), f64_range(0.3, 6.0));
-    prop::check(
-        "region_width_never_below_resolution_over_two",
-        strat,
-        |&(x, y)| {
-            let q = TdoaQuantizer::new(
-                Vec2::new(-0.0683, 0.0),
-                Vec2::new(0.0683, 0.0),
-                44_100.0,
-                343.0,
-            )
-            .unwrap();
-            if let Some(w) = q.region_width(Vec2::new(x, y)) {
-                // |∇Δd| ≤ 2, so the width is at least resolution/2.
-                prop_assert!(w >= q.resolution() / 2.0 - 1e-12);
-            }
-            prop::pass()
-        },
-    );
 }
 
 #[test]

@@ -7,25 +7,14 @@
 use crate::velocity::{correct_linear_drift_into, integrate_acceleration_into};
 use crate::ImuError;
 
-/// Integrates a velocity trace (trapezoidal) into a displacement trace.
+/// Integrates a velocity trace (trapezoidal) into a displacement trace,
+/// written into a caller-owned buffer that is cleared and reused.
 ///
 /// # Errors
 ///
 /// Returns [`ImuError::TraceTooShort`] for fewer than 2 samples and
 /// [`ImuError::InvalidParameter`] for a non-positive sample rate.
-pub fn integrate_velocity(velocity: &[f64], sample_rate: f64) -> Result<Vec<f64>, ImuError> {
-    let mut d = Vec::new();
-    integrate_velocity_into(velocity, sample_rate, &mut d)?;
-    Ok(d)
-}
-
-/// Allocation-free form of [`integrate_velocity`] writing into a
-/// caller-owned buffer that is cleared and reused.
-///
-/// # Errors
-///
-/// Same conditions as [`integrate_velocity`].
-pub fn integrate_velocity_into(
+pub(crate) fn integrate_velocity_into(
     velocity: &[f64],
     sample_rate: f64,
     out: &mut Vec<f64>,
@@ -60,14 +49,6 @@ pub struct DisplacementScratch {
     displacement: Vec<f64>,
 }
 
-impl DisplacementScratch {
-    /// Creates empty scratch buffers.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Per-segment kinematic summary produced by [`segment_kinematics`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentKinematics {
@@ -84,12 +65,15 @@ pub struct SegmentKinematics {
 
 /// Allocation-free per-segment kinematics: acceleration → drift-corrected
 /// velocity → displacement, plus the zero-velocity residual diagnostics
-/// used for per-slide confidence scoring. Numerically identical to
-/// [`segment_displacement_with`] for the `distance` field.
+/// used for per-slide confidence scoring.
+///
+/// `distance` is the `D′` (for horizontal slides) or `H` contribution
+/// (for stature changes) of the paper's geometry.
 ///
 /// # Errors
 ///
-/// Same conditions as [`segment_displacement_with`].
+/// Combines the conditions of velocity estimation and
+/// [`integrate_velocity_into`].
 pub fn segment_kinematics(
     accel: &[f64],
     sample_rate: f64,
@@ -114,39 +98,21 @@ pub fn segment_kinematics(
     })
 }
 
-/// The signed net displacement of one movement segment: acceleration →
-/// drift-corrected velocity → displacement, end minus start.
-///
-/// This is the `D′` (for horizontal slides) or `H` contribution (for
-/// stature changes) of the paper's geometry.
-///
-/// # Errors
-///
-/// Combines the conditions of [`estimate_velocity`] and
-/// [`integrate_velocity`].
-pub fn segment_displacement(accel: &[f64], sample_rate: f64) -> Result<f64, ImuError> {
-    segment_displacement_with(accel, sample_rate, true)
-}
-
-/// Like [`segment_displacement`] but with the Eq. 4 drift correction
-/// switchable — the ablation the paper's Fig. 9 motivates.
-///
-/// # Errors
-///
-/// Same conditions as [`segment_displacement`].
-pub fn segment_displacement_with(
-    accel: &[f64],
-    sample_rate: f64,
-    drift_correction: bool,
-) -> Result<f64, ImuError> {
-    let mut scratch = DisplacementScratch::new();
-    Ok(segment_kinematics(accel, sample_rate, drift_correction, &mut scratch)?.distance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::velocity::estimate_velocity;
+
+    /// The drift-corrected net displacement of `accel`.
+    fn displacement(accel: &[f64], fs: f64) -> Result<f64, ImuError> {
+        segment_kinematics(accel, fs, true, &mut DisplacementScratch::default()).map(|k| k.distance)
+    }
+
+    fn integrate_velocity(velocity: &[f64], fs: f64) -> Result<Vec<f64>, ImuError> {
+        let mut out = Vec::new();
+        integrate_velocity_into(velocity, fs, &mut out)?;
+        Ok(out)
+    }
 
     fn min_jerk_accel(dist: f64, n: usize, fs: f64) -> Vec<f64> {
         let duration = (n - 1) as f64 / fs;
@@ -163,7 +129,7 @@ mod tests {
     fn clean_slide_recovers_distance() {
         for dist in [0.15, 0.35, 0.55, -0.55] {
             let accel = min_jerk_accel(dist, 81, 100.0);
-            let d = segment_displacement(&accel, 100.0).unwrap();
+            let d = displacement(&accel, 100.0).unwrap();
             assert!((d - dist).abs() < 0.002, "dist {dist}: estimated {d}");
         }
     }
@@ -177,7 +143,7 @@ mod tests {
         for a in &mut accel {
             *a += 0.2;
         }
-        let d = segment_displacement(&accel, 100.0).unwrap();
+        let d = displacement(&accel, 100.0).unwrap();
         assert!((d - 0.55).abs() < 0.005, "estimated {d}");
     }
 
@@ -203,7 +169,7 @@ mod tests {
         assert!(integrate_velocity(&[], 100.0).is_err());
         assert!(integrate_velocity(&[1.0], 100.0).is_err());
         assert!(integrate_velocity(&[1.0, 2.0], 0.0).is_err());
-        assert!(segment_displacement(&[1.0], 100.0).is_err());
+        assert!(displacement(&[1.0], 100.0).is_err());
     }
 
     #[test]
@@ -212,9 +178,17 @@ mod tests {
         for a in &mut accel {
             *a += 0.2;
         }
-        let mut scratch = DisplacementScratch::new();
+        let mut scratch = DisplacementScratch::default();
         for drift_correction in [true, false] {
-            let reference = segment_displacement_with(&accel, 100.0, drift_correction).unwrap();
+            // The staged pipeline: velocity, optional Eq. 4 correction,
+            // displacement.
+            let v = estimate_velocity(&accel, 100.0).unwrap();
+            let trace = if drift_correction {
+                &v.corrected
+            } else {
+                &v.raw
+            };
+            let reference = *integrate_velocity(trace, 100.0).unwrap().last().unwrap();
             for _ in 0..2 {
                 let kin =
                     segment_kinematics(&accel, 100.0, drift_correction, &mut scratch).unwrap();
@@ -224,7 +198,7 @@ mod tests {
                 assert!((kin.drift_slope - 0.2).abs() < 1e-9);
             }
         }
-        let mut empty = DisplacementScratch::new();
+        let mut empty = DisplacementScratch::default();
         assert!(segment_kinematics(&[1.0], 100.0, true, &mut empty).is_err());
     }
 

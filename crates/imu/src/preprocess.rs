@@ -7,7 +7,6 @@
 //! sampling rate ... 100Hz."
 
 use crate::ImuError;
-use hyperear_dsp::filter::MovingAverage;
 use hyperear_geom::Vec3;
 
 /// Estimates the gravity vector from an initial stationary window of raw
@@ -20,7 +19,7 @@ use hyperear_geom::Vec3;
 /// available, [`ImuError::InvalidParameter`] for a zero window, and an
 /// error if the estimated vector is implausibly far from 9.8 m/s²
 /// (the window was not actually stationary).
-pub fn estimate_gravity(accel: &[Vec3], window: usize) -> Result<Vec3, ImuError> {
+pub(crate) fn estimate_gravity(accel: &[Vec3], window: usize) -> Result<Vec3, ImuError> {
     if window == 0 {
         return Err(ImuError::invalid("window", "must be positive"));
     }
@@ -47,40 +46,14 @@ pub fn estimate_gravity(accel: &[Vec3], window: usize) -> Result<Vec3, ImuError>
     Ok(g)
 }
 
-/// Subtracts a constant gravity estimate from every sample, yielding
-/// linear acceleration.
-#[must_use]
-pub fn remove_gravity(accel: &[Vec3], gravity: Vec3) -> Vec<Vec3> {
-    accel.iter().map(|a| *a - gravity).collect()
-}
-
-/// Applies the paper's SMA low-pass to each axis of a 3-axis trace.
-///
-/// # Errors
-///
-/// Returns [`ImuError::InvalidParameter`] for a zero window and
-/// propagates DSP errors for an empty trace.
-pub fn smooth(trace: &[Vec3], window: usize) -> Result<Vec<Vec3>, ImuError> {
-    let sma = MovingAverage::new(window).map_err(ImuError::from)?;
-    let x: Vec<f64> = trace.iter().map(|v| v.x).collect();
-    let y: Vec<f64> = trace.iter().map(|v| v.y).collect();
-    let z: Vec<f64> = trace.iter().map(|v| v.z).collect();
-    let (sx, sy, sz) = (sma.filter(&x)?, sma.filter(&y)?, sma.filter(&z)?);
-    Ok(sx
-        .into_iter()
-        .zip(sy)
-        .zip(sz)
-        .map(|((a, b), c)| Vec3::new(a, b, c))
-        .collect())
-}
-
 /// Convenience: gravity estimation, removal, and smoothing in one call.
 ///
 /// Returns `(linear_acceleration, gravity_estimate)`.
 ///
 /// # Errors
 ///
-/// Combines the error conditions of [`estimate_gravity`] and [`smooth`].
+/// Combines the error conditions of [`estimate_gravity`] with
+/// [`ImuError::InvalidParameter`] for a zero `sma_window`.
 pub fn preprocess(
     accel: &[Vec3],
     gravity_window: usize,
@@ -94,25 +67,29 @@ pub fn preprocess(
 /// Allocation-free form of [`preprocess`]: gravity removal and SMA
 /// smoothing are fused into one pass over a caller-owned output buffer.
 ///
-/// The fused loop runs the same per-axis accumulator arithmetic as
-/// [`smooth`] over the same gravity-subtracted samples, in the same
-/// order, so the output is bit-identical to [`preprocess`].
+/// Output sample `i` is the unweighted mean of the last
+/// `min(i + 1, sma_window)` gravity-subtracted samples: the first
+/// `sma_window - 1` outputs average the partial window seen so far, so
+/// the output has the input's length and no start-up transient.
 ///
 /// Returns the gravity estimate; the smoothed linear acceleration is
 /// written to `out`.
 ///
 /// # Errors
 ///
-/// Combines the error conditions of [`estimate_gravity`] and [`smooth`].
-pub fn preprocess_into(
+/// Combines the error conditions of [`estimate_gravity`] with
+/// [`ImuError::InvalidParameter`] for a zero `sma_window`.
+pub(crate) fn preprocess_into(
     accel: &[Vec3],
     gravity_window: usize,
     sma_window: usize,
     out: &mut Vec<Vec3>,
 ) -> Result<Vec3, ImuError> {
     let gravity = estimate_gravity(accel, gravity_window)?;
-    let sma = MovingAverage::new(sma_window).map_err(ImuError::from)?;
-    let n = sma.window();
+    if sma_window == 0 {
+        return Err(ImuError::invalid("sma_window", "must be positive"));
+    }
+    let n = sma_window;
     out.clear();
     out.reserve(accel.len());
     let (mut ax, mut ay, mut az) = (0.0_f64, 0.0_f64, 0.0_f64);
@@ -175,32 +152,6 @@ mod tests {
     fn short_or_empty_traces_are_errors() {
         assert!(estimate_gravity(&stationary(10), 50).is_err());
         assert!(estimate_gravity(&stationary(10), 0).is_err());
-        assert!(smooth(&[], 4).is_err());
-        assert!(smooth(&stationary(10), 0).is_err());
-    }
-
-    #[test]
-    fn remove_gravity_zeroes_stationary_trace() {
-        let accel = stationary(50);
-        let g = estimate_gravity(&accel, 50).unwrap();
-        let linear = remove_gravity(&accel, g);
-        assert!(linear.iter().all(|v| v.norm() < 1e-12));
-    }
-
-    #[test]
-    fn smoothing_averages_alternating_noise() {
-        let trace: Vec<Vec3> = (0..100)
-            .map(|i| {
-                let e = if i % 2 == 0 { 0.5 } else { -0.5 };
-                Vec3::new(1.0 + e, 2.0 - e, e)
-            })
-            .collect();
-        let out = smooth(&trace, 4).unwrap();
-        for v in &out[4..] {
-            assert!((v.x - 1.0).abs() < 1e-9);
-            assert!((v.y - 2.0).abs() < 1e-9);
-            assert!(v.z.abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -219,19 +170,74 @@ mod tests {
     }
 
     #[test]
-    fn preprocess_into_matches_staged_pipeline() {
+    fn smoothing_warmup_averages_the_partial_window() {
+        // An impulse at sample 0 lies inside the gravity window, so the
+        // estimate carries 8/64 of it on y and every other linear sample
+        // is -0.125 (all exact in binary).
+        let mut accel = stationary(64);
+        accel[0].y += 8.0;
+        let mut out = Vec::new();
+        let g = preprocess_into(&accel, 64, 4, &mut out).unwrap();
+        assert_eq!(g.y, 0.125);
+        let y: Vec<f64> = out.iter().map(|v| v.y).collect();
+        assert_eq!(y[0], 7.875);
+        assert_eq!(y[1], 3.875); // (7.875 - 0.125) / 2
+        assert!((y[2] - 7.625 / 3.0).abs() < 1e-12);
+        assert_eq!(y[3], 1.875); // (7.875 - 3 * 0.125) / 4
+                                 // A full window from here on, and the impulse has left it.
+        assert!(y[4..].iter().all(|&v| v == -0.125));
+        assert!(out.iter().all(|v| v.x == 0.0 && v.z.abs() < 1e-12));
+    }
+
+    #[test]
+    fn smoothing_steady_state_is_the_window_mean() {
+        let mut accel = stationary(56);
+        for (k, a) in accel.iter_mut().skip(50).enumerate() {
+            a.y += (k + 1) as f64; // 1, 2, ..., 6 after the gravity window
+        }
+        let mut out = Vec::new();
+        preprocess_into(&accel, 50, 3, &mut out).unwrap();
+        assert!(out[..50].iter().all(|v| v.norm() < 1e-12));
+        assert!((out[53].y - 3.0).abs() < 1e-12); // (2 + 3 + 4) / 3
+        assert!((out[55].y - 5.0).abs() < 1e-12); // (4 + 5 + 6) / 3
+    }
+
+    #[test]
+    fn smoothing_averages_alternating_noise() {
+        let mut accel = stationary(100);
+        for (i, a) in accel.iter_mut().enumerate() {
+            let e = if i % 2 == 0 { 0.5 } else { -0.5 };
+            a.x += e;
+            a.y -= e;
+        }
+        let mut out = Vec::new();
+        preprocess_into(&accel, 100, 4, &mut out).unwrap();
+        assert!(out[4..].iter().all(|v| v.norm() < 1e-9));
+    }
+
+    #[test]
+    fn preprocess_into_overwrites_a_stale_buffer() {
         let mut accel = stationary(260);
         for (i, a) in accel.iter_mut().enumerate().skip(120).take(60) {
             a.y += 1.5 + 0.03 * (i % 7) as f64;
             a.z -= 0.4;
         }
-        let (reference, g_ref) = preprocess(&accel, 100, 4).unwrap();
+        let (fresh, g_fresh) = preprocess(&accel, 100, 4).unwrap();
         let mut out = vec![Vec3::new(9.0, 9.0, 9.0); 3]; // stale contents
         for _ in 0..2 {
             let g = preprocess_into(&accel, 100, 4, &mut out).unwrap();
-            assert_eq!(g, g_ref);
-            assert_eq!(out, reference); // bit-identical, not just close
+            assert_eq!(g, g_fresh);
+            assert_eq!(out, fresh);
         }
+    }
+
+    #[test]
+    fn zero_sma_window_is_rejected() {
+        let mut out = Vec::new();
+        assert!(matches!(
+            preprocess_into(&stationary(100), 50, 0, &mut out),
+            Err(ImuError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

@@ -73,15 +73,6 @@ pub enum Rejection {
 }
 
 impl QualityGate {
-    /// A gate that accepts everything (for ablation experiments).
-    #[must_use]
-    pub fn disabled() -> Self {
-        QualityGate {
-            min_distance: 0.0,
-            max_rotation_deg: f64::INFINITY,
-        }
-    }
-
     /// Validates the gate.
     ///
     /// # Errors
@@ -165,7 +156,10 @@ mod tests {
 
     #[test]
     fn disabled_gate_accepts_anything() {
-        let g = QualityGate::disabled();
+        let g = QualityGate {
+            min_distance: 0.0,
+            max_rotation_deg: f64::INFINITY,
+        };
         assert!(g.check(0.01, 180.0).is_ok());
         assert!(g.validate().is_ok());
     }

@@ -10,22 +10,12 @@ use crate::ImuError;
 /// Integrates an angular-rate trace (rad/s) into an angle trace (rad),
 /// starting from zero, trapezoidal rule.
 ///
+/// The trace is written into `out` (cleared and reused).
+///
 /// # Errors
 ///
 /// Returns [`ImuError::TraceTooShort`] for fewer than 2 samples and
 /// [`ImuError::InvalidParameter`] for a non-positive sample rate.
-pub fn integrate_rate(rate: &[f64], sample_rate: f64) -> Result<Vec<f64>, ImuError> {
-    let mut angle = Vec::new();
-    integrate_rate_into(rate, sample_rate, &mut angle)?;
-    Ok(angle)
-}
-
-/// Allocation-free form of [`integrate_rate`] writing into a caller-owned
-/// buffer that is cleared and reused.
-///
-/// # Errors
-///
-/// Same conditions as [`integrate_rate`].
 pub fn integrate_rate_into(
     rate: &[f64],
     sample_rate: f64,
@@ -69,22 +59,12 @@ pub fn integrate_rate_into(
 /// (they keep facing the speaker), so any sustained rotation trend *is*
 /// drift. A deliberate net turn would be absorbed into the bias.
 ///
+/// The trace is written into `out` (cleared and reused).
+///
 /// # Errors
 ///
 /// Returns [`ImuError::TraceTooShort`] for fewer than 2 samples and
 /// [`ImuError::InvalidParameter`] for a non-positive sample rate.
-pub fn yaw_trace(gyro_z: &[f64], sample_rate: f64) -> Result<Vec<f64>, ImuError> {
-    let mut out = Vec::new();
-    yaw_trace_into(gyro_z, sample_rate, &mut out)?;
-    Ok(out)
-}
-
-/// Allocation-free form of [`yaw_trace`]: the angle is integrated into
-/// the caller-owned buffer and detrended in place.
-///
-/// # Errors
-///
-/// Same conditions as [`yaw_trace`].
 pub fn yaw_trace_into(
     gyro_z: &[f64],
     sample_rate: f64,
@@ -116,20 +96,11 @@ pub fn yaw_trace_into(
 /// hand returns to its orientation by the end of a slide, so a net linear
 /// trend in the integrated angle is treated as bias.
 ///
-/// # Errors
-///
-/// Same conditions as [`integrate_rate`].
-pub fn max_rotation_deg(gyro_z: &[f64], sample_rate: f64) -> Result<f64, ImuError> {
-    let mut angle = Vec::new();
-    max_rotation_deg_with(gyro_z, sample_rate, &mut angle)
-}
-
-/// Allocation-free form of [`max_rotation_deg`]: the intermediate angle
-/// trace lives in a caller-owned buffer that is cleared and reused.
+/// The intermediate angle trace lives in `angle` (cleared and reused).
 ///
 /// # Errors
 ///
-/// Same conditions as [`max_rotation_deg`].
+/// Same conditions as [`integrate_rate_into`].
 pub fn max_rotation_deg_with(
     gyro_z: &[f64],
     sample_rate: f64,
@@ -149,6 +120,22 @@ pub fn max_rotation_deg_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn integrate_rate(rate: &[f64], fs: f64) -> Result<Vec<f64>, ImuError> {
+        let mut out = Vec::new();
+        integrate_rate_into(rate, fs, &mut out)?;
+        Ok(out)
+    }
+
+    fn yaw_trace(gyro_z: &[f64], fs: f64) -> Result<Vec<f64>, ImuError> {
+        let mut out = Vec::new();
+        yaw_trace_into(gyro_z, fs, &mut out)?;
+        Ok(out)
+    }
+
+    fn max_rotation_deg(gyro_z: &[f64], fs: f64) -> Result<f64, ImuError> {
+        max_rotation_deg_with(gyro_z, fs, &mut Vec::new())
+    }
 
     #[test]
     fn constant_rate_integrates_linearly() {

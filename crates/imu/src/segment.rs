@@ -48,7 +48,7 @@ impl SegmentConfig {
     ///
     /// Returns [`ImuError::InvalidParameter`] for zero windows or a
     /// non-positive threshold.
-    pub fn validate(&self) -> Result<(), ImuError> {
+    pub(crate) fn validate(&self) -> Result<(), ImuError> {
         if self.window == 0 {
             return Err(ImuError::invalid("window", "must be positive"));
         }
@@ -99,20 +99,6 @@ pub struct Segment {
     pub end: usize,
 }
 
-impl Segment {
-    /// Number of samples covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// Whether the segment is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-}
-
 /// The sliding power level of Eq. 3: `P(t) = (1/W)·Σ_{n=t}^{t+W-1} a(n)²`.
 ///
 /// # Errors
@@ -131,7 +117,7 @@ pub fn power_levels(signal: &[f64], window: usize) -> Result<Vec<f64>, ImuError>
 /// # Errors
 ///
 /// Same conditions as [`power_levels`].
-pub fn power_levels_into(
+pub(crate) fn power_levels_into(
     signal: &[f64],
     window: usize,
     out: &mut Vec<f64>,
@@ -164,23 +150,12 @@ pub fn power_levels_into(
 
 /// Segments a linear-acceleration axis into movements.
 ///
+/// The per-sample power and the segments land in caller-owned buffers
+/// that are cleared and reused.
+///
 /// # Errors
 ///
 /// Same conditions as [`power_levels`] plus config validation.
-pub fn segment_movements(signal: &[f64], config: &SegmentConfig) -> Result<Vec<Segment>, ImuError> {
-    let mut power = Vec::new();
-    let mut out = Vec::new();
-    segment_movements_into(signal, config, &mut power, &mut out)?;
-    Ok(out)
-}
-
-/// Allocation-free form of [`segment_movements`]: the power trace and the
-/// segment list live in caller-owned buffers. Output in `out` is
-/// identical to [`segment_movements`].
-///
-/// # Errors
-///
-/// Same conditions as [`segment_movements`].
 pub fn segment_movements_into(
     signal: &[f64],
     config: &SegmentConfig,
@@ -249,6 +224,12 @@ fn pad(start: usize, end: usize, padding: usize, len: usize) -> Segment {
 mod tests {
     use super::*;
 
+    fn segment_movements(signal: &[f64], config: &SegmentConfig) -> Result<Vec<Segment>, ImuError> {
+        let mut out = Vec::new();
+        segment_movements_into(signal, config, &mut Vec::new(), &mut out)?;
+        Ok(out)
+    }
+
     fn one_slide_signal() -> Vec<f64> {
         // 600 samples: quiet, a 100-sample burst at 200, quiet again.
         let mut s = vec![0.01; 600];
@@ -280,8 +261,7 @@ mod tests {
         let s = segments[0];
         assert!(s.start <= 200 && s.start >= 170, "start {}", s.start);
         assert!(s.end >= 300 && s.end <= 330, "end {}", s.end);
-        assert!(!s.is_empty());
-        assert!(s.len() >= 100);
+        assert!(s.end - s.start >= 100);
     }
 
     #[test]

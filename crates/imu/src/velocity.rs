@@ -43,7 +43,7 @@ pub fn integrate_acceleration(accel: &[f64], sample_rate: f64) -> Result<Vec<f64
 /// # Errors
 ///
 /// Same conditions as [`integrate_acceleration`].
-pub fn integrate_acceleration_into(
+pub(crate) fn integrate_acceleration_into(
     accel: &[f64],
     sample_rate: f64,
     out: &mut Vec<f64>,
@@ -87,7 +87,7 @@ pub fn correct_linear_drift(raw: &[f64], sample_rate: f64) -> Result<(Vec<f64>, 
 /// # Errors
 ///
 /// Same conditions as [`correct_linear_drift`].
-pub fn correct_linear_drift_into(
+pub(crate) fn correct_linear_drift_into(
     raw: &[f64],
     sample_rate: f64,
     out: &mut Vec<f64>,

@@ -1,9 +1,9 @@
 //! Property-based tests of the inertial-chain invariants, on the
 //! workspace's own harness (`hyperear_util::prop`).
 
-use hyperear_imu::displacement::{integrate_velocity, segment_displacement};
-use hyperear_imu::rotation::{max_rotation_deg, yaw_trace};
-use hyperear_imu::segment::{power_levels, segment_movements, SegmentConfig};
+use hyperear_imu::displacement::{segment_kinematics, DisplacementScratch};
+use hyperear_imu::rotation::{max_rotation_deg_with, yaw_trace_into};
+use hyperear_imu::segment::{power_levels, segment_movements_into, SegmentConfig};
 use hyperear_imu::velocity::{correct_linear_drift, estimate_velocity, integrate_acceleration};
 use hyperear_util::prop::{self, f64_range, usize_range, vec_f64, vec_of};
 use hyperear_util::{prop_assert, prop_assert_eq, prop_assume};
@@ -61,7 +61,9 @@ fn displacement_recovers_distance_under_bias() {
             for a in &mut accel {
                 *a += bias;
             }
-            let d = segment_displacement(&accel, 100.0).unwrap();
+            let d = segment_kinematics(&accel, 100.0, true, &mut DisplacementScratch::default())
+                .unwrap()
+                .distance;
             prop_assert!(
                 (d - dist).abs() < 0.01 * (1.0 + dist.abs()),
                 "dist {dist} est {d}"
@@ -132,7 +134,14 @@ fn segments_are_sorted_and_disjoint() {
                 signal[start + i] = 2.0;
             }
         }
-        let segments = segment_movements(&signal, &SegmentConfig::default()).unwrap();
+        let mut segments = Vec::new();
+        segment_movements_into(
+            &signal,
+            &SegmentConfig::default(),
+            &mut Vec::new(),
+            &mut segments,
+        )
+        .unwrap();
         for pair in segments.windows(2) {
             prop_assert!(pair[0].end <= pair[1].start);
         }
@@ -160,7 +169,8 @@ fn yaw_trace_differences_track_wobble() {
             let gyro: Vec<f64> = (0..1800)
                 .map(|i| bias + amp * w * (w * i as f64 / fs).cos())
                 .collect();
-            let yaw = yaw_trace(&gyro, fs).unwrap();
+            let mut yaw = Vec::new();
+            yaw_trace_into(&gyro, fs, &mut yaw).unwrap();
             let (i, j) = (700usize, 860usize);
             let est = yaw[j] - yaw[i];
             let truth = amp * ((w * j as f64 / fs).sin() - (w * i as f64 / fs).sin());
@@ -185,7 +195,7 @@ fn rotation_gate_measures_constant_wobble() {
             let rate: Vec<f64> = (0..=200)
                 .map(|i| amp * w * (w * i as f64 / fs).cos())
                 .collect();
-            let measured = max_rotation_deg(&rate, fs).unwrap();
+            let measured = max_rotation_deg_with(&rate, fs, &mut Vec::new()).unwrap();
             prop_assert!((measured - amp_deg).abs() < 0.1 * amp_deg + 0.5);
             prop::pass()
         },
@@ -200,13 +210,9 @@ fn velocity_then_displacement_is_consistent() {
         strat,
         |&(dist, n)| {
             let accel = min_jerk_accel(dist, n, 100.0);
-            let est = estimate_velocity(&accel, 100.0).unwrap();
-            let d = integrate_velocity(&est.corrected, 100.0).unwrap();
-            // Monotonic displacement for a one-way slide.
-            for pair in d.windows(2) {
-                prop_assert!(pair[1] >= pair[0] - 1e-9);
-            }
-            prop_assert!((d.last().unwrap() - dist).abs() < 0.01);
+            let kin = segment_kinematics(&accel, 100.0, true, &mut DisplacementScratch::default())
+                .unwrap();
+            prop_assert!((kin.distance - dist).abs() < 0.01);
             prop::pass()
         },
     );

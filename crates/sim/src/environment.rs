@@ -97,7 +97,7 @@ impl Environment {
     ///
     /// Returns [`SimError::InvalidParameter`] for an implausible SNR or an
     /// invalid room.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         if !(-10.0..=60.0).contains(&self.snr_db) {
             return Err(SimError::invalid(
                 "snr_db",

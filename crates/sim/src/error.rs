@@ -55,7 +55,7 @@ impl From<GeomError> for SimError {
 
 impl SimError {
     /// Convenience constructor for [`SimError::InvalidParameter`].
-    pub fn invalid(name: &'static str, reason: impl Into<String>) -> Self {
+    pub(crate) fn invalid(name: &'static str, reason: impl Into<String>) -> Self {
         SimError::InvalidParameter {
             name,
             reason: reason.into(),

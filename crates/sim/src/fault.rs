@@ -135,7 +135,7 @@ impl Fault {
     ///
     /// Returns [`SimError::InvalidParameter`] for probabilities outside
     /// `[0, 1]` or non-positive magnitudes.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         let prob_ok = |p: f64| (0.0..=1.0).contains(&p);
         let ok = match *self {
             Fault::BeaconDropout { probability } => prob_ok(probability),
@@ -236,18 +236,6 @@ impl FaultPlan {
     pub fn with(mut self, fault: Fault) -> Self {
         self.faults.push(fault);
         self
-    }
-
-    /// The plan's faults in application order.
-    #[must_use]
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// The plan's seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Applies every fault to the recording in order, deterministically.

@@ -12,11 +12,11 @@ use crate::SimError;
 use hyperear_geom::Vec3;
 
 /// Standard gravity, m/s².
-pub const GRAVITY: f64 = 9.806_65;
+pub(crate) const GRAVITY: f64 = 9.806_65;
 
 /// Error magnitudes of a phone-grade MEMS IMU.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ImuModel {
+pub(crate) struct ImuModel {
     /// White noise std of each accelerometer axis per sample, m/s².
     pub accel_noise_std: f64,
     /// Constant per-axis accelerometer bias std, m/s².
@@ -34,7 +34,7 @@ impl ImuModel {
     /// A typical phone-grade MEMS IMU (LSM330-class parts of the paper's
     /// era).
     #[must_use]
-    pub fn phone_grade() -> Self {
+    pub(crate) fn phone_grade() -> Self {
         ImuModel {
             accel_noise_std: 0.02,
             accel_bias_std: 0.03,
@@ -46,7 +46,7 @@ impl ImuModel {
 
     /// The same IMU with added hand-tremor noise.
     #[must_use]
-    pub fn with_tremor(mut self, tremor_accel_std: f64) -> Self {
+    pub(crate) fn with_tremor(mut self, tremor_accel_std: f64) -> Self {
         self.tremor_accel_std = tremor_accel_std;
         self
     }
@@ -56,7 +56,7 @@ impl ImuModel {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for negative magnitudes.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         for (name, v) in [
             ("accel_noise_std", self.accel_noise_std),
             ("accel_bias_std", self.accel_bias_std),
@@ -90,33 +90,13 @@ pub struct ImuTrace {
     pub gyro: Vec<Vec3>,
 }
 
-impl ImuTrace {
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.accel.len()
-    }
-
-    /// Whether the trace is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.accel.is_empty()
-    }
-
-    /// The timestamp of sample `i`, seconds.
-    #[must_use]
-    pub fn time_of(&self, i: usize) -> f64 {
-        i as f64 / self.sample_rate
-    }
-}
-
 /// Samples `motion` at `sample_rate` through the IMU error model.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidParameter`] for a non-positive sample rate
 /// or invalid model.
-pub fn sample_imu(
+pub(crate) fn sample_imu(
     motion: &PhoneMotion,
     model: &ImuModel,
     sample_rate: f64,
@@ -195,10 +175,11 @@ mod tests {
         let m = motion(MotionProfile::ruler(), 1);
         let mut rng = SimRng::seed_from(2);
         let trace = sample_imu(&m, &ImuModel::phone_grade(), 100.0, &mut rng).unwrap();
-        assert_eq!(trace.len(), (m.total_duration * 100.0).ceil() as usize);
+        assert_eq!(
+            trace.accel.len(),
+            (m.total_duration * 100.0).ceil() as usize
+        );
         assert_eq!(trace.accel.len(), trace.gyro.len());
-        assert!((trace.time_of(100) - 1.0).abs() < 1e-12);
-        assert!(!trace.is_empty());
     }
 
     #[test]
@@ -289,7 +270,7 @@ mod tests {
         // yaw wobble's net change.
         let dt = 1.0 / 100.0;
         let integrated: f64 = trace.gyro.iter().map(|g| g.z * dt).sum();
-        let expected = m.yaw_angle(trace.len() as f64 * dt) - m.yaw_angle(0.0);
+        let expected = m.yaw.value(trace.accel.len() as f64 * dt) - m.yaw.value(0.0);
         assert!(
             (integrated - expected).abs() < 0.02,
             "{integrated} vs {expected}"

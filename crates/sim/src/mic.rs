@@ -43,7 +43,7 @@ const MIN_DISTANCE: f64 = 0.3;
 /// Returns [`SimError::InvalidParameter`] for non-positive rates, speeds,
 /// lengths or amplitudes, or propagates DSP errors from rendering.
 #[allow(clippy::too_many_arguments)]
-pub fn render_clean_channel(
+pub(crate) fn render_clean_channel(
     chirp: &[f64],
     emission_times: &[f64],
     paths: &[PropagationPath],
@@ -113,7 +113,7 @@ pub fn render_clean_channel(
 /// Returns [`SimError::InvalidParameter`] if the clean channel is silent
 /// (no beacons rendered — SNR undefined) and propagates noise-generation
 /// errors.
-pub fn add_noise_and_quantize(
+pub(crate) fn add_noise_and_quantize(
     clean: &[f64],
     kind: NoiseKind,
     snr_db: f64,
@@ -155,31 +155,15 @@ pub fn add_noise_and_quantize(
 /// Used to pre-distort the beacon the way a voice-optimized phone mic
 /// records it — flat in the audible band, drooping in near-ultrasound.
 /// This is the "frequency selectivity" distortion the paper's future-work
-/// section flags for inaudible beacons.
+/// section flags for inaudible beacons. The transforms run through a
+/// caller-held [`PlanCache`] and [`DspScratch`], so repeated shaping
+/// (once per rendered channel) reuses plans and buffers.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidParameter`] for an empty waveform or a
 /// non-positive sample rate.
-pub fn apply_mic_response(
-    waveform: &[f64],
-    gain_at: &dyn Fn(f64) -> f64,
-    sample_rate: f64,
-) -> Result<Vec<f64>, SimError> {
-    hyperear_dsp::plan::with_thread_ctx(|plans, scratch| {
-        apply_mic_response_with(waveform, gain_at, sample_rate, plans, scratch)
-    })
-}
-
-/// [`apply_mic_response`] on the planned FFT path: identical output, with
-/// the transforms running through a caller-held [`PlanCache`] and
-/// [`DspScratch`] so repeated shaping (e.g. once per rendered channel)
-/// reuses plans and buffers.
-///
-/// # Errors
-///
-/// Same conditions as [`apply_mic_response`].
-pub fn apply_mic_response_with(
+pub(crate) fn apply_mic_response_with(
     waveform: &[f64],
     gain_at: &dyn Fn(f64) -> f64,
     sample_rate: f64,
@@ -209,64 +193,88 @@ pub fn apply_mic_response_with(
     Ok(r1[..waveform.len()].to_vec())
 }
 
-/// Measures the achieved active-sample SNR of a noisy channel given its
-/// clean reference, in dB.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidParameter`] for mismatched lengths or a
-/// silent reference.
-pub fn measure_snr_db(clean: &[f64], noisy: &[f64]) -> Result<f64, SimError> {
-    if clean.len() != noisy.len() {
-        return Err(SimError::invalid(
-            "clean/noisy",
-            format!("length mismatch: {} vs {}", clean.len(), noisy.len()),
-        ));
-    }
-    let peak = clean.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-    if peak <= 0.0 {
-        return Err(SimError::invalid("clean", "reference is silent"));
-    }
-    let threshold = peak * 1e-3;
-    let mut p_sig = 0.0;
-    let mut n_sig = 0usize;
-    let mut p_noise = 0.0;
-    let mut n_noise = 0usize;
-    for (s, y) in clean.iter().zip(noisy) {
-        if s.abs() > threshold {
-            p_sig += s * s;
-            n_sig += 1;
-        } else {
-            let r = y - s;
-            p_noise += r * r;
-            n_noise += 1;
-        }
-    }
-    if n_sig == 0 || n_noise == 0 || p_noise == 0.0 {
-        return Err(SimError::invalid(
-            "clean/noisy",
-            "cannot partition signal and noise",
-        ));
-    }
-    Ok(level::power_ratio_to_db(
-        (p_sig / n_sig as f64) / (p_noise / n_noise as f64),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn apply_mic_response(
+        waveform: &[f64],
+        gain_at: &dyn Fn(f64) -> f64,
+        sample_rate: f64,
+    ) -> Result<Vec<f64>, SimError> {
+        apply_mic_response_with(
+            waveform,
+            gain_at,
+            sample_rate,
+            &mut PlanCache::new(),
+            &mut DspScratch::new(),
+        )
+    }
+
+    /// Measures the achieved active-sample SNR of a noisy channel given its
+    /// clean reference, in dB.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidParameter`] for mismatched lengths or a
+    /// silent reference.
+    fn measure_snr_db(clean: &[f64], noisy: &[f64]) -> Result<f64, SimError> {
+        if clean.len() != noisy.len() {
+            return Err(SimError::invalid(
+                "clean/noisy",
+                format!("length mismatch: {} vs {}", clean.len(), noisy.len()),
+            ));
+        }
+        let peak = clean.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+        if peak <= 0.0 {
+            return Err(SimError::invalid("clean", "reference is silent"));
+        }
+        let threshold = peak * 1e-3;
+        let mut p_sig = 0.0;
+        let mut n_sig = 0usize;
+        let mut p_noise = 0.0;
+        let mut n_noise = 0usize;
+        for (s, y) in clean.iter().zip(noisy) {
+            if s.abs() > threshold {
+                p_sig += s * s;
+                n_sig += 1;
+            } else {
+                let r = y - s;
+                p_noise += r * r;
+                n_noise += 1;
+            }
+        }
+        if n_sig == 0 || n_noise == 0 || p_noise == 0.0 {
+            return Err(SimError::invalid(
+                "clean/noisy",
+                "cannot partition signal and noise",
+            ));
+        }
+        Ok(10.0 * ((p_sig / n_sig as f64) / (p_noise / n_noise as f64)).log10())
+    }
+
+    #[cfg(test)]
     use crate::room::free_field;
     use hyperear_dsp::chirp::Chirp;
+    use hyperear_dsp::chirp::ChirpShape;
     use hyperear_dsp::correlate::xcorr;
     use hyperear_dsp::interpolate::parabolic_peak;
-    use hyperear_dsp::{PHONE_SAMPLE_RATE, SPEED_OF_SOUND};
+    use hyperear_dsp::SPEED_OF_SOUND;
+
+    /// The phones' audio rate, hertz.
+    const PHONE_SAMPLE_RATE: f64 = 44_100.0;
 
     fn beacon() -> Vec<f64> {
-        Chirp::hyperear_beacon(PHONE_SAMPLE_RATE)
-            .unwrap()
-            .samples()
-            .to_vec()
+        Chirp::new(
+            2_000.0,
+            6_400.0,
+            0.04,
+            PHONE_SAMPLE_RATE,
+            ChirpShape::UpDown,
+        )
+        .unwrap()
+        .samples()
+        .to_vec()
     }
 
     #[test]
@@ -478,7 +486,6 @@ mod tests {
 
     #[test]
     fn mic_response_attenuates_high_band_only() {
-        use super::apply_mic_response;
         use crate::phone::PhoneModel;
         use hyperear_dsp::spectrum::band_energy_fraction;
         let phone = PhoneModel::galaxy_s4();
@@ -505,7 +512,6 @@ mod tests {
 
     #[test]
     fn flat_mic_response_is_identity() {
-        use super::apply_mic_response;
         let probe: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.17).sin()).collect();
         let shaped = apply_mic_response(&probe, &|_| 1.0, 44_100.0).unwrap();
         for (a, b) in probe.iter().zip(&shaped) {

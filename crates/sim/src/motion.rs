@@ -96,7 +96,7 @@ impl Wobble {
     /// A wobble with `n` components, amplitudes summing to roughly
     /// `amplitude`, spread over `[f_lo, f_hi]` Hz.
     #[must_use]
-    pub fn random(amplitude: f64, f_lo: f64, f_hi: f64, n: usize, rng: &mut SimRng) -> Self {
+    pub(crate) fn random(amplitude: f64, f_lo: f64, f_hi: f64, n: usize, rng: &mut SimRng) -> Self {
         let comps = (0..n)
             .map(|_| {
                 (
@@ -109,17 +109,9 @@ impl Wobble {
         Wobble { components: comps }
     }
 
-    /// A zero wobble.
-    #[must_use]
-    pub fn zero() -> Self {
-        Wobble {
-            components: Vec::new(),
-        }
-    }
-
     /// Value at time `t`.
     #[must_use]
-    pub fn value(&self, t: f64) -> f64 {
+    pub(crate) fn value(&self, t: f64) -> f64 {
         self.components
             .iter()
             .map(|&(a, f, p)| a * (std::f64::consts::TAU * f * t + p).sin())
@@ -128,7 +120,7 @@ impl Wobble {
 
     /// Second derivative at time `t` (for true-acceleration rendering).
     #[must_use]
-    pub fn accel(&self, t: f64) -> f64 {
+    pub(crate) fn accel(&self, t: f64) -> f64 {
         self.components
             .iter()
             .map(|&(a, f, p)| {
@@ -171,7 +163,7 @@ impl MotionProfile {
 
     /// A steady volunteer hand.
     #[must_use]
-    pub fn steady_hand() -> Self {
+    pub(crate) fn steady_hand() -> Self {
         MotionProfile {
             sway_m: 0.004,
             tilt_deg: 0.35,
@@ -195,7 +187,7 @@ impl MotionProfile {
 
     /// A shaky volunteer hand (some slides will fail the quality gate).
     #[must_use]
-    pub fn shaky_hand() -> Self {
+    pub(crate) fn shaky_hand() -> Self {
         MotionProfile {
             sway_m: 0.012,
             tilt_deg: 0.9,
@@ -210,7 +202,7 @@ impl MotionProfile {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for negative magnitudes.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         for (name, v) in [
             ("sway_m", self.sway_m),
             ("tilt_deg", self.tilt_deg),
@@ -267,7 +259,7 @@ impl PhoneMotion {
     /// Signed axis displacement (and derivatives) accumulated over all
     /// horizontal slides at time `t`.
     #[must_use]
-    pub fn axis_kinematics(&self, t: f64) -> (f64, f64, f64) {
+    pub(crate) fn axis_kinematics(&self, t: f64) -> (f64, f64, f64) {
         self.slides.iter().fold((0.0, 0.0, 0.0), |acc, s| {
             let k = s.kinematics(t);
             (acc.0 + k.0, acc.1 + k.1, acc.2 + k.2)
@@ -277,7 +269,7 @@ impl PhoneMotion {
     /// Vertical displacement (and derivatives) from stature changes at
     /// time `t` (negative = lowered).
     #[must_use]
-    pub fn vertical_kinematics(&self, t: f64) -> (f64, f64, f64) {
+    pub(crate) fn vertical_kinematics(&self, t: f64) -> (f64, f64, f64) {
         self.stature_changes.iter().fold((0.0, 0.0, 0.0), |acc, s| {
             let k = s.kinematics(t);
             (acc.0 - k.0, acc.1 - k.1, acc.2 - k.2)
@@ -300,7 +292,7 @@ impl PhoneMotion {
 
     /// Mic2 world position at time `t`.
     #[must_use]
-    pub fn mic2_position(&self, t: f64) -> Vec3 {
+    pub(crate) fn mic2_position(&self, t: f64) -> Vec3 {
         let m1 = self.mic1_position(t);
         // Yaw wobble swings mic2 slightly off the axis.
         let yaw = self.yaw.value(t);
@@ -323,7 +315,7 @@ impl PhoneMotion {
     /// `device_position(t, (0, 0))` is exactly `mic1_position(t)` and
     /// `device_position(t, (0, mic_offset))` exactly `mic2_position(t)`.
     #[must_use]
-    pub fn device_position(&self, t: f64, offset: Vec2) -> Vec3 {
+    pub(crate) fn device_position(&self, t: f64, offset: Vec2) -> Vec3 {
         let m1 = self.mic1_position(t);
         let yaw = self.yaw.value(t);
         let dir = self.axis.rotated(yaw);
@@ -339,7 +331,7 @@ impl PhoneMotion {
     /// `t` (x = lateral, y = slide axis, z = vertical), excluding gravity
     /// and sensor error.
     #[must_use]
-    pub fn linear_acceleration_phone(&self, t: f64) -> Vec3 {
+    pub(crate) fn linear_acceleration_phone(&self, t: f64) -> Vec3 {
         let (_, _, a_axis) = self.axis_kinematics(t);
         let (_, _, a_vert) = self.vertical_kinematics(t);
         Vec3::new(
@@ -351,43 +343,23 @@ impl PhoneMotion {
 
     /// Roll and pitch tilt at time `t`, radians.
     #[must_use]
-    pub fn tilt(&self, t: f64) -> (f64, f64) {
+    pub(crate) fn tilt(&self, t: f64) -> (f64, f64) {
         (self.tilt_roll.value(t), self.tilt_pitch.value(t))
-    }
-
-    /// Yaw (z-rotation) at time `t`, radians.
-    #[must_use]
-    pub fn yaw_angle(&self, t: f64) -> f64 {
-        self.yaw.value(t)
     }
 
     /// Angular velocity in the phone frame at time `t`, rad/s, obtained by
     /// central differencing the tilt/yaw wobbles.
     #[must_use]
-    pub fn angular_velocity(&self, t: f64) -> Vec3 {
+    pub(crate) fn angular_velocity(&self, t: f64) -> Vec3 {
         let h = 1e-4;
         let d = |w: &Wobble| (w.value(t + h) - w.value(t - h)) / (2.0 * h);
         Vec3::new(d(&self.tilt_roll), d(&self.tilt_pitch), d(&self.yaw))
-    }
-
-    /// The maximum absolute yaw over a slide window — the quantity the
-    /// paper's quality gate compares against 20°.
-    #[must_use]
-    pub fn max_yaw_deg_over(&self, start: f64, end: f64) -> f64 {
-        let steps = 64;
-        (0..=steps)
-            .map(|i| {
-                let t = start + (end - start) * i as f64 / steps as f64;
-                self.yaw.value(t).abs()
-            })
-            .fold(0.0f64, f64::max)
-            .to_degrees()
     }
 }
 
 /// Builds a session's [`PhoneMotion`] from a plan and a volunteer profile.
 #[derive(Debug, Clone)]
-pub struct MotionBuilder {
+pub(crate) struct MotionBuilder {
     origin: Vec3,
     axis: Vec2,
     mic_offset: f64,
@@ -406,7 +378,7 @@ impl MotionBuilder {
     ///
     /// Returns [`SimError::InvalidParameter`] for a non-unit axis or
     /// non-positive mic offset.
-    pub fn new(origin: Vec3, axis: Vec2, mic_offset: f64) -> Result<Self, SimError> {
+    pub(crate) fn new(origin: Vec3, axis: Vec2, mic_offset: f64) -> Result<Self, SimError> {
         if (axis.norm() - 1.0).abs() > 1e-6 {
             return Err(SimError::invalid(
                 "axis",
@@ -432,28 +404,28 @@ impl MotionBuilder {
 
     /// Sets the volunteer/ruler motion profile.
     #[must_use]
-    pub fn profile(mut self, profile: MotionProfile) -> Self {
+    pub(crate) fn profile(mut self, profile: MotionProfile) -> Self {
         self.profile = profile;
         self
     }
 
     /// Sets the initial stationary hold (the SFO calibration window).
     #[must_use]
-    pub fn hold_duration(mut self, seconds: f64) -> Self {
+    pub(crate) fn hold_duration(mut self, seconds: f64) -> Self {
         self.hold = seconds;
         self
     }
 
     /// Sets the commanded slide distance, metres.
     #[must_use]
-    pub fn slide_distance(mut self, metres: f64) -> Self {
+    pub(crate) fn slide_distance(mut self, metres: f64) -> Self {
         self.slide_distance = metres;
         self
     }
 
     /// Sets the commanded slide duration, seconds.
     #[must_use]
-    pub fn slide_duration(mut self, seconds: f64) -> Self {
+    pub(crate) fn slide_duration(mut self, seconds: f64) -> Self {
         self.slide_duration = seconds;
         self
     }
@@ -467,7 +439,7 @@ impl MotionBuilder {
     ///
     /// Returns [`SimError::InvalidParameter`] for non-positive durations,
     /// distances, or a degenerate plan (no slides at all).
-    pub fn build(
+    pub(crate) fn build(
         &self,
         slides: usize,
         stature_drop: f64,
@@ -683,8 +655,17 @@ mod tests {
             .build(1, 0.0, 0, &mut rng2)
             .unwrap();
         let s = shaky.slides[0];
-        let yr = ruler.max_yaw_deg_over(s.start_time, s.end_time());
-        let ys = shaky.max_yaw_deg_over(s.start_time, s.end_time());
+        // The largest |yaw| over the slide, degrees.
+        let max_yaw = |m: &PhoneMotion| {
+            (0..=64)
+                .map(|i| {
+                    let t = s.start_time + (s.end_time() - s.start_time) * f64::from(i) / 64.0;
+                    m.yaw.value(t).abs()
+                })
+                .fold(0.0f64, f64::max)
+                .to_degrees()
+        };
+        let (yr, ys) = (max_yaw(&ruler), max_yaw(&shaky));
         assert!(ys > 10.0 * yr, "ruler {yr} shaky {ys}");
     }
 
@@ -711,7 +692,7 @@ mod tests {
         let t = 1.0;
         let w = motion.angular_velocity(t);
         let h = 1e-5;
-        let expected = (motion.yaw_angle(t + h) - motion.yaw_angle(t - h)) / (2.0 * h);
+        let expected = (motion.yaw.value(t + h) - motion.yaw.value(t - h)) / (2.0 * h);
         assert!((w.z - expected).abs() < 1e-3);
     }
 
@@ -724,12 +705,5 @@ mod tests {
         let mut p = MotionProfile::ruler();
         p.sway_m = -1.0;
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn wobble_zero_is_zero() {
-        let w = Wobble::zero();
-        assert_eq!(w.value(1.0), 0.0);
-        assert_eq!(w.accel(1.0), 0.0);
     }
 }

@@ -79,7 +79,7 @@ impl PhoneModel {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for out-of-range fields.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         if !(0.01..=1.0).contains(&self.mic_separation) {
             return Err(SimError::invalid(
                 "mic_separation",
@@ -149,14 +149,14 @@ impl PhoneModel {
 
     /// The effective audio sample rate including the clock offset, hertz.
     #[must_use]
-    pub fn effective_sample_rate(&self) -> f64 {
+    pub(crate) fn effective_sample_rate(&self) -> f64 {
         self.audio_sample_rate * (1.0 + self.audio_clock_ppm * 1e-6)
     }
 
     /// The microphone's amplitude gain at `freq_hz` (1.0 in the flat
     /// region, dropping above the high-frequency knee).
     #[must_use]
-    pub fn mic_gain_at(&self, freq_hz: f64) -> f64 {
+    pub(crate) fn mic_gain_at(&self, freq_hz: f64) -> f64 {
         if freq_hz <= self.hf_knee_hz {
             1.0
         } else {

@@ -18,7 +18,7 @@ use hyperear_util::rng::Xoshiro256pp;
 ///
 /// let mut a = SimRng::seed_from(42);
 /// let mut b = SimRng::seed_from(42);
-/// assert_eq!(a.gaussian(0.0, 1.0), b.gaussian(0.0, 1.0));
+/// assert_eq!(a.gaussian_vec(4, 0.0, 1.0), b.gaussian_vec(4, 0.0, 1.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -47,12 +47,12 @@ impl SimRng {
     }
 
     /// Uniform sample in `[0, 1)`.
-    pub fn uniform(&mut self) -> f64 {
+    pub(crate) fn uniform(&mut self) -> f64 {
         self.inner.next_f64()
     }
 
     /// Uniform sample in `[lo, hi)`.
-    pub fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.uniform()
     }
 
@@ -68,7 +68,7 @@ impl SimRng {
 
     /// Standard Gaussian sample scaled to `mean` and `std_dev` via
     /// Box–Muller (with caching of the spare variate).
-    pub fn gaussian(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn gaussian(&mut self, mean: f64, std_dev: f64) -> f64 {
         if let Some(z) = self.spare.take() {
             return mean + std_dev * z;
         }

@@ -54,7 +54,7 @@ impl Room {
     /// The paper's mall corridor: "95m×16.5m with shops open on both
     /// sides", assumed 4 m high with hard surfaces.
     #[must_use]
-    pub fn mall_corridor() -> Self {
+    pub(crate) fn mall_corridor() -> Self {
         Room {
             size: Vec3::new(95.0, 16.5, 4.0),
             reflection_coeff: 0.7,
@@ -68,7 +68,7 @@ impl Room {
     ///
     /// Returns [`SimError::InvalidParameter`] for degenerate dimensions,
     /// out-of-range reflectivity, or a point outside the room.
-    pub fn validate_point(&self, p: Vec3, what: &'static str) -> Result<(), SimError> {
+    pub(crate) fn validate_point(&self, p: Vec3, what: &'static str) -> Result<(), SimError> {
         self.validate()?;
         let inside = (0.0..=self.size.x).contains(&p.x)
             && (0.0..=self.size.y).contains(&p.y)
@@ -88,7 +88,7 @@ impl Room {
     ///
     /// Returns [`SimError::InvalidParameter`] for non-positive dimensions
     /// or a reflection coefficient outside `[0, 1)`.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         if self.size.x <= 0.0 || self.size.y <= 0.0 || self.size.z <= 0.0 {
             return Err(SimError::invalid(
                 "size",
@@ -150,7 +150,7 @@ impl Room {
 
 /// Free-field propagation: the direct path only.
 #[must_use]
-pub fn free_field(source: Vec3) -> Vec<PropagationPath> {
+pub(crate) fn free_field(source: Vec3) -> Vec<PropagationPath> {
     vec![PropagationPath {
         source,
         gain: 1.0,

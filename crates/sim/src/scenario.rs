@@ -95,7 +95,7 @@ pub struct ArrayRecording {
 /// signature (see [`SpeakerModel::with_signature`]) so the pipeline's
 /// template bank can tell the sources apart.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CoSpeaker {
+pub(crate) struct CoSpeaker {
     /// The co-speaker's beacon source configuration.
     pub speaker: SpeakerModel,
     /// Horizontal distance from the slide line to this co-speaker,
@@ -292,20 +292,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Commanded slide duration, seconds.
-    #[must_use]
-    pub fn slide_duration(mut self, seconds: f64) -> Self {
-        self.slide_duration = seconds;
-        self
-    }
-
-    /// Initial stationary hold (SFO calibration window), seconds.
-    #[must_use]
-    pub fn hold_duration(mut self, seconds: f64) -> Self {
-        self.hold_duration = seconds;
-        self
-    }
-
     /// Attenuates the direct (line-of-sight) path by the given amount in
     /// dB while leaving reflections untouched — an obstruction between
     /// user and speaker (a shelf, a person, a wall edge). 0 dB = clear
@@ -452,7 +438,7 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Same conditions as [`ScenarioBuilder::render_array`].
-    pub fn render_array_with(
+    pub(crate) fn render_array_with(
         &self,
         array: &MicArray,
         ctx: &mut RenderContext,
@@ -880,12 +866,13 @@ mod tests {
     use super::*;
 
     fn quick_builder() -> ScenarioBuilder {
-        ScenarioBuilder::new(PhoneModel::galaxy_s4())
+        let mut builder = ScenarioBuilder::new(PhoneModel::galaxy_s4())
             .environment(Environment::anechoic())
             .speaker_range(3.0)
             .slides(1)
-            .hold_duration(0.8)
-            .seed(1)
+            .seed(1);
+        builder.hold_duration = 0.8;
+        builder
     }
 
     #[test]
@@ -915,7 +902,7 @@ mod tests {
             (rec.truth.motion.total_duration * rec.audio.sample_rate).ceil() as usize;
         assert_eq!(rec.audio.left.len(), expected_len);
         let imu_expected = (rec.truth.motion.total_duration * 100.0).ceil() as usize;
-        assert_eq!(rec.imu.len(), imu_expected);
+        assert_eq!(rec.imu.accel.len(), imu_expected);
     }
 
     #[test]

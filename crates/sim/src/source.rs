@@ -92,15 +92,9 @@ impl<'a> PhoneSource<'a> {
         self
     }
 
-    /// Samples per channel emitted so far.
-    #[must_use]
-    pub fn audio_emitted(&self) -> usize {
-        self.audio_pos
-    }
-
     /// Whether the whole recording has been emitted.
     #[must_use]
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.audio_pos >= self.rec.audio.left.len() && self.imu_pos >= self.rec.imu.accel.len()
     }
 
@@ -206,7 +200,7 @@ mod tests {
         }
         // Only the final (remainder) chunk may undershoot the minimum.
         assert!(last <= 250);
-        assert_eq!(source.audio_emitted(), rec.audio.left.len());
+        assert_eq!(source.audio_pos, rec.audio.left.len());
     }
 
     #[test]

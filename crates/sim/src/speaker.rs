@@ -74,7 +74,7 @@ impl SpeakerModel {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for out-of-range fields.
-    pub fn validate(&self, audio_sample_rate: f64) -> Result<(), SimError> {
+    pub(crate) fn validate(&self, audio_sample_rate: f64) -> Result<(), SimError> {
         if self.chirp_f0 <= 0.0 || self.chirp_f1 <= self.chirp_f0 {
             return Err(SimError::invalid(
                 "chirp_f0/chirp_f1",
@@ -126,20 +126,20 @@ impl SpeakerModel {
 
     /// The actual emission period including clock skew, seconds.
     #[must_use]
-    pub fn actual_period(&self) -> f64 {
+    pub(crate) fn actual_period(&self) -> f64 {
         self.period * (1.0 + self.clock_ppm * 1e-6)
     }
 
     /// The emission start time of beacon `k` (0-based), seconds on the
     /// true (wall) clock.
     #[must_use]
-    pub fn emission_time(&self, k: usize) -> f64 {
+    pub(crate) fn emission_time(&self, k: usize) -> f64 {
         k as f64 * self.actual_period()
     }
 
     /// Number of beacons fully emitted within `duration` seconds.
     #[must_use]
-    pub fn beacons_within(&self, duration: f64) -> usize {
+    pub(crate) fn beacons_within(&self, duration: f64) -> usize {
         if duration <= self.chirp_duration {
             return 0;
         }
@@ -151,7 +151,7 @@ impl SpeakerModel {
     /// # Errors
     ///
     /// Returns [`SimError::Dsp`] if the parameters cannot be synthesized.
-    pub fn reference_chirp(&self, sample_rate: f64) -> Result<Chirp, SimError> {
+    pub(crate) fn reference_chirp(&self, sample_rate: f64) -> Result<Chirp, SimError> {
         Ok(Chirp::new(
             self.chirp_f0,
             self.chirp_f1,

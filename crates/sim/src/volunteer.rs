@@ -25,15 +25,8 @@ impl Volunteer {
     /// The height at which this volunteer comfortably holds a phone for
     /// the upper slide plane (~72% of stature).
     #[must_use]
-    pub fn upper_slide_height(&self) -> f64 {
+    pub(crate) fn upper_slide_height(&self) -> f64 {
         0.72 * self.stature
-    }
-
-    /// The lower slide plane (~72% of stature minus the protocol's
-    /// stature change).
-    #[must_use]
-    pub fn lower_slide_height(&self, stature_drop: f64) -> f64 {
-        self.upper_slide_height() - stature_drop
     }
 }
 
@@ -87,8 +80,6 @@ mod tests {
         for v in roster() {
             let upper = v.upper_slide_height();
             assert!((1.1..1.4).contains(&upper), "{}: {upper}", v.name);
-            let lower = v.lower_slide_height(0.4);
-            assert!((upper - lower - 0.4).abs() < 1e-12);
         }
     }
 

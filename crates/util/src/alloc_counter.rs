@@ -37,7 +37,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub struct CountingAllocator {
     allocations: AtomicU64,
-    deallocations: AtomicU64,
 }
 
 impl CountingAllocator {
@@ -47,7 +46,6 @@ impl CountingAllocator {
     pub const fn new() -> Self {
         CountingAllocator {
             allocations: AtomicU64::new(0),
-            deallocations: AtomicU64::new(0),
         }
     }
 
@@ -55,12 +53,6 @@ impl CountingAllocator {
     #[must_use]
     pub fn allocations(&self) -> u64 {
         self.allocations.load(Ordering::Relaxed)
-    }
-
-    /// Total `dealloc` calls so far.
-    #[must_use]
-    pub fn deallocations(&self) -> u64 {
-        self.deallocations.load(Ordering::Relaxed)
     }
 }
 
@@ -90,7 +82,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.deallocations.fetch_add(1, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -102,7 +93,7 @@ mod tests {
     // Not installed as the global allocator here (the test binary's other
     // tests would pollute the counts); exercised directly instead.
     #[test]
-    fn counts_alloc_and_dealloc_pairs() {
+    fn counts_allocations_not_deallocations() {
         let counter = CountingAllocator::new();
         let layout = Layout::from_size_align(64, 8).unwrap();
         unsafe {
@@ -117,6 +108,5 @@ mod tests {
             counter.dealloc(r, Layout::from_size_align(128, 8).unwrap());
         }
         assert_eq!(counter.allocations(), 3);
-        assert_eq!(counter.deallocations(), 2);
     }
 }

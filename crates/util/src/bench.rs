@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 /// Harness configuration; read from the environment by [`Suite::new`].
 #[derive(Debug, Clone)]
-pub struct BenchConfig {
+pub(crate) struct BenchConfig {
     /// Warmup time per benchmark.
     pub warmup: Duration,
     /// Timed samples per benchmark.
@@ -54,7 +54,7 @@ impl Default for BenchConfig {
 impl BenchConfig {
     /// Reads the `HYPEREAR_BENCH_*` environment variables.
     #[must_use]
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let mut c = BenchConfig::default();
         let ms = |name: &str| {
             std::env::var(name)
@@ -107,7 +107,7 @@ pub struct BenchResult {
 impl BenchResult {
     /// Throughput in million elements per second at the median time.
     #[must_use]
-    pub fn melem_per_s(&self) -> Option<f64> {
+    pub(crate) fn melem_per_s(&self) -> Option<f64> {
         let e = self.elements?;
         if self.median_ns > 0.0 {
             Some(e as f64 * 1e3 / self.median_ns)
@@ -122,7 +122,7 @@ impl BenchResult {
     /// capture lengths onto one comparable scale; `None` when the
     /// benchmark declared no element count.
     #[must_use]
-    pub fn ns_per_sample(&self) -> Option<f64> {
+    pub(crate) fn ns_per_sample(&self) -> Option<f64> {
         let e = self.elements?;
         if e > 0 {
             Some(self.median_ns / e as f64)
@@ -198,7 +198,7 @@ impl Suite {
 
     /// A suite with an explicit configuration.
     #[must_use]
-    pub fn with_config(name: &str, config: BenchConfig) -> Self {
+    pub(crate) fn with_config(name: &str, config: BenchConfig) -> Self {
         println!("== bench suite `{name}` ==");
         Suite {
             name: name.to_string(),
@@ -357,7 +357,7 @@ impl Suite {
 
 /// Formats nanoseconds adaptively (ns / µs / ms / s).
 #[must_use]
-pub fn fmt_ns(ns: f64) -> String {
+pub(crate) fn fmt_ns(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.1}ns")
     } else if ns < 1e6 {

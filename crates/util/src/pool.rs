@@ -453,7 +453,7 @@ impl std::fmt::Debug for Pool {
 /// set to a positive integer, otherwise the machine's available
 /// parallelism (1 when that cannot be determined).
 #[must_use]
-pub fn configured_threads() -> usize {
+pub(crate) fn configured_threads() -> usize {
     std::env::var("HYPEREAR_THREADS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
@@ -687,17 +687,6 @@ impl Pool {
         if let Some(payload) = payload {
             panic::resume_unwind(payload);
         }
-    }
-
-    /// Runs `f(i)` for every `i` in `0..len`, potentially in parallel.
-    /// Order of execution is unspecified; completion of all items is
-    /// guaranteed on return.
-    ///
-    /// # Panics
-    ///
-    /// Re-throws the first item panic after every item has settled.
-    pub fn parallel_for_each<F: Fn(usize) + Sync>(&self, len: usize, f: F) {
-        self.run_region(len, |_slot, i| f(i));
     }
 
     /// Computes `f(i)` for every `i` in `0..len` and returns the results
@@ -934,7 +923,7 @@ mod tests {
         let (a, b) = pool.join(|| 1, || 2);
         assert_eq!((a, b), (1, 2));
         let order = Mutex::new(Vec::new());
-        pool.parallel_for_each(4, |i| order.lock().unwrap().push(i));
+        pool.parallel_map(4, |i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
         assert_eq!(pool.stats().tasks_executed, 0, "nothing is scheduled");
     }
@@ -991,7 +980,7 @@ mod tests {
     fn region_propagates_first_item_panic_and_survives() {
         let pool = Pool::new(3);
         let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_for_each(16, |i| assert!(i != 9, "item nine"));
+            pool.parallel_map(16, |i| assert!(i != 9, "item nine"));
         }));
         assert!(r.is_err());
         assert_eq!(pool.parallel_map(4, |i| i), vec![0, 1, 2, 3]);

@@ -105,7 +105,7 @@ pub struct Gen {
 impl Gen {
     /// A generator for the given case seed.
     #[must_use]
-    pub fn from_seed(seed: u64) -> Self {
+    pub(crate) fn from_seed(seed: u64) -> Self {
         Gen {
             rng: Xoshiro256pp::seed_from_u64(seed),
         }
@@ -361,7 +361,7 @@ impl_tuple_strategy!(A: 0, B: 1, C: 2, D: 3);
 
 /// Harness configuration; [`Config::from_env`] is what [`check`] uses.
 #[derive(Debug, Clone)]
-pub struct Config {
+pub(crate) struct Config {
     /// Passing cases required per property.
     pub cases: usize,
     /// Base seed override (`None` = derived from the property name).
@@ -385,7 +385,7 @@ impl Config {
     /// `HYPEREAR_PROP_MAX_SHRINKS`; malformed values fall back to the
     /// defaults.
     #[must_use]
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let mut c = Config::default();
         if let Ok(v) = std::env::var("HYPEREAR_PROP_CASES") {
             if let Ok(n) = v.trim().parse::<usize>() {
@@ -411,7 +411,7 @@ impl Config {
 
 /// A falsified property, with everything needed to reproduce it.
 #[derive(Debug, Clone)]
-pub struct Falsified<V> {
+pub(crate) struct Falsified<V> {
     /// Which case failed (0-based).
     pub case_index: usize,
     /// The exact seed of the failing case.
@@ -429,7 +429,7 @@ pub struct Falsified<V> {
 impl<V: Debug> Falsified<V> {
     /// The full report the panic carries.
     #[must_use]
-    pub fn report(&self, name: &str) -> String {
+    pub(crate) fn report(&self, name: &str) -> String {
         format!(
             "property `{name}` falsified at case {} (seed 0x{:016x})\n  \
              failure: {}\n  shrunk input ({} steps): {:?}\n  original input: {:?}\n  \
@@ -448,7 +448,7 @@ impl<V: Debug> Falsified<V> {
 /// The seed of case `index` under `base`: case 0 is `base` itself so a
 /// reported seed reruns directly; later cases are splitmix64-derived.
 #[must_use]
-pub fn case_seed(base: u64, index: usize) -> u64 {
+pub(crate) fn case_seed(base: u64, index: usize) -> u64 {
     if index == 0 {
         base
     } else {
@@ -469,7 +469,7 @@ pub fn case_seed(base: u64, index: usize) -> u64 {
 ///
 /// Panics if the property discards more than 16× the configured case
 /// count — a sign the precondition rejects nearly everything.
-pub fn run<S, F>(
+pub(crate) fn run<S, F>(
     config: &Config,
     name: &str,
     strategy: &S,

@@ -13,7 +13,7 @@
 ///
 /// Useful on its own for hashing a seed hierarchy (experiment id →
 /// trial index → sub-system) into decorrelated child seeds.
-pub fn splitmix64_next(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64_next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -30,7 +30,7 @@ pub fn splitmix64_next(state: &mut u64) -> u64 {
 ///
 /// let mut a = Xoshiro256pp::seed_from_u64(42);
 /// let mut b = Xoshiro256pp::seed_from_u64(42);
-/// assert_eq!(a.next_u64(), b.next_u64());
+/// assert_eq!(a.next_f64(), b.next_f64());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256pp {
@@ -52,7 +52,7 @@ impl Xoshiro256pp {
     }
 
     /// The next 64 uniformly random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -102,7 +102,7 @@ impl Xoshiro256pp {
 /// FNV-1a hash of a string — stable across platforms, used to mix
 /// labels into seed material.
 #[must_use]
-pub fn fnv1a(text: &str) -> u64 {
+pub(crate) fn fnv1a(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.bytes() {
         h ^= u64::from(b);

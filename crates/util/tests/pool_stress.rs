@@ -65,7 +65,7 @@ fn repeated_panics_never_wedge_the_pool() {
     let pool = Pool::new(3);
     for round in 0..50 {
         let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_for_each(16, |i| {
+            pool.parallel_map(16, |i| {
                 assert!(i != round % 16, "poisoned item");
             });
         }));
@@ -154,7 +154,7 @@ fn churn(pool: &Pool, rounds: usize) {
         assert_eq!(a, round.wrapping_mul(3));
         assert_eq!(b, [round; 4]);
         let hits = AtomicUsize::new(0);
-        pool.parallel_for_each(3, |i| {
+        pool.parallel_map(3, |i| {
             hits.fetch_add(i + 1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 6, "round {round}");
@@ -169,6 +169,6 @@ fn short_regions_complete_from_outside_and_inside_the_pool() {
         churn(&pool, 5_000);
         // From pool workers (and the caller): spins on every latch while
         // helping, and broadcasts nested regions to sibling workers.
-        pool.parallel_for_each(2 * threads, |_| churn(&pool, 1_000));
+        pool.parallel_map(2 * threads, |_| churn(&pool, 1_000));
     }
 }

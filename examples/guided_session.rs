@@ -5,10 +5,11 @@
 //! cargo run --release --example guided_session
 //! ```
 //!
-//! Shows the instruction stream a user would see — roll, stop, hold
-//! still, slide 1/3 ... — with a deliberately sloppy slide thrown in to
-//! exercise the "slide again" path, then runs the pipeline on the
-//! recorded session.
+//! Shows the instruction stream a user would see through the paper's
+//! two-stature (3D) protocol — roll, stop, hold still, slide 1/3 ...,
+//! lower the phone, slide 1/3 ... — with a deliberately sloppy slide
+//! thrown in to exercise the "slide again" path, then runs the pipeline
+//! on the recorded session.
 
 use hyperear::config::HyperEarConfig;
 use hyperear::guide::{Instruction, SessionGuide};
@@ -41,7 +42,7 @@ fn show(step: &mut usize, instruction: Instruction) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let phone = PhoneModel::galaxy_s4();
-    let mut guide = SessionGuide::new(phone.mic_separation, 343.0, 3, false)?;
+    let mut guide = SessionGuide::new(phone.mic_separation, 343.0, 3, true)?;
     let mut step = 0;
     println!("HyperEar guided session:\n");
     show(&mut step, guide.current());
@@ -62,7 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     guide.observe_stillness(0.7)?;
     show(&mut step, guide.current());
 
-    // --- A sloppy slide first (too short), then real ones from the sim. --
+    // --- A sloppy slide first (too short), then the real movements of a
+    // two-stature recording, in time order. ------------------------------
     let sloppy = SlideEstimate {
         segment: Segment { start: 0, end: 60 },
         start_time: 0.0,
@@ -77,7 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rec = ScenarioBuilder::new(phone)
         .environment(Environment::room_quiet())
         .speaker_range(4.0)
+        .speaker_stature(0.5)
         .slides(3)
+        .slides_low(3)
+        .stature_drop(0.4)
         .seed(808)
         .render()?;
     let analysis = analyze_session(
@@ -86,8 +91,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rec.imu.sample_rate,
         &SessionConfig::default(),
     )?;
-    for slide in &analysis.slides {
-        guide.observe_slide(slide)?;
+    let mut movements: Vec<(usize, Option<&SlideEstimate>)> = analysis
+        .slides
+        .iter()
+        .map(|s| (s.segment.start, Some(s)))
+        .chain(
+            analysis
+                .stature_changes
+                .iter()
+                .map(|c| (c.segment.start, None)),
+        )
+        .collect();
+    movements.sort_by_key(|&(start, _)| start);
+    for (_, slide) in movements {
+        match slide {
+            Some(slide) => guide.observe_slide(slide)?,
+            None => guide.observe_stature_change()?,
+        }
         show(&mut step, guide.current());
         if guide.is_complete() {
             break;
@@ -108,12 +128,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         &mut result,
     )?;
-    let estimate = result.upper.ok_or("no estimate")?;
+    let projected = result.projected.ok_or("no projected estimate")?;
     println!(
-        "\nTag located {:.2} m ahead (truth {:.2} m, error {:.1} cm).",
-        estimate.range,
-        rec.truth.slant_distance_upper,
-        (estimate.range - rec.truth.slant_distance_upper).abs() * 100.0
+        "\nTag located {:.2} m ahead on the floor map (truth {:.2} m, error {:.1} cm).",
+        projected.l_star,
+        rec.truth.ground_distance,
+        (projected.l_star - rec.truth.ground_distance).abs() * 100.0
     );
     Ok(())
 }

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "Rendered {:.1} s of stereo audio and {} IMU samples.",
         recording.audio.left.len() as f64 / recording.audio.sample_rate,
-        recording.imu.len()
+        recording.imu.accel.len()
     );
 
     // 2. Run the HyperEar pipeline exactly as a phone app would: build

@@ -9,6 +9,7 @@
 #   scripts/verify.sh --doa        # tier-1 gate + DOA contract property sweep
 #   scripts/verify.sh --estimators # tier-1 gate + estimator-bank contract sweep
 #   scripts/verify.sh --multibeacon # tier-1 gate + K-beacon bank contracts
+#   scripts/verify.sh --surface    # tier-1 gate + public-surface census
 #
 # The --faults tier drives the full fault-injection matrix through the
 # monitored pipeline (`repro faults --fast`): every corrupted session
@@ -59,6 +60,15 @@
 # independent detectors and (b) on hosts with >= 2 CPUs beat them by
 # >= 1.25x (on one shared CPU the ratio is still printed but not
 # asserted — timings there swing too much to gate on).
+#
+# The --surface tier runs the public-surface census (the `surface` bin of
+# hyperear-bench) and greps its `surface census: HELD` line: on a copy
+# of the workspace under target/surface it demotes each library crate's
+# `pub` items and lets the compiler say which ones production code (the
+# workspace's libs, bins and examples plus the end-to-end benchmark
+# package) calls. Every item without a non-test caller must be listed in
+# scripts/surface_keep.txt with one of its four reasons, and every item
+# nothing outside its crate names must be `pub(crate)`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,6 +78,7 @@ RUN_STREAM=0
 RUN_DOA=0
 RUN_ESTIMATORS=0
 RUN_MULTIBEACON=0
+RUN_SURFACE=0
 for arg in "$@"; do
     case "$arg" in
         --faults) RUN_FAULTS=1 ;;
@@ -76,7 +87,8 @@ for arg in "$@"; do
         --doa) RUN_DOA=1 ;;
         --estimators) RUN_ESTIMATORS=1 ;;
         --multibeacon) RUN_MULTIBEACON=1 ;;
-        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --multibeacon)" >&2; exit 2 ;;
+        --surface) RUN_SURFACE=1 ;;
+        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --multibeacon, --surface)" >&2; exit 2 ;;
     esac
 done
 
@@ -273,6 +285,17 @@ if [ "$RUN_MULTIBEACON" -eq 1 ]; then
         echo "bank speedup ${SPEEDUP}x >= 1.25x over 4 independent detectors"
     else
         echo "host has ${NPROC} CPU(s) < 2; bank speedup ${SPEEDUP}x reported, not asserted"
+    fi
+fi
+
+if [ "$RUN_SURFACE" -eq 1 ]; then
+    echo "== public-surface census (contract grep) =="
+    # The census exits non-zero when it fails; print its lists either way.
+    OUT="$(cargo run --release -p hyperear-bench --bin surface 2>&1)" || true
+    echo "$OUT"
+    if ! grep -q "surface census: HELD" <<<"$OUT"; then
+        echo "SURFACE TIER FAILED: public items without a caller or a keep-list reason" >&2
+        exit 1
     fi
 fi
 

@@ -59,6 +59,16 @@ use hyperear_sim::scenario::{Recording, ScenarioBuilder};
 use hyperear_sim::speaker::SpeakerModel;
 use hyperear_sim::volunteer::roster;
 
+/// One detection pass into a fresh arrival list.
+fn detect(
+    detector: &mut hyperear::asp::BeaconDetector,
+    channel: &[f64],
+) -> Result<Vec<hyperear::asp::BeaconArrival>, hyperear::HyperEarError> {
+    let mut arrivals = Vec::new();
+    detector.detect_into(channel, &mut arrivals)?;
+    Ok(arrivals)
+}
+
 /// Matched arrivals agree within this many samples.
 const TIMING_TOL_SAMPLES: f64 = 1e-3;
 
@@ -112,7 +122,7 @@ fn reference(config: &HyperEarConfig, fs: f64, channel: &[f64]) -> Reference {
         min_distance: ((config.detection.min_spacing_fraction * b.period * fs) as usize).max(1),
     };
     let mut peaks = Vec::new();
-    let mut scratch = PeakScratch::new();
+    let mut scratch = PeakScratch::default();
     let threshold = |signal: &[f64], floor: f64| {
         let max = signal.iter().fold(0.0f64, |m, &v| m.max(v));
         (rule.noise_factor * floor).max(rule.relative * max)
@@ -138,9 +148,9 @@ fn reference(config: &HyperEarConfig, fs: f64, channel: &[f64]) -> Reference {
     let weighted = match config.estimator.initial {
         TdoaEstimator::PlainXcorr => false,
         estimator => {
-            let mut spectrum = CorrelationSpectrum::new();
+            let mut spectrum = CorrelationSpectrum::default();
             spectrum.compute(&corr).unwrap();
-            let mut est = EstimatorScratch::new();
+            let mut est = EstimatorScratch::default();
             if estimator == TdoaEstimator::GccPhat {
                 spectrum
                     .gcc_phat_into(config.estimator.phat_floor, &mut est, &mut guide)
@@ -391,7 +401,7 @@ fn compare_captures(
         let mut detector = BeaconDetector::new(config, fs).unwrap();
         for (side, channel) in [("left", &rec.audio.left), ("right", &rec.audio.right)] {
             let what = format!("{name} {side}");
-            let got = detector.detect(channel).unwrap();
+            let got = detect(&mut detector, channel).unwrap();
             let tally = if is_clean { &mut clean } else { &mut faulted };
             tally.compare(&what, &reference(config, fs, channel), &got, fs, is_clean);
         }

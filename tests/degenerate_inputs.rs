@@ -8,17 +8,17 @@
 
 use hyperear::asp::BeaconArrival;
 use hyperear::config::{Aggregation, HyperEarConfig};
-use hyperear::localize::{localize, LocalizeScratch};
+use hyperear::localize::{localize_with, LocalizeScratch};
 use hyperear::metrics::Cdf;
 use hyperear::pipeline::{SessionEngine, SessionInput, SessionOutcome};
-use hyperear::sfo::estimate_period;
+use hyperear::sfo::{estimate_period_with, SfoScratch};
 use hyperear::stream::{StreamConfig, StreamError, StreamService};
-use hyperear::tdoa::augmented_tdoa;
+use hyperear::tdoa::{augmented_tdoa_with, TdoaScratch};
 use hyperear::HyperEarError;
 use hyperear_geom::Vec3;
 use hyperear_imu::analyze::{analyze_session, SessionConfig};
-use hyperear_imu::displacement::segment_displacement;
-use hyperear_imu::rotation::integrate_rate;
+use hyperear_imu::displacement::{segment_kinematics, DisplacementScratch};
+use hyperear_imu::rotation::integrate_rate_into;
 use hyperear_sim::environment::Environment;
 use hyperear_sim::fault::{Fault, FaultPlan};
 use hyperear_sim::phone::PhoneModel;
@@ -124,16 +124,36 @@ fn monitored_pipeline_fails_typed_on_every_degenerate_input() {
 #[test]
 fn component_apis_reject_empty_inputs() {
     // Empty beacon sets at every acoustic stage.
-    assert!(estimate_period(&[], &[(0.0, 1.0)], 0.2).is_err());
-    assert!(augmented_tdoa(&[], &[], (0.0, 1.0), (2.0, 3.0), 0.2, 343.0, 3).is_err());
+    assert!(estimate_period_with(&[], &[(0.0, 1.0)], 0.2, &mut SfoScratch::new()).is_err());
+    assert!(augmented_tdoa_with(
+        &[],
+        &[],
+        (0.0, 1.0),
+        (2.0, 3.0),
+        0.2,
+        343.0,
+        3,
+        &mut TdoaScratch::new()
+    )
+    .is_err());
     let one = [BeaconArrival {
         time: 0.1,
         strength: 1.0,
     }];
-    assert!(augmented_tdoa(&one, &one, (0.0, 1.0), (2.0, 3.0), 0.2, 343.0, 3).is_err());
+    assert!(augmented_tdoa_with(
+        &one,
+        &one,
+        (0.0, 1.0),
+        (2.0, 3.0),
+        0.2,
+        343.0,
+        3,
+        &mut TdoaScratch::new()
+    )
+    .is_err());
 
     // Empty geometry sets at the solver, allocating and scratch forms.
-    assert!(localize(&[], Aggregation::Median).is_err());
+    assert!(localize_with(&[], Aggregation::Median, &mut LocalizeScratch::new()).is_err());
     assert!(hyperear::localize::localize_with(
         &[],
         Aggregation::Joint,
@@ -143,14 +163,14 @@ fn component_apis_reject_empty_inputs() {
 
     // Zero-length and too-short inertial traces.
     assert!(analyze_session(&[], &[], FS_IMU, &SessionConfig::default()).is_err());
-    assert!(segment_displacement(&[], FS_IMU).is_err());
-    assert!(segment_displacement(&[1.0], FS_IMU).is_err());
-    assert!(integrate_rate(&[], FS_IMU).is_err());
-    assert!(integrate_rate(&[1.0, 2.0], 0.0).is_err());
+    let mut kin = DisplacementScratch::default();
+    assert!(segment_kinematics(&[], FS_IMU, true, &mut kin).is_err());
+    assert!(segment_kinematics(&[1.0], FS_IMU, true, &mut kin).is_err());
+    assert!(integrate_rate_into(&[], FS_IMU, &mut Vec::new()).is_err());
+    assert!(integrate_rate_into(&[1.0, 2.0], 0.0, &mut Vec::new()).is_err());
 
     // Empty metric inputs.
     assert!(Cdf::new(&[]).is_err());
-    assert!(hyperear::metrics::stats(&[]).is_err());
 }
 
 /// One-shot reference for a (possibly truncated) recording slice.
@@ -325,6 +345,110 @@ fn streaming_misuse_is_typed_never_a_panic() {
     );
 }
 
+/// Hostile stream sizing is a typed error at construction: every limit
+/// must lie in `1..=` its stated maximum and the sessions' buffers
+/// together within the stated byte budget, so no capacity reaches an
+/// allocation (`usize::MAX` would overflow `Vec`'s capacity, an
+/// abort-sized one would fail the allocation). The sizings accepted at
+/// the end are only constructed, never opened: the budget is 16 GiB.
+#[test]
+fn hostile_stream_capacities_are_typed() {
+    let pool = Arc::new(Pool::new(1));
+    let base = StreamConfig::for_pool(&pool);
+    let mut cases = Vec::new();
+    for value in [0, usize::MAX] {
+        cases.push(StreamConfig {
+            max_sessions: value,
+            ..base
+        });
+        cases.push(StreamConfig {
+            ring_capacity: value,
+            ..base
+        });
+        cases.push(StreamConfig {
+            max_samples: value,
+            ..base
+        });
+        cases.push(StreamConfig {
+            max_imu_samples: value,
+            ..base
+        });
+    }
+    cases.push(StreamConfig {
+        max_sessions: StreamConfig::MAX_SESSIONS + 1,
+        ..base
+    });
+    let over = StreamConfig::MAX_CAPACITY + 1;
+    cases.push(StreamConfig {
+        ring_capacity: over,
+        ..base
+    });
+    cases.push(StreamConfig {
+        max_samples: over,
+        ..base
+    });
+    cases.push(StreamConfig {
+        max_imu_samples: over,
+        ..base
+    });
+    // A session reserves 16 B per ring sample and 48 B per capture and
+    // IMU sample: 64 sessions of 256 MiB fill the budget exactly, and
+    // one more ring sample per session exceeds it.
+    let at_budget = StreamConfig {
+        max_sessions: 64,
+        ring_capacity: 1 << 22,
+        max_samples: 3 << 20,
+        max_imu_samples: 1 << 20,
+    };
+    assert_eq!(
+        at_budget.max_sessions as u64
+            * (16 * at_budget.ring_capacity as u64
+                + 48 * (at_budget.max_samples + at_budget.max_imu_samples) as u64),
+        StreamConfig::MAX_RESERVED_BYTES
+    );
+    cases.push(StreamConfig {
+        ring_capacity: at_budget.ring_capacity + 1,
+        ..at_budget
+    });
+    // Every field at its maximum fits one session, not the full fleet.
+    let max = StreamConfig {
+        max_sessions: 1,
+        ring_capacity: StreamConfig::MAX_CAPACITY,
+        max_samples: StreamConfig::MAX_CAPACITY,
+        max_imu_samples: StreamConfig::MAX_CAPACITY,
+    };
+    cases.push(StreamConfig {
+        max_sessions: StreamConfig::MAX_SESSIONS,
+        ..max
+    });
+    for stream in cases {
+        match StreamService::new(HyperEarConfig::galaxy_s4(), stream, Arc::clone(&pool)) {
+            Err(HyperEarError::InvalidParameter { .. }) => {}
+            Err(other) => panic!("{stream:?}: expected InvalidParameter, got {other:?}"),
+            Ok(mut svc) => {
+                let opened = svc.open(44_100.0, 100.0);
+                panic!("{stream:?} was accepted (open: {opened:?})");
+            }
+        }
+    }
+    // The maxima and the budget themselves are accepted.
+    for stream in [
+        max,
+        at_budget,
+        StreamConfig {
+            max_sessions: StreamConfig::MAX_SESSIONS,
+            ring_capacity: 4_096,
+            max_samples: 44_100,
+            max_imu_samples: 1_000,
+        },
+    ] {
+        assert!(
+            StreamService::new(HyperEarConfig::galaxy_s4(), stream, Arc::clone(&pool)).is_ok(),
+            "{stream:?} was rejected"
+        );
+    }
+}
+
 /// Estimator bank: spectrally-degenerate inputs are graceful no-ops or
 /// typed errors at the DSP layer, and typed session failures (or clean
 /// fallbacks) at the pipeline layer — never NaN, never a panic.
@@ -334,8 +458,8 @@ fn degenerate_estimator_inputs_are_typed_or_graceful() {
         mcci_fuse_channel_into, mcci_offsets_with, CorrelationSpectrum, EstimatorScratch,
     };
 
-    let mut scratch = EstimatorScratch::new();
-    let mut spectrum = CorrelationSpectrum::new();
+    let mut scratch = EstimatorScratch::default();
+    let mut spectrum = CorrelationSpectrum::default();
     let mut out = Vec::new();
 
     // All-zero correlation under PHAT whitening: the division floor has

@@ -2,7 +2,6 @@
 //! metrics, with error budgets tied to the paper's ruler experiments.
 
 use hyperear::config::{Aggregation, HyperEarConfig};
-use hyperear::metrics::stats;
 use hyperear::pipeline::{SessionEngine, SessionInput};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
@@ -58,7 +57,7 @@ fn seven_metre_error_matches_paper_band() {
         let est = result.upper.expect("estimate");
         errors.push((est.range - rec.truth.slant_distance_upper).abs());
     }
-    let s = stats(&errors).expect("stats");
+    let s = hyperear::metrics::Cdf::new(&errors).expect("stats").stats();
     assert!(s.mean < 0.45, "mean error {:.3} m at 7 m", s.mean);
 }
 

@@ -43,6 +43,16 @@ use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::{Recording, ScenarioBuilder};
 use hyperear_sim::speaker::SpeakerModel;
 
+/// One detection pass into a fresh arrival list.
+fn detect(
+    detector: &mut hyperear::asp::BeaconDetector,
+    channel: &[f64],
+) -> Result<Vec<hyperear::asp::BeaconArrival>, hyperear::HyperEarError> {
+    let mut arrivals = Vec::new();
+    detector.detect_into(channel, &mut arrivals)?;
+    Ok(arrivals)
+}
+
 /// Refine radius and leading-edge rule of weighted-guide extraction
 /// (`asp::WEIGHTED_REFINE`, `LEADING_EDGE_WINDOW`, `LEADING_EDGE_RATIO`).
 const WEIGHTED_REFINE: usize = 8;
@@ -101,7 +111,7 @@ fn reference_peaks(signal: &[f64], rule: &ThresholdRule) -> Vec<Peak> {
 /// The kernel's peaks, asserted equal to the reference epilogue's.
 fn checked_peaks(signal: &[f64], rule: &ThresholdRule, what: &str) -> Vec<Peak> {
     let mut peaks = Vec::new();
-    detect_peaks_into(signal, rule, &mut PeakScratch::new(), &mut peaks).unwrap();
+    detect_peaks_into(signal, rule, &mut PeakScratch::default(), &mut peaks).unwrap();
     assert_eq!(peaks, reference_peaks(signal, rule), "{what}: peaks");
     assert!(!peaks.is_empty(), "{what}: a capture with beacons");
     peaks
@@ -138,7 +148,8 @@ fn band_arrivals(
     };
     let mut peaks = Vec::new();
     let floor =
-        detect_envelope_peaks_into(&env, &candidates, &mut PeakScratch::new(), &mut peaks).unwrap();
+        detect_envelope_peaks_into(&env, &candidates, &mut PeakScratch::default(), &mut peaks)
+            .unwrap();
     let radius = d / 2
         + if envelope {
             1
@@ -279,14 +290,14 @@ fn clean_stereo_and_envelope_arrivals_equal_the_reference_epilogue() {
         let band = correlate_band(&bank, channel);
         let lags = channel.len();
         assert_eq!(
-            detector.detect(channel).unwrap(),
+            detect(&mut detector, channel).unwrap(),
             band_arrivals(dec, &band, None, lags, &rule, false, fs),
             "{name}: plain arrivals"
         );
         envelope_with(&corr, &mut plans, &mut scratch, &mut env).unwrap();
         checked_peaks(&env, &rule, name);
         assert_eq!(
-            envelope_detector.detect(channel).unwrap(),
+            detect(&mut envelope_detector, channel).unwrap(),
             band_arrivals(dec, &band, None, lags, &rule, true, fs),
             "{name}: envelope arrivals"
         );
@@ -312,14 +323,14 @@ fn faulted_weighted_and_fused_guides_equal_the_reference_epilogue() {
         let bank = folded_filter(&base, fs).band_limited().unwrap();
         let dec = bank.decimation(0);
         let (mut est, mut guide, mut band_guide) =
-            (EstimatorScratch::new(), Vec::new(), Vec::new());
+            (EstimatorScratch::default(), Vec::new(), Vec::new());
         for estimator in [TdoaEstimator::GccPhat, TdoaEstimator::SubbandCoherence] {
             let mut config = base.clone();
             config.estimator.initial = estimator;
             let mut detector = BeaconDetector::new(&config, fs).unwrap();
             for (channel, corr) in [&rec.audio.left, &rec.audio.right].into_iter().zip(&corrs) {
                 let what = format!("fault class {class}, {}", estimator.name());
-                let mut spectrum = CorrelationSpectrum::new();
+                let mut spectrum = CorrelationSpectrum::default();
                 spectrum.compute(corr).unwrap();
                 let weighted = if estimator == TdoaEstimator::GccPhat {
                     spectrum
@@ -342,7 +353,7 @@ fn faulted_weighted_and_fused_guides_equal_the_reference_epilogue() {
                 checked_peaks(guide, &rule, &what);
                 // The detector weighs the decimated analytic sequence.
                 let own = correlate_band(&bank, channel);
-                let mut spectrum = AnalyticSpectrum::new();
+                let mut spectrum = AnalyticSpectrum::default();
                 spectrum.compute(&own).unwrap();
                 let rate = fs / dec.factor() as f64;
                 let center = dec.carrier() * fs;
@@ -367,7 +378,7 @@ fn faulted_weighted_and_fused_guides_equal_the_reference_epilogue() {
                 let band_guide: &[Complex] = if weighted { &band_guide } else { &own };
                 let lags = channel.len();
                 assert_eq!(
-                    detector.detect(channel).unwrap(),
+                    detect(&mut detector, channel).unwrap(),
                     band_arrivals(dec, band_guide, Some(&own), lags, &rule, false, fs),
                     "{what}: weighted-guide arrivals"
                 );

@@ -37,7 +37,7 @@ fn quickstart_scenario_produces_an_estimate() {
         .expect("render");
     assert!(!recording.audio.left.is_empty());
     assert_eq!(recording.audio.left.len(), recording.audio.right.len());
-    assert!(!recording.imu.is_empty());
+    assert!(!recording.imu.accel.is_empty());
 
     let result = run_pipeline(&recording);
     assert!(result.beacons_left > 0, "no beacons detected on the left");

@@ -388,9 +388,11 @@ fn bench_estimators(suite: &mut Suite) {
             },
         );
     }
-    // The band-limited detector's rung: PHAT on the decimated analytic
-    // correlation of a 6 s capture (131,072-point complex transforms
-    // instead of 524,288-point real ones).
+    // The band-limited detector's rungs: PHAT and sub-band coherence on
+    // the decimated analytic correlation of a 6 s capture
+    // (131,072-point complex transforms instead of 524,288-point real
+    // ones), the coherence band in the sequence's baseband frequencies
+    // as the detector derives it.
     {
         use hyperear_dsp::estimator::AnalyticSpectrum;
         let chirp =
@@ -408,18 +410,45 @@ fn bench_estimators(suite: &mut Suite) {
         let mut spectrum = AnalyticSpectrum::default();
         let mut scratch = EstimatorScratch::default();
         let mut guide = Vec::new();
+        let dec = band.decimation(0);
+        let rate = 44_100.0 / dec.factor() as f64;
+        let center = dec.carrier() * 44_100.0;
+        let (lo, hi) = (
+            (1_800.0 - center).max(-rate / 2.0),
+            (7_040.0 - center).min(rate / 2.0),
+        );
         spectrum.compute(&seq).expect("spectrum");
         spectrum
             .gcc_phat_into(0.15, &mut scratch, &mut guide)
             .expect("phat");
+        assert!(spectrum
+            .subband_coherence_into(rate, lo, hi, 16, &mut scratch, &mut guide)
+            .expect("coherence"));
+        {
+            let seq = seq.clone();
+            let mut spectrum = spectrum.clone();
+            let mut scratch = scratch.clone();
+            let mut guide = guide.clone();
+            suite.bench_allocfree_with_elements(
+                "estimator/gcc_phat_bandlimited/6s",
+                capture.len() as u64,
+                move || {
+                    spectrum.compute(&seq).expect("spectrum");
+                    spectrum
+                        .gcc_phat_into(0.15, &mut scratch, &mut guide)
+                        .expect("phat");
+                    black_box(guide[0])
+                },
+            );
+        }
         suite.bench_allocfree_with_elements(
-            "estimator/gcc_phat_bandlimited/6s",
+            "estimator/subband_bandlimited/6s",
             capture.len() as u64,
             move || {
                 spectrum.compute(&seq).expect("spectrum");
                 spectrum
-                    .gcc_phat_into(0.15, &mut scratch, &mut guide)
-                    .expect("phat");
+                    .subband_coherence_into(rate, lo, hi, 16, &mut scratch, &mut guide)
+                    .expect("coherence");
                 black_box(guide[0])
             },
         );

@@ -5,8 +5,11 @@
 //! parallelism. Reports sessions/sec and p50/p99/p999 open→outcome
 //! latency, checks every streamed outcome bit-identical against its
 //! recording's one-shot reference (the `stream-contract:` line CI
-//! greps), and gates the warm single-session cycle at zero heap
-//! allocations on the workspace's own std-only harness.
+//! greps), checks the service's footprint against its sizing formulas
+//! (the `stream-memory:` line CI greps: every session holds exactly its
+//! state, and the pool holds one workspace per participant, however
+//! many sessions it served), and gates the warm single-session cycle at
+//! zero heap allocations on the workspace's own std-only harness.
 //!
 //! The driver makes every admission/shed decision on its own thread
 //! from service-visible state, so the soak's backpressure event
@@ -17,7 +20,9 @@
 
 use hyperear::config::HyperEarConfig;
 use hyperear::pipeline::{SessionEngine, SessionInput, SessionOutcome};
-use hyperear::stream::{AdmissionError, SessionId, StreamConfig, StreamError, StreamService};
+use hyperear::stream::{
+    AdmissionError, SessionId, StreamConfig, StreamError, StreamFootprint, StreamService,
+};
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::{Recording, ScenarioBuilder};
@@ -90,6 +95,9 @@ struct SoakReport {
     sheds: usize,
     busy: usize,
     mismatches: usize,
+    /// The service's footprint after the fleet, and its working set.
+    footprint: StreamFootprint,
+    working_set: usize,
 }
 
 /// Drives `phones` simulated phones through one service over `threads`
@@ -202,7 +210,25 @@ fn soak(threads: usize, recs: &[Recording], refs: &[SessionOutcome], phones: usi
         sheds,
         busy,
         mismatches,
+        footprint: svc.footprint(),
+        working_set: svc.working_set_bytes(),
     }
+}
+
+/// Whether a soak's footprint holds the memory contract over `threads`
+/// participants: each session's state is exactly its formula (no buffer
+/// grew past its reservation, and none is workspace a session kept for
+/// itself), there is exactly one formula-sized workspace per
+/// participant, and the working set is those parts plus the engines.
+/// A buffer's capacity never falls short of its reservation, so the
+/// sums matching means every session and every workspace matches.
+fn memory_held(report: &SoakReport, threads: usize) -> bool {
+    let f = &report.footprint;
+    f.sessions > 0
+        && f.state_bytes == f.state_formula
+        && f.participants == threads
+        && f.workspace_bytes == threads * f.workspace_formula
+        && report.working_set == f.state_bytes + f.engine_bytes + f.workspace_bytes
 }
 
 fn main() {
@@ -218,6 +244,7 @@ fn main() {
     println!("soak fleet: {phones} phones over {DISTINCT_RECORDINGS} distinct captures");
 
     let mut total_mismatches = 0;
+    let mut memory = true;
     let mut shed_counts = Vec::new();
     let mut thread_counts = vec![1];
     if n > 1 {
@@ -235,6 +262,24 @@ fn main() {
             report.sheds,
             report.busy
         );
+        let f = &report.footprint;
+        let held = memory_held(&report, threads);
+        println!(
+            "stream-memory: threads={threads} sessions={} state_per_session={} B \
+             (formula {} B) engines={} B workspaces={}x{} B (formula {}x{} B) \
+             working_set={} B: {}",
+            f.sessions,
+            f.state_bytes / f.sessions.max(1),
+            f.state_formula / f.sessions.max(1),
+            f.engine_bytes,
+            f.participants,
+            f.workspace_bytes / f.participants.max(1),
+            threads,
+            f.workspace_formula,
+            report.working_set,
+            if held { "HELD" } else { "VIOLATED" }
+        );
+        memory &= held;
         total_mismatches += report.mismatches;
         shed_counts.push((report.sheds, report.busy));
     }
@@ -288,4 +333,5 @@ fn main() {
     suite.bench_allocfree("stream_session_cycle/warm", &mut cycle);
     suite.finish();
     assert!(contract, "stream contract violated");
+    assert!(memory, "stream memory contract violated");
 }

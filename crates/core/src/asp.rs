@@ -113,12 +113,19 @@ const LEADING_EDGE_RATIO: f64 = 0.7;
 /// The mutable, per-channel half of a beacon detector: the FFT scratch
 /// arena and every intermediate buffer a detection pass fills. One
 /// scratch must not be shared between concurrent detections.
+///
+/// It is also one pool participant's streaming workspace: a
+/// [`StreamingDetector`] keeps only its capture's state and borrows the
+/// FFT arena, the spectrum and the extraction buffers from the scratch
+/// of whichever participant pumps it ([`DetectScratch::reserve_stream`]
+/// sizes it for any capture up front).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DetectScratch {
     dsp: DspScratch,
     /// The correlation of a standalone detection pass
     /// ([`DetectorCore::detect_with`]); the session engine keeps its
-    /// channels' correlations in its own store instead.
+    /// channels' correlations in its own store instead, and a streaming
+    /// finish borrows only its spectrum.
     chan: ChannelCorrelation,
     extract: ExtractScratch,
 }
@@ -135,6 +142,110 @@ impl DetectScratch {
     #[must_use]
     pub(crate) fn capacity_bytes(&self) -> usize {
         self.dsp.capacity_bytes() + self.chan.capacity_bytes() + self.extract.capacity_bytes()
+    }
+
+    /// Grows every buffer a streaming push or finish borrows to `sizing`,
+    /// so no warm pump allocates, whichever session the scratch serves.
+    /// Capacity already there is kept.
+    pub(crate) fn reserve_stream(&mut self, sizing: &WorkspaceSizing) -> Result<(), HyperEarError> {
+        let DetectScratch { dsp, chan, extract } = self;
+        let ExtractScratch { pick, est, guide } = extract;
+        grow_to(&mut dsp.c1, sizing.block);
+        grow_to(&mut dsp.c2, sizing.band);
+        grow_to(&mut pick.env, sizing.lags);
+        pick.peak.reserve(sizing.lags);
+        grow_to(&mut pick.peaks, sizing.lags.div_ceil(2));
+        grow_to(&mut pick.window, sizing.window);
+        if sizing.spectrum > 0 {
+            chan.spectrum.reserve(sizing.lags)?;
+            grow_to(&mut est.half, sizing.spectrum);
+            grow_to(guide, sizing.lags);
+        }
+        grow_to(&mut est.band_power, sizing.bands);
+        grow_to(&mut est.band_sort, sizing.bands);
+        Ok(())
+    }
+}
+
+/// Grows `v`'s capacity to exactly `capacity` when it holds less.
+fn grow_to<T>(v: &mut Vec<T>, capacity: usize) {
+    v.reserve_exact(capacity.saturating_sub(v.len()));
+}
+
+/// The buffer lengths one streaming workspace ([`DetectScratch`]) needs
+/// to push and finish any capture of up to `max_samples` samples on a
+/// detector core: the FFT block and the band's short inverse pair, the
+/// decimated lags (envelope, sort keys, and the candidates — at most one
+/// per two lags — and their copy), the rebuilt window around one
+/// candidate, and, under a weighting estimator, the spectrum, its
+/// weighted copy and the guide. One workspace serving several cores
+/// takes the larger of each length ([`WorkspaceSizing::max`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WorkspaceSizing {
+    block: usize,
+    band: usize,
+    lags: usize,
+    window: usize,
+    /// Spectrum bins (the transform length over `lags`), or 0 when the
+    /// core's estimator does not weight.
+    spectrum: usize,
+    /// Sub-band power table length (coherence weighting), else 0.
+    bands: usize,
+}
+
+impl WorkspaceSizing {
+    /// The sizing for captures of up to `max_samples` samples on `core`.
+    pub(crate) fn new(core: &DetectorCore, max_samples: usize) -> Self {
+        let dec = core.decimation();
+        let lags = dec.decimated_len(max_samples);
+        let block = core.band.block_len();
+        WorkspaceSizing {
+            block,
+            band: 2 * (block / dec.factor()),
+            lags,
+            window: core.window_bound(dec),
+            spectrum: if core.estimator.weights_spectrum() {
+                lags.next_power_of_two()
+            } else {
+                0
+            },
+            bands: if core.estimator == TdoaEstimator::SubbandCoherence {
+                core.coherence_bands
+            } else {
+                0
+            },
+        }
+    }
+
+    /// The larger of each length: a workspace that serves both cores.
+    pub(crate) fn max(self, other: Self) -> Self {
+        WorkspaceSizing {
+            block: self.block.max(other.block),
+            band: self.band.max(other.band),
+            lags: self.lags.max(other.lags),
+            window: self.window.max(other.window),
+            spectrum: self.spectrum.max(other.spectrum),
+            bands: self.bands.max(other.bands),
+        }
+    }
+
+    /// The bytes a workspace reserved to this sizing holds.
+    pub(crate) fn bytes(&self) -> usize {
+        let (c, f) = (std::mem::size_of::<Complex>(), std::mem::size_of::<f64>());
+        let peaks = self.lags.div_ceil(2) * std::mem::size_of::<Peak>();
+        let weighting = if self.spectrum > 0 {
+            2 * self.spectrum * c + self.lags * c
+        } else {
+            0
+        };
+        self.block_bytes() + 2 * self.lags * f + 2 * peaks + weighting + 2 * self.bands * f
+    }
+
+    /// The part of [`WorkspaceSizing::bytes`] the beacon sets rather
+    /// than the capture length: the FFT arena and the rebuild window.
+    pub(crate) fn block_bytes(&self) -> usize {
+        (self.block + self.band) * std::mem::size_of::<Complex>()
+            + self.window * std::mem::size_of::<f64>()
     }
 }
 
@@ -185,35 +296,25 @@ impl ExtractScratch {
 }
 
 /// The post-correlation working buffers of one band-limited detection
-/// pass: the guide's envelope, noise statistics, candidate peaks, the
-/// rebuilt full-rate lags around one candidate, and each candidate's
-/// full-rate apex. Owned by every per-channel scratch
-/// ([`DetectScratch`], [`StreamingDetector`], [`MultiBeaconScratch`]) so
+/// pass: the guide's envelope, noise statistics, candidate peaks and the
+/// rebuilt full-rate lags around one candidate. Owned by every
+/// per-channel scratch ([`DetectScratch`], [`MultiBeaconScratch`]) so
 /// the threshold/peak stage never allocates once warm.
 #[derive(Debug, Clone, Default)]
 struct PickScratch {
     peak: PeakScratch,
+    /// Candidate peaks; once timed, each holds its full-rate apex on the
+    /// guide instead of its envelope value.
     peaks: Vec<Peak>,
     /// `|guide|`, one value per decimated lag.
     env: Vec<f64>,
     /// Rebuilt full-rate values around the candidate being refined.
     window: Vec<f64>,
-    /// Each candidate's full-rate apex on the guide.
-    apex: Vec<f64>,
 }
 
 impl PickScratch {
-    fn with_capacity(decimated: usize) -> Self {
-        PickScratch {
-            peak: PeakScratch::with_capacity(decimated),
-            env: Vec::with_capacity(decimated),
-            ..PickScratch::default()
-        }
-    }
-
     fn capacity_bytes(&self) -> usize {
-        (self.env.capacity() + self.window.capacity() + self.apex.capacity())
-            * std::mem::size_of::<f64>()
+        (self.env.capacity() + self.window.capacity()) * std::mem::size_of::<f64>()
             + self.peaks.capacity() * std::mem::size_of::<Peak>()
             + self.peak.capacity_bytes()
     }
@@ -370,7 +471,12 @@ impl DetectorCore {
     ) -> Result<(), HyperEarError> {
         let DetectScratch { dsp, chan, extract } = scratch;
         self.correlate_into(channel, dsp, chan)?;
-        self.arrivals_estimated(self.estimator, chan, extract, out)
+        let ChannelCorrelation {
+            corr,
+            lags,
+            spectrum,
+        } = chan;
+        self.arrivals_estimated(self.estimator, corr, *lags, spectrum, extract, out)
     }
 
     /// One channel's detection pass of a session under a per-channel
@@ -393,7 +499,12 @@ impl DetectorCore {
         if let Some(samples) = samples {
             self.correlate_into(samples, &mut scratch.dsp, chan)?;
         }
-        self.arrivals_estimated(estimator, chan, &mut scratch.extract, out)
+        let ChannelCorrelation {
+            corr,
+            lags,
+            spectrum,
+        } = chan;
+        self.arrivals_estimated(estimator, corr, *lags, spectrum, &mut scratch.extract, out)
     }
 
     /// The pre-threshold half of detection: the normalized, band-pass
@@ -412,18 +523,19 @@ impl DetectorCore {
         Ok(())
     }
 
-    /// Arrival extraction from one channel's correlation under a
-    /// per-channel estimator — the one kernel behind the session
-    /// engine's detection, [`DetectorCore::detect_with`] and
-    /// [`StreamingDetector::finish_into`].
+    /// Arrival extraction from one channel's decimated correlation `corr`
+    /// (covering `lags` full-rate lags) under a per-channel estimator —
+    /// the one kernel behind the session engine's detection,
+    /// [`DetectorCore::detect_with`] and [`StreamingDetector::finish_into`].
     ///
     /// Plain xcorr picks peaks on the correlation itself. The
     /// spectral-weighting estimators (PHAT, sub-band coherence) weight
-    /// the correlation's spectrum — computed on first use and kept in
-    /// `chan` for later rungs — into the guide buffer and use it for
-    /// peak detection only; each arrival is then *timed* on the plain
-    /// matched-filter correlation near the detected peak (the same
-    /// detect-on-weighted / time-on-own split as MCCI fusion). Whitening
+    /// the correlation's spectrum — computed into `spectrum` on first
+    /// use (when it is empty) and kept there for later rungs — into the
+    /// guide buffer and use it for peak detection only; each arrival is
+    /// then *timed* on the plain matched-filter correlation near the
+    /// detected peak (the same detect-on-weighted / time-on-own split as
+    /// MCCI fusion). Whitening
     /// equal-weights the band edges, where the Doppler mismatch of a
     /// moving phone puts its largest phase error, so timing directly on
     /// a whitened correlation is biased in proportion to the slide
@@ -437,23 +549,21 @@ impl DetectorCore {
     fn arrivals_estimated(
         &self,
         estimator: TdoaEstimator,
-        chan: &mut ChannelCorrelation,
+        corr: &[Complex],
+        lags: usize,
+        spectrum: &mut AnalyticSpectrum,
         x: &mut ExtractScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
         let dec = self.band.decimation(0);
-        if matches!(
-            estimator,
-            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion
-        ) {
-            return self.arrivals_band(dec, &chan.corr, None, chan.lags, &mut x.pick, out);
+        if !estimator.weights_spectrum() {
+            return self.arrivals_band(dec, corr, None, lags, &mut x.pick, out);
         }
-        if chan.spectrum.is_empty() {
-            chan.spectrum.compute(&chan.corr)?;
+        if spectrum.is_empty() {
+            spectrum.compute(corr)?;
         }
         let weighted = if estimator == TdoaEstimator::GccPhat {
-            chan.spectrum
-                .gcc_phat_into(self.phat_floor, &mut x.est, &mut x.guide)?
+            spectrum.gcc_phat_into(self.phat_floor, &mut x.est, &mut x.guide)?
         } else {
             // The coherence band in the decimated sequence's baseband
             // frequencies.
@@ -462,7 +572,7 @@ impl DetectorCore {
             let lo = (self.coherence_band.0 - center).max(-rate / 2.0);
             let hi = (self.coherence_band.1 - center).min(rate / 2.0);
             lo < hi
-                && chan.spectrum.subband_coherence_into(
+                && spectrum.subband_coherence_into(
                     rate,
                     lo,
                     hi,
@@ -471,8 +581,8 @@ impl DetectorCore {
                     &mut x.guide,
                 )?
         };
-        let guide = if weighted { &x.guide } else { &chan.corr };
-        self.arrivals_band(dec, guide, Some(&chan.corr), chan.lags, &mut x.pick, out)
+        let guide = if weighted { &x.guide } else { corr };
+        self.arrivals_band(dec, guide, Some(corr), lags, &mut x.pick, out)
     }
 
     /// Band-limited arrival extraction over decimated analytic sequences
@@ -507,7 +617,6 @@ impl DetectorCore {
             peaks,
             env,
             window,
-            apex,
         } = pick;
         env.clear();
         env.extend(guide.iter().map(|z| z.norm_sqr().sqrt()));
@@ -527,36 +636,24 @@ impl DetectorCore {
             min_distance: rule.min_distance.div_ceil(d),
         };
         let floor = detect_envelope_peaks_into(env, &candidates, peak, peaks)?;
-        // The apex search radius: half a grid step, plus one carrier
-        // period in carrier mode.
-        let radius = d / 2
-            + if self.envelope_detection {
-                1
-            } else {
-                (1.0 / dec.carrier()).ceil() as usize
-            };
-        let margin = match self.interpolation {
-            Interpolation::None => 0,
-            Interpolation::Parabolic => 1,
-            Interpolation::Sinc => SINC_HALF_WIDTH + 1,
-        };
+        let radius = self.apex_radius(dec);
+        let margin = self.fit_margin();
         let backtrack = (LEADING_EDGE_WINDOW * self.sample_rate) as usize / d;
-        apex.clear();
         out.reserve(peaks.len());
-        for p in peaks.iter() {
+        for p in peaks.iter_mut() {
             let at = p.index * d;
             let search = at.saturating_sub(radius)..(at + radius + 1).min(lags);
             let arrival = match own {
                 None => {
                     let (arrival, value) = self.refined(dec, guide, search, margin, lags, window);
-                    apex.push(value);
+                    p.value = value;
                     arrival
                 }
                 Some(own) => {
                     let start = search.start;
                     dec.rebuild_into(guide, search, self.envelope_detection, window);
                     let best = first_max(window, 0..window.len());
-                    apex.push(window[best]);
+                    p.value = window[best];
                     // Leading-edge rule: inside the cluster the apex may
                     // be an echo; guide the timing from the earliest
                     // near-equal envelope maximum instead (the direct
@@ -579,14 +676,42 @@ impl DetectorCore {
             };
             out.push(arrival);
         }
-        let strongest = apex.iter().copied().fold(0.0, f64::max);
+        let strongest = peaks.iter().map(|p| p.value).fold(0.0, f64::max);
         let threshold = (rule.noise_factor * floor).max(rule.relative * strongest);
         let mut k = 0;
         out.retain(|_| {
             k += 1;
-            apex[k - 1] >= threshold
+            peaks[k - 1].value >= threshold
         });
         Ok(())
+    }
+
+    /// The apex search radius around a candidate's grid lag, full-rate
+    /// lags each side: half a grid step, plus one carrier period in
+    /// carrier mode.
+    fn apex_radius(&self, dec: &Decimation) -> usize {
+        dec.factor() / 2
+            + if self.envelope_detection {
+                1
+            } else {
+                (1.0 / dec.carrier()).ceil() as usize
+            }
+    }
+
+    /// Lags the sub-sample fit reads either side of its integer apex.
+    fn fit_margin(&self) -> usize {
+        match self.interpolation {
+            Interpolation::None => 0,
+            Interpolation::Parabolic => 1,
+            Interpolation::Sinc => SINC_HALF_WIDTH + 1,
+        }
+    }
+
+    /// The most full-rate lags [`DetectorCore::arrivals_band`] rebuilds
+    /// at once: an apex search, or a timing search on the own
+    /// correlation, plus the fit's margin either side.
+    fn window_bound(&self, dec: &Decimation) -> usize {
+        2 * self.apex_radius(dec).max(WEIGHTED_REFINE) + 1 + 2 * self.fit_margin()
     }
 
     /// The arrival at the largest rebuilt full-rate value of `seq` over
@@ -901,30 +1026,37 @@ impl BeaconDetector {
 /// threshold/peak stage of the one-shot detector over the accumulated
 /// correlation.
 ///
+/// # State and scratch
+///
+/// The detector owns only its capture's state: the chunk feed and the
+/// accumulated correlation. The threshold needs the exact median of the
+/// whole correlation envelope, so the correlation must live until the
+/// finish; everything else a push or finish touches — the FFT arena, the
+/// envelope, sort keys, candidates, rebuild window, spectrum and guide —
+/// is borrowed from the caller's [`DetectScratch`], one per worker, not
+/// one per capture.
+///
 /// # Equivalence
 ///
 /// Because the chunk feed assembles bit-identical FFT blocks regardless of
 /// chunking, the retained correlation — and therefore every emitted
 /// [`BeaconArrival`] — is **bit-identical** to
 /// [`DetectorCore::detect_with`] on the concatenated capture, for any
-/// chunk sizes.
+/// chunk sizes and any scratch.
 ///
 /// # Bounded memory
 ///
-/// Every buffer is preallocated from `max_samples` and the core's block
-/// geometry at construction (a weighting estimator's spectrum and guide
-/// grow once, on the first finish); pushing more total samples than
+/// Both state buffers are preallocated from `max_samples` and the core's
+/// block geometry at construction; pushing more total samples than
 /// `max_samples` is a typed [`HyperEarError::CapacityExceeded`], so the
-/// working set is a function of configuration, never of offered load.
+/// state is a function of configuration, never of offered load.
 #[derive(Debug, Clone)]
 pub(crate) struct StreamingDetector {
     core: std::sync::Arc<DetectorCore>,
     feed: ChunkFeed,
-    dsp: DspScratch,
     /// The accumulated normalized decimated correlation (capacity for
     /// `max_samples` lags).
-    chan: ChannelCorrelation,
-    extract: ExtractScratch,
+    corr: Vec<Complex>,
     max_samples: usize,
     pushed: usize,
     finished: bool,
@@ -952,18 +1084,9 @@ impl StreamingDetector {
                 ),
             ));
         }
-        let decimated = core.decimation().decimated_len(max_samples);
         Ok(StreamingDetector {
             feed: core.band.chunk_feed(),
-            dsp: DspScratch::new(),
-            chan: ChannelCorrelation {
-                corr: Vec::with_capacity(decimated),
-                ..ChannelCorrelation::default()
-            },
-            extract: ExtractScratch {
-                pick: PickScratch::with_capacity(decimated),
-                ..ExtractScratch::default()
-            },
+            corr: Vec::with_capacity(core.decimation().decimated_len(max_samples)),
             max_samples,
             pushed: 0,
             finished: false,
@@ -977,7 +1100,8 @@ impl StreamingDetector {
         &self.core
     }
 
-    /// Ingests one audio chunk (any length; empty chunks are no-ops).
+    /// Ingests one audio chunk (any length; empty chunks are no-ops),
+    /// transforming on `scratch`'s FFT arena.
     ///
     /// # Errors
     ///
@@ -986,7 +1110,11 @@ impl StreamingDetector {
     /// - [`HyperEarError::InvalidParameter`] when the stream was already
     ///   finished (reset first),
     /// - propagated DSP errors.
-    pub(crate) fn push(&mut self, chunk: &[f64]) -> Result<(), HyperEarError> {
+    pub(crate) fn push(
+        &mut self,
+        chunk: &[f64],
+        scratch: &mut DetectScratch,
+    ) -> Result<(), HyperEarError> {
         if self.finished {
             return Err(HyperEarError::invalid(
                 "stream",
@@ -1007,8 +1135,8 @@ impl StreamingDetector {
         self.core.band.push_chunk_into(
             &mut self.feed,
             chunk,
-            &mut self.dsp,
-            std::slice::from_mut(&mut self.chan.corr),
+            &mut scratch.dsp,
+            std::slice::from_mut(&mut self.corr),
         )?;
         self.pushed = needed;
         Ok(())
@@ -1016,8 +1144,9 @@ impl StreamingDetector {
 
     /// Ends the capture: flushes the overlap-save feed and runs the
     /// one-shot threshold/peak/interpolation stage over the accumulated
-    /// correlation, leaving the arrivals in `out` (cleared and refilled).
-    /// The detector is then finished until [`StreamingDetector::reset`].
+    /// correlation on `scratch`'s buffers, leaving the arrivals in `out`
+    /// (cleared and refilled). The detector is then finished until
+    /// [`StreamingDetector::reset`].
     ///
     /// # Errors
     ///
@@ -1026,6 +1155,7 @@ impl StreamingDetector {
     /// plus [`HyperEarError::InvalidParameter`] for a double finish.
     pub(crate) fn finish_into(
         &mut self,
+        scratch: &mut DetectScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
         if self.finished {
@@ -1034,47 +1164,68 @@ impl StreamingDetector {
                 "capture already finished; call reset() to start a new one",
             ));
         }
+        let DetectScratch { dsp, chan, extract } = scratch;
         // An empty or short capture fails here with the one-shot
         // detector's typed error.
         self.core.band.finish_chunks_into(
             &mut self.feed,
-            &mut self.dsp,
-            std::slice::from_mut(&mut self.chan.corr),
+            dsp,
+            std::slice::from_mut(&mut self.corr),
         )?;
-        self.chan.lags = self.pushed;
         debug_assert_eq!(
-            self.chan.corr.len(),
+            self.corr.len(),
             self.core.decimation().decimated_len(self.pushed)
         );
         self.finished = true;
         // The accumulated correlation is bit-identical to the one-shot
         // path's, so extracting through the same kernel keeps streaming
-        // == one-shot under every per-channel estimator. McciFusion needs
-        // every channel at once and the raw PCM is long discarded;
-        // per-channel streaming falls back to plain xcorr.
-        self.core
-            .arrivals_estimated(self.core.estimator, &mut self.chan, &mut self.extract, out)
+        // == one-shot under every per-channel estimator. The scratch's
+        // spectrum belongs to whatever it last served: forget it.
+        // McciFusion needs every channel at once and the raw PCM is long
+        // discarded; per-channel streaming falls back to plain xcorr.
+        chan.spectrum.clear();
+        self.core.arrivals_estimated(
+            self.core.estimator,
+            &self.corr,
+            self.pushed,
+            &mut chan.spectrum,
+            extract,
+            out,
+        )
     }
 
     /// Returns the detector to its initial state for a new capture,
     /// keeping every buffer's capacity (no allocation).
     pub(crate) fn reset(&mut self) {
         self.feed.reset();
-        self.chan.clear();
+        self.corr.clear();
         self.pushed = 0;
         self.finished = false;
     }
 
-    /// Bytes currently reserved by this detector's private buffers (the
-    /// shared core's immutable tables are not counted). Constant in the
-    /// number of samples ingested: everything is sized by `max_samples`
-    /// and the core's block geometry.
+    /// Bytes reserved by this detector's state (the shared core's
+    /// immutable tables and the borrowed scratch are not counted).
+    /// Constant in the number of samples ingested: both buffers are sized
+    /// by `max_samples` and the core's block geometry.
     #[must_use]
-    pub(crate) fn working_set_bytes(&self) -> usize {
-        self.dsp.capacity_bytes()
-            + self.chan.capacity_bytes()
-            + self.extract.capacity_bytes()
-            + self.feed.capacity_bytes()
+    pub(crate) fn state_bytes(&self) -> usize {
+        self.corr.capacity() * std::mem::size_of::<Complex>() + self.feed.capacity_bytes()
+    }
+
+    /// Bytes reserved by the chunk feed alone: the block pair the beacon
+    /// sets, not the capture length.
+    #[cfg(test)]
+    pub(crate) fn feed_bytes(&self) -> usize {
+        self.feed.capacity_bytes()
+    }
+
+    /// What [`StreamingDetector::state_bytes`] is for a detector on `core`
+    /// provisioned for `max_samples`: the decimated correlation, and the
+    /// chunk feed's block pair (`block_len + step` samples).
+    #[must_use]
+    pub(crate) fn state_formula(core: &DetectorCore, max_samples: usize) -> usize {
+        core.decimation().decimated_len(max_samples) * std::mem::size_of::<Complex>()
+            + (core.band.block_len() + core.band.step()) * std::mem::size_of::<f64>()
     }
 }
 
@@ -1446,12 +1597,13 @@ mod tests {
         assert_eq!(reference.len(), 5);
         let core = std::sync::Arc::clone(d.core());
         let mut stream = StreamingDetector::new(core, signal.len()).unwrap();
+        let mut scratch = DetectScratch::new();
         let mut out = Vec::new();
         for chunk_len in [1usize, 997, 4_096, signal.len()] {
             for chunk in signal.chunks(chunk_len) {
-                stream.push(chunk).unwrap();
+                stream.push(chunk, &mut scratch).unwrap();
             }
-            stream.finish_into(&mut out).unwrap();
+            stream.finish_into(&mut scratch, &mut out).unwrap();
             assert_eq!(out, reference, "chunk_len {chunk_len}");
             stream.reset();
         }
@@ -1462,26 +1614,27 @@ mod tests {
         let d = detector(Interpolation::Parabolic);
         let core = std::sync::Arc::clone(d.core());
         let mut stream = StreamingDetector::new(std::sync::Arc::clone(&core), 10_000).unwrap();
+        let mut scratch = DetectScratch::new();
         assert_eq!(stream.max_samples, 10_000);
         // Over-capacity push is a typed error and ingests nothing.
-        stream.push(&vec![0.0; 6_000]).unwrap();
-        let err = stream.push(&vec![0.0; 6_000]).unwrap_err();
+        stream.push(&vec![0.0; 6_000], &mut scratch).unwrap();
+        let err = stream.push(&vec![0.0; 6_000], &mut scratch).unwrap_err();
         assert!(
             matches!(err, HyperEarError::CapacityExceeded { .. }),
             "{err}"
         );
         assert_eq!(stream.pushed, 6_000);
         // Empty chunks are free.
-        stream.push(&[]).unwrap();
+        stream.push(&[], &mut scratch).unwrap();
         let mut out = Vec::new();
-        stream.finish_into(&mut out).unwrap();
+        stream.finish_into(&mut scratch, &mut out).unwrap();
         assert!(stream.finished);
         // Double finish and push-after-finish are typed errors.
-        assert!(stream.finish_into(&mut out).is_err());
-        assert!(stream.push(&[1.0]).is_err());
+        assert!(stream.finish_into(&mut scratch, &mut out).is_err());
+        assert!(stream.push(&[1.0], &mut scratch).is_err());
         // An empty capture mirrors the one-shot empty-channel error.
         stream.reset();
-        assert!(stream.finish_into(&mut out).is_err());
+        assert!(stream.finish_into(&mut scratch, &mut out).is_err());
         // Capacity too small for even one template is rejected up front.
         assert!(StreamingDetector::new(core, 3).is_err());
     }
@@ -1491,32 +1644,37 @@ mod tests {
         let positions: Vec<f64> = (0..3).map(|k| 2_000.0 + k as f64 * 8_820.0).collect();
         let signal = render(&positions, 30_000, 0.3);
         let d = detector(Interpolation::Parabolic);
-        let mut stream = StreamingDetector::new(std::sync::Arc::clone(d.core()), 120_000).unwrap();
+        let core = d.core();
+        let mut stream = StreamingDetector::new(std::sync::Arc::clone(core), 120_000).unwrap();
+        let mut scratch = DetectScratch::new();
         let mut out = Vec::new();
         // Warm on the short capture.
         for chunk in signal.chunks(1_000) {
-            stream.push(chunk).unwrap();
+            stream.push(chunk, &mut scratch).unwrap();
         }
-        stream.finish_into(&mut out).unwrap();
+        stream.finish_into(&mut scratch, &mut out).unwrap();
         stream.reset();
-        let warm = stream.working_set_bytes();
+        let warm = stream.state_bytes();
         // Preallocated up front: the decimated complex correlation plus
-        // the envelope and peak workspace over the same lags.
-        let lags = d.core().decimation().decimated_len(120_000);
-        assert!(warm >= lags * (std::mem::size_of::<Complex>() + 2 * std::mem::size_of::<f64>()));
+        // the chunk feed's block pair. The envelope and peak workspace
+        // over the same lags is the scratch's, not the detector's.
+        let lags = core.decimation().decimated_len(120_000);
+        let feed = (core.band.block_len() + core.band.step()) * std::mem::size_of::<f64>();
+        assert!(warm >= lags * std::mem::size_of::<Complex>() + feed);
+        assert_eq!(warm, StreamingDetector::state_formula(core, 120_000));
         // A 4x longer capture (same content plus silence) grows nothing.
         for round in 0..4 {
             for chunk in signal.chunks(777) {
                 if round == 0 {
-                    stream.push(chunk).unwrap();
+                    stream.push(chunk, &mut scratch).unwrap();
                 } else {
-                    stream.push(&vec![0.0; chunk.len()]).unwrap();
+                    stream.push(&vec![0.0; chunk.len()], &mut scratch).unwrap();
                 }
             }
         }
-        stream.finish_into(&mut out).unwrap();
+        stream.finish_into(&mut scratch, &mut out).unwrap();
         assert_eq!(
-            stream.working_set_bytes(),
+            stream.state_bytes(),
             warm,
             "working set must depend on capacity, not samples ingested"
         );
@@ -1555,11 +1713,12 @@ mod tests {
             assert_eq!(reference.len(), 5, "{est:?}");
             let mut stream =
                 StreamingDetector::new(std::sync::Arc::clone(d.core()), signal.len()).unwrap();
+            let mut scratch = DetectScratch::new();
             let mut out = Vec::new();
             for chunk in signal.chunks(997) {
-                stream.push(chunk).unwrap();
+                stream.push(chunk, &mut scratch).unwrap();
             }
-            stream.finish_into(&mut out).unwrap();
+            stream.finish_into(&mut scratch, &mut out).unwrap();
             assert_eq!(out, reference, "{est:?} streaming must match one-shot");
         }
     }

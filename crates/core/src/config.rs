@@ -470,6 +470,16 @@ impl TdoaEstimator {
         }
     }
 
+    /// Whether a per-channel detection pass re-weights the correlation's
+    /// spectrum under this estimator (and so needs one).
+    #[must_use]
+    pub(crate) fn weights_spectrum(self) -> bool {
+        matches!(
+            self,
+            TdoaEstimator::GccPhat | TdoaEstimator::SubbandCoherence
+        )
+    }
+
     /// Stable kebab-case name (used in JSON and reports).
     #[must_use]
     pub fn name(self) -> &'static str {

@@ -13,13 +13,22 @@
 //!
 //! # Bounded memory
 //!
-//! Every per-session buffer is sized at [`StreamSession`] construction
-//! from [`StreamConfig`] and never grows afterwards: two fixed-capacity
-//! PCM ring buffers decouple the caller from the worker pool, the
-//! streaming detectors pre-reserve their correlation storage for
-//! `max_samples`, and IMU traces are capped at `max_imu_samples`. The
-//! working set is a function of the *configuration*, not of how many
-//! samples have been ingested — pinned by the allocation-gate test.
+//! A session owns state; a worker owns scratch. Each session holds only
+//! what must live from open to finish, sized at [`StreamSession`]
+//! construction from [`StreamConfig`] and never grown afterwards: two
+//! fixed-capacity PCM ring buffers that decouple the caller from the
+//! worker pool, IMU traces capped at `max_imu_samples`, and two
+//! streaming detectors, each a chunk feed plus the decimated correlation
+//! reserved for `max_samples` (the threshold needs the exact median of
+//! the whole correlation envelope, so it is kept until the finish).
+//! Everything a pump borrows only while it runs — the FFT arena, and
+//! the envelope, sort keys, candidates, rebuild window and spectrum of
+//! the finish — lives in one workspace per pool participant, sized up
+//! front for the longest capture whenever a detector core is built, so
+//! no warm pump allocates on any worker, whatever the steal schedule.
+//! The working set is a function of the *configuration* and the pool
+//! width, not of how many samples have been ingested — pinned by the
+//! allocation-gate test; [`StreamService::footprint`] splits it by owner.
 //!
 //! # Backpressure and admission control
 //!
@@ -88,7 +97,7 @@
 //! # }
 //! ```
 
-use crate::asp::{DetectorCore, StreamingDetector};
+use crate::asp::{DetectScratch, DetectorCore, StreamingDetector, WorkspaceSizing};
 use crate::config::HyperEarConfig;
 use crate::pipeline::{check_rates, SessionEngine, SessionOutcome};
 use crate::HyperEarError;
@@ -104,14 +113,28 @@ use std::sync::Arc;
 /// [`StreamConfig::MAX_SESSIONS`] slots and
 /// [`StreamConfig::MAX_CAPACITY`] samples for each of `ring_capacity`,
 /// `max_samples` and `max_imu_samples`. Together they must also fit the
-/// byte budget [`StreamConfig::MAX_RESERVED_BYTES`]: a session reserves
-/// at most `16·ring_capacity + 48·max_samples + 48·max_imu_samples`
-/// bytes (two `f64` PCM rings, two detectors' `f64` correlation,
-/// envelope and sort-key buffers, and the accelerometer and gyroscope
-/// traces of three `f64`s a sample), and `max_sessions` of them must
-/// fit. [`StreamService::new`] rejects anything else with
+/// byte budget [`StreamConfig::MAX_RESERVED_BYTES`], which counts every
+/// buffer these limits size at its worst case:
+///
+/// - a session reserves at most `16·ring_capacity + 32·max_samples +
+///   48·max_imu_samples` bytes: two `f64` PCM rings, two detectors'
+///   complex correlations of one 16-byte lag per sample (a wide-band
+///   beacon is not decimated), and the accelerometer and gyroscope
+///   traces of three `f64`s a sample;
+/// - each pool participant's workspace reserves at most
+///   `32·(max_samples + 1)` bytes — an envelope value, a sort key and at
+///   most half a candidate peak and its copy per lag — or
+///   `112·(max_samples + 1)` under a weighting initial estimator, whose
+///   spectrum and weighted copy (a power-of-two transform: under two
+///   16-byte bins per sample each) and complex guide come on top.
+///
+/// `max_sessions` sessions and the service's participants must fit
+/// together. [`StreamService::new`] rejects anything else with
 /// [`HyperEarError::InvalidParameter`], so no accepted sizing makes the
-/// sessions' [`StreamService::open`] reserve more than the budget.
+/// service reserve more than the budget for these buffers. Buffers that
+/// the beacon sets rather than the sizing come on top: each detector's
+/// chunk feed and each workspace's FFT arena hold an FFT block or two,
+/// and each session's post-detection engine holds per-slide arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Concurrent session slots. Opening beyond this sheds with
@@ -145,7 +168,8 @@ impl StreamConfig {
     /// [`StreamConfig::MAX_RESERVED_BYTES`] (so offered load beyond that
     /// queues at admission, which is the backpressure story, not silent
     /// memory growth), ~0.7 s of 48 kHz audio per ring, 20 s captures,
-    /// 30 s of 500 Hz IMU.
+    /// 30 s of 500 Hz IMU. The workspaces are counted at their weighting
+    /// worst case, whatever estimator the service will run.
     #[must_use]
     pub fn for_pool(pool: &Pool) -> Self {
         let mut cfg = StreamConfig {
@@ -154,7 +178,12 @@ impl StreamConfig {
             max_samples: 960_000,
             max_imu_samples: 15_000,
         };
-        let fits = Self::MAX_RESERVED_BYTES / cfg.session_bytes().unwrap_or(u64::MAX);
+        let fits = cfg
+            .workspace_bytes(true)
+            .and_then(|w| w.checked_mul(pool.threads() as u64))
+            .and_then(|w| Self::MAX_RESERVED_BYTES.checked_sub(w))
+            .zip(cfg.session_bytes())
+            .map_or(0, |(left, session)| left / session);
         cfg.max_sessions = (8 * pool.threads())
             .min(Self::MAX_SESSIONS)
             .min(usize::try_from(fits).unwrap_or(usize::MAX))
@@ -165,16 +194,36 @@ impl StreamConfig {
     /// The most bytes one open session reserves for the buffers these
     /// limits size, or `None` if that overflows `u64`.
     fn session_bytes(&self) -> Option<u64> {
-        // Per sample: one f64 per PCM ring; a correlation, an envelope
-        // and a sort key per detector; three f64s per IMU trace.
-        let bytes =
-            |samples: usize, per_sample: u64| u64::try_from(samples).ok()?.checked_mul(per_sample);
+        // Per sample: one f64 per PCM ring; one complex lag per
+        // detector's correlation; three f64s per IMU trace.
         bytes(self.ring_capacity, 2 * 8)?
-            .checked_add(bytes(self.max_samples, 2 * 3 * 8)?)?
+            .checked_add(bytes(self.max_samples, 2 * 16)?)?
             .checked_add(bytes(self.max_imu_samples, 2 * 3 * 8)?)
     }
 
-    fn validate(&self) -> Result<(), HyperEarError> {
+    /// The most bytes one participant's workspace reserves for the
+    /// buffers these limits size (`weighting`: under a weighting initial
+    /// estimator), or `None` if that overflows `u64`.
+    fn workspace_bytes(&self, weighting: bool) -> Option<u64> {
+        // Per lag: an envelope value and a sort key, and 16-byte
+        // candidates and their copy for at most every other lag. A
+        // weighting estimator adds a spectrum and its weighted copy of
+        // under two 16-byte bins per lag, and a complex guide.
+        bytes(self.max_samples + 1, if weighting { 112 } else { 32 })
+    }
+
+    /// The budget [`StreamConfig::MAX_RESERVED_BYTES`] holds to:
+    /// `max_sessions` sessions and `participants` workspaces.
+    fn reserved_bytes(&self, participants: usize, weighting: bool) -> Option<u64> {
+        self.session_bytes()?
+            .checked_mul(self.max_sessions as u64)?
+            .checked_add(
+                self.workspace_bytes(weighting)?
+                    .checked_mul(participants as u64)?,
+            )
+    }
+
+    fn validate(&self, participants: usize, weighting: bool) -> Result<(), HyperEarError> {
         for (name, value, max) in [
             ("max_sessions", self.max_sessions, Self::MAX_SESSIONS),
             ("ring_capacity", self.ring_capacity, Self::MAX_CAPACITY),
@@ -189,17 +238,53 @@ impl StreamConfig {
             }
         }
         let budget = Self::MAX_RESERVED_BYTES;
-        match self
-            .session_bytes()
-            .and_then(|per_session| per_session.checked_mul(self.max_sessions as u64))
-        {
+        match self.reserved_bytes(participants, weighting) {
             Some(total) if total <= budget => Ok(()),
             _ => Err(HyperEarError::invalid(
                 "stream capacities",
-                format!("every session's buffers together exceed the {budget}-byte budget"),
+                format!(
+                    "every session's and worker's buffers together exceed the {budget}-byte budget"
+                ),
             )),
         }
     }
+}
+
+/// `samples × per_sample` bytes, or `None` if that overflows `u64`.
+fn bytes(samples: usize, per_sample: u64) -> Option<u64> {
+    u64::try_from(samples).ok()?.checked_mul(per_sample)
+}
+
+/// Where a [`StreamService`]'s reserved bytes live
+/// ([`StreamService::footprint`]): each session's state, and one
+/// detection workspace per pool participant, shared by every session
+/// that participant pumps. Each formula is computed from the sizing and
+/// the detector core's geometry, not read off the buffers, so a buffer
+/// that grew past its reservation (or a workspace that a session grew
+/// for itself) shows as a difference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamFootprint {
+    /// Sessions holding buffers, live and parked.
+    pub sessions: usize,
+    /// Bytes the sessions' state reserves: two PCM rings, two IMU
+    /// traces, and two detectors' chunk feeds and decimated correlations.
+    pub state_bytes: usize,
+    /// What `state_bytes` is by formula, summed over the sessions: per
+    /// session `16·ring_capacity + 48·max_imu_samples`, and per detector
+    /// 16 bytes per decimated lag of `max_samples` plus its feed's FFT
+    /// block pair.
+    pub state_formula: usize,
+    /// Bytes the sessions' post-detection engines reserve: per-slide
+    /// arrays that grow with the captures' beacon and slide counts.
+    pub engine_bytes: usize,
+    /// Pool participants, one workspace each.
+    pub participants: usize,
+    /// Bytes the workspaces reserve together.
+    pub workspace_bytes: usize,
+    /// What one workspace reserves by formula: the FFT arena of one
+    /// block, and the finish's buffers over the decimated lags of
+    /// `max_samples`, for the largest of the service's detector cores.
+    pub workspace_formula: usize,
 }
 
 /// Why [`StreamService::open`] refused a new session.
@@ -402,7 +487,8 @@ enum Phase {
 /// One streaming session's complete state: engine, detectors, rings,
 /// IMU storage, sticky failure and outcome. Owned by exactly one slot
 /// and touched by one worker at a time, which is what makes the
-/// service deterministic under any steal schedule.
+/// service deterministic under any steal schedule. The scratch a pump
+/// works in is the worker's, not the session's.
 #[derive(Debug)]
 struct StreamSession {
     engine: SessionEngine,
@@ -477,17 +563,17 @@ impl StreamSession {
 
     /// Drains the rings into the detectors and, if a finish is pending,
     /// runs the post-detection pipeline and grades the outcome. Runs on
-    /// a pool worker.
-    fn pump(&mut self) {
+    /// a pool worker, in that worker's `scratch`.
+    fn pump(&mut self, scratch: &mut DetectScratch) {
         if self.failure.is_none() {
             let (l1, l2) = self.ring_left.as_slices();
             let (r1, r2) = self.ring_right.as_slices();
             let fed = self
                 .det_left
-                .push(l1)
-                .and_then(|()| self.det_left.push(l2))
-                .and_then(|()| self.det_right.push(r1))
-                .and_then(|()| self.det_right.push(r2));
+                .push(l1, scratch)
+                .and_then(|()| self.det_left.push(l2, scratch))
+                .and_then(|()| self.det_right.push(r1, scratch))
+                .and_then(|()| self.det_right.push(r2, scratch));
             if let Err(e) = fed {
                 self.failure = Some(e);
             }
@@ -495,7 +581,7 @@ impl StreamSession {
         self.ring_left.consume_all();
         self.ring_right.consume_all();
         if self.phase == Phase::FinishRequested {
-            self.finalize();
+            self.finalize(scratch);
             self.phase = Phase::Done;
         }
     }
@@ -503,7 +589,7 @@ impl StreamSession {
     /// Completes the session into `self.outcome` with the monitored
     /// contract: detector flush → arrival lists → the exact one-shot
     /// post-detection pipeline, or `Failed` with the sticky reason.
-    fn finalize(&mut self) {
+    fn finalize(&mut self, scratch: &mut DetectScratch) {
         let StreamSession {
             engine,
             det_left,
@@ -523,21 +609,27 @@ impl StreamSession {
                 return Err(reason);
             }
             let (arr_left, arr_right) = e.arrivals_mut();
-            det_left.finish_into(arr_left)?;
-            det_right.finish_into(arr_right)?;
+            det_left.finish_into(scratch, arr_left)?;
+            det_right.finish_into(scratch, arr_right)?;
             e.finish_from_arrivals(audio_rate, samples, imu_rate, accel, gyro, result)
         });
     }
 
-    /// Bytes reserved across this session's reusable buffers.
-    fn working_set_bytes(&self) -> usize {
-        self.engine.working_set_bytes()
-            + self.det_left.working_set_bytes()
-            + self.det_right.working_set_bytes()
+    /// Bytes reserved by this session's state: rings, IMU traces and
+    /// detectors (the engine is counted apart).
+    fn state_bytes(&self) -> usize {
+        self.det_left.state_bytes()
+            + self.det_right.state_bytes()
             + self.ring_left.capacity_bytes()
             + self.ring_right.capacity_bytes()
-            + self.accel.capacity() * std::mem::size_of::<Vec3>()
-            + self.gyro.capacity() * std::mem::size_of::<Vec3>()
+            + (self.accel.capacity() + self.gyro.capacity()) * std::mem::size_of::<Vec3>()
+    }
+
+    /// What [`StreamSession::state_bytes`] is by formula under `stream`.
+    fn state_formula(&self, stream: &StreamConfig) -> usize {
+        2 * StreamingDetector::state_formula(self.det_left.core(), stream.max_samples)
+            + 2 * stream.ring_capacity * std::mem::size_of::<f64>()
+            + 2 * stream.max_imu_samples * std::mem::size_of::<Vec3>()
     }
 }
 
@@ -568,9 +660,13 @@ pub struct StreamService {
     /// Shared detector cores by sample rate (template spectra and FFT
     /// tables built once, shared by every session at that rate).
     cores: Vec<(f64, Arc<DetectorCore>)>,
-    /// Per-participant contexts for [`Pool::parallel_update`]; the
-    /// sessions own all their state so the context is empty.
-    unit_ctxs: Vec<()>,
+    /// One detection workspace per pool participant — the context
+    /// [`Pool::parallel_update`] hands each participant's pumps — all
+    /// reserved to `sizing`.
+    workspaces: Vec<DetectScratch>,
+    /// What every workspace is reserved for: the largest needs of the
+    /// cores built so far.
+    sizing: WorkspaceSizing,
 }
 
 impl StreamService {
@@ -586,7 +682,7 @@ impl StreamService {
         pool: Arc<Pool>,
     ) -> Result<Self, HyperEarError> {
         config.validate()?;
-        stream.validate()?;
+        stream.validate(pool.threads(), config.estimator.initial.weights_spectrum())?;
         let slots = (0..stream.max_sessions)
             .map(|_| Slot {
                 epoch: 0,
@@ -594,7 +690,7 @@ impl StreamService {
             })
             .collect();
         let free = (0..stream.max_sessions as u32).rev().collect();
-        let unit_ctxs = vec![(); pool.threads()];
+        let workspaces = vec![DetectScratch::new(); pool.threads()];
         Ok(StreamService {
             config,
             stream,
@@ -603,7 +699,8 @@ impl StreamService {
             free,
             parked: Vec::with_capacity(stream.max_sessions),
             cores: Vec::new(),
-            unit_ctxs,
+            workspaces,
+            sizing: WorkspaceSizing::default(),
         })
     }
 
@@ -619,24 +716,54 @@ impl StreamService {
         self.slots.len()
     }
 
-    /// Bytes reserved across every live and parked session's reusable
-    /// buffers — the steady-state footprint, independent of how many
-    /// samples have ever been ingested.
+    /// Bytes reserved across every live and parked session's buffers
+    /// and every participant's workspace — the steady-state footprint,
+    /// independent of how many samples have ever been ingested. The sum
+    /// of [`StreamService::footprint`]'s state, engine and workspace
+    /// bytes.
     #[must_use]
     pub fn working_set_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(|s| s.session.as_deref())
-            .chain(self.parked.iter().map(Box::as_ref))
-            .map(StreamSession::working_set_bytes)
-            .sum()
+        let f = self.footprint();
+        f.state_bytes + f.engine_bytes + f.workspace_bytes
     }
 
+    /// The working set split by owner, each part beside its formula.
+    #[must_use]
+    pub fn footprint(&self) -> StreamFootprint {
+        let sessions = || {
+            self.slots
+                .iter()
+                .filter_map(|s| s.session.as_deref())
+                .chain(self.parked.iter().map(Box::as_ref))
+        };
+        StreamFootprint {
+            sessions: sessions().count(),
+            state_bytes: sessions().map(StreamSession::state_bytes).sum(),
+            state_formula: sessions().map(|s| s.state_formula(&self.stream)).sum(),
+            engine_bytes: sessions().map(|s| s.engine.working_set_bytes()).sum(),
+            participants: self.workspaces.len(),
+            workspace_bytes: self
+                .workspaces
+                .iter()
+                .map(DetectScratch::capacity_bytes)
+                .sum(),
+            workspace_formula: self.sizing.bytes(),
+        }
+    }
+
+    /// The shared core for `sample_rate`, built on first use — when every
+    /// workspace is also grown to serve captures on it.
     fn core_for(&mut self, sample_rate: f64) -> Result<Arc<DetectorCore>, HyperEarError> {
         if let Some((_, core)) = self.cores.iter().find(|(rate, _)| *rate == sample_rate) {
             return Ok(Arc::clone(core));
         }
         let core = Arc::new(DetectorCore::new(&self.config, sample_rate)?);
+        self.sizing = self
+            .sizing
+            .max(WorkspaceSizing::new(&core, self.stream.max_samples));
+        for workspace in &mut self.workspaces {
+            workspace.reserve_stream(&self.sizing)?;
+        }
         self.cores.push((sample_rate, Arc::clone(&core)));
         Ok(core)
     }
@@ -802,14 +929,18 @@ impl StreamService {
 
     /// Drains every session's rings into its detectors and finalizes
     /// sessions whose finish is pending, spreading the work across the
-    /// pool (one session is touched by exactly one worker per pump).
+    /// pool (one session is touched by exactly one worker per pump, in
+    /// that worker's workspace).
     pub fn pump(&mut self) {
-        self.pool
-            .parallel_update(&mut self.unit_ctxs, &mut self.slots, |(), _, slot| {
+        self.pool.parallel_update(
+            &mut self.workspaces,
+            &mut self.slots,
+            |workspace, _, slot| {
                 if let Some(session) = slot.session.as_deref_mut() {
-                    session.pump();
+                    session.pump(workspace);
                 }
-            });
+            },
+        );
     }
 
     /// Collects a finished session's outcome into `slot` (whose
@@ -1109,6 +1240,117 @@ mod tests {
             Err(StreamError::UnknownSession)
         );
         assert_eq!(svc.request_finish(id), Err(StreamError::UnknownSession));
+    }
+
+    /// Streams `samples` (both channels) and a still IMU trace through
+    /// every free slot at once and collects the outcomes, warming the
+    /// sessions and every workspace a finish can land on.
+    fn fill_and_finish(svc: &mut StreamService, rate: f64, samples: &[f64]) {
+        let mut ids = Vec::new();
+        while let Ok(id) = svc.open(rate, 500.0) {
+            svc.push_imu(id, &[Vec3::ZERO; 1_000], &[Vec3::ZERO; 1_000])
+                .expect("imu fits");
+            ids.push(id);
+        }
+        for chunk in samples.chunks(1_000) {
+            for &id in &ids {
+                svc.push_audio(id, chunk, chunk).expect("ring fits");
+            }
+            svc.pump();
+        }
+        let mut out = SessionOutcome::idle();
+        for id in ids {
+            svc.finish(id, &mut out).expect("finish");
+        }
+    }
+
+    /// Beacons of `config`'s chirp every 0.2 s over `n` samples at `rate`.
+    fn beacon_train(config: &HyperEarConfig, rate: f64, n: usize) -> Vec<f64> {
+        let b = &config.beacon;
+        let chirp =
+            hyperear_dsp::chirp::Chirp::new(b.f0, b.f1, b.duration, rate, b.pattern.shape())
+                .expect("chirp");
+        let mut out = vec![0.0; n];
+        let mut at = 500.0;
+        while at + (chirp.samples().len() as f64) < n as f64 {
+            hyperear_dsp::delay::mix_delayed_local(&mut out, chirp.samples(), at, 0.3, 16)
+                .expect("mix");
+            at += 0.2 * rate;
+        }
+        out
+    }
+
+    #[test]
+    fn undecimated_service_stays_within_its_budget() {
+        // A 500–20 000 Hz beacon at 44.1 kHz is not decimated (D = 1):
+        // every capture sample is a 16-byte correlation lag.
+        let mut config = HyperEarConfig::galaxy_s4();
+        config.beacon.f0 = 500.0;
+        config.beacon.f1 = 20_000.0;
+        let rate = 44_100.0;
+        let core = DetectorCore::new(&config, rate).expect("core");
+        assert_eq!(core.decimation().factor(), 1);
+        let stream = StreamConfig {
+            max_sessions: 3,
+            ring_capacity: 4_096,
+            max_samples: 60_001,
+            max_imu_samples: 1_000,
+        };
+        let pool = Arc::new(Pool::new(2));
+        let mut svc = StreamService::new(config.clone(), stream, pool).expect("service");
+        let samples = beacon_train(&config, rate, stream.max_samples);
+        for _ in 0..2 {
+            fill_and_finish(&mut svc, rate, &samples);
+        }
+        let f = svc.footprint();
+        assert_eq!((f.sessions, f.participants), (3, 2));
+        assert_eq!(f.state_bytes, f.state_formula);
+        assert_eq!(f.workspace_bytes, 2 * f.workspace_formula);
+        // The budget counts the buffers the sizing sets; each feed's and
+        // each workspace's FFT-block buffers, and the engines' per-slide
+        // arrays, are set by the beacon and come on top.
+        let feeds: usize = svc
+            .parked
+            .iter()
+            .map(|s| s.det_left.feed_bytes() + s.det_right.feed_bytes())
+            .sum();
+        let sized = f.state_bytes - feeds + f.workspace_bytes - 2 * svc.sizing.block_bytes();
+        assert_eq!(
+            svc.working_set_bytes(),
+            sized + feeds + 2 * svc.sizing.block_bytes() + f.engine_bytes
+        );
+        let budget = usize::try_from(stream.reserved_bytes(2, false).expect("fits")).unwrap();
+        assert!(
+            sized <= budget,
+            "{sized} B reserved against a {budget} B budget"
+        );
+        // And the budget is tight: only the candidate rounding of an odd
+        // lag count is left over, per workspace.
+        assert!(budget - sized <= 2 * 32, "{sized} B against {budget} B");
+    }
+
+    #[test]
+    fn more_sessions_add_state_never_workspace() {
+        let config = HyperEarConfig::galaxy_s4();
+        let rate = 44_100.0;
+        let samples = beacon_train(&config, rate, 50_000);
+        let footprint = |max_sessions: usize| {
+            let stream = StreamConfig {
+                max_sessions,
+                ..small_config()
+            };
+            let mut svc = StreamService::new(config.clone(), stream, Arc::new(Pool::new(2)))
+                .expect("service");
+            fill_and_finish(&mut svc, rate, &samples);
+            svc.footprint()
+        };
+        let (one, five) = (footprint(1), footprint(5));
+        assert_eq!((one.sessions, five.sessions), (1, 5));
+        assert_eq!(five.participants, one.participants);
+        assert_eq!(five.workspace_bytes, one.workspace_bytes);
+        assert_eq!(five.workspace_formula, one.workspace_formula);
+        assert_eq!(five.state_bytes, 5 * one.state_bytes);
+        assert_eq!(five.state_formula, five.state_bytes);
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //!
 //! - [`CorrelationSpectrum::gcc_phat_into`] — GCC-PHAT-style spectral
 //!   whitening with a configurable magnitude floor. Each half-spectrum
-//!   bin is divided by `max(|R(f)|, floor · max|R|)^β` (β =
-//!   β = 0.5, partial whitening), equalizing the band's
-//!   contribution and sharpening the correlation main lobe — the classic
-//!   defence against multipath-induced lobe smearing. The floor bounds
-//!   the whitening gain so near-empty bins cannot amplify noise without
-//!   limit (plain PHAT's known low-SNR failure mode), and β < 1 keeps
-//!   part of the magnitude spectrum so whitening a periodic beacon train
-//!   does not raise phase-only ghost images at multiples of the beacon
-//!   period.
+//!   bin is divided by `max(|R(f)|, floor · max|R|)^β` (β = 0.5,
+//!   partial whitening), equalizing the band's contribution and
+//!   sharpening the correlation main lobe — the classic defence against
+//!   multipath-induced lobe smearing. The floor bounds the whitening
+//!   gain so near-empty bins cannot amplify noise without limit (plain
+//!   PHAT's known low-SNR failure mode), and β < 1 keeps part of the
+//!   magnitude spectrum so whitening a periodic beacon train does not
+//!   raise phase-only ghost images at multiples of the beacon period.
 //! - [`CorrelationSpectrum::subband_coherence_into`] — Wiener-style
 //!   per-band weighting inside the beacon band. The band is split into
 //!   sub-bands; each sub-band `b` with mean power `S_b` is scaled by
@@ -268,13 +267,12 @@ fn phat_weighted(
     }
     let eps = floor * max_power.sqrt();
     let eps_sq = eps * eps;
-    half.clear();
+    half.resize(bins.len(), Complex::ZERO);
     // β = 0.5: divide by the floored magnitude's square root,
     // i.e. by the fourth root of the floored power.
-    half.extend(
-        bins.iter()
-            .map(|z| z.scale(scale / z.norm_sqr().max(eps_sq).sqrt().sqrt())),
-    );
+    for (h, z) in half.iter_mut().zip(bins) {
+        *h = z.scale(scale / z.norm_sqr().max(eps_sq).sqrt().sqrt());
+    }
     Ok(true)
 }
 
@@ -301,19 +299,16 @@ fn subband_weighted(
     }
     let span = (k_hi - k_lo + 1) as usize;
     let b_count = bands.min(span);
-    let band_of = |k: isize| ((k - k_lo) as usize * b_count / span).min(b_count - 1);
+    // Band `b` is the bins `edge(b)..edge(b + 1)`: the offsets `j = k −
+    // k_lo` with `⌊j·b_count/span⌋ = b`, equal widths up to rounding.
+    // Each band's power sums its bins in increasing `k`.
+    let edge = |b: usize| k_lo + (b * span).div_ceil(b_count) as isize;
     scratch.band_power.clear();
-    scratch.band_power.resize(b_count, 0.0);
-    for k in k_lo..=k_hi {
-        scratch.band_power[band_of(k)] += bins[at(k)].norm_sqr();
-    }
-    // Equal-width bands up to rounding; normalize by each band's bin count.
-    for b in 0..b_count {
-        let lo = (b * span).div_ceil(b_count);
-        let hi = ((b + 1) * span).div_ceil(b_count);
-        let width = hi.saturating_sub(lo).max(1);
-        scratch.band_power[b] /= width as f64;
-    }
+    scratch.band_power.extend((0..b_count).map(|b| {
+        let (lo, hi) = (edge(b), edge(b + 1));
+        let power = (lo..hi).fold(0.0, |sum, k| sum + bins[at(k)].norm_sqr());
+        power / (hi - lo) as f64
+    }));
     let total: f64 = scratch.band_power.iter().sum();
     if total <= 0.0 || !total.is_finite() {
         // No in-band spectral mass: graceful no-op.
@@ -332,17 +327,31 @@ fn subband_weighted(
     } = scratch;
     half.clear();
     half.resize(bins.len(), Complex::ZERO);
-    for k in k_lo..=k_hi {
-        let s = band_power[band_of(k)];
+    for (b, &s) in band_power.iter().enumerate() {
         let w = if s + noise > 0.0 {
             s / (s + noise)
         } else {
             0.0
         };
-        let i = at(k);
-        half[i] = bins[i].scale(w * scale);
+        let gain = w * scale;
+        for k in edge(b)..edge(b + 1) {
+            let i = at(k);
+            half[i] = bins[i].scale(gain);
+        }
     }
     Ok(true)
+}
+
+/// The position of baseband bin `k` (negative below DC) in an `m`-point
+/// analytic spectrum held in bit-reversed order (`m` a power of two).
+fn analytic_position(k: isize, m: usize) -> usize {
+    let k = k as usize & (m - 1);
+    let bits = m.trailing_zeros();
+    if bits == 0 {
+        k
+    } else {
+        k.reverse_bits() >> (usize::BITS - bits)
+    }
 }
 
 /// The forward spectrum of one decimated analytic correlation (see
@@ -384,6 +393,20 @@ impl AnalyticSpectrum {
         self.bins.resize(m, Complex::ZERO);
         plan.dif(&mut self.bins);
         self.seq_len = seq.len();
+        Ok(())
+    }
+
+    /// Grows the bin buffer so that computing the spectrum of any
+    /// sequence of up to `len` values does not allocate (capacity
+    /// already there is kept).
+    ///
+    /// # Errors
+    ///
+    /// [`DspError::InvalidParameter`] when `len`'s transform length
+    /// overflows.
+    pub fn reserve(&mut self, len: usize) -> Result<(), DspError> {
+        let m = try_next_pow2(len)?;
+        self.bins.reserve_exact(m.saturating_sub(self.bins.len()));
         Ok(())
     }
 
@@ -469,15 +492,7 @@ impl AnalyticSpectrum {
         let bin_hz = sample_rate / m as f64;
         let k_lo = ((band_lo / bin_hz).ceil() as isize).max(-half);
         let k_hi = ((band_hi / bin_hz).floor() as isize).min(half - 1);
-        let bits = m.trailing_zeros();
-        let at = |k: isize| {
-            let k = k.rem_euclid(m as isize) as usize;
-            if bits == 0 {
-                k
-            } else {
-                k.reverse_bits() >> (usize::BITS - bits)
-            }
-        };
+        let at = |k: isize| analytic_position(k, m);
         let scale = 1.0 / m as f64;
         if !subband_weighted(&self.bins, at, (k_lo, k_hi), bands, scale, scratch)? {
             return Ok(false);
@@ -903,6 +918,199 @@ mod tests {
         );
         assert!(mcci_offsets_with(&[a.as_slice()], 0, &mut offsets, &mut live).is_err());
         assert!(mcci_offsets_with(&[], 8, &mut offsets, &mut live).is_err());
+    }
+
+    /// The per-bin weighting formulas the kernels replaced: a band index
+    /// per bin by integer division, analytic bins mapped by
+    /// `rem_euclid`, the PHAT weights collected by `extend`.
+    mod oracle {
+        use super::*;
+
+        pub fn analytic_position(k: isize, m: usize) -> usize {
+            let bits = m.trailing_zeros();
+            let k = k.rem_euclid(m as isize) as usize;
+            if bits == 0 {
+                k
+            } else {
+                k.reverse_bits() >> (usize::BITS - bits)
+            }
+        }
+
+        pub fn subband_weighted(
+            bins: &[Complex],
+            at: impl Fn(isize) -> usize,
+            (k_lo, k_hi): (isize, isize),
+            bands: usize,
+            scale: f64,
+            scratch: &mut EstimatorScratch,
+        ) -> bool {
+            if k_lo > k_hi {
+                return false;
+            }
+            let span = (k_hi - k_lo + 1) as usize;
+            let b_count = bands.min(span);
+            let band_of = |k: isize| ((k - k_lo) as usize * b_count / span).min(b_count - 1);
+            scratch.band_power.clear();
+            scratch.band_power.resize(b_count, 0.0);
+            for k in k_lo..=k_hi {
+                scratch.band_power[band_of(k)] += bins[at(k)].norm_sqr();
+            }
+            for b in 0..b_count {
+                let lo = (b * span).div_ceil(b_count);
+                let hi = ((b + 1) * span).div_ceil(b_count);
+                let width = hi.saturating_sub(lo).max(1);
+                scratch.band_power[b] /= width as f64;
+            }
+            let total: f64 = scratch.band_power.iter().sum();
+            if total <= 0.0 || !total.is_finite() {
+                return false;
+            }
+            scratch.band_sort.clear();
+            scratch.band_sort.extend_from_slice(&scratch.band_power);
+            scratch.band_sort.sort_unstable_by(f64::total_cmp);
+            let noise = if b_count >= 3 {
+                scratch.band_sort[b_count / 2]
+            } else {
+                scratch.band_sort[0]
+            };
+            scratch.half.clear();
+            scratch.half.resize(bins.len(), Complex::ZERO);
+            for k in k_lo..=k_hi {
+                let s = scratch.band_power[band_of(k)];
+                let w = if s + noise > 0.0 {
+                    s / (s + noise)
+                } else {
+                    0.0
+                };
+                let i = at(k);
+                scratch.half[i] = bins[i].scale(w * scale);
+            }
+            true
+        }
+
+        pub fn phat_weighted(
+            bins: &[Complex],
+            floor: f64,
+            scale: f64,
+            half: &mut Vec<Complex>,
+        ) -> bool {
+            let max_power = bins.iter().fold(0.0f64, |m, z| {
+                let p = z.norm_sqr();
+                if p > m || p.is_nan() {
+                    p
+                } else {
+                    m
+                }
+            });
+            if max_power <= 0.0 || !max_power.is_finite() {
+                return false;
+            }
+            let eps = floor * max_power.sqrt();
+            let eps_sq = eps * eps;
+            half.clear();
+            half.extend(
+                bins.iter()
+                    .map(|z| z.scale(scale / z.norm_sqr().max(eps_sq).sqrt().sqrt())),
+            );
+            true
+        }
+    }
+
+    fn bits(v: &[Complex]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn weighting_kernels_match_per_bin_formulas() {
+        use hyperear_util::prop::{self, bool_any, f64_range, usize_range, vec_f64};
+        use hyperear_util::prop_assert_eq;
+        // A random spectrum of `m = 2^log2m` bins in one of the two
+        // layouts: the real half-spectrum (bins `0..=m/2`, natural order)
+        // or the bit-reversed analytic spectrum (bins `-m/2..m/2`, so a
+        // band may straddle DC). Two draws place the band edges anywhere
+        // in the layout's bin range, in either order (reversed edges are
+        // the empty-band no-op).
+        let strat = (
+            (usize_range(0, 11), bool_any()),
+            vec_f64(-1.0, 1.0, 2, 2 * 1_024 + 2),
+            (usize_range(0, 1 << 20), usize_range(0, 1 << 20)),
+            (usize_range(1, 33), f64_range(0.01, 0.99)),
+        );
+        prop::check(
+            "weighting_kernels_match_per_bin_formulas",
+            strat,
+            |((log2m, analytic), values, (lo, hi), (bands, floor))| {
+                let m = 1usize << log2m;
+                let len = if *analytic { m } else { m / 2 + 1 };
+                let bins: Vec<Complex> = (0..len)
+                    .map(|i| {
+                        let re = values[(2 * i) % values.len()];
+                        let im = values[(2 * i + 1) % values.len()];
+                        Complex::new(re * (1.0 + i as f64), im)
+                    })
+                    .collect();
+                let (first, count) = if *analytic {
+                    (-((m / 2) as isize), m)
+                } else {
+                    (0, len)
+                };
+                let k_lo = first + (lo % count) as isize;
+                let k_hi = first + (hi % count) as isize;
+                let scale = 1.0 / m as f64;
+                let (mut got, mut want) =
+                    (EstimatorScratch::default(), EstimatorScratch::default());
+                let (got_ok, want_ok) = if *analytic {
+                    (
+                        subband_weighted(
+                            &bins,
+                            |k| analytic_position(k, m),
+                            (k_lo, k_hi),
+                            *bands,
+                            scale,
+                            &mut got,
+                        )
+                        .unwrap(),
+                        oracle::subband_weighted(
+                            &bins,
+                            |k| oracle::analytic_position(k, m),
+                            (k_lo, k_hi),
+                            *bands,
+                            scale,
+                            &mut want,
+                        ),
+                    )
+                } else {
+                    let at = |k: isize| k as usize;
+                    (
+                        subband_weighted(&bins, at, (k_lo, k_hi), *bands, scale, &mut got).unwrap(),
+                        oracle::subband_weighted(&bins, at, (k_lo, k_hi), *bands, scale, &mut want),
+                    )
+                };
+                prop_assert_eq!(got_ok, want_ok);
+                if got_ok {
+                    let power = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(power(&got.band_power), power(&want.band_power));
+                    prop_assert_eq!(bits(&got.half), bits(&want.half));
+                }
+                for k in first..first + count as isize {
+                    if *analytic {
+                        prop_assert_eq!(analytic_position(k, m), oracle::analytic_position(k, m));
+                    }
+                }
+                // A stale buffer of another length: the kernel resizes it.
+                let mut got = vec![Complex::new(f64::NAN, 1.0); 3 * (values.len() % 5)];
+                let mut want = Vec::new();
+                let got_ok = phat_weighted(&bins, *floor, scale, &mut got).unwrap();
+                prop_assert_eq!(
+                    got_ok,
+                    oracle::phat_weighted(&bins, *floor, scale, &mut want)
+                );
+                if got_ok {
+                    prop_assert_eq!(bits(&got), bits(&want));
+                }
+                prop::pass()
+            },
+        );
     }
 
     #[test]

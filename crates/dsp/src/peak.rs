@@ -121,13 +121,15 @@ pub struct PeakScratch {
 }
 
 impl PeakScratch {
-    /// A scratch already sized for signals of up to `len` samples.
-    #[must_use]
-    pub fn with_capacity(len: usize) -> Self {
-        PeakScratch {
-            keys: Vec::with_capacity(len),
-            candidates: Vec::new(),
-        }
+    /// Grows the buffers so that no call on a signal of up to `len`
+    /// samples allocates: a key per sample, and a candidate for every
+    /// local maximum such a signal can hold (`⌈len/2⌉`, since two strict
+    /// maxima are never adjacent). Capacity already there is kept.
+    pub fn reserve(&mut self, len: usize) {
+        self.keys.reserve_exact(len.saturating_sub(self.keys.len()));
+        let candidates = len.div_ceil(2);
+        self.candidates
+            .reserve_exact(candidates.saturating_sub(self.candidates.len()));
     }
 
     /// Bytes currently reserved by the scratch buffers.

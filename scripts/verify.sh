@@ -28,6 +28,9 @@
 # fleet through the StreamService) and greps the `stream-contract:`
 # line: every streamed session must be bit-identical to its one-shot
 # reference and the shed/busy schedule identical across thread counts.
+# It also greps the `stream-memory:` lines: at every thread count each
+# session must hold exactly its state formula and the pool exactly one
+# formula-sized detection workspace per participant.
 #
 # The --doa tier runs the direction-finding property sweep (random 3-
 # and 4-microphone geometries through both DOA front-ends) and greps
@@ -176,6 +179,11 @@ if [ "$RUN_STREAM" -eq 1 ]; then
     echo "$OUT"
     if ! grep -q "stream-contract:.*HELD" <<<"$OUT"; then
         echo "STREAM TIER FAILED: streaming contract not held" >&2
+        exit 1
+    fi
+    if ! grep -q "stream-memory:.*HELD" <<<"$OUT" \
+        || grep -q "stream-memory:.*VIOLATED" <<<"$OUT"; then
+        echo "STREAM TIER FAILED: stream memory contract not held" >&2
         exit 1
     fi
     NPROC="$( (command -v nproc >/dev/null 2>&1 && nproc) || echo 1 )"

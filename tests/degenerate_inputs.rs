@@ -391,19 +391,22 @@ fn hostile_stream_capacities_are_typed() {
         max_imu_samples: over,
         ..base
     });
-    // A session reserves 16 B per ring sample and 48 B per capture and
-    // IMU sample: 64 sessions of 256 MiB fill the budget exactly, and
-    // one more ring sample per session exceeds it.
+    // A session reserves 16 B per ring sample, 32 B per capture sample
+    // and 48 B per IMU sample, and the pool's one participant 32 B per
+    // capture sample plus one: 64 sessions and the workspace fill the
+    // budget exactly, and one more ring sample per session exceeds it.
     let at_budget = StreamConfig {
         max_sessions: 64,
-        ring_capacity: 1 << 22,
-        max_samples: 3 << 20,
+        ring_capacity: 5_111_810,
+        max_samples: (1 << 22) - 1,
         max_imu_samples: 1 << 20,
     };
     assert_eq!(
         at_budget.max_sessions as u64
             * (16 * at_budget.ring_capacity as u64
-                + 48 * (at_budget.max_samples + at_budget.max_imu_samples) as u64),
+                + 32 * at_budget.max_samples as u64
+                + 48 * at_budget.max_imu_samples as u64)
+            + 32 * (at_budget.max_samples as u64 + 1),
         StreamConfig::MAX_RESERVED_BYTES
     );
     cases.push(StreamConfig {

@@ -11,6 +11,12 @@
 //! every worker, so memory scales with *thread count × scratch*, not
 //! *thread count × tables*.
 //!
+//! Parallelism is between sessions: each session runs start to finish
+//! on one participant. [`MultiBeaconEngine`] is the K-beacon
+//! counterpart for one capture — one banked detection per channel,
+//! then each beacon's arrivals finish in turn through one warm
+//! [`SessionEngine`].
+//!
 //! # Determinism
 //!
 //! Outcomes land in index-addressed slots (`out[i]` is always input
@@ -51,7 +57,7 @@ pub struct BatchEngine {
     workers: Vec<BatchWorker>,
     /// Shared detector cores by sample rate: built once on the calling
     /// thread, installed into every worker engine by `Arc` clone.
-    cores: Mutex<Vec<(f64, Arc<DetectorCore>)>>,
+    cores: Vec<(f64, Arc<DetectorCore>)>,
 }
 
 impl BatchEngine {
@@ -76,7 +82,7 @@ impl BatchEngine {
             pool,
             config,
             workers,
-            cores: Mutex::new(Vec::new()),
+            cores: Vec::new(),
         })
     }
 
@@ -117,13 +123,12 @@ impl BatchEngine {
     /// The shared detector core for a sample rate, building (and
     /// memoizing) it on the calling thread the first time that rate is
     /// seen.
-    fn core_for(&self, sample_rate: f64) -> Result<Arc<DetectorCore>, HyperEarError> {
-        let mut cores = self.cores.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, core)) = cores.iter().find(|(rate, _)| *rate == sample_rate) {
+    fn core_for(&mut self, sample_rate: f64) -> Result<Arc<DetectorCore>, HyperEarError> {
+        if let Some((_, core)) = self.cores.iter().find(|(rate, _)| *rate == sample_rate) {
             return Ok(Arc::clone(core));
         }
         let core = Arc::new(DetectorCore::new(&self.config, sample_rate)?);
-        cores.push((sample_rate, Arc::clone(&core)));
+        self.cores.push((sample_rate, Arc::clone(&core)));
         Ok(core)
     }
 
@@ -191,7 +196,7 @@ impl BatchEngine {
         while out.len() < inputs.len() {
             out.push(SessionOutcome::idle());
         }
-        let cores = self.cores.lock().unwrap_or_else(PoisonError::into_inner);
+        let cores = &self.cores;
         let workers = &mut self.workers;
         self.pool
             .parallel_update(workers, out, |worker, idx, slot| {
@@ -207,15 +212,18 @@ impl BatchEngine {
 
 /// A K-beacon session processor: one shared [`MultiBeaconDetector`]
 /// front end (one forward FFT per block fanned across every beacon's
-/// template) feeding K warm per-beacon [`SessionEngine`]s.
+/// template) feeding one warm [`SessionEngine`] that finishes each
+/// beacon in turn.
 ///
 /// Detection of the two channels runs pool-parallel via [`Pool::join`]
 /// — one shared read-only detector, one private [`MultiBeaconScratch`]
-/// per channel, the same split the single-beacon [`SessionEngine`]
-/// uses. Each beacon's arrivals then flow through its own session
+/// per channel. Each beacon's arrivals then flow through the session
 /// engine's post-detection chain (inertial analysis, rotation
 /// correction, SFO, TDoA, aggregation) under the monitored grading
-/// contract, producing one [`SessionOutcome`] per beacon.
+/// contract, producing one [`SessionOutcome`] per beacon. The
+/// per-beacon configurations differ only in the chirp band and
+/// pattern, which nothing after detection reads, so one engine built
+/// from [`MultiBeaconConfig::session`] serves every beacon.
 ///
 /// # Determinism
 ///
@@ -227,9 +235,8 @@ impl BatchEngine {
 pub struct MultiBeaconEngine {
     pool: Arc<Pool>,
     config: MultiBeaconConfig,
-    /// One warm session engine per beacon, built from that beacon's
-    /// [`MultiBeaconConfig::session_config`].
-    engines: Vec<SessionEngine>,
+    /// The warm post-detection engine every beacon finishes through.
+    engine: SessionEngine,
     /// Shared detection front ends by sample rate, like
     /// [`BatchEngine`]'s core memo.
     detectors: Mutex<Vec<(f64, Arc<MultiBeaconDetector>)>>,
@@ -249,13 +256,11 @@ impl MultiBeaconEngine {
     pub fn new(config: MultiBeaconConfig, pool: Arc<Pool>) -> Result<Self, HyperEarError> {
         config.validate()?;
         let k = config.beacons();
-        let engines = (0..k)
-            .map(|i| SessionEngine::new(config.session_config(i)))
-            .collect::<Result<Vec<_>, HyperEarError>>()?;
+        let engine = SessionEngine::new(config.session.clone())?;
         Ok(MultiBeaconEngine {
             pool,
             config,
-            engines,
+            engine,
             detectors: Mutex::new(Vec::new()),
             scratch_left: MultiBeaconScratch::new(),
             scratch_right: MultiBeaconScratch::new(),
@@ -267,7 +272,7 @@ impl MultiBeaconEngine {
     /// Number of beacons (and per-beacon outcomes per session).
     #[must_use]
     pub fn beacons(&self) -> usize {
-        self.engines.len()
+        self.config.beacons()
     }
 
     /// The shared detection front end for a sample rate, building (and
@@ -295,14 +300,11 @@ impl MultiBeaconEngine {
     }
 
     /// Bytes currently reserved across the engine's reusable working
-    /// buffers (per-beacon session engines, detection scratches,
-    /// arrival lists).
+    /// buffers (the session engine's, detection scratches, arrival
+    /// lists).
     #[must_use]
     pub fn working_set_bytes(&self) -> usize {
-        self.engines
-            .iter()
-            .map(SessionEngine::working_set_bytes)
-            .sum::<usize>()
+        self.engine.working_set_bytes()
             + self.scratch_left.capacity_bytes()
             + self.scratch_right.capacity_bytes()
             + (self
@@ -319,15 +321,15 @@ impl MultiBeaconEngine {
     /// result storage is scavenged and reused).
     ///
     /// One banked detection pass per channel — the two channels run
-    /// concurrently via [`Pool::join`] under an attached multi-thread
-    /// pool — then each beacon's arrivals finish through its own warm
-    /// session engine. A beacon whose session fails (e.g. its band is
+    /// concurrently via [`Pool::join`] on a multi-thread pool — then
+    /// each beacon's arrivals finish in turn through the warm session
+    /// engine. A beacon whose session fails (e.g. its band is
     /// masked by interference) records `Failed` in its own slot without
     /// affecting the other beacons. After a warm-up session at a given
     /// sample rate and capture size, processing allocates nothing in
     /// steady state.
     pub fn run_session_into(&mut self, input: &SessionInput<'_>, out: &mut Vec<SessionOutcome>) {
-        let k = self.engines.len();
+        let k = self.beacons();
         if out.len() > k {
             out.truncate(k);
         }
@@ -375,10 +377,9 @@ impl MultiBeaconEngine {
         }
         // Per-beacon session finishes, in beacon order on this thread
         // (cheap next to detection; deterministic at any thread count).
-        for (k, (engine, slot)) in self.engines.iter_mut().zip(out.iter_mut()).enumerate() {
-            let lane_left = &self.arrivals_left[k];
-            let lane_right = &self.arrivals_right[k];
-            engine.monitored_with(slot, |engine, result| {
+        let lanes = self.arrivals_left.iter().zip(&self.arrivals_right);
+        for (slot, (lane_left, lane_right)) in out.iter_mut().zip(lanes) {
+            self.engine.monitored_with(slot, |engine, result| {
                 let (arr_left, arr_right) = engine.arrivals_mut();
                 arr_left.clear();
                 arr_left.extend_from_slice(lane_left);
@@ -393,6 +394,67 @@ impl MultiBeaconEngine {
                     result,
                 )
             });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hyperear_sim::environment::Environment;
+    use hyperear_sim::phone::PhoneModel;
+    use hyperear_sim::scenario::ScenarioBuilder;
+    use hyperear_sim::speaker::SpeakerModel;
+
+    #[test]
+    fn one_tail_engine_matches_per_beacon_engines() {
+        const BEACONS: usize = 4;
+        let mut builder = ScenarioBuilder::new(PhoneModel::galaxy_s4())
+            .environment(Environment::anechoic())
+            .speaker_model(SpeakerModel::new().with_signature(0, BEACONS))
+            .speaker_range(3.0)
+            .slides(3)
+            .seed(20);
+        for k in 1..BEACONS {
+            builder = builder.co_speaker(
+                SpeakerModel::new().with_signature(k, BEACONS),
+                1.5 + k as f64,
+            );
+        }
+        let rec = builder.render().unwrap();
+        let input = SessionInput {
+            audio_sample_rate: rec.audio.sample_rate,
+            left: &rec.audio.left,
+            right: &rec.audio.right,
+            imu_sample_rate: rec.imu.sample_rate,
+            accel: &rec.imu.accel,
+            gyro: &rec.imu.gyro,
+        };
+        let config = MultiBeaconConfig::distinct_bands(HyperEarConfig::galaxy_s4(), BEACONS);
+        let mut engine = MultiBeaconEngine::new(config.clone(), Arc::new(Pool::new(1))).unwrap();
+        let mut out = Vec::new();
+        engine.run_session_into(&input, &mut out);
+        assert_eq!(out.len(), BEACONS);
+        assert!(out.iter().any(SessionOutcome::is_usable), "{out:?}");
+        // The reference: a fresh engine per beacon, built from that
+        // beacon's own configuration, finishing the same lane.
+        for (k, got) in out.iter().enumerate() {
+            let mut solo = SessionEngine::new(config.session_config(k)).unwrap();
+            let mut want = SessionOutcome::idle();
+            solo.monitored_with(&mut want, |solo, result| {
+                let (left, right) = solo.arrivals_mut();
+                left.clone_from(&engine.arrivals_left[k]);
+                right.clone_from(&engine.arrivals_right[k]);
+                solo.finish_from_arrivals(
+                    input.audio_sample_rate,
+                    input.left.len(),
+                    input.imu_sample_rate,
+                    input.accel,
+                    input.gyro,
+                    result,
+                )
+            });
+            assert_eq!(*got, want, "beacon {k}");
         }
     }
 }

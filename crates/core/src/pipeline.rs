@@ -18,9 +18,7 @@
 //!   budget dropping the worst offenders, and always returns a
 //!   [`SessionOutcome`] (never panics, never a bare error).
 
-use crate::asp::{
-    BeaconArrival, BeaconDetector, ChannelCorrelation, DetectScratch, DetectorCore, McciScratch,
-};
+use crate::asp::{BeaconArrival, BeaconDetector, ChannelCorrelation, DetectorCore, McciScratch};
 use crate::config::{DoaFrontEnd, HyperEarConfig, TdoaEstimator};
 use crate::doa::BearingPrior;
 use crate::localize::{localize_with, slide_geometry, Estimate2d, LocalizeScratch, SlideFix};
@@ -35,7 +33,6 @@ use hyperear_geom::{Vec3, MAX_MICS, MAX_PAIRS};
 use hyperear_imu::analyze::{analyze_session_with, AnalyzeScratch, SessionAnalysis, SlideEstimate};
 use hyperear_imu::quality::Rejection;
 use hyperear_imu::rotation::yaw_trace_into;
-use hyperear_util::pool::Pool;
 use std::sync::Arc;
 
 /// Guard margin around inertially-detected movement windows when
@@ -483,16 +480,10 @@ impl SessionOutcome {
 pub struct SessionEngine {
     config: HyperEarConfig,
     detector: Option<BeaconDetector>,
-    /// Second detection scratch: serves the second channel of each pair
-    /// when two per-channel detections run concurrently under an
-    /// attached pool.
-    scratch_right: DetectScratch,
     /// Every channel's correlation for the session in flight, shared by
     /// the estimator ladder's rungs.
     store: CorrelationStore,
     tdoa_scratch: TdoaScratch,
-    /// Second TDoA scratch for the concurrent half of the slide loop.
-    tdoa_scratch_b: TdoaScratch,
     /// One arrival list per channel, array index order. Always holds
     /// at least the primary pair's two (channel 0 = left, 1 = right);
     /// grows on the first N-channel session and is reused warm
@@ -506,15 +497,11 @@ pub struct SessionEngine {
     yaw: Vec<f64>,
     sfo_scratch: SfoScratch,
     loc_scratch: LocalizeScratch,
-    /// Second localization scratch for the concurrent half of the slide
-    /// loop.
-    loc_scratch_b: LocalizeScratch,
     geoms: Vec<SlideGeometry>,
     /// Engine-owned slot for estimator-escalation reruns: keeps the
     /// candidate outcome's result storage warm across sessions so an
     /// escalating engine stays allocation-free in steady state.
     retry_slot: SessionOutcome,
-    pool: Option<Arc<Pool>>,
 }
 
 impl SessionEngine {
@@ -528,10 +515,8 @@ impl SessionEngine {
         Ok(SessionEngine {
             config,
             detector: None,
-            scratch_right: DetectScratch::new(),
             store: CorrelationStore::default(),
             tdoa_scratch: TdoaScratch::new(),
-            tdoa_scratch_b: TdoaScratch::new(),
             arrivals: vec![Vec::new(), Vec::new()],
             analysis: SessionAnalysis {
                 gravity: Vec3::ZERO,
@@ -545,30 +530,9 @@ impl SessionEngine {
             yaw: Vec::new(),
             sfo_scratch: SfoScratch::new(),
             loc_scratch: LocalizeScratch::new(),
-            loc_scratch_b: LocalizeScratch::new(),
             geoms: Vec::new(),
             retry_slot: SessionOutcome::idle(),
-            pool: None,
         })
-    }
-
-    /// Attaches a work-stealing pool: subsequent sessions run the two
-    /// per-channel beacon detections and the two halves of the per-slide
-    /// TDoA/triangulation loop concurrently via [`Pool::join`].
-    ///
-    /// Results are bit-identical to the sequential path at any thread
-    /// count — intra-session parallelism only splits work across
-    /// pre-assigned, independent scratch spaces and index-addressed
-    /// output slots, never changing evaluation order within a slide. A
-    /// pool with a single participant (or no attached pool, the default)
-    /// takes the exact sequential code path.
-    pub fn attach_pool(&mut self, pool: Arc<Pool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Removes any attached pool; subsequent sessions run sequentially.
-    pub fn detach_pool(&mut self) {
-        self.pool = None;
     }
 
     /// Installs a pre-built shared detector core (see
@@ -598,22 +562,20 @@ impl SessionEngine {
         self.detector.as_ref().map(|d| d.core().peak_fft_len())
     }
 
-    /// Bytes currently reserved by the engine's reusable working buffers
-    /// (detector scratch, the per-channel correlation store, TDoA
-    /// scratch, arrival lists).
+    /// Bytes currently reserved by the detection scratch, the
+    /// per-channel correlation store, the TDoA scratch and the arrival
+    /// lists. The inertial, SFO and localization buffers are not
+    /// counted.
     ///
-    /// Useful for serving-scale capacity planning: after a warm-up
-    /// session this figure is the steady-state footprint, since
+    /// After a warm-up session the figure no longer grows, since
     /// [`SessionEngine::run_into`] performs no further allocation.
     #[must_use]
     pub fn working_set_bytes(&self) -> usize {
         self.detector
             .as_ref()
             .map_or(0, BeaconDetector::working_set_bytes)
-            + self.scratch_right.capacity_bytes()
             + self.store.capacity_bytes()
             + self.tdoa_scratch.capacity_bytes()
-            + self.tdoa_scratch_b.capacity_bytes()
             + self.arrivals.iter().map(Vec::capacity).sum::<usize>()
                 * std::mem::size_of::<BeaconArrival>()
     }
@@ -845,16 +807,13 @@ impl SessionEngine {
     /// `PlainXcorr` is the conformance baseline (bit-identical to the
     /// pre-estimator-bank pipeline). `GccPhat` and `SubbandCoherence`
     /// re-weight each channel's correlation spectrum before arrival
-    /// extraction. `McciFusion` correlates every channel (concurrently
-    /// under an attached pool), solves the cross-channel alignment —
-    /// every channel of an N-microphone capture joins the solve, so the
-    /// fusion gain grows with the array's redundancy — and detects peaks
+    /// extraction. `McciFusion` correlates every channel, solves the
+    /// cross-channel alignment — every channel of an N-microphone capture
+    /// joins the solve, so the fusion gain grows with the array's
+    /// redundancy — and detects peaks
     /// on the fused correlation while timing each arrival on the
     /// channel's own correlation (fusing the timing itself would cancel
-    /// the inter-channel TDoA the pipeline measures). The MCCI path runs
-    /// its alignment solve and extraction sequentially even under an
-    /// attached pool — the solve needs every channel's correlation — so
-    /// it is deterministic at any thread count.
+    /// the inter-channel TDoA the pipeline measures).
     ///
     /// Every call correlates the channels afresh; only the reruns inside
     /// one monitored call share correlations and spectra.
@@ -938,12 +897,12 @@ impl SessionEngine {
     /// any other count is a typed error. Channels 0 and 1 — the primary
     /// pair, spanning device +y — drive the slide pipeline. When the
     /// capture carries every microphone of the configured array, every
-    /// channel is beacon-detected (two at a time under an attached
-    /// pool) and the configured [`DoaFrontEnd`], if any, attaches the
-    /// per-pair session delays and a [`BearingPrior`]. Front-end failures
-    /// that depend on the *data* (an extra channel with no beacons, an
-    /// infeasible pair delay) leave `bearing = None` without failing the
-    /// session — the prior is advisory, the primary-pair estimate is not.
+    /// channel is beacon-detected and the configured [`DoaFrontEnd`], if
+    /// any, attaches the per-pair session delays and a [`BearingPrior`].
+    /// Front-end failures that depend on the *data* (an extra channel
+    /// with no beacons, an infeasible pair delay) leave `bearing = None`
+    /// without failing the session — the prior is advisory, the
+    /// primary-pair estimate is not.
     fn estimated_into(
         &mut self,
         input: &sealed::Parts<'_>,
@@ -1002,10 +961,7 @@ impl SessionEngine {
     /// Each channel is correlated band-limited into the correlation
     /// store — unless the store already holds this session's
     /// correlations (an escalation rerun) — and its arrivals extracted
-    /// from there. Under an attached pool the channels run two at a time
-    /// against the engine's two private scratches; each channel's result
-    /// depends only on its own samples, so the arrival lists are
-    /// bit-identical to the sequential loop at any thread count.
+    /// from there, one channel after another on the detector's scratch.
     /// `McciFusion` runs on the full-rate correlations instead (see
     /// [`SessionEngine::extract_fused`]).
     fn detect_channels(
@@ -1026,28 +982,19 @@ impl SessionEngine {
                 .resize_with(n, ChannelCorrelation::default);
         }
         let reuse = std::mem::replace(&mut self.store.valid, false);
-        let pool = self.pool.as_ref().filter(|p| p.threads() > 1);
-        let (core, scratch_a) = self
+        let (core, scratch) = self
             .detector
             .as_mut()
             .expect("detector built before detection")
             .parts_mut();
-        let scratch_b = &mut self.scratch_right;
-        let jobs = channels
+        for ((samples, chan), out) in channels
             .iter()
             .zip(&mut self.store.channels)
             .zip(&mut self.arrivals)
-            .map(|((samples, chan), out)| (*samples, chan, out));
-        in_pairs(
-            pool,
-            jobs,
-            scratch_a,
-            scratch_b,
-            |(samples, chan, out), scratch| {
-                let samples = (!reuse).then_some(samples);
-                core.detect_channel(samples, estimator, chan, scratch, out)
-            },
-        )?;
+        {
+            let samples = (!reuse).then_some(*samples);
+            core.detect_channel(samples, estimator, chan, scratch, out)?;
+        }
         self.store.valid = true;
         Ok(())
     }
@@ -1063,31 +1010,22 @@ impl SessionEngine {
     /// measure. Dead channels and unfusable sessions fall back to plain
     /// extraction. `max_lag` is clamped to the correlation length so
     /// degenerate captures degrade to the fallback instead of erroring.
-    /// The correlations run two at a time under an attached pool, as in
-    /// [`SessionEngine::detect_channels`].
     fn extract_fused(&mut self, channels: &[&[f64]]) -> Result<(), HyperEarError> {
         let n = channels.len();
-        let pool = self.pool.as_ref().filter(|p| p.threads() > 1);
-        let (core, scratch_a) = self
+        let (core, scratch) = self
             .detector
             .as_mut()
             .expect("detector built before detection")
             .parts_mut();
-        let scratch_b = &mut self.scratch_right;
         let CorrelationStore {
             offsets,
             live,
             mcci,
             ..
         } = &mut self.store;
-        let jobs = channels.iter().zip(mcci.corrs_mut(n));
-        in_pairs(
-            pool,
-            jobs,
-            scratch_a,
-            scratch_b,
-            |(samples, corr), scratch| core.correlate_full_into(samples, scratch, corr),
-        )?;
+        for (samples, corr) in channels.iter().zip(mcci.corrs_mut(n)) {
+            core.correlate_full_into(samples, scratch, corr)?;
+        }
         let corrs = mcci.corrs_mut(n);
         let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
         for (slot, c) in refs.iter_mut().zip(corrs.iter()) {
@@ -1211,11 +1149,6 @@ impl SessionEngine {
         out.estimator = self.config.estimator.initial;
         out.pair_delays.clear();
         out.bearing = None;
-        let pool = self
-            .pool
-            .as_ref()
-            .filter(|p| p.threads() > 1)
-            .map(Arc::clone);
         let found = self.arrivals[0].len().min(self.arrivals[1].len());
         if found < 2 {
             return Err(HyperEarError::InsufficientBeacons {
@@ -1360,37 +1293,16 @@ impl SessionEngine {
         };
         let n = ctx.slides.len();
         out.slides.clear();
-        if let Some(pool) = pool.as_ref().filter(|_| n >= 2) {
-            // Index-addressed halves with pre-assigned scratch pairs: the
-            // output order and every per-slide computation are identical
-            // to the sequential loop below regardless of which thread
-            // runs which half. An error in the earlier half wins, same
-            // as the sequential first-error-by-index contract.
-            out.slides.resize(n, SlideReport::placeholder());
-            let mid = n / 2;
-            let (lo, hi) = out.slides.split_at_mut(mid);
-            let tdoa_a = &mut self.tdoa_scratch;
-            let loc_a = &mut self.loc_scratch;
-            let tdoa_b = &mut self.tdoa_scratch_b;
-            let loc_b = &mut self.loc_scratch_b;
-            let (r_lo, r_hi) = pool.join(
-                || process_slides(&ctx, 0, lo, tdoa_a, loc_a),
-                || process_slides(&ctx, mid, hi, tdoa_b, loc_b),
-            );
-            r_lo?;
-            r_hi?;
-        } else {
-            for idx in 0..n {
-                let mut report = SlideReport::placeholder();
-                process_slide(
-                    &ctx,
-                    idx,
-                    &mut self.tdoa_scratch,
-                    &mut self.loc_scratch,
-                    &mut report,
-                )?;
-                out.slides.push(report);
-            }
+        for idx in 0..n {
+            let mut report = SlideReport::placeholder();
+            process_slide(
+                &ctx,
+                idx,
+                &mut self.tdoa_scratch,
+                &mut self.loc_scratch,
+                &mut report,
+            )?;
+            out.slides.push(report);
         }
         let rejected = out.slides.iter().filter(|r| !r.accepted).count();
 
@@ -1474,35 +1386,6 @@ impl CorrelationStore {
             + self.live.capacity()
             + self.mcci.capacity_bytes()
     }
-}
-
-/// Runs `run` over `jobs`: two at a time under `pool`, one on each
-/// scratch, or one after another on `a` without one. Each job's result
-/// depends only on its own inputs, so the outcome is the same either
-/// way.
-fn in_pairs<J: Send>(
-    pool: Option<&Arc<Pool>>,
-    mut jobs: impl Iterator<Item = J>,
-    a: &mut DetectScratch,
-    b: &mut DetectScratch,
-    run: impl Fn(J, &mut DetectScratch) -> Result<(), HyperEarError> + Sync,
-) -> Result<(), HyperEarError> {
-    while let Some(first) = jobs.next() {
-        match (pool, jobs.next()) {
-            (Some(pool), Some(second)) => {
-                let (ra, rb) = pool.join(|| run(first, a), || run(second, b));
-                ra?;
-                rb?;
-            }
-            (_, second) => {
-                run(first, a)?;
-                if let Some(second) = second {
-                    run(second, a)?;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Whether a graded outcome shows the acoustic trouble a heavier
@@ -1694,22 +1577,6 @@ fn process_slide(
             }
             Err(e) => return Err(e),
         }
-    }
-    Ok(())
-}
-
-/// Processes a contiguous run of slides starting at `first` into the
-/// matching output slots, stopping at the first error (by index) like
-/// the sequential loop.
-fn process_slides(
-    ctx: &SlideCtx<'_>,
-    first: usize,
-    slots: &mut [SlideReport],
-    tdoa_scratch: &mut TdoaScratch,
-    loc_scratch: &mut LocalizeScratch,
-) -> Result<(), HyperEarError> {
-    for (offset, slot) in slots.iter_mut().enumerate() {
-        process_slide(ctx, first + offset, tdoa_scratch, loc_scratch, slot)?;
     }
     Ok(())
 }

@@ -274,8 +274,12 @@ pub struct StreamFootprint {
     /// 16 bytes per decimated lag of `max_samples` plus its feed's FFT
     /// block pair.
     pub state_formula: usize,
-    /// Bytes the sessions' post-detection engines reserve: per-slide
-    /// arrays that grow with the captures' beacon and slide counts.
+    /// Bytes the sessions' post-detection engines reserve, summed as
+    /// [`SessionEngine::working_set_bytes`] counts them: detection
+    /// scratch, correlation store, TDoA scratch and arrival lists (a
+    /// streamed session detects in its own detectors, so in practice the
+    /// last two). The inertial, SFO and localization buffers are not
+    /// counted.
     pub engine_bytes: usize,
     /// Pool participants, one workspace each.
     pub participants: usize,

@@ -105,35 +105,6 @@ fn run_batch_into_reuses_outcome_storage_and_shrinks() {
 }
 
 #[test]
-fn intra_session_parallelism_matches_sequential_engine() {
-    // A 4-slide, two-stature session exercises both halves of the slide
-    // loop and the concurrent channel detections.
-    let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
-        .environment(Environment::room_quiet())
-        .speaker_range(3.0)
-        .speaker_stature(0.5)
-        .phone_stature(1.3)
-        .slides(2)
-        .slides_low(2)
-        .stature_drop(0.4)
-        .seed(500)
-        .render()
-        .unwrap();
-    let mut sequential_engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
-    let reference = sequential_engine.run_monitored(&input(&rec));
-    assert!(reference.is_usable());
-    for threads in [1, 2, 4] {
-        let mut parallel_engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
-        parallel_engine.attach_pool(Arc::new(Pool::new(threads)));
-        let got = parallel_engine.run_monitored(&input(&rec));
-        assert_eq!(got, reference, "threads = {threads}");
-        // Detaching the pool returns to the sequential path.
-        parallel_engine.detach_pool();
-        assert_eq!(parallel_engine.run_monitored(&input(&rec)), reference);
-    }
-}
-
-#[test]
 fn global_pool_batch_engine_matches_sequential() {
     let recs: Vec<Recording> = (0..3).map(|s| render(600 + s, 2)).collect();
     let inputs: Vec<SessionInput<'_>> = recs.iter().map(input).collect();

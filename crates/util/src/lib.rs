@@ -17,6 +17,7 @@
 //! what the simulation, pipeline, and experiment crates actually use,
 //! with deterministic behaviour so experiments reproduce bit-for-bit.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::pedantic)]
 #![allow(
@@ -26,9 +27,11 @@
     clippy::module_name_repetitions
 )]
 
+#[allow(unsafe_code)]
 pub mod alloc_counter;
 pub mod bench;
 pub mod json;
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod prop;
 pub mod rng;

@@ -5,9 +5,10 @@
 //! giving up the workspace's two core guarantees:
 //!
 //! - **Determinism.** Every parallel primitive addresses its output by
-//!   item index ([`Pool::parallel_map`] writes item `i` into slot `i`),
-//!   so results are bit-identical to sequential execution regardless of
-//!   which worker ran which item or in what order tasks were stolen.
+//!   item index ([`Pool::parallel_map_with`] writes item `i` into slot
+//!   `i`), so results are bit-identical to sequential execution
+//!   regardless of which worker ran which item or in what order tasks
+//!   were stolen.
 //! - **Zero steady-state allocation.** Workers are persistent (spawned
 //!   once at pool construction), task handles are `Copy` structs pushed
 //!   into pre-grown deques, and fork/join coordination lives in
@@ -20,14 +21,14 @@
 //! idle worker steals FIFO from a sibling. A [`PoolStats`] snapshot
 //! exposes tasks executed, steal counts and per-worker busy time.
 //!
-//! Thread count comes from [`Pool::from_env`] (`HYPEREAR_THREADS`,
-//! default: available parallelism). A pool of one thread never spawns
-//! and every primitive takes the exact sequential code path.
+//! The primitive set is [`Pool::join`], [`Pool::parallel_map_with`] and
+//! [`Pool::parallel_update`]. The process-wide [`Pool::global`] is sized
+//! by `HYPEREAR_THREADS` (default: available parallelism). A pool of one
+//! thread never spawns and every primitive takes the exact sequential
+//! code path.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::mem;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 
 /// A type-erased, `Copy` handle to a unit of work whose storage lives
 /// somewhere that provably outlives its execution (the stack of a
-/// fork/join caller, or a heap box for [`Scope::spawn`]).
+/// fork/join caller).
 #[derive(Clone, Copy)]
 struct Task {
     data: *const (),
@@ -351,83 +352,6 @@ impl<T> Copy for SendPtr<T> {}
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Heap-boxed payload behind [`Scope::spawn`].
-struct HeapJob {
-    f: Option<Box<dyn FnOnce() + Send>>,
-    scope: *const ScopeCore,
-}
-
-unsafe fn heap_exec(ptr: *const ()) {
-    let mut job = Box::from_raw(ptr.cast_mut().cast::<HeapJob>());
-    let scope = &*job.scope;
-    let f = job.f.take().expect("heap job executes exactly once");
-    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-        let mut first = scope
-            .first_panic
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if first.is_none() {
-            *first = Some(payload);
-        }
-    }
-    if scope.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        scope.latch.set();
-    }
-}
-
-struct ScopeCore {
-    /// Outstanding work: one token for the scope body plus one per
-    /// spawned task.
-    pending: AtomicUsize,
-    first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    latch: Latch,
-}
-
-/// A fork scope handed to the closure of [`Pool::scope`]: tasks spawned
-/// through it may borrow from the enclosing stack frame, and the scope
-/// does not return until every one of them has finished.
-pub struct Scope<'scope, 'pool> {
-    pool: &'pool Pool,
-    /// Raw because the core lives on the stack frame of [`Pool::scope`],
-    /// which strictly outlives every use of this handle.
-    core: *const ScopeCore,
-    /// Invariant in `'scope`, like `std::thread::scope`.
-    _marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope, '_> {
-    /// Spawns `f` onto the pool. On a one-thread pool the task runs
-    /// inline, immediately; otherwise it runs concurrently with the
-    /// rest of the scope body and completes before [`Pool::scope`]
-    /// returns. A panicking task is caught and re-thrown by the scope.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        if self.pool.threads == 1 {
-            f();
-            return;
-        }
-        // SAFETY: `Pool::scope` keeps the core alive until every
-        // spawned task has finished.
-        let core = unsafe { &*self.core };
-        core.pending.fetch_add(1, Ordering::AcqRel);
-        let boxed: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
-        // SAFETY: the scope blocks until every spawned task completes,
-        // so `'scope` strictly outlives the task's execution.
-        let boxed: Box<dyn FnOnce() + Send + 'static> = unsafe { mem::transmute(boxed) };
-        let job = Box::new(HeapJob {
-            f: Some(boxed),
-            scope: self.core,
-        });
-        let task = Task {
-            data: Box::into_raw(job).cast_const().cast(),
-            exec: heap_exec,
-        };
-        self.pool.push_task(task);
-    }
-}
-
 /// A work-stealing thread pool (see the [module docs](self)).
 ///
 /// `threads` counts *participants*: a pool of `N` spawns `N − 1` worker
@@ -498,19 +422,12 @@ impl Pool {
         }
     }
 
-    /// Creates a pool sized by [`configured_threads`]
-    /// (`HYPEREAR_THREADS`, default: available parallelism).
-    #[must_use]
-    pub fn from_env() -> Self {
-        Pool::new(configured_threads())
-    }
-
-    /// The process-wide shared pool, built from the environment on
-    /// first use and never torn down. Long-lived consumers (batch
-    /// engines, trial harnesses) should use this instead of spawning
-    /// private pools.
+    /// The process-wide shared pool, sized by [`configured_threads`]
+    /// (`HYPEREAR_THREADS`, default: available parallelism) on first use
+    /// and never torn down. Long-lived consumers (batch engines, trial
+    /// harnesses) should use this instead of spawning private pools.
     pub fn global() -> &'static Arc<Pool> {
-        GLOBAL.get_or_init(|| Arc::new(Pool::from_env()))
+        GLOBAL.get_or_init(|| Arc::new(Pool::new(configured_threads())))
     }
 
     /// Number of participants (spawned workers + the caller).
@@ -689,38 +606,14 @@ impl Pool {
         }
     }
 
-    /// Computes `f(i)` for every `i` in `0..len` and returns the results
-    /// in index order. Slot `i` receives exactly `f(i)` no matter which
-    /// worker computed it, so the output is bit-identical to the
-    /// sequential `(0..len).map(f).collect()`.
-    ///
-    /// # Panics
-    ///
-    /// Re-throws the first item panic after every item has settled.
-    pub fn parallel_map<T, F>(&self, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
-        let slots = SendPtr(out.as_mut_ptr());
-        self.run_region(len, move |_slot, i| {
-            let slots = slots;
-            // SAFETY: the region claims each `i` exactly once, so this
-            // is the only writer of slot `i`.
-            unsafe { *slots.0.add(i) = Some(f(i)) };
-        });
-        out.into_iter()
-            .map(|v| v.expect("region completion fills every slot"))
-            .collect()
-    }
-
-    /// Like [`Pool::parallel_map`] but with per-participant mutable
-    /// state: `init()` builds one `S` per participant, and `f` receives
-    /// the state pinned to whichever participant claimed the item.
-    /// Output slot `i` still receives exactly `f(_, i)`, so results are
-    /// deterministic whenever `f`'s output does not depend on the state
-    /// history (the contract every engine in this workspace satisfies).
+    /// Computes `f(state, i)` for every `i` in `0..len` and returns the
+    /// results in index order, with per-participant mutable state:
+    /// `init()` builds one `S` per participant, and `f` receives the
+    /// state pinned to whichever participant claimed the item. Slot `i`
+    /// receives exactly `f(_, i)` no matter which worker computed it, so
+    /// results are deterministic whenever `f`'s output does not depend
+    /// on the state history (the contract every engine in this workspace
+    /// satisfies).
     ///
     /// # Panics
     ///
@@ -732,22 +625,14 @@ impl Pool {
         I: Fn() -> S,
         F: Fn(&mut S, usize) -> T + Sync,
     {
-        let parallel = self.threads > 1 && len > 1;
-        let mut states: Vec<S> = (0..if parallel { self.threads } else { 1 })
-            .map(|_| init())
-            .collect();
+        if self.threads == 1 || len <= 1 {
+            let mut state = init();
+            return (0..len).map(|i| f(&mut state, i)).collect();
+        }
+        let mut states: Vec<S> = (0..self.threads).map(|_| init()).collect();
         let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
-        let state_ptr = SendPtr(states.as_mut_ptr());
-        let slot_ptr = SendPtr(out.as_mut_ptr());
-        self.run_region(len, move |slot, i| {
-            let state_ptr = state_ptr;
-            let slot_ptr = slot_ptr;
-            // SAFETY: `slot` is exclusive to the executing participant
-            // for the region's lifetime and `i` is claimed exactly once.
-            unsafe {
-                let state = &mut *state_ptr.0.add(slot);
-                *slot_ptr.0.add(i) = Some(f(state, i));
-            }
+        self.parallel_update(&mut states, &mut out, |state, i, slot| {
+            *slot = Some(f(state, i));
         });
         out.into_iter()
             .map(|v| v.expect("region completion fills every slot"))
@@ -789,40 +674,6 @@ impl Pool {
             // task has finished or been reclaimed.
             unsafe { f(&mut *ctx_ptr.0.add(slot), i, &mut *item_ptr.0.add(i)) };
         });
-    }
-
-    /// Runs `body` with a [`Scope`] that can spawn borrowed tasks onto
-    /// the pool; returns `body`'s value once every spawned task has
-    /// finished.
-    ///
-    /// # Panics
-    ///
-    /// Re-throws the first panic of the body or any spawned task, after
-    /// all of them have settled.
-    pub fn scope<'scope, R>(&self, body: impl FnOnce(&Scope<'scope, '_>) -> R) -> R {
-        let core = ScopeCore {
-            pending: AtomicUsize::new(1),
-            first_panic: Mutex::new(None),
-            latch: Latch::new(),
-        };
-        let scope = Scope {
-            pool: self,
-            core: std::ptr::from_ref(&core),
-            _marker: PhantomData,
-        };
-        let result = panic::catch_unwind(AssertUnwindSafe(|| body(&scope)));
-        if core.pending.fetch_sub(1, Ordering::AcqRel) > 1 {
-            self.wait_on(&core.latch);
-        }
-        let payload = core
-            .first_panic
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        match (result, payload) {
-            (Ok(r), None) => r,
-            (Err(payload), _) | (_, Some(payload)) => panic::resume_unwind(payload),
-        }
     }
 
     /// A telemetry snapshot: cumulative tasks executed, steals, and
@@ -923,7 +774,7 @@ mod tests {
         let (a, b) = pool.join(|| 1, || 2);
         assert_eq!((a, b), (1, 2));
         let order = Mutex::new(Vec::new());
-        pool.parallel_map(4, |i| order.lock().unwrap().push(i));
+        pool.parallel_map_with(4, || (), |(), i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
         assert_eq!(pool.stats().tasks_executed, 0, "nothing is scheduled");
     }
@@ -940,7 +791,8 @@ mod tests {
     fn parallel_map_matches_sequential_for_all_sizes() {
         let pool = Pool::new(3);
         for len in [0usize, 1, 2, 3, 7, 64, 257] {
-            let par = pool.parallel_map(len, |i| (i as u64).wrapping_mul(2_654_435_761));
+            let par =
+                pool.parallel_map_with(len, || (), |(), i| (i as u64).wrapping_mul(2_654_435_761));
             let seq: Vec<u64> = (0..len)
                 .map(|i| (i as u64).wrapping_mul(2_654_435_761))
                 .collect();
@@ -980,10 +832,13 @@ mod tests {
     fn region_propagates_first_item_panic_and_survives() {
         let pool = Pool::new(3);
         let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_map(16, |i| assert!(i != 9, "item nine"));
+            pool.parallel_map_with(16, || (), |(), i| assert!(i != 9, "item nine"));
         }));
         assert!(r.is_err());
-        assert_eq!(pool.parallel_map(4, |i| i), vec![0, 1, 2, 3]);
+        assert_eq!(
+            pool.parallel_map_with(4, || (), |(), i| i),
+            vec![0, 1, 2, 3]
+        );
     }
 
     #[test]
@@ -1000,39 +855,16 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_borrowed_tasks_to_completion() {
-        let pool = Pool::new(3);
-        let counter = AtomicU32::new(0);
-        let result = pool.scope(|s| {
-            for _ in 0..20 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            "done"
-        });
-        assert_eq!(result, "done");
-        assert_eq!(counter.load(Ordering::SeqCst), 20);
-    }
-
-    #[test]
-    fn scope_propagates_spawned_panics() {
-        let pool = Pool::new(2);
-        let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("spawned boom"));
-            });
-        }));
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn stats_observe_scheduled_work() {
         let pool = Pool::new(4);
-        let big: Vec<u64> = pool.parallel_map(64, |i| {
-            // Enough work per item that workers actually wake and claim.
-            (0..2_000u64).fold(i as u64, |acc, k| acc.rotate_left(1) ^ k)
-        });
+        let big: Vec<u64> = pool.parallel_map_with(
+            64,
+            || (),
+            |(), i| {
+                // Enough work per item that workers actually wake and claim.
+                (0..2_000u64).fold(i as u64, |acc, k| acc.rotate_left(1) ^ k)
+            },
+        );
         assert_eq!(big.len(), 64);
         let stats = pool.stats();
         assert_eq!(stats.threads, 4);

@@ -30,7 +30,7 @@ fn randomized_map_shapes_match_sequential() {
         let pool = Pool::new(threads);
         for _ in 0..20 {
             let len = rng.next_below(400) as usize;
-            let par = pool.parallel_map(len, work_item);
+            let par = pool.parallel_map_with(len, || (), |(), i| work_item(i));
             let seq: Vec<u64> = (0..len).map(work_item).collect();
             assert_eq!(par, seq, "threads {threads}, len {len}");
         }
@@ -65,13 +65,17 @@ fn repeated_panics_never_wedge_the_pool() {
     let pool = Pool::new(3);
     for round in 0..50 {
         let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_map(16, |i| {
-                assert!(i != round % 16, "poisoned item");
-            });
+            pool.parallel_map_with(
+                16,
+                || (),
+                |(), i| {
+                    assert!(i != round % 16, "poisoned item");
+                },
+            );
         }));
         assert!(r.is_err(), "round {round} must propagate the item panic");
         // The pool must stay fully functional between failures.
-        let ok = pool.parallel_map(8, |i| i * 3);
+        let ok = pool.parallel_map_with(8, || (), |(), i| i * 3);
         assert_eq!(ok, vec![0, 3, 6, 9, 12, 15, 18, 21], "round {round}");
     }
 }
@@ -99,51 +103,24 @@ fn panic_inside_nested_join_unwinds_cleanly() {
 }
 
 #[test]
-fn scope_survives_mixed_panicking_spawns() {
-    let pool = Pool::new(3);
-    let done = AtomicU64::new(0);
-    let r = panic::catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            for i in 0..32 {
-                s.spawn(|| {
-                    done.fetch_add(1, Ordering::SeqCst);
-                });
-                if i == 17 {
-                    s.spawn(|| panic!("spawn seventeen-and-a-half"));
-                }
-            }
-        });
-    }));
-    assert!(r.is_err(), "spawned panic must re-throw from scope");
-    // Every non-panicking spawn still ran: scope waits for all tasks
-    // before propagating.
-    assert_eq!(done.load(Ordering::SeqCst), 32);
-}
-
-#[test]
 fn interleaved_primitives_share_one_pool() {
-    // Regions, joins and scopes interleaved on the same pool from the
-    // same caller: the stress shape of a batch engine running sessions
-    // whose internals also fork.
+    // Regions and joins interleaved on the same pool from the same
+    // caller: the stress shape of a batch engine running sessions whose
+    // internals also fork.
     let pool = Pool::new(4);
     let mut rng = Xoshiro256pp::seed_from_u64(77);
     for _ in 0..10 {
         let len = 8 + rng.next_below(48) as usize;
-        let outer = pool.parallel_map(len, |i| {
-            let (a, b) = pool.join(|| work_item(i), || work_item(i + 1));
-            a ^ b
-        });
+        let outer = pool.parallel_map_with(
+            len,
+            || (),
+            |(), i| {
+                let (a, b) = pool.join(|| work_item(i), || work_item(i + 1));
+                a ^ b
+            },
+        );
         let seq: Vec<u64> = (0..len).map(|i| work_item(i) ^ work_item(i + 1)).collect();
         assert_eq!(outer, seq);
-        let total = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..len {
-                s.spawn(|| {
-                    total.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::SeqCst) as usize, len);
     }
 }
 
@@ -154,9 +131,13 @@ fn churn(pool: &Pool, rounds: usize) {
         assert_eq!(a, round.wrapping_mul(3));
         assert_eq!(b, [round; 4]);
         let hits = AtomicUsize::new(0);
-        pool.parallel_map(3, |i| {
-            hits.fetch_add(i + 1, Ordering::Relaxed);
-        });
+        pool.parallel_map_with(
+            3,
+            || (),
+            |(), i| {
+                hits.fetch_add(i + 1, Ordering::Relaxed);
+            },
+        );
         assert_eq!(hits.load(Ordering::Relaxed), 6, "round {round}");
     }
 }
@@ -169,6 +150,6 @@ fn short_regions_complete_from_outside_and_inside_the_pool() {
         churn(&pool, 5_000);
         // From pool workers (and the caller): spins on every latch while
         // helping, and broadcasts nested regions to sibling workers.
-        pool.parallel_map(2 * threads, |_| churn(&pool, 1_000));
+        pool.parallel_map_with(2 * threads, || (), |(), _| churn(&pool, 1_000));
     }
 }

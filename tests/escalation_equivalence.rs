@@ -16,9 +16,7 @@
 //!
 //! Stereo captures and N-microphone array captures (3 and 4
 //! microphones), both through `run_monitored_into`, are covered.
-//! The warm engine runs on the environment's pool (`HYPEREAR_THREADS`)
-//! and the references run sequentially, so the check also pins thread
-//! invariance. `scripts/verify.sh --estimators` runs this binary at
+//! `scripts/verify.sh --estimators` runs this binary at
 //! `HYPEREAR_THREADS=1` and `=4` and greps the
 //! `escalation-contract: … HELD` lines.
 
@@ -29,8 +27,6 @@ use hyperear_sim::environment::Environment;
 use hyperear_sim::fault::{matrix, FaultPlan};
 use hyperear_sim::phone::PhoneModel;
 use hyperear_sim::scenario::{ArrayRecording, Recording, ScenarioBuilder};
-use hyperear_util::pool::Pool;
-use std::sync::Arc;
 
 /// Escalation on every session, through every rung of the ladder
 /// (plain → PHAT → sub-band coherence → MCCI fusion).
@@ -195,7 +191,6 @@ fn stereo_reruns_match_fresh_engines_across_sessions() {
     let a = faulted_stereo(91_005, 1);
     let b = faulted_stereo(91_000, 2);
     let mut engine = SessionEngine::new(ladder.clone()).unwrap();
-    engine.attach_pool(Arc::new(Pool::from_env()));
     let mut slot = SessionOutcome::idle();
     let mut winners = Vec::new();
     for (name, rec) in [("A", &a), ("B", &b), ("A again", &a)] {
@@ -229,7 +224,6 @@ fn array_reruns_match_fresh_engines_across_sessions() {
             let mut ladder = forced_ladder(HyperEarConfig::for_device(preset));
             ladder.estimator.initial = initial;
             let mut engine = SessionEngine::new(ladder.clone()).unwrap();
-            engine.attach_pool(Arc::new(Pool::from_env()));
             let mut slot = SessionOutcome::idle();
             let mut winners = Vec::new();
             for (name, rec, chans) in [

@@ -219,7 +219,7 @@ fn soak(threads: usize, recs: &[Recording], refs: &[SessionOutcome], phones: usi
 /// participants: each session's state is exactly its formula (no buffer
 /// grew past its reservation, and none is workspace a session kept for
 /// itself), there is exactly one formula-sized workspace per
-/// participant, and the working set is those parts plus the engines.
+/// participant, and the working set is those parts plus the tail engine.
 /// A buffer's capacity never falls short of its reservation, so the
 /// sums matching means every session and every workspace matches.
 fn memory_held(report: &SoakReport, threads: usize) -> bool {
@@ -266,7 +266,7 @@ fn main() {
         let held = memory_held(&report, threads);
         println!(
             "stream-memory: threads={threads} sessions={} state_per_session={} B \
-             (formula {} B) engines={} B workspaces={}x{} B (formula {}x{} B) \
+             (formula {} B) tail_engine={} B workspaces={}x{} B (formula {}x{} B) \
              working_set={} B: {}",
             f.sessions,
             f.state_bytes / f.sessions.max(1),

@@ -454,6 +454,15 @@ impl DetectorCore {
         self.band.decimation(0)
     }
 
+    /// The most arrivals one channel of up to `max_samples` samples
+    /// yields: candidates stand at least the decimated minimum spacing
+    /// apart, and strict local maxima are never adjacent.
+    pub(crate) fn max_arrivals(&self, max_samples: usize) -> usize {
+        let dec = self.decimation();
+        let spacing = self.threshold.min_distance.div_ceil(dec.factor()).max(2);
+        (dec.decimated_len(max_samples) - 1) / spacing + 1
+    }
+
     /// Detects beacon arrivals in one audio channel, using a
     /// caller-provided scratch — the `&self` form that lets two channels
     /// run concurrently against one shared core.
@@ -526,7 +535,7 @@ impl DetectorCore {
     /// Arrival extraction from one channel's decimated correlation `corr`
     /// (covering `lags` full-rate lags) under a per-channel estimator —
     /// the one kernel behind the session engine's detection,
-    /// [`DetectorCore::detect_with`] and [`StreamingDetector::finish_into`].
+    /// [`DetectorCore::detect_with`] and [`StreamingDetector::finish`].
     ///
     /// Plain xcorr picks peaks on the correlation itself. The
     /// spectral-weighting estimators (PHAT, sub-band coherence) weight
@@ -1022,19 +1031,19 @@ impl BeaconDetector {
 /// FFT cost amortized and the transform working set at one block), and
 /// the resulting decimated analytic correlation accumulates in a buffer
 /// preallocated to a hard `max_samples` cap (one complex value per `D`
-/// samples). [`StreamingDetector::finish_into`] then runs the exact
+/// samples). [`StreamingDetector::finish`] then runs the exact
 /// threshold/peak stage of the one-shot detector over the accumulated
-/// correlation.
+/// correlation into the detector's arrival list.
 ///
 /// # State and scratch
 ///
-/// The detector owns only its capture's state: the chunk feed and the
-/// accumulated correlation. The threshold needs the exact median of the
-/// whole correlation envelope, so the correlation must live until the
-/// finish; everything else a push or finish touches — the FFT arena, the
-/// envelope, sort keys, candidates, rebuild window, spectrum and guide —
-/// is borrowed from the caller's [`DetectScratch`], one per worker, not
-/// one per capture.
+/// The detector owns only its capture's state: the chunk feed, the
+/// accumulated correlation and the arrival list. The threshold needs the
+/// exact median of the whole correlation envelope, so the correlation
+/// must live until the finish; everything else a push or finish touches
+/// — the FFT arena, the envelope, sort keys, candidates, rebuild window,
+/// spectrum and guide — is borrowed from the caller's [`DetectScratch`],
+/// one per worker, not one per capture.
 ///
 /// # Equivalence
 ///
@@ -1046,8 +1055,9 @@ impl BeaconDetector {
 ///
 /// # Bounded memory
 ///
-/// Both state buffers are preallocated from `max_samples` and the core's
-/// block geometry at construction; pushing more total samples than
+/// Every state buffer is preallocated from `max_samples` and the core's
+/// geometry at construction (the arrival list to
+/// [`DetectorCore::max_arrivals`]); pushing more total samples than
 /// `max_samples` is a typed [`HyperEarError::CapacityExceeded`], so the
 /// state is a function of configuration, never of offered load.
 #[derive(Debug, Clone)]
@@ -1057,6 +1067,9 @@ pub(crate) struct StreamingDetector {
     /// The accumulated normalized decimated correlation (capacity for
     /// `max_samples` lags).
     corr: Vec<Complex>,
+    /// The finished capture's arrivals (capacity for the most
+    /// `max_samples` can hold).
+    arrivals: Vec<BeaconArrival>,
     max_samples: usize,
     pushed: usize,
     finished: bool,
@@ -1087,6 +1100,7 @@ impl StreamingDetector {
         Ok(StreamingDetector {
             feed: core.band.chunk_feed(),
             corr: Vec::with_capacity(core.decimation().decimated_len(max_samples)),
+            arrivals: Vec::with_capacity(core.max_arrivals(max_samples)),
             max_samples,
             pushed: 0,
             finished: false,
@@ -1144,20 +1158,16 @@ impl StreamingDetector {
 
     /// Ends the capture: flushes the overlap-save feed and runs the
     /// one-shot threshold/peak/interpolation stage over the accumulated
-    /// correlation on `scratch`'s buffers, leaving the arrivals in `out`
-    /// (cleared and refilled). The detector is then finished until
-    /// [`StreamingDetector::reset`].
+    /// correlation on `scratch`'s buffers, leaving the arrivals in
+    /// [`StreamingDetector::arrivals`]. The detector is then finished
+    /// until [`StreamingDetector::reset`].
     ///
     /// # Errors
     ///
     /// Mirrors [`DetectorCore::detect_with`] on the concatenated capture:
     /// a typed DSP error for an empty or shorter-than-template capture,
     /// plus [`HyperEarError::InvalidParameter`] for a double finish.
-    pub(crate) fn finish_into(
-        &mut self,
-        scratch: &mut DetectScratch,
-        out: &mut Vec<BeaconArrival>,
-    ) -> Result<(), HyperEarError> {
+    pub(crate) fn finish(&mut self, scratch: &mut DetectScratch) -> Result<(), HyperEarError> {
         if self.finished {
             return Err(HyperEarError::invalid(
                 "stream",
@@ -1190,8 +1200,13 @@ impl StreamingDetector {
             self.pushed,
             &mut chan.spectrum,
             extract,
-            out,
+            &mut self.arrivals,
         )
+    }
+
+    /// The arrivals of the last [`StreamingDetector::finish`].
+    pub(crate) fn arrivals(&self) -> &[BeaconArrival] {
+        &self.arrivals
     }
 
     /// Returns the detector to its initial state for a new capture,
@@ -1199,33 +1214,38 @@ impl StreamingDetector {
     pub(crate) fn reset(&mut self) {
         self.feed.reset();
         self.corr.clear();
+        self.arrivals.clear();
         self.pushed = 0;
         self.finished = false;
     }
 
     /// Bytes reserved by this detector's state (the shared core's
     /// immutable tables and the borrowed scratch are not counted).
-    /// Constant in the number of samples ingested: both buffers are sized
-    /// by `max_samples` and the core's block geometry.
+    /// Constant in the number of samples ingested: every buffer is sized
+    /// by `max_samples` and the core's geometry.
     #[must_use]
     pub(crate) fn state_bytes(&self) -> usize {
-        self.corr.capacity() * std::mem::size_of::<Complex>() + self.feed.capacity_bytes()
+        self.corr.capacity() * std::mem::size_of::<Complex>()
+            + self.feed.capacity_bytes()
+            + self.arrivals.capacity() * std::mem::size_of::<BeaconArrival>()
     }
 
-    /// Bytes reserved by the chunk feed alone: the block pair the beacon
-    /// sets, not the capture length.
+    /// Bytes the chunk feed and the arrival list reserve: the beacon's
+    /// block and period set them, and the stream budget does not count them.
     #[cfg(test)]
-    pub(crate) fn feed_bytes(&self) -> usize {
-        self.feed.capacity_bytes()
+    pub(crate) fn beacon_bytes(&self) -> usize {
+        self.feed.capacity_bytes() + self.arrivals.capacity() * std::mem::size_of::<BeaconArrival>()
     }
 
     /// What [`StreamingDetector::state_bytes`] is for a detector on `core`
-    /// provisioned for `max_samples`: the decimated correlation, and the
-    /// chunk feed's block pair (`block_len + step` samples).
+    /// provisioned for `max_samples`: the decimated correlation, the
+    /// chunk feed's block pair (`block_len + step` samples) and
+    /// [`DetectorCore::max_arrivals`] arrivals.
     #[must_use]
     pub(crate) fn state_formula(core: &DetectorCore, max_samples: usize) -> usize {
         core.decimation().decimated_len(max_samples) * std::mem::size_of::<Complex>()
             + (core.band.block_len() + core.band.step()) * std::mem::size_of::<f64>()
+            + core.max_arrivals(max_samples) * std::mem::size_of::<BeaconArrival>()
     }
 }
 
@@ -1598,13 +1618,12 @@ mod tests {
         let core = std::sync::Arc::clone(d.core());
         let mut stream = StreamingDetector::new(core, signal.len()).unwrap();
         let mut scratch = DetectScratch::new();
-        let mut out = Vec::new();
         for chunk_len in [1usize, 997, 4_096, signal.len()] {
             for chunk in signal.chunks(chunk_len) {
                 stream.push(chunk, &mut scratch).unwrap();
             }
-            stream.finish_into(&mut scratch, &mut out).unwrap();
-            assert_eq!(out, reference, "chunk_len {chunk_len}");
+            stream.finish(&mut scratch).unwrap();
+            assert_eq!(stream.arrivals(), reference, "chunk_len {chunk_len}");
             stream.reset();
         }
     }
@@ -1626,15 +1645,14 @@ mod tests {
         assert_eq!(stream.pushed, 6_000);
         // Empty chunks are free.
         stream.push(&[], &mut scratch).unwrap();
-        let mut out = Vec::new();
-        stream.finish_into(&mut scratch, &mut out).unwrap();
+        stream.finish(&mut scratch).unwrap();
         assert!(stream.finished);
         // Double finish and push-after-finish are typed errors.
-        assert!(stream.finish_into(&mut scratch, &mut out).is_err());
+        assert!(stream.finish(&mut scratch).is_err());
         assert!(stream.push(&[1.0], &mut scratch).is_err());
         // An empty capture mirrors the one-shot empty-channel error.
         stream.reset();
-        assert!(stream.finish_into(&mut scratch, &mut out).is_err());
+        assert!(stream.finish(&mut scratch).is_err());
         // Capacity too small for even one template is rejected up front.
         assert!(StreamingDetector::new(core, 3).is_err());
     }
@@ -1647,16 +1665,15 @@ mod tests {
         let core = d.core();
         let mut stream = StreamingDetector::new(std::sync::Arc::clone(core), 120_000).unwrap();
         let mut scratch = DetectScratch::new();
-        let mut out = Vec::new();
         // Warm on the short capture.
         for chunk in signal.chunks(1_000) {
             stream.push(chunk, &mut scratch).unwrap();
         }
-        stream.finish_into(&mut scratch, &mut out).unwrap();
+        stream.finish(&mut scratch).unwrap();
         stream.reset();
         let warm = stream.state_bytes();
-        // Preallocated up front: the decimated complex correlation plus
-        // the chunk feed's block pair. The envelope and peak workspace
+        // Preallocated up front: the decimated complex correlation, the
+        // chunk feed's block pair and the arrival list. The envelope and peak workspace
         // over the same lags is the scratch's, not the detector's.
         let lags = core.decimation().decimated_len(120_000);
         let feed = (core.band.block_len() + core.band.step()) * std::mem::size_of::<f64>();
@@ -1672,7 +1689,7 @@ mod tests {
                 }
             }
         }
-        stream.finish_into(&mut scratch, &mut out).unwrap();
+        stream.finish(&mut scratch).unwrap();
         assert_eq!(
             stream.state_bytes(),
             warm,
@@ -1714,12 +1731,15 @@ mod tests {
             let mut stream =
                 StreamingDetector::new(std::sync::Arc::clone(d.core()), signal.len()).unwrap();
             let mut scratch = DetectScratch::new();
-            let mut out = Vec::new();
             for chunk in signal.chunks(997) {
                 stream.push(chunk, &mut scratch).unwrap();
             }
-            stream.finish_into(&mut scratch, &mut out).unwrap();
-            assert_eq!(out, reference, "{est:?} streaming must match one-shot");
+            stream.finish(&mut scratch).unwrap();
+            assert_eq!(
+                stream.arrivals(),
+                reference,
+                "{est:?} streaming must match one-shot"
+            );
         }
     }
 

@@ -40,13 +40,6 @@ use crate::HyperEarError;
 use hyperear_util::pool::{Pool, PoolStats};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// One pool participant's processing state: a warm session engine whose
-/// scratch is touched by exactly one thread at a time.
-#[derive(Debug)]
-struct BatchWorker {
-    engine: SessionEngine,
-}
-
 /// A batch session processor: one warm [`SessionEngine`] pinned per pool
 /// participant, shared read-only detector cores, index-addressed
 /// outcomes (see the [module docs](self)).
@@ -54,7 +47,9 @@ struct BatchWorker {
 pub struct BatchEngine {
     pool: Arc<Pool>,
     config: HyperEarConfig,
-    workers: Vec<BatchWorker>,
+    /// One warm engine per pool participant, touched by exactly one
+    /// thread at a time.
+    workers: Vec<SessionEngine>,
     /// Shared detector cores by sample rate: built once on the calling
     /// thread, installed into every worker engine by `Arc` clone.
     cores: Vec<(f64, Arc<DetectorCore>)>,
@@ -72,11 +67,7 @@ impl BatchEngine {
     pub fn new(config: HyperEarConfig, pool: Arc<Pool>) -> Result<Self, HyperEarError> {
         config.validate()?;
         let workers = (0..pool.threads())
-            .map(|_| {
-                Ok(BatchWorker {
-                    engine: SessionEngine::new(config.clone())?,
-                })
-            })
+            .map(|_| SessionEngine::new(config.clone()))
             .collect::<Result<Vec<_>, HyperEarError>>()?;
         Ok(BatchEngine {
             pool,
@@ -116,7 +107,7 @@ impl BatchEngine {
     pub fn working_set_bytes(&self) -> usize {
         self.workers
             .iter()
-            .map(|w| w.engine.working_set_bytes())
+            .map(SessionEngine::working_set_bytes)
             .sum()
     }
 
@@ -152,11 +143,11 @@ impl BatchEngine {
         for w in 0..self.workers.len() {
             for input in inputs {
                 let core = self.core_for(input.parts().audio_sample_rate).ok();
-                let worker = &mut self.workers[w];
+                let engine = &mut self.workers[w];
                 if let Some(core) = &core {
-                    worker.engine.install_detector_core(core);
+                    engine.install_detector_core(core);
                 }
-                worker.engine.run_monitored_into(input, &mut slot);
+                engine.run_monitored_into(input, &mut slot);
             }
         }
     }
@@ -199,13 +190,13 @@ impl BatchEngine {
         let cores = &self.cores;
         let workers = &mut self.workers;
         self.pool
-            .parallel_update(workers, out, |worker, idx, slot| {
+            .parallel_update(workers, out, |engine, idx, slot| {
                 let input = &inputs[idx];
                 let rate = input.parts().audio_sample_rate;
                 if let Some((_, core)) = cores.iter().find(|(r, _)| *r == rate) {
-                    worker.engine.install_detector_core(core);
+                    engine.install_detector_core(core);
                 }
-                worker.engine.run_monitored_into(input, slot);
+                engine.run_monitored_into(input, slot);
             });
     }
 }
@@ -381,10 +372,8 @@ impl MultiBeaconEngine {
         for (slot, (lane_left, lane_right)) in out.iter_mut().zip(lanes) {
             self.engine.monitored_with(slot, |engine, result| {
                 let (arr_left, arr_right) = engine.arrivals_mut();
-                arr_left.clear();
-                arr_left.extend_from_slice(lane_left);
-                arr_right.clear();
-                arr_right.extend_from_slice(lane_right);
+                lane_left.clone_into(arr_left);
+                lane_right.clone_into(arr_right);
                 engine.finish_from_arrivals(
                     input.audio_sample_rate,
                     input.left.len(),

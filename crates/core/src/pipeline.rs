@@ -1113,9 +1113,9 @@ impl SessionEngine {
     }
 
     /// Mutable access to the per-channel arrival lists, for front ends
-    /// that run detection *outside* the engine (the streaming session
-    /// path fills these from a [`crate::asp::StreamingDetector`] and then
-    /// calls [`SessionEngine::finish_from_arrivals`]).
+    /// that run detection *outside* the engine (the stream service and
+    /// the K-beacon engine copy their detectors' arrivals in here, then
+    /// call [`SessionEngine::finish_from_arrivals`]).
     pub(crate) fn arrivals_mut(&mut self) -> (&mut Vec<BeaconArrival>, &mut Vec<BeaconArrival>) {
         let (left, rest) = self.arrivals.split_at_mut(1);
         (&mut left[0], &mut rest[0])

@@ -19,16 +19,19 @@
 //! fixed-capacity PCM ring buffers that decouple the caller from the
 //! worker pool, IMU traces capped at `max_imu_samples`, and two
 //! streaming detectors, each a chunk feed plus the decimated correlation
-//! reserved for `max_samples` (the threshold needs the exact median of
-//! the whole correlation envelope, so it is kept until the finish).
-//! Everything a pump borrows only while it runs — the FFT arena, and
-//! the envelope, sort keys, candidates, rebuild window and spectrum of
-//! the finish — lives in one workspace per pool participant, sized up
-//! front for the longest capture whenever a detector core is built, so
-//! no warm pump allocates on any worker, whatever the steal schedule.
-//! The working set is a function of the *configuration* and the pool
-//! width, not of how many samples have been ingested — pinned by the
-//! allocation-gate test; [`StreamService::footprint`] splits it by owner.
+//! and the arrival list reserved for `max_samples` (the threshold needs
+//! the exact median of the whole correlation envelope, so it is kept
+//! until the finish). Everything a pump borrows only while it runs —
+//! the FFT arena, and the envelope, sort keys, candidates, rebuild
+//! window and spectrum of the finish — lives in one workspace per pool
+//! participant, sized up front for the longest capture whenever a
+//! detector core is built, so no warm pump allocates on any worker,
+//! whatever the steal schedule. The post-detection tail runs through
+//! one [`SessionEngine`] the service owns, on the thread that calls
+//! [`StreamService::pump`]. The working set is a function of the
+//! *configuration* and the pool width, not of how many samples have
+//! been ingested — pinned by the allocation-gate test;
+//! [`StreamService::footprint`] splits it by owner.
 //!
 //! # Backpressure and admission control
 //!
@@ -47,10 +50,11 @@
 //! # Determinism
 //!
 //! Shed and admission decisions happen on the caller's thread from
-//! caller-visible state, and each session's computation lives in
-//! session-owned buffers touched by one worker at a time, so a given
-//! call sequence produces identical outcomes *and identical shedding*
-//! at any pool width.
+//! caller-visible state, each session's detection lives in
+//! session-owned buffers touched by one worker at a time, and the tails
+//! run in slot order on the calling thread after the parallel region,
+//! so a given call sequence produces identical outcomes *and identical
+//! shedding* at any pool width.
 //!
 //! # Microphone arrays
 //!
@@ -134,7 +138,9 @@ use std::sync::Arc;
 /// service reserve more than the budget for these buffers. Buffers that
 /// the beacon sets rather than the sizing come on top: each detector's
 /// chunk feed and each workspace's FFT arena hold an FFT block or two,
-/// and each session's post-detection engine holds per-slide arrays.
+/// each detector's arrival list holds the most beacons a capture can
+/// carry, and the service's one post-detection engine holds per-slide
+/// arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Concurrent session slots. Opening beyond this sheds with
@@ -256,29 +262,29 @@ fn bytes(samples: usize, per_sample: u64) -> Option<u64> {
 }
 
 /// Where a [`StreamService`]'s reserved bytes live
-/// ([`StreamService::footprint`]): each session's state, and one
-/// detection workspace per pool participant, shared by every session
-/// that participant pumps. Each formula is computed from the sizing and
-/// the detector core's geometry, not read off the buffers, so a buffer
-/// that grew past its reservation (or a workspace that a session grew
-/// for itself) shows as a difference.
+/// ([`StreamService::footprint`]): each session's state, the one tail
+/// engine, and one detection workspace per pool participant, shared by
+/// every session that participant pumps. Each formula is computed from
+/// the sizing and the detector core's geometry, not read off the
+/// buffers, so a buffer that grew past its reservation (or a workspace
+/// that a session grew for itself) shows as a difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamFootprint {
     /// Sessions holding buffers, live and parked.
     pub sessions: usize,
     /// Bytes the sessions' state reserves: two PCM rings, two IMU
-    /// traces, and two detectors' chunk feeds and decimated correlations.
+    /// traces, and two detectors' chunk feeds, decimated correlations
+    /// and arrival lists.
     pub state_bytes: usize,
     /// What `state_bytes` is by formula, summed over the sessions: per
     /// session `16·ring_capacity + 48·max_imu_samples`, and per detector
-    /// 16 bytes per decimated lag of `max_samples` plus its feed's FFT
-    /// block pair.
+    /// 16 bytes per decimated lag of `max_samples`, its feed's FFT block
+    /// pair and its arrival list's bound.
     pub state_formula: usize,
-    /// Bytes the sessions' post-detection engines reserve, summed as
-    /// [`SessionEngine::working_set_bytes`] counts them: detection
-    /// scratch, correlation store, TDoA scratch and arrival lists (a
-    /// streamed session detects in its own detectors, so in practice the
-    /// last two). The inertial, SFO and localization buffers are not
+    /// Bytes the service's one post-detection engine reserves, as
+    /// [`SessionEngine::working_set_bytes`] counts them: in practice its
+    /// TDoA scratch and arrival lists, since sessions detect in their
+    /// own detectors. The inertial, SFO and localization buffers are not
     /// counted.
     pub engine_bytes: usize,
     /// Pool participants, one workspace each.
@@ -488,14 +494,14 @@ enum Phase {
     Done,
 }
 
-/// One streaming session's complete state: engine, detectors, rings,
-/// IMU storage, sticky failure and outcome. Owned by exactly one slot
-/// and touched by one worker at a time, which is what makes the
-/// service deterministic under any steal schedule. The scratch a pump
-/// works in is the worker's, not the session's.
+/// One streaming session's complete state: detectors, rings, IMU
+/// storage, sticky failure and outcome. Owned by exactly one slot and
+/// touched by one worker at a time, which is what makes the service
+/// deterministic under any steal schedule. The scratch a pump works in
+/// is the worker's, and the tail engine the service's, not the
+/// session's.
 #[derive(Debug)]
 struct StreamSession {
-    engine: SessionEngine,
     det_left: StreamingDetector,
     det_right: StreamingDetector,
     ring_left: PcmRing,
@@ -514,13 +520,8 @@ struct StreamSession {
 }
 
 impl StreamSession {
-    fn new(
-        config: &HyperEarConfig,
-        stream: &StreamConfig,
-        core: &Arc<DetectorCore>,
-    ) -> Result<Self, HyperEarError> {
+    fn new(stream: &StreamConfig, core: &Arc<DetectorCore>) -> Result<Self, HyperEarError> {
         Ok(StreamSession {
-            engine: SessionEngine::new(config.clone())?,
             det_left: StreamingDetector::new(Arc::clone(core), stream.max_samples)?,
             det_right: StreamingDetector::new(Arc::clone(core), stream.max_samples)?,
             ring_left: PcmRing::new(stream.ring_capacity),
@@ -566,61 +567,61 @@ impl StreamSession {
     }
 
     /// Drains the rings into the detectors and, if a finish is pending,
-    /// runs the post-detection pipeline and grades the outcome. Runs on
-    /// a pool worker, in that worker's `scratch`.
+    /// flushes both detectors into their arrival lists; a detector error
+    /// becomes the sticky failure. Runs on a pool worker, in that
+    /// worker's `scratch`. A `Done` session does nothing.
     fn pump(&mut self, scratch: &mut DetectScratch) {
+        if self.phase == Phase::Done {
+            return;
+        }
         if self.failure.is_none() {
             let (l1, l2) = self.ring_left.as_slices();
             let (r1, r2) = self.ring_right.as_slices();
-            let fed = self
+            let mut fed = self
                 .det_left
                 .push(l1, scratch)
                 .and_then(|()| self.det_left.push(l2, scratch))
                 .and_then(|()| self.det_right.push(r1, scratch))
                 .and_then(|()| self.det_right.push(r2, scratch));
+            if self.phase == Phase::FinishRequested {
+                fed = fed
+                    .and_then(|()| self.det_left.finish(scratch))
+                    .and_then(|()| self.det_right.finish(scratch));
+            }
             if let Err(e) = fed {
                 self.failure = Some(e);
             }
         }
         self.ring_left.consume_all();
         self.ring_right.consume_all();
-        if self.phase == Phase::FinishRequested {
-            self.finalize(scratch);
-            self.phase = Phase::Done;
-        }
     }
 
-    /// Completes the session into `self.outcome` with the monitored
-    /// contract: detector flush → arrival lists → the exact one-shot
-    /// post-detection pipeline, or `Failed` with the sticky reason.
-    fn finalize(&mut self, scratch: &mut DetectScratch) {
-        let StreamSession {
-            engine,
-            det_left,
-            det_right,
-            accel,
-            gyro,
-            audio_rate,
-            imu_rate,
-            audio_accepted,
-            failure,
-            outcome,
-            ..
-        } = self;
-        let (audio_rate, imu_rate, samples) = (*audio_rate, *imu_rate, *audio_accepted);
-        engine.monitored_with(outcome, |e, result| {
-            if let Some(reason) = failure.take() {
+    /// Completes a pumped finish into `self.outcome` through the
+    /// service's `tail` engine with the monitored contract: the
+    /// detectors' arrivals → the exact one-shot post-detection pipeline,
+    /// or `Failed` with the sticky reason.
+    fn finish(&mut self, tail: &mut SessionEngine) {
+        tail.monitored_with(&mut self.outcome, |e, result| {
+            if let Some(reason) = self.failure.take() {
                 return Err(reason);
             }
             let (arr_left, arr_right) = e.arrivals_mut();
-            det_left.finish_into(scratch, arr_left)?;
-            det_right.finish_into(scratch, arr_right)?;
-            e.finish_from_arrivals(audio_rate, samples, imu_rate, accel, gyro, result)
+            self.det_left.arrivals().clone_into(arr_left);
+            self.det_right.arrivals().clone_into(arr_right);
+            e.finish_from_arrivals(
+                self.audio_rate,
+                self.audio_accepted,
+                self.imu_rate,
+                &self.accel,
+                &self.gyro,
+                result,
+            )
         });
+        self.phase = Phase::Done;
     }
 
     /// Bytes reserved by this session's state: rings, IMU traces and
-    /// detectors (the engine is counted apart).
+    /// detectors.
     fn state_bytes(&self) -> usize {
         self.det_left.state_bytes()
             + self.det_right.state_bytes()
@@ -655,10 +656,10 @@ pub struct StreamService {
     slots: Vec<Slot>,
     /// Indices of unoccupied slots.
     free: Vec<u32>,
-    /// Recycled sessions awaiting reuse — their engines, detectors and
-    /// rings stay warm so reopening a session allocates nothing. Kept
-    /// boxed so a session moves between here and a [`Slot`] as one
-    /// pointer, never copying its multi-hundred-byte body.
+    /// Recycled sessions awaiting reuse — their detectors and rings stay
+    /// warm so reopening a session allocates nothing. Kept boxed so a
+    /// session moves between here and a [`Slot`] as one pointer, never
+    /// copying its multi-hundred-byte body.
     #[allow(clippy::vec_box)]
     parked: Vec<Box<StreamSession>>,
     /// Shared detector cores by sample rate (template spectra and FFT
@@ -671,6 +672,9 @@ pub struct StreamService {
     /// What every workspace is reserved for: the largest needs of the
     /// cores built so far.
     sizing: WorkspaceSizing,
+    /// The one post-detection engine every session finishes through, in
+    /// slot order on the thread that calls [`StreamService::pump`].
+    tail: SessionEngine,
 }
 
 impl StreamService {
@@ -696,6 +700,7 @@ impl StreamService {
         let free = (0..stream.max_sessions as u32).rev().collect();
         let workspaces = vec![DetectScratch::new(); pool.threads()];
         Ok(StreamService {
+            tail: SessionEngine::new(config.clone())?,
             config,
             stream,
             pool,
@@ -744,7 +749,7 @@ impl StreamService {
             sessions: sessions().count(),
             state_bytes: sessions().map(StreamSession::state_bytes).sum(),
             state_formula: sessions().map(|s| s.state_formula(&self.stream)).sum(),
-            engine_bytes: sessions().map(|s| s.engine.working_set_bytes()).sum(),
+            engine_bytes: self.tail.working_set_bytes(),
             participants: self.workspaces.len(),
             workspace_bytes: self
                 .workspaces
@@ -795,7 +800,7 @@ impl StreamService {
                 s
             }
             None => {
-                let mut s = Box::new(StreamSession::new(&self.config, &self.stream, &core)?);
+                let mut s = Box::new(StreamSession::new(&self.stream, &core)?);
                 s.audio_rate = audio_rate;
                 s.imu_rate = imu_rate;
                 s
@@ -931,10 +936,11 @@ impl StreamService {
         Ok(())
     }
 
-    /// Drains every session's rings into its detectors and finalizes
-    /// sessions whose finish is pending, spreading the work across the
-    /// pool (one session is touched by exactly one worker per pump, in
-    /// that worker's workspace).
+    /// Drains every session's rings into its detectors and flushes the
+    /// detectors of sessions whose finish is pending, spreading the work
+    /// across the pool (one session is touched by exactly one worker per
+    /// pump, in that worker's workspace); then finishes those sessions
+    /// in slot order on this thread through the one tail engine.
     pub fn pump(&mut self) {
         self.pool.parallel_update(
             &mut self.workspaces,
@@ -945,6 +951,15 @@ impl StreamService {
                 }
             },
         );
+        for session in self
+            .slots
+            .iter_mut()
+            .filter_map(|s| s.session.as_deref_mut())
+        {
+            if session.phase == Phase::FinishRequested {
+                session.finish(&mut self.tail);
+            }
+        }
     }
 
     /// Collects a finished session's outcome into `slot` (whose
@@ -1311,12 +1326,12 @@ mod tests {
         assert_eq!(f.state_bytes, f.state_formula);
         assert_eq!(f.workspace_bytes, 2 * f.workspace_formula);
         // The budget counts the buffers the sizing sets; each feed's and
-        // each workspace's FFT-block buffers, and the engines' per-slide
-        // arrays, are set by the beacon and come on top.
+        // each workspace's FFT-block buffers, each detector's arrival list
+        // and the tail engine are set by the beacon and come on top.
         let feeds: usize = svc
             .parked
             .iter()
-            .map(|s| s.det_left.feed_bytes() + s.det_right.feed_bytes())
+            .map(|s| s.det_left.beacon_bytes() + s.det_right.beacon_bytes())
             .sum();
         let sized = f.state_bytes - feeds + f.workspace_bytes - 2 * svc.sizing.block_bytes();
         assert_eq!(
@@ -1355,6 +1370,7 @@ mod tests {
         assert_eq!(five.workspace_formula, one.workspace_formula);
         assert_eq!(five.state_bytes, 5 * one.state_bytes);
         assert_eq!(five.state_formula, five.state_bytes);
+        assert_eq!(five.engine_bytes, one.engine_bytes);
     }
 
     #[test]

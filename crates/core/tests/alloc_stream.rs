@@ -6,6 +6,11 @@
 //! function of the configuration, not of how many samples have ever
 //! been ingested.
 //!
+//! The same holds for a mixed fleet: three sessions open at once, each
+//! slot streaming a different shape every round (one short slide, four
+//! long ones, a two-stature 3D capture), collected out of order with a
+//! pump between collections, at one and at four pool participants.
+//!
 //! One `#[test]` on purpose: the counting allocator is process-global,
 //! and a concurrent test in the same binary would pollute the counter
 //! between the snapshot and the assertion.
@@ -110,4 +115,102 @@ fn warm_stream_service_does_not_allocate() {
     // byte unchanged — it depends on the config, not the ingest volume.
     assert_eq!(svc.working_set_bytes(), warm_bytes);
     assert!(warm_bytes > 0);
+
+    let shapes = [(1, 0, 2.0), (4, 0, 5.0), (2, 2, 3.0)].map(|(upper, lower, range)| {
+        ScenarioBuilder::new(PhoneModel::galaxy_s4())
+            .environment(Environment::room_quiet())
+            .speaker_range(range)
+            .slides(upper)
+            .slides_low(lower)
+            .stature_drop(0.4)
+            .seed(810 + upper as u64)
+            .render()
+            .unwrap()
+    });
+    for threads in [1, 4] {
+        let allocations = mixed_fleet_allocations(&shapes, threads);
+        assert!(
+            allocations.iter().all(|&n| n == 0),
+            "warm mixed fleet at {threads} participants allocated {allocations:?} per round"
+        );
+    }
+}
+
+/// One round of the mixed fleet: slot `j` streams shape `(j + round) %
+/// 3`, audio interleaved in 4,096-sample chunks with a pump per step;
+/// every finish is requested and pumped at once, and the outcomes are
+/// collected in reverse order, a pump between collections, each into
+/// its phone's own slot.
+fn mixed_round(
+    svc: &mut StreamService,
+    shapes: &[Recording; 3],
+    round: usize,
+    outs: &mut [SessionOutcome; 3],
+) {
+    let recs: [&Recording; 3] = std::array::from_fn(|j| &shapes[(j + round) % 3]);
+    let ids = recs.map(|rec| {
+        let id = svc
+            .open(rec.audio.sample_rate, rec.imu.sample_rate)
+            .expect("slot free");
+        svc.push_imu(id, &rec.imu.accel, &rec.imu.gyro).unwrap();
+        id
+    });
+    let steps = recs.map(|r| r.audio.left.len().div_ceil(4_096));
+    for step in 0..steps.into_iter().max().unwrap() {
+        for (&id, rec) in ids.iter().zip(recs) {
+            let at = (step * 4_096).min(rec.audio.left.len());
+            let end = (at + 4_096).min(rec.audio.left.len());
+            svc.push_audio(id, &rec.audio.left[at..end], &rec.audio.right[at..end])
+                .expect("ring sized for the chunking");
+        }
+        svc.pump();
+    }
+    for &id in &ids {
+        svc.request_finish(id).unwrap();
+    }
+    svc.pump();
+    for (j, &id) in ids.iter().enumerate().rev() {
+        assert!(svc.try_take_outcome(id, &mut outs[j]).unwrap());
+        svc.pump();
+    }
+}
+
+/// Allocations in each of six gated mixed rounds after two warm ones,
+/// at `threads` participants. The working set must not move while
+/// gated, and every gated outcome equals its shape's warm outcome.
+fn mixed_fleet_allocations(shapes: &[Recording; 3], threads: usize) -> Vec<u64> {
+    let stream = StreamConfig {
+        max_sessions: 3,
+        ring_capacity: 8_192,
+        max_samples: shapes.iter().map(|r| r.audio.left.len()).max().unwrap(),
+        max_imu_samples: shapes.iter().map(|r| r.imu.accel.len()).max().unwrap(),
+    };
+    let pool = Arc::new(Pool::new(threads));
+    let mut svc = StreamService::new(HyperEarConfig::galaxy_s4(), stream, pool).unwrap();
+    let mut outs: [SessionOutcome; 3] = std::array::from_fn(|_| SessionOutcome::idle());
+    let mut expected: [SessionOutcome; 3] = std::array::from_fn(|_| SessionOutcome::idle());
+    for round in 0..2 {
+        mixed_round(&mut svc, shapes, round, &mut outs);
+        for (j, out) in outs.iter().enumerate() {
+            expected[(j + round) % 3] = out.clone();
+        }
+    }
+    assert!(
+        expected.iter().all(SessionOutcome::is_usable),
+        "{expected:?}"
+    );
+    let warm_bytes = svc.working_set_bytes();
+    let allocations = (2..8)
+        .map(|round| {
+            let before = ALLOC.allocations();
+            mixed_round(&mut svc, shapes, round, &mut outs);
+            let allocated = ALLOC.allocations() - before;
+            for (j, out) in outs.iter().enumerate() {
+                assert_eq!(*out, expected[(j + round) % 3], "round {round} slot {j}");
+            }
+            allocated
+        })
+        .collect();
+    assert_eq!(svc.working_set_bytes(), warm_bytes);
+    allocations
 }

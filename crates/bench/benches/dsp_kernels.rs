@@ -14,7 +14,7 @@ use hyperear_dsp::fft::{fft, rfft};
 use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir};
 use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
 use hyperear_dsp::peak::{detect_peaks_into, PeakScratch, ThresholdRule};
-use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache};
+use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache, Planes};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
 use hyperear_util::alloc_counter::CountingAllocator;
@@ -57,6 +57,33 @@ fn bench_fft(suite: &mut Suite) {
                 black_box(buf[0])
             },
         );
+    }
+    // The unpermuted split-plane passes the detector runs: the forward
+    // `dif` of every overlap-save block (8192 at the default chirp) and
+    // the band inverses' `dit` (block / D), each timed with the copy
+    // that restores its input.
+    type Pass = fn(&FftPlan, &mut [f64], &mut [f64]);
+    let passes: [(&str, &[usize], Pass); 2] = [
+        ("dif", &[1_024, 2_048, 8_192], FftPlan::dif),
+        ("dit", &[1_024, 2_048], FftPlan::dit),
+    ];
+    for (name, sizes, pass) in passes {
+        for &size in sizes {
+            let plan = FftPlan::new(size).expect("plan");
+            let re0 = deterministic_signal(size);
+            let im0: Vec<f64> = re0.iter().rev().copied().collect();
+            let (mut re, mut im) = (re0.clone(), im0.clone());
+            suite.bench_allocfree_with_elements(
+                &format!("fft/{name}/{size}"),
+                size as u64,
+                move || {
+                    re.copy_from_slice(&re0);
+                    im.copy_from_slice(&im0);
+                    pass(&plan, &mut re, &mut im);
+                    black_box(re[0])
+                },
+            );
+        }
     }
 }
 
@@ -482,11 +509,11 @@ fn bench_rfft_spectrum(suite: &mut Suite) {
     // The real-input fast path: packed half-size transform, half the
     // butterflies and scratch of the full complex rfft.
     let mut plans = PlanCache::new();
-    let mut half = Vec::new();
+    let mut half = Planes::default();
     suite.bench_allocfree("rfft_half_planned_1s_padded", move || {
         let plan = plans.real_plan(65_536).expect("plan");
         plan.rfft_half_into(&signal, &mut half).expect("rfft_half");
-        black_box(half[0])
+        black_box(half.re[0])
     });
 }
 

@@ -26,7 +26,7 @@ use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak, Decimation};
 use hyperear_dsp::peak::{
     detect_envelope_peaks_into, detect_peaks_into, Peak, PeakScratch, ThresholdRule,
 };
-use hyperear_dsp::plan::{DspScratch, PlanCache};
+use hyperear_dsp::plan::{DspScratch, PlanCache, Planes};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
 use hyperear_geom::MAX_MICS;
@@ -150,15 +150,15 @@ impl DetectScratch {
     pub(crate) fn reserve_stream(&mut self, sizing: &WorkspaceSizing) -> Result<(), HyperEarError> {
         let DetectScratch { dsp, chan, extract } = self;
         let ExtractScratch { pick, est, guide } = extract;
-        grow_to(&mut dsp.c1, sizing.block);
-        grow_to(&mut dsp.c2, sizing.band);
+        grow_planes(&mut dsp.p1, sizing.block);
+        grow_planes(&mut dsp.p2, sizing.band);
         grow_to(&mut pick.env, sizing.lags);
         pick.peak.reserve(sizing.lags);
         grow_to(&mut pick.peaks, sizing.lags.div_ceil(2));
         grow_to(&mut pick.window, sizing.window);
         if sizing.spectrum > 0 {
             chan.spectrum.reserve(sizing.lags)?;
-            grow_to(&mut est.half, sizing.spectrum);
+            grow_planes(&mut est.half, sizing.spectrum);
             grow_to(guide, sizing.lags);
         }
         grow_to(&mut est.band_power, sizing.bands);
@@ -172,13 +172,19 @@ fn grow_to<T>(v: &mut Vec<T>, capacity: usize) {
     v.reserve_exact(capacity.saturating_sub(v.len()));
 }
 
+/// [`grow_to`] on both planes of a split complex buffer.
+fn grow_planes(p: &mut Planes, capacity: usize) {
+    grow_to(&mut p.re, capacity);
+    grow_to(&mut p.im, capacity);
+}
+
 /// The buffer lengths one streaming workspace ([`DetectScratch`]) needs
 /// to push and finish any capture of up to `max_samples` samples on a
-/// detector core: the FFT block and the band's short inverse pair, the
-/// decimated lags (envelope, sort keys, and the candidates — at most one
-/// per two lags — and their copy), the rebuilt window around one
-/// candidate, and, under a weighting estimator, the spectrum, its
-/// weighted copy and the guide. One workspace serving several cores
+/// detector core: the FFT block's planes and the planes of the band's
+/// short inverse pair, the decimated lags (envelope, sort keys, and the
+/// candidates — at most one per two lags — and their copy), the rebuilt
+/// window around one candidate, and, under a weighting estimator, the
+/// spectrum, its weighted copy and the guide. One workspace serving several cores
 /// takes the larger of each length ([`WorkspaceSizing::max`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct WorkspaceSizing {
@@ -233,8 +239,9 @@ impl WorkspaceSizing {
     pub(crate) fn bytes(&self) -> usize {
         let (c, f) = (std::mem::size_of::<Complex>(), std::mem::size_of::<f64>());
         let peaks = self.lags.div_ceil(2) * std::mem::size_of::<Peak>();
+        // The spectrum's and its weighted copy's plane pairs, and the guide.
         let weighting = if self.spectrum > 0 {
-            2 * self.spectrum * c + self.lags * c
+            4 * self.spectrum * f + self.lags * c
         } else {
             0
         };
@@ -242,10 +249,10 @@ impl WorkspaceSizing {
     }
 
     /// The part of [`WorkspaceSizing::bytes`] the beacon sets rather
-    /// than the capture length: the FFT arena and the rebuild window.
+    /// than the capture length: the FFT arena's two plane pairs and the
+    /// rebuild window.
     pub(crate) fn block_bytes(&self) -> usize {
-        (self.block + self.band) * std::mem::size_of::<Complex>()
-            + self.window * std::mem::size_of::<f64>()
+        (2 * (self.block + self.band) + self.window) * std::mem::size_of::<f64>()
     }
 }
 

@@ -103,7 +103,7 @@
 
 use crate::asp::{DetectScratch, DetectorCore, StreamingDetector, WorkspaceSizing};
 use crate::config::HyperEarConfig;
-use crate::pipeline::{check_rates, SessionEngine, SessionOutcome};
+use crate::pipeline::{check_rates, SessionEngine, SessionOutcome, SessionResult};
 use crate::HyperEarError;
 use hyperear_geom::Vec3;
 use hyperear_util::pool::Pool;
@@ -566,6 +566,24 @@ impl StreamSession {
         Ok(())
     }
 
+    /// Readies the outcome storage for a fresh capture: a result whose
+    /// slide storage already holds `max_slides` reports. Collection swaps
+    /// storage with the caller's slot, so over time any storage can meet
+    /// any capture; reserving the bound up front means no finish grows
+    /// it, whichever storage it got. Storage that arrived without a
+    /// result (an idle or failed slot) is replaced once, here.
+    fn reserve_outcome(&mut self, max_slides: usize) {
+        if !self.outcome.is_usable() {
+            self.outcome = SessionOutcome::Ok(SessionResult::empty());
+        }
+        if let SessionOutcome::Ok(result) | SessionOutcome::Degraded { result, .. } =
+            &mut self.outcome
+        {
+            result.slides.clear();
+            result.slides.reserve_exact(max_slides);
+        }
+    }
+
     /// Drains the rings into the detectors and, if a finish is pending,
     /// flushes both detectors into their arrival lists; a detector error
     /// becomes the sticky failure. Runs on a pool worker, in that
@@ -760,6 +778,14 @@ impl StreamService {
         }
     }
 
+    /// The most slides one capture within the sizing can report: every
+    /// slide is an IMU movement segment of at least `min_length` samples,
+    /// and segments do not touch.
+    fn max_slides(&self) -> usize {
+        let min_length = self.config.inertial.segmenter.min_length.max(1);
+        self.stream.max_imu_samples / (min_length + 1) + 1
+    }
+
     /// The shared core for `sample_rate`, built on first use — when every
     /// workspace is also grown to serve captures on it.
     fn core_for(&mut self, sample_rate: f64) -> Result<Arc<DetectorCore>, HyperEarError> {
@@ -794,7 +820,7 @@ impl StreamService {
         }
         check_rates(audio_rate, imu_rate)?;
         let core = self.core_for(audio_rate)?;
-        let session = match self.parked.pop() {
+        let mut session = match self.parked.pop() {
             Some(mut s) => {
                 s.reopen(&self.stream, &core, audio_rate, imu_rate)?;
                 s
@@ -806,6 +832,7 @@ impl StreamService {
                 s
             }
         };
+        session.reserve_outcome(self.max_slides());
         let index = self.free.pop().expect("checked non-empty");
         let slot = &mut self.slots[index as usize];
         slot.session = Some(session);

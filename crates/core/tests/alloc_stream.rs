@@ -134,6 +134,13 @@ fn warm_stream_service_does_not_allocate() {
             "warm mixed fleet at {threads} participants allocated {allocations:?} per round"
         );
     }
+    for threads in [1, 4] {
+        let allocations = shared_slot_allocations(&shapes, threads);
+        assert!(
+            allocations.iter().all(|&n| n == 0),
+            "warm shared-slot fleet at {threads} participants allocated {allocations:?} per round"
+        );
+    }
 }
 
 /// One round of the mixed fleet: slot `j` streams shape `(j + round) %
@@ -209,6 +216,73 @@ fn mixed_fleet_allocations(shapes: &[Recording; 3], threads: usize) -> Vec<u64> 
                 assert_eq!(*out, expected[(j + round) % 3], "round {round} slot {j}");
             }
             allocated
+        })
+        .collect();
+    assert_eq!(svc.working_set_bytes(), warm_bytes);
+    allocations
+}
+
+/// The mixed fleet collected the way a fleet driver does: every outcome
+/// into one shared slot, checked against its shape's reference as soon
+/// as it lands. Collection swaps storage between the slot and the
+/// session, so outcome storage rotates through the parked sessions and
+/// any storage can meet the largest capture. Two per-slot rounds take
+/// the references, two shared-slot rounds warm the rotation, and each
+/// of eight gated shared-slot rounds must read zero allocations with
+/// the working set unchanged.
+fn shared_slot_allocations(shapes: &[Recording; 3], threads: usize) -> Vec<u64> {
+    let stream = StreamConfig {
+        max_sessions: 3,
+        ring_capacity: 8_192,
+        max_samples: shapes.iter().map(|r| r.audio.left.len()).max().unwrap(),
+        max_imu_samples: shapes.iter().map(|r| r.imu.accel.len()).max().unwrap(),
+    };
+    let pool = Arc::new(Pool::new(threads));
+    let mut svc = StreamService::new(HyperEarConfig::galaxy_s4(), stream, pool).unwrap();
+    let mut outs: [SessionOutcome; 3] = std::array::from_fn(|_| SessionOutcome::idle());
+    let mut expected: [SessionOutcome; 3] = std::array::from_fn(|_| SessionOutcome::idle());
+    for round in 0..2 {
+        mixed_round(&mut svc, shapes, round, &mut outs);
+        for (j, out) in outs.iter().enumerate() {
+            expected[(j + round) % 3] = out.clone();
+        }
+    }
+    let mut shared = SessionOutcome::idle();
+    let mut shared_round = |svc: &mut StreamService, round: usize| {
+        let recs: [&Recording; 3] = std::array::from_fn(|j| &shapes[(j + round) % 3]);
+        let ids = recs.map(|rec| {
+            let id = svc
+                .open(rec.audio.sample_rate, rec.imu.sample_rate)
+                .expect("slot free");
+            svc.push_imu(id, &rec.imu.accel, &rec.imu.gyro).unwrap();
+            for (l, r) in rec
+                .audio
+                .left
+                .chunks(4_096)
+                .zip(rec.audio.right.chunks(4_096))
+            {
+                svc.push_audio(id, l, r)
+                    .expect("ring sized for the chunking");
+                svc.pump();
+            }
+            svc.request_finish(id).unwrap();
+            id
+        });
+        svc.pump();
+        for (j, &id) in ids.iter().enumerate().rev() {
+            assert!(svc.try_take_outcome(id, &mut shared).unwrap());
+            assert_eq!(shared, expected[(j + round) % 3], "round {round} slot {j}");
+        }
+    };
+    for round in 2..4 {
+        shared_round(&mut svc, round);
+    }
+    let warm_bytes = svc.working_set_bytes();
+    let allocations = (4..12)
+        .map(|round| {
+            let before = ALLOC.allocations();
+            shared_round(&mut svc, round);
+            ALLOC.allocations() - before
         })
         .collect();
     assert_eq!(svc.working_set_bytes(), warm_bytes);

@@ -7,14 +7,15 @@
 //! # Lane kernels
 //!
 //! The free functions at the bottom of this module ([`conj_mul_in_place`],
-//! [`scale_in_place`], [`mul_assign_real`], [`axpy`], [`dot_seq`]) are the
+//! [`mul_assign_real`], [`axpy`], [`dot_seq`]) are the
 //! single home for the elementwise multiply / multiply-accumulate loops
 //! that used to be written ad hoc in `correlate`, `estimator`, and
-//! `spectrum`. They are written over `chunks_exact` blocks so the
-//! autovectorizer emits 2/4/8-wide SIMD on stable Rust, and — because
-//! every kernel is elementwise with no cross-lane reduction
-//! reassociation — each one is **bit-identical** to its scalar loop.
+//! `spectrum`. Every kernel except the deliberately sequential
+//! [`dot_seq`] is elementwise with no cross-lane reduction, so whatever
+//! the autovectorizer makes of it is **bit-identical** to its scalar
+//! loop.
 
+use crate::plan::Planes;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex number with `f64` components.
@@ -187,50 +188,33 @@ impl Neg for Complex {
 // Shared lane-aware slice kernels.
 // ---------------------------------------------------------------------
 
-/// Lane width the chunked kernels are written around: four `f64`
-/// complexes (one cache line) per block, which the autovectorizer maps
-/// onto 2×128-bit, 2×256-bit or 1×512-bit vectors as the target allows.
-pub(crate) const LANES: usize = 4;
-
-/// Multiplies `acc[i] *= by[i].conj()` elementwise — the spectral
-/// correlation kernel of the one-shot `xcorr_into`. (The overlap-save
-/// engine behind every matched filter stores its template spectra
-/// pre-conjugated and multiplies plainly.)
+/// Multiplies `acc[k] *= conj(by[k])` elementwise on split planes — the
+/// spectral correlation kernel of the one-shot `xcorr_into`. (The
+/// overlap-save engine behind every matched filter stores its template
+/// spectra pre-conjugated and multiplies plainly.)
 ///
-/// Elementwise with no cross-lane reduction, so the chunked layout is
+/// Elementwise with no cross-lane reduction, so any vectorization is
 /// bit-identical to the scalar loop.
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length (internal kernel contract; all
+/// Panics if the planes differ in length (internal kernel contract; all
 /// call sites pass same-length spectra).
-pub(crate) fn conj_mul_in_place(acc: &mut [Complex], by: &[Complex]) {
-    assert_eq!(acc.len(), by.len(), "conj_mul_in_place length mismatch");
-    let mut a = acc.chunks_exact_mut(LANES);
-    let mut b = by.chunks_exact(LANES);
-    for (av, bv) in (&mut a).zip(&mut b) {
-        for k in 0..LANES {
-            let (x, y) = (av[k], bv[k]);
-            av[k] = Complex::new(x.re * y.re + x.im * y.im, x.im * y.re - x.re * y.im);
-        }
-    }
-    for (x, &y) in a.into_remainder().iter_mut().zip(b.remainder()) {
-        *x = Complex::new(x.re * y.re + x.im * y.im, x.im * y.re - x.re * y.im);
-    }
-}
-
-/// Scales every element by the real factor `k` — the inverse-FFT
-/// normalization and template-energy normalization kernel. Elementwise,
-/// hence bit-identical to the scalar loop at any lane width.
-pub(crate) fn scale_in_place(data: &mut [Complex], k: f64) {
-    let mut it = data.chunks_exact_mut(LANES);
-    for block in &mut it {
-        for v in block {
-            *v = v.scale(k);
-        }
-    }
-    for v in it.into_remainder() {
-        *v = v.scale(k);
+pub(crate) fn conj_mul_in_place(acc: &mut Planes, by: &Planes) {
+    assert!(
+        acc.re.len() == by.re.len() && acc.im.len() == by.im.len(),
+        "conj_mul_in_place length mismatch"
+    );
+    for (((xr, xi), &yr), &yi) in acc
+        .re
+        .iter_mut()
+        .zip(acc.im.iter_mut())
+        .zip(&by.re)
+        .zip(&by.im)
+    {
+        let (r, i) = (*xr, *xi);
+        *xr = r * yr + i * yi;
+        *xi = i * yr - r * yi;
     }
 }
 
@@ -338,24 +322,19 @@ mod tests {
 
     #[test]
     fn conj_mul_in_place_is_bit_identical_to_scalar() {
-        // Odd length exercises the chunk remainder.
+        let planes = |v: &[Complex]| Planes {
+            re: v.iter().map(|z| z.re).collect(),
+            im: v.iter().map(|z| z.im).collect(),
+        };
         for n in [0usize, 1, 3, 4, 7, 8, 64, 129] {
             let a = seq(n, 0.3);
             let b = seq(n, 0.7);
             let reference: Vec<Complex> = a.iter().zip(&b).map(|(&x, &y)| x * y.conj()).collect();
-            let mut acc = a.clone();
-            conj_mul_in_place(&mut acc, &b);
-            assert_eq!(acc, reference, "n = {n}");
+            let mut acc = planes(&a);
+            conj_mul_in_place(&mut acc, &planes(&b));
+            assert_eq!(acc.re, reference.iter().map(|z| z.re).collect::<Vec<_>>());
+            assert_eq!(acc.im, reference.iter().map(|z| z.im).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn scale_in_place_matches_elementwise_scale() {
-        let a = seq(37, 0.9);
-        let reference: Vec<Complex> = a.iter().map(|z| z.scale(0.125)).collect();
-        let mut out = a;
-        scale_in_place(&mut out, 0.125);
-        assert_eq!(out, reference);
     }
 
     #[test]

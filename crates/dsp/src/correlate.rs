@@ -9,7 +9,7 @@
 use crate::complex::conj_mul_in_place;
 use crate::fft::try_next_pow2;
 use crate::interpolate::{Decimation, MAX_DECIMATION};
-use crate::plan::{shared_plan, DspScratch, FftPlan, PlanCache};
+use crate::plan::{shared_plan, DspScratch, FftPlan, PlanCache, Planes};
 use crate::{Complex, DspError};
 use std::sync::Arc;
 
@@ -81,11 +81,11 @@ pub fn xcorr_into(
     validate_xcorr_inputs(signal, template)?;
     let n = try_next_pow2(signal.len().saturating_add(template.len()))?;
     let plan = plans.real_plan(n)?;
-    plan.rfft_half_into(signal, &mut scratch.c1)?;
-    plan.rfft_half_into(template, &mut scratch.c2)?;
-    conj_mul_in_place(&mut scratch.c1, &scratch.c2);
-    let DspScratch { c1, r1, .. } = scratch;
-    plan.irfft_half_into(c1, r1)?;
+    plan.rfft_half_into(signal, &mut scratch.p1)?;
+    plan.rfft_half_into(template, &mut scratch.p2)?;
+    conj_mul_in_place(&mut scratch.p1, &scratch.p2);
+    let DspScratch { p1, r1, .. } = scratch;
+    plan.irfft_half_into(p1, r1)?;
     out.clear();
     out.extend_from_slice(&r1[..signal.len()]);
     Ok(())
@@ -105,10 +105,12 @@ pub fn xcorr_into(
 /// `2m`'s correlation and the imaginary part block `2m+1`'s, of which
 /// the first `step` lags are free of circular wraparound.
 ///
-/// The forward transform is the plan's decimation-in-frequency pass
-/// (natural in, bit-reversed out) and the inverse its decimation-in-time
-/// pass (bit-reversed in, natural out); each template spectrum is stored
-/// pre-conjugated, in that bit-reversed order, with the exact
+/// The block pair is packed as split planes — block `2m` copied into the
+/// real plane, block `2m+1` into the imaginary plane. The forward
+/// transform is the plan's decimation-in-frequency pass (natural in,
+/// bit-reversed out) and the inverse its decimation-in-time pass
+/// (bit-reversed in, natural out); each template spectrum is stored as
+/// planes, pre-conjugated, in that bit-reversed order, with the exact
 /// power-of-two `1/block_len` folded in — so a block pair costs one
 /// forward transform plus, per template, one pointwise multiply, one
 /// inverse transform and one copy-out, with no permutation, split,
@@ -130,7 +132,7 @@ pub(crate) struct OverlapSave {
     /// One spectrum per template at `block_len`: conjugated, scaled by
     /// `1/block_len` and in bit-reversed bin order, behind an `Arc` so
     /// clones share instead of re-transforming.
-    specs: Vec<Arc<Vec<Complex>>>,
+    specs: Vec<Arc<Planes>>,
     /// The shared (longest) template length.
     template_len: usize,
     /// Output lags per block: at most `block_len - template_len + 1`,
@@ -196,7 +198,7 @@ pub(crate) struct Band {
 }
 
 impl Band {
-    fn new(spec: &[Complex], block_len: usize) -> Result<Self, DspError> {
+    fn new(spec: &Planes, block_len: usize) -> Result<Self, DspError> {
         let bits = block_len.trailing_zeros();
         let rev = |k: usize, bits: u32| {
             if bits == 0 {
@@ -207,7 +209,7 @@ impl Band {
         };
         // The stored spectrum is conj(T)/N in bit-reversed order.
         let mags: Vec<f64> = (0..=block_len / 2)
-            .map(|k| spec[rev(k, bits)].abs())
+            .map(|k| spec.at(rev(k, bits)).abs())
             .collect();
         let dec = Decimation::for_spectrum(&mags, block_len)?;
         let m = block_len / dec.factor();
@@ -227,7 +229,7 @@ impl Band {
         // holds them once, not doubled.
         let coef = map
             .iter()
-            .map(|&[at, mirror, _]| spec[at].scale(if at == mirror { 0.5 } else { 1.0 }))
+            .map(|&[at, mirror, _]| spec.at(at).scale(if at == mirror { 0.5 } else { 1.0 }))
             .collect();
         Ok(Band {
             plan: shared_plan(m)?,
@@ -238,8 +240,10 @@ impl Band {
     }
 
     /// Separates the block pair's two analytic correlations from the
-    /// forward spectrum `fwd` at the kept bins only, shifts each to
-    /// baseband, inverse-transforms it at `N/D` and appends its first
+    /// forward spectrum planes `fwd` at the kept bins only, shifts each
+    /// to baseband into its own plane pair of `work` (block `2m` in the
+    /// first `N/D` elements, block `2m+1` in the rest), inverse-transforms
+    /// it at `N/D` and appends its first
     /// `take` lags' decimated values, scaled by `gain` and the block's
     /// baseband shift. Block `2m` starts at lag `pos`, block `2m+1` at
     /// `pos + step`.
@@ -253,8 +257,8 @@ impl Band {
     #[allow(clippy::too_many_arguments)]
     fn emit(
         &self,
-        fwd: &[Complex],
-        work: &mut Vec<Complex>,
+        fwd: &Planes,
+        work: &mut Planes,
         pos: usize,
         step: usize,
         take: (usize, usize),
@@ -262,25 +266,34 @@ impl Band {
         out: &mut Vec<Complex>,
     ) {
         let m = self.plan.len();
-        work.resize(2 * m, Complex::ZERO);
-        work.fill(Complex::ZERO);
-        let (even, odd) = work.split_at_mut(m);
+        work.zeroed(2 * m);
+        let (even_re, odd_re) = work.re.split_at_mut(m);
+        let (even_im, odd_im) = work.im.split_at_mut(m);
         for (&[k, mirror, j], &s) in self.map.iter().zip(&self.coef) {
-            let (z, w) = (fwd[k], fwd[mirror].conj());
-            even[j] = (z + w) * s;
+            let (z, w) = (fwd.at(k), fwd.at(mirror).conj());
+            let e = (z + w) * s;
+            even_re[j] = e.re;
+            even_im[j] = e.im;
             let d = (z - w) * s;
-            odd[j] = Complex::new(d.im, -d.re);
+            odd_re[j] = d.im;
+            odd_im[j] = -d.re;
         }
-        for (block, lags, start) in [(even, take.0, pos), (odd, take.1, pos + step)] {
+        let blocks = [
+            (even_re, even_im, take.0, pos),
+            (odd_re, odd_im, take.1, pos + step),
+        ];
+        for (re, im, lags, start) in blocks {
             if lags == 0 {
                 continue;
             }
-            self.plan.dit(block);
+            self.plan.dit(re, im);
             let scale = self.dec.shift(start).scale(gain);
+            let len = self.dec.decimated_len(lags);
             out.extend(
-                block[..self.dec.decimated_len(lags)]
+                re[..len]
                     .iter()
-                    .map(|&z| z * scale),
+                    .zip(&im[..len])
+                    .map(|(&r, &i)| Complex::new(r, i) * scale),
             );
         }
     }
@@ -314,12 +327,14 @@ impl OverlapSave {
         let specs = templates
             .iter()
             .map(|template| {
-                let mut spec: Vec<Complex> =
-                    template.iter().map(|&x| Complex::from_real(x)).collect();
-                spec.resize(block_len, Complex::ZERO);
-                plan.dif(&mut spec);
-                for z in &mut spec {
-                    *z = z.conj().scale(inv_n);
+                let mut spec = Planes::default();
+                spec.zeroed(block_len);
+                spec.re[..template.len()].copy_from_slice(template);
+                plan.dif(&mut spec.re, &mut spec.im);
+                // conj(z)/N, component by component.
+                for (re, im) in spec.re.iter_mut().zip(spec.im.iter_mut()) {
+                    *re *= inv_n;
+                    *im = -*im * inv_n;
                 }
                 Arc::new(spec)
             })
@@ -377,17 +392,17 @@ impl OverlapSave {
         Ok(())
     }
 
-    /// Forward-transforms the block pair packed in `scratch.c1` (block
+    /// Forward-transforms the block pair packed in `scratch.p1` (block
     /// `2m` starting at lag `pos`), then fans it out across every
     /// template, appending the first `take.0` lags of block `2m` and then
     /// the first `take.1` lags of block `2m+1` to that template's lane.
     ///
-    /// The full-rate lane multiplies `c1` by the template spectrum in
-    /// place, inverse-transforms it and copies the real part (block
-    /// `2m`) and the imaginary part (block `2m+1`), each multiplied by
-    /// the lane's gain (`1` for raw output, `1/energy` for normalized).
-    /// Decimated lanes read `c1` at their kept bins only (see [`Band`]),
-    /// using `scratch.c2` for their short inverses.
+    /// The full-rate lane multiplies `p1` by the template spectrum in
+    /// place, plane by plane, inverse-transforms it and copies the real
+    /// plane (block `2m`) and the imaginary plane (block `2m+1`), each
+    /// multiplied by the lane's gain (`1` for raw output, `1/energy` for
+    /// normalized). Decimated lanes read `p1` at their kept bins only
+    /// (see [`Band`]), using `scratch.p2` for their short inverses.
     fn fan_out(
         &self,
         scratch: &mut DspScratch,
@@ -395,20 +410,26 @@ impl OverlapSave {
         take: (usize, usize),
         lanes: &mut Lanes<'_>,
     ) {
-        let DspScratch { c1, c2, .. } = scratch;
-        self.plan.dif(c1);
+        let DspScratch { p1, p2, .. } = scratch;
+        self.plan.dif(&mut p1.re, &mut p1.im);
         match lanes {
             Lanes::Full { gain, out } => {
-                for (z, &t) in c1.iter_mut().zip(self.specs[0].iter()) {
-                    *z *= t;
+                let spec = &self.specs[0];
+                let (re, im) = (&mut p1.re, &mut p1.im);
+                for (((zr, zi), &tr), &ti) in
+                    re.iter_mut().zip(im.iter_mut()).zip(&spec.re).zip(&spec.im)
+                {
+                    let (r, i) = (*zr, *zi);
+                    *zr = r * tr - i * ti;
+                    *zi = r * ti + i * tr;
                 }
-                self.plan.dit(c1);
-                out.extend(c1[..take.0].iter().map(|z| z.re * *gain));
-                out.extend(c1[..take.1].iter().map(|z| z.im * *gain));
+                self.plan.dit(re, im);
+                out.extend(re[..take.0].iter().map(|x| x * *gain));
+                out.extend(im[..take.1].iter().map(|x| x * *gain));
             }
             Lanes::Decimated { bands, gains, outs } => {
                 for ((band, &gain), out) in bands.iter().zip(gains.iter()).zip(outs.iter_mut()) {
-                    band.emit(c1, c2, pos, self.step, take, gain, out);
+                    band.emit(p1, p2, pos, self.step, take, gain, out);
                 }
             }
         }
@@ -439,7 +460,7 @@ impl OverlapSave {
             } else {
                 (0, &[][..])
             };
-            pack_pair(&mut scratch.c1, self.block_len(), re, im);
+            pack_pair(&mut scratch.p1, self.block_len(), re, im);
             self.fan_out(scratch, pos, (step.min(out_len - pos), take_odd), lanes);
             pos += 2 * step;
         }
@@ -482,7 +503,7 @@ impl OverlapSave {
 
     /// Packs the block pair at the front of `feed.buf` (block `2m` at
     /// offset 0, block `2m+1` at offset `step`, or zeros for the odd
-    /// block when `take.1` is zero) into `scratch.c1`, fans it out, and
+    /// block when `take.1` is zero) into `scratch.p1`, fans it out, and
     /// slides the buffer forward by two steps, so only the
     /// `block_len - step` overlap tail remains.
     fn feed_pair(
@@ -500,7 +521,7 @@ impl OverlapSave {
         } else {
             &[][..]
         };
-        pack_pair(&mut scratch.c1, block, (0, &feed.buf[..block]), (0, im));
+        pack_pair(&mut scratch.p1, block, (0, &feed.buf[..block]), (0, im));
         self.fan_out(scratch, feed.emitted, take, lanes);
         feed.buf.copy_within(2 * step.., 0);
         feed.buf.truncate(block - step);
@@ -579,28 +600,25 @@ fn check_signal(min_len: usize, len: usize) -> Result<(), DspError> {
     Ok(())
 }
 
-/// Packs two real blocks into one complex block of `len` samples:
-/// `re.1` lands at offset `re.0` of the real parts and `im.1` at offset
-/// `im.0` of the imaginary parts, everything else is zero.
-fn pack_pair(buf: &mut Vec<Complex>, len: usize, re: (usize, &[f64]), im: (usize, &[f64])) {
-    buf.clear();
-    if re.0 == 0 && im.0 == 0 && re.1.len() >= len && im.1.len() >= len {
-        // Interior pair: one pass, no zero fill.
-        buf.extend(
-            re.1[..len]
-                .iter()
-                .zip(&im.1[..len])
-                .map(|(&a, &b)| Complex::new(a, b)),
-        );
+/// Packs two real blocks into one complex block of `len` samples: `re.1`
+/// is copied to offset `re.0` of the real plane and `im.1` to offset
+/// `im.0` of the imaginary plane, everything else is zero.
+fn pack_pair(buf: &mut Planes, len: usize, re: (usize, &[f64]), im: (usize, &[f64])) {
+    pack_plane(&mut buf.re, len, re);
+    pack_plane(&mut buf.im, len, im);
+}
+
+/// One plane of [`pack_pair`]: an interior block is a single slice copy
+/// with no zero fill.
+fn pack_plane(plane: &mut Vec<f64>, len: usize, (offset, src): (usize, &[f64])) {
+    plane.clear();
+    if offset == 0 && src.len() >= len {
+        plane.extend_from_slice(&src[..len]);
         return;
     }
-    buf.resize(len, Complex::ZERO);
-    for (z, &x) in buf[re.0..].iter_mut().zip(re.1) {
-        z.re = x;
-    }
-    for (z, &x) in buf[im.0..].iter_mut().zip(im.1) {
-        z.im = x;
-    }
+    plane.resize(len, 0.0);
+    let n = src.len().min(len - offset);
+    plane[offset..offset + n].copy_from_slice(&src[..n]);
 }
 
 /// Incremental ingestion state for one band-limited bank: the partial

@@ -11,14 +11,14 @@
 //! pick peaks on that.
 
 use crate::fft::try_next_pow2;
-use crate::plan::{with_thread_ctx, DspScratch, PlanCache};
-use crate::{Complex, DspError};
+use crate::plan::{with_thread_ctx, DspScratch, PlanCache, Planes};
+use crate::DspError;
 
 /// Computes the analytic signal of `x` via the frequency-domain Hilbert
-/// construction (negative frequencies zeroed, positive doubled) into
-/// `out` (cleared and refilled; it grows to the padded power-of-two
-/// length), with the FFT plan from `plans`. The imaginary part is the
-/// Hilbert transform of the input.
+/// construction (negative frequencies zeroed, positive doubled) into the
+/// planes `out` (cleared and refilled; they grow to the padded
+/// power-of-two length), with the FFT plan from `plans`. The imaginary
+/// plane is the Hilbert transform of the input.
 ///
 /// # Errors
 ///
@@ -26,7 +26,7 @@ use crate::{Complex, DspError};
 fn analytic_signal_into(
     x: &[f64],
     plans: &mut PlanCache,
-    out: &mut Vec<Complex>,
+    out: &mut Planes,
 ) -> Result<(), DspError> {
     if x.is_empty() {
         return Err(DspError::EmptyInput {
@@ -35,22 +35,26 @@ fn analytic_signal_into(
     }
     let n = try_next_pow2(x.len())?;
     let plan = plans.plan(n)?;
-    out.clear();
-    out.extend(x.iter().map(|&v| Complex::from_real(v)));
-    out.resize(n, Complex::ZERO);
-    plan.fft(out)?;
+    let Planes { re, im } = out;
+    re.clear();
+    im.clear();
+    re.extend_from_slice(x);
+    im.resize(x.len(), 0.0);
+    re.resize(n, 0.0);
+    im.resize(n, 0.0);
+    plan.fft_split(re, im);
     // H[0] and H[n/2] stay; positive freqs double; negatives zero.
-    for (k, v) in out.iter_mut().enumerate() {
-        if k == 0 || k == n / 2 {
-            continue;
-        } else if k < n / 2 {
-            *v = *v * 2.0;
-        } else {
-            *v = Complex::ZERO;
+    for plane in [&mut *re, &mut *im] {
+        if n > 2 {
+            plane[1..n / 2].iter_mut().for_each(|v| *v *= 2.0);
+        }
+        if n > 1 {
+            plane[n / 2 + 1..].fill(0.0);
         }
     }
-    plan.ifft(out)?;
-    out.truncate(x.len());
+    plan.ifft_split(re, im);
+    re.truncate(x.len());
+    im.truncate(x.len());
     Ok(())
 }
 
@@ -82,7 +86,7 @@ pub fn envelope(x: &[f64]) -> Result<Vec<f64>, DspError> {
 }
 
 /// Planned form of [`envelope`]: identical output, with the FFT plan
-/// from `plans`, the complex analytic signal in `scratch.c1`, and the
+/// from `plans`, the complex analytic signal in `scratch.p1`, and the
 /// envelope written into `out` (cleared and refilled; capacity reused).
 /// Steady-state calls at warm sizes do not allocate.
 ///
@@ -95,9 +99,10 @@ pub fn envelope_with(
     scratch: &mut DspScratch,
     out: &mut Vec<f64>,
 ) -> Result<(), DspError> {
-    analytic_signal_into(x, plans, &mut scratch.c1)?;
+    analytic_signal_into(x, plans, &mut scratch.p1)?;
+    let Planes { re, im } = &scratch.p1;
     out.clear();
-    out.extend(scratch.c1.iter().map(|z| z.abs()));
+    out.extend(re.iter().zip(im).map(|(r, i)| r.hypot(*i)));
     Ok(())
 }
 
@@ -105,10 +110,10 @@ pub fn envelope_with(
 mod tests {
     use super::*;
 
-    fn analytic_signal(x: &[f64]) -> Result<Vec<Complex>, DspError> {
-        let mut out = Vec::new();
+    fn analytic_signal(x: &[f64]) -> Result<Vec<crate::Complex>, DspError> {
+        let mut out = Planes::default();
         analytic_signal_into(x, &mut PlanCache::new(), &mut out)?;
-        Ok(out)
+        Ok((0..out.len()).map(|k| out.at(k)).collect())
     }
 
     #[test]

@@ -53,20 +53,20 @@
 
 use crate::complex::{axpy, dot_seq};
 use crate::fft::try_next_pow2;
-use crate::plan::{shared_plan, shared_real_plan};
+use crate::plan::{shared_plan, shared_real_plan, Planes};
 use crate::{Complex, DspError};
 
 /// Reusable workspace for the weighting kernels.
 ///
-/// Holds the weighted half spectrum (the inverse transform consumes its
-/// input, so the weights are applied into this copy and the
-/// [`CorrelationSpectrum`] survives for the next weighting) and the
+/// Holds the weighted spectrum planes (the inverse transform consumes
+/// its input, so the weights are applied into this copy and the
+/// spectrum survives for the next weighting) and the
 /// per-band power table. Grows to a high-water mark on first use and is
 /// allocation-free afterwards, mirroring [`crate::plan::DspScratch`].
 #[derive(Debug, Clone, Default)]
 pub struct EstimatorScratch {
-    /// Weighted half-spectrum bins, consumed by the inverse transform.
-    pub half: Vec<Complex>,
+    /// Weighted spectrum bins, consumed by the inverse transform.
+    pub half: Planes,
     /// Per-sub-band mean power (coherence weighting).
     pub band_power: Vec<f64>,
     /// Sorted copy of `band_power` for the median noise reference.
@@ -77,7 +77,7 @@ impl EstimatorScratch {
     /// Total heap capacity currently held, in bytes.
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
-        self.half.capacity() * std::mem::size_of::<Complex>()
+        self.half.capacity_bytes()
             + (self.band_power.capacity() + self.band_sort.capacity()) * std::mem::size_of::<f64>()
     }
 }
@@ -93,7 +93,7 @@ impl EstimatorScratch {
 /// [`CorrelationSpectrum::clear`]) holds nothing to weight.
 #[derive(Debug, Clone, Default)]
 pub struct CorrelationSpectrum {
-    bins: Vec<Complex>,
+    bins: Planes,
     /// Length of the correlation the bins came from; 0 when empty.
     corr_len: usize,
     fft_len: usize,
@@ -242,10 +242,10 @@ fn check_rate(sample_rate: f64) -> Result<(), DspError> {
 /// by `scale`) into `half`. Returns `false`, writing nothing, when the
 /// spectrum has no usable mass (all zeros, or non-finite).
 fn phat_weighted(
-    bins: &[Complex],
+    bins: &Planes,
     floor: f64,
     scale: f64,
-    half: &mut Vec<Complex>,
+    half: &mut Planes,
 ) -> Result<bool, DspError> {
     if !floor.is_finite() || floor <= 0.0 || floor >= 1.0 {
         return Err(DspError::invalid(
@@ -254,8 +254,8 @@ fn phat_weighted(
         ));
     }
     // Largest bin power; a NaN anywhere makes the maximum NaN.
-    let max_power = bins.iter().fold(0.0f64, |m, z| {
-        let p = z.norm_sqr();
+    let max_power = bins.re.iter().zip(&bins.im).fold(0.0f64, |m, (r, i)| {
+        let p = r * r + i * i;
         if p > m || p.is_nan() {
             p
         } else {
@@ -267,11 +267,15 @@ fn phat_weighted(
     }
     let eps = floor * max_power.sqrt();
     let eps_sq = eps * eps;
-    half.resize(bins.len(), Complex::ZERO);
+    half.re.resize(bins.len(), 0.0);
+    half.im.resize(bins.len(), 0.0);
     // β = 0.5: divide by the floored magnitude's square root,
     // i.e. by the fourth root of the floored power.
-    for (h, z) in half.iter_mut().zip(bins) {
-        *h = z.scale(scale / z.norm_sqr().max(eps_sq).sqrt().sqrt());
+    let weighted = half.re.iter_mut().zip(half.im.iter_mut());
+    for ((hr, hi), (&r, &i)) in weighted.zip(bins.re.iter().zip(&bins.im)) {
+        let w = scale / (r * r + i * i).max(eps_sq).sqrt().sqrt();
+        *hr = r * w;
+        *hi = i * w;
     }
     Ok(true)
 }
@@ -283,7 +287,7 @@ fn phat_weighted(
 /// position is zeroed. Returns `false`, writing nothing, when the band
 /// is empty or holds no spectral mass.
 fn subband_weighted(
-    bins: &[Complex],
+    bins: &Planes,
     at: impl Fn(isize) -> usize,
     (k_lo, k_hi): (isize, isize),
     bands: usize,
@@ -306,7 +310,7 @@ fn subband_weighted(
     scratch.band_power.clear();
     scratch.band_power.extend((0..b_count).map(|b| {
         let (lo, hi) = (edge(b), edge(b + 1));
-        let power = (lo..hi).fold(0.0, |sum, k| sum + bins[at(k)].norm_sqr());
+        let power = (lo..hi).fold(0.0, |sum, k| sum + bins.at(at(k)).norm_sqr());
         power / (hi - lo) as f64
     }));
     let total: f64 = scratch.band_power.iter().sum();
@@ -325,8 +329,7 @@ fn subband_weighted(
     let EstimatorScratch {
         half, band_power, ..
     } = scratch;
-    half.clear();
-    half.resize(bins.len(), Complex::ZERO);
+    half.zeroed(bins.len());
     for (b, &s) in band_power.iter().enumerate() {
         let w = if s + noise > 0.0 {
             s / (s + noise)
@@ -336,7 +339,7 @@ fn subband_weighted(
         let gain = w * scale;
         for k in edge(b)..edge(b + 1) {
             let i = at(k);
-            half[i] = bins[i].scale(gain);
+            half.set(i, bins.at(i).scale(gain));
         }
     }
     Ok(true)
@@ -363,11 +366,12 @@ fn analytic_position(k: isize, m: usize) -> usize {
 /// correlation: the transform is `D` times shorter at the same frequency
 /// resolution. Weights are real and non-negative, so the weighted
 /// sequence keeps the baseband form and the decimation's rebuild applies
-/// to it unchanged. The spectrum is held in the transform's bit-reversed
-/// order (weights are per bin, so no permutation pass is needed).
+/// to it unchanged. The spectrum is held as split planes in the
+/// transform's bit-reversed order (weights are per bin, so no
+/// permutation pass is needed).
 #[derive(Debug, Clone, Default)]
 pub struct AnalyticSpectrum {
-    bins: Vec<Complex>,
+    bins: Planes,
     /// Length of the sequence the bins came from; 0 when empty.
     seq_len: usize,
 }
@@ -389,9 +393,12 @@ impl AnalyticSpectrum {
         }
         let m = try_next_pow2(seq.len())?;
         let plan = shared_plan(m)?;
-        self.bins.extend_from_slice(seq);
-        self.bins.resize(m, Complex::ZERO);
-        plan.dif(&mut self.bins);
+        let Planes { re, im } = &mut self.bins;
+        re.extend(seq.iter().map(|z| z.re));
+        im.extend(seq.iter().map(|z| z.im));
+        re.resize(m, 0.0);
+        im.resize(m, 0.0);
+        plan.dif(re, im);
         self.seq_len = seq.len();
         Ok(())
     }
@@ -406,7 +413,9 @@ impl AnalyticSpectrum {
     /// overflows.
     pub fn reserve(&mut self, len: usize) -> Result<(), DspError> {
         let m = try_next_pow2(len)?;
-        self.bins.reserve_exact(m.saturating_sub(self.bins.len()));
+        for plane in [&mut self.bins.re, &mut self.bins.im] {
+            plane.reserve_exact(m.saturating_sub(plane.len()));
+        }
         Ok(())
     }
 
@@ -423,10 +432,10 @@ impl AnalyticSpectrum {
         self.seq_len == 0
     }
 
-    /// Heap capacity held by the bin buffer, in bytes.
+    /// Heap capacity held by the bin planes, in bytes.
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
-        self.bins.capacity() * std::mem::size_of::<Complex>()
+        self.bins.capacity_bytes()
     }
 
     /// [`CorrelationSpectrum::gcc_phat_into`] on the analytic sequence:
@@ -516,9 +525,15 @@ impl AnalyticSpectrum {
         scratch: &mut EstimatorScratch,
         out: &mut Vec<Complex>,
     ) -> Result<(), DspError> {
-        shared_plan(self.bins.len())?.dit(&mut scratch.half);
+        let Planes { re, im } = &mut scratch.half;
+        shared_plan(self.bins.len())?.dit(re, im);
         out.clear();
-        out.extend_from_slice(&scratch.half[..self.seq_len]);
+        out.extend(
+            re[..self.seq_len]
+                .iter()
+                .zip(&im[..self.seq_len])
+                .map(|(&r, &i)| Complex::new(r, i)),
+        );
         Ok(())
     }
 }
@@ -937,7 +952,7 @@ mod tests {
         }
 
         pub fn subband_weighted(
-            bins: &[Complex],
+            bins: &Planes,
             at: impl Fn(isize) -> usize,
             (k_lo, k_hi): (isize, isize),
             bands: usize,
@@ -953,7 +968,7 @@ mod tests {
             scratch.band_power.clear();
             scratch.band_power.resize(b_count, 0.0);
             for k in k_lo..=k_hi {
-                scratch.band_power[band_of(k)] += bins[at(k)].norm_sqr();
+                scratch.band_power[band_of(k)] += bins.at(at(k)).norm_sqr();
             }
             for b in 0..b_count {
                 let lo = (b * span).div_ceil(b_count);
@@ -973,8 +988,7 @@ mod tests {
             } else {
                 scratch.band_sort[0]
             };
-            scratch.half.clear();
-            scratch.half.resize(bins.len(), Complex::ZERO);
+            scratch.half.zeroed(bins.len());
             for k in k_lo..=k_hi {
                 let s = scratch.band_power[band_of(k)];
                 let w = if s + noise > 0.0 {
@@ -983,7 +997,7 @@ mod tests {
                     0.0
                 };
                 let i = at(k);
-                scratch.half[i] = bins[i].scale(w * scale);
+                scratch.half.set(i, bins.at(i).scale(w * scale));
             }
             true
         }
@@ -1020,14 +1034,21 @@ mod tests {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
 
+    fn plane_bits(p: &Planes) -> Vec<(u64, u64)> {
+        p.re.iter()
+            .zip(&p.im)
+            .map(|(r, i)| (r.to_bits(), i.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn weighting_kernels_match_per_bin_formulas() {
         use hyperear_util::prop::{self, bool_any, f64_range, usize_range, vec_f64};
         use hyperear_util::prop_assert_eq;
-        // A random spectrum of `m = 2^log2m` bins in one of the two
-        // layouts: the real half-spectrum (bins `0..=m/2`, natural order)
-        // or the bit-reversed analytic spectrum (bins `-m/2..m/2`, so a
-        // band may straddle DC). Two draws place the band edges anywhere
+        // A random spectrum of `m = 2^log2m` bins, held as planes, in one
+        // of the two layouts: the real half-spectrum (bins `0..=m/2`,
+        // natural order) or the bit-reversed analytic spectrum (bins
+        // `-m/2..m/2`, so a band may straddle DC). Two draws place the band edges anywhere
         // in the layout's bin range, in either order (reversed edges are
         // the empty-band no-op).
         let strat = (
@@ -1042,13 +1063,17 @@ mod tests {
             |((log2m, analytic), values, (lo, hi), (bands, floor))| {
                 let m = 1usize << log2m;
                 let len = if *analytic { m } else { m / 2 + 1 };
-                let bins: Vec<Complex> = (0..len)
+                let interleaved: Vec<Complex> = (0..len)
                     .map(|i| {
                         let re = values[(2 * i) % values.len()];
                         let im = values[(2 * i + 1) % values.len()];
                         Complex::new(re * (1.0 + i as f64), im)
                     })
                     .collect();
+                let bins = Planes {
+                    re: interleaved.iter().map(|z| z.re).collect(),
+                    im: interleaved.iter().map(|z| z.im).collect(),
+                };
                 let (first, count) = if *analytic {
                     (-((m / 2) as isize), m)
                 } else {
@@ -1090,23 +1115,27 @@ mod tests {
                 if got_ok {
                     let power = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
                     prop_assert_eq!(power(&got.band_power), power(&want.band_power));
-                    prop_assert_eq!(bits(&got.half), bits(&want.half));
+                    prop_assert_eq!(plane_bits(&got.half), plane_bits(&want.half));
                 }
                 for k in first..first + count as isize {
                     if *analytic {
                         prop_assert_eq!(analytic_position(k, m), oracle::analytic_position(k, m));
                     }
                 }
-                // A stale buffer of another length: the kernel resizes it.
-                let mut got = vec![Complex::new(f64::NAN, 1.0); 3 * (values.len() % 5)];
+                // Stale planes of another length: the kernel resizes them.
+                let stale = 3 * (values.len() % 5);
+                let mut got = Planes {
+                    re: vec![f64::NAN; stale],
+                    im: vec![1.0; stale],
+                };
                 let mut want = Vec::new();
                 let got_ok = phat_weighted(&bins, *floor, scale, &mut got).unwrap();
                 prop_assert_eq!(
                     got_ok,
-                    oracle::phat_weighted(&bins, *floor, scale, &mut want)
+                    oracle::phat_weighted(&interleaved, *floor, scale, &mut want)
                 );
                 if got_ok {
-                    prop_assert_eq!(bits(&got), bits(&want));
+                    prop_assert_eq!(plane_bits(&got), bits(&want));
                 }
                 prop::pass()
             },
@@ -1135,8 +1164,8 @@ mod tests {
                 .expect("coherence"));
             assert_eq!(out.len(), corr.len());
             (
-                spectrum.bins.capacity(),
-                scratch.half.capacity(),
+                spectrum.bins.capacity_bytes(),
+                scratch.half.capacity_bytes(),
                 scratch.band_power.capacity(),
                 scratch.band_sort.capacity(),
                 out.capacity(),

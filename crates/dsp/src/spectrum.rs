@@ -52,13 +52,14 @@ fn periodogram(
     let n = try_next_pow2(signal.len())?;
     plans
         .real_plan(n)?
-        .rfft_half_into(&scratch.r1, &mut scratch.c1)?;
-    let half = scratch.c1.len();
+        .rfft_half_into(&scratch.r1, &mut scratch.p1)?;
+    let half = scratch.p1.len();
     let gain = window.coherent_gain(signal.len());
     let norm = 1.0 / (n as f64 * signal.len() as f64 * gain * gain);
     let mut freqs = Vec::with_capacity(half);
     let mut power = Vec::with_capacity(half);
-    for (k, c) in scratch.c1.iter().enumerate() {
+    for k in 0..half {
+        let c = scratch.p1.at(k);
         freqs.push(k as f64 * sample_rate / n as f64);
         // One-sided: double interior bins.
         let scale = if k == 0 || k == half - 1 { 1.0 } else { 2.0 };

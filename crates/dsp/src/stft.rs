@@ -101,8 +101,15 @@ pub fn stft_with(
         Window::apply_coefficients(&window, &mut scratch.r1)?;
         // rfft_half_into zero-pads to fft_size and yields exactly the
         // fft_size/2 + 1 one-sided bins each frame stores.
-        plan.rfft_half_into(&scratch.r1, &mut scratch.c1)?;
-        frames.push(scratch.c1.iter().map(|c| c.abs()).collect());
+        plan.rfft_half_into(&scratch.r1, &mut scratch.p1)?;
+        let bins = &scratch.p1;
+        frames.push(
+            bins.re
+                .iter()
+                .zip(&bins.im)
+                .map(|(r, i)| r.hypot(*i))
+                .collect(),
+        );
         start += hop;
     }
     Ok(Spectrogram {

@@ -8,7 +8,7 @@ use hyperear_dsp::delay::mix_delayed_local;
 use hyperear_dsp::fft::{fft, ifft, rfft, try_next_pow2};
 use hyperear_dsp::filter::FirFilter;
 use hyperear_dsp::interpolate::parabolic_peak;
-use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache};
+use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache, Planes};
 use hyperear_dsp::quantize::{dequantize_i16, quantize_i16};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
@@ -17,6 +17,22 @@ use hyperear_util::{prop_assert, prop_assert_eq, prop_assume};
 
 fn signal_strategy(max_len: usize) -> prop::VecOf<prop::F64Range> {
     vec_f64(-1.0, 1.0, 8, max_len)
+}
+
+/// A half spectrum's planes as interleaved bins.
+fn interleave(p: &Planes) -> Vec<Complex> {
+    p.re.iter()
+        .zip(&p.im)
+        .map(|(&r, &i)| Complex::new(r, i))
+        .collect()
+}
+
+/// Interleaved bins as the planes the real-FFT inverse reads.
+fn planes_of(v: &[Complex]) -> Planes {
+    Planes {
+        re: v.iter().map(|z| z.re).collect(),
+        im: v.iter().map(|z| z.im).collect(),
+    }
 }
 
 #[test]
@@ -288,12 +304,13 @@ fn rfft_half_expands_to_full_rfft() {
             let n = try_next_pow2(signal.len()).unwrap() << extra_pow;
             let reference = rfft(signal, n).unwrap();
             let mut plans = PlanCache::new();
-            let mut half = Vec::new();
+            let mut planes = Planes::default();
             plans
                 .real_plan(n)
                 .unwrap()
-                .rfft_half_into(signal, &mut half)
+                .rfft_half_into(signal, &mut planes)
                 .unwrap();
+            let half = interleave(&planes);
             prop_assert_eq!(half.len(), n / 2 + 1);
             // Expand the half spectrum by conjugate symmetry:
             // X[n-k] = conj(X[k]) for a real input.
@@ -486,8 +503,9 @@ fn reference_subband(corr: &mut [f64], fs: f64, lo: f64, hi: f64, bands: usize) 
     let n = corr.len();
     let m = try_next_pow2(n).unwrap();
     let plan = hyperear_dsp::plan::shared_real_plan(m).unwrap();
-    let mut half = Vec::new();
-    plan.rfft_half_into(corr, &mut half).unwrap();
+    let mut planes = Planes::default();
+    plan.rfft_half_into(corr, &mut planes).unwrap();
+    let mut half = interleave(&planes);
     let bins = half.len();
     let bin_hz = fs / m as f64;
     let k_lo = (lo / bin_hz).ceil() as usize;
@@ -532,7 +550,8 @@ fn reference_subband(corr: &mut [f64], fs: f64, lo: f64, hi: f64, bands: usize) 
         }
     }
     let mut real = Vec::new();
-    plan.irfft_half_into(&mut half, &mut real).unwrap();
+    plan.irfft_half_into(&mut planes_of(&half), &mut real)
+        .unwrap();
     corr.copy_from_slice(&real[..n]);
 }
 
@@ -544,8 +563,9 @@ fn reference_phat_hypot(corr: &mut [f64], floor: f64) -> f64 {
     let n = corr.len();
     let m = try_next_pow2(n).unwrap();
     let plan = hyperear_dsp::plan::shared_real_plan(m).unwrap();
-    let mut half = Vec::new();
-    plan.rfft_half_into(corr, &mut half).unwrap();
+    let mut planes = Planes::default();
+    plan.rfft_half_into(corr, &mut planes).unwrap();
+    let mut half = interleave(&planes);
     let max_mag = half.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
     if max_mag <= 0.0 || !max_mag.is_finite() {
         return 0.0;
@@ -556,7 +576,8 @@ fn reference_phat_hypot(corr: &mut [f64], floor: f64) -> f64 {
     }
     let l1: f64 = half.iter().map(|z| z.abs()).sum();
     let mut real = Vec::new();
-    plan.irfft_half_into(&mut half, &mut real).unwrap();
+    plan.irfft_half_into(&mut planes_of(&half), &mut real)
+        .unwrap();
     corr.copy_from_slice(&real[..n]);
     l1
 }

@@ -179,17 +179,18 @@ pub(crate) fn apply_mic_response_with(
     }
     let n = try_next_pow2(waveform.len())?;
     let plan = plans.real_plan(n)?;
-    plan.rfft_half_into(waveform, &mut scratch.c1)?;
+    plan.rfft_half_into(waveform, &mut scratch.p1)?;
     // The half-spectrum covers bins 0..=n/2 directly; scaling by a real
     // gain keeps the implied full spectrum conjugate-symmetric, so the
     // shaping stays zero-phase.
-    for (k, c) in scratch.c1.iter_mut().enumerate() {
+    let hyperear_dsp::plan::DspScratch { p1, r1, .. } = scratch;
+    for (k, (re, im)) in p1.re.iter_mut().zip(p1.im.iter_mut()).enumerate() {
         let freq = k as f64 * sample_rate / n as f64;
         let g = gain_at(freq).max(0.0);
-        *c = *c * g;
+        *re *= g;
+        *im *= g;
     }
-    let hyperear_dsp::plan::DspScratch { c1, r1, .. } = scratch;
-    plan.irfft_half_into(c1, r1)?;
+    plan.irfft_half_into(p1, r1)?;
     Ok(r1[..waveform.len()].to_vec())
 }
 

@@ -10,6 +10,7 @@
 #   scripts/verify.sh --estimators # tier-1 gate + estimator-bank contract sweep
 #   scripts/verify.sh --multibeacon # tier-1 gate + K-beacon bank contracts
 #   scripts/verify.sh --surface    # tier-1 gate + public-surface census
+#   scripts/verify.sh --repro-diff REV  # tier-1 gate + outputs identical to REV
 #
 # The --faults tier drives the full fault-injection matrix through the
 # monitored pipeline (`repro faults --fast`): every corrupted session
@@ -72,6 +73,12 @@
 # package) calls. Every item without a non-test caller must be listed in
 # scripts/surface_keep.txt with one of its four reasons, and every item
 # nothing outside its crate names must be `pub(crate)`.
+#
+# The --repro-diff REV tier runs scripts/repro_diff.sh: every `repro
+# --list` experiment at `--fast` scale on the working tree and on REV
+# (built in a git worktree under target/), every CSV compared byte for
+# byte. A change that claims to leave outputs unchanged passes it
+# against its parent.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,7 +89,10 @@ RUN_DOA=0
 RUN_ESTIMATORS=0
 RUN_MULTIBEACON=0
 RUN_SURFACE=0
-for arg in "$@"; do
+REPRO_DIFF_REV=""
+while [ $# -gt 0 ]; do
+    arg="$1"
+    shift
     case "$arg" in
         --faults) RUN_FAULTS=1 ;;
         --bench) RUN_BENCH=1 ;;
@@ -91,7 +101,15 @@ for arg in "$@"; do
         --estimators) RUN_ESTIMATORS=1 ;;
         --multibeacon) RUN_MULTIBEACON=1 ;;
         --surface) RUN_SURFACE=1 ;;
-        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --multibeacon, --surface)" >&2; exit 2 ;;
+        --repro-diff)
+            if [ $# -eq 0 ]; then
+                echo "--repro-diff needs a revision" >&2
+                exit 2
+            fi
+            REPRO_DIFF_REV="$1"
+            shift
+            ;;
+        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --multibeacon, --surface, --repro-diff REV)" >&2; exit 2 ;;
     esac
 done
 
@@ -315,6 +333,11 @@ if [ "$RUN_FAULTS" -eq 1 ]; then
         echo "FAULTS TIER FAILED: degradation contract not held" >&2
         exit 1
     fi
+fi
+
+if [ -n "$REPRO_DIFF_REV" ]; then
+    echo "== repro-diff against $REPRO_DIFF_REV (every experiment, --fast CSVs) =="
+    scripts/repro_diff.sh "$REPRO_DIFF_REV"
 fi
 
 # Clippy and rustfmt are optional toolchain components; gate on their

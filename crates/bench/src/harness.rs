@@ -5,7 +5,7 @@
 //! estimates against ground truth. This module owns that loop, including
 //! the ground-truth geometry (expressing the simulator's world-frame
 //! truth in the pipeline's slide frame) and a parallel map over seeds
-//! that runs on the process-wide work-stealing
+//! that runs on the process-wide
 //! [`Pool`](hyperear_util::pool::Pool) — one warm worker state per pool
 //! participant, output slot `i` always holding seed `i`'s result.
 
@@ -317,12 +317,12 @@ where
 }
 
 /// Runs `f(&mut state, seed)` for each seed across the process-wide
-/// work-stealing pool ([`Pool::global`](hyperear_util::pool::Pool::global),
+/// pool ([`Pool::global`](hyperear_util::pool::Pool::global),
 /// sized by `HYPEREAR_THREADS`), where each pool participant owns one
 /// `state` built by `init` — the hook that lets a trial loop keep a warm
 /// [`TrialWorker`] (session engine, FFT plans, scratch buffers) per
 /// thread instead of rebuilding it per seed. Output slot `i` always
-/// holds seed `i`'s result regardless of steal order; failed trials
+/// holds seed `i`'s result regardless of schedule; failed trials
 /// yield `None`.
 pub(crate) fn parallel_trials_with_state<S, T, I, F>(seeds: &[u64], init: I, f: F) -> Vec<Option<T>>
 where

@@ -952,10 +952,10 @@ fn band_pass_design(
 ///
 /// This is the convenient single-channel handle the pipeline has always
 /// exposed — [`BeaconDetector::detect_into`] takes `&mut self` and, once
-/// warm, correlates without allocating. Workers that share one core
-/// across threads (batch processing, per-channel parallelism) construct
-/// it via [`BeaconDetector::from_core`] so template spectra and FFT
-/// tables are not duplicated per worker.
+/// warm, correlates without allocating. Session engines that share one
+/// core (a batch engine's per-participant engines) construct it via
+/// [`BeaconDetector::from_core`] so template spectra and FFT tables are
+/// not duplicated per engine.
 #[derive(Debug, Clone)]
 pub struct BeaconDetector {
     core: std::sync::Arc<DetectorCore>,
@@ -992,7 +992,8 @@ impl BeaconDetector {
     }
 
     /// Splits the detector into its shared core and its private scratch,
-    /// for callers that drive two channels concurrently.
+    /// for callers that run every channel of a session through the one
+    /// scratch in turn.
     pub(crate) fn parts_mut(&mut self) -> (&DetectorCore, &mut DetectScratch) {
         (&self.core, &mut self.scratch)
     }

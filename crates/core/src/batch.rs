@@ -2,10 +2,10 @@
 //!
 //! [`BatchEngine`] processes a slice of session captures (stereo
 //! [`SessionInput`]s or N-microphone
-//! [`crate::pipeline::ArraySessionInput`]s) across a
-//! work-stealing [`Pool`], pinning one warm [`SessionEngine`] (with all
-//! of its scratch — detector buffers, TDoA/localization scratch, slide
-//! storage) to each pool participant. Immutable detection state — the
+//! [`crate::pipeline::ArraySessionInput`]s) across a [`Pool`],
+//! pinning one warm [`SessionEngine`] (with all of its scratch —
+//! detector buffers, TDoA/localization scratch, slide storage) to each
+//! pool participant. Immutable detection state — the
 //! matched-filter template spectra and FFT tables inside a
 //! [`DetectorCore`] — is built once per sample rate and shared across
 //! every worker, so memory scales with *thread count × scratch*, not
@@ -25,7 +25,7 @@
 //! processed before (pinned by the engine-reuse tests in
 //! [`crate::pipeline`]). The batch output is therefore bit-identical to
 //! running [`SessionEngine::run_monitored`] sequentially over the same
-//! inputs, at any thread count and under any steal schedule.
+//! inputs, at any thread count and under any schedule.
 //!
 //! # Isolation
 //!
@@ -38,7 +38,7 @@ use crate::config::{HyperEarConfig, MultiBeaconConfig};
 use crate::pipeline::{check_capture, Capture, SessionEngine, SessionInput, SessionOutcome};
 use crate::HyperEarError;
 use hyperear_util::pool::{Pool, PoolStats};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// A batch session processor: one warm [`SessionEngine`] pinned per pool
 /// participant, shared read-only detector cores, index-addressed
@@ -94,7 +94,7 @@ impl BatchEngine {
     }
 
     /// Cumulative telemetry of the underlying pool (tasks executed,
-    /// steals, per-worker busy time).
+    /// per-worker busy time).
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
@@ -126,18 +126,17 @@ impl BatchEngine {
     /// Deterministically warms **every** worker engine by running each
     /// of `inputs` through each of them on the calling thread.
     ///
-    /// Under work stealing, which items a given worker claims is
-    /// schedule-dependent, so a worker engine's scratch otherwise grows
-    /// to its high-water mark only when the steal schedule happens to
-    /// hand it the most demanding item — an allocation that can land
-    /// many batches in. Worse, "most demanding" is not one dimension:
-    /// capture-sized correlation buffers, beacon-count arrival lists
-    /// and IMU-sized traces each peak on whichever item maximizes
-    /// *that* buffer. Serving-style deployments that care about
+    /// Which items a given worker claims is schedule-dependent, so a
+    /// worker engine's scratch otherwise grows to its high-water mark
+    /// only when the schedule happens to hand it the most demanding
+    /// item — an allocation that can land many batches in. Worse, "most
+    /// demanding" is not one dimension: capture-sized correlation
+    /// buffers, beacon-count arrival lists and IMU-sized traces each
+    /// peak on whichever item maximizes *that* buffer. Serving-style deployments that care about
     /// steady-state latency — and the zero-allocation gate — call this
     /// once with a representative workload; afterwards batches of
     /// sessions no more demanding than the warm-up set allocate
-    /// nothing, regardless of steal schedule.
+    /// nothing, regardless of schedule.
     pub fn warm<C: Capture>(&mut self, inputs: &[C]) {
         let mut slot = SessionOutcome::idle();
         for w in 0..self.workers.len() {
@@ -206,21 +205,23 @@ impl BatchEngine {
 /// template) feeding one warm [`SessionEngine`] that finishes each
 /// beacon in turn.
 ///
-/// Detection of the two channels runs pool-parallel via [`Pool::join`]
-/// — one shared read-only detector, one private [`MultiBeaconScratch`]
-/// per channel. Each beacon's arrivals then flow through the session
-/// engine's post-detection chain (inertial analysis, rotation
-/// correction, SFO, TDoA, aggregation) under the monitored grading
-/// contract, producing one [`SessionOutcome`] per beacon. The
-/// per-beacon configurations differ only in the chirp band and
-/// pattern, which nothing after detection reads, so one engine built
-/// from [`MultiBeaconConfig::session`] serves every beacon.
+/// The two channels' banked detections are the two items of one pool
+/// region ([`Pool::parallel_update`]) — one shared read-only detector,
+/// and each channel's [`MultiBeaconScratch`] and arrival lanes pinned
+/// to its item, so they stay warm whichever participant runs it. Each
+/// beacon's arrivals then flow through the session engine's
+/// post-detection chain (inertial analysis, rotation correction, SFO,
+/// TDoA, aggregation) under the monitored grading contract, producing
+/// one [`SessionOutcome`] per beacon. The per-beacon configurations
+/// differ only in the chirp band and pattern, which nothing after
+/// detection reads, so one engine built from
+/// [`MultiBeaconConfig::session`] serves every beacon.
 ///
 /// # Determinism
 ///
 /// Outcomes are index-addressed by beacon (`out[k]` is signature `k`'s
-/// outcome) and bit-identical at any thread count: the join's two sides
-/// touch disjoint scratches, and the per-beacon finishes run on this
+/// outcome) and bit-identical at any thread count: the two items touch
+/// disjoint channel state, and the per-beacon finishes run on this
 /// thread in beacon order.
 #[derive(Debug)]
 pub struct MultiBeaconEngine {
@@ -230,11 +231,34 @@ pub struct MultiBeaconEngine {
     engine: SessionEngine,
     /// Shared detection front ends by sample rate, like
     /// [`BatchEngine`]'s core memo.
-    detectors: Mutex<Vec<(f64, Arc<MultiBeaconDetector>)>>,
-    scratch_left: MultiBeaconScratch,
-    scratch_right: MultiBeaconScratch,
-    arrivals_left: Vec<Vec<BeaconArrival>>,
-    arrivals_right: Vec<Vec<BeaconArrival>>,
+    detectors: Vec<(f64, Arc<MultiBeaconDetector>)>,
+    /// Left and right channel, one region item each.
+    channels: [Channel; 2],
+}
+
+/// One channel's banked-detection state: its scratch, its K arrival
+/// lanes, and the result of its last detection.
+#[derive(Debug)]
+struct Channel {
+    scratch: MultiBeaconScratch,
+    arrivals: Vec<Vec<BeaconArrival>>,
+    result: Result<(), HyperEarError>,
+}
+
+impl Channel {
+    fn new(beacons: usize) -> Self {
+        Channel {
+            scratch: MultiBeaconScratch::new(),
+            arrivals: vec![Vec::new(); beacons],
+            result: Ok(()),
+        }
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.scratch.capacity_bytes()
+            + self.arrivals.iter().map(Vec::capacity).sum::<usize>()
+                * std::mem::size_of::<BeaconArrival>()
+    }
 }
 
 impl MultiBeaconEngine {
@@ -252,11 +276,8 @@ impl MultiBeaconEngine {
             pool,
             config,
             engine,
-            detectors: Mutex::new(Vec::new()),
-            scratch_left: MultiBeaconScratch::new(),
-            scratch_right: MultiBeaconScratch::new(),
-            arrivals_left: vec![Vec::new(); k],
-            arrivals_right: vec![Vec::new(); k],
+            detectors: Vec::new(),
+            channels: [Channel::new(k), Channel::new(k)],
         })
     }
 
@@ -267,26 +288,21 @@ impl MultiBeaconEngine {
     }
 
     /// The shared detection front end for a sample rate, building (and
-    /// memoizing) it on the calling thread the first time that rate is
-    /// seen.
+    /// memoizing) it the first time that rate is seen.
     ///
     /// # Errors
     ///
     /// Returns [`HyperEarError::InvalidParameter`] for a rate that
     /// cannot carry every signature's chirp band.
     pub fn detector_for(
-        &self,
+        &mut self,
         sample_rate: f64,
     ) -> Result<Arc<MultiBeaconDetector>, HyperEarError> {
-        let mut detectors = self
-            .detectors
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, det)) = detectors.iter().find(|(rate, _)| *rate == sample_rate) {
+        if let Some((_, det)) = self.detectors.iter().find(|(rate, _)| *rate == sample_rate) {
             return Ok(Arc::clone(det));
         }
         let det = Arc::new(MultiBeaconDetector::new(&self.config, sample_rate)?);
-        detectors.push((sample_rate, Arc::clone(&det)));
+        self.detectors.push((sample_rate, Arc::clone(&det)));
         Ok(det)
     }
 
@@ -296,25 +312,21 @@ impl MultiBeaconEngine {
     #[must_use]
     pub fn working_set_bytes(&self) -> usize {
         self.engine.working_set_bytes()
-            + self.scratch_left.capacity_bytes()
-            + self.scratch_right.capacity_bytes()
-            + (self
-                .arrivals_left
+            + self
+                .channels
                 .iter()
-                .chain(&self.arrivals_right)
-                .map(Vec::capacity)
-                .sum::<usize>())
-                * std::mem::size_of::<BeaconArrival>()
+                .map(Channel::capacity_bytes)
+                .sum::<usize>()
     }
 
     /// Processes one K-beacon session into a caller-owned outcome
     /// vector (`out[k]` is signature `k`'s outcome; previous contents'
     /// result storage is scavenged and reused).
     ///
-    /// One banked detection pass per channel — the two channels run
-    /// concurrently via [`Pool::join`] on a multi-thread pool — then
-    /// each beacon's arrivals finish in turn through the warm session
-    /// engine. A beacon whose session fails (e.g. its band is
+    /// One banked detection pass per channel — the two channels are a
+    /// two-item pool region, run concurrently on a multi-thread pool —
+    /// then each beacon's arrivals finish in turn through the warm
+    /// session engine. A beacon whose session fails (e.g. its band is
     /// masked by interference) records `Failed` in its own slot without
     /// affecting the other beacons. After a warm-up session at a given
     /// sample rate and capture size, processing allocates nothing in
@@ -334,25 +346,27 @@ impl MultiBeaconEngine {
         )
         .and_then(|()| self.detector_for(input.audio_sample_rate))
         .and_then(|detector| {
-            for lane in self
-                .arrivals_left
-                .iter_mut()
-                .chain(&mut self.arrivals_right)
-            {
-                lane.clear();
-            }
-            // Banked detection, both channels concurrently: the detector
-            // is shared read-only, each side owns its scratch and lanes.
-            let scratch_left = &mut self.scratch_left;
-            let scratch_right = &mut self.scratch_right;
-            let arrivals_left = &mut self.arrivals_left;
-            let arrivals_right = &mut self.arrivals_right;
-            let det = &*detector;
-            let (r_left, r_right) = self.pool.join(
-                || det.detect_into(input.left, scratch_left, arrivals_left),
-                || det.detect_into(input.right, scratch_right, arrivals_right),
-            );
-            r_left.and(r_right)
+            // Banked detection, one region item per channel: the
+            // detector is shared read-only, each item owns its channel's
+            // scratch and lanes. The contexts are zero-sized, so the
+            // vector never allocates.
+            let samples = [input.left, input.right];
+            let mut participants = vec![(); self.pool.threads()];
+            self.pool
+                .parallel_update(&mut participants, &mut self.channels, |(), i, ch| {
+                    let Channel {
+                        scratch,
+                        arrivals,
+                        result,
+                    } = ch;
+                    for lane in arrivals.iter_mut() {
+                        lane.clear();
+                    }
+                    *result = detector.detect_into(samples[i], scratch, arrivals);
+                });
+            let [left, right] = &mut self.channels;
+            std::mem::replace(&mut left.result, Ok(()))
+                .and(std::mem::replace(&mut right.result, Ok(())))
         });
         if let Err(reason) = detected {
             // The whole front end is unusable (bad input, a rate the
@@ -368,7 +382,8 @@ impl MultiBeaconEngine {
         }
         // Per-beacon session finishes, in beacon order on this thread
         // (cheap next to detection; deterministic at any thread count).
-        let lanes = self.arrivals_left.iter().zip(&self.arrivals_right);
+        let [left, right] = &self.channels;
+        let lanes = left.arrivals.iter().zip(&right.arrivals);
         for (slot, (lane_left, lane_right)) in out.iter_mut().zip(lanes) {
             self.engine.monitored_with(slot, |engine, result| {
                 let (arr_left, arr_right) = engine.arrivals_mut();
@@ -432,8 +447,8 @@ mod tests {
             let mut want = SessionOutcome::idle();
             solo.monitored_with(&mut want, |solo, result| {
                 let (left, right) = solo.arrivals_mut();
-                left.clone_from(&engine.arrivals_left[k]);
-                right.clone_from(&engine.arrivals_right[k]);
+                left.clone_from(&engine.channels[0].arrivals[k]);
+                right.clone_from(&engine.channels[1].arrivals[k]);
                 solo.finish_from_arrivals(
                     input.audio_sample_rate,
                     input.left.len(),

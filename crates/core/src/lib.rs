@@ -23,7 +23,7 @@
 //! Plus [`baseline`] (the naive fixed-baseline schemes of paper §II-C the
 //! evaluation compares against), [`metrics`] (error CDFs in the format
 //! of paper Figs. 14–19), and [`batch`] (deterministic parallel batch
-//! session processing over a work-stealing pool).
+//! session processing over a thread pool).
 //!
 //! # Quick start
 //!

@@ -26,7 +26,7 @@
 //! window and spectrum of the finish — lives in one workspace per pool
 //! participant, sized up front for the longest capture whenever a
 //! detector core is built, so no warm pump allocates on any worker,
-//! whatever the steal schedule. The post-detection tail runs through
+//! whatever the schedule. The post-detection tail runs through
 //! one [`SessionEngine`] the service owns, on the thread that calls
 //! [`StreamService::pump`]. The working set is a function of the
 //! *configuration* and the pool width, not of how many samples have
@@ -497,7 +497,7 @@ enum Phase {
 /// One streaming session's complete state: detectors, rings, IMU
 /// storage, sticky failure and outcome. Owned by exactly one slot and
 /// touched by one worker at a time, which is what makes the service
-/// deterministic under any steal schedule. The scratch a pump works in
+/// deterministic under any schedule. The scratch a pump works in
 /// is the worker's, and the tail engine the service's, not the
 /// session's.
 #[derive(Debug)]
@@ -664,8 +664,8 @@ struct Slot {
     session: Option<Box<StreamSession>>,
 }
 
-/// A bounded-memory streaming session service over a work-stealing
-/// pool; see the [module docs](self) for the contract.
+/// A bounded-memory streaming session service over a thread pool; see
+/// the [module docs](self) for the contract.
 #[derive(Debug)]
 pub struct StreamService {
     config: HyperEarConfig,

@@ -55,7 +55,7 @@ fn warm_batch_engine_does_not_allocate() {
     let mut out: Vec<SessionOutcome> = Vec::new();
 
     // Warm-up. `warm` runs every input through *every* worker engine on
-    // this thread — under work stealing, which items a worker claims is
+    // this thread — which items a worker claims is
     // schedule-dependent, so batches alone cannot deterministically
     // push every engine's scratch to its high-water mark (capture-sized
     // correlation buffers, beacon-count arrival lists and IMU-sized
@@ -83,7 +83,7 @@ fn warm_batch_engine_does_not_allocate() {
     // its per-worker vector). How many items the spawned worker claimed
     // is schedule-dependent — on a saturated or single-core host the
     // caller may legitimately process everything — so only the shape is
-    // asserted, not a minimum steal count.
+    // asserted, not a minimum task count.
     let stats = batch.pool_stats();
     assert_eq!(stats.threads, 2);
     assert_eq!(stats.per_worker.len(), 1);

@@ -2,8 +2,9 @@
 //! a `MultiBeaconEngine` is warm (shared detector built, bank lanes and
 //! per-beacon engine scratches at their high-water marks, outcome slots
 //! carrying reusable result storage), a whole K-beacon session — one
-//! banked detection per channel fanned across the pool, then K
-//! per-beacon session finishes — performs **zero** heap allocations.
+//! banked detection per channel, the two channels one two-item pool
+//! region, then K per-beacon session finishes — performs **zero** heap
+//! allocations, at 1, 2 and 4 pool participants.
 //!
 //! One `#[test]` on purpose: the counting allocator is process-global,
 //! and a concurrent test in the same binary would pollute the counter
@@ -58,33 +59,41 @@ fn input(rec: &Recording) -> SessionInput<'_> {
 fn warm_multi_beacon_engine_does_not_allocate() {
     let rec = render();
     let input = input(&rec);
-    let pool = Arc::new(Pool::new(2));
-    let config = MultiBeaconConfig::distinct_bands(HyperEarConfig::galaxy_s4(), BEACONS);
-    let mut engine = MultiBeaconEngine::new(config, pool).unwrap();
-    let mut out: Vec<SessionOutcome> = Vec::new();
+    // One participant takes the sequential path; two and four run the
+    // channels as a two-item region whose items land on whichever
+    // participants claim them, so channel state pinned to a participant
+    // instead of to its item would go cold and allocate here.
+    for threads in [1, 2, 4] {
+        let pool = Arc::new(Pool::new(threads));
+        let config = MultiBeaconConfig::distinct_bands(HyperEarConfig::galaxy_s4(), BEACONS);
+        let mut engine = MultiBeaconEngine::new(config, pool).unwrap();
+        let mut out: Vec<SessionOutcome> = Vec::new();
 
-    // Warm-up: the first run builds the shared detector and grows every
-    // buffer; the second grows the outcome slots' scavenged storage.
-    engine.run_session_into(&input, &mut out);
-    assert_eq!(out.len(), BEACONS);
-    assert!(out.iter().any(SessionOutcome::is_usable), "{out:?}");
-    engine.run_session_into(&input, &mut out);
-    let expected = out.clone();
-
-    let before = ALLOC.allocations();
-    for _ in 0..2 {
+        // Warm-up: the first run builds the shared detector and grows
+        // every buffer; the second grows the outcome slots' scavenged
+        // storage.
         engine.run_session_into(&input, &mut out);
+        assert_eq!(out.len(), BEACONS);
+        assert!(out.iter().any(SessionOutcome::is_usable), "{out:?}");
+        engine.run_session_into(&input, &mut out);
+        let expected = out.clone();
+
+        let before = ALLOC.allocations();
+        for _ in 0..4 {
+            engine.run_session_into(&input, &mut out);
+        }
+        let after = ALLOC.allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state MultiBeaconEngine::run_session_into must not allocate \
+             ({threads} participants)"
+        );
+        assert_eq!(
+            out, expected,
+            "warm multi-beacon session stays bit-identical ({threads} participants)"
+        );
+        assert!(engine.working_set_bytes() > 0);
+        assert_eq!(engine.beacons(), BEACONS);
     }
-    let after = ALLOC.allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state MultiBeaconEngine::run_session_into must not allocate"
-    );
-    assert_eq!(
-        out, expected,
-        "warm multi-beacon session stays bit-identical"
-    );
-    assert!(engine.working_set_bytes() > 0);
-    assert_eq!(engine.beacons(), BEACONS);
 }

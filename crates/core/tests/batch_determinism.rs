@@ -1,6 +1,6 @@
 //! Determinism pins for parallel batch processing: the batch output must
 //! be bit-identical to sequentially running `run_monitored` over the
-//! same inputs — at any thread count, under any steal schedule, and
+//! same inputs — at any thread count, under any schedule, and
 //! across repeated runs on warm engines. These tests are the contract
 //! that makes `HYPEREAR_THREADS` a pure performance knob.
 

@@ -337,11 +337,11 @@ impl ScenarioBuilder {
         self.render_with(&mut RenderContext::new())
     }
 
-    /// Renders this scenario at each of `seeds` across a work-stealing
-    /// pool, one [`RenderContext`] (FFT plans + scratch) pinned per pool
+    /// Renders this scenario at each of `seeds` across a pool, one
+    /// [`RenderContext`] (FFT plans + scratch) pinned per pool
     /// participant. Output slot `i` always holds seed `i`'s recording —
     /// bit-identical to rendering the seeds sequentially, regardless of
-    /// thread count or steal order, because a render depends only on the
+    /// thread count or schedule, because a render depends only on the
     /// builder and the seed, never on what a context rendered before.
     ///
     /// This is the sweep entry point: figure reproductions and

@@ -10,8 +10,8 @@
 //! - [`bench`]: a warmup + median/p95 micro-benchmark harness.
 //! - [`alloc_counter`]: an allocation-counting global allocator for
 //!   zero-allocation hot-path tests.
-//! - [`pool`]: a work-stealing thread pool with deterministic,
-//!   index-addressed parallel primitives.
+//! - [`pool`]: a thread pool with one deterministic,
+//!   index-addressed fork/join primitive.
 //!
 //! Everything here is deliberately small: each module implements only
 //! what the simulation, pipeline, and experiment crates actually use,

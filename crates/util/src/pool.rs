@@ -1,5 +1,5 @@
-//! A zero-dependency work-stealing thread pool with deterministic,
-//! index-addressed parallel primitives.
+//! A zero-dependency thread pool with one deterministic, index-addressed
+//! fork/join primitive.
 //!
 //! The pool exists so the pipeline can use hardware parallelism without
 //! giving up the workspace's two core guarantees:
@@ -7,144 +7,99 @@
 //! - **Determinism.** Every parallel primitive addresses its output by
 //!   item index ([`Pool::parallel_map_with`] writes item `i` into slot
 //!   `i`), so results are bit-identical to sequential execution
-//!   regardless of which worker ran which item or in what order tasks
-//!   were stolen.
+//!   regardless of which participant ran which item.
 //! - **Zero steady-state allocation.** Workers are persistent (spawned
 //!   once at pool construction), task handles are `Copy` structs pushed
-//!   into pre-grown deques, and fork/join coordination lives in
+//!   into a pre-grown queue, and fork/join coordination lives in
 //!   stack-held latches built from `std`'s futex-backed `Mutex` /
-//!   `Condvar`. Once the deques have reached their high-water mark a
-//!   fork/join region performs no heap allocation.
+//!   `Condvar`. Once the queue has reached its high-water mark a region
+//!   performs no heap allocation.
 //!
-//! Scheduling is the classic work-stealing shape: each worker owns a
-//! LIFO deque, external callers inject into a shared FIFO queue, and an
-//! idle worker steals FIFO from a sibling. A [`PoolStats`] snapshot
-//! exposes tasks executed, steal counts and per-worker busy time.
+//! The one fork/join mechanism is the *region*: `len` items claimed
+//! from an atomic cursor by the calling thread and by up to `len − 1`
+//! broadcast copies of the region, which idle workers take from one
+//! shared FIFO queue. [`Pool::parallel_map_with`] and
+//! [`Pool::parallel_update`] are its two faces. Each participant holds
+//! one slot for the whole region (the caller slot 0, worker `w` slot
+//! `w + 1`), so per-participant state needs no lock. A region started
+//! on one of the pool's own workers runs inline on that worker: no
+//! worker ever waits, so none has to run other tasks while it waits,
+//! and no slot is ever entered twice. A [`PoolStats`] snapshot exposes
+//! tasks executed and per-worker busy time.
 //!
-//! The primitive set is [`Pool::join`], [`Pool::parallel_map_with`] and
-//! [`Pool::parallel_update`]. The process-wide [`Pool::global`] is sized
-//! by `HYPEREAR_THREADS` (default: available parallelism). A pool of one
-//! thread never spawns and every primitive takes the exact sequential
-//! code path.
+//! The process-wide [`Pool::global`] is sized by `HYPEREAR_THREADS`
+//! (default: available parallelism; at most 256 participants either
+//! way). A pool of one thread never spawns and every primitive takes the
+//! exact sequential code path.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::num::NonZeroUsize;
+use std::num::{IntErrorKind, NonZeroUsize};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// A type-erased, `Copy` handle to a unit of work whose storage lives
-/// somewhere that provably outlives its execution (the stack of a
-/// fork/join caller).
+/// The most participants a pool has: [`Pool::new`] and
+/// `HYPEREAR_THREADS` both clamp to it, so a hostile setting cannot ask
+/// the operating system for an unbounded number of threads.
+const MAX_THREADS: usize = 256;
+
+/// A type-erased, `Copy` handle to a broadcast copy of a region whose
+/// storage lives in the stack frame of the region's caller, which
+/// outlives every copy's execution.
 #[derive(Clone, Copy)]
 struct Task {
     data: *const (),
     exec: unsafe fn(*const ()),
 }
 
-// SAFETY: a `Task` is only ever created from storage that the pushing
-// code keeps alive (and un-aliased) until the task has executed or been
-// reclaimed; the pointer itself is freely sendable.
+// SAFETY: a `Task` is only ever created from a region that its caller
+// keeps alive until every copy has executed or been reclaimed; the
+// pointer itself is freely sendable.
 unsafe impl Send for Task {}
 
 /// Per-worker telemetry counters (relaxed; read via [`Pool::stats`]).
 #[derive(Debug, Default)]
 struct Counters {
     tasks: AtomicU64,
-    steals: AtomicU64,
     busy_ns: AtomicU64,
+}
+
+/// The queue of broadcast copies plus the shutdown flag, under one lock
+/// so a worker checks both before it parks.
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
 }
 
 /// State shared between the pool handle and its workers.
 struct Shared {
-    /// One LIFO deque per spawned worker.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// FIFO queue for tasks pushed by threads outside the pool.
-    injector: Mutex<VecDeque<Task>>,
-    /// Parking lot for idle workers.
-    idle: Mutex<()>,
+    queue: Mutex<Queue>,
+    /// Signalled on every push and on shutdown.
     wake: Condvar,
-    shutdown: AtomicBool,
     counters: Vec<Counters>,
 }
 
 thread_local! {
     /// `(Shared address, worker index)` of the pool this thread serves,
-    /// if any. Lets `join`/regions push to the worker's own deque and
-    /// assign stable participant slots.
+    /// if any: gives a broadcast copy its participant slot and lets a
+    /// region started on a worker run inline.
     static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
 impl Shared {
-    /// Wakes every parked worker. Taking the idle lock first closes the
-    /// race against a worker that has checked the queues but not yet
-    /// begun waiting.
-    fn notify(&self) {
-        let _guard = self
-            .idle
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.wake.notify_all();
-    }
-
-    fn any_task_queued(&self) -> bool {
-        if !self
-            .injector
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_empty()
-        {
-            return true;
-        }
-        self.deques.iter().any(|d| {
-            !d.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .is_empty()
-        })
-    }
-
-    /// Next task for worker `me`: own deque (LIFO), then the injector,
-    /// then steal FIFO from siblings.
-    fn find_task(&self, me: usize) -> Option<Task> {
-        if let Some(t) = self.deques[me]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop_back()
-        {
-            return Some(t);
-        }
-        if let Some(t) = self
-            .injector
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop_front()
-        {
-            return Some(t);
-        }
-        let n = self.deques.len();
-        for k in 1..n {
-            let victim = (me + k) % n;
-            if let Some(t) = self.deques[victim]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop_front()
-            {
-                self.counters[me].steals.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        None
+    fn lock_queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Executes one task on worker `me`, updating its counters. Task
     /// bodies catch their own panics, so this never unwinds.
     fn execute(&self, me: usize, task: Task) {
         let start = Instant::now();
-        // SAFETY: the task's storage is kept alive by its creator until
-        // the task's completion is observed (latch/region accounting).
+        // SAFETY: the task's region is kept alive by its caller until
+        // the task's completion is observed (region accounting).
         unsafe { (task.exec)(task.data) };
         let counters = &self.counters[me];
         counters.busy_ns.fetch_add(
@@ -160,9 +115,9 @@ impl Shared {
 ///
 /// A latch lives in the waiter's stack frame, which may unwind as soon
 /// as the waiter sees the latch set. So the setter raises the flag under
-/// the lock and touches nothing after releasing it, and every waiter
-/// takes the lock once before reporting the latch set: the setter has
-/// then finished with the latch.
+/// the lock and touches nothing after releasing it, and the waiter
+/// checks the flag under the lock: the setter has then finished with
+/// the latch.
 struct Latch {
     flag: AtomicBool,
     lock: Mutex<()>,
@@ -178,109 +133,36 @@ impl Latch {
         }
     }
 
-    /// Whether the latch is set. A `true` answer means the setter has
-    /// released the latch, so the caller may free it.
-    fn probe(&self) -> bool {
-        if !self.flag.load(Ordering::Acquire) {
-            return false;
-        }
-        drop(
-            self.lock
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        true
-    }
-
     fn set(&self) {
-        let _guard = self
-            .lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         self.flag.store(true, Ordering::Release);
         self.cv.notify_all();
     }
 
-    /// Blocks until [`Latch::set`]. Only for threads outside the pool —
-    /// a worker must help-execute instead (see `Pool::wait_on`) or it
-    /// could deadlock the pool.
+    /// Blocks until [`Latch::set`]. Only threads outside the pool wait:
+    /// a region started on a worker runs inline instead.
     fn wait(&self) {
-        let mut guard = self
-            .lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         while !self.flag.load(Ordering::Acquire) {
-            guard = self
-                .cv
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
-
-/// A stack-held fork/join job: the closure, its result slot, and the
-/// completion latch, all borrowed by raw pointer from the `join` frame.
-struct StackJob<F, R> {
-    func: Cell<Option<F>>,
-    result: Cell<Option<thread::Result<R>>>,
-    latch: Latch,
-}
-
-impl<F, R> StackJob<F, R>
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    fn new(f: F) -> Self {
-        StackJob {
-            func: Cell::new(Some(f)),
-            result: Cell::new(None),
-            latch: Latch::new(),
-        }
-    }
-
-    fn as_task(&self) -> Task {
-        Task {
-            data: std::ptr::from_ref(self).cast(),
-            exec: Self::exec,
-        }
-    }
-
-    unsafe fn exec(ptr: *const ()) {
-        let job = &*ptr.cast::<Self>();
-        let f = job.func.take().expect("stack job executes exactly once");
-        let result = panic::catch_unwind(AssertUnwindSafe(f));
-        job.result.set(Some(result));
-        // Last touch: after the latch is observed the frame may unwind.
-        job.latch.set();
-    }
-
-    fn take_result(&self) -> thread::Result<R> {
-        self.result
-            .take()
-            .expect("latch set implies the result was stored")
-    }
-}
-
-// SAFETY: the job crosses threads exactly once (push → execute) and the
-// owner only reads the result cell after observing the latch, which the
-// executor sets after its final write.
-unsafe impl<F: Send, R: Send> Sync for StackJob<F, R> {}
 
 /// A stack-held parallel region: an atomic item cursor plus completion
-/// accounting shared by the owner and every broadcast task.
+/// accounting shared by the caller and every broadcast copy.
 struct Region<F> {
     /// Next unclaimed item index.
     cursor: AtomicUsize,
     /// Total items.
     len: usize,
     /// Participants still able to touch the region: one token per
-    /// broadcast task (returned on task exit, or by the owner for tasks
-    /// it reclaims unstarted) plus the owner's own token, returned once
-    /// its share of the items is done. Items only run inside a
-    /// participant, so when the count reaches zero every item has
-    /// finished; whoever returns the last token sets the latch as its
-    /// final touch of the region.
+    /// broadcast copy (returned on copy exit, or by the caller for
+    /// copies it reclaims unstarted) plus the caller's own token,
+    /// returned once its share of the items is done. Items only run
+    /// inside a participant, so when the count reaches zero every item
+    /// has finished; whoever returns the last token sets the latch as
+    /// its final touch of the region.
     pending: AtomicUsize,
     first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     latch: Latch,
@@ -303,7 +185,7 @@ impl<F: Fn(usize, usize) + Sync> Region<F> {
                 let mut first = self
                     .first_panic
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    .unwrap_or_else(PoisonError::into_inner);
                 if first.is_none() {
                     *first = Some(payload);
                 }
@@ -323,9 +205,16 @@ impl<F: Fn(usize, usize) + Sync> Region<F> {
         }
     }
 
+    /// Runs one broadcast copy: claims items, then returns its token.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must point to a live `Region<F>` whose caller has counted
+    /// this copy in `pending` and keeps the region in place until the
+    /// latch is set.
     unsafe fn exec(ptr: *const ()) {
         let region = &*ptr.cast::<Self>();
-        // Broadcast tasks only ever run on registered workers; worker
+        // Broadcast copies only ever run on registered workers; worker
         // `w` owns participant slot `w + 1` (slot 0 is the caller's).
         let slot = WORKER.get().map_or(0, |(_, w)| w + 1);
         region.work(slot);
@@ -352,11 +241,11 @@ impl<T> Copy for SendPtr<T> {}
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// A work-stealing thread pool (see the [module docs](self)).
+/// A fork/join thread pool (see the [module docs](self)).
 ///
 /// `threads` counts *participants*: a pool of `N` spawns `N − 1` worker
-/// threads and the calling thread contributes as the `N`-th during
-/// fork/join operations. Dropping the pool joins every worker.
+/// threads and the calling thread contributes as the `N`-th during a
+/// region. Dropping the pool joins every worker.
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -365,7 +254,7 @@ pub struct Pool {
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Scheduler internals (queues, join handles) are not meaningful
+        // Scheduler internals (queue, join handles) are not meaningful
         // to print; the participant count is the pool's identity.
         f.debug_struct("Pool")
             .field("threads", &self.threads)
@@ -373,37 +262,52 @@ impl std::fmt::Debug for Pool {
     }
 }
 
+/// The participant count a `HYPEREAR_THREADS` value asks for: a
+/// positive integer (surrounding whitespace allowed), clamped to
+/// `MAX_THREADS` even when it overflows `usize`. Anything else — unset,
+/// empty, zero, negative, not an integer — falls back to `fallback`,
+/// itself clamped to `1..=MAX_THREADS`.
+fn threads_from(var: Option<&str>, fallback: usize) -> usize {
+    let parsed = var.and_then(|s| match s.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        Err(e) if *e.kind() == IntErrorKind::PosOverflow => Some(MAX_THREADS),
+        _ => None,
+    });
+    parsed.unwrap_or(fallback).clamp(1, MAX_THREADS)
+}
+
 /// The thread count configured for this process: `HYPEREAR_THREADS` when
 /// set to a positive integer, otherwise the machine's available
-/// parallelism (1 when that cannot be determined).
+/// parallelism (1 when that cannot be determined), at most
+/// `MAX_THREADS`.
 #[must_use]
-pub(crate) fn configured_threads() -> usize {
-    std::env::var("HYPEREAR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+fn configured_threads() -> usize {
+    threads_from(
+        std::env::var("HYPEREAR_THREADS").ok().as_deref(),
+        thread::available_parallelism().map_or(1, NonZeroUsize::get),
+    )
 }
 
 static GLOBAL: OnceLock<Arc<Pool>> = OnceLock::new();
 
 impl Pool {
-    /// Creates a pool with `threads` participants (clamped to at least
-    /// one). `Pool::new(1)` spawns nothing and runs everything inline.
+    /// Creates a pool with `threads` participants, clamped to
+    /// `1..=256`. `Pool::new(1)` spawns nothing and runs everything
+    /// inline.
     ///
     /// # Panics
     ///
     /// Panics if the operating system refuses to spawn a worker thread.
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
+        let threads = threads.clamp(1, MAX_THREADS);
         let spawned = threads - 1;
         let shared = Arc::new(Shared {
-            deques: (0..spawned).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            idle: Mutex::new(()),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+            }),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             counters: (0..spawned).map(|_| Counters::default()).collect(),
         });
         let handles = (0..spawned)
@@ -422,9 +326,9 @@ impl Pool {
         }
     }
 
-    /// The process-wide shared pool, sized by [`configured_threads`]
-    /// (`HYPEREAR_THREADS`, default: available parallelism) on first use
-    /// and never torn down. Long-lived consumers (batch engines, trial
+    /// The process-wide shared pool, sized by `HYPEREAR_THREADS`
+    /// (default: available parallelism; at most 256) on first use and
+    /// never torn down. Long-lived consumers (batch engines, trial
     /// harnesses) should use this instead of spawning private pools.
     pub fn global() -> &'static Arc<Pool> {
         GLOBAL.get_or_init(|| Arc::new(Pool::new(configured_threads())))
@@ -436,106 +340,16 @@ impl Pool {
         self.threads
     }
 
-    /// This thread's worker index in `self`, if it is one of the pool's
-    /// spawned workers.
-    fn current_worker(&self) -> Option<usize> {
-        WORKER
-            .get()
-            .and_then(|(pool, w)| (pool == Arc::as_ptr(&self.shared) as usize).then_some(w))
-    }
-
-    /// Pushes a task where this thread schedules: its own deque for a
-    /// worker, the injector for an external caller.
-    fn push_task(&self, task: Task) {
-        match self.current_worker() {
-            Some(w) => self.shared.deques[w]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push_back(task),
-            None => self
-                .shared
-                .injector
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push_back(task),
-        }
-        self.shared.notify();
-    }
-
-    /// Removes the most recent queued copy of `task` from the queue this
-    /// thread pushes to, if nobody claimed it yet.
-    fn try_unpush(&self, task: Task) -> bool {
-        let queue = match self.current_worker() {
-            Some(w) => &self.shared.deques[w],
-            None => &self.shared.injector,
-        };
-        let mut queue = queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(idx) = queue.iter().rposition(|t| std::ptr::eq(t.data, task.data)) {
-            queue.remove(idx);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Blocks until `latch` is set. A worker helps by executing other
-    /// tasks while it waits; an external thread parks on the latch.
-    fn wait_on(&self, latch: &Latch) {
-        match self.current_worker() {
-            Some(w) => {
-                while !latch.probe() {
-                    if let Some(task) = self.shared.find_task(w) {
-                        self.shared.execute(w, task);
-                    } else {
-                        thread::yield_now();
-                    }
-                }
-            }
-            None => latch.wait(),
-        }
-    }
-
-    /// Runs `a` and `b`, potentially in parallel, and returns both
-    /// results. On a one-thread pool this is exactly `(a(), b())`.
-    ///
-    /// `b` is offered to the pool while the caller runs `a`; if no
-    /// worker claimed it the caller reclaims and runs it inline, so a
-    /// nested `join` on a busy pool degenerates to plain sequential
-    /// calls with no latency cliff. Panics from either closure
-    /// propagate (after both have finished — results never outlive
-    /// their borrows).
-    ///
-    /// # Panics
-    ///
-    /// Re-throws the first panic of `a` or `b`.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        if self.threads == 1 {
-            return (a(), b());
-        }
-        let job = StackJob::new(b);
-        let task = job.as_task();
-        self.push_task(task);
-        let ra = panic::catch_unwind(AssertUnwindSafe(a));
-        if self.try_unpush(task) {
-            // SAFETY: the job is this frame's; reclaiming it from the
-            // queue restores unique ownership.
-            unsafe { StackJob::<B, RB>::exec(task.data) };
-        } else {
-            self.wait_on(&job.latch);
-        }
-        let rb = job.take_result();
-        match (ra, rb) {
-            (Ok(ra), Ok(rb)) => (ra, rb),
-            (Err(payload), _) | (_, Err(payload)) => panic::resume_unwind(payload),
-        }
+    /// Whether a region of `len` items runs inline on the calling
+    /// thread: on a one-thread pool (checked first, so that path reads
+    /// no thread-local), for fewer than two items, and on one of this
+    /// pool's own workers.
+    fn runs_inline(&self, len: usize) -> bool {
+        self.threads == 1
+            || len <= 1
+            || WORKER
+                .get()
+                .is_some_and(|(pool, _)| pool == Arc::as_ptr(&self.shared) as usize)
     }
 
     /// The shared core of every indexed parallel primitive: runs
@@ -543,24 +357,24 @@ impl Pool {
     /// participant index `< self.threads()` held exclusively for the
     /// duration of the call.
     ///
-    /// Items are claimed from an atomic cursor, the caller participates
-    /// (slot 0 when external, its worker slot otherwise), and the call
-    /// returns only when every item has finished and every broadcast
-    /// task has run or been reclaimed — so `f` may borrow freely from
-    /// the caller's frame.
+    /// Items are claimed from an atomic cursor; the caller participates
+    /// as slot 0 alongside up to `len − 1` broadcast copies, and the
+    /// call returns only when every item has finished and every copy
+    /// has run or been reclaimed — so `f` may borrow freely from the
+    /// caller's frame. An inline region (see `runs_inline`) has one
+    /// participant, slot 0.
     fn run_region<F: Fn(usize, usize) + Sync>(&self, len: usize, f: F) {
-        if self.threads == 1 || len <= 1 {
+        if self.runs_inline(len) {
             for i in 0..len {
                 f(0, i);
             }
             return;
         }
-        let here = self.current_worker();
-        let broadcast = self.shared.deques.len() - usize::from(here.is_some());
+        let copies = (self.threads - 1).min(len - 1);
         let region = Region {
             cursor: AtomicUsize::new(0),
             len,
-            pending: AtomicUsize::new(broadcast + 1),
+            pending: AtomicUsize::new(copies + 1),
             first_panic: Mutex::new(None),
             latch: Latch::new(),
             f,
@@ -569,37 +383,29 @@ impl Pool {
             data: std::ptr::from_ref(&region).cast(),
             exec: Region::<F>::exec,
         };
-        for (w, deque) in self.shared.deques.iter().enumerate() {
-            if Some(w) == here {
-                continue;
-            }
-            deque
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push_back(task);
+        self.shared
+            .lock_queue()
+            .tasks
+            .extend(std::iter::repeat_n(task, copies));
+        for _ in 0..copies {
+            self.shared.wake.notify_one();
         }
-        self.shared.notify();
-        // The caller participates with its own slot.
-        let owner_slot = here.map_or(0, |w| w + 1);
-        region.work(owner_slot);
-        // Reclaim broadcast tasks nobody started: the cursor is
-        // exhausted, so they would only return their token — and a
-        // queued task must not outlive this frame.
-        let mut reclaimed = 0usize;
-        for deque in &self.shared.deques {
-            let mut deque = deque
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let before = deque.len();
-            deque.retain(|t| !std::ptr::eq(t.data, task.data));
-            reclaimed += before - deque.len();
-        }
+        region.work(0);
+        // Reclaim the copies nobody started: the cursor is exhausted, so
+        // they would only return their token — and a queued copy must
+        // not outlive this frame.
+        let reclaimed = {
+            let mut queue = self.shared.lock_queue();
+            let before = queue.tasks.len();
+            queue.tasks.retain(|t| !std::ptr::eq(t.data, task.data));
+            before - queue.tasks.len()
+        };
         region.release(reclaimed + 1);
-        self.wait_on(&region.latch);
+        region.latch.wait();
         let payload = region
             .first_panic
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .take();
         if let Some(payload) = payload {
             panic::resume_unwind(payload);
@@ -610,10 +416,10 @@ impl Pool {
     /// results in index order, with per-participant mutable state:
     /// `init()` builds one `S` per participant, and `f` receives the
     /// state pinned to whichever participant claimed the item. Slot `i`
-    /// receives exactly `f(_, i)` no matter which worker computed it, so
-    /// results are deterministic whenever `f`'s output does not depend
-    /// on the state history (the contract every engine in this workspace
-    /// satisfies).
+    /// receives exactly `f(_, i)` no matter which participant computed
+    /// it, so results are deterministic whenever `f`'s output does not
+    /// depend on the state history (the contract every engine in this
+    /// workspace satisfies).
     ///
     /// # Panics
     ///
@@ -625,7 +431,7 @@ impl Pool {
         I: Fn() -> S,
         F: Fn(&mut S, usize) -> T + Sync,
     {
-        if self.threads == 1 || len <= 1 {
+        if self.runs_inline(len) {
             let mut state = init();
             return (0..len).map(|i| f(&mut state, i)).collect();
         }
@@ -671,15 +477,15 @@ impl Pool {
             // SAFETY: `slot` is exclusive to the executing participant;
             // `i` is claimed exactly once; the slices outlive the
             // region because `run_region` returns only after every
-            // task has finished or been reclaimed.
+            // copy has finished or been reclaimed.
             unsafe { f(&mut *ctx_ptr.0.add(slot), i, &mut *item_ptr.0.add(i)) };
         });
     }
 
-    /// A telemetry snapshot: cumulative tasks executed, steals, and
-    /// per-worker busy time since the pool was built. Counters are
-    /// relaxed, so a snapshot taken while work is in flight is
-    /// approximate; quiescent snapshots are exact.
+    /// A telemetry snapshot: cumulative tasks executed and per-worker
+    /// busy time since the pool was built. Counters are relaxed, so a
+    /// snapshot taken while work is in flight is approximate; quiescent
+    /// snapshots are exact.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
         let per_worker: Vec<WorkerStats> = self
@@ -688,14 +494,12 @@ impl Pool {
             .iter()
             .map(|c| WorkerStats {
                 tasks: c.tasks.load(Ordering::Relaxed),
-                steals: c.steals.load(Ordering::Relaxed),
                 busy: Duration::from_nanos(c.busy_ns.load(Ordering::Relaxed)),
             })
             .collect();
         PoolStats {
             threads: self.threads,
             tasks_executed: per_worker.iter().map(|w| w.tasks).sum(),
-            steals: per_worker.iter().map(|w| w.steals).sum(),
             per_worker,
         }
     }
@@ -703,8 +507,8 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.notify();
+        self.shared.lock_queue().shutdown = true;
+        self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -714,11 +518,9 @@ impl Drop for Pool {
 /// One worker's counters inside a [`PoolStats`] snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Tasks this worker executed through the scheduler.
+    /// Broadcast copies this worker executed.
     pub tasks: u64,
-    /// Tasks it took from a sibling's deque.
-    pub steals: u64,
-    /// Cumulative wall-clock time spent executing tasks.
+    /// Cumulative wall-clock time spent executing them.
     pub busy: Duration,
 }
 
@@ -729,36 +531,30 @@ pub struct PoolStats {
     pub threads: usize,
     /// Total tasks executed by spawned workers.
     pub tasks_executed: u64,
-    /// Total steals by spawned workers.
-    pub steals: u64,
     /// Per spawned worker breakdown (`threads − 1` entries).
     pub per_worker: Vec<WorkerStats>,
 }
 
+/// A worker takes broadcast copies FIFO until shutdown, parking on the
+/// queue's lock when it is empty — a push holds that lock, so no wakeup
+/// is lost.
 fn worker_main(shared: &Arc<Shared>, index: usize) {
     WORKER.set(Some((Arc::as_ptr(shared) as usize, index)));
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+    let mut queue = shared.lock_queue();
+    while !queue.shutdown {
+        match queue.tasks.pop_front() {
+            Some(task) => {
+                drop(queue);
+                shared.execute(index, task);
+                queue = shared.lock_queue();
+            }
+            None => {
+                queue = shared
+                    .wake
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
-        if let Some(task) = shared.find_task(index) {
-            shared.execute(index, task);
-            continue;
-        }
-        let guard = shared
-            .idle
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if shared.any_task_queued() {
-            drop(guard);
-            continue;
-        }
-        // The timeout is a belt-and-braces backstop; `Shared::notify`
-        // holding the idle lock already closes the park/push race.
-        let _ = shared.wake.wait_timeout(guard, Duration::from_millis(50));
     }
 }
 
@@ -771,20 +567,11 @@ mod tests {
     fn one_thread_pool_is_sequential_inline() {
         let pool = Pool::new(1);
         assert_eq!(pool.threads(), 1);
-        let (a, b) = pool.join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
         let order = Mutex::new(Vec::new());
         pool.parallel_map_with(4, || (), |(), i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
         assert_eq!(pool.stats().tasks_executed, 0, "nothing is scheduled");
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let pool = Pool::new(4);
-        let (a, b) = pool.join(|| (0..100).sum::<u64>(), || (0..200).sum::<u64>());
-        assert_eq!(a, 4950);
-        assert_eq!(b, 19900);
+        assert_eq!(Pool::new(0).threads(), 1, "clamped to one participant");
     }
 
     #[test]
@@ -815,20 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn join_propagates_panics_from_either_side() {
-        let pool = Pool::new(2);
-        let r = panic::catch_unwind(AssertUnwindSafe(|| pool.join(|| panic!("left boom"), || 7)));
-        assert!(r.is_err());
-        let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.join(|| 7, || panic!("right boom"))
-        }));
-        assert!(r.is_err());
-        // The pool survives panics: workers stay usable.
-        let (a, b) = pool.join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
-    }
-
-    #[test]
     fn region_propagates_first_item_panic_and_survives() {
         let pool = Pool::new(3);
         let r = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -842,16 +615,20 @@ mod tests {
     }
 
     #[test]
-    fn nested_joins_compute_correctly() {
-        fn fib(pool: &Pool, n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = pool.join(|| fib(pool, n - 1), || fib(pool, n - 2));
-            a + b
-        }
-        let pool = Pool::new(4);
-        assert_eq!(fib(&pool, 16), 987);
+    fn region_started_on_a_worker_runs_inline() {
+        let pool = Pool::new(3);
+        let inline = pool.parallel_map_with(
+            6,
+            || (),
+            |(), _| {
+                let me = thread::current().id();
+                let inner = pool.parallel_map_with(8, || (), |(), _| thread::current().id());
+                // Off the pool (the caller's items) a nested region may
+                // fan out; on a worker every inner item stays home.
+                WORKER.get().is_none() || inner.iter().all(|&id| id == me)
+            },
+        );
+        assert!(inline.iter().all(|&ok| ok));
     }
 
     #[test]
@@ -871,7 +648,10 @@ mod tests {
         assert_eq!(stats.per_worker.len(), 3);
         // The caller may have raced through every item on a loaded CI
         // box, so only sanity-check the shape, not a minimum count.
-        assert!(stats.tasks_executed <= 3, "one broadcast task per worker");
+        assert!(stats.tasks_executed <= 3, "one broadcast copy per worker");
+        // A two-item region broadcasts a single copy.
+        pool.parallel_map_with(2, || (), |(), i| i);
+        assert!(pool.stats().tasks_executed <= stats.tasks_executed + 1);
     }
 
     #[test]
@@ -897,9 +677,33 @@ mod tests {
     }
 
     #[test]
-    fn configured_threads_env_contract() {
-        // Can't mutate the environment safely in a threaded test binary;
-        // just pin the default's sanity.
-        assert!(configured_threads() >= 1);
+    fn thread_count_setting_is_bounded_and_typed() {
+        // The environment can't be mutated safely in a threaded test
+        // binary, so the parsing is pinned through its pure function.
+        assert!((1..=MAX_THREADS).contains(&configured_threads()));
+        let fallback = 3;
+        for hostile in [
+            "", " ", "\t\n", "0", "00", "-1", "+-1", "1e9", "4.0", "four", "0x10",
+        ] {
+            assert_eq!(
+                threads_from(Some(hostile), fallback),
+                fallback,
+                "{hostile:?}"
+            );
+        }
+        assert_eq!(threads_from(None, fallback), fallback);
+        assert_eq!(threads_from(Some(" 4\n"), fallback), 4);
+        assert_eq!(threads_from(Some("+2"), fallback), 2);
+        assert_eq!(threads_from(Some("256"), fallback), MAX_THREADS);
+        for huge in [
+            "257",
+            "1000000000",
+            "18446744073709551615",
+            "18446744073709551616",
+        ] {
+            assert_eq!(threads_from(Some(huge), fallback), MAX_THREADS, "{huge}");
+        }
+        assert_eq!(threads_from(None, 0), 1);
+        assert_eq!(threads_from(None, 100_000), MAX_THREADS);
     }
 }

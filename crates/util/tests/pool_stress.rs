@@ -1,8 +1,8 @@
-//! Stress tests for the work-stealing pool: panic propagation from every
-//! primitive, deeply nested fork/join on saturated pools, and randomized
-//! workload shapes pinned against sequential execution. The unit tests in
-//! `pool.rs` cover the happy paths; this binary hammers the scheduling
-//! edges that only show up under contention.
+//! Stress tests for the pool: panic propagation from outside the pool
+//! and from nested regions, slot exclusivity under nesting, randomized
+//! workload shapes pinned against sequential execution, and short-region
+//! churn. The unit tests in `pool.rs` cover the happy paths; this binary
+//! hammers the scheduling edges that only show up under contention.
 //!
 //! Latches and regions live in the waiting caller's stack frame, so a
 //! completion signal that touches them after the caller may have seen
@@ -12,10 +12,10 @@
 use hyperear_util::pool::Pool;
 use hyperear_util::rng::Xoshiro256pp;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// A deterministic per-item workload whose cost varies with the index,
-/// so items finish out of order and stealing actually happens.
+/// so items finish out of order.
 fn work_item(i: usize) -> u64 {
     let rounds = 64 + (i % 7) * 211;
     (0..rounds as u64).fold(i as u64, |acc, k| {
@@ -37,27 +37,59 @@ fn randomized_map_shapes_match_sequential() {
     }
 }
 
-#[test]
-fn nested_joins_to_depth_under_saturation() {
-    // Binary recursion to depth 12 on a small pool: 2^12 leaves all
-    // funnel through two workers plus the caller, exercising the
-    // reclaim-unstarted-task path and worker help-while-waiting.
-    fn sum(pool: &Pool, lo: u64, hi: u64, depth: usize) -> u64 {
-        if depth == 0 || hi - lo < 2 {
-            return (lo..hi).map(|x| x * x).sum();
+/// One participant context: an "in use" flag raised for the duration of
+/// every item run under it.
+struct Slot(AtomicBool);
+
+impl Slot {
+    /// Runs `body` holding the slot, counting in `reentries` every item
+    /// that found the slot already held — which `parallel_update`'s
+    /// `&mut ctxs[slot]` promises never happens.
+    fn hold<R>(&self, reentries: &AtomicUsize, body: impl FnOnce() -> R) -> R {
+        if self.0.swap(true, Ordering::SeqCst) {
+            reentries.fetch_add(1, Ordering::SeqCst);
         }
-        let mid = lo + (hi - lo) / 2;
-        let (a, b) = pool.join(
-            || sum(pool, lo, mid, depth - 1),
-            || sum(pool, mid, hi, depth - 1),
-        );
-        a + b
+        let r = body();
+        self.0.store(false, Ordering::SeqCst);
+        r
     }
-    let expected: u64 = (0..4096).map(|x: u64| x * x).sum();
-    for threads in [1, 3] {
+}
+
+fn slots(pool: &Pool) -> Vec<Slot> {
+    (0..pool.threads())
+        .map(|_| Slot(AtomicBool::new(false)))
+        .collect()
+}
+
+#[test]
+fn nested_regions_never_share_a_slot() {
+    let reentries = AtomicUsize::new(0);
+    for threads in [2usize, 3, 8] {
         let pool = Pool::new(threads);
-        assert_eq!(sum(&pool, 0, 4096, 12), expected, "threads {threads}");
+        for round in 0..300 {
+            let mut outer_ctxs = slots(&pool);
+            let mut outer: Vec<u64> = vec![0; 2 * threads];
+            pool.parallel_update(&mut outer_ctxs, &mut outer, |slot, i, out| {
+                *out = slot.hold(&reentries, || {
+                    let mut inner_ctxs = slots(&pool);
+                    let mut inner: Vec<u64> = vec![0; 2 + (i + round) % 5];
+                    pool.parallel_update(&mut inner_ctxs, &mut inner, |slot, j, v| {
+                        *v = slot.hold(&reentries, || work_item(i + j));
+                    });
+                    inner.iter().fold(0, |acc, v| acc ^ v)
+                });
+            });
+            let seq: Vec<u64> = (0..2 * threads)
+                .map(|i| (0..2 + (i + round) % 5).fold(0, |acc, j| acc ^ work_item(i + j)))
+                .collect();
+            assert_eq!(outer, seq, "threads {threads}, round {round}");
+        }
     }
+    assert_eq!(
+        reentries.load(Ordering::SeqCst),
+        0,
+        "an item ran under a participant slot that was already in use"
+    );
 }
 
 #[test]
@@ -81,32 +113,40 @@ fn repeated_panics_never_wedge_the_pool() {
 }
 
 #[test]
-fn panic_inside_nested_join_unwinds_cleanly() {
-    let pool = Pool::new(2);
-    let executed = AtomicU64::new(0);
-    let r = panic::catch_unwind(AssertUnwindSafe(|| {
-        pool.join(
-            || {
-                pool.join(
-                    || executed.fetch_add(1, Ordering::SeqCst),
-                    || panic!("inner right boom"),
-                )
-            },
-            || executed.fetch_add(1, Ordering::SeqCst),
-        )
-    }));
-    assert!(r.is_err());
-    // Both non-panicking closures ran to completion before the unwind.
-    assert_eq!(executed.load(Ordering::SeqCst), 2);
-    let (a, b) = pool.join(|| 5, || 6);
-    assert_eq!((a, b), (5, 6));
+fn panic_inside_nested_region_unwinds_cleanly() {
+    for threads in [2usize, 3] {
+        let pool = Pool::new(threads);
+        let executed = AtomicU64::new(0);
+        let r = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.parallel_map_with(
+                4,
+                || (),
+                |(), i| {
+                    pool.parallel_map_with(
+                        2,
+                        || (),
+                        |(), j| {
+                            assert!(i != 2 || j != 1, "inner boom");
+                            executed.fetch_add(1, Ordering::SeqCst);
+                        },
+                    );
+                },
+            )
+        }));
+        assert!(r.is_err(), "threads {threads}");
+        // Every item but the one that panicked ran to completion before
+        // the unwind reached the caller.
+        assert_eq!(executed.load(Ordering::SeqCst), 7, "threads {threads}");
+        let ok = pool.parallel_map_with(2, || (), |(), i| i + 5);
+        assert_eq!(ok, vec![5, 6]);
+    }
 }
 
 #[test]
-fn interleaved_primitives_share_one_pool() {
-    // Regions and joins interleaved on the same pool from the same
-    // caller: the stress shape of a batch engine running sessions whose
-    // internals also fork.
+fn nested_two_item_regions_share_one_pool() {
+    // Two-item regions nested inside a region on the same pool from the
+    // same caller: the stress shape of a batch engine running K-beacon
+    // sessions, each detecting its two channels as a two-item region.
     let pool = Pool::new(4);
     let mut rng = Xoshiro256pp::seed_from_u64(77);
     for _ in 0..10 {
@@ -115,8 +155,8 @@ fn interleaved_primitives_share_one_pool() {
             len,
             || (),
             |(), i| {
-                let (a, b) = pool.join(|| work_item(i), || work_item(i + 1));
-                a ^ b
+                let pair = pool.parallel_map_with(2, || (), |(), j| work_item(i + j));
+                pair[0] ^ pair[1]
             },
         );
         let seq: Vec<u64> = (0..len).map(|i| work_item(i) ^ work_item(i + 1)).collect();
@@ -124,12 +164,21 @@ fn interleaved_primitives_share_one_pool() {
     }
 }
 
-/// Runs `rounds` tiny fork/join regions and checks each one's result.
+/// Runs `rounds` tiny regions and checks each one's result.
 fn churn(pool: &Pool, rounds: usize) {
     for round in 0..rounds {
-        let (a, b) = pool.join(|| round.wrapping_mul(3), || [round; 4]);
-        assert_eq!(a, round.wrapping_mul(3));
-        assert_eq!(b, [round; 4]);
+        let pair = pool.parallel_map_with(
+            2,
+            || (),
+            |(), i| {
+                if i == 0 {
+                    [round.wrapping_mul(3); 4]
+                } else {
+                    [round; 4]
+                }
+            },
+        );
+        assert_eq!(pair, [[round.wrapping_mul(3); 4], [round; 4]]);
         let hits = AtomicUsize::new(0);
         pool.parallel_map_with(
             3,
@@ -148,8 +197,8 @@ fn short_regions_complete_from_outside_and_inside_the_pool() {
         let pool = Pool::new(threads);
         // From a thread outside the pool: parks on every latch.
         churn(&pool, 5_000);
-        // From pool workers (and the caller): spins on every latch while
-        // helping, and broadcasts nested regions to sibling workers.
+        // Nested inside a region: the caller's items broadcast to the
+        // workers, the workers' items run inline.
         pool.parallel_map_with(2 * threads, || (), |(), _| churn(&pool, 1_000));
     }
 }

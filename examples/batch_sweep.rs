@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Demonstrates the serving-style path built in the concurrency PR: the
-//! simulator renders a seed sweep across the work-stealing pool
+//! simulator renders a seed sweep across the pool
 //! (`ScenarioBuilder::render_seeds`), and a `BatchEngine` — one warm
 //! `SessionEngine` pinned per pool participant, detector tables shared —
 //! processes the whole batch with `run_monitored` semantics per item.
@@ -96,9 +96,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recordings.len()
     );
     println!(
-        "pool telemetry: {} worker task(s) executed, {} steal(s); warm working set {:.1} MiB",
+        "pool telemetry: {} worker task(s) executed; warm working set {:.1} MiB",
         stats.tasks_executed,
-        stats.steals,
         batch.working_set_bytes() as f64 / (1024.0 * 1024.0)
     );
     Ok(())

@@ -14,7 +14,7 @@ use hyperear_dsp::fft::{fft, rfft};
 use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir};
 use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
 use hyperear_dsp::peak::{detect_peaks_into, PeakScratch, ThresholdRule};
-use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache, Planes};
+use hyperear_dsp::plan::{shared_real_plan, DspScratch, FftPlan, Planes};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
 use hyperear_util::alloc_counter::CountingAllocator;
@@ -508,10 +508,9 @@ fn bench_rfft_spectrum(suite: &mut Suite) {
     });
     // The real-input fast path: packed half-size transform, half the
     // butterflies and scratch of the full complex rfft.
-    let mut plans = PlanCache::new();
+    let plan = shared_real_plan(65_536).expect("plan");
     let mut half = Planes::default();
     suite.bench_allocfree("rfft_half_planned_1s_padded", move || {
-        let plan = plans.real_plan(65_536).expect("plan");
         plan.rfft_half_into(&signal, &mut half).expect("rfft_half");
         black_box(half.re[0])
     });

@@ -4,7 +4,7 @@
 //! Sweeps the full PR 3 fault matrix (clean baseline plus every fault
 //! class in [`hyperear_sim::fault::matrix`] at three intensities)
 //! through five pipeline configurations: each fixed
-//! [`TdoaEstimator`](hyperear::config::TdoaEstimator) variant plus an
+//! [`hyperear::config::TdoaEstimator`] variant plus an
 //! escalating policy that starts on plain cross-correlation and walks
 //! the estimator ladder only when the monitored outcome degrades. Every
 //! seeded recording is rendered (and faulted) exactly once and replayed

@@ -26,7 +26,7 @@ use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak, Decimation};
 use hyperear_dsp::peak::{
     detect_envelope_peaks_into, detect_peaks_into, Peak, PeakScratch, ThresholdRule,
 };
-use hyperear_dsp::plan::{DspScratch, PlanCache, Planes};
+use hyperear_dsp::plan::{DspScratch, Planes};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
 use hyperear_geom::MAX_MICS;
@@ -330,7 +330,8 @@ impl PickScratch {
 /// The MCCI rung's on-demand full-rate buffers: every channel's
 /// normalized full-rate correlation, the fused guide, and the full-rate
 /// threshold/peak workspace (with the envelope buffers envelope
-/// detection needs there). MCCI fuses channels sample by sample on the
+/// detection needs there; the envelopes' FFT runs in the detector's own
+/// [`DetectScratch`]). MCCI fuses channels sample by sample on the
 /// full-rate correlation exactly as it always has, so its outcomes do not
 /// depend on the band-limited path.
 #[derive(Debug, Clone, Default)]
@@ -345,8 +346,6 @@ pub(crate) struct McciScratch {
 struct FullRatePick {
     peak: PeakScratch,
     peaks: Vec<Peak>,
-    plans: PlanCache,
-    analytic: DspScratch,
     /// Envelope of the correlation peaks are detected on.
     env: Vec<f64>,
     /// Envelope of the channel's own correlation (guided extraction).
@@ -373,7 +372,6 @@ impl McciScratch {
             * std::mem::size_of::<f64>()
             + p.peaks.capacity() * std::mem::size_of::<Peak>()
             + p.peak.capacity_bytes()
-            + p.analytic.capacity_bytes()
     }
 }
 
@@ -785,20 +783,22 @@ impl DetectorCore {
         &self,
         k: usize,
         mcci: &mut McciScratch,
+        scratch: &mut DetectScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
         let McciScratch { corrs, pick, .. } = mcci;
-        self.arrivals_from_corr(&corrs[k], pick, out)
+        self.arrivals_from_corr(&corrs[k], pick, &mut scratch.dsp, out)
     }
 
-    /// MCCI-guided arrival extraction for channel `k` of `mcci`'s
-    /// full-rate correlations: every live channel's correlation is
-    /// shift-and-averaged onto channel `k`'s time line (into the guide
-    /// buffer), peaks are *detected* on that fused correlation (so a
-    /// beacon masked on this channel can be recovered from the redundant
-    /// channels), and each arrival is *timed* on the channel's own
-    /// correlation — the local maximum within ±[`FUSED_REFINE`] samples
-    /// of the fused peak, sub-sample interpolated as usual.
+    /// MCCI-guided arrival extraction for channel `k` of the first
+    /// `offsets.len()` full-rate correlations in `mcci`: every live
+    /// channel's correlation is shift-and-averaged onto channel `k`'s
+    /// time line (into the guide buffer), peaks are *detected* on that
+    /// fused correlation (so a beacon masked on this channel can be
+    /// recovered from the redundant channels), and each arrival is
+    /// *timed* on the channel's own correlation — the local maximum
+    /// within ±[`FUSED_REFINE`] samples of the fused peak, sub-sample
+    /// interpolated as usual.
     /// Cross-channel averaging therefore improves detection without ever
     /// mixing other channels' propagation delays into this channel's
     /// arrival times, which would cancel the very inter-channel TDoA the
@@ -806,12 +806,13 @@ impl DetectorCore {
     pub(crate) fn arrivals_fused(
         &self,
         mcci: &mut McciScratch,
-        n: usize,
         offsets: &[f64],
         live: &[bool],
         k: usize,
+        scratch: &mut DetectScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
+        let n = offsets.len();
         let McciScratch { corrs, guide, pick } = mcci;
         let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
         for (slot, c) in refs.iter_mut().zip(&corrs[..n]) {
@@ -819,32 +820,31 @@ impl DetectorCore {
         }
         let corrs = &refs[..n];
         mcci_fuse_channel_into(corrs, offsets, live, k, guide)?;
-        self.arrivals_fused_into(guide, corrs[k], pick, out)
+        self.arrivals_fused_into(guide, corrs[k], pick, &mut scratch.dsp, out)
     }
 
     /// Fused-guide arrival extraction at the full rate: peaks detected
     /// on `fused`, each arrival timed on `own` within ±[`FUSED_REFINE`]
-    /// samples of its guide peak.
+    /// samples of its guide peak. Envelopes, when envelope detection is
+    /// on, are computed in `dsp`.
     fn arrivals_fused_into(
         &self,
         fused: &[f64],
         own: &[f64],
         pick: &mut FullRatePick,
+        dsp: &mut DspScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
         out.clear();
         let FullRatePick {
             peak,
             peaks,
-            plans,
-            analytic,
             env,
             env_own,
-            ..
         } = pick;
         let (fused, own): (&[f64], &[f64]) = if self.envelope_detection {
-            envelope_with(fused, plans, analytic, env)?;
-            envelope_with(own, plans, analytic, env_own)?;
+            envelope_with(fused, dsp, env)?;
+            envelope_with(own, dsp, env_own)?;
             (env, env_own)
         } else {
             (fused, own)
@@ -865,28 +865,24 @@ impl DetectorCore {
         Ok(())
     }
 
-    /// Plain full-rate extraction — envelope, noise floor, two-part
-    /// threshold, peak picking, sub-sample interpolation — over a
-    /// normalized correlation.
+    /// Plain full-rate extraction — envelope (computed in `dsp`), noise
+    /// floor, two-part threshold, peak picking, sub-sample interpolation
+    /// — over a normalized correlation.
     fn arrivals_from_corr(
         &self,
         corr: &[f64],
         pick: &mut FullRatePick,
+        dsp: &mut DspScratch,
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
         out.clear();
         let FullRatePick {
-            peak,
-            peaks,
-            plans,
-            analytic,
-            env,
-            ..
+            peak, peaks, env, ..
         } = pick;
         // Envelope detection strips the carrier ripple of high-band
         // beacons (see `DetectionConfig::envelope_detection`).
         let corr: &[f64] = if self.envelope_detection {
-            envelope_with(corr, plans, analytic, env)?;
+            envelope_with(corr, dsp, env)?;
             env
         } else {
             corr
@@ -947,15 +943,16 @@ fn band_pass_design(
     )?)
 }
 
-/// A configured beacon detector for one sample rate: a shared
-/// [`DetectorCore`] plus one private [`DetectScratch`].
+/// A configured beacon detector for one sample rate: a shared detection
+/// core (template spectra, FFT plans, thresholds) plus one private
+/// scratch.
 ///
 /// This is the convenient single-channel handle the pipeline has always
 /// exposed — [`BeaconDetector::detect_into`] takes `&mut self` and, once
 /// warm, correlates without allocating. Session engines that share one
-/// core (a batch engine's per-participant engines) construct it via
-/// [`BeaconDetector::from_core`] so template spectra and FFT tables are
-/// not duplicated per engine.
+/// core (a batch engine's per-participant engines) wrap the shared core
+/// in a fresh scratch, so template spectra and FFT tables are not
+/// duplicated per engine.
 #[derive(Debug, Clone)]
 pub struct BeaconDetector {
     core: std::sync::Arc<DetectorCore>,
@@ -1297,7 +1294,7 @@ impl MultiBeaconScratch {
 
 /// K-beacon detection over one shared forward FFT: a band-limited
 /// [`BandLimitedBank`] whose lanes carry one beacon signature each, plus
-/// the K per-beacon [`DetectorCore`]s that own the threshold/peak
+/// the K per-beacon detection cores that own the threshold/peak
 /// epilogues (and double as the per-beacon session pipeline cores).
 ///
 /// Detection cost per channel is ~one forward transform + K short
@@ -1305,7 +1302,7 @@ impl MultiBeaconScratch {
 /// inverse) that K independent detectors spend. Every signature's
 /// band-pass FIR is folded into its template at construction
 /// (`corr(bp(x), tᵢ) = corr(x, bp⋆tᵢ)`), exactly as in each solo
-/// [`DetectorCore`], so each lane is **bit-identical** to the solo
+/// detector, so each lane is **bit-identical** to the solo
 /// detector's band-limited correlation and arrivals equal K independent
 /// detectors' exactly (conformance-pinned).
 ///
@@ -1389,7 +1386,7 @@ impl MultiBeaconDetector {
     /// Detects every beacon's arrivals in one audio channel: one banked
     /// correlation pass, then beacon `k`'s own threshold/peak epilogue
     /// over lane `k` into `out[k]`. Epilogue semantics per lane are
-    /// exactly [`DetectorCore::detect_with`]'s (same thresholds, peak
+    /// exactly a solo [`BeaconDetector`]'s (same thresholds, peak
     /// spacing, interpolation), so a beacon's arrivals depend only on
     /// its own lane.
     ///
@@ -1768,7 +1765,7 @@ mod tests {
         }
         let McciScratch { corrs, pick, .. } = &mut mcci;
         let mut out = Vec::new();
-        core.arrivals_fused_into(&corrs[1], &corrs[0], pick, &mut out)
+        core.arrivals_fused_into(&corrs[1], &corrs[0], pick, &mut scratch.dsp, &mut out)
             .unwrap();
         assert_eq!(out.len(), 1);
         let err = (out[0].time * FS - truth).abs();

@@ -123,7 +123,8 @@ pub(crate) fn naive_two_position_estimate(
 ///
 /// # Errors
 ///
-/// Same conditions as [`naive_two_position_estimate`].
+/// Returns [`HyperEarError::InvalidParameter`] for an invalid config or
+/// a speaker on the movement line, and propagates solver failures.
 pub fn naive_two_position_error(speaker: Vec2, config: &NaiveConfig) -> Result<f64, HyperEarError> {
     Ok((naive_two_position_estimate(speaker, config)? - speaker).norm())
 }

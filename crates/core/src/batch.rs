@@ -6,8 +6,8 @@
 //! pinning one warm [`SessionEngine`] (with all of its scratch —
 //! detector buffers, TDoA/localization scratch, slide storage) to each
 //! pool participant. Immutable detection state — the
-//! matched-filter template spectra and FFT tables inside a
-//! [`DetectorCore`] — is built once per sample rate and shared across
+//! matched-filter template spectra and FFT tables of the detection
+//! core — is built once per sample rate and shared across
 //! every worker, so memory scales with *thread count × scratch*, not
 //! *thread count × tables*.
 //!

@@ -16,7 +16,7 @@
 //!   encodes the pair delay directly, with no peak picking at all.
 //!
 //! Both produce a [`BearingPrior`] in the device frame that feeds the
-//! existing SDF/guide stage ([`BearingPrior::guidance`]), and both run
+//! existing SDF/guide stage, and both run
 //! in fixed storage — no heap — so array sessions stay inside the
 //! counting-allocator gates.
 
@@ -242,8 +242,10 @@ pub(crate) fn bearing_from_pair_delays(
 ///
 /// # Errors
 ///
-/// Conditions of [`arrival_pair_delays`] and
-/// [`bearing_from_pair_delays`].
+/// [`HyperEarError::InvalidParameter`] if the channel count disagrees
+/// with the array, a channel pair shares no beacons, or a pair delay is
+/// out of range (`|c·τ| > D`); planar-solver [`hyperear_geom::GeomError`]s
+/// propagate.
 pub fn planar_bearing_from_arrivals(
     array: &MicArray,
     arrivals: &[&[BeaconArrival]],
@@ -326,8 +328,10 @@ pub(crate) fn phase_pair_delays(
 ///
 /// # Errors
 ///
-/// Conditions of [`phase_pair_delays`] and
-/// [`bearing_from_pair_delays`].
+/// [`HyperEarError::InvalidParameter`] for an ambiguous probe frequency,
+/// mismatched channel counts or an out-of-range pair delay (`|c·τ| >
+/// D`); DSP errors from the Goertzel kernel and planar-solver
+/// [`hyperear_geom::GeomError`]s propagate.
 pub fn phase_tracking_bearing(
     array: &MicArray,
     channels: &[&[f64]],

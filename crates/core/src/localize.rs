@@ -109,8 +109,8 @@ impl LocalizeScratch {
 
 /// Solves each slide and aggregates per the configured policy.
 ///
-/// The per-slide fixes land in `scratch` (read them back via
-/// [`LocalizeScratch::fixes`]); only the aggregate estimate is returned.
+/// The per-slide fixes land in `scratch`; only the aggregate estimate is
+/// returned.
 ///
 /// # Errors
 ///

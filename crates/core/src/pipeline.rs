@@ -1049,9 +1049,9 @@ impl SessionEngine {
         };
         for (k, out) in self.arrivals.iter_mut().take(n).enumerate() {
             if n_live >= 2 && live[k] {
-                core.arrivals_fused(mcci, n, offsets, live, k, out)?;
+                core.arrivals_fused(mcci, offsets, live, k, scratch, out)?;
             } else {
-                core.arrivals_full(k, mcci, out)?;
+                core.arrivals_full(k, mcci, scratch, out)?;
             }
         }
         Ok(())

@@ -4,18 +4,17 @@
 //! capture up front; a phone records PCM a few milliseconds at a time.
 //! This module closes that gap with an online front end that accepts
 //! audio in arbitrary-size chunks, runs matched-filter beacon detection
-//! incrementally (via [`crate::asp::StreamingDetector`], bit-identical
-//! to the one-shot detector for any chunking), and finishes each
-//! session through the exact same post-detection pipeline
-//! ([`SessionEngine::finish_from_arrivals`]) — so a streamed session's
+//! incrementally (bit-identical to the one-shot detector for any
+//! chunking), and finishes each session through the exact same
+//! post-detection pipeline as a one-shot session — so a streamed session's
 //! [`SessionOutcome`] is **equal** to the outcome of handing the whole
 //! capture to [`SessionEngine::run_monitored`].
 //!
 //! # Bounded memory
 //!
 //! A session owns state; a worker owns scratch. Each session holds only
-//! what must live from open to finish, sized at [`StreamSession`]
-//! construction from [`StreamConfig`] and never grown afterwards: two
+//! what must live from open to finish, sized at construction from
+//! [`StreamConfig`] and never grown afterwards: two
 //! fixed-capacity PCM ring buffers that decouple the caller from the
 //! worker pool, IMU traces capped at `max_imu_samples`, and two
 //! streaming detectors, each a chunk feed plus the decimated correlation

@@ -73,7 +73,7 @@ impl Chirp {
     /// Returns [`DspError::InvalidParameter`] if `sample_rate` is not
     /// finite and positive, frequencies are not in `(0, fs/2)`,
     /// `f0 >= f1`, or the duration yields fewer than 8 samples or more
-    /// than [`Chirp::MAX_LEN`].
+    /// than 2²⁴.
     pub fn new(
         f0: f64,
         f1: f64,
@@ -81,12 +81,7 @@ impl Chirp {
         sample_rate: f64,
         shape: ChirpShape,
     ) -> Result<Self, DspError> {
-        if !(sample_rate.is_finite() && sample_rate > 0.0) {
-            return Err(DspError::invalid(
-                "sample_rate",
-                "must be finite and positive",
-            ));
-        }
+        crate::error::check_rate(sample_rate)?;
         let nyquist = sample_rate / 2.0;
         if !(f0 > 0.0 && f0 < nyquist && f1 > 0.0 && f1 < nyquist) {
             return Err(DspError::invalid(

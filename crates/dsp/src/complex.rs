@@ -6,12 +6,12 @@
 //!
 //! # Lane kernels
 //!
-//! The free functions at the bottom of this module ([`conj_mul_in_place`],
-//! [`mul_assign_real`], [`axpy`], [`dot_seq`]) are the
+//! The crate-private free functions at the bottom of this module
+//! (`conj_mul_in_place`, `mul_assign_real`, `axpy`, `dot_seq`) are the
 //! single home for the elementwise multiply / multiply-accumulate loops
 //! that used to be written ad hoc in `correlate`, `estimator`, and
 //! `spectrum`. Every kernel except the deliberately sequential
-//! [`dot_seq`] is elementwise with no cross-lane reduction, so whatever
+//! `dot_seq` is elementwise with no cross-lane reduction, so whatever
 //! the autovectorizer makes of it is **bit-identical** to its scalar
 //! loop.
 

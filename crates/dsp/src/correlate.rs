@@ -9,7 +9,7 @@
 use crate::complex::conj_mul_in_place;
 use crate::fft::try_next_pow2;
 use crate::interpolate::{Decimation, MAX_DECIMATION};
-use crate::plan::{shared_plan, DspScratch, FftPlan, PlanCache, Planes};
+use crate::plan::{shared_plan, shared_real_plan, DspScratch, FftPlan, Planes};
 use crate::{Complex, DspError};
 use std::sync::Arc;
 
@@ -47,7 +47,7 @@ fn validate_xcorr_inputs(signal: &[f64], template: &[f64]) -> Result<(), DspErro
 ///
 /// This is the one-shot convenience and the test oracle for every
 /// blocked engine below; repeated correlation should go through
-/// [`xcorr_into`] (reusable plans/scratch) or a [`StreamingMatchedFilter`]
+/// [`xcorr_into`] (reusable scratch) or a [`StreamingMatchedFilter`]
 /// (which additionally caches the template spectrum).
 ///
 /// # Errors
@@ -56,15 +56,13 @@ fn validate_xcorr_inputs(signal: &[f64], template: &[f64]) -> Result<(), DspErro
 /// [`DspError::InvalidParameter`] if the template is longer than the signal.
 pub fn xcorr(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, DspError> {
     let mut out = Vec::new();
-    crate::plan::with_thread_ctx(|plans, scratch| {
-        xcorr_into(signal, template, plans, scratch, &mut out)
-    })?;
+    xcorr_into(signal, template, &mut DspScratch::new(), &mut out)?;
     Ok(out)
 }
 
-/// Planned cross-correlation: identical output to [`xcorr`], but all FFT
-/// setup comes from `plans` and all working storage from `scratch`/`out`,
-/// so steady-state calls at warm sizes do not allocate.
+/// Planned cross-correlation: identical output to [`xcorr`], with all
+/// working storage from `scratch`/`out`, so steady-state calls at warm
+/// sizes do not allocate.
 ///
 /// `out` is cleared and refilled (its capacity is reused).
 ///
@@ -74,13 +72,12 @@ pub fn xcorr(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, DspError> {
 pub fn xcorr_into(
     signal: &[f64],
     template: &[f64],
-    plans: &mut PlanCache,
     scratch: &mut DspScratch,
     out: &mut Vec<f64>,
 ) -> Result<(), DspError> {
     validate_xcorr_inputs(signal, template)?;
     let n = try_next_pow2(signal.len().saturating_add(template.len()))?;
-    let plan = plans.real_plan(n)?;
+    let plan = shared_real_plan(n)?;
     plan.rfft_half_into(signal, &mut scratch.p1)?;
     plan.rfft_half_into(template, &mut scratch.p2)?;
     conj_mul_in_place(&mut scratch.p1, &scratch.p2);

@@ -11,30 +11,26 @@
 //! pick peaks on that.
 
 use crate::fft::try_next_pow2;
-use crate::plan::{with_thread_ctx, DspScratch, PlanCache, Planes};
+use crate::plan::{shared_plan, DspScratch, Planes};
 use crate::DspError;
 
 /// Computes the analytic signal of `x` via the frequency-domain Hilbert
 /// construction (negative frequencies zeroed, positive doubled) into the
 /// planes `out` (cleared and refilled; they grow to the padded
-/// power-of-two length), with the FFT plan from `plans`. The imaginary
-/// plane is the Hilbert transform of the input.
+/// power-of-two length). The imaginary plane is the Hilbert transform of
+/// the input.
 ///
 /// # Errors
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal.
-fn analytic_signal_into(
-    x: &[f64],
-    plans: &mut PlanCache,
-    out: &mut Planes,
-) -> Result<(), DspError> {
+fn analytic_signal_into(x: &[f64], out: &mut Planes) -> Result<(), DspError> {
     if x.is_empty() {
         return Err(DspError::EmptyInput {
             what: "analytic_signal input",
         });
     }
     let n = try_next_pow2(x.len())?;
-    let plan = plans.plan(n)?;
+    let plan = shared_plan(n)?;
     let Planes { re, im } = out;
     re.clear();
     im.clear();
@@ -81,13 +77,13 @@ fn analytic_signal_into(
 /// ```
 pub fn envelope(x: &[f64]) -> Result<Vec<f64>, DspError> {
     let mut out = Vec::new();
-    with_thread_ctx(|plans, scratch| envelope_with(x, plans, scratch, &mut out))?;
+    envelope_with(x, &mut DspScratch::new(), &mut out)?;
     Ok(out)
 }
 
-/// Planned form of [`envelope`]: identical output, with the FFT plan
-/// from `plans`, the complex analytic signal in `scratch.p1`, and the
-/// envelope written into `out` (cleared and refilled; capacity reused).
+/// Planned form of [`envelope`]: identical output, with the complex
+/// analytic signal in `scratch.p1` and the envelope written into `out`
+/// (cleared and refilled; capacity reused).
 /// Steady-state calls at warm sizes do not allocate.
 ///
 /// # Errors
@@ -95,11 +91,10 @@ pub fn envelope(x: &[f64]) -> Result<Vec<f64>, DspError> {
 /// Same conditions as [`envelope`].
 pub fn envelope_with(
     x: &[f64],
-    plans: &mut PlanCache,
     scratch: &mut DspScratch,
     out: &mut Vec<f64>,
 ) -> Result<(), DspError> {
-    analytic_signal_into(x, plans, &mut scratch.p1)?;
+    analytic_signal_into(x, &mut scratch.p1)?;
     let Planes { re, im } = &scratch.p1;
     out.clear();
     out.extend(re.iter().zip(im).map(|(r, i)| r.hypot(*i)));
@@ -112,7 +107,7 @@ mod tests {
 
     fn analytic_signal(x: &[f64]) -> Result<Vec<crate::Complex>, DspError> {
         let mut out = Planes::default();
-        analytic_signal_into(x, &mut PlanCache::new(), &mut out)?;
+        analytic_signal_into(x, &mut out)?;
         Ok((0..out.len()).map(|k| out.at(k)).collect())
     }
 
@@ -206,15 +201,14 @@ mod tests {
     #[test]
     fn planned_envelope_matches_one_shot_and_reuses_buffers() {
         let x: Vec<f64> = (0..300).map(|i| (i as f64 * 0.41).sin()).collect();
-        let mut plans = PlanCache::new();
         let mut scratch = DspScratch::new();
         let mut out = Vec::new();
-        envelope_with(&x, &mut plans, &mut scratch, &mut out).unwrap();
+        envelope_with(&x, &mut scratch, &mut out).unwrap();
         assert_eq!(out, envelope(&x).unwrap());
         let ptr = out.as_ptr();
-        envelope_with(&x, &mut plans, &mut scratch, &mut out).unwrap();
+        envelope_with(&x, &mut scratch, &mut out).unwrap();
         assert_eq!(ptr, out.as_ptr(), "capacity must be reused");
-        assert!(envelope_with(&[], &mut plans, &mut scratch, &mut out).is_err());
+        assert!(envelope_with(&[], &mut scratch, &mut out).is_err());
     }
 
     #[test]

@@ -67,6 +67,18 @@ impl DspError {
     }
 }
 
+/// Checks that a sample rate is finite and positive: NaN, infinities,
+/// zero and negative rates are [`DspError::InvalidParameter`].
+pub(crate) fn check_rate(sample_rate: f64) -> Result<(), DspError> {
+    if !(sample_rate.is_finite() && sample_rate > 0.0) {
+        return Err(DspError::invalid(
+            "sample_rate",
+            format!("must be finite and positive, got {sample_rate}"),
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,6 +98,75 @@ mod tests {
         assert!(e.to_string().contains("3 vs 5"));
         let e = DspError::OutOfRange { index: 9, len: 4 };
         assert!(e.to_string().contains('9'));
+    }
+
+    /// Every public entry point that takes a sample rate rejects the
+    /// same five hostile rates with a typed error, never an `Ok` built
+    /// on a NaN or infinite rate.
+    #[test]
+    fn non_finite_and_non_positive_rates_are_invalid() {
+        use crate::estimator::{AnalyticSpectrum, CorrelationSpectrum, EstimatorScratch};
+        use crate::filter::{Biquad, BiquadKind, FirFilter};
+        use crate::window::Window;
+        use crate::Complex;
+        let signal: Vec<f64> = (0..256).map(|i| (i as f64 * 0.3).sin()).collect();
+        let mut real = CorrelationSpectrum::default();
+        real.compute(&signal).unwrap();
+        let analytic_seq: Vec<Complex> = signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
+        let mut analytic = AnalyticSpectrum::default();
+        analytic.compute(&analytic_seq).unwrap();
+        let mut est = EstimatorScratch::default();
+        for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let results: [(&str, Result<(), DspError>); 9] = [
+                ("stft", crate::stft::stft(&signal, 64, 32, rate).map(drop)),
+                (
+                    "band_energy_fraction",
+                    crate::spectrum::band_energy_fraction(&signal, rate, 100.0, 200.0).map(drop),
+                ),
+                (
+                    "goertzel_bin",
+                    crate::goertzel::goertzel_bin(&signal, 100.0, rate).map(drop),
+                ),
+                (
+                    "Biquad::design",
+                    Biquad::design(BiquadKind::LowPass, 100.0, rate, 0.707).map(drop),
+                ),
+                (
+                    "FirFilter::band_pass",
+                    FirFilter::band_pass(100.0, 200.0, rate, 31, Window::Hann).map(drop),
+                ),
+                (
+                    "Chirp::new",
+                    crate::chirp::Chirp::new(
+                        100.0,
+                        200.0,
+                        0.01,
+                        rate,
+                        crate::chirp::ChirpShape::Up,
+                    )
+                    .map(drop),
+                ),
+                (
+                    "CorrelationSpectrum::subband_coherence_into",
+                    real.subband_coherence_into(rate, 100.0, 200.0, 4, &mut est, &mut Vec::new())
+                        .map(drop),
+                ),
+                (
+                    "AnalyticSpectrum::subband_coherence_into",
+                    analytic
+                        .subband_coherence_into(rate, 100.0, 200.0, 4, &mut est, &mut Vec::new())
+                        .map(drop),
+                ),
+                ("check_rate", check_rate(rate)),
+            ];
+            for (what, result) in results {
+                assert!(
+                    matches!(result, Err(DspError::InvalidParameter { .. })),
+                    "{what} at rate {rate}: {result:?}"
+                );
+            }
+        }
+        assert!(check_rate(44_100.0).is_ok());
     }
 
     #[test]

@@ -52,6 +52,7 @@
 //! on inputs with no usable spectral mass instead of producing NaNs.
 
 use crate::complex::{axpy, dot_seq};
+use crate::error::check_rate;
 use crate::fft::try_next_pow2;
 use crate::plan::{shared_plan, shared_real_plan, Planes};
 use crate::{Complex, DspError};
@@ -89,8 +90,8 @@ impl EstimatorScratch {
 /// next power of two above the correlation length, on the shared
 /// process-wide plan); every weighting afterwards reads the bins without
 /// modifying them, so any number of weightings can be applied to one
-/// spectrum. An empty spectrum (new, or after
-/// [`CorrelationSpectrum::clear`]) holds nothing to weight.
+/// spectrum. An empty spectrum (new, or after a failed
+/// [`CorrelationSpectrum::compute`]) holds nothing to weight.
 #[derive(Debug, Clone, Default)]
 pub struct CorrelationSpectrum {
     bins: Planes,
@@ -226,16 +227,6 @@ impl CorrelationSpectrum {
         out.truncate(self.corr_len);
         Ok(())
     }
-}
-
-fn check_rate(sample_rate: f64) -> Result<(), DspError> {
-    if sample_rate.is_nan() || sample_rate <= 0.0 {
-        return Err(DspError::invalid(
-            "sample_rate",
-            format!("must be positive, got {sample_rate}"),
-        ));
-    }
-    Ok(())
 }
 
 /// Writes `bins` whitened by the floored PHAT-β weight (and multiplied

@@ -4,12 +4,11 @@
 //! filtering of chirp beacons) and [`crate::spectrum`]. Sizes must be powers
 //! of two; [`try_next_pow2`] chooses a padded length.
 //!
-//! The functions here are one-shot conveniences: each call borrows the
-//! thread-local plan cache ([`crate::plan::with_thread_ctx`]), so repeated
-//! calls at one size reuse twiddle tables. Hot paths that transform
-//! repeatedly at the same size should still hold their own
-//! [`crate::plan::PlanCache`] and call its allocation-free methods
-//! directly — results are bit-identical either way.
+//! The functions here are one-shot conveniences over the process-wide
+//! plan registry (see [`crate::plan`]), so repeated calls at one size
+//! reuse one set of twiddle tables. Hot paths that transform repeatedly
+//! run the planned, allocation-free forms on a caller-held
+//! [`crate::plan::DspScratch`] — results are bit-identical either way.
 //!
 //! # Example
 //!
@@ -29,7 +28,7 @@
 //! # }
 //! ```
 
-use crate::plan::with_thread_ctx;
+use crate::plan::shared_plan;
 use crate::{Complex, DspError};
 
 /// The padded FFT length for `n` (the smallest power of two `>= n`), or
@@ -68,7 +67,7 @@ pub fn try_next_pow2(n: usize) -> Result<usize, DspError> {
 /// Returns [`DspError::InvalidParameter`] if the length is not a power of
 /// two, and [`DspError::EmptyInput`] for an empty slice.
 pub fn fft(data: &mut [Complex]) -> Result<(), DspError> {
-    with_thread_ctx(|plans, _| plans.plan(data.len())?.fft(data))
+    shared_plan(data.len())?.fft(data)
 }
 
 /// In-place inverse FFT, normalized by `1/N`.
@@ -79,7 +78,7 @@ pub fn fft(data: &mut [Complex]) -> Result<(), DspError> {
 ///
 /// Same conditions as [`fft`].
 pub fn ifft(data: &mut [Complex]) -> Result<(), DspError> {
-    with_thread_ctx(|plans, _| plans.plan(data.len())?.ifft(data))
+    shared_plan(data.len())?.ifft(data)
 }
 
 /// Forward FFT of a real signal, zero-padded to `padded_len`.
@@ -106,7 +105,7 @@ pub fn rfft(signal: &[f64], padded_len: usize) -> Result<Vec<Complex>, DspError>
         ));
     }
     let mut buf: Vec<Complex> = Vec::with_capacity(padded_len);
-    with_thread_ctx(|plans, _| plans.plan(padded_len)?.rfft_into(signal, &mut buf))?;
+    shared_plan(padded_len)?.rfft_into(signal, &mut buf)?;
     Ok(buf)
 }
 

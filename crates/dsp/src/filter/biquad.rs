@@ -64,9 +64,7 @@ impl Biquad {
         sample_rate: f64,
         q: f64,
     ) -> Result<Self, DspError> {
-        if sample_rate <= 0.0 {
-            return Err(DspError::invalid("sample_rate", "must be positive"));
-        }
+        crate::error::check_rate(sample_rate)?;
         if !(freq_hz > 0.0 && freq_hz < sample_rate / 2.0) {
             return Err(DspError::invalid(
                 "freq_hz",

@@ -182,10 +182,10 @@ impl FirFilter {
 
 /// FFT-accelerated zero-phase FIR application via overlap-save blocks.
 ///
-/// [`FirFilter::filter_zero_phase_into`] is O(N·taps) per call. This
+/// [`FirFilter::filter_zero_phase`] is O(N·taps) per call. This
 /// engine runs the same zero-phase convolution as blocked spectral
-/// multiplications (two blocks per complex transform) — O(N log B) with a peak FFT size of
-/// [`ZeroPhaseFir::block_len`], independent of signal length. (Beacon
+/// multiplications (two blocks per complex transform) — O(N log B) with a
+/// peak FFT size of `next_pow2(4 × taps)`, independent of signal length. (Beacon
 /// detection needs neither: it folds the band-pass into the matched
 /// filter, see
 /// [`crate::correlate::StreamingMatchedFilter::with_zero_phase_prefilter`].)
@@ -229,7 +229,7 @@ impl ZeroPhaseFir {
 
     /// Zero-phase filtering into a caller-owned buffer (cleared and
     /// reused); same output convention as
-    /// [`FirFilter::filter_zero_phase_into`]. Steady-state calls at warm
+    /// [`FirFilter::filter_zero_phase`]. Steady-state calls at warm
     /// sizes do not allocate.
     ///
     /// # Errors
@@ -270,9 +270,7 @@ fn odd_taps(num_taps: usize) -> Result<usize, DspError> {
 }
 
 fn validate_freq(name: &'static str, f: f64, fs: f64) -> Result<(), DspError> {
-    if fs <= 0.0 {
-        return Err(DspError::invalid("sample_rate", "must be positive"));
-    }
+    crate::error::check_rate(fs)?;
     if !(f > 0.0 && f < fs / 2.0) {
         return Err(DspError::invalid(
             name,

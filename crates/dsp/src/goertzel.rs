@@ -29,9 +29,7 @@ pub fn goertzel_bin(
             what: "goertzel input",
         });
     }
-    if sample_rate <= 0.0 {
-        return Err(DspError::invalid("sample_rate", "must be positive"));
-    }
+    crate::error::check_rate(sample_rate)?;
     if !(0.0..=sample_rate / 2.0).contains(&freq_hz) {
         return Err(DspError::invalid(
             "freq_hz",

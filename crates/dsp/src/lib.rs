@@ -6,9 +6,9 @@
 //!
 //! - [`fft`] — radix-4 complex FFT/IFFT and real-signal helpers.
 //! - [`plan`] — planned FFT execution: precomputed twiddle/bit-reversal
-//!   tables ([`plan::FftPlan`], [`plan::PlanCache`]) and the
-//!   [`plan::DspScratch`] buffer arena behind the allocation-free hot
-//!   path.
+//!   tables ([`plan::FftPlan`]) from one process-wide registry, and the
+//!   caller-held [`plan::DspScratch`] buffer arena behind the
+//!   allocation-free hot path.
 //! - [`window`] — Hann/Hamming/Blackman/rectangular analysis windows.
 //! - [`filter`] — windowed-sinc band-pass FIR design and zero-phase
 //!   filtering, RBJ biquads, and the moving-average window the paper

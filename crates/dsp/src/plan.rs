@@ -5,17 +5,22 @@
 //! session's matched filtering re-derives the same FFT setup (twiddle
 //! factors, bit-reversal permutation) and re-allocates the same working
 //! buffers on every call. A [`FftPlan`] hoists the per-size setup out of
-//! the transform, a [`PlanCache`] memoizes plans across sizes, and a
-//! [`DspScratch`] arena lends out reusable buffers so the planned variants
-//! of `fft`/`rfft`/`xcorr`/`stft`/`power_spectrum` never allocate once
-//! warm. The one-shot functions elsewhere in the crate remain as thin
-//! wrappers over this module.
+//! the transform and a [`DspScratch`] arena lends out reusable buffers.
 //!
-//! The one-shot wrappers execute through these same plans, so cached and
-//! fresh executions produce the same floating-point results to the last
-//! ulp (pinned by the equivalence property tests in `tests/proptests.rs`).
-//! Twiddles come from exact angles, not a recurrence, and the transforms
-//! are checked against a direct O(n²) DFT there too.
+//! Plans come from one place: the process-wide registry
+//! ([`shared_real_plan`], and its complex twin inside the crate), which
+//! builds each size's immutable tables once and hands every caller the
+//! same `Arc`. Scratch comes from one place too: the caller. Each planned
+//! function (`xcorr_into`, `envelope_with`, `stft_with`, the matched
+//! filters) borrows a caller-held [`DspScratch`], so a warm arena makes it
+//! allocation-free; the one-shot conveniences elsewhere in the crate
+//! build a local arena per call.
+//!
+//! One-shot and planned calls execute through the same registry plans, so
+//! they produce the same floating-point results to the last ulp (pinned by
+//! the equivalence property tests in `tests/proptests.rs`). Twiddles come
+//! from exact angles, not a recurrence, and the transforms are checked
+//! against a direct O(n²) DFT there too.
 //!
 //! # Example
 //!
@@ -41,33 +46,6 @@ use crate::{Complex, DspError};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-thread_local! {
-    /// The execution context behind the crate's one-shot wrappers.
-    static THREAD_CTX: RefCell<(PlanCache, DspScratch)> =
-        RefCell::new((PlanCache::new(), DspScratch::new()));
-}
-
-/// Runs `f` against the thread-local plan cache and scratch arena.
-///
-/// This is the context the crate's one-shot conveniences (`fft`, `rfft`,
-/// `xcorr`, `stft`, `power_spectrum`) execute in, so repeated one-shot
-/// calls on a thread reuse plans and buffers much like FFTW's "wisdom".
-/// Hot paths should still hold their own [`PlanCache`]/[`DspScratch`] —
-/// explicit state is faster to reach and testable — but callers with a
-/// transform off the hot path can borrow this one.
-///
-/// # Panics
-///
-/// Panics if `f` re-enters `with_thread_ctx` (directly or by calling a
-/// one-shot wrapper): the context is a `RefCell`, not a reentrant lock.
-pub(crate) fn with_thread_ctx<T>(f: impl FnOnce(&mut PlanCache, &mut DspScratch) -> T) -> T {
-    THREAD_CTX.with(|ctx| {
-        let mut ctx = ctx.borrow_mut();
-        let (plans, scratch) = &mut *ctx;
-        f(plans, scratch)
-    })
-}
 
 /// A complex sequence held as two planes: element `k` is
 /// `re[k] + i·im[k]`.
@@ -734,72 +712,19 @@ impl RealFftPlan {
     }
 }
 
-/// A memo of [`FftPlan`]s keyed by transform length.
-///
-/// Sessions touch only a handful of distinct sizes (the padded
-/// correlation length, the STFT frame, the spectrum pad), so a linear
-/// scan over an ordered small vector beats hashing.
-#[derive(Debug, Clone, Default)]
-pub struct PlanCache {
-    plans: Vec<Arc<FftPlan>>,
-    real_plans: Vec<Arc<RealFftPlan>>,
-}
-
-impl PlanCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// The plan for length `n`, building and memoizing it on first use.
-    ///
-    /// The lookup is two-level: the cache's own lock-free vector first,
-    /// then the process-wide [shared registry](shared_plan). A plan
-    /// another thread already built is therefore reused (`Arc`-cloned),
-    /// never rebuilt — twiddle and bit-reversal tables are immutable.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FftPlan::new`].
-    pub(crate) fn plan(&mut self, n: usize) -> Result<Arc<FftPlan>, DspError> {
-        if let Some(p) = self.plans.iter().find(|p| p.len() == n) {
-            return Ok(Arc::clone(p));
-        }
-        let plan = shared_plan(n)?;
-        self.plans.push(Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// The real-input plan for length `n`, building and memoizing it on
-    /// first use (two-level lookup, like [`PlanCache::plan`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RealFftPlan::new`].
-    pub fn real_plan(&mut self, n: usize) -> Result<Arc<RealFftPlan>, DspError> {
-        if let Some(p) = self.real_plans.iter().find(|p| p.len() == n) {
-            return Ok(Arc::clone(p));
-        }
-        let plan = shared_real_plan(n)?;
-        self.real_plans.push(Arc::clone(&plan));
-        Ok(plan)
-    }
-}
-
-/// The process-wide table of immutable plan tables behind every
-/// [`PlanCache`]: twiddle factors, bit-reversal permutations and packed
-/// real-FFT split tables are read-only after construction, so parallel
-/// workers share one `Arc` per size instead of each rebuilding (and
-/// separately storing) identical tables.
+/// The process-wide table of immutable plan tables, the only source of
+/// plans: twiddle factors, bit-reversal permutations and packed real-FFT
+/// split tables are read-only after construction, so every caller on
+/// every thread shares one `Arc` per size instead of rebuilding (and
+/// separately storing) identical tables. Sessions touch only a handful
+/// of distinct sizes, so a linear scan beats hashing.
 struct SharedPlans {
     plans: Vec<Arc<FftPlan>>,
     real_plans: Vec<Arc<RealFftPlan>>,
 }
 
 static SHARED_PLANS: OnceLock<Mutex<SharedPlans>> = OnceLock::new();
-/// Requests served from an already-built shared table (cross-thread or
-/// cross-cache reuse).
+/// Requests served from an already-built shared table.
 static SHARED_HITS: AtomicU64 = AtomicU64::new(0);
 /// Requests that had to build a fresh table.
 static SHARED_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -813,48 +738,51 @@ fn shared_tables() -> &'static Mutex<SharedPlans> {
     })
 }
 
-/// The process-shared plan for length `n`, building it on first use.
+/// The registry's plan of length `n` in the list `pick` selects,
+/// built by `build` on first use.
 ///
 /// Construction happens under the registry lock, so concurrent first
-/// requests for one size build its tables exactly once. Plans are built
-/// by [`FftPlan::new`] and therefore bit-identical to privately built
-/// ones — sharing never changes numerics.
+/// requests for one size build its tables exactly once.
+fn registered<P>(
+    pick: fn(&mut SharedPlans) -> &mut Vec<Arc<P>>,
+    len: fn(&P) -> usize,
+    build: fn(usize) -> Result<P, DspError>,
+    n: usize,
+) -> Result<Arc<P>, DspError> {
+    let mut tables = shared_tables()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let list = pick(&mut tables);
+    if let Some(p) = list.iter().find(|p| len(p) == n) {
+        SHARED_HITS.fetch_add(1, Ordering::Relaxed);
+        return Ok(Arc::clone(p));
+    }
+    let plan = Arc::new(build(n)?);
+    SHARED_MISSES.fetch_add(1, Ordering::Relaxed);
+    list.push(Arc::clone(&plan));
+    Ok(plan)
+}
+
+/// The process-shared complex plan for length `n`, building it on first
+/// use. Plans are built by [`FftPlan::new`] and therefore bit-identical
+/// to privately built ones — sharing never changes numerics.
 ///
 /// # Errors
 ///
 /// Same conditions as [`FftPlan::new`].
 pub(crate) fn shared_plan(n: usize) -> Result<Arc<FftPlan>, DspError> {
-    let mut tables = shared_tables()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if let Some(p) = tables.plans.iter().find(|p| p.len() == n) {
-        SHARED_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(p));
-    }
-    let plan = Arc::new(FftPlan::new(n)?);
-    SHARED_MISSES.fetch_add(1, Ordering::Relaxed);
-    tables.plans.push(Arc::clone(&plan));
-    Ok(plan)
+    registered(|t| &mut t.plans, FftPlan::len, FftPlan::new, n)
 }
 
-/// The process-shared real-input plan for length `n` (see
-/// [`shared_plan`]).
+/// The process-shared real-input plan for length `n`, building it on
+/// first use; every caller on every thread gets the same `Arc`.
 ///
 /// # Errors
 ///
-/// Same conditions as [`RealFftPlan::new`].
+/// Returns [`DspError::EmptyInput`] for `n == 0` and
+/// [`DspError::InvalidParameter`] when `n` is not a power of two.
 pub fn shared_real_plan(n: usize) -> Result<Arc<RealFftPlan>, DspError> {
-    let mut tables = shared_tables()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if let Some(p) = tables.real_plans.iter().find(|p| p.len() == n) {
-        SHARED_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(p));
-    }
-    let plan = Arc::new(RealFftPlan::new(n)?);
-    SHARED_MISSES.fetch_add(1, Ordering::Relaxed);
-    tables.real_plans.push(Arc::clone(&plan));
-    Ok(plan)
+    registered(|t| &mut t.real_plans, RealFftPlan::len, RealFftPlan::new, n)
 }
 
 /// Cumulative count of plan requests served from the shared registry
@@ -874,8 +802,9 @@ pub fn shared_plan_misses() -> u64 {
 
 /// A reusable buffer arena for the planned DSP paths.
 ///
-/// The planned variants of `xcorr`, `stft` and `power_spectrum` borrow
-/// their working storage from here instead of allocating. Buffers grow to
+/// The caller-held working storage of every planned DSP path (the
+/// matched filters, `xcorr_into`, `envelope_with`, `stft_with`): they
+/// borrow their buffers from here instead of allocating. Buffers grow to
 /// the high-water mark of the sizes seen and are then reused, so a warm
 /// scratch makes the steady-state hot path allocation-free (pinned by the
 /// `alloc_steady_state` test).
@@ -1147,32 +1076,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_memoizes_per_size() {
-        let mut cache = PlanCache::new();
-        let a = cache.plan(64).unwrap();
-        let b = cache.plan(64).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let _ = cache.plan(128).unwrap();
-        assert_eq!(cache.plans.len(), 2);
-        assert!(cache.plan(10).is_err());
-    }
-
-    #[test]
-    fn thread_ctx_memoizes_across_calls() {
-        // Two separate borrows of the thread context see the same cache:
-        // the second call must not grow the size count.
-        let count0 = with_thread_ctx(|plans, _| {
-            plans.plan(32).unwrap();
-            plans.plans.len()
-        });
-        let count1 = with_thread_ctx(|plans, _| {
-            plans.plan(32).unwrap();
-            plans.plans.len()
-        });
-        assert_eq!(count0, count1);
-    }
-
-    #[test]
     fn rfft_half_matches_full_transform() {
         for &n in &[1usize, 2, 4, 8, 64, 256, 1024] {
             let signal: Vec<f64> = (0..n.min(3 * n / 4 + 1))
@@ -1227,16 +1130,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_memoizes_real_plans() {
-        let mut cache = PlanCache::new();
-        let a = cache.real_plan(64).unwrap();
-        let b = cache.real_plan(64).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.real_plans.len(), 1);
-        assert!(cache.real_plan(10).is_err());
-    }
-
-    #[test]
     fn scratch_reports_capacity() {
         let mut scratch = DspScratch::new();
         assert_eq!(scratch.capacity_bytes(), 0);
@@ -1248,19 +1141,14 @@ mod tests {
     }
 
     #[test]
-    fn caches_share_immutable_tables_across_threads() {
+    fn registry_shares_immutable_tables_across_threads() {
         // Deliberately unusual sizes so parallel sibling tests (which
         // share the process-wide registry) cannot interfere with the
         // identity assertions.
         let n = 1 << 13;
         let from_threads: Vec<(Arc<FftPlan>, Arc<RealFftPlan>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut cache = PlanCache::new();
-                        (cache.plan(n).unwrap(), cache.real_plan(n).unwrap())
-                    })
-                })
+                .map(|_| s.spawn(|| (shared_plan(n).unwrap(), shared_real_plan(n).unwrap())))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -1277,25 +1165,18 @@ mod tests {
         // The hit counter observes the reuse: of the 8 requests above at
         // most 2 built tables, so at least 6 were shared-table hits.
         let before = shared_plan_hits();
-        let mut cache = PlanCache::new();
-        let again = cache.plan(n).unwrap();
+        let again = shared_plan(n).unwrap();
         assert!(Arc::ptr_eq(&again, &from_threads[0].0));
         assert!(
             shared_plan_hits() > before,
-            "a fresh cache's first request for a known size must count as a shared hit"
+            "a request for a known size must count as a shared hit"
         );
         assert!(
             shared_plan_misses() >= 2,
             "both table kinds were built once"
         );
-        // A second request from the *same* cache is served locally: the
-        // shared counter must not move.
-        let local_before = shared_plan_hits();
-        let _ = cache.plan(n).unwrap();
-        assert_eq!(
-            shared_plan_hits(),
-            local_before,
-            "local fast path must not touch the registry"
-        );
+        // A size no plan can have is an error, and is never registered.
+        assert!(shared_plan(10).is_err());
+        assert!(shared_real_plan(10).is_err());
     }
 }

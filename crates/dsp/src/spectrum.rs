@@ -4,8 +4,9 @@
 //! to calibrate simulated noise spectra against the paper's SNR points, and
 //! by tests that check filter behaviour.
 
+use crate::error::check_rate;
 use crate::fft::try_next_pow2;
-use crate::plan::{DspScratch, PlanCache};
+use crate::plan::{shared_real_plan, Planes};
 use crate::window::Window;
 use crate::DspError;
 
@@ -18,53 +19,37 @@ use crate::DspError;
 /// # Errors
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal and
-/// [`DspError::InvalidParameter`] for a non-positive sample rate.
+/// [`DspError::InvalidParameter`] for a sample rate that is not finite
+/// and positive.
 pub(crate) fn power_spectrum(
     signal: &[f64],
     sample_rate: f64,
     window: Window,
-) -> Result<(Vec<f64>, Vec<f64>), DspError> {
-    crate::plan::with_thread_ctx(|plans, scratch| {
-        periodogram(signal, sample_rate, window, plans, scratch)
-    })
-}
-
-/// [`power_spectrum`] with the FFT plan and working buffers taken from
-/// `plans`/`scratch`.
-fn periodogram(
-    signal: &[f64],
-    sample_rate: f64,
-    window: Window,
-    plans: &mut PlanCache,
-    scratch: &mut DspScratch,
 ) -> Result<(Vec<f64>, Vec<f64>), DspError> {
     if signal.is_empty() {
         return Err(DspError::EmptyInput {
             what: "power_spectrum input",
         });
     }
-    if sample_rate <= 0.0 {
-        return Err(DspError::invalid("sample_rate", "must be positive"));
-    }
-    scratch.r1.clear();
-    scratch.r1.extend_from_slice(signal);
-    window.apply(&mut scratch.r1)?;
+    check_rate(sample_rate)?;
+    let mut windowed = signal.to_vec();
+    window.apply(&mut windowed)?;
     let n = try_next_pow2(signal.len())?;
-    plans
-        .real_plan(n)?
-        .rfft_half_into(&scratch.r1, &mut scratch.p1)?;
-    let half = scratch.p1.len();
+    let mut bins = Planes::default();
+    shared_real_plan(n)?.rfft_half_into(&windowed, &mut bins)?;
+    let half = bins.len();
     let gain = window.coherent_gain(signal.len());
     let norm = 1.0 / (n as f64 * signal.len() as f64 * gain * gain);
-    let mut freqs = Vec::with_capacity(half);
-    let mut power = Vec::with_capacity(half);
-    for k in 0..half {
-        let c = scratch.p1.at(k);
-        freqs.push(k as f64 * sample_rate / n as f64);
-        // One-sided: double interior bins.
-        let scale = if k == 0 || k == half - 1 { 1.0 } else { 2.0 };
-        power.push(scale * c.norm_sqr() * norm);
-    }
+    let freqs = (0..half)
+        .map(|k| k as f64 * sample_rate / n as f64)
+        .collect();
+    let power = (0..half)
+        .map(|k| {
+            // One-sided: double interior bins.
+            let scale = if k == 0 || k == half - 1 { 1.0 } else { 2.0 };
+            scale * bins.at(k).norm_sqr() * norm
+        })
+        .collect();
     Ok((freqs, power))
 }
 
@@ -72,8 +57,9 @@ fn periodogram(
 ///
 /// # Errors
 ///
-/// Returns [`DspError::InvalidParameter`] if the band is empty or outside
-/// `[0, fs/2]`, plus the conditions of [`power_spectrum`].
+/// Returns [`DspError::EmptyInput`] for an empty signal and
+/// [`DspError::InvalidParameter`] for a sample rate that is not finite
+/// and positive, or a band that is empty or outside `[0, fs/2]`.
 pub fn band_energy_fraction(
     signal: &[f64],
     sample_rate: f64,

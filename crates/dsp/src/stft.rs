@@ -4,7 +4,8 @@
 //! `spectrogram` example), to verify noise-model spectra over time, and
 //! generally useful to anyone adopting the DSP crate.
 
-use crate::plan::{DspScratch, PlanCache};
+use crate::error::check_rate;
+use crate::plan::{shared_real_plan, DspScratch};
 use crate::window::Window;
 use crate::DspError;
 
@@ -46,21 +47,20 @@ impl Spectrogram {
 ///
 /// Returns [`DspError::EmptyInput`] for an empty signal,
 /// [`DspError::InvalidParameter`] for zero frame/hop sizes, a frame
-/// longer than the signal, or a non-positive sample rate.
+/// longer than the signal, or a sample rate that is not finite and
+/// positive.
 pub fn stft(
     signal: &[f64],
     frame_len: usize,
     hop: usize,
     sample_rate: f64,
 ) -> Result<Spectrogram, DspError> {
-    crate::plan::with_thread_ctx(|plans, scratch| {
-        stft_with(signal, frame_len, hop, sample_rate, plans, scratch)
-    })
+    stft_with(signal, frame_len, hop, sample_rate, &mut DspScratch::new())
 }
 
-/// Planned spectrogram: identical output to [`stft`], with the per-frame
-/// FFT plan and working buffers taken from `plans`/`scratch` — one plan
-/// lookup for the whole call and no per-frame transform setup.
+/// Planned spectrogram: identical output to [`stft`], with the working
+/// buffers taken from `scratch` — one plan lookup for the whole call and
+/// no per-frame transform setup.
 ///
 /// # Errors
 ///
@@ -70,7 +70,6 @@ pub fn stft_with(
     frame_len: usize,
     hop: usize,
     sample_rate: f64,
-    plans: &mut PlanCache,
     scratch: &mut DspScratch,
 ) -> Result<Spectrogram, DspError> {
     if signal.is_empty() {
@@ -85,11 +84,9 @@ pub fn stft_with(
             format!("frame {frame_len} longer than signal {}", signal.len()),
         ));
     }
-    if sample_rate <= 0.0 {
-        return Err(DspError::invalid("sample_rate", "must be positive"));
-    }
+    check_rate(sample_rate)?;
     let fft_size = crate::fft::try_next_pow2(frame_len)?;
-    let plan = plans.real_plan(fft_size)?;
+    let plan = shared_real_plan(fft_size)?;
     let window = Window::Hann.coefficients(frame_len)?;
     let mut frames = Vec::new();
     let mut start = 0;

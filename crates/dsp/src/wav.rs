@@ -221,7 +221,9 @@ impl WavFile {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`WavFile::from_bytes`] plus filesystem errors.
+    /// Returns [`DspError::InvalidParameter`] for an unreadable file,
+    /// malformed headers, non-PCM16 content, or unsupported channel
+    /// counts.
     pub fn load(path: &std::path::Path) -> Result<Self, DspError> {
         let bytes = std::fs::read(path)
             .map_err(|e| DspError::invalid("path", format!("cannot read wav: {e}")))?;

@@ -1,5 +1,6 @@
-//! Pins the plan/scratch architecture's central promise: once the plan
-//! cache, scratch arena, template spectrum and output buffer are warm,
+//! Pins the plan/scratch architecture's central promise: once the shared
+//! plans are built and the scratch arena, template spectrum and output
+//! buffer are warm,
 //! the DSP hot path — up to and including a full pipeline session
 //! through a warm `SessionEngine::run_into` — performs **zero** heap
 //! allocations per call.
@@ -12,7 +13,7 @@ use hyperear::config::HyperEarConfig;
 use hyperear::pipeline::{SessionEngine, SessionInput, SessionResult};
 use hyperear_dsp::correlate::{xcorr_into, StreamingMatchedFilter};
 use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir};
-use hyperear_dsp::plan::{DspScratch, PlanCache};
+use hyperear_dsp::plan::DspScratch;
 use hyperear_dsp::window::Window;
 use hyperear_sim::environment::Environment;
 use hyperear_sim::phone::PhoneModel;
@@ -30,16 +31,15 @@ fn warm_xcorr_path_does_not_allocate() {
         .collect();
 
     // --- Free-function planned path: xcorr_into. ----------------------
-    let mut plans = PlanCache::new();
     let mut scratch = DspScratch::new();
     let mut out = Vec::new();
     // Warm-up: plans built, buffers grown to their high-water mark.
-    xcorr_into(&signal, &template, &mut plans, &mut scratch, &mut out).unwrap();
+    xcorr_into(&signal, &template, &mut scratch, &mut out).unwrap();
     let expected = out.clone();
 
     let before = ALLOC.allocations();
     for _ in 0..3 {
-        xcorr_into(&signal, &template, &mut plans, &mut scratch, &mut out).unwrap();
+        xcorr_into(&signal, &template, &mut scratch, &mut out).unwrap();
     }
     let after = ALLOC.allocations();
     assert_eq!(
@@ -165,14 +165,15 @@ fn warm_xcorr_path_does_not_allocate() {
     }
 
     // --- Envelope-mode detection allocation-free when warm. -----------
-    // The Hilbert envelope runs on the detector's plan cache and its
-    // scratch-owned buffers: the plain path (peaks on the envelope of
-    // the correlation) and a weighted estimator's guided path (envelopes
-    // of both the weighted and the own correlation).
+    // The Hilbert envelope runs on the shared plans and the detector's
+    // own scratch, for every estimator: the plain path (peaks on the
+    // envelope of the correlation), the weighted estimators' guided path
+    // (envelopes of both the weighted and the own correlation) and
+    // MCCI's full-rate fused and own correlations.
     let mut env_cfg = HyperEarConfig::galaxy_s4();
     env_cfg.detection.envelope_detection = true;
     let mut env_engine = SessionEngine::new(env_cfg).unwrap();
-    for est in [TdoaEstimator::PlainXcorr, TdoaEstimator::GccPhat] {
+    for est in TdoaEstimator::ALL {
         env_engine
             .run_estimated_into(&input, est, &mut result)
             .unwrap();

@@ -8,7 +8,7 @@ use hyperear_dsp::delay::mix_delayed_local;
 use hyperear_dsp::fft::{fft, ifft, rfft, try_next_pow2};
 use hyperear_dsp::filter::FirFilter;
 use hyperear_dsp::interpolate::parabolic_peak;
-use hyperear_dsp::plan::{DspScratch, FftPlan, PlanCache, Planes};
+use hyperear_dsp::plan::{shared_real_plan, DspScratch, FftPlan, Planes};
 use hyperear_dsp::quantize::{dequantize_i16, quantize_i16};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
@@ -269,13 +269,12 @@ fn planned_xcorr_bit_identical_to_one_shot() {
         |(signal, template)| {
             prop_assume!(template.len() <= signal.len());
             let reference = xcorr(signal, template).unwrap();
-            let mut plans = PlanCache::new();
             let mut scratch = DspScratch::new();
             let mut out = Vec::new();
             // Two passes: cold (buffers grow) and warm (buffers reused)
             // must both match the one-shot result exactly.
             for _ in 0..2 {
-                xcorr_into(signal, template, &mut plans, &mut scratch, &mut out).unwrap();
+                xcorr_into(signal, template, &mut scratch, &mut out).unwrap();
                 prop_assert_eq!(&out, &reference);
             }
             prop::pass()
@@ -303,10 +302,8 @@ fn rfft_half_expands_to_full_rfft() {
         |(signal, extra_pow)| {
             let n = try_next_pow2(signal.len()).unwrap() << extra_pow;
             let reference = rfft(signal, n).unwrap();
-            let mut plans = PlanCache::new();
             let mut planes = Planes::default();
-            plans
-                .real_plan(n)
+            shared_real_plan(n)
                 .unwrap()
                 .rfft_half_into(signal, &mut planes)
                 .unwrap();
@@ -429,12 +426,10 @@ fn planned_stft_matches_one_shot() {
     let strat = (vec_f64(-1.0, 1.0, 64, 512), usize_range(16, 64));
     prop::check("planned_stft_matches_one_shot", strat, |(signal, frame)| {
         prop_assume!(*frame <= signal.len());
-        let mut plans = PlanCache::new();
         let mut scratch = DspScratch::new();
         let hop = (frame / 2).max(1);
         let planned =
-            hyperear_dsp::stft::stft_with(signal, *frame, hop, 8_000.0, &mut plans, &mut scratch)
-                .unwrap();
+            hyperear_dsp::stft::stft_with(signal, *frame, hop, 8_000.0, &mut scratch).unwrap();
         let reference = hyperear_dsp::stft::stft(signal, *frame, hop, 8_000.0).unwrap();
         prop_assert_eq!(&planned, &reference);
         prop::pass()

@@ -58,8 +58,8 @@ pub struct MicPair {
 ///
 /// Positions are stored inline (`Copy`, no heap); `len` of the
 /// fixed-capacity storage is the microphone count. Construct via the
-/// presets ([`MicArray::two_mic`], [`MicArray::triangle`],
-/// [`MicArray::rectangle`]) or [`MicArray::from_positions`], then call
+/// presets ([`MicArray::two_mic`], [`MicArray::triangle`], or the
+/// device table in [`crate::devices`]) or [`MicArray::from_positions`], then call
 /// [`MicArray::validate`] — constructors only enforce structural
 /// bounds (2..=[`MAX_MICS`] mics), validation enforces geometry
 /// (coincidence, and for DOA use, collinearity via
@@ -260,8 +260,9 @@ impl MicArray {
         dev
     }
 
-    /// Whether every microphone lies on one line (within
-    /// [`COLLINEAR_EPS`]). Two-mic arrays are trivially collinear.
+    /// Whether every microphone lies on one line (within 1e-6 m of the
+    /// line through the first pair). Two-mic arrays are trivially
+    /// collinear.
     pub fn is_collinear(&self) -> bool {
         self.len <= 2 || self.max_line_deviation() < COLLINEAR_EPS
     }

@@ -3,7 +3,7 @@
 //! Geometry for the [HyperEar] reproduction:
 //!
 //! - [`vec`](mod@vec) — 2D/3D vectors.
-//! - [`array`] — the N-microphone array description (device frame,
+//! - [`array`](mod@array) — the N-microphone array description (device frame,
 //!   derived pairwise baselines) every layer consumes.
 //! - [`devices`] — the named device-preset table (Galaxy S4 / Note 3 /
 //!   synthetic multi-mic arrays); the single home of the mic constants.

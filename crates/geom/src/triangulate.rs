@@ -170,7 +170,7 @@ impl SlideSolution {}
 
 /// Solves one slide's two-hyperbola intersection (paper Eqs. 5–6).
 ///
-/// Damped Gauss-Newton seeded by [`SlideGeometry::far_field_guess`]. The
+/// Damped Gauss-Newton seeded by the slide's far-field guess. The
 /// solution is constrained to the upper half-plane (`y > 0`): the speaker's
 /// side is resolved earlier by Speaker Direction Finding, so the mirror
 /// ambiguity is already broken.

@@ -72,8 +72,9 @@ pub struct SegmentKinematics {
 ///
 /// # Errors
 ///
-/// Combines the conditions of velocity estimation and
-/// [`integrate_velocity_into`].
+/// Combines the conditions of velocity estimation and velocity
+/// integration ([`ImuError::TraceTooShort`] for fewer than 2 samples,
+/// [`ImuError::InvalidParameter`] for a non-positive sample rate).
 pub fn segment_kinematics(
     accel: &[f64],
     sample_rate: f64,

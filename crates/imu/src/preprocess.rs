@@ -52,8 +52,11 @@ pub(crate) fn estimate_gravity(accel: &[Vec3], window: usize) -> Result<Vec3, Im
 ///
 /// # Errors
 ///
-/// Combines the error conditions of [`estimate_gravity`] with
-/// [`ImuError::InvalidParameter`] for a zero `sma_window`.
+/// Returns [`ImuError::TraceTooShort`] if fewer than `gravity_window`
+/// samples are available, [`ImuError::InvalidParameter`] for a zero
+/// `gravity_window` or `sma_window`, and an error if the gravity estimate is
+/// implausibly far from 9.8 m/s² (the window was not actually
+/// stationary).
 pub fn preprocess(
     accel: &[Vec3],
     gravity_window: usize,

@@ -13,7 +13,7 @@ use crate::room::PropagationPath;
 use crate::SimError;
 use hyperear_dsp::delay::mix_delayed_local;
 use hyperear_dsp::level;
-use hyperear_dsp::plan::{DspScratch, PlanCache};
+use hyperear_dsp::plan::{shared_real_plan, DspScratch};
 use hyperear_dsp::quantize::requantize;
 use hyperear_geom::Vec3;
 
@@ -155,9 +155,9 @@ pub(crate) fn add_noise_and_quantize(
 /// Used to pre-distort the beacon the way a voice-optimized phone mic
 /// records it — flat in the audible band, drooping in near-ultrasound.
 /// This is the "frequency selectivity" distortion the paper's future-work
-/// section flags for inaudible beacons. The transforms run through a
-/// caller-held [`PlanCache`] and [`DspScratch`], so repeated shaping
-/// (once per rendered channel) reuses plans and buffers.
+/// section flags for inaudible beacons. The transforms use the shared
+/// plan registry and a caller-held [`DspScratch`], so repeated shaping
+/// (once per rendered channel) reuses one plan and one set of buffers.
 ///
 /// # Errors
 ///
@@ -167,7 +167,6 @@ pub(crate) fn apply_mic_response_with(
     waveform: &[f64],
     gain_at: &dyn Fn(f64) -> f64,
     sample_rate: f64,
-    plans: &mut PlanCache,
     scratch: &mut DspScratch,
 ) -> Result<Vec<f64>, SimError> {
     use hyperear_dsp::fft::try_next_pow2;
@@ -178,12 +177,12 @@ pub(crate) fn apply_mic_response_with(
         return Err(SimError::invalid("sample_rate", "must be positive"));
     }
     let n = try_next_pow2(waveform.len())?;
-    let plan = plans.real_plan(n)?;
+    let plan = shared_real_plan(n)?;
     plan.rfft_half_into(waveform, &mut scratch.p1)?;
     // The half-spectrum covers bins 0..=n/2 directly; scaling by a real
     // gain keeps the implied full spectrum conjugate-symmetric, so the
     // shaping stays zero-phase.
-    let hyperear_dsp::plan::DspScratch { p1, r1, .. } = scratch;
+    let DspScratch { p1, r1, .. } = scratch;
     for (k, (re, im)) in p1.re.iter_mut().zip(p1.im.iter_mut()).enumerate() {
         let freq = k as f64 * sample_rate / n as f64;
         let g = gain_at(freq).max(0.0);
@@ -203,13 +202,7 @@ mod tests {
         gain_at: &dyn Fn(f64) -> f64,
         sample_rate: f64,
     ) -> Result<Vec<f64>, SimError> {
-        apply_mic_response_with(
-            waveform,
-            gain_at,
-            sample_rate,
-            &mut PlanCache::new(),
-            &mut DspScratch::new(),
-        )
+        apply_mic_response_with(waveform, gain_at, sample_rate, &mut DspScratch::new())
     }
 
     /// Measures the achieved active-sample SNR of a noisy channel given its

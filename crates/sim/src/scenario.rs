@@ -18,21 +18,20 @@ use crate::room::{free_field, PropagationPath};
 use crate::speaker::SpeakerModel;
 use crate::volunteer::Volunteer;
 use crate::SimError;
-use hyperear_dsp::plan::{DspScratch, PlanCache};
+use hyperear_dsp::plan::DspScratch;
 use hyperear_dsp::SPEED_OF_SOUND;
 use hyperear_geom::{MicArray, Vec2, Vec3};
 use hyperear_util::pool::Pool;
 
-/// Reusable FFT state for repeated rendering.
+/// Reusable FFT scratch for repeated rendering.
 ///
-/// Holds the plan cache and scratch arena the renderer's spectral steps
-/// (currently microphone-response shaping) execute against. Harnesses
-/// that render many scenarios (figure reproductions, benchmarks) should
-/// hold one context per worker and call [`ScenarioBuilder::render_with`]
-/// so FFT setup work is paid once.
+/// Holds the scratch arena the renderer's spectral steps (currently
+/// microphone-response shaping) execute in; their FFT plans come from
+/// the process-wide registry. Harnesses that render many scenarios
+/// (figure reproductions, benchmarks) should hold one context per worker
+/// and call [`ScenarioBuilder::render_with`] so the buffers grow once.
 #[derive(Debug, Clone, Default)]
 pub struct RenderContext {
-    plans: PlanCache,
     scratch: DspScratch,
 }
 
@@ -338,7 +337,7 @@ impl ScenarioBuilder {
     }
 
     /// Renders this scenario at each of `seeds` across a pool, one
-    /// [`RenderContext`] (FFT plans + scratch) pinned per pool
+    /// [`RenderContext`] (FFT scratch) pinned per pool
     /// participant. Output slot `i` always holds seed `i`'s recording —
     /// bit-identical to rendering the seeds sequentially, regardless of
     /// thread count or schedule, because a render depends only on the
@@ -353,8 +352,8 @@ impl ScenarioBuilder {
         })
     }
 
-    /// Renders the session, reusing the FFT plans and scratch buffers in
-    /// `ctx`. Identical output to [`ScenarioBuilder::render`].
+    /// Renders the session, reusing the FFT scratch buffers in `ctx`.
+    /// Identical output to [`ScenarioBuilder::render`].
     ///
     /// # Errors
     ///
@@ -693,7 +692,6 @@ impl ScenarioBuilder {
             chirp.samples(),
             &|f| self.phone.mic_gain_at(f),
             self.phone.audio_sample_rate,
-            &mut ctx.plans,
             &mut ctx.scratch,
         )?;
         let phase = phase_rng.uniform_in(0.0, speaker.period);

@@ -7,7 +7,7 @@
 //! - [`rng`]: deterministic xoshiro256++ / splitmix64 randomness.
 //! - [`json`]: minimal JSON parse/serialize for config and report I/O.
 //! - [`prop`]: a seeded, shrinking property-test harness.
-//! - [`bench`]: a warmup + median/p95 micro-benchmark harness.
+//! - [`bench`](mod@bench): a warmup + median/p95 micro-benchmark harness.
 //! - [`alloc_counter`]: an allocation-counting global allocator for
 //!   zero-allocation hot-path tests.
 //! - [`pool`]: a thread pool with one deterministic,

@@ -553,7 +553,8 @@ where
     }
 }
 
-/// Checks a property over [`Config::from_env`] cases, panicking with a
+/// Checks a property over the configured cases (`HYPEREAR_PROP_CASES`,
+/// `HYPEREAR_PROP_SEED`, `HYPEREAR_PROP_MAX_SHRINKS`), panicking with a
 /// seed-bearing report on the first (shrunk) counterexample.
 ///
 /// # Panics

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: hermetic build + full test suite, plus lint
-# and formatting when the components are installed. Run from anywhere.
+# Tier-1 verification gate: hermetic build + full test suite + rustdoc
+# with warnings denied, plus lint and formatting when the components are
+# installed. Run from anywhere.
 #
 #   scripts/verify.sh              # tier-1 gate
 #   scripts/verify.sh --faults     # tier-1 gate + seeded fault-matrix sweep
@@ -134,6 +135,11 @@ HYPEREAR_THREADS=1 cargo test --workspace -q
 
 echo "== cargo test --workspace -q (HYPEREAR_THREADS=4) =="
 HYPEREAR_THREADS=4 cargo test --workspace -q
+
+# Rustdoc gate: a broken intra-doc link, or public documentation that
+# links a crate-private item, fails the build.
+echo "== cargo doc --workspace --no-deps (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Experiment smoke: the cheapest analytic reproduction plus one figure
 # sweep, in --fast mode, so a pipeline regression that unit tests miss

@@ -34,7 +34,7 @@ use hyperear_dsp::interpolate::{parabolic_peak, Decimation};
 use hyperear_dsp::peak::{
     detect_envelope_peaks_into, detect_peaks_into, Peak, PeakScratch, ThresholdRule,
 };
-use hyperear_dsp::plan::{DspScratch, PlanCache};
+use hyperear_dsp::plan::DspScratch;
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
 use hyperear_sim::environment::Environment;
@@ -283,7 +283,7 @@ fn clean_stereo_and_envelope_arrivals_equal_the_reference_epilogue() {
     let mut envelope_detector = BeaconDetector::new(&config, fs).unwrap();
     let bank = folded_filter(&config, fs).band_limited().unwrap();
     let dec = bank.decimation(0);
-    let (mut plans, mut scratch, mut env) = (PlanCache::new(), DspScratch::new(), Vec::new());
+    let (mut scratch, mut env) = (DspScratch::new(), Vec::new());
     for (name, channel) in [("left", &rec.audio.left), ("right", &rec.audio.right)] {
         let corr = correlate(&config, fs, channel);
         checked_peaks(&corr, &rule, name);
@@ -294,7 +294,7 @@ fn clean_stereo_and_envelope_arrivals_equal_the_reference_epilogue() {
             band_arrivals(dec, &band, None, lags, &rule, false, fs),
             "{name}: plain arrivals"
         );
-        envelope_with(&corr, &mut plans, &mut scratch, &mut env).unwrap();
+        envelope_with(&corr, &mut scratch, &mut env).unwrap();
         checked_peaks(&env, &rule, name);
         assert_eq!(
             detect(&mut envelope_detector, channel).unwrap(),

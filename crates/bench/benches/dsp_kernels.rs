@@ -58,17 +58,16 @@ fn bench_fft(suite: &mut Suite) {
             },
         );
     }
-    // The unpermuted split-plane passes the detector runs: the forward
-    // `dif` of every overlap-save block (8192 at the default chirp) and
-    // the band inverses' `dit` (block / D), each timed with the copy
-    // that restores its input.
+    // The unpermuted split-plane passes at every size a session runs,
+    // each timed with the copy that restores its input: the overlap-save
+    // blocks (8192 at the default chirp), the band inverses (block / D),
+    // the half-size complex transforms of the real-input plans and the
+    // weighted estimator rungs' 65,536/131,072-point transforms.
     type Pass = fn(&FftPlan, &mut [f64], &mut [f64]);
-    let passes: [(&str, &[usize], Pass); 2] = [
-        ("dif", &[1_024, 2_048, 8_192], FftPlan::dif),
-        ("dit", &[1_024, 2_048], FftPlan::dit),
-    ];
-    for (name, sizes, pass) in passes {
-        for &size in sizes {
+    let sizes = [1_024, 2_048, 4_096, 8_192, 65_536, 131_072];
+    let passes: [(&str, Pass); 2] = [("dif", FftPlan::dif), ("dit", FftPlan::dit)];
+    for (name, pass) in passes {
+        for size in sizes {
             let plan = FftPlan::new(size).expect("plan");
             let re0 = deterministic_signal(size);
             let im0: Vec<f64> = re0.iter().rev().copied().collect();

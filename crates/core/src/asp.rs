@@ -66,10 +66,7 @@ pub(crate) struct DetectorCore {
     /// The chirp template length: the shortest channel detection
     /// accepts (folding lengthens the engine template, not this).
     chirp_len: usize,
-    sample_rate: f64,
-    threshold: ThresholdRule,
-    interpolation: Interpolation,
-    envelope_detection: bool,
+    epilogue: Epilogue,
     /// The configured initial estimator (see `EstimatorPolicy::initial`);
     /// engine-driven escalation may override it per detection pass.
     estimator: TdoaEstimator,
@@ -78,6 +75,19 @@ pub(crate) struct DetectorCore {
     /// Beacon band for coherence weighting, Hz (band-pass margins applied,
     /// clamped to Nyquist).
     coherence_band: (f64, f64),
+}
+
+/// The per-beacon settings arrival extraction reads once a correlation
+/// exists: the sample rate, the detection threshold, the sub-sample
+/// interpolation and the envelope mode. A solo [`DetectorCore`] holds one;
+/// a [`MultiBeaconDetector`] holds one per beacon beside its shared
+/// template bank, and builds no other per-beacon state.
+#[derive(Debug, Clone)]
+struct Epilogue {
+    sample_rate: f64,
+    threshold: ThresholdRule,
+    interpolation: Interpolation,
+    envelope_detection: bool,
 }
 
 /// How far (samples, each side) guided arrival extraction searches a
@@ -209,7 +219,7 @@ impl WorkspaceSizing {
             block,
             band: 2 * (block / dec.factor()),
             lags,
-            window: core.window_bound(dec),
+            window: core.epilogue.window_bound(dec),
             spectrum: if core.estimator.weights_spectrum() {
                 lags.next_power_of_two()
             } else {
@@ -383,26 +393,7 @@ impl DetectorCore {
     /// Returns [`HyperEarError::InvalidParameter`] for an invalid config
     /// or a sample rate that cannot carry the chirp band.
     pub(crate) fn new(config: &HyperEarConfig, sample_rate: f64) -> Result<Self, HyperEarError> {
-        config.validate()?;
-        if sample_rate <= 2.0 * config.beacon.f1 {
-            return Err(HyperEarError::invalid(
-                "sample_rate",
-                format!(
-                    "rate {sample_rate} cannot represent the {} Hz chirp edge",
-                    config.beacon.f1
-                ),
-            ));
-        }
-        // The config is valid, so a template this rate cannot build
-        // (non-finite, or too many samples) is a sample-rate error.
-        let chirp = Chirp::new(
-            config.beacon.f0,
-            config.beacon.f1,
-            config.beacon.duration,
-            sample_rate,
-            config.beacon.pattern.shape(),
-        )
-        .map_err(|e| HyperEarError::invalid("sample_rate", e.to_string()))?;
+        let chirp = beacon_chirp(config, sample_rate)?;
         let filter = if config.detection.band_pass {
             let design = band_pass_design(config.beacon.f0, config.beacon.f1, sample_rate, config)?;
             StreamingMatchedFilter::with_zero_phase_prefilter(chirp.samples(), design.taps())?
@@ -413,21 +404,7 @@ impl DetectorCore {
             band: filter.band_limited()?,
             filter,
             chirp_len: chirp.samples().len(),
-            sample_rate,
-            // Two-part threshold: beacons must clear the statistical
-            // noise floor AND be within an order of magnitude of the
-            // session's strongest beacon — the latter keeps numerical
-            // dust in quiet recordings from ever counting as a detection.
-            threshold: ThresholdRule {
-                noise_factor: config.detection.threshold_factor,
-                relative: config.detection.relative_threshold,
-                min_distance: ((config.detection.min_spacing_fraction
-                    * config.beacon.period
-                    * sample_rate) as usize)
-                    .max(1),
-            },
-            interpolation: config.detection.interpolation,
-            envelope_detection: config.detection.envelope_detection,
+            epilogue: Epilogue::new(config, sample_rate),
             estimator: config.estimator.initial,
             phat_floor: config.estimator.phat_floor,
             coherence_bands: config.estimator.coherence_bands,
@@ -441,7 +418,7 @@ impl DetectorCore {
     /// The sample rate this core was built for.
     #[must_use]
     pub(crate) fn sample_rate(&self) -> f64 {
-        self.sample_rate
+        self.epilogue.sample_rate
     }
 
     /// The largest FFT a detection pass ever runs, in samples.
@@ -464,7 +441,12 @@ impl DetectorCore {
     /// apart, and strict local maxima are never adjacent.
     pub(crate) fn max_arrivals(&self, max_samples: usize) -> usize {
         let dec = self.decimation();
-        let spacing = self.threshold.min_distance.div_ceil(dec.factor()).max(2);
+        let spacing = self
+            .epilogue
+            .threshold
+            .min_distance
+            .div_ceil(dec.factor())
+            .max(2);
         (dec.decimated_len(max_samples) - 1) / spacing + 1
     }
 
@@ -571,7 +553,9 @@ impl DetectorCore {
     ) -> Result<(), HyperEarError> {
         let dec = self.band.decimation(0);
         if !estimator.weights_spectrum() {
-            return self.arrivals_band(dec, corr, None, lags, &mut x.pick, out);
+            return self
+                .epilogue
+                .arrivals_band(dec, corr, None, lags, &mut x.pick, out);
         }
         if spectrum.is_empty() {
             spectrum.compute(corr)?;
@@ -581,8 +565,8 @@ impl DetectorCore {
         } else {
             // The coherence band in the decimated sequence's baseband
             // frequencies.
-            let rate = self.sample_rate / dec.factor() as f64;
-            let center = dec.carrier() * self.sample_rate;
+            let rate = self.epilogue.sample_rate / dec.factor() as f64;
+            let center = dec.carrier() * self.epilogue.sample_rate;
             let lo = (self.coherence_band.0 - center).max(-rate / 2.0);
             let hi = (self.coherence_band.1 - center).min(rate / 2.0);
             lo < hi
@@ -596,7 +580,31 @@ impl DetectorCore {
                 )?
         };
         let guide = if weighted { &x.guide } else { corr };
-        self.arrivals_band(dec, guide, Some(corr), lags, &mut x.pick, out)
+        self.epilogue
+            .arrivals_band(dec, guide, Some(corr), lags, &mut x.pick, out)
+    }
+}
+
+impl Epilogue {
+    /// The epilogue settings of a validated pipeline configuration.
+    fn new(config: &HyperEarConfig, sample_rate: f64) -> Self {
+        Epilogue {
+            sample_rate,
+            // Two-part threshold: beacons must clear the statistical
+            // noise floor AND be within an order of magnitude of the
+            // session's strongest beacon — the latter keeps numerical
+            // dust in quiet recordings from ever counting as a detection.
+            threshold: ThresholdRule {
+                noise_factor: config.detection.threshold_factor,
+                relative: config.detection.relative_threshold,
+                min_distance: ((config.detection.min_spacing_fraction
+                    * config.beacon.period
+                    * sample_rate) as usize)
+                    .max(1),
+            },
+            interpolation: config.detection.interpolation,
+            envelope_detection: config.detection.envelope_detection,
+        }
     }
 
     /// Band-limited arrival extraction over decimated analytic sequences
@@ -763,6 +771,24 @@ impl DetectorCore {
         (arrival, value)
     }
 
+    /// The arrival at full-rate lag `at` of `corr`, sub-sample refined
+    /// (the integer lag and `value` at a boundary).
+    fn interpolated(&self, corr: &[f64], at: usize, value: f64) -> BeaconArrival {
+        let (pos, value) = match self.interpolation {
+            Interpolation::None => (at as f64, value),
+            Interpolation::Parabolic => parabolic_peak(corr, at).unwrap_or((at as f64, value)),
+            Interpolation::Sinc => {
+                sinc_peak(corr, at, SINC_HALF_WIDTH).unwrap_or((at as f64, value))
+            }
+        };
+        BeaconArrival {
+            time: pos / self.sample_rate,
+            strength: value,
+        }
+    }
+}
+
+impl DetectorCore {
     /// The channel's normalized full-rate correlation into `out` — the
     /// MCCI rung's on-demand input.
     pub(crate) fn correlate_full_into(
@@ -842,14 +868,14 @@ impl DetectorCore {
             env,
             env_own,
         } = pick;
-        let (fused, own): (&[f64], &[f64]) = if self.envelope_detection {
+        let (fused, own): (&[f64], &[f64]) = if self.epilogue.envelope_detection {
             envelope_with(fused, dsp, env)?;
             envelope_with(own, dsp, env_own)?;
             (env, env_own)
         } else {
             (fused, own)
         };
-        detect_peaks_into(fused, &self.threshold, peak, peaks)?;
+        detect_peaks_into(fused, &self.epilogue.threshold, peak, peaks)?;
         out.reserve(peaks.len());
         for p in peaks.iter() {
             let lo = p.index.saturating_sub(FUSED_REFINE);
@@ -860,7 +886,7 @@ impl DetectorCore {
                     best = t;
                 }
             }
-            out.push(self.interpolated(own, best, own[best]));
+            out.push(self.epilogue.interpolated(own, best, own[best]));
         }
         Ok(())
     }
@@ -881,34 +907,18 @@ impl DetectorCore {
         } = pick;
         // Envelope detection strips the carrier ripple of high-band
         // beacons (see `DetectionConfig::envelope_detection`).
-        let corr: &[f64] = if self.envelope_detection {
+        let corr: &[f64] = if self.epilogue.envelope_detection {
             envelope_with(corr, dsp, env)?;
             env
         } else {
             corr
         };
-        detect_peaks_into(corr, &self.threshold, peak, peaks)?;
+        detect_peaks_into(corr, &self.epilogue.threshold, peak, peaks)?;
         out.reserve(peaks.len());
         for p in peaks.iter() {
-            out.push(self.interpolated(corr, p.index, p.value));
+            out.push(self.epilogue.interpolated(corr, p.index, p.value));
         }
         Ok(())
-    }
-
-    /// The arrival at full-rate lag `at` of `corr`, sub-sample refined
-    /// (the integer lag and `value` at a boundary).
-    fn interpolated(&self, corr: &[f64], at: usize, value: f64) -> BeaconArrival {
-        let (pos, value) = match self.interpolation {
-            Interpolation::None => (at as f64, value),
-            Interpolation::Parabolic => parabolic_peak(corr, at).unwrap_or((at as f64, value)),
-            Interpolation::Sinc => {
-                sinc_peak(corr, at, SINC_HALF_WIDTH).unwrap_or((at as f64, value))
-            }
-        };
-        BeaconArrival {
-            time: pos / self.sample_rate,
-            strength: value,
-        }
     }
 }
 
@@ -924,6 +934,32 @@ fn first_max(values: &[f64], range: std::ops::Range<usize>) -> usize {
         }
     }
     best
+}
+
+/// The reference chirp of a pipeline configuration at `sample_rate`,
+/// after validating both: an invalid config is an error, and so is a
+/// rate that cannot carry the chirp band or build its template.
+fn beacon_chirp(config: &HyperEarConfig, sample_rate: f64) -> Result<Chirp, HyperEarError> {
+    config.validate()?;
+    if sample_rate <= 2.0 * config.beacon.f1 {
+        return Err(HyperEarError::invalid(
+            "sample_rate",
+            format!(
+                "rate {sample_rate} cannot represent the {} Hz chirp edge",
+                config.beacon.f1
+            ),
+        ));
+    }
+    // The config is valid, so a template this rate cannot build
+    // (non-finite, or too many samples) is a sample-rate error.
+    Chirp::new(
+        config.beacon.f0,
+        config.beacon.f1,
+        config.beacon.duration,
+        sample_rate,
+        config.beacon.pattern.shape(),
+    )
+    .map_err(|e| HyperEarError::invalid("sample_rate", e.to_string()))
 }
 
 /// The detection band-pass for a chirp sweeping `f0 → f1`: ±10% band
@@ -1294,8 +1330,7 @@ impl MultiBeaconScratch {
 
 /// K-beacon detection over one shared forward FFT: a band-limited
 /// [`BandLimitedBank`] whose lanes carry one beacon signature each, plus
-/// the K per-beacon detection cores that own the threshold/peak
-/// epilogues (and double as the per-beacon session pipeline cores).
+/// each beacon's threshold/peak epilogue settings.
 ///
 /// Detection cost per channel is ~one forward transform + K short
 /// (band-rate) inverse transforms per block, instead of the K×(forward +
@@ -1307,11 +1342,12 @@ impl MultiBeaconScratch {
 /// detectors' exactly (conformance-pinned).
 ///
 /// The hot methods take `&self` — clone the detector (cheap: template
-/// spectra and cores are `Arc`-shared) or hand out per-worker
+/// spectra are `Arc`-shared) or hand out per-worker
 /// [`MultiBeaconScratch`]es to run channels concurrently.
 #[derive(Debug, Clone)]
 pub struct MultiBeaconDetector {
-    cores: Vec<std::sync::Arc<DetectorCore>>,
+    /// Beacon `k`'s epilogue, run over lane `k`.
+    epilogues: Vec<Epilogue>,
     bank: BandLimitedBank,
 }
 
@@ -1325,20 +1361,14 @@ impl MultiBeaconDetector {
     pub fn new(config: &MultiBeaconConfig, sample_rate: f64) -> Result<Self, HyperEarError> {
         config.validate()?;
         let k = config.beacons();
-        let mut cores = Vec::with_capacity(k);
+        let mut epilogues = Vec::with_capacity(k);
         let mut templates: Vec<Vec<f64>> = Vec::with_capacity(k);
         let mut taps: Vec<Vec<f64>> = Vec::with_capacity(k);
         let band_pass = config.session.detection.band_pass;
         for (i, sig) in config.signatures.iter().enumerate() {
             let per = config.session_config(i);
-            cores.push(std::sync::Arc::new(DetectorCore::new(&per, sample_rate)?));
-            let chirp = Chirp::new(
-                sig.f0,
-                sig.f1,
-                per.beacon.duration,
-                sample_rate,
-                sig.pattern.shape(),
-            )?;
+            let chirp = beacon_chirp(&per, sample_rate)?;
+            epilogues.push(Epilogue::new(&per, sample_rate));
             templates.push(chirp.samples().to_vec());
             if band_pass {
                 taps.push(
@@ -1359,7 +1389,7 @@ impl MultiBeaconDetector {
             let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
             BandLimitedBank::new(&refs)?
         };
-        Ok(MultiBeaconDetector { cores, bank })
+        Ok(MultiBeaconDetector { epilogues, bank })
     }
 
     /// The shared band-limited template bank (e.g. for inspecting
@@ -1377,7 +1407,7 @@ impl MultiBeaconDetector {
         channel: &[f64],
         scratch: &mut MultiBeaconScratch,
     ) -> Result<(), HyperEarError> {
-        scratch.lanes.resize_with(self.cores.len(), Vec::new);
+        scratch.lanes.resize_with(self.epilogues.len(), Vec::new);
         self.bank
             .correlate_into(channel, &mut scratch.scratch, &mut scratch.lanes)?;
         Ok(())
@@ -1404,26 +1434,26 @@ impl MultiBeaconDetector {
         scratch: &mut MultiBeaconScratch,
         out: &mut [Vec<BeaconArrival>],
     ) -> Result<(), HyperEarError> {
-        if out.len() != self.cores.len() {
+        if out.len() != self.epilogues.len() {
             return Err(HyperEarError::invalid(
                 "out",
                 format!(
                     "detector holds {} beacons but {} output lanes were provided",
-                    self.cores.len(),
+                    self.epilogues.len(),
                     out.len()
                 ),
             ));
         }
         self.correlate_only(channel, scratch)?;
         let MultiBeaconScratch { lanes, pick, .. } = scratch;
-        for (k, ((core, lane), arrivals)) in self
-            .cores
+        for (k, ((epilogue, lane), arrivals)) in self
+            .epilogues
             .iter()
             .zip(lanes.iter())
             .zip(out.iter_mut())
             .enumerate()
         {
-            core.arrivals_band(
+            epilogue.arrivals_band(
                 self.bank.decimation(k),
                 lane,
                 None,
@@ -1788,15 +1818,16 @@ mod tests {
         core.correlate_into(&guide_sig, &mut scratch.dsp, &mut guide)
             .unwrap();
         let mut out = Vec::new();
-        core.arrivals_band(
-            core.decimation(),
-            &guide.corr,
-            Some(&own.corr),
-            own.lags,
-            &mut scratch.extract.pick,
-            &mut out,
-        )
-        .unwrap();
+        core.epilogue
+            .arrivals_band(
+                core.decimation(),
+                &guide.corr,
+                Some(&own.corr),
+                own.lags,
+                &mut scratch.extract.pick,
+                &mut out,
+            )
+            .unwrap();
         assert_eq!(out.len(), 1);
         let err = (out[0].time * FS - truth).abs();
         assert!(err < 0.1, "guided timing error {err}");
@@ -1957,6 +1988,5 @@ mod tests {
         assert_eq!(detector.bank().template_fft_count(), 4);
         let clone = detector.clone();
         assert_eq!(clone.bank().template_fft_count(), 4);
-        assert!(std::sync::Arc::ptr_eq(&detector.cores[0], &clone.cores[0]));
     }
 }

@@ -570,17 +570,10 @@ impl StreamSession {
     /// storage with the caller's slot, so over time any storage can meet
     /// any capture; reserving the bound up front means no finish grows
     /// it, whichever storage it got. Storage that arrived without a
-    /// result (an idle or failed slot) is replaced once, here.
+    /// result (an idle or failed slot, once the service's spare is spent)
+    /// is replaced once, here.
     fn reserve_outcome(&mut self, max_slides: usize) {
-        if !self.outcome.is_usable() {
-            self.outcome = SessionOutcome::Ok(SessionResult::empty());
-        }
-        if let SessionOutcome::Ok(result) | SessionOutcome::Degraded { result, .. } =
-            &mut self.outcome
-        {
-            result.slides.clear();
-            result.slides.reserve_exact(max_slides);
-        }
+        reserve_result(&mut self.outcome, max_slides);
     }
 
     /// Drains the rings into the detectors and, if a finish is pending,
@@ -663,6 +656,27 @@ struct Slot {
     session: Option<Box<StreamSession>>,
 }
 
+/// Readies `outcome` as result storage for a capture: a result whose
+/// slide storage holds `max_slides` reports (an outcome without a
+/// result becomes an empty one first).
+fn reserve_result(outcome: &mut SessionOutcome, max_slides: usize) {
+    if !outcome.is_usable() {
+        *outcome = SessionOutcome::Ok(SessionResult::empty());
+    }
+    if let SessionOutcome::Ok(result) | SessionOutcome::Degraded { result, .. } = outcome {
+        result.slides.clear();
+        result.slides.reserve_exact(max_slides);
+    }
+}
+
+/// The most slides one capture within the `stream` sizing can report:
+/// every slide is an IMU movement segment of at least `min_length`
+/// samples, and segments do not touch.
+fn max_slides(config: &HyperEarConfig, stream: &StreamConfig) -> usize {
+    let min_length = config.inertial.segmenter.min_length.max(1);
+    stream.max_imu_samples / (min_length + 1) + 1
+}
+
 /// A bounded-memory streaming session service over a thread pool; see
 /// the [module docs](self) for the contract.
 #[derive(Debug)]
@@ -692,6 +706,14 @@ pub struct StreamService {
     /// The one post-detection engine every session finishes through, in
     /// slot order on the thread that calls [`StreamService::pump`].
     tail: SessionEngine,
+    /// One result storage, reserved like a session's at construction,
+    /// for the first collection into a slot that holds none (a fresh
+    /// [`SessionOutcome::idle`]): that session parks with the spare
+    /// instead of nothing, so its next open does not allocate. Once
+    /// spent it is not renewed: renewing it would cost the allocation it
+    /// saves. Not counted in the working set, like the sessions' result
+    /// storage.
+    spare: SessionOutcome,
 }
 
 impl StreamService {
@@ -716,6 +738,8 @@ impl StreamService {
             .collect();
         let free = (0..stream.max_sessions as u32).rev().collect();
         let workspaces = vec![DetectScratch::new(); pool.threads()];
+        let mut spare = SessionOutcome::idle();
+        reserve_result(&mut spare, max_slides(&config, &stream));
         Ok(StreamService {
             tail: SessionEngine::new(config.clone())?,
             config,
@@ -727,6 +751,7 @@ impl StreamService {
             cores: Vec::new(),
             workspaces,
             sizing: WorkspaceSizing::default(),
+            spare,
         })
     }
 
@@ -777,14 +802,6 @@ impl StreamService {
         }
     }
 
-    /// The most slides one capture within the sizing can report: every
-    /// slide is an IMU movement segment of at least `min_length` samples,
-    /// and segments do not touch.
-    fn max_slides(&self) -> usize {
-        let min_length = self.config.inertial.segmenter.min_length.max(1);
-        self.stream.max_imu_samples / (min_length + 1) + 1
-    }
-
     /// The shared core for `sample_rate`, built on first use — when every
     /// workspace is also grown to serve captures on it.
     fn core_for(&mut self, sample_rate: f64) -> Result<Arc<DetectorCore>, HyperEarError> {
@@ -831,7 +848,7 @@ impl StreamService {
                 s
             }
         };
-        session.reserve_outcome(self.max_slides());
+        session.reserve_outcome(max_slides(&self.config, &self.stream));
         let index = self.free.pop().expect("checked non-empty");
         let slot = &mut self.slots[index as usize];
         slot.session = Some(session);
@@ -989,7 +1006,9 @@ impl StreamService {
     }
 
     /// Collects a finished session's outcome into `slot` (whose
-    /// previous storage is recycled into the service). Returns
+    /// previous storage is recycled into the service; when the slot
+    /// holds none, such as a fresh [`SessionOutcome::idle`], the
+    /// service's spare storage is recycled in its place, once). Returns
     /// `Ok(false)` — leaving `slot` untouched — while the session is
     /// still running; after `Ok(true)` the id is retired and the
     /// session's buffers are parked for reuse.
@@ -1008,7 +1027,10 @@ impl StreamService {
         }
         std::mem::swap(&mut session.outcome, slot);
         let service_slot = &mut self.slots[id.index as usize];
-        let session = service_slot.session.take().expect("session checked above");
+        let mut session = service_slot.session.take().expect("session checked above");
+        if !session.outcome.is_usable() {
+            std::mem::swap(&mut session.outcome, &mut self.spare);
+        }
         self.parked.push(session);
         service_slot.epoch = service_slot.epoch.wrapping_add(1);
         self.free.push(id.index);

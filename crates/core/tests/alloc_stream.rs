@@ -10,6 +10,9 @@
 //! slot streaming a different shape every round (one short slide, four
 //! long ones, a two-stature 3D capture), collected out of order with a
 //! pump between collections, at one and at four pool participants.
+//! It holds when every outcome is collected into one shared slot, and
+//! when that slot is a fresh `SessionOutcome::idle()` holding no result
+//! storage (the service's spare storage stands in for it).
 //!
 //! One `#[test]` on purpose: the counting allocator is process-global,
 //! and a concurrent test in the same binary would pollute the counter
@@ -135,10 +138,16 @@ fn warm_stream_service_does_not_allocate() {
         );
     }
     for threads in [1, 4] {
-        let allocations = shared_slot_allocations(&shapes, threads);
+        let allocations = shared_slot_allocations(&shapes, threads, false);
         assert!(
             allocations.iter().all(|&n| n == 0),
             "warm shared-slot fleet at {threads} participants allocated {allocations:?} per round"
+        );
+        let allocations = shared_slot_allocations(&shapes, threads, true);
+        assert!(
+            allocations.iter().all(|&n| n == 0),
+            "warm fleet collecting into a fresh idle slot at {threads} participants \
+             allocated {allocations:?} per round"
         );
     }
 }
@@ -230,7 +239,11 @@ fn mixed_fleet_allocations(shapes: &[Recording; 3], threads: usize) -> Vec<u64> 
 /// the references, two shared-slot rounds warm the rotation, and each
 /// of eight gated shared-slot rounds must read zero allocations with
 /// the working set unchanged.
-fn shared_slot_allocations(shapes: &[Recording; 3], threads: usize) -> Vec<u64> {
+/// Allocations per gated round of [`shared_round`]s, after warm-up. With
+/// `fresh`, the gated rounds start from a new `SessionOutcome::idle()`
+/// slot, which holds no result storage to swap into the session its
+/// first collection parks.
+fn shared_slot_allocations(shapes: &[Recording; 3], threads: usize, fresh: bool) -> Vec<u64> {
     let stream = StreamConfig {
         max_sessions: 3,
         ring_capacity: 8_192,
@@ -238,7 +251,8 @@ fn shared_slot_allocations(shapes: &[Recording; 3], threads: usize) -> Vec<u64> 
         max_imu_samples: shapes.iter().map(|r| r.imu.accel.len()).max().unwrap(),
     };
     let pool = Arc::new(Pool::new(threads));
-    let mut svc = StreamService::new(HyperEarConfig::galaxy_s4(), stream, pool).unwrap();
+    let mut svc =
+        StreamService::new(HyperEarConfig::galaxy_s4(), stream, Arc::clone(&pool)).unwrap();
     let mut outs: [SessionOutcome; 3] = std::array::from_fn(|_| SessionOutcome::idle());
     let mut expected: [SessionOutcome; 3] = std::array::from_fn(|_| SessionOutcome::idle());
     for round in 0..2 {
@@ -247,44 +261,70 @@ fn shared_slot_allocations(shapes: &[Recording; 3], threads: usize) -> Vec<u64> 
             expected[(j + round) % 3] = out.clone();
         }
     }
-    let mut shared = SessionOutcome::idle();
-    let mut shared_round = |svc: &mut StreamService, round: usize| {
-        let recs: [&Recording; 3] = std::array::from_fn(|j| &shapes[(j + round) % 3]);
-        let ids = recs.map(|rec| {
-            let id = svc
-                .open(rec.audio.sample_rate, rec.imu.sample_rate)
-                .expect("slot free");
-            svc.push_imu(id, &rec.imu.accel, &rec.imu.gyro).unwrap();
-            for (l, r) in rec
-                .audio
-                .left
-                .chunks(4_096)
-                .zip(rec.audio.right.chunks(4_096))
-            {
-                svc.push_audio(id, l, r)
-                    .expect("ring sized for the chunking");
-                svc.pump();
-            }
-            svc.request_finish(id).unwrap();
-            id
-        });
-        svc.pump();
-        for (j, &id) in ids.iter().enumerate().rev() {
-            assert!(svc.try_take_outcome(id, &mut shared).unwrap());
-            assert_eq!(shared, expected[(j + round) % 3], "round {round} slot {j}");
+    if fresh {
+        // The mixed rounds' idle slots spent the service's one spare
+        // storage. A new service warmed through slots that already hold
+        // result storage keeps it for the gated rounds.
+        svc = StreamService::new(HyperEarConfig::galaxy_s4(), stream, Arc::clone(&pool)).unwrap();
+        outs = expected.clone();
+        for round in 0..2 {
+            mixed_round(&mut svc, shapes, round, &mut outs);
         }
+    }
+    let mut shared = if fresh {
+        std::mem::replace(&mut outs[0], SessionOutcome::idle())
+    } else {
+        SessionOutcome::idle()
     };
     for round in 2..4 {
-        shared_round(&mut svc, round);
+        shared_round(&mut svc, shapes, round, &mut shared, &expected);
     }
     let warm_bytes = svc.working_set_bytes();
+    if fresh {
+        shared = SessionOutcome::idle();
+    }
     let allocations = (4..12)
         .map(|round| {
             let before = ALLOC.allocations();
-            shared_round(&mut svc, round);
+            shared_round(&mut svc, shapes, round, &mut shared, &expected);
             ALLOC.allocations() - before
         })
         .collect();
     assert_eq!(svc.working_set_bytes(), warm_bytes);
     allocations
+}
+
+/// One round of three sessions whose outcomes are all collected into
+/// `slot`, checked against `expected`.
+fn shared_round(
+    svc: &mut StreamService,
+    shapes: &[Recording; 3],
+    round: usize,
+    slot: &mut SessionOutcome,
+    expected: &[SessionOutcome; 3],
+) {
+    let recs: [&Recording; 3] = std::array::from_fn(|j| &shapes[(j + round) % 3]);
+    let ids = recs.map(|rec| {
+        let id = svc
+            .open(rec.audio.sample_rate, rec.imu.sample_rate)
+            .expect("slot free");
+        svc.push_imu(id, &rec.imu.accel, &rec.imu.gyro).unwrap();
+        for (l, r) in rec
+            .audio
+            .left
+            .chunks(4_096)
+            .zip(rec.audio.right.chunks(4_096))
+        {
+            svc.push_audio(id, l, r)
+                .expect("ring sized for the chunking");
+            svc.pump();
+        }
+        svc.request_finish(id).unwrap();
+        id
+    });
+    svc.pump();
+    for (j, &id) in ids.iter().enumerate().rev() {
+        assert!(svc.try_take_outcome(id, &mut *slot).unwrap());
+        assert_eq!(*slot, expected[(j + round) % 3], "round {round} slot {j}");
+    }
 }

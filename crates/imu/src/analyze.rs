@@ -8,6 +8,7 @@
 //! gate, and the stature change `H` of the 3D protocol.
 
 use crate::displacement::{segment_kinematics, DisplacementScratch};
+use crate::error::check_rate;
 use crate::preprocess::preprocess_into;
 use crate::rotation::max_rotation_deg_with;
 use crate::segment::{segment_movements_into, Segment, SegmentConfig};
@@ -171,9 +172,7 @@ pub fn analyze_session_with(
     scratch: &mut AnalyzeScratch,
     out: &mut SessionAnalysis,
 ) -> Result<(), ImuError> {
-    if sample_rate <= 0.0 {
-        return Err(ImuError::invalid("sample_rate", "must be positive"));
-    }
+    check_rate(sample_rate)?;
     if accel.len() != gyro.len() {
         return Err(ImuError::invalid(
             "accel/gyro",

@@ -4,6 +4,7 @@
 //! any two time instants during a slide can be derived by taking the
 //! integral of v*(t) over time."
 
+use crate::error::check_rate;
 use crate::velocity::{correct_linear_drift_into, integrate_acceleration_into};
 use crate::ImuError;
 
@@ -13,7 +14,8 @@ use crate::ImuError;
 /// # Errors
 ///
 /// Returns [`ImuError::TraceTooShort`] for fewer than 2 samples and
-/// [`ImuError::InvalidParameter`] for a non-positive sample rate.
+/// [`ImuError::InvalidParameter`] for a sample rate that is not finite
+/// and positive.
 pub(crate) fn integrate_velocity_into(
     velocity: &[f64],
     sample_rate: f64,
@@ -25,9 +27,7 @@ pub(crate) fn integrate_velocity_into(
             need: 2,
         });
     }
-    if sample_rate <= 0.0 {
-        return Err(ImuError::invalid("sample_rate", "must be positive"));
-    }
+    check_rate(sample_rate)?;
     let dt = 1.0 / sample_rate;
     out.clear();
     out.reserve(velocity.len());
@@ -74,7 +74,8 @@ pub struct SegmentKinematics {
 ///
 /// Combines the conditions of velocity estimation and velocity
 /// integration ([`ImuError::TraceTooShort`] for fewer than 2 samples,
-/// [`ImuError::InvalidParameter`] for a non-positive sample rate).
+/// [`ImuError::InvalidParameter`] for a sample rate that is not finite
+/// and positive).
 pub fn segment_kinematics(
     accel: &[f64],
     sample_rate: f64,

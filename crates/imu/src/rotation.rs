@@ -5,6 +5,7 @@
 //! rotation angle over a slide window comes from integrating the
 //! gyroscope's z-axis.
 
+use crate::error::check_rate;
 use crate::ImuError;
 
 /// Integrates an angular-rate trace (rad/s) into an angle trace (rad),
@@ -15,7 +16,8 @@ use crate::ImuError;
 /// # Errors
 ///
 /// Returns [`ImuError::TraceTooShort`] for fewer than 2 samples and
-/// [`ImuError::InvalidParameter`] for a non-positive sample rate.
+/// [`ImuError::InvalidParameter`] for a sample rate that is not finite
+/// and positive.
 pub fn integrate_rate_into(
     rate: &[f64],
     sample_rate: f64,
@@ -27,9 +29,7 @@ pub fn integrate_rate_into(
             need: 2,
         });
     }
-    if sample_rate <= 0.0 {
-        return Err(ImuError::invalid("sample_rate", "must be positive"));
-    }
+    check_rate(sample_rate)?;
     let dt = 1.0 / sample_rate;
     out.clear();
     out.reserve(rate.len());
@@ -64,7 +64,8 @@ pub fn integrate_rate_into(
 /// # Errors
 ///
 /// Returns [`ImuError::TraceTooShort`] for fewer than 2 samples and
-/// [`ImuError::InvalidParameter`] for a non-positive sample rate.
+/// [`ImuError::InvalidParameter`] for a sample rate that is not finite
+/// and positive.
 pub fn yaw_trace_into(
     gyro_z: &[f64],
     sample_rate: f64,

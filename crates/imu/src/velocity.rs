@@ -8,6 +8,7 @@
 //! velocity error `v(t2)`, fit the line `err_a·(t − t1)` with
 //! `err_a = v(t2)/(t2 − t1)`, and subtract it.
 
+use crate::error::check_rate;
 use crate::ImuError;
 
 /// A velocity trace over one movement segment.
@@ -30,7 +31,8 @@ pub struct VelocityEstimate {
 /// # Errors
 ///
 /// Returns [`ImuError::TraceTooShort`] for fewer than 2 samples and
-/// [`ImuError::InvalidParameter`] for a non-positive sample rate.
+/// [`ImuError::InvalidParameter`] for a sample rate that is not finite
+/// and positive.
 pub fn integrate_acceleration(accel: &[f64], sample_rate: f64) -> Result<Vec<f64>, ImuError> {
     let mut v = Vec::new();
     integrate_acceleration_into(accel, sample_rate, &mut v)?;
@@ -54,9 +56,7 @@ pub(crate) fn integrate_acceleration_into(
             need: 2,
         });
     }
-    if sample_rate <= 0.0 {
-        return Err(ImuError::invalid("sample_rate", "must be positive"));
-    }
+    check_rate(sample_rate)?;
     let dt = 1.0 / sample_rate;
     out.clear();
     out.reserve(accel.len());
@@ -98,9 +98,7 @@ pub(crate) fn correct_linear_drift_into(
             need: 2,
         });
     }
-    if sample_rate <= 0.0 {
-        return Err(ImuError::invalid("sample_rate", "must be positive"));
-    }
+    check_rate(sample_rate)?;
     let duration = (raw.len() - 1) as f64 / sample_rate;
     let err_a = raw[raw.len() - 1] / duration;
     let dt = 1.0 / sample_rate;

@@ -63,6 +63,18 @@ impl SimError {
     }
 }
 
+/// Checks that the rate `name` is finite and positive: NaN, infinities,
+/// zero and negative rates are [`SimError::InvalidParameter`].
+pub(crate) fn check_rate(name: &'static str, rate: f64) -> Result<(), SimError> {
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(SimError::invalid(
+            name,
+            format!("must be finite and positive, got {rate}"),
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,5 +97,52 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SimError>();
+    }
+
+    /// Every rate check in the crate rejects NaN, both infinities, zero
+    /// and negative rates with [`SimError::InvalidParameter`].
+    #[test]
+    fn non_finite_and_non_positive_rates_are_invalid() {
+        use crate::imu::{sample_imu, ImuModel};
+        use crate::mic::{apply_mic_response_with, render_clean_channel};
+        use crate::motion::{MotionBuilder, MotionProfile};
+        use crate::noise::{generate, NoiseKind};
+        use crate::rng::SimRng;
+        use hyperear_dsp::plan::DspScratch;
+        use hyperear_geom::{Vec2, Vec3};
+        let mut rng = SimRng::seed_from(1);
+        let motion = MotionBuilder::new(Vec3::new(0.0, 0.0, 1.3), Vec2::new(1.0, 0.0), 0.1366)
+            .unwrap()
+            .profile(MotionProfile::ruler())
+            .build(2, 0.0, 0, &mut rng)
+            .unwrap();
+        let mut scratch = DspScratch::new();
+        let origin = |_: f64| Vec3::new(0.0, 0.0, 0.0);
+        for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let results: [(&str, Result<(), SimError>); 4] = [
+                (
+                    "render_clean_channel",
+                    render_clean_channel(&[1.0], &[], &[], &origin, rate, 343.0, 1.0, 16).map(drop),
+                ),
+                (
+                    "apply_mic_response_with",
+                    apply_mic_response_with(&[1.0, 0.5], &|_| 1.0, rate, &mut scratch).map(drop),
+                ),
+                (
+                    "noise::generate",
+                    generate(NoiseKind::White, 16, rate, &mut rng).map(drop),
+                ),
+                (
+                    "sample_imu",
+                    sample_imu(&motion, &ImuModel::phone_grade(), rate, &mut rng).map(drop),
+                ),
+            ];
+            for (name, result) in results {
+                assert!(
+                    matches!(result, Err(SimError::InvalidParameter { .. })),
+                    "{name} accepted rate {rate}: {result:?}"
+                );
+            }
+        }
     }
 }

@@ -6,6 +6,7 @@
 //! hand's tilt wanders. This module samples a [`crate::motion::PhoneMotion`]
 //! at the IMU rate and corrupts it exactly that way.
 
+use crate::error::check_rate;
 use crate::motion::PhoneMotion;
 use crate::rng::SimRng;
 use crate::SimError;
@@ -94,8 +95,8 @@ pub struct ImuTrace {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidParameter`] for a non-positive sample rate
-/// or invalid model.
+/// Returns [`SimError::InvalidParameter`] for a sample rate that is not
+/// finite and positive or an invalid model.
 pub(crate) fn sample_imu(
     motion: &PhoneMotion,
     model: &ImuModel,
@@ -103,9 +104,7 @@ pub(crate) fn sample_imu(
     rng: &mut SimRng,
 ) -> Result<ImuTrace, SimError> {
     model.validate()?;
-    if sample_rate <= 0.0 {
-        return Err(SimError::invalid("sample_rate", "must be positive"));
-    }
+    check_rate("sample_rate", sample_rate)?;
     let n = (motion.total_duration * sample_rate).ceil() as usize;
     if n == 0 {
         return Err(SimError::invalid("motion", "motion has zero duration"));

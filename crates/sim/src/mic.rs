@@ -7,6 +7,7 @@
 //! SNR, and finally 16-bit quantization. These are exactly the error
 //! sources Sections II–III of the paper identify.
 
+use crate::error::check_rate;
 use crate::noise::{self, NoiseKind};
 use crate::rng::SimRng;
 use crate::room::PropagationPath;
@@ -40,8 +41,9 @@ const MIN_DISTANCE: f64 = 0.3;
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidParameter`] for non-positive rates, speeds,
-/// lengths or amplitudes, or propagates DSP errors from rendering.
+/// Returns [`SimError::InvalidParameter`] for a rate that is not finite
+/// and positive and for non-positive speeds, lengths or amplitudes, or
+/// propagates DSP errors from rendering.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn render_clean_channel(
     chirp: &[f64],
@@ -56,12 +58,7 @@ pub(crate) fn render_clean_channel(
     if chirp.is_empty() {
         return Err(SimError::invalid("chirp", "beacon waveform is empty"));
     }
-    if effective_sample_rate <= 0.0 {
-        return Err(SimError::invalid(
-            "effective_sample_rate",
-            "must be positive",
-        ));
-    }
+    check_rate("effective_sample_rate", effective_sample_rate)?;
     if speed_of_sound <= 0.0 {
         return Err(SimError::invalid("speed_of_sound", "must be positive"));
     }
@@ -162,7 +159,7 @@ pub(crate) fn add_noise_and_quantize(
 /// # Errors
 ///
 /// Returns [`SimError::InvalidParameter`] for an empty waveform or a
-/// non-positive sample rate.
+/// sample rate that is not finite and positive.
 pub(crate) fn apply_mic_response_with(
     waveform: &[f64],
     gain_at: &dyn Fn(f64) -> f64,
@@ -173,9 +170,7 @@ pub(crate) fn apply_mic_response_with(
     if waveform.is_empty() {
         return Err(SimError::invalid("waveform", "must be non-empty"));
     }
-    if sample_rate <= 0.0 {
-        return Err(SimError::invalid("sample_rate", "must be positive"));
-    }
+    check_rate("sample_rate", sample_rate)?;
     let n = try_next_pow2(waveform.len())?;
     let plan = shared_real_plan(n)?;
     plan.rfft_half_into(waveform, &mut scratch.p1)?;

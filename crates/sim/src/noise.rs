@@ -15,6 +15,7 @@
 //! Each generator produces unit-RMS-ish raw noise; the capture chain
 //! rescales it to an exact target SNR.
 
+use crate::error::check_rate;
 use crate::rng::SimRng;
 use crate::SimError;
 use hyperear_dsp::filter::{Biquad, BiquadKind};
@@ -41,8 +42,8 @@ pub enum NoiseKind {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidParameter`] for zero length or non-positive
-/// sample rate.
+/// Returns [`SimError::InvalidParameter`] for zero length or a sample
+/// rate that is not finite and positive.
 pub fn generate(
     kind: NoiseKind,
     n: usize,
@@ -52,9 +53,7 @@ pub fn generate(
     if n == 0 {
         return Err(SimError::invalid("n", "noise length must be positive"));
     }
-    if sample_rate <= 0.0 {
-        return Err(SimError::invalid("sample_rate", "must be positive"));
-    }
+    check_rate("sample_rate", sample_rate)?;
     let raw = match kind {
         NoiseKind::White => rng.gaussian_vec(n, 0.0, 1.0),
         NoiseKind::Voice => voice(n, sample_rate, rng)?,

@@ -12,11 +12,15 @@
 //! must re-run its own K template FFTs — the observable difference
 //! between sharing and rebuilding.
 //!
+//! The detector built on the bank (`MultiBeaconDetector`) adds no plan
+//! lookup and no template FFT of its own.
+//!
 //! One `#[test]` on purpose: the shared-plan hit/miss counters are
 //! process-global and cumulative, so a concurrent test in this binary
 //! would race the deltas. As its own integration-test binary this file
 //! is its own process — the counters start at zero.
 
+use hyperear::asp::MultiBeaconDetector;
 use hyperear::config::{HyperEarConfig, MultiBeaconConfig};
 use hyperear_dsp::chirp::Chirp;
 use hyperear_dsp::correlate::BandLimitedBank;
@@ -141,6 +145,22 @@ fn bank_shares_one_plan_and_one_template_fft_per_beacon() {
         "rebuild reuses every shared plan"
     );
     assert_eq!(rebuilt.template_fft_count(), BEACONS);
+
+    // The detector the K-beacon engine builds holds that bank and each
+    // beacon's epilogue settings, nothing more: building it costs the
+    // bank's 1 + K plan lookups and K template FFTs (K solo detection
+    // cores beside the bank would add two lookups and one template FFT
+    // each).
+    let config = MultiBeaconConfig::distinct_bands(HyperEarConfig::galaxy_s4(), BEACONS);
+    let lookups = || shared_plan_hits() + shared_plan_misses();
+    let before = lookups();
+    let detector = MultiBeaconDetector::new(&config, FS).unwrap();
+    assert_eq!(
+        lookups() - before,
+        (1 + BEACONS) as u64,
+        "the detector build looks up only the bank's plans"
+    );
+    assert_eq!(detector.bank().template_fft_count(), BEACONS);
 
     println!("multibeacon-contract: one plan build per transform size + one template FFT per beacon HELD");
 }

@@ -14,6 +14,10 @@
 //! envelope, and each accepted arrival is timed on full-rate
 //! correlation values rebuilt at the few lags the sub-sample fit reads
 //! ([`Decimation::rebuild_into`]).
+//!
+//! One detector serves every session: [`MultiBeaconDetector`] holds a
+//! bank of K ≥ 1 beacon templates, and a solo session is its K = 1 case
+//! ([`BeaconDetector`] wraps one with a private scratch).
 
 use crate::config::{HyperEarConfig, Interpolation, MultiBeaconConfig, TdoaEstimator};
 use crate::HyperEarError;
@@ -30,6 +34,7 @@ use hyperear_dsp::plan::{DspScratch, Planes};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
 use hyperear_geom::MAX_MICS;
+use std::sync::Arc;
 
 /// One detected beacon arrival on one channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,34 +46,41 @@ pub struct BeaconArrival {
     pub strength: f64,
 }
 
-/// The immutable, shareable half of a beacon detector: the reference
-/// chirp's matched filter with the band-pass folded in, and every
-/// detection threshold — everything construction precomputes and
-/// detection only reads.
+/// The beacon detector — the immutable, shareable half of detection for
+/// K ≥ 1 beacons: a band-limited [`BandLimitedBank`] whose lane `k`
+/// carries beacon `k`'s chirp template, beacon `k`'s threshold/peak
+/// epilogue settings, and the spectral-weighting settings. A solo
+/// session runs the K = 1 detector, whose one lane is the configured
+/// beacon; a K-beacon session runs one lane per co-speaker signature.
 ///
-/// The configured band-pass FIR is folded into the matched-filter
-/// template (`corr(bp(x), t) = corr(x, bp⋆t)`, see
+/// Each beacon's band-pass FIR is folded into its template at
+/// construction (`corr(bp(x), tᵢ) = corr(x, bp⋆tᵢ)`, see
 /// [`StreamingMatchedFilter::with_zero_phase_prefilter`]), so detection
-/// is one overlap-save pass over the raw channel, copied out band-limited
-/// ([`BandLimitedBank`]). The full-rate form of the same filter serves
-/// only the MCCI rung. The engine's hot methods take `&self`, so one
-/// core can serve any number of channels (or batch workers)
-/// concurrently — each caller brings its own [`DetectScratch`]. Template
-/// spectra and FFT tables therefore exist once per sample rate per
-/// process instead of once per worker.
+/// is one overlap-save pass over the raw channel: ~one forward transform
+/// plus K short (band-rate) inverse transforms per block, and lane `k`
+/// is bit-identical to a one-template engine for beacon `k`
+/// (conformance-pinned), so a beacon's arrivals depend only on its own
+/// lane.
+///
+/// The weighting estimators (GCC-PHAT, sub-band coherence) run at K = 1
+/// only: a K > 1 detector detects plain, whatever the configured
+/// estimator.
+///
+/// The hot methods take `&self` — clone the detector (cheap: template
+/// spectra are `Arc`-shared) or hand out per-worker
+/// [`MultiBeaconScratch`]es to run channels concurrently. Template
+/// spectra and FFT tables therefore exist once per sample rate instead
+/// of once per worker.
 #[derive(Debug, Clone)]
-pub(crate) struct DetectorCore {
-    /// The full-rate folded filter: MCCI fusion's on-demand correlation.
-    filter: StreamingMatchedFilter,
-    /// Its band-limited form (shared template spectrum): every other
-    /// detection pass.
-    band: BandLimitedBank,
-    /// The chirp template length: the shortest channel detection
+pub struct MultiBeaconDetector {
+    bank: BandLimitedBank,
+    /// Beacon `k`'s epilogue, run over lane `k`.
+    epilogues: Vec<Epilogue>,
+    /// The longest chirp template: the shortest channel detection
     /// accepts (folding lengthens the engine template, not this).
     chirp_len: usize,
-    epilogue: Epilogue,
-    /// The configured initial estimator (see `EstimatorPolicy::initial`);
-    /// engine-driven escalation may override it per detection pass.
+    /// The estimator a detection pass runs unless its caller names one:
+    /// the configured initial estimator at K = 1, plain xcorr above.
     estimator: TdoaEstimator,
     phat_floor: f64,
     coherence_bands: usize,
@@ -79,9 +91,9 @@ pub(crate) struct DetectorCore {
 
 /// The per-beacon settings arrival extraction reads once a correlation
 /// exists: the sample rate, the detection threshold, the sub-sample
-/// interpolation and the envelope mode. A solo [`DetectorCore`] holds one;
-/// a [`MultiBeaconDetector`] holds one per beacon beside its shared
-/// template bank, and builds no other per-beacon state.
+/// interpolation and the envelope mode. A [`MultiBeaconDetector`] holds
+/// one per beacon beside its template bank, and the MCCI rung one beside
+/// its full-rate filter.
 #[derive(Debug, Clone)]
 struct Epilogue {
     sample_rate: f64,
@@ -120,32 +132,32 @@ const LEADING_EDGE_WINDOW: f64 = 0.004;
 /// rule is inert on clean correlations.
 const LEADING_EDGE_RATIO: f64 = 0.7;
 
-/// The mutable, per-channel half of a beacon detector: the FFT scratch
-/// arena and every intermediate buffer a detection pass fills. One
-/// scratch must not be shared between concurrent detections.
+/// The mutable, per-channel half of a [`MultiBeaconDetector`]: the FFT
+/// scratch arena, the K correlation lanes of a standalone detection
+/// pass, and every buffer arrival extraction fills. One scratch must not
+/// be shared between concurrent detections.
 ///
-/// It is also one pool participant's streaming workspace: a
-/// [`StreamingDetector`] keeps only its capture's state and borrows the
-/// FFT arena, the spectrum and the extraction buffers from the scratch
-/// of whichever participant pumps it ([`DetectScratch::reserve_stream`]
-/// sizes it for any capture up front).
+/// It is also one pool participant's streaming workspace: a streaming
+/// detector keeps only its capture's state and borrows the FFT arena,
+/// the spectrum and the extraction buffers from the scratch of whichever
+/// participant pumps it (sized for any capture up front).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct DetectScratch {
+pub struct MultiBeaconScratch {
     dsp: DspScratch,
     /// The correlation of a standalone detection pass
-    /// ([`DetectorCore::detect_with`]); the session engine keeps its
-    /// channels' correlations in its own store instead, and a streaming
-    /// finish borrows only its spectrum.
+    /// ([`MultiBeaconDetector::detect_into`]); the session engine keeps
+    /// its channels' correlations in its own store instead, and a
+    /// streaming finish borrows only its spectrum.
     chan: ChannelCorrelation,
     extract: ExtractScratch,
 }
 
-impl DetectScratch {
+impl MultiBeaconScratch {
     /// An empty scratch; buffers grow to their high-water mark on first
     /// use and are then reused allocation-free.
     #[must_use]
-    pub(crate) fn new() -> Self {
-        DetectScratch::default()
+    pub fn new() -> Self {
+        MultiBeaconScratch::default()
     }
 
     /// Bytes currently reserved by the scratch buffers.
@@ -158,7 +170,7 @@ impl DetectScratch {
     /// so no warm pump allocates, whichever session the scratch serves.
     /// Capacity already there is kept.
     pub(crate) fn reserve_stream(&mut self, sizing: &WorkspaceSizing) -> Result<(), HyperEarError> {
-        let DetectScratch { dsp, chan, extract } = self;
+        let MultiBeaconScratch { dsp, chan, extract } = self;
         let ExtractScratch { pick, est, guide } = extract;
         grow_planes(&mut dsp.p1, sizing.block);
         grow_planes(&mut dsp.p2, sizing.band);
@@ -175,6 +187,14 @@ impl DetectScratch {
         grow_to(&mut est.band_sort, sizing.bands);
         Ok(())
     }
+
+    /// Beacon `k`'s normalized decimated correlation from the last
+    /// detection pass (the conformance surface the bank tests pin against
+    /// independent single-template engines).
+    #[cfg(test)]
+    pub(crate) fn lane(&self, k: usize) -> &[Complex] {
+        &self.chan.lanes[k]
+    }
 }
 
 /// Grows `v`'s capacity to exactly `capacity` when it holds less.
@@ -188,14 +208,15 @@ fn grow_planes(p: &mut Planes, capacity: usize) {
     grow_to(&mut p.im, capacity);
 }
 
-/// The buffer lengths one streaming workspace ([`DetectScratch`]) needs
-/// to push and finish any capture of up to `max_samples` samples on a
-/// detector core: the FFT block's planes and the planes of the band's
+/// The buffer lengths one streaming workspace ([`MultiBeaconScratch`])
+/// needs to push and finish any capture of up to `max_samples` samples
+/// on a detector: the FFT block's planes and the planes of the band's
 /// short inverse pair, the decimated lags (envelope, sort keys, and the
 /// candidates — at most one per two lags — and their copy), the rebuilt
 /// window around one candidate, and, under a weighting estimator, the
-/// spectrum, its weighted copy and the guide. One workspace serving several cores
-/// takes the larger of each length ([`WorkspaceSizing::max`]).
+/// spectrum, its weighted copy and the guide. One workspace serving
+/// several detectors (or lanes) takes the larger of each length
+/// ([`WorkspaceSizing::max`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct WorkspaceSizing {
     block: usize,
@@ -203,37 +224,47 @@ pub(crate) struct WorkspaceSizing {
     lags: usize,
     window: usize,
     /// Spectrum bins (the transform length over `lags`), or 0 when the
-    /// core's estimator does not weight.
+    /// detector's estimator does not weight.
     spectrum: usize,
     /// Sub-band power table length (coherence weighting), else 0.
     bands: usize,
 }
 
 impl WorkspaceSizing {
-    /// The sizing for captures of up to `max_samples` samples on `core`.
-    pub(crate) fn new(core: &DetectorCore, max_samples: usize) -> Self {
-        let dec = core.decimation();
-        let lags = dec.decimated_len(max_samples);
-        let block = core.band.block_len();
-        WorkspaceSizing {
-            block,
-            band: 2 * (block / dec.factor()),
-            lags,
-            window: core.epilogue.window_bound(dec),
-            spectrum: if core.estimator.weights_spectrum() {
-                lags.next_power_of_two()
-            } else {
-                0
-            },
-            bands: if core.estimator == TdoaEstimator::SubbandCoherence {
-                core.coherence_bands
-            } else {
-                0
-            },
-        }
+    /// The sizing for captures of up to `max_samples` samples on
+    /// `detector`: the largest of its lanes' needs.
+    pub(crate) fn new(detector: &MultiBeaconDetector, max_samples: usize) -> Self {
+        let block = detector.bank.block_len();
+        let estimator = detector.estimator;
+        let lane = |(k, epilogue): (usize, &Epilogue)| {
+            let dec = detector.bank.decimation(k);
+            let lags = dec.decimated_len(max_samples);
+            WorkspaceSizing {
+                block,
+                band: 2 * (block / dec.factor()),
+                lags,
+                window: epilogue.window_bound(dec),
+                spectrum: if estimator.weights_spectrum() {
+                    lags.next_power_of_two()
+                } else {
+                    0
+                },
+                bands: if estimator == TdoaEstimator::SubbandCoherence {
+                    detector.coherence_bands
+                } else {
+                    0
+                },
+            }
+        };
+        detector
+            .epilogues
+            .iter()
+            .enumerate()
+            .map(lane)
+            .fold(WorkspaceSizing::default(), WorkspaceSizing::max)
     }
 
-    /// The larger of each length: a workspace that serves both cores.
+    /// The larger of each length: a workspace that serves both.
     pub(crate) fn max(self, other: Self) -> Self {
         WorkspaceSizing {
             block: self.block.max(other.block),
@@ -266,30 +297,25 @@ impl WorkspaceSizing {
     }
 }
 
-/// One channel's band-limited correlation — the normalized decimated
-/// analytic sequence and the number of full-rate lags it covers — and,
-/// once a weighting estimator has asked for it, the sequence's forward
-/// spectrum. Correlating into it forgets the old spectrum, so the
-/// spectrum always belongs to the correlation beside it; estimator
-/// escalation reruns weight the same spectrum instead of transforming
-/// the correlation again.
+/// One channel's band-limited correlation — each beacon's normalized
+/// decimated analytic sequence and the number of full-rate lags they
+/// cover — and, once a weighting estimator has asked for it, the forward
+/// spectrum of a K = 1 detector's one lane. Correlating into it forgets
+/// the old spectrum, so the spectrum always belongs to the correlation
+/// beside it; estimator escalation reruns weight the same spectrum
+/// instead of transforming the correlation again.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChannelCorrelation {
-    corr: Vec<Complex>,
+    lanes: Vec<Vec<Complex>>,
     lags: usize,
     spectrum: AnalyticSpectrum,
 }
 
 impl ChannelCorrelation {
-    fn clear(&mut self) {
-        self.corr.clear();
-        self.lags = 0;
-        self.spectrum.clear();
-    }
-
     /// Bytes reserved by the correlation and spectrum buffers.
     pub(crate) fn capacity_bytes(&self) -> usize {
-        self.corr.capacity() * std::mem::size_of::<Complex>() + self.spectrum.capacity_bytes()
+        self.lanes.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Complex>()
+            + self.spectrum.capacity_bytes()
     }
 }
 
@@ -314,9 +340,8 @@ impl ExtractScratch {
 
 /// The post-correlation working buffers of one band-limited detection
 /// pass: the guide's envelope, noise statistics, candidate peaks and the
-/// rebuilt full-rate lags around one candidate. Owned by every
-/// per-channel scratch ([`DetectScratch`], [`MultiBeaconScratch`]) so
-/// the threshold/peak stage never allocates once warm.
+/// rebuilt full-rate lags around one candidate, so the threshold/peak
+/// stage never allocates once warm.
 #[derive(Debug, Clone, Default)]
 struct PickScratch {
     peak: PeakScratch,
@@ -337,112 +362,79 @@ impl PickScratch {
     }
 }
 
-/// The MCCI rung's on-demand full-rate buffers: every channel's
-/// normalized full-rate correlation, the fused guide, and the full-rate
-/// threshold/peak workspace (with the envelope buffers envelope
-/// detection needs there; the envelopes' FFT runs in the detector's own
-/// [`DetectScratch`]). MCCI fuses channels sample by sample on the
-/// full-rate correlation exactly as it always has, so its outcomes do not
-/// depend on the band-limited path.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct McciScratch {
-    corrs: Vec<Vec<f64>>,
-    guide: Vec<f64>,
-    pick: FullRatePick,
-}
-
-/// The full-rate threshold/peak workspace of the MCCI rung.
-#[derive(Debug, Clone, Default)]
-struct FullRatePick {
-    peak: PeakScratch,
-    peaks: Vec<Peak>,
-    /// Envelope of the correlation peaks are detected on.
-    env: Vec<f64>,
-    /// Envelope of the channel's own correlation (guided extraction).
-    env_own: Vec<f64>,
-}
-
-impl McciScratch {
-    /// The first `n` channels' full-rate correlation buffers (grown on
-    /// first use).
-    pub(crate) fn corrs_mut(&mut self, n: usize) -> &mut [Vec<f64>] {
-        if self.corrs.len() < n {
-            self.corrs.resize_with(n, Vec::new);
-        }
-        &mut self.corrs[..n]
-    }
-
-    /// Bytes reserved by the correlations and the extraction buffers.
-    pub(crate) fn capacity_bytes(&self) -> usize {
-        let p = &self.pick;
-        (self.corrs.iter().map(Vec::capacity).sum::<usize>()
-            + self.guide.capacity()
-            + p.env.capacity()
-            + p.env_own.capacity())
-            * std::mem::size_of::<f64>()
-            + p.peaks.capacity() * std::mem::size_of::<Peak>()
-            + p.peak.capacity_bytes()
-    }
-}
-
-impl DetectorCore {
-    /// Builds the shared detection core from the pipeline configuration.
+impl MultiBeaconDetector {
+    /// Builds the detector whose lane `k` detects signature `k`'s beacon
+    /// under [`MultiBeaconConfig::session_config`] (K = 1 included: a
+    /// solo session's one signature is its configured beacon). The
+    /// weighting settings are the shared session's.
     ///
     /// # Errors
     ///
     /// Returns [`HyperEarError::InvalidParameter`] for an invalid config
-    /// or a sample rate that cannot carry the chirp band.
-    pub(crate) fn new(config: &HyperEarConfig, sample_rate: f64) -> Result<Self, HyperEarError> {
-        let chirp = beacon_chirp(config, sample_rate)?;
-        let filter = if config.detection.band_pass {
-            let design = band_pass_design(config.beacon.f0, config.beacon.f1, sample_rate, config)?;
-            StreamingMatchedFilter::with_zero_phase_prefilter(chirp.samples(), design.taps())?
+    /// or a sample rate that cannot carry any signature's chirp band.
+    pub fn new(config: &MultiBeaconConfig, sample_rate: f64) -> Result<Self, HyperEarError> {
+        config.validate()?;
+        let k = config.beacons();
+        let beacons: Vec<HyperEarConfig> = (0..k).map(|i| config.session_config(i)).collect();
+        let mut templates = Vec::with_capacity(k);
+        let mut taps = Vec::with_capacity(k);
+        for beacon in &beacons {
+            let (template, prefilter) = folded_template(beacon, sample_rate)?;
+            templates.push(template);
+            taps.extend(prefilter);
+        }
+        let bank = if config.session.detection.band_pass {
+            let entries: Vec<(&[f64], &[f64])> = templates
+                .iter()
+                .zip(&taps)
+                .map(|(t, h)| (t.as_slice(), h.as_slice()))
+                .collect();
+            BandLimitedBank::with_zero_phase_prefilters(&entries)?
         } else {
-            StreamingMatchedFilter::new(chirp.samples())?
+            let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
+            BandLimitedBank::new(&refs)?
         };
-        Ok(DetectorCore {
-            band: filter.band_limited()?,
-            filter,
-            chirp_len: chirp.samples().len(),
-            epilogue: Epilogue::new(config, sample_rate),
-            estimator: config.estimator.initial,
-            phat_floor: config.estimator.phat_floor,
-            coherence_bands: config.estimator.coherence_bands,
+        let session = &beacons[0];
+        Ok(MultiBeaconDetector {
+            bank,
+            epilogues: beacons
+                .iter()
+                .map(|beacon| Epilogue::new(beacon, sample_rate))
+                .collect(),
+            chirp_len: templates.iter().map(Vec::len).max().unwrap_or(0),
+            estimator: if k == 1 {
+                session.estimator.initial
+            } else {
+                TdoaEstimator::PlainXcorr
+            },
+            phat_floor: session.estimator.phat_floor,
+            coherence_bands: session.estimator.coherence_bands,
             coherence_band: (
-                config.beacon.f0 * 0.9,
-                (config.beacon.f1 * 1.1).min(sample_rate / 2.0),
+                session.beacon.f0 * 0.9,
+                (session.beacon.f1 * 1.1).min(sample_rate / 2.0),
             ),
         })
     }
 
-    /// The sample rate this core was built for.
+    /// The shared band-limited template bank (e.g. for inspecting
+    /// [`BandLimitedBank::template_fft_count`]).
+    #[must_use]
+    pub fn bank(&self) -> &BandLimitedBank {
+        &self.bank
+    }
+
+    /// The sample rate this detector was built for.
     #[must_use]
     pub(crate) fn sample_rate(&self) -> f64 {
-        self.epilogue.sample_rate
+        self.epilogues[0].sample_rate
     }
 
-    /// The largest FFT a detection pass ever runs, in samples.
-    ///
-    /// Detection processes the capture in overlap-save blocks, so this
-    /// bound depends only on the chirp template and band-pass tap count
-    /// — never on the capture length.
-    pub(crate) fn peak_fft_len(&self) -> usize {
-        self.band.block_len()
-    }
-
-    /// How detection decimates the correlation (factor, kept band,
-    /// rebuild interpolator).
-    pub(crate) fn decimation(&self) -> &Decimation {
-        self.band.decimation(0)
-    }
-
-    /// The most arrivals one channel of up to `max_samples` samples
-    /// yields: candidates stand at least the decimated minimum spacing
-    /// apart, and strict local maxima are never adjacent.
-    pub(crate) fn max_arrivals(&self, max_samples: usize) -> usize {
-        let dec = self.decimation();
-        let spacing = self
-            .epilogue
+    /// The most arrivals lane `k` yields on a channel of up to
+    /// `max_samples` samples: candidates stand at least the decimated
+    /// minimum spacing apart, and strict local maxima are never adjacent.
+    fn max_arrivals(&self, k: usize, max_samples: usize) -> usize {
+        let dec = self.bank.decimation(k);
+        let spacing = self.epilogues[k]
             .threshold
             .min_distance
             .div_ceil(dec.factor())
@@ -450,79 +442,83 @@ impl DetectorCore {
         (dec.decimated_len(max_samples) - 1) / spacing + 1
     }
 
-    /// Detects beacon arrivals in one audio channel, using a
-    /// caller-provided scratch — the `&self` form that lets two channels
-    /// run concurrently against one shared core.
+    /// Detects every beacon's arrivals in one audio channel: one banked
+    /// correlation pass, then beacon `k`'s own epilogue over lane `k`
+    /// into `out[k]` (under the configured estimator at K = 1, plain
+    /// above). Arrivals are sorted by time; an empty list means no
+    /// beacon stood above the noise floor.
     ///
-    /// Semantics are identical to [`BeaconDetector::detect_into`].
+    /// Once warm (same K, same capture length), a detection pass does
+    /// not allocate.
     ///
     /// # Errors
     ///
-    /// Returns [`HyperEarError::Dsp`] for an empty or too-short channel.
-    pub(crate) fn detect_with(
+    /// Returns [`HyperEarError::InvalidParameter`] when `out.len()`
+    /// differs from the beacon count, and [`HyperEarError::Dsp`] for an
+    /// empty or too-short channel.
+    pub fn detect_into(
         &self,
         channel: &[f64],
-        scratch: &mut DetectScratch,
-        out: &mut Vec<BeaconArrival>,
+        scratch: &mut MultiBeaconScratch,
+        out: &mut [Vec<BeaconArrival>],
     ) -> Result<(), HyperEarError> {
-        let DetectScratch { dsp, chan, extract } = scratch;
-        self.correlate_into(channel, dsp, chan)?;
-        let ChannelCorrelation {
-            corr,
-            lags,
-            spectrum,
-        } = chan;
-        self.arrivals_estimated(self.estimator, corr, *lags, spectrum, extract, out)
+        if out.len() != self.epilogues.len() {
+            return Err(HyperEarError::invalid(
+                "out",
+                format!(
+                    "detector holds {} beacons but {} output lanes were provided",
+                    self.epilogues.len(),
+                    out.len()
+                ),
+            ));
+        }
+        self.detect_channel(Some(channel), self.estimator, None, scratch, out)
     }
 
-    /// One channel's detection pass of a session under a per-channel
-    /// estimator — the hook estimator escalation uses to rerun a
-    /// poorly-graded session with a heavier estimator without rebuilding
-    /// the core. With `Some(samples)` the channel is correlated into
-    /// `chan` first; with `None`, `chan` already holds this session's
+    /// One channel's detection pass under a per-channel estimator — the
+    /// hook estimator escalation uses to rerun a poorly-graded session
+    /// with a heavier estimator without rebuilding the detector. With
+    /// `Some(samples)` the channel is correlated first: every lane's
+    /// normalized, band-pass folded, band-limited correlation into
+    /// `chan` (the scratch's own when `None`), whose old spectrum is
+    /// forgotten. With `None`, `chan` already holds this session's
     /// correlation (and any spectrum an earlier rung computed) and only
     /// the arrivals are re-extracted. See
-    /// [`DetectorCore::arrivals_estimated`] for the estimators.
+    /// [`MultiBeaconDetector::arrivals_into`] for the estimators.
     pub(crate) fn detect_channel(
         &self,
         samples: Option<&[f64]>,
         estimator: TdoaEstimator,
-        chan: &mut ChannelCorrelation,
-        scratch: &mut DetectScratch,
-        out: &mut Vec<BeaconArrival>,
+        chan: Option<&mut ChannelCorrelation>,
+        scratch: &mut MultiBeaconScratch,
+        out: &mut [Vec<BeaconArrival>],
     ) -> Result<(), HyperEarError> {
-        out.clear();
-        if let Some(samples) = samples {
-            self.correlate_into(samples, &mut scratch.dsp, chan)?;
-        }
+        out.iter_mut().for_each(Vec::clear);
+        let MultiBeaconScratch {
+            dsp,
+            chan: own,
+            extract,
+        } = scratch;
         let ChannelCorrelation {
-            corr,
+            lanes,
             lags,
             spectrum,
-        } = chan;
-        self.arrivals_estimated(estimator, corr, *lags, spectrum, &mut scratch.extract, out)
+        } = chan.unwrap_or(own);
+        if let Some(samples) = samples {
+            spectrum.clear();
+            *lags = 0;
+            lanes.resize_with(self.epilogues.len(), Vec::new);
+            self.bank.correlate_into(samples, dsp, lanes)?;
+            *lags = samples.len();
+        }
+        self.arrivals_into(estimator, lanes, *lags, spectrum, extract, out)
     }
 
-    /// The pre-threshold half of detection: the normalized, band-pass
-    /// folded, band-limited matched-filter correlation of the channel
-    /// into `chan`, whose old spectrum is forgotten.
-    fn correlate_into(
-        &self,
-        channel: &[f64],
-        dsp: &mut DspScratch,
-        chan: &mut ChannelCorrelation,
-    ) -> Result<(), HyperEarError> {
-        chan.clear();
-        self.band
-            .correlate_into(channel, dsp, std::slice::from_mut(&mut chan.corr))?;
-        chan.lags = channel.len();
-        Ok(())
-    }
-
-    /// Arrival extraction from one channel's decimated correlation `corr`
-    /// (covering `lags` full-rate lags) under a per-channel estimator —
-    /// the one kernel behind the session engine's detection,
-    /// [`DetectorCore::detect_with`] and [`StreamingDetector::finish`].
+    /// Arrival extraction from every lane's decimated correlation
+    /// (covering `lags` full-rate lags) into `out` — the one kernel
+    /// behind the session engine's detection,
+    /// [`MultiBeaconDetector::detect_into`] and
+    /// [`StreamingDetector::finish`].
     ///
     /// Plain xcorr picks peaks on the correlation itself. The
     /// spectral-weighting estimators (PHAT, sub-band coherence) weight
@@ -538,25 +534,35 @@ impl DetectorCore {
     /// velocity — the split keeps the weighting's robustness to masking
     /// and multipath without inheriting that bias. A weighting that is a
     /// no-op (no usable spectral mass) guides on the correlation itself.
+    /// Weighting runs at K = 1 only; a K > 1 detector extracts every
+    /// lane plain.
     ///
     /// [`TdoaEstimator::McciFusion`] is cross-channel and cannot run in a
     /// per-channel pass; it falls back to the plain correlation here (the
-    /// session engine owns the fusion path).
-    fn arrivals_estimated(
+    /// session engine owns the fusion path, [`McciScratch`]).
+    fn arrivals_into(
         &self,
         estimator: TdoaEstimator,
-        corr: &[Complex],
+        lanes: &[Vec<Complex>],
         lags: usize,
         spectrum: &mut AnalyticSpectrum,
         x: &mut ExtractScratch,
-        out: &mut Vec<BeaconArrival>,
+        out: &mut [Vec<BeaconArrival>],
     ) -> Result<(), HyperEarError> {
-        let dec = self.band.decimation(0);
-        if !estimator.weights_spectrum() {
-            return self
-                .epilogue
-                .arrivals_band(dec, corr, None, lags, &mut x.pick, out);
+        if lanes.len() > 1 || !estimator.weights_spectrum() {
+            for (k, (lane, out)) in lanes.iter().zip(out).enumerate() {
+                self.epilogues[k].arrivals_band(
+                    self.bank.decimation(k),
+                    lane,
+                    None,
+                    lags,
+                    &mut x.pick,
+                    out,
+                )?;
+            }
+            return Ok(());
         }
+        let (corr, epilogue, dec) = (&lanes[0], &self.epilogues[0], self.bank.decimation(0));
         if spectrum.is_empty() {
             spectrum.compute(corr)?;
         }
@@ -565,8 +571,8 @@ impl DetectorCore {
         } else {
             // The coherence band in the decimated sequence's baseband
             // frequencies.
-            let rate = self.epilogue.sample_rate / dec.factor() as f64;
-            let center = dec.carrier() * self.epilogue.sample_rate;
+            let rate = epilogue.sample_rate / dec.factor() as f64;
+            let center = dec.carrier() * epilogue.sample_rate;
             let lo = (self.coherence_band.0 - center).max(-rate / 2.0);
             let hi = (self.coherence_band.1 - center).min(rate / 2.0);
             lo < hi
@@ -580,8 +586,7 @@ impl DetectorCore {
                 )?
         };
         let guide = if weighted { &x.guide } else { corr };
-        self.epilogue
-            .arrivals_band(dec, guide, Some(corr), lags, &mut x.pick, out)
+        epilogue.arrivals_band(dec, guide, Some(corr), lags, &mut x.pick, &mut out[0])
     }
 }
 
@@ -729,7 +734,7 @@ impl Epilogue {
         }
     }
 
-    /// The most full-rate lags [`DetectorCore::arrivals_band`] rebuilds
+    /// The most full-rate lags [`Epilogue::arrivals_band`] rebuilds
     /// at once: an apex search, or a timing search on the own
     /// correlation, plus the fit's margin either side.
     fn window_bound(&self, dec: &Decimation) -> usize {
@@ -786,74 +791,12 @@ impl Epilogue {
             strength: value,
         }
     }
-}
 
-impl DetectorCore {
-    /// The channel's normalized full-rate correlation into `out` — the
-    /// MCCI rung's on-demand input.
-    pub(crate) fn correlate_full_into(
-        &self,
-        channel: &[f64],
-        scratch: &mut DetectScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), HyperEarError> {
-        self.filter
-            .correlate_normalized_into(channel, &mut scratch.dsp, out)?;
-        Ok(())
-    }
-
-    /// Plain full-rate arrival extraction over channel `k` of `mcci`'s
-    /// correlations (the MCCI fallback for channels that could not be
-    /// fused).
-    pub(crate) fn arrivals_full(
-        &self,
-        k: usize,
-        mcci: &mut McciScratch,
-        scratch: &mut DetectScratch,
-        out: &mut Vec<BeaconArrival>,
-    ) -> Result<(), HyperEarError> {
-        let McciScratch { corrs, pick, .. } = mcci;
-        self.arrivals_from_corr(&corrs[k], pick, &mut scratch.dsp, out)
-    }
-
-    /// MCCI-guided arrival extraction for channel `k` of the first
-    /// `offsets.len()` full-rate correlations in `mcci`: every live
-    /// channel's correlation is shift-and-averaged onto channel `k`'s
-    /// time line (into the guide buffer), peaks are *detected* on that
-    /// fused correlation (so a beacon masked on this channel can be
-    /// recovered from the redundant channels), and each arrival is
-    /// *timed* on the channel's own correlation — the local maximum
-    /// within ±[`FUSED_REFINE`] samples of the fused peak, sub-sample
-    /// interpolated as usual.
-    /// Cross-channel averaging therefore improves detection without ever
-    /// mixing other channels' propagation delays into this channel's
-    /// arrival times, which would cancel the very inter-channel TDoA the
-    /// pipeline measures.
-    pub(crate) fn arrivals_fused(
-        &self,
-        mcci: &mut McciScratch,
-        offsets: &[f64],
-        live: &[bool],
-        k: usize,
-        scratch: &mut DetectScratch,
-        out: &mut Vec<BeaconArrival>,
-    ) -> Result<(), HyperEarError> {
-        let n = offsets.len();
-        let McciScratch { corrs, guide, pick } = mcci;
-        let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
-        for (slot, c) in refs.iter_mut().zip(&corrs[..n]) {
-            *slot = c;
-        }
-        let corrs = &refs[..n];
-        mcci_fuse_channel_into(corrs, offsets, live, k, guide)?;
-        self.arrivals_fused_into(guide, corrs[k], pick, &mut scratch.dsp, out)
-    }
-
-    /// Fused-guide arrival extraction at the full rate: peaks detected
-    /// on `fused`, each arrival timed on `own` within ±[`FUSED_REFINE`]
-    /// samples of its guide peak. Envelopes, when envelope detection is
-    /// on, are computed in `dsp`.
-    fn arrivals_fused_into(
+    /// Fused-guide arrival extraction at the full rate (the MCCI rung):
+    /// peaks detected on `fused`, each arrival timed on `own` within
+    /// ±[`FUSED_REFINE`] samples of its guide peak. Envelopes, when
+    /// envelope detection is on, are computed in `dsp`.
+    fn arrivals_fused(
         &self,
         fused: &[f64],
         own: &[f64],
@@ -868,14 +811,14 @@ impl DetectorCore {
             env,
             env_own,
         } = pick;
-        let (fused, own): (&[f64], &[f64]) = if self.epilogue.envelope_detection {
+        let (fused, own): (&[f64], &[f64]) = if self.envelope_detection {
             envelope_with(fused, dsp, env)?;
             envelope_with(own, dsp, env_own)?;
             (env, env_own)
         } else {
             (fused, own)
         };
-        detect_peaks_into(fused, &self.epilogue.threshold, peak, peaks)?;
+        detect_peaks_into(fused, &self.threshold, peak, peaks)?;
         out.reserve(peaks.len());
         for p in peaks.iter() {
             let lo = p.index.saturating_sub(FUSED_REFINE);
@@ -886,15 +829,15 @@ impl DetectorCore {
                     best = t;
                 }
             }
-            out.push(self.epilogue.interpolated(own, best, own[best]));
+            out.push(self.interpolated(own, best, own[best]));
         }
         Ok(())
     }
 
-    /// Plain full-rate extraction — envelope (computed in `dsp`), noise
-    /// floor, two-part threshold, peak picking, sub-sample interpolation
-    /// — over a normalized correlation.
-    fn arrivals_from_corr(
+    /// Plain full-rate extraction (the MCCI rung's fallback) — envelope
+    /// (computed in `dsp`), noise floor, two-part threshold, peak
+    /// picking, sub-sample interpolation — over a normalized correlation.
+    fn arrivals_full(
         &self,
         corr: &[f64],
         pick: &mut FullRatePick,
@@ -907,16 +850,16 @@ impl DetectorCore {
         } = pick;
         // Envelope detection strips the carrier ripple of high-band
         // beacons (see `DetectionConfig::envelope_detection`).
-        let corr: &[f64] = if self.epilogue.envelope_detection {
+        let corr: &[f64] = if self.envelope_detection {
             envelope_with(corr, dsp, env)?;
             env
         } else {
             corr
         };
-        detect_peaks_into(corr, &self.epilogue.threshold, peak, peaks)?;
+        detect_peaks_into(corr, &self.threshold, peak, peaks)?;
         out.reserve(peaks.len());
         for p in peaks.iter() {
-            out.push(self.epilogue.interpolated(corr, p.index, p.value));
+            out.push(self.interpolated(corr, p.index, p.value));
         }
         Ok(())
     }
@@ -936,63 +879,63 @@ fn first_max(values: &[f64], range: std::ops::Range<usize>) -> usize {
     best
 }
 
-/// The reference chirp of a pipeline configuration at `sample_rate`,
-/// after validating both: an invalid config is an error, and so is a
-/// rate that cannot carry the chirp band or build its template.
-fn beacon_chirp(config: &HyperEarConfig, sample_rate: f64) -> Result<Chirp, HyperEarError> {
+/// The reference chirp of a pipeline configuration's beacon at
+/// `sample_rate` and, when detection band-passes, the band-pass taps to
+/// fold into it (±10% band margins, `config.detection.band_pass_taps`
+/// Hamming-windowed taps), after validating both: an invalid config is
+/// an error, and so is a rate that cannot carry the chirp band or build
+/// its template.
+fn folded_template(
+    config: &HyperEarConfig,
+    sample_rate: f64,
+) -> Result<(Vec<f64>, Option<Vec<f64>>), HyperEarError> {
     config.validate()?;
-    if sample_rate <= 2.0 * config.beacon.f1 {
+    let beacon = &config.beacon;
+    if sample_rate <= 2.0 * beacon.f1 {
         return Err(HyperEarError::invalid(
             "sample_rate",
             format!(
                 "rate {sample_rate} cannot represent the {} Hz chirp edge",
-                config.beacon.f1
+                beacon.f1
             ),
         ));
     }
     // The config is valid, so a template this rate cannot build
     // (non-finite, or too many samples) is a sample-rate error.
-    Chirp::new(
-        config.beacon.f0,
-        config.beacon.f1,
-        config.beacon.duration,
+    let chirp = Chirp::new(
+        beacon.f0,
+        beacon.f1,
+        beacon.duration,
         sample_rate,
-        config.beacon.pattern.shape(),
+        beacon.pattern.shape(),
     )
-    .map_err(|e| HyperEarError::invalid("sample_rate", e.to_string()))
+    .map_err(|e| HyperEarError::invalid("sample_rate", e.to_string()))?;
+    let taps = if config.detection.band_pass {
+        let design = FirFilter::band_pass(
+            beacon.f0 * 0.9,
+            beacon.f1 * 1.1,
+            sample_rate,
+            config.detection.band_pass_taps,
+            Window::Hamming,
+        )?;
+        Some(design.taps().to_vec())
+    } else {
+        None
+    };
+    Ok((chirp.samples().to_vec(), taps))
 }
 
-/// The detection band-pass for a chirp sweeping `f0 → f1`: ±10% band
-/// margins, `config.detection.band_pass_taps` Hamming-windowed taps.
-fn band_pass_design(
-    f0: f64,
-    f1: f64,
-    sample_rate: f64,
-    config: &HyperEarConfig,
-) -> Result<FirFilter, HyperEarError> {
-    Ok(FirFilter::band_pass(
-        f0 * 0.9,
-        f1 * 1.1,
-        sample_rate,
-        config.detection.band_pass_taps,
-        Window::Hamming,
-    )?)
-}
-
-/// A configured beacon detector for one sample rate: a shared detection
-/// core (template spectra, FFT plans, thresholds) plus one private
-/// scratch.
+/// A configured solo beacon detector for one sample rate: the K = 1
+/// [`MultiBeaconDetector`] (template spectra, FFT plans, thresholds)
+/// plus one private scratch.
 ///
 /// This is the convenient single-channel handle the pipeline has always
 /// exposed — [`BeaconDetector::detect_into`] takes `&mut self` and, once
-/// warm, correlates without allocating. Session engines that share one
-/// core (a batch engine's per-participant engines) wrap the shared core
-/// in a fresh scratch, so template spectra and FFT tables are not
-/// duplicated per engine.
+/// warm, correlates without allocating.
 #[derive(Debug, Clone)]
 pub struct BeaconDetector {
-    core: std::sync::Arc<DetectorCore>,
-    scratch: DetectScratch,
+    detector: MultiBeaconDetector,
+    scratch: MultiBeaconScratch,
 }
 
 impl BeaconDetector {
@@ -1003,47 +946,13 @@ impl BeaconDetector {
     /// Returns [`HyperEarError::InvalidParameter`] for an invalid config
     /// or a sample rate that cannot carry the chirp band.
     pub fn new(config: &HyperEarConfig, sample_rate: f64) -> Result<Self, HyperEarError> {
-        Ok(BeaconDetector::from_core(std::sync::Arc::new(
-            DetectorCore::new(config, sample_rate)?,
-        )))
-    }
-
-    /// Wraps an existing shared core with a fresh scratch.
-    #[must_use]
-    pub(crate) fn from_core(core: std::sync::Arc<DetectorCore>) -> Self {
-        BeaconDetector {
-            core,
-            scratch: DetectScratch::new(),
-        }
-    }
-
-    /// The shared read-only core (clone the `Arc` to share it with
-    /// another worker or channel).
-    #[must_use]
-    pub(crate) fn core(&self) -> &std::sync::Arc<DetectorCore> {
-        &self.core
-    }
-
-    /// Splits the detector into its shared core and its private scratch,
-    /// for callers that run every channel of a session through the one
-    /// scratch in turn.
-    pub(crate) fn parts_mut(&mut self) -> (&DetectorCore, &mut DetectScratch) {
-        (&self.core, &mut self.scratch)
-    }
-
-    /// The sample rate this detector was built for.
-    #[must_use]
-    pub(crate) fn sample_rate(&self) -> f64 {
-        self.core.sample_rate()
-    }
-
-    /// Bytes currently reserved by the detector's private working
-    /// buffers. The shared core's immutable tables (template spectra,
-    /// FFT plans) are not counted: they exist once per process, not once
-    /// per detector.
-    #[must_use]
-    pub(crate) fn working_set_bytes(&self) -> usize {
-        self.scratch.capacity_bytes()
+        Ok(BeaconDetector {
+            detector: MultiBeaconDetector::new(
+                &MultiBeaconConfig::solo(config.clone()),
+                sample_rate,
+            )?,
+            scratch: MultiBeaconScratch::new(),
+        })
     }
 
     /// Detects beacon arrivals in one audio channel.
@@ -1059,100 +968,156 @@ impl BeaconDetector {
         channel: &[f64],
         out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
-        self.core.detect_with(channel, &mut self.scratch, out)
+        self.detector
+            .detect_into(channel, &mut self.scratch, std::slice::from_mut(out))
+    }
+}
+
+/// Shared detectors by sample rate: each is built on the calling thread
+/// the first time its rate is seen, then handed out by `Arc` — to a
+/// batch's worker engines, a stream service's sessions, a K-beacon
+/// engine's two channels — so its template spectra and FFT tables exist
+/// once per rate, not once per worker.
+#[derive(Debug)]
+pub(crate) struct DetectorMemo {
+    /// The beacons to detect ([`MultiBeaconConfig::solo`] for a solo
+    /// session).
+    config: MultiBeaconConfig,
+    built: Vec<(f64, Arc<MultiBeaconDetector>)>,
+}
+
+impl DetectorMemo {
+    /// An empty memo of detectors for `config`'s beacons.
+    pub(crate) fn new(config: MultiBeaconConfig) -> Self {
+        DetectorMemo {
+            config,
+            built: Vec::new(),
+        }
+    }
+
+    /// The detector for `sample_rate`, if one was built.
+    pub(crate) fn built(&self, sample_rate: f64) -> Option<&Arc<MultiBeaconDetector>> {
+        self.built
+            .iter()
+            .find(|(rate, _)| *rate == sample_rate)
+            .map(|(_, detector)| detector)
+    }
+
+    /// The detector for `sample_rate`, built (and memoized) first when
+    /// the rate is new. A rate that fails to build is not memoized.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HyperEarError::InvalidParameter`] for a rate that
+    /// cannot carry every beacon's chirp band.
+    pub(crate) fn get(
+        &mut self,
+        sample_rate: f64,
+    ) -> Result<Arc<MultiBeaconDetector>, HyperEarError> {
+        if let Some(detector) = self.built(sample_rate) {
+            return Ok(Arc::clone(detector));
+        }
+        let detector = Arc::new(MultiBeaconDetector::new(&self.config, sample_rate)?);
+        self.built.push((sample_rate, Arc::clone(&detector)));
+        Ok(detector)
     }
 }
 
 /// Incremental beacon detection over chunked audio: the online front end
-/// of a [`DetectorCore`].
+/// of a [`MultiBeaconDetector`], one lane per beacon.
 ///
 /// Audio arrives in chunks of any size via [`StreamingDetector::push`];
 /// each chunk flows through the folded, band-limited matched-filter
 /// overlap-save engine *as it arrives* (the chunk feed keeps per-block
 /// FFT cost amortized and the transform working set at one block), and
-/// the resulting decimated analytic correlation accumulates in a buffer
+/// each lane's decimated analytic correlation accumulates in a buffer
 /// preallocated to a hard `max_samples` cap (one complex value per `D`
 /// samples). [`StreamingDetector::finish`] then runs the exact
 /// threshold/peak stage of the one-shot detector over the accumulated
-/// correlation into the detector's arrival list.
+/// lanes into the detector's arrival lists.
 ///
 /// # State and scratch
 ///
 /// The detector owns only its capture's state: the chunk feed, the
-/// accumulated correlation and the arrival list. The threshold needs the
+/// accumulated lanes and the arrival lists. The threshold needs the
 /// exact median of the whole correlation envelope, so the correlation
 /// must live until the finish; everything else a push or finish touches
 /// — the FFT arena, the envelope, sort keys, candidates, rebuild window,
-/// spectrum and guide — is borrowed from the caller's [`DetectScratch`],
-/// one per worker, not one per capture.
+/// spectrum and guide — is borrowed from the caller's
+/// [`MultiBeaconScratch`], one per worker, not one per capture.
 ///
 /// # Equivalence
 ///
 /// Because the chunk feed assembles bit-identical FFT blocks regardless of
 /// chunking, the retained correlation — and therefore every emitted
 /// [`BeaconArrival`] — is **bit-identical** to
-/// [`DetectorCore::detect_with`] on the concatenated capture, for any
-/// chunk sizes and any scratch.
+/// [`MultiBeaconDetector::detect_into`] on the concatenated capture, for
+/// any chunk sizes and any scratch.
 ///
 /// # Bounded memory
 ///
-/// Every state buffer is preallocated from `max_samples` and the core's
-/// geometry at construction (the arrival list to
-/// [`DetectorCore::max_arrivals`]); pushing more total samples than
+/// Every state buffer is preallocated from `max_samples` and the
+/// detector's geometry at construction; pushing more total samples than
 /// `max_samples` is a typed [`HyperEarError::CapacityExceeded`], so the
 /// state is a function of configuration, never of offered load.
 #[derive(Debug, Clone)]
 pub(crate) struct StreamingDetector {
-    core: std::sync::Arc<DetectorCore>,
+    detector: Arc<MultiBeaconDetector>,
     feed: ChunkFeed,
-    /// The accumulated normalized decimated correlation (capacity for
-    /// `max_samples` lags).
-    corr: Vec<Complex>,
-    /// The finished capture's arrivals (capacity for the most
-    /// `max_samples` can hold).
-    arrivals: Vec<BeaconArrival>,
+    /// Each beacon's accumulated normalized decimated correlation
+    /// (capacity for `max_samples` lags).
+    lanes: Vec<Vec<Complex>>,
+    /// Each beacon's arrivals from the finished capture (capacity for
+    /// the most `max_samples` can hold).
+    arrivals: Vec<Vec<BeaconArrival>>,
     max_samples: usize,
     pushed: usize,
     finished: bool,
 }
 
 impl StreamingDetector {
-    /// Builds an incremental detector over a shared core, provisioned for
-    /// captures of at most `max_samples` samples per channel.
+    /// Builds an incremental detector over a shared detector, provisioned
+    /// for captures of at most `max_samples` samples per channel.
     ///
     /// # Errors
     ///
     /// Returns [`HyperEarError::InvalidParameter`] if `max_samples` is
-    /// zero or smaller than the core's chirp template (no capture that
-    /// short can be correlated).
+    /// zero or smaller than the detector's chirp template (no capture
+    /// that short can be correlated).
     pub(crate) fn new(
-        core: std::sync::Arc<DetectorCore>,
+        detector: Arc<MultiBeaconDetector>,
         max_samples: usize,
     ) -> Result<Self, HyperEarError> {
-        if max_samples < core.chirp_len {
+        if max_samples < detector.chirp_len {
             return Err(HyperEarError::invalid(
                 "max_samples",
                 format!(
                     "capacity {max_samples} cannot hold one chirp template ({})",
-                    core.chirp_len
+                    detector.chirp_len
                 ),
             ));
         }
+        let beacons = 0..detector.epilogues.len();
         Ok(StreamingDetector {
-            feed: core.band.chunk_feed(),
-            corr: Vec::with_capacity(core.decimation().decimated_len(max_samples)),
-            arrivals: Vec::with_capacity(core.max_arrivals(max_samples)),
+            feed: detector.bank.chunk_feed(),
+            lanes: beacons
+                .clone()
+                .map(|k| Vec::with_capacity(detector.bank.decimation(k).decimated_len(max_samples)))
+                .collect(),
+            arrivals: beacons
+                .map(|k| Vec::with_capacity(detector.max_arrivals(k, max_samples)))
+                .collect(),
             max_samples,
             pushed: 0,
             finished: false,
-            core,
+            detector,
         })
     }
 
-    /// The shared read-only core.
+    /// The shared read-only detector.
     #[must_use]
-    pub(crate) fn core(&self) -> &std::sync::Arc<DetectorCore> {
-        &self.core
+    pub(crate) fn detector(&self) -> &Arc<MultiBeaconDetector> {
+        &self.detector
     }
 
     /// Ingests one audio chunk (any length; empty chunks are no-ops),
@@ -1168,7 +1133,7 @@ impl StreamingDetector {
     pub(crate) fn push(
         &mut self,
         chunk: &[f64],
-        scratch: &mut DetectScratch,
+        scratch: &mut MultiBeaconScratch,
     ) -> Result<(), HyperEarError> {
         if self.finished {
             return Err(HyperEarError::invalid(
@@ -1187,11 +1152,11 @@ impl StreamingDetector {
                 capacity: self.max_samples,
             });
         }
-        self.core.band.push_chunk_into(
+        self.detector.bank.push_chunk_into(
             &mut self.feed,
             chunk,
             &mut scratch.dsp,
-            std::slice::from_mut(&mut self.corr),
+            &mut self.lanes,
         )?;
         self.pushed = needed;
         Ok(())
@@ -1199,45 +1164,40 @@ impl StreamingDetector {
 
     /// Ends the capture: flushes the overlap-save feed and runs the
     /// one-shot threshold/peak/interpolation stage over the accumulated
-    /// correlation on `scratch`'s buffers, leaving the arrivals in
+    /// lanes on `scratch`'s buffers, leaving the arrivals in
     /// [`StreamingDetector::arrivals`]. The detector is then finished
     /// until [`StreamingDetector::reset`].
     ///
     /// # Errors
     ///
-    /// Mirrors [`DetectorCore::detect_with`] on the concatenated capture:
-    /// a typed DSP error for an empty or shorter-than-template capture,
-    /// plus [`HyperEarError::InvalidParameter`] for a double finish.
-    pub(crate) fn finish(&mut self, scratch: &mut DetectScratch) -> Result<(), HyperEarError> {
+    /// Mirrors [`MultiBeaconDetector::detect_into`] on the concatenated
+    /// capture: a typed DSP error for an empty or shorter-than-template
+    /// capture, plus [`HyperEarError::InvalidParameter`] for a double
+    /// finish.
+    pub(crate) fn finish(&mut self, scratch: &mut MultiBeaconScratch) -> Result<(), HyperEarError> {
         if self.finished {
             return Err(HyperEarError::invalid(
                 "stream",
                 "capture already finished; call reset() to start a new one",
             ));
         }
-        let DetectScratch { dsp, chan, extract } = scratch;
+        let MultiBeaconScratch { dsp, chan, extract } = scratch;
         // An empty or short capture fails here with the one-shot
         // detector's typed error.
-        self.core.band.finish_chunks_into(
-            &mut self.feed,
-            dsp,
-            std::slice::from_mut(&mut self.corr),
-        )?;
-        debug_assert_eq!(
-            self.corr.len(),
-            self.core.decimation().decimated_len(self.pushed)
-        );
+        self.detector
+            .bank
+            .finish_chunks_into(&mut self.feed, dsp, &mut self.lanes)?;
         self.finished = true;
-        // The accumulated correlation is bit-identical to the one-shot
-        // path's, so extracting through the same kernel keeps streaming
-        // == one-shot under every per-channel estimator. The scratch's
+        // The accumulated lanes are bit-identical to the one-shot path's,
+        // so extracting through the same kernel keeps streaming ==
+        // one-shot under every per-channel estimator. The scratch's
         // spectrum belongs to whatever it last served: forget it.
         // McciFusion needs every channel at once and the raw PCM is long
         // discarded; per-channel streaming falls back to plain xcorr.
         chan.spectrum.clear();
-        self.core.arrivals_estimated(
-            self.core.estimator,
-            &self.corr,
+        self.detector.arrivals_into(
+            self.detector.estimator,
+            &self.lanes,
             self.pushed,
             &mut chan.spectrum,
             extract,
@@ -1245,8 +1205,8 @@ impl StreamingDetector {
         )
     }
 
-    /// The arrivals of the last [`StreamingDetector::finish`].
-    pub(crate) fn arrivals(&self) -> &[BeaconArrival] {
+    /// Each beacon's arrivals from the last [`StreamingDetector::finish`].
+    pub(crate) fn arrivals(&self) -> &[Vec<BeaconArrival>] {
         &self.arrivals
     }
 
@@ -1254,215 +1214,168 @@ impl StreamingDetector {
     /// keeping every buffer's capacity (no allocation).
     pub(crate) fn reset(&mut self) {
         self.feed.reset();
-        self.corr.clear();
-        self.arrivals.clear();
+        self.lanes.iter_mut().for_each(Vec::clear);
+        self.arrivals.iter_mut().for_each(Vec::clear);
         self.pushed = 0;
         self.finished = false;
     }
 
-    /// Bytes reserved by this detector's state (the shared core's
+    /// Bytes reserved by this detector's state (the shared detector's
     /// immutable tables and the borrowed scratch are not counted).
     /// Constant in the number of samples ingested: every buffer is sized
-    /// by `max_samples` and the core's geometry.
+    /// by `max_samples` and the detector's geometry.
     #[must_use]
     pub(crate) fn state_bytes(&self) -> usize {
-        self.corr.capacity() * std::mem::size_of::<Complex>()
-            + self.feed.capacity_bytes()
-            + self.arrivals.capacity() * std::mem::size_of::<BeaconArrival>()
+        self.lanes.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Complex>()
+            + self.beacon_bytes()
     }
 
-    /// Bytes the chunk feed and the arrival list reserve: the beacon's
-    /// block and period set them, and the stream budget does not count them.
-    #[cfg(test)]
+    /// Bytes the chunk feed and the arrival lists reserve: the beacons'
+    /// block and period set them, and the stream budget does not count
+    /// them.
     pub(crate) fn beacon_bytes(&self) -> usize {
-        self.feed.capacity_bytes() + self.arrivals.capacity() * std::mem::size_of::<BeaconArrival>()
+        self.feed.capacity_bytes()
+            + self.arrivals.iter().map(Vec::capacity).sum::<usize>()
+                * std::mem::size_of::<BeaconArrival>()
     }
 
-    /// What [`StreamingDetector::state_bytes`] is for a detector on `core`
-    /// provisioned for `max_samples`: the decimated correlation, the
-    /// chunk feed's block pair (`block_len + step` samples) and
-    /// [`DetectorCore::max_arrivals`] arrivals.
+    /// What [`StreamingDetector::state_bytes`] is for a detector on
+    /// `detector` provisioned for `max_samples`: each lane's decimated
+    /// correlation and most arrivals, and the chunk feed's block pair
+    /// (`block_len + step` samples).
     #[must_use]
-    pub(crate) fn state_formula(core: &DetectorCore, max_samples: usize) -> usize {
-        core.decimation().decimated_len(max_samples) * std::mem::size_of::<Complex>()
-            + (core.band.block_len() + core.band.step()) * std::mem::size_of::<f64>()
-            + core.max_arrivals(max_samples) * std::mem::size_of::<BeaconArrival>()
+    pub(crate) fn state_formula(detector: &MultiBeaconDetector, max_samples: usize) -> usize {
+        let lanes: usize = (0..detector.epilogues.len())
+            .map(|k| {
+                detector.bank.decimation(k).decimated_len(max_samples)
+                    * std::mem::size_of::<Complex>()
+                    + detector.max_arrivals(k, max_samples) * std::mem::size_of::<BeaconArrival>()
+            })
+            .sum();
+        lanes + (detector.bank.block_len() + detector.bank.step()) * std::mem::size_of::<f64>()
     }
 }
 
-/// The mutable, per-channel half of a [`MultiBeaconDetector`]: the FFT
-/// scratch arena, the K correlation lanes, and the peak/noise buffers
-/// the per-beacon epilogues fill. One scratch must not be shared
-/// between concurrent detections.
+/// The MCCI rung's own state: its full-rate filter and epilogue, built
+/// the first time the rung runs at a sample rate, every channel's
+/// normalized full-rate correlation, the fused guide, and the full-rate
+/// threshold/peak workspace (with the envelope buffers envelope
+/// detection needs there; the envelopes' FFT runs in the detector's
+/// [`MultiBeaconScratch`]). MCCI fuses channels sample by sample on the
+/// full-rate correlation exactly as it always has, so its outcomes do not
+/// depend on the band-limited path.
+///
+/// The filter is the unaligned overlap-save engine of
+/// [`StreamingMatchedFilter::with_zero_phase_prefilter`]: the
+/// band-limited bank rounds its block step down to a multiple of 16, and
+/// a full-rate pass on those blocks would change MCCI's bits.
 #[derive(Debug, Clone, Default)]
-pub struct MultiBeaconScratch {
-    scratch: DspScratch,
-    /// K normalized decimated correlation lanes — lane `k` is beacon
-    /// `k`'s band-limited matched-filter response over the whole capture.
-    lanes: Vec<Vec<Complex>>,
-    pick: PickScratch,
+pub(crate) struct McciScratch {
+    full_rate: Option<(StreamingMatchedFilter, Epilogue)>,
+    corrs: Vec<Vec<f64>>,
+    guide: Vec<f64>,
+    pick: FullRatePick,
 }
 
-impl MultiBeaconScratch {
-    /// An empty scratch; buffers grow to their high-water mark on first
-    /// use and are then reused allocation-free.
-    #[must_use]
-    pub fn new() -> Self {
-        MultiBeaconScratch::default()
+/// The full-rate threshold/peak workspace of the MCCI rung.
+#[derive(Debug, Clone, Default)]
+struct FullRatePick {
+    peak: PeakScratch,
+    peaks: Vec<Peak>,
+    /// Envelope of the correlation peaks are detected on.
+    env: Vec<f64>,
+    /// Envelope of the channel's own correlation (guided extraction).
+    env_own: Vec<f64>,
+}
+
+impl McciScratch {
+    /// Correlates every channel at the full rate into the rung's
+    /// buffers, building the rung's filter for `config`'s beacon first
+    /// when it has none for `sample_rate`; returns the correlations.
+    pub(crate) fn correlate(
+        &mut self,
+        config: &HyperEarConfig,
+        sample_rate: f64,
+        channels: &[&[f64]],
+        scratch: &mut MultiBeaconScratch,
+    ) -> Result<&[Vec<f64>], HyperEarError> {
+        let built = self
+            .full_rate
+            .as_ref()
+            .is_some_and(|(_, epilogue)| epilogue.sample_rate == sample_rate);
+        if !built {
+            let filter = match folded_template(config, sample_rate)? {
+                (template, Some(taps)) => {
+                    StreamingMatchedFilter::with_zero_phase_prefilter(&template, &taps)?
+                }
+                (template, None) => StreamingMatchedFilter::new(&template)?,
+            };
+            self.full_rate = Some((filter, Epilogue::new(config, sample_rate)));
+        }
+        let (filter, _) = self.full_rate.as_ref().expect("built above");
+        let n = channels.len();
+        if self.corrs.len() < n {
+            self.corrs.resize_with(n, Vec::new);
+        }
+        for (samples, corr) in channels.iter().zip(&mut self.corrs) {
+            filter.correlate_normalized_into(samples, &mut scratch.dsp, corr)?;
+        }
+        Ok(&self.corrs[..n])
     }
 
-    /// Bytes currently reserved by the scratch buffers.
-    #[must_use]
+    /// Bytes reserved by the correlations and the extraction buffers.
     pub(crate) fn capacity_bytes(&self) -> usize {
-        self.scratch.capacity_bytes()
-            + self.lanes.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Complex>()
-            + self.pick.capacity_bytes()
+        let p = &self.pick;
+        (self.corrs.iter().map(Vec::capacity).sum::<usize>()
+            + self.guide.capacity()
+            + p.env.capacity()
+            + p.env_own.capacity())
+            * std::mem::size_of::<f64>()
+            + p.peaks.capacity() * std::mem::size_of::<Peak>()
+            + p.peak.capacity_bytes()
     }
 
-    /// Beacon `k`'s normalized decimated correlation from the last
-    /// detection pass (the conformance surface the bank tests pin against
-    /// independent single-template engines).
-    #[cfg(test)]
-    pub(crate) fn lane(&self, k: usize) -> &[Complex] {
-        &self.lanes[k]
-    }
-}
-
-/// K-beacon detection over one shared forward FFT: a band-limited
-/// [`BandLimitedBank`] whose lanes carry one beacon signature each, plus
-/// each beacon's threshold/peak epilogue settings.
-///
-/// Detection cost per channel is ~one forward transform + K short
-/// (band-rate) inverse transforms per block, instead of the K×(forward +
-/// inverse) that K independent detectors spend. Every signature's
-/// band-pass FIR is folded into its template at construction
-/// (`corr(bp(x), tᵢ) = corr(x, bp⋆tᵢ)`), exactly as in each solo
-/// detector, so each lane is **bit-identical** to the solo
-/// detector's band-limited correlation and arrivals equal K independent
-/// detectors' exactly (conformance-pinned).
-///
-/// The hot methods take `&self` — clone the detector (cheap: template
-/// spectra are `Arc`-shared) or hand out per-worker
-/// [`MultiBeaconScratch`]es to run channels concurrently.
-#[derive(Debug, Clone)]
-pub struct MultiBeaconDetector {
-    /// Beacon `k`'s epilogue, run over lane `k`.
-    epilogues: Vec<Epilogue>,
-    bank: BandLimitedBank,
-}
-
-impl MultiBeaconDetector {
-    /// Builds the shared K-beacon detection front end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HyperEarError::InvalidParameter`] for an invalid config
-    /// or a sample rate that cannot carry any signature's chirp band.
-    pub fn new(config: &MultiBeaconConfig, sample_rate: f64) -> Result<Self, HyperEarError> {
-        config.validate()?;
-        let k = config.beacons();
-        let mut epilogues = Vec::with_capacity(k);
-        let mut templates: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let mut taps: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let band_pass = config.session.detection.band_pass;
-        for (i, sig) in config.signatures.iter().enumerate() {
-            let per = config.session_config(i);
-            let chirp = beacon_chirp(&per, sample_rate)?;
-            epilogues.push(Epilogue::new(&per, sample_rate));
-            templates.push(chirp.samples().to_vec());
-            if band_pass {
-                taps.push(
-                    band_pass_design(sig.f0, sig.f1, sample_rate, &per)?
-                        .taps()
-                        .to_vec(),
-                );
-            }
-        }
-        let bank = if band_pass {
-            let entries: Vec<(&[f64], &[f64])> = templates
-                .iter()
-                .zip(&taps)
-                .map(|(t, h)| (t.as_slice(), h.as_slice()))
-                .collect();
-            BandLimitedBank::with_zero_phase_prefilters(&entries)?
-        } else {
-            let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
-            BandLimitedBank::new(&refs)?
-        };
-        Ok(MultiBeaconDetector { epilogues, bank })
-    }
-
-    /// The shared band-limited template bank (e.g. for inspecting
-    /// [`BandLimitedBank::template_fft_count`]).
-    #[must_use]
-    pub fn bank(&self) -> &BandLimitedBank {
-        &self.bank
-    }
-
-    /// The pre-threshold half of multi-beacon detection: one banked
-    /// correlation pass filling `scratch`'s K normalized decimated lanes
-    /// (one forward FFT per block, K band-rate fan-outs).
-    fn correlate_only(
-        &self,
-        channel: &[f64],
+    /// Plain full-rate arrival extraction over channel `k`'s correlation
+    /// (the MCCI fallback for channels that could not be fused).
+    pub(crate) fn arrivals_full(
+        &mut self,
+        k: usize,
         scratch: &mut MultiBeaconScratch,
+        out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
-        scratch.lanes.resize_with(self.epilogues.len(), Vec::new);
-        self.bank
-            .correlate_into(channel, &mut scratch.scratch, &mut scratch.lanes)?;
-        Ok(())
+        let epilogue = &self.full_rate.as_ref().expect("correlated first").1;
+        epilogue.arrivals_full(&self.corrs[k], &mut self.pick, &mut scratch.dsp, out)
     }
 
-    /// Detects every beacon's arrivals in one audio channel: one banked
-    /// correlation pass, then beacon `k`'s own threshold/peak epilogue
-    /// over lane `k` into `out[k]`. Epilogue semantics per lane are
-    /// exactly a solo [`BeaconDetector`]'s (same thresholds, peak
-    /// spacing, interpolation), so a beacon's arrivals depend only on
-    /// its own lane.
-    ///
-    /// Once warm (same K, same capture length), a detection pass does
-    /// not allocate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HyperEarError::InvalidParameter`] when `out.len()`
-    /// differs from the beacon count, and [`HyperEarError::Dsp`] for an
-    /// empty or too-short channel.
-    pub fn detect_into(
-        &self,
-        channel: &[f64],
+    /// MCCI-guided arrival extraction for channel `k` of the first
+    /// `offsets.len()` full-rate correlations: every live channel's
+    /// correlation is shift-and-averaged onto channel `k`'s time line
+    /// (into the guide buffer), peaks are *detected* on that fused
+    /// correlation (so a beacon masked on this channel can be recovered
+    /// from the redundant channels), and each arrival is *timed* on the
+    /// channel's own correlation — the local maximum within
+    /// ±[`FUSED_REFINE`] samples of the fused peak, sub-sample
+    /// interpolated as usual. Cross-channel averaging therefore improves
+    /// detection without ever mixing other channels' propagation delays
+    /// into this channel's arrival times, which would cancel the very
+    /// inter-channel TDoA the pipeline measures.
+    pub(crate) fn arrivals_fused(
+        &mut self,
+        offsets: &[f64],
+        live: &[bool],
+        k: usize,
         scratch: &mut MultiBeaconScratch,
-        out: &mut [Vec<BeaconArrival>],
+        out: &mut Vec<BeaconArrival>,
     ) -> Result<(), HyperEarError> {
-        if out.len() != self.epilogues.len() {
-            return Err(HyperEarError::invalid(
-                "out",
-                format!(
-                    "detector holds {} beacons but {} output lanes were provided",
-                    self.epilogues.len(),
-                    out.len()
-                ),
-            ));
+        let n = offsets.len();
+        let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
+        for (slot, c) in refs.iter_mut().zip(&self.corrs[..n]) {
+            *slot = c;
         }
-        self.correlate_only(channel, scratch)?;
-        let MultiBeaconScratch { lanes, pick, .. } = scratch;
-        for (k, ((epilogue, lane), arrivals)) in self
-            .epilogues
-            .iter()
-            .zip(lanes.iter())
-            .zip(out.iter_mut())
-            .enumerate()
-        {
-            epilogue.arrivals_band(
-                self.bank.decimation(k),
-                lane,
-                None,
-                channel.len(),
-                pick,
-                arrivals,
-            )?;
-        }
-        Ok(())
+        let corrs = &refs[..n];
+        mcci_fuse_channel_into(corrs, offsets, live, k, &mut self.guide)?;
+        let epilogue = &self.full_rate.as_ref().expect("correlated first").1;
+        epilogue.arrivals_fused(&self.guide, corrs[k], &mut self.pick, &mut scratch.dsp, out)
     }
 }
 
@@ -1640,7 +1553,7 @@ mod tests {
     fn empty_channel_is_error() {
         let mut d = detector(Interpolation::Parabolic);
         assert!(detect(&mut d, &[]).is_err());
-        assert_eq!(d.sample_rate(), FS);
+        assert_eq!(d.detector.sample_rate(), FS);
     }
 
     #[test]
@@ -1650,15 +1563,15 @@ mod tests {
         let mut d = detector(Interpolation::Parabolic);
         let reference = detect(&mut d, &signal).unwrap();
         assert_eq!(reference.len(), 5);
-        let core = std::sync::Arc::clone(d.core());
-        let mut stream = StreamingDetector::new(core, signal.len()).unwrap();
-        let mut scratch = DetectScratch::new();
+        let detector = Arc::new(d.detector.clone());
+        let mut stream = StreamingDetector::new(detector, signal.len()).unwrap();
+        let mut scratch = MultiBeaconScratch::new();
         for chunk_len in [1usize, 997, 4_096, signal.len()] {
             for chunk in signal.chunks(chunk_len) {
                 stream.push(chunk, &mut scratch).unwrap();
             }
             stream.finish(&mut scratch).unwrap();
-            assert_eq!(stream.arrivals(), reference, "chunk_len {chunk_len}");
+            assert_eq!(stream.arrivals()[0], reference, "chunk_len {chunk_len}");
             stream.reset();
         }
     }
@@ -1666,9 +1579,9 @@ mod tests {
     #[test]
     fn streaming_detector_enforces_capacity_and_stream_state() {
         let d = detector(Interpolation::Parabolic);
-        let core = std::sync::Arc::clone(d.core());
-        let mut stream = StreamingDetector::new(std::sync::Arc::clone(&core), 10_000).unwrap();
-        let mut scratch = DetectScratch::new();
+        let detector = Arc::new(d.detector.clone());
+        let mut stream = StreamingDetector::new(Arc::clone(&detector), 10_000).unwrap();
+        let mut scratch = MultiBeaconScratch::new();
         assert_eq!(stream.max_samples, 10_000);
         // Over-capacity push is a typed error and ingests nothing.
         stream.push(&vec![0.0; 6_000], &mut scratch).unwrap();
@@ -1689,7 +1602,7 @@ mod tests {
         stream.reset();
         assert!(stream.finish(&mut scratch).is_err());
         // Capacity too small for even one template is rejected up front.
-        assert!(StreamingDetector::new(core, 3).is_err());
+        assert!(StreamingDetector::new(detector, 3).is_err());
     }
 
     #[test]
@@ -1697,9 +1610,9 @@ mod tests {
         let positions: Vec<f64> = (0..3).map(|k| 2_000.0 + k as f64 * 8_820.0).collect();
         let signal = render(&positions, 30_000, 0.3);
         let d = detector(Interpolation::Parabolic);
-        let core = d.core();
-        let mut stream = StreamingDetector::new(std::sync::Arc::clone(core), 120_000).unwrap();
-        let mut scratch = DetectScratch::new();
+        let detector = &Arc::new(d.detector.clone());
+        let mut stream = StreamingDetector::new(Arc::clone(detector), 120_000).unwrap();
+        let mut scratch = MultiBeaconScratch::new();
         // Warm on the short capture.
         for chunk in signal.chunks(1_000) {
             stream.push(chunk, &mut scratch).unwrap();
@@ -1710,10 +1623,10 @@ mod tests {
         // Preallocated up front: the decimated complex correlation, the
         // chunk feed's block pair and the arrival list. The envelope and peak workspace
         // over the same lags is the scratch's, not the detector's.
-        let lags = core.decimation().decimated_len(120_000);
-        let feed = (core.band.block_len() + core.band.step()) * std::mem::size_of::<f64>();
+        let lags = detector.bank.decimation(0).decimated_len(120_000);
+        let feed = (detector.bank.block_len() + detector.bank.step()) * std::mem::size_of::<f64>();
         assert!(warm >= lags * std::mem::size_of::<Complex>() + feed);
-        assert_eq!(warm, StreamingDetector::state_formula(core, 120_000));
+        assert_eq!(warm, StreamingDetector::state_formula(detector, 120_000));
         // A 4x longer capture (same content plus silence) grows nothing.
         for round in 0..4 {
             for chunk in signal.chunks(777) {
@@ -1764,14 +1677,14 @@ mod tests {
             let reference = detect(&mut d, &signal).unwrap();
             assert_eq!(reference.len(), 5, "{est:?}");
             let mut stream =
-                StreamingDetector::new(std::sync::Arc::clone(d.core()), signal.len()).unwrap();
-            let mut scratch = DetectScratch::new();
+                StreamingDetector::new(Arc::new(d.detector.clone()), signal.len()).unwrap();
+            let mut scratch = MultiBeaconScratch::new();
             for chunk in signal.chunks(997) {
                 stream.push(chunk, &mut scratch).unwrap();
             }
             stream.finish(&mut scratch).unwrap();
             assert_eq!(
-                stream.arrivals(),
+                stream.arrivals()[0],
                 reference,
                 "{est:?} streaming must match one-shot"
             );
@@ -1785,17 +1698,22 @@ mod tests {
         let truth = 10_000.0;
         let own_sig = render(&[truth], 20_000, 0.3);
         let fused_sig = render(&[truth + 4.0], 20_000, 0.3);
-        let d = detector(Interpolation::Parabolic);
-        let core = d.core();
-        let mut scratch = DetectScratch::new();
+        let mut config = HyperEarConfig::galaxy_s4();
+        config.detection.interpolation = Interpolation::Parabolic;
+        let mut scratch = MultiBeaconScratch::new();
         let mut mcci = McciScratch::default();
-        for (samples, corr) in [&own_sig, &fused_sig].into_iter().zip(mcci.corrs_mut(2)) {
-            core.correlate_full_into(samples, &mut scratch, corr)
-                .unwrap();
-        }
-        let McciScratch { corrs, pick, .. } = &mut mcci;
+        mcci.correlate(&config, FS, &[&own_sig, &fused_sig], &mut scratch)
+            .unwrap();
+        let McciScratch {
+            full_rate,
+            corrs,
+            pick,
+            ..
+        } = &mut mcci;
         let mut out = Vec::new();
-        core.arrivals_fused_into(&corrs[1], &corrs[0], pick, &mut scratch.dsp, &mut out)
+        let (_, epilogue) = full_rate.as_ref().unwrap();
+        epilogue
+            .arrivals_fused(&corrs[1], &corrs[0], pick, &mut scratch.dsp, &mut out)
             .unwrap();
         assert_eq!(out.len(), 1);
         let err = (out[0].time * FS - truth).abs();
@@ -1809,23 +1727,30 @@ mod tests {
         let truth = 10_000.0;
         let own_sig = render(&[truth], 20_000, 0.3);
         let guide_sig = render(&[truth + 4.0], 20_000, 0.3);
-        let d = detector(Interpolation::Parabolic);
-        let core = d.core();
-        let mut scratch = DetectScratch::new();
+        let mut d = detector(Interpolation::Parabolic);
+        let mut out = [Vec::new()];
+        let (detector, scratch) = (&d.detector, &mut d.scratch);
         let (mut own, mut guide) = (ChannelCorrelation::default(), ChannelCorrelation::default());
-        core.correlate_into(&own_sig, &mut scratch.dsp, &mut own)
-            .unwrap();
-        core.correlate_into(&guide_sig, &mut scratch.dsp, &mut guide)
-            .unwrap();
-        let mut out = Vec::new();
-        core.epilogue
+        for (signal, chan) in [(&own_sig, &mut own), (&guide_sig, &mut guide)] {
+            detector
+                .detect_channel(
+                    Some(signal),
+                    TdoaEstimator::PlainXcorr,
+                    Some(chan),
+                    scratch,
+                    &mut out,
+                )
+                .unwrap();
+        }
+        let [out] = &mut out;
+        detector.epilogues[0]
             .arrivals_band(
-                core.decimation(),
-                &guide.corr,
-                Some(&own.corr),
+                detector.bank.decimation(0),
+                &guide.lanes[0],
+                Some(&own.lanes[0]),
                 own.lags,
                 &mut scratch.extract.pick,
-                &mut out,
+                out,
             )
             .unwrap();
         assert_eq!(out.len(), 1);
@@ -1836,7 +1761,7 @@ mod tests {
     #[test]
     fn peak_fft_len_is_capture_independent() {
         let mut d = detector(Interpolation::Parabolic);
-        let bound = d.core().peak_fft_len();
+        let bound = d.detector.bank().block_len();
         // Detection over wildly different capture lengths never grows the
         // FFT bound — the overlap-save engines block the capture instead
         // of padding it whole.
@@ -1844,7 +1769,7 @@ mod tests {
             let signal = render(&[10_000.0], n, 0.3);
             let arrivals = detect(&mut d, &signal).unwrap();
             assert_eq!(arrivals.len(), 1);
-            assert_eq!(d.core().peak_fft_len(), bound);
+            assert_eq!(d.detector.bank().block_len(), bound);
         }
         // The bound is a small multiple of the template, nowhere near the
         // next_pow2(capture + template) a one-shot correlation would need.

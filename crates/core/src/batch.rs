@@ -6,8 +6,8 @@
 //! pinning one warm [`SessionEngine`] (with all of its scratch —
 //! detector buffers, TDoA/localization scratch, slide storage) to each
 //! pool participant. Immutable detection state — the
-//! matched-filter template spectra and FFT tables of the detection
-//! core — is built once per sample rate and shared across
+//! matched-filter template spectra and FFT tables of the detector —
+//! is built once per sample rate and shared across
 //! every worker, so memory scales with *thread count × scratch*, not
 //! *thread count × tables*.
 //!
@@ -33,7 +33,7 @@
 //! session that fails records [`SessionOutcome::Failed`] in its own slot
 //! and never poisons the rest of the batch.
 
-use crate::asp::{BeaconArrival, DetectorCore, MultiBeaconDetector, MultiBeaconScratch};
+use crate::asp::{BeaconArrival, DetectorMemo, MultiBeaconDetector, MultiBeaconScratch};
 use crate::config::{HyperEarConfig, MultiBeaconConfig};
 use crate::pipeline::{check_capture, Capture, SessionEngine, SessionInput, SessionOutcome};
 use crate::HyperEarError;
@@ -41,18 +41,17 @@ use hyperear_util::pool::{Pool, PoolStats};
 use std::sync::Arc;
 
 /// A batch session processor: one warm [`SessionEngine`] pinned per pool
-/// participant, shared read-only detector cores, index-addressed
+/// participant, shared read-only detectors, index-addressed
 /// outcomes (see the [module docs](self)).
 #[derive(Debug)]
 pub struct BatchEngine {
     pool: Arc<Pool>,
-    config: HyperEarConfig,
     /// One warm engine per pool participant, touched by exactly one
     /// thread at a time.
     workers: Vec<SessionEngine>,
-    /// Shared detector cores by sample rate: built once on the calling
+    /// Shared detectors by sample rate: built once on the calling
     /// thread, installed into every worker engine by `Arc` clone.
-    cores: Vec<(f64, Arc<DetectorCore>)>,
+    detectors: DetectorMemo,
 }
 
 impl BatchEngine {
@@ -71,9 +70,8 @@ impl BatchEngine {
             .collect::<Result<Vec<_>, HyperEarError>>()?;
         Ok(BatchEngine {
             pool,
-            config,
+            detectors: DetectorMemo::new(MultiBeaconConfig::solo(config)),
             workers,
-            cores: Vec::new(),
         })
     }
 
@@ -111,18 +109,6 @@ impl BatchEngine {
             .sum()
     }
 
-    /// The shared detector core for a sample rate, building (and
-    /// memoizing) it on the calling thread the first time that rate is
-    /// seen.
-    fn core_for(&mut self, sample_rate: f64) -> Result<Arc<DetectorCore>, HyperEarError> {
-        if let Some((_, core)) = self.cores.iter().find(|(rate, _)| *rate == sample_rate) {
-            return Ok(Arc::clone(core));
-        }
-        let core = Arc::new(DetectorCore::new(&self.config, sample_rate)?);
-        self.cores.push((sample_rate, Arc::clone(&core)));
-        Ok(core)
-    }
-
     /// Deterministically warms **every** worker engine by running each
     /// of `inputs` through each of them on the calling thread.
     ///
@@ -141,10 +127,10 @@ impl BatchEngine {
         let mut slot = SessionOutcome::idle();
         for w in 0..self.workers.len() {
             for input in inputs {
-                let core = self.core_for(input.parts().audio_sample_rate).ok();
+                let detector = self.detectors.get(input.parts().audio_sample_rate);
                 let engine = &mut self.workers[w];
-                if let Some(core) = &core {
-                    engine.install_detector_core(core);
+                if let Ok(detector) = &detector {
+                    engine.install_detector(detector);
                 }
                 engine.run_monitored_into(input, &mut slot);
             }
@@ -172,12 +158,12 @@ impl BatchEngine {
     /// given sample rate and capture size, processing allocates nothing
     /// in steady state.
     pub fn run_batch_into<C: Capture>(&mut self, inputs: &[C], out: &mut Vec<SessionOutcome>) {
-        // Build the shared detector cores for every distinct sample rate
-        // up front, on this thread: workers then only `Arc`-clone them.
-        // A rate the config cannot serve is left to fail per item, where
+        // Build the shared detectors for every distinct sample rate up
+        // front, on this thread: workers then only `Arc`-clone them. A
+        // rate the config cannot serve is left to fail per item, where
         // the error lands in that item's own slot.
         for input in inputs {
-            let _ = self.core_for(input.parts().audio_sample_rate);
+            let _ = self.detectors.get(input.parts().audio_sample_rate);
         }
         // Reuse outcome slots; `idle()` placeholders are heap-free.
         if out.len() > inputs.len() {
@@ -186,24 +172,23 @@ impl BatchEngine {
         while out.len() < inputs.len() {
             out.push(SessionOutcome::idle());
         }
-        let cores = &self.cores;
+        let detectors = &self.detectors;
         let workers = &mut self.workers;
         self.pool
             .parallel_update(workers, out, |engine, idx, slot| {
                 let input = &inputs[idx];
-                let rate = input.parts().audio_sample_rate;
-                if let Some((_, core)) = cores.iter().find(|(r, _)| *r == rate) {
-                    engine.install_detector_core(core);
+                if let Some(detector) = detectors.built(input.parts().audio_sample_rate) {
+                    engine.install_detector(detector);
                 }
                 engine.run_monitored_into(input, slot);
             });
     }
 }
 
-/// A K-beacon session processor: one shared [`MultiBeaconDetector`]
-/// front end (one forward FFT per block fanned across every beacon's
-/// template) feeding one warm [`SessionEngine`] that finishes each
-/// beacon in turn.
+/// A K-beacon session processor: one shared K-lane
+/// [`MultiBeaconDetector`] — the session engine's detector, with one
+/// forward FFT per block fanned across every beacon's template — feeding
+/// one warm [`SessionEngine`] that finishes each beacon in turn.
 ///
 /// The two channels' banked detections are the two items of one pool
 /// region ([`Pool::parallel_update`]) — one shared read-only detector,
@@ -226,12 +211,11 @@ impl BatchEngine {
 #[derive(Debug)]
 pub struct MultiBeaconEngine {
     pool: Arc<Pool>,
-    config: MultiBeaconConfig,
     /// The warm post-detection engine every beacon finishes through.
     engine: SessionEngine,
-    /// Shared detection front ends by sample rate, like
-    /// [`BatchEngine`]'s core memo.
-    detectors: Vec<(f64, Arc<MultiBeaconDetector>)>,
+    /// Shared K-lane detectors by sample rate, the memo
+    /// [`BatchEngine`] keeps for its workers.
+    detectors: DetectorMemo,
     /// Left and right channel, one region item each.
     channels: [Channel; 2],
 }
@@ -274,9 +258,8 @@ impl MultiBeaconEngine {
         let engine = SessionEngine::new(config.session.clone())?;
         Ok(MultiBeaconEngine {
             pool,
-            config,
             engine,
-            detectors: Vec::new(),
+            detectors: DetectorMemo::new(config),
             channels: [Channel::new(k), Channel::new(k)],
         })
     }
@@ -284,7 +267,7 @@ impl MultiBeaconEngine {
     /// Number of beacons (and per-beacon outcomes per session).
     #[must_use]
     pub fn beacons(&self) -> usize {
-        self.config.beacons()
+        self.channels[0].arrivals.len()
     }
 
     /// The shared detection front end for a sample rate, building (and
@@ -298,12 +281,7 @@ impl MultiBeaconEngine {
         &mut self,
         sample_rate: f64,
     ) -> Result<Arc<MultiBeaconDetector>, HyperEarError> {
-        if let Some((_, det)) = self.detectors.iter().find(|(rate, _)| *rate == sample_rate) {
-            return Ok(Arc::clone(det));
-        }
-        let det = Arc::new(MultiBeaconDetector::new(&self.config, sample_rate)?);
-        self.detectors.push((sample_rate, Arc::clone(&det)));
-        Ok(det)
+        self.detectors.get(sample_rate)
     }
 
     /// Bytes currently reserved across the engine's reusable working

@@ -1036,6 +1036,22 @@ impl MultiBeaconConfig {
         }
     }
 
+    /// The K = 1 configuration of a solo session: `session`'s own beacon
+    /// as the one signature, so [`MultiBeaconConfig::session_config`]
+    /// gives `session` back unchanged.
+    pub(crate) fn solo(session: HyperEarConfig) -> Self {
+        let beacon = &session.beacon;
+        let signatures = vec![BeaconSignature {
+            f0: beacon.f0,
+            f1: beacon.f1,
+            pattern: beacon.pattern,
+        }];
+        MultiBeaconConfig {
+            session,
+            signatures,
+        }
+    }
+
     /// Number of configured beacons.
     #[must_use]
     pub fn beacons(&self) -> usize {

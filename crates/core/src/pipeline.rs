@@ -18,8 +18,10 @@
 //!   budget dropping the worst offenders, and always returns a
 //!   [`SessionOutcome`] (never panics, never a bare error).
 
-use crate::asp::{BeaconArrival, BeaconDetector, ChannelCorrelation, DetectorCore, McciScratch};
-use crate::config::{DoaFrontEnd, HyperEarConfig, TdoaEstimator};
+use crate::asp::{
+    BeaconArrival, ChannelCorrelation, McciScratch, MultiBeaconDetector, MultiBeaconScratch,
+};
+use crate::config::{DoaFrontEnd, HyperEarConfig, MultiBeaconConfig, TdoaEstimator};
 use crate::doa::BearingPrior;
 use crate::localize::{localize_with, slide_geometry, Estimate2d, LocalizeScratch, SlideFix};
 use crate::ple::{project, ProjectedEstimate};
@@ -394,6 +396,32 @@ pub struct SessionDiagnostics {
     pub escalations: usize,
 }
 
+impl SessionDiagnostics {
+    /// What `result`'s session measured: its beacon counts, SFO fit
+    /// residual and slide confidences (0 without slides); every tally
+    /// is 0.
+    fn measured(result: &SessionResult) -> Self {
+        let n = result.slides.len();
+        let scores = result.slides.iter().map(|r| r.confidence.score);
+        SessionDiagnostics {
+            beacons_left: result.beacons_left,
+            beacons_right: result.beacons_right,
+            sfo_residual_rms: result.period.residual_rms,
+            mean_confidence: if n > 0 {
+                scores.clone().sum::<f64>() / n as f64
+            } else {
+                0.0
+            },
+            min_confidence: if n > 0 {
+                scores.fold(f64::INFINITY, f64::min)
+            } else {
+                0.0
+            },
+            ..SessionDiagnostics::default()
+        }
+    }
+}
+
 /// The graded outcome of a monitored session.
 ///
 /// Unlike [`SessionEngine::run`], which reports every unrecoverable
@@ -479,7 +507,11 @@ impl SessionOutcome {
 #[derive(Debug, Clone)]
 pub struct SessionEngine {
     config: HyperEarConfig,
-    detector: Option<BeaconDetector>,
+    /// The shared K = 1 detector for the last session's sample rate.
+    detector: Option<Arc<MultiBeaconDetector>>,
+    /// The detector's private scratch: every channel of a session is
+    /// detected on it in turn.
+    scratch: MultiBeaconScratch,
     /// Every channel's correlation for the session in flight, shared by
     /// the estimator ladder's rungs.
     store: CorrelationStore,
@@ -515,6 +547,7 @@ impl SessionEngine {
         Ok(SessionEngine {
             config,
             detector: None,
+            scratch: MultiBeaconScratch::new(),
             store: CorrelationStore::default(),
             tdoa_scratch: TdoaScratch::new(),
             arrivals: vec![Vec::new(), Vec::new()],
@@ -535,19 +568,18 @@ impl SessionEngine {
         })
     }
 
-    /// Installs a pre-built shared detector core (see
-    /// [`DetectorCore`]), replacing any cached detector whose core is a
-    /// different instance. Batch engines use this so every worker's
-    /// engine resolves to the *same* template spectra and FFT tables
-    /// instead of rebuilding them per worker; if the engine already
-    /// wraps this exact core the call is free.
-    pub(crate) fn install_detector_core(&mut self, core: &Arc<DetectorCore>) {
+    /// Installs a pre-built shared detector, replacing any cached
+    /// detector that is a different instance. Batch engines use this so
+    /// every worker's engine resolves to the *same* template spectra and
+    /// FFT tables instead of rebuilding them per worker; if the engine
+    /// already wraps this exact detector the call is free.
+    pub(crate) fn install_detector(&mut self, detector: &Arc<MultiBeaconDetector>) {
         let same = self
             .detector
             .as_ref()
-            .is_some_and(|d| Arc::ptr_eq(d.core(), core));
+            .is_some_and(|d| Arc::ptr_eq(d, detector));
         if !same {
-            self.detector = Some(BeaconDetector::from_core(Arc::clone(core)));
+            self.detector = Some(Arc::clone(detector));
         }
     }
 
@@ -559,7 +591,7 @@ impl SessionEngine {
     /// never grows it.
     #[must_use]
     pub fn peak_fft_len(&self) -> Option<usize> {
-        self.detector.as_ref().map(|d| d.core().peak_fft_len())
+        self.detector.as_ref().map(|d| d.bank().block_len())
     }
 
     /// Bytes currently reserved by the detection scratch, the
@@ -571,9 +603,7 @@ impl SessionEngine {
     /// [`SessionEngine::run_into`] performs no further allocation.
     #[must_use]
     pub fn working_set_bytes(&self) -> usize {
-        self.detector
-            .as_ref()
-            .map_or(0, BeaconDetector::working_set_bytes)
+        self.scratch.capacity_bytes()
             + self.store.capacity_bytes()
             + self.tdoa_scratch.capacity_bytes()
             + self.arrivals.iter().map(Vec::capacity).sum::<usize>()
@@ -647,13 +677,15 @@ impl SessionEngine {
         };
         *slot = match f(self, &mut result) {
             Err(reason) => {
+                // A session that ran out of slides got as far as the
+                // slide reports, so `result` holds what it measured.
                 let diagnostics = match &reason {
                     HyperEarError::NoUsableSlides { detected, rejected } => {
                         Some(SessionDiagnostics {
                             slides_detected: *detected,
                             slides_rejected: *rejected,
                             slides_without_fix: detected - rejected,
-                            ..SessionDiagnostics::default()
+                            ..SessionDiagnostics::measured(&result)
                         })
                     }
                     _ => None,
@@ -713,28 +745,12 @@ impl SessionEngine {
             .iter()
             .filter(|r| r.accepted && r.fix.is_none())
             .count();
-        let n = result.slides.len();
-        let mut sum_confidence = 0.0;
-        let mut min_confidence = f64::INFINITY;
-        for r in &result.slides {
-            sum_confidence += r.confidence.score;
-            min_confidence = min_confidence.min(r.confidence.score);
-        }
         let diagnostics = SessionDiagnostics {
-            beacons_left: result.beacons_left,
-            beacons_right: result.beacons_right,
-            slides_detected: n,
+            slides_detected: result.slides.len(),
             slides_rejected,
             slides_without_fix,
             slides_dropped: dropped,
-            sfo_residual_rms: result.period.residual_rms,
-            mean_confidence: if n > 0 {
-                sum_confidence / n as f64
-            } else {
-                0.0
-            },
-            min_confidence: if n > 0 { min_confidence } else { 0.0 },
-            escalations: 0,
+            ..SessionDiagnostics::measured(&result)
         };
         if dropped > 0 || slides_rejected > 0 || slides_without_fix > 0 {
             SessionOutcome::Degraded {
@@ -937,7 +953,9 @@ impl SessionEngine {
             .as_ref()
             .is_none_or(|d| d.sample_rate() != input.audio_sample_rate);
         if rebuild {
-            self.detector = Some(BeaconDetector::new(&self.config, input.audio_sample_rate)?);
+            let solo = MultiBeaconConfig::solo(self.config.clone());
+            let detector = MultiBeaconDetector::new(&solo, input.audio_sample_rate)?;
+            self.detector = Some(Arc::new(detector));
         }
         self.detect_channels(channels, estimator)?;
         self.finish_from_arrivals(
@@ -982,25 +1000,32 @@ impl SessionEngine {
                 .resize_with(n, ChannelCorrelation::default);
         }
         let reuse = std::mem::replace(&mut self.store.valid, false);
-        let (core, scratch) = self
+        let detector = self
             .detector
-            .as_mut()
-            .expect("detector built before detection")
-            .parts_mut();
+            .as_deref()
+            .expect("detector built before detection");
+        let scratch = &mut self.scratch;
         for ((samples, chan), out) in channels
             .iter()
             .zip(&mut self.store.channels)
             .zip(&mut self.arrivals)
         {
             let samples = (!reuse).then_some(*samples);
-            core.detect_channel(samples, estimator, chan, scratch, out)?;
+            detector.detect_channel(
+                samples,
+                estimator,
+                Some(chan),
+                scratch,
+                std::slice::from_mut(out),
+            )?;
         }
         self.store.valid = true;
         Ok(())
     }
 
     /// MCCI extraction over every channel's full-rate correlation,
-    /// computed on demand (the band-limited store is left as it is):
+    /// computed on demand on the rung's own full-rate filter (the
+    /// band-limited store is left as it is):
     /// solves the cross-channel alignment offsets, then extracts each
     /// channel's arrivals. When fusion is possible (≥ 2 live channels and
     /// this channel is live) the peaks are detected on the
@@ -1012,21 +1037,18 @@ impl SessionEngine {
     /// degenerate captures degrade to the fallback instead of erroring.
     fn extract_fused(&mut self, channels: &[&[f64]]) -> Result<(), HyperEarError> {
         let n = channels.len();
-        let (core, scratch) = self
+        let detector = self
             .detector
-            .as_mut()
-            .expect("detector built before detection")
-            .parts_mut();
+            .as_deref()
+            .expect("detector built before detection");
+        let scratch = &mut self.scratch;
         let CorrelationStore {
             offsets,
             live,
             mcci,
             ..
         } = &mut self.store;
-        for (samples, corr) in channels.iter().zip(mcci.corrs_mut(n)) {
-            core.correlate_full_into(samples, scratch, corr)?;
-        }
-        let corrs = mcci.corrs_mut(n);
+        let corrs = mcci.correlate(&self.config, detector.sample_rate(), channels, scratch)?;
         let mut refs: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
         for (slot, c) in refs.iter_mut().zip(corrs.iter()) {
             *slot = c;
@@ -1049,9 +1071,9 @@ impl SessionEngine {
         };
         for (k, out) in self.arrivals.iter_mut().take(n).enumerate() {
             if n_live >= 2 && live[k] {
-                core.arrivals_fused(mcci, offsets, live, k, scratch, out)?;
+                mcci.arrivals_fused(offsets, live, k, scratch, out)?;
             } else {
-                core.arrivals_full(k, mcci, scratch, out)?;
+                mcci.arrivals_full(k, scratch, out)?;
             }
         }
         Ok(())
@@ -1144,7 +1166,7 @@ impl SessionEngine {
         out.stature_drop = None;
         out.projected = None;
         // The streaming front end finishes sessions through this method
-        // with the detector cores' configured initial estimator; the
+        // with the detector's configured initial estimator; the
         // one-shot estimated entry points overwrite this afterwards.
         out.estimator = self.config.estimator.initial;
         out.pair_delays.clear();
@@ -1328,6 +1350,10 @@ impl SessionEngine {
             }
         }
 
+        out.beacons_left = arr_left.len();
+        out.beacons_right = arr_right.len();
+        out.mean_beacon_strength = mean_beacon_strength;
+        out.period = period;
         if upper.is_none() && lower.is_none() {
             return Err(HyperEarError::NoUsableSlides {
                 detected: self.analysis.slides.len(),
@@ -1343,10 +1369,6 @@ impl SessionEngine {
             _ => None,
         };
 
-        out.beacons_left = self.arrivals[0].len();
-        out.beacons_right = self.arrivals[1].len();
-        out.mean_beacon_strength = mean_beacon_strength;
-        out.period = period;
         out.upper = upper;
         out.lower = lower;
         out.stature_drop = stature_drop;
@@ -1370,7 +1392,8 @@ struct CorrelationStore {
     /// Which channels carried energy (dead channels are excluded from
     /// the solve and fall back to plain extraction).
     live: Vec<bool>,
-    /// MCCI's on-demand full-rate correlations and extraction buffers.
+    /// The MCCI rung's own state: its full-rate filter (built the first
+    /// time the rung runs at a rate), correlations and extraction buffers.
     mcci: McciScratch,
 }
 
@@ -2124,6 +2147,34 @@ mod tests {
                 assert_eq!(d.slides_rejected, 2);
             }
             other => panic!("expected Failed with diagnostics, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failed_sessions_keep_what_they_measured() {
+        // Swapped channels turn the slide geometry around, so no slide
+        // localizes — though both channels detected every beacon and the
+        // clock fit ran.
+        let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
+            .speaker_range(2.0)
+            .slides(3)
+            .seed(9100)
+            .render()
+            .unwrap();
+        let mut swapped = input(&rec);
+        std::mem::swap(&mut swapped.left, &mut swapped.right);
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
+        match session.run_monitored(&swapped) {
+            SessionOutcome::Failed {
+                reason: HyperEarError::NoUsableSlides { .. },
+                diagnostics: Some(d),
+            } => {
+                assert!(d.beacons_left >= 20 && d.beacons_right >= 20, "{d:?}");
+                assert!(d.sfo_residual_rms > 0.0, "{d:?}");
+                assert!(d.mean_confidence > 0.0, "{d:?}");
+                assert!(d.min_confidence > 0.0, "{d:?}");
+            }
+            other => panic!("expected NoUsableSlides with diagnostics, got {other:?}"),
         }
     }
 

@@ -24,7 +24,7 @@
 //! the FFT arena, and the envelope, sort keys, candidates, rebuild
 //! window and spectrum of the finish — lives in one workspace per pool
 //! participant, sized up front for the longest capture whenever a
-//! detector core is built, so no warm pump allocates on any worker,
+//! detector is built, so no warm pump allocates on any worker,
 //! whatever the schedule. The post-detection tail runs through
 //! one [`SessionEngine`] the service owns, on the thread that calls
 //! [`StreamService::pump`]. The working set is a function of the
@@ -100,8 +100,10 @@
 //! # }
 //! ```
 
-use crate::asp::{DetectScratch, DetectorCore, StreamingDetector, WorkspaceSizing};
-use crate::config::HyperEarConfig;
+use crate::asp::{
+    DetectorMemo, MultiBeaconDetector, MultiBeaconScratch, StreamingDetector, WorkspaceSizing,
+};
+use crate::config::{HyperEarConfig, MultiBeaconConfig};
 use crate::pipeline::{check_rates, SessionEngine, SessionOutcome, SessionResult};
 use crate::HyperEarError;
 use hyperear_geom::Vec3;
@@ -264,7 +266,7 @@ fn bytes(samples: usize, per_sample: u64) -> Option<u64> {
 /// ([`StreamService::footprint`]): each session's state, the one tail
 /// engine, and one detection workspace per pool participant, shared by
 /// every session that participant pumps. Each formula is computed from
-/// the sizing and the detector core's geometry, not read off the
+/// the sizing and the detector's geometry, not read off the
 /// buffers, so a buffer that grew past its reservation (or a workspace
 /// that a session grew for itself) shows as a difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,7 +294,7 @@ pub struct StreamFootprint {
     pub workspace_bytes: usize,
     /// What one workspace reserves by formula: the FFT arena of one
     /// block, and the finish's buffers over the decimated lags of
-    /// `max_samples`, for the largest of the service's detector cores.
+    /// `max_samples`, for the largest of the service's detectors.
     pub workspace_formula: usize,
 }
 
@@ -519,10 +521,13 @@ struct StreamSession {
 }
 
 impl StreamSession {
-    fn new(stream: &StreamConfig, core: &Arc<DetectorCore>) -> Result<Self, HyperEarError> {
+    fn new(
+        stream: &StreamConfig,
+        detector: &Arc<MultiBeaconDetector>,
+    ) -> Result<Self, HyperEarError> {
         Ok(StreamSession {
-            det_left: StreamingDetector::new(Arc::clone(core), stream.max_samples)?,
-            det_right: StreamingDetector::new(Arc::clone(core), stream.max_samples)?,
+            det_left: StreamingDetector::new(Arc::clone(detector), stream.max_samples)?,
+            det_right: StreamingDetector::new(Arc::clone(detector), stream.max_samples)?,
             ring_left: PcmRing::new(stream.ring_capacity),
             ring_right: PcmRing::new(stream.ring_capacity),
             accel: Vec::with_capacity(stream.max_imu_samples),
@@ -537,18 +542,18 @@ impl StreamSession {
     }
 
     /// Rearms a parked session for a fresh capture, rebuilding the
-    /// detectors only if the sample rate (and thus the shared core)
+    /// detectors only if the sample rate (and thus the shared detector)
     /// changed.
     fn reopen(
         &mut self,
         stream: &StreamConfig,
-        core: &Arc<DetectorCore>,
+        detector: &Arc<MultiBeaconDetector>,
         audio_rate: f64,
         imu_rate: f64,
     ) -> Result<(), HyperEarError> {
-        if !Arc::ptr_eq(self.det_left.core(), core) {
-            self.det_left = StreamingDetector::new(Arc::clone(core), stream.max_samples)?;
-            self.det_right = StreamingDetector::new(Arc::clone(core), stream.max_samples)?;
+        if !Arc::ptr_eq(self.det_left.detector(), detector) {
+            self.det_left = StreamingDetector::new(Arc::clone(detector), stream.max_samples)?;
+            self.det_right = StreamingDetector::new(Arc::clone(detector), stream.max_samples)?;
         } else {
             self.det_left.reset();
             self.det_right.reset();
@@ -580,7 +585,7 @@ impl StreamSession {
     /// flushes both detectors into their arrival lists; a detector error
     /// becomes the sticky failure. Runs on a pool worker, in that
     /// worker's `scratch`. A `Done` session does nothing.
-    fn pump(&mut self, scratch: &mut DetectScratch) {
+    fn pump(&mut self, scratch: &mut MultiBeaconScratch) {
         if self.phase == Phase::Done {
             return;
         }
@@ -616,8 +621,9 @@ impl StreamSession {
                 return Err(reason);
             }
             let (arr_left, arr_right) = e.arrivals_mut();
-            self.det_left.arrivals().clone_into(arr_left);
-            self.det_right.arrivals().clone_into(arr_right);
+            // The service opens solo sessions: lane 0 is the beacon.
+            self.det_left.arrivals()[0].clone_into(arr_left);
+            self.det_right.arrivals()[0].clone_into(arr_right);
             e.finish_from_arrivals(
                 self.audio_rate,
                 self.audio_accepted,
@@ -642,7 +648,7 @@ impl StreamSession {
 
     /// What [`StreamSession::state_bytes`] is by formula under `stream`.
     fn state_formula(&self, stream: &StreamConfig) -> usize {
-        2 * StreamingDetector::state_formula(self.det_left.core(), stream.max_samples)
+        2 * StreamingDetector::state_formula(self.det_left.detector(), stream.max_samples)
             + 2 * stream.ring_capacity * std::mem::size_of::<f64>()
             + 2 * stream.max_imu_samples * std::mem::size_of::<Vec3>()
     }
@@ -693,15 +699,15 @@ pub struct StreamService {
     /// copying its multi-hundred-byte body.
     #[allow(clippy::vec_box)]
     parked: Vec<Box<StreamSession>>,
-    /// Shared detector cores by sample rate (template spectra and FFT
-    /// tables built once, shared by every session at that rate).
-    cores: Vec<(f64, Arc<DetectorCore>)>,
+    /// Shared detectors by sample rate (template spectra and FFT tables
+    /// built once, shared by every session at that rate).
+    detectors: DetectorMemo,
     /// One detection workspace per pool participant — the context
     /// [`Pool::parallel_update`] hands each participant's pumps — all
     /// reserved to `sizing`.
-    workspaces: Vec<DetectScratch>,
+    workspaces: Vec<MultiBeaconScratch>,
     /// What every workspace is reserved for: the largest needs of the
-    /// cores built so far.
+    /// detectors opened so far.
     sizing: WorkspaceSizing,
     /// The one post-detection engine every session finishes through, in
     /// slot order on the thread that calls [`StreamService::pump`].
@@ -737,18 +743,18 @@ impl StreamService {
             })
             .collect();
         let free = (0..stream.max_sessions as u32).rev().collect();
-        let workspaces = vec![DetectScratch::new(); pool.threads()];
+        let workspaces = vec![MultiBeaconScratch::new(); pool.threads()];
         let mut spare = SessionOutcome::idle();
         reserve_result(&mut spare, max_slides(&config, &stream));
         Ok(StreamService {
             tail: SessionEngine::new(config.clone())?,
+            detectors: DetectorMemo::new(MultiBeaconConfig::solo(config.clone())),
             config,
             stream,
             pool,
             slots,
             free,
             parked: Vec::with_capacity(stream.max_sessions),
-            cores: Vec::new(),
             workspaces,
             sizing: WorkspaceSizing::default(),
             spare,
@@ -796,27 +802,27 @@ impl StreamService {
             workspace_bytes: self
                 .workspaces
                 .iter()
-                .map(DetectScratch::capacity_bytes)
+                .map(MultiBeaconScratch::capacity_bytes)
                 .sum(),
             workspace_formula: self.sizing.bytes(),
         }
     }
 
-    /// The shared core for `sample_rate`, built on first use — when every
-    /// workspace is also grown to serve captures on it.
-    fn core_for(&mut self, sample_rate: f64) -> Result<Arc<DetectorCore>, HyperEarError> {
-        if let Some((_, core)) = self.cores.iter().find(|(rate, _)| *rate == sample_rate) {
-            return Ok(Arc::clone(core));
+    /// The shared detector for `sample_rate`, built on first use — when
+    /// every workspace is also grown to serve captures on it.
+    fn detector_for(
+        &mut self,
+        sample_rate: f64,
+    ) -> Result<Arc<MultiBeaconDetector>, HyperEarError> {
+        let detector = self.detectors.get(sample_rate)?;
+        let sizing = WorkspaceSizing::new(&detector, self.stream.max_samples).max(self.sizing);
+        if sizing != self.sizing {
+            for workspace in &mut self.workspaces {
+                workspace.reserve_stream(&sizing)?;
+            }
+            self.sizing = sizing;
         }
-        let core = Arc::new(DetectorCore::new(&self.config, sample_rate)?);
-        self.sizing = self
-            .sizing
-            .max(WorkspaceSizing::new(&core, self.stream.max_samples));
-        for workspace in &mut self.workspaces {
-            workspace.reserve_stream(&self.sizing)?;
-        }
-        self.cores.push((sample_rate, Arc::clone(&core)));
-        Ok(core)
+        Ok(detector)
     }
 
     /// Opens a streaming session, recycling a parked session's warm
@@ -835,14 +841,14 @@ impl StreamService {
             });
         }
         check_rates(audio_rate, imu_rate)?;
-        let core = self.core_for(audio_rate)?;
+        let detector = self.detector_for(audio_rate)?;
         let mut session = match self.parked.pop() {
             Some(mut s) => {
-                s.reopen(&self.stream, &core, audio_rate, imu_rate)?;
+                s.reopen(&self.stream, &detector, audio_rate, imu_rate)?;
                 s
             }
             None => {
-                let mut s = Box::new(StreamSession::new(&self.stream, &core)?);
+                let mut s = Box::new(StreamSession::new(&self.stream, &detector)?);
                 s.audio_rate = audio_rate;
                 s.imu_rate = imu_rate;
                 s
@@ -1355,8 +1361,9 @@ mod tests {
         config.beacon.f0 = 500.0;
         config.beacon.f1 = 20_000.0;
         let rate = 44_100.0;
-        let core = DetectorCore::new(&config, rate).expect("core");
-        assert_eq!(core.decimation().factor(), 1);
+        let solo = MultiBeaconConfig::solo(config.clone());
+        let detector = MultiBeaconDetector::new(&solo, rate).expect("detector");
+        assert_eq!(detector.bank().decimation(0).factor(), 1);
         let stream = StreamConfig {
             max_sessions: 3,
             ring_capacity: 4_096,

@@ -9,7 +9,8 @@
 //!
 //! Environment variables:
 //!
-//! - `HYPEREAR_PROP_CASES` — cases per property (default 64).
+//! - `HYPEREAR_PROP_CASES` — cases per property (default 64, or what
+//!   [`check_cases`] names).
 //! - `HYPEREAR_PROP_SEED` — base seed; case 0 uses it verbatim, so a
 //!   reported failing seed reruns as case 0.
 //! - `HYPEREAR_PROP_MAX_SHRINKS` — shrink-step budget (default 1024).
@@ -383,10 +384,13 @@ impl Default for Config {
 impl Config {
     /// Reads `HYPEREAR_PROP_CASES`, `HYPEREAR_PROP_SEED`, and
     /// `HYPEREAR_PROP_MAX_SHRINKS`; malformed values fall back to the
-    /// defaults.
+    /// defaults, with `cases` cases.
     #[must_use]
-    pub(crate) fn from_env() -> Self {
-        let mut c = Config::default();
+    pub(crate) fn from_env(cases: usize) -> Self {
+        let mut c = Config {
+            cases: cases.max(1),
+            ..Config::default()
+        };
         if let Ok(v) = std::env::var("HYPEREAR_PROP_CASES") {
             if let Ok(n) = v.trim().parse::<usize>() {
                 c.cases = n.max(1);
@@ -561,13 +565,29 @@ where
 ///
 /// Panics if the property is falsified; the message includes the case
 /// seed, the shrunk and original inputs, and rerun instructions.
-#[allow(clippy::needless_pass_by_value)] // by-value keeps call sites free of `&` on inline tuples
 pub fn check<S, F>(name: &str, strategy: S, property: F)
 where
     S: Strategy,
     F: Fn(&S::Value) -> CaseOutcome,
 {
-    let config = Config::from_env();
+    check_cases(name, Config::default().cases, strategy, property);
+}
+
+/// [`check`] over `cases` cases unless `HYPEREAR_PROP_CASES` sets the
+/// count: for properties whose every case is costly (a simulated
+/// session, say), so a routine run checks a few and a long run sets
+/// the variable.
+///
+/// # Panics
+///
+/// Panics if the property is falsified, as [`check`] does.
+#[allow(clippy::needless_pass_by_value)] // by-value keeps call sites free of `&` on inline tuples
+pub fn check_cases<S, F>(name: &str, cases: usize, strategy: S, property: F)
+where
+    S: Strategy,
+    F: Fn(&S::Value) -> CaseOutcome,
+{
+    let config = Config::from_env(cases);
     if let Err(f) = run(&config, name, &strategy, property) {
         let report = f.report(name);
         // Also emit to stdout: `cargo test` shows captured output for

@@ -12,6 +12,7 @@
 #   scripts/verify.sh --multibeacon # tier-1 gate + K-beacon bank contracts
 #   scripts/verify.sh --surface    # tier-1 gate + public-surface census
 #   scripts/verify.sh --repro-diff REV  # tier-1 gate + outputs identical to REV
+#   scripts/verify.sh --loc REV    # tier-1 gate + library line counts against REV
 #
 # The --faults tier drives the full fault-injection matrix through the
 # monitored pipeline (`repro faults --fast`): every corrupted session
@@ -80,6 +81,11 @@
 # (built in a git worktree under target/), every CSV compared byte for
 # byte. A change that claims to leave outputs unchanged passes it
 # against its parent.
+#
+# The --loc REV tier prints scripts/loc.sh REV: library non-test lines
+# per crate (`crates/*/src` without binaries, up to each file's unit-test
+# module) for the tree and for REV, and the net change. It reports; it
+# gates nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,6 +97,7 @@ RUN_ESTIMATORS=0
 RUN_MULTIBEACON=0
 RUN_SURFACE=0
 REPRO_DIFF_REV=""
+LOC_REV=""
 while [ $# -gt 0 ]; do
     arg="$1"
     shift
@@ -110,7 +117,15 @@ while [ $# -gt 0 ]; do
             REPRO_DIFF_REV="$1"
             shift
             ;;
-        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --multibeacon, --surface, --repro-diff REV)" >&2; exit 2 ;;
+        --loc)
+            if [ $# -eq 0 ]; then
+                echo "--loc needs a revision" >&2
+                exit 2
+            fi
+            LOC_REV="$1"
+            shift
+            ;;
+        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --multibeacon, --surface, --repro-diff REV, --loc REV)" >&2; exit 2 ;;
     esac
 done
 
@@ -344,6 +359,11 @@ fi
 if [ -n "$REPRO_DIFF_REV" ]; then
     echo "== repro-diff against $REPRO_DIFF_REV (every experiment, --fast CSVs) =="
     scripts/repro_diff.sh "$REPRO_DIFF_REV"
+fi
+
+if [ -n "$LOC_REV" ]; then
+    echo "== library lines against $LOC_REV =="
+    scripts/loc.sh "$LOC_REV"
 fi
 
 # Clippy and rustfmt are optional toolchain components; gate on their

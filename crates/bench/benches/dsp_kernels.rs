@@ -8,12 +8,12 @@
 use hyperear::asp::{BeaconDetector, MultiBeaconDetector, MultiBeaconScratch};
 use hyperear::config::{HyperEarConfig, MultiBeaconConfig};
 use hyperear_dsp::chirp::{Chirp, ChirpShape};
-use hyperear_dsp::correlate::StreamingMatchedFilter;
+use hyperear_dsp::correlate::{BandLimitedBank, StreamingMatchedFilter};
 use hyperear_dsp::delay::mix_delayed_local;
 use hyperear_dsp::fft::{fft, rfft};
 use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir};
 use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
-use hyperear_dsp::peak::{detect_peaks_into, PeakScratch, ThresholdRule};
+use hyperear_dsp::peak::{detect_envelope_peaks_into, PeakScratch, ThresholdRule};
 use hyperear_dsp::plan::{shared_real_plan, DspScratch, FftPlan, Planes};
 use hyperear_dsp::window::Window;
 use hyperear_dsp::Complex;
@@ -240,26 +240,6 @@ fn correlation_train(seconds: usize) -> Vec<f64> {
     corr
 }
 
-/// The four normalized full-rate correlations of a K = 4 capture over
-/// `seconds` of 44.1 kHz (see [`bank_capture`]), one solo filter per
-/// chirp. The chirps share one length, hence one block, so each equals
-/// the matching lane of a shared-transform bank bit for bit.
-fn bank_lanes(seconds: usize) -> Vec<Vec<f64>> {
-    let (signal, chirps) = bank_capture(seconds);
-    let mut scratch = DspScratch::new();
-    chirps
-        .iter()
-        .map(|chirp| {
-            let mut lane = Vec::new();
-            StreamingMatchedFilter::new(chirp.samples())
-                .expect("filter")
-                .correlate_normalized_into(&signal, &mut scratch, &mut lane)
-                .expect("correlate");
-            lane
-        })
-        .collect()
-}
-
 /// `seconds` of 44.1 kHz capture: uniform noise plus four
 /// half-overlapping sub-band chirps (alternating sweep direction), each
 /// repeating every 0.2 s at its own offset, as in a multi-beacon
@@ -296,30 +276,73 @@ fn bank_capture(seconds: usize) -> (Vec<f64>, Vec<Chirp>) {
     (signal, chirps)
 }
 
+/// The envelopes `|a|` of the decimated analytic lanes a bank of
+/// `templates` templates hands to detection for `signal`, each with its
+/// lane's decimation factor.
+fn band_envelopes(
+    bank: &BandLimitedBank,
+    templates: usize,
+    signal: &[f64],
+) -> Vec<(Vec<f64>, usize)> {
+    let mut lanes = vec![Vec::new(); templates];
+    bank.correlate_into(signal, &mut DspScratch::new(), &mut lanes)
+        .expect("correlate");
+    lanes
+        .iter()
+        .enumerate()
+        .map(|(k, lane)| {
+            let envelope = lane.iter().map(|z| z.norm_sqr().sqrt()).collect();
+            (envelope, bank.decimation(k).factor())
+        })
+        .collect()
+}
+
 fn bench_detection_epilogue(suite: &mut Suite) {
     // The detector's default rule: 6x the noise floor, a quarter of the
-    // maximum, peaks 0.7 beacon periods (0.2 s) apart.
-    let rule = ThresholdRule {
+    // maximum, peaks 0.7 beacon periods (6,174 full-rate lags) apart,
+    // counted in decimated lags.
+    let rule = |d: usize| ThresholdRule {
         noise_factor: 6.0,
         relative: 0.25,
-        min_distance: 6_174,
+        min_distance: 6_174usize.div_ceil(d),
     };
     let mut scratch = PeakScratch::default();
     let mut peaks = Vec::new();
-    // One 6 s lane: the statistics pass, the threshold and the
-    // candidate scan over a clean session channel's correlation.
-    let lane = correlation_train(6);
-    detect_peaks_into(&lane, &rule, &mut scratch, &mut peaks).expect("warm-up");
-    suite.bench_allocfree_with_elements("detect/epilogue/6s", lane.len() as u64, || {
-        detect_peaks_into(&lane, &rule, &mut scratch, &mut peaks).expect("epilogue");
-        black_box(peaks.len())
-    });
+    // One 6 s channel: the statistics pass, the threshold and the
+    // candidate scan over the envelope of the folded detector's
+    // band-limited lane (D = 4).
+    let chirp = Chirp::new(2_000.0, 6_400.0, 0.04, 44_100.0, ChirpShape::UpDown).expect("chirp");
+    let bp =
+        FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, 127, Window::Hamming).expect("band-pass");
+    let folded = StreamingMatchedFilter::with_zero_phase_prefilter(chirp.samples(), bp.taps())
+        .expect("filter");
+    let band = folded.band_limited().expect("band-limited");
+    let [(envelope, d)] = &band_envelopes(&band, 1, &beacon_capture(6))[..] else {
+        unreachable!("one template, one lane");
+    };
+    let solo = rule(*d);
+    detect_envelope_peaks_into(envelope, &solo, &mut scratch, &mut peaks).expect("warm-up");
+    suite.bench_allocfree_with_elements(
+        "detect/envelope_epilogue/6s",
+        envelope.len() as u64,
+        || {
+            detect_envelope_peaks_into(envelope, &solo, &mut scratch, &mut peaks)
+                .expect("epilogue");
+            black_box(peaks.len())
+        },
+    );
     // The four lanes a K = 4 channel hands to its per-beacon epilogues.
-    let lanes = bank_lanes(3);
-    let total: usize = lanes.iter().map(Vec::len).sum();
-    suite.bench_allocfree_with_elements("detect/epilogue_k4/3s", total as u64, || {
-        for lane in &lanes {
-            detect_peaks_into(lane, &rule, &mut scratch, &mut peaks).expect("epilogue");
+    let (signal, _) = bank_capture(3);
+    let multi = MultiBeaconConfig::distinct_bands(HyperEarConfig::galaxy_s4(), 4);
+    let detector = MultiBeaconDetector::new(&multi, 44_100.0).expect("bank");
+    let lanes: Vec<(Vec<f64>, ThresholdRule)> = band_envelopes(detector.bank(), 4, &signal)
+        .into_iter()
+        .map(|(envelope, d)| (envelope, rule(d)))
+        .collect();
+    let total: usize = lanes.iter().map(|(envelope, _)| envelope.len()).sum();
+    suite.bench_allocfree_with_elements("detect/envelope_epilogue_k4/3s", total as u64, || {
+        for (envelope, rule) in &lanes {
+            detect_envelope_peaks_into(envelope, rule, &mut scratch, &mut peaks).expect("epilogue");
         }
         black_box(peaks.len())
     });

@@ -27,8 +27,10 @@
 //! `path (reason) note` per line, reason one of `(a)` test reference,
 //! `(b)` test and bench harness, `(c)` outside-input parser, `(d)`
 //! public API an integration test drives), when a keep-list line
-//! is malformed or names no `pub` item, or when the second list holds an
-//! item outside the keep-list (such an item belongs at `pub(crate)`).
+//! is malformed, names no `pub` item or is stale (its item is on
+//! neither list: it has a non-test caller and a user outside its
+//! crate), or when the second list holds an item outside the keep-list
+//! (such an item belongs at `pub(crate)`).
 //!
 //! Items are found by scanning `crates/*/src` (bins excluded) for lines
 //! that start with `pub <kind>`; a column-0 `#[cfg(test)] mod` ends a
@@ -668,17 +670,22 @@ fn run() -> Result<bool, String> {
             }
         }
     }
-    let dead_paths: BTreeSet<&str> = dead_all
+    // A keep-list line excuses an item of the first list, or of the
+    // second: a kept item stays `pub` for its stated reason even when
+    // nothing outside names it yet (an input parser awaiting its
+    // fuzzer). A line that excuses neither is stale.
+    let excused: BTreeSet<&str> = dead_all
         .iter()
+        .chain(&private_all)
         .map(|&i| census.items[i].path.as_str())
         .collect();
     for item in keep.keys().filter(|p| paths.contains(p.as_str())) {
-        if !dead_paths.contains(item.as_str()) {
-            println!("  note: keep-list entry {item} has a non-test caller now");
+        if !excused.contains(item.as_str()) {
+            problems.push(format!(
+                "stale keep-list entry: {item} has a non-test caller and a user outside its crate"
+            ));
         }
     }
-    // A kept item stays `pub` for its stated reason even when nothing
-    // outside names it yet (an input parser awaiting its fuzzer).
     private_all.retain(|&i| !keep.contains_key(&census.items[i].path));
     println!("\nnamed by nothing outside its crate (belongs at pub(crate)):");
     for &i in &private_all {

@@ -74,7 +74,7 @@
 //!
 //! [HyperEar]: https://doi.org/10.1109/ICDCS.2019.00073
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chirp;

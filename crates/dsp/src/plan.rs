@@ -126,6 +126,11 @@ thread_local! {
 /// so the overlap-save correlator runs `dif → multiply → dit` with no
 /// permutation at all; the ordered transforms add the one bit-reversal
 /// pass that ordered spectra need.
+///
+/// The kernel has one source and, on x86-64, two compiled copies: the
+/// build's baseline target and an AVX-512VL copy with 32 vector
+/// registers instead of 16. A plan picks the copy its CPU runs when it
+/// is built; both produce the same bits.
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
@@ -138,6 +143,9 @@ pub struct FftPlan {
     /// so a stage reads its twiddles as one stream. The inverse uses the
     /// conjugates.
     twiddles: Vec<f64>,
+    /// The compiled copy of the kernel this plan's passes run, picked
+    /// once from the CPU when the plan is built.
+    kernel: Kernel,
 }
 
 impl FftPlan {
@@ -183,6 +191,7 @@ impl FftPlan {
             n,
             bit_rev,
             twiddles,
+            kernel: Kernel::detect(),
         })
     }
 
@@ -335,11 +344,11 @@ impl FftPlan {
         let mut offset = 0;
         while span > self.tail_span() {
             let q = span / 4;
-            stage::<false>(re, im, q, self.stage(offset));
+            self.kernel.stage::<false>(re, im, q, self.stage(offset));
             offset += 6 * q;
             span = q;
         }
-        self.tail::<false>(re, im, offset);
+        self.kernel.tail::<false>(self, re, im, offset);
     }
 
     /// Inverse decimation-in-time pass on planes of the plan length:
@@ -354,12 +363,12 @@ impl FftPlan {
     pub fn dit(&self, re: &mut [f64], im: &mut [f64]) {
         self.check_planes(re, im);
         let mut offset = self.twiddles.len() - self.tail_len();
-        self.tail::<true>(re, im, offset);
+        self.kernel.tail::<true>(self, re, im, offset);
         let mut span = 4 * self.tail_span();
         while span <= self.n {
             let q = span / 4;
             offset -= 6 * q;
-            stage::<true>(re, im, q, self.stage(offset));
+            self.kernel.stage::<true>(re, im, q, self.stage(offset));
             span *= 4;
         }
     }
@@ -394,10 +403,9 @@ impl FftPlan {
     /// the radix-2 stage at `n = 2`, nothing at `n = 1`.
     ///
     /// LLVM vectorizes the block loop across pairs of blocks; a scalar
-    /// block loop measured slower at even `log2 n`. Kept out of line,
-    /// like [`stage`], so the loop compiles the same whatever inlines the
-    /// pass.
-    #[inline(never)]
+    /// block loop measured slower at even `log2 n`. Inlined only into its
+    /// out-of-line copies, one per [`Kernel`], like [`stage`].
+    #[inline(always)]
     fn tail<const DIT: bool>(&self, re: &mut [f64], im: &mut [f64], offset: usize) {
         match self.tail_span() {
             16 => {
@@ -445,6 +453,99 @@ impl FftPlan {
     }
 }
 
+/// Which compiled copy of the kernel ([`stage`] and [`FftPlan::tail`])
+/// a plan runs. Each copy is the same source compiled out of line for a
+/// different target, so both give the same bits: the operations and
+/// their order are fixed by the source, vector lanes round like
+/// scalars, and Rust contracts no `a·b + c` into a fused multiply-add.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The build's baseline target: on x86-64, SSE2 and 16 vector
+    /// registers, two per `[f64; 4]` lane array.
+    Baseline,
+    /// AVX-512F and AVX-512VL: each `[f64; 4]` lane array in one 256-bit
+    /// register, 32 of them, so the butterflies' live values fit without
+    /// spilling. Only [`Kernel::detect`] makes this value, and only when
+    /// the CPU reports both features.
+    #[cfg(target_arch = "x86_64")]
+    Avx512Vl,
+}
+
+impl Kernel {
+    /// The fastest copy this CPU runs.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512vl") {
+            return Kernel::Avx512Vl;
+        }
+        Kernel::Baseline
+    }
+
+    /// One radix-4 [`stage`] in this copy.
+    fn stage<const DIT: bool>(
+        self,
+        re: &mut [f64],
+        im: &mut [f64],
+        q: usize,
+        tw: &[[[f64; 4]; 6]],
+    ) {
+        match self {
+            Kernel::Baseline => stage_baseline::<DIT>(re, im, q, tw),
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            Kernel::Avx512Vl => {
+                // SAFETY: `Kernel::Avx512Vl` is made only by
+                // `Kernel::detect`, after `is_x86_feature_detected!`
+                // reported both `avx512f` and `avx512vl` on this CPU: the
+                // features the copy is compiled for.
+                unsafe { stage_avx512vl::<DIT>(re, im, q, tw) }
+            }
+        }
+    }
+
+    /// The fused [`FftPlan::tail`] of `plan` in this copy.
+    fn tail<const DIT: bool>(self, plan: &FftPlan, re: &mut [f64], im: &mut [f64], offset: usize) {
+        match self {
+            Kernel::Baseline => tail_baseline::<DIT>(plan, re, im, offset),
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            Kernel::Avx512Vl => {
+                // SAFETY: `Kernel::Avx512Vl` is made only by
+                // `Kernel::detect`, after `is_x86_feature_detected!`
+                // reported both `avx512f` and `avx512vl` on this CPU: the
+                // features the copy is compiled for.
+                unsafe { tail_avx512vl::<DIT>(plan, re, im, offset) }
+            }
+        }
+    }
+}
+
+/// [`stage`] compiled for the baseline target.
+#[inline(never)]
+fn stage_baseline<const DIT: bool>(re: &mut [f64], im: &mut [f64], q: usize, tw: &[[[f64; 4]; 6]]) {
+    stage::<DIT>(re, im, q, tw);
+}
+
+/// [`stage`] compiled with AVX-512F and AVX-512VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn stage_avx512vl<const DIT: bool>(re: &mut [f64], im: &mut [f64], q: usize, tw: &[[[f64; 4]; 6]]) {
+    stage::<DIT>(re, im, q, tw);
+}
+
+/// [`FftPlan::tail`] compiled for the baseline target.
+#[inline(never)]
+fn tail_baseline<const DIT: bool>(plan: &FftPlan, re: &mut [f64], im: &mut [f64], offset: usize) {
+    plan.tail::<DIT>(re, im, offset);
+}
+
+/// [`FftPlan::tail`] compiled with AVX-512F and AVX-512VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn tail_avx512vl<const DIT: bool>(plan: &FftPlan, re: &mut [f64], im: &mut [f64], offset: usize) {
+    plan.tail::<DIT>(re, im, offset);
+}
+
 /// The four quarters of one radix-4 block as `cols` lane arrays each.
 #[inline]
 fn quarters(block: &mut [f64], cols: usize) -> [&mut [[f64; 4]]; 4] {
@@ -469,9 +570,9 @@ fn quarters(block: &mut [f64], cols: usize) -> [&mut [[f64; 4]]; 4] {
 /// up iterations and de-interleaves every load and store: the transforms
 /// then measured 4–29% slower than the closure-generic kernel this one
 /// replaced, where with the check they measure 10–34% faster (DESIGN.md,
-/// "The FFT kernel"). Kept out of line so the loop compiles the same
-/// whatever inlines the pass.
-#[inline(never)]
+/// "The FFT kernel"). Inlined only into its out-of-line copies, one per
+/// [`Kernel`], so the loop compiles the same whatever inlines the pass.
+#[inline(always)]
 fn stage<const DIT: bool>(re: &mut [f64], im: &mut [f64], q: usize, tw: &[[[f64; 4]; 6]]) {
     let cols = q / 4;
     for (br, bi) in re.chunks_exact_mut(4 * q).zip(im.chunks_exact_mut(4 * q)) {
@@ -515,18 +616,21 @@ fn tail16<const DIT: bool>(
     w16: &[[f64; 4]; 6],
     w4: &[[f64; 1]; 6],
 ) {
-    let span4 = |r: &mut [f64; 16], i: &mut [f64; 16]| {
-        let quarters = r.as_chunks_mut::<4>().0.iter_mut().zip(i.as_chunks_mut().0);
-        for (r, i) in quarters {
-            butterfly::<1, DIT, 4>(r, i, w4);
-        }
-    };
     if DIT {
-        span4(r, i);
+        span4::<DIT>(r, i, w4);
     }
     butterfly::<4, DIT, 16>(r, i, w16);
     if !DIT {
-        span4(r, i);
+        span4::<DIT>(r, i, w4);
+    }
+}
+
+/// The span-4 butterfly on each four-point quarter of a 16-block.
+#[inline(always)]
+fn span4<const DIT: bool>(r: &mut [f64; 16], i: &mut [f64; 16], w4: &[[f64; 1]; 6]) {
+    let quarters = r.as_chunks_mut::<4>().0.iter_mut().zip(i.as_chunks_mut().0);
+    for (r, i) in quarters {
+        butterfly::<1, DIT, 4>(r, i, w4);
     }
 }
 
@@ -1115,15 +1219,47 @@ mod tests {
         }
     }
 
-    /// The split-plane kernel against the retired interleaved kernel at
-    /// every size from 2⁰ to 2¹⁷ (both parities of `log2 n`, so every
-    /// tail shape runs), in both directions: every output compared by
-    /// `to_bits`, NaN by `is_nan`. The inputs are random of random
-    /// magnitude, with some elements replaced by ±0, subnormals, ±inf
-    /// and NaN, so a kernel that skips a `×1` twiddle (which turns
-    /// `0·inf` into 0 instead of NaN, or flips the sign of a zero) or
-    /// reassociates a sum cannot pass. On the finite inputs it also
-    /// checks `dit(dif(x)) = n·x`.
+    /// Every compiled copy of the kernel this host runs: the baseline,
+    /// and the detected copy when it is another.
+    fn host_copies() -> Vec<Kernel> {
+        let mut copies = vec![Kernel::Baseline];
+        if Kernel::detect() != Kernel::Baseline {
+            copies.push(Kernel::detect());
+        }
+        copies
+    }
+
+    #[test]
+    fn plan_picks_the_avx512vl_copy_exactly_when_detected() {
+        #[cfg(target_arch = "x86_64")]
+        let detected =
+            std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512vl");
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        for n in [1usize, 64, 8192] {
+            let plan = FftPlan::new(n).unwrap();
+            assert_eq!(plan.kernel != Kernel::Baseline, detected, "n={n}");
+            assert_eq!(shared_plan(n).unwrap().kernel, plan.kernel, "n={n}");
+        }
+        let real = RealFftPlan::new(128).unwrap();
+        assert_eq!(real.half.map(|half| half.kernel), Some(Kernel::detect()));
+        println!(
+            "fft kernel: plans run {:?}; copies this host runs: {:?}",
+            Kernel::detect(),
+            host_copies()
+        );
+    }
+
+    /// Every copy of the split-plane kernel this host runs (the
+    /// baseline always, the AVX-512VL copy when detected) against the
+    /// retired interleaved kernel at every size from 2⁰ to 2¹⁷ (both
+    /// parities of `log2 n`, so every tail shape runs), in both
+    /// directions: every output compared by `to_bits`, NaN by `is_nan`.
+    /// The inputs are random of random magnitude, with some elements
+    /// replaced by ±0, subnormals, ±inf and NaN, so a kernel that skips a
+    /// `×1` twiddle (which turns `0·inf` into 0 instead of NaN, or flips
+    /// the sign of a zero) or reassociates a sum cannot pass. On the
+    /// finite inputs it also checks `dit(dif(x)) = n·x`.
     #[test]
     fn plane_kernel_matches_interleaved_kernel_bitwise() {
         use hyperear_util::prop::{self, f64_range, usize_range};
@@ -1139,6 +1275,7 @@ mod tests {
             f64::NAN,
             -f64::NAN,
         ];
+        let copies = host_copies();
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
         let matches = |p: &Planes, v: &[Complex]| {
             v.iter()
@@ -1168,33 +1305,44 @@ mod tests {
                 };
                 for pow in 0..=17 {
                     let n = 1usize << pow;
-                    let plan = FftPlan::new(n).unwrap();
+                    let built = FftPlan::new(n).unwrap();
                     let x: Vec<Complex> = (0..n)
                         .map(|_| {
                             let re = part(&mut rng);
                             Complex::new(re, part(&mut rng))
                         })
                         .collect();
-                    let mut want = x.clone();
-                    interleaved::dif(&mut want);
-                    let mut got = planes_of(&x);
-                    plan.dif(&mut got.re, &mut got.im);
-                    prop_assert!(matches(&got, &want), "dif differs at n={n}");
-                    interleaved::dit(&mut want);
-                    plan.dit(&mut got.re, &mut got.im);
-                    prop_assert!(matches(&got, &want), "dit differs at n={n}");
-                    if special {
-                        continue;
-                    }
-                    let bound = 1e-12 * n as f64 * scale * (pow.max(1) as f64);
-                    for (k, z) in x.iter().enumerate() {
-                        let err = (got.at(k) - z.scale(n as f64)).abs();
-                        prop_assert!(err <= bound, "n={n} sample {k}: error {err:e}");
+                    let mut want_dif = x.clone();
+                    interleaved::dif(&mut want_dif);
+                    let mut want_dit = want_dif.clone();
+                    interleaved::dit(&mut want_dit);
+                    for &kernel in &copies {
+                        let plan = FftPlan {
+                            kernel,
+                            ..built.clone()
+                        };
+                        let mut got = planes_of(&x);
+                        plan.dif(&mut got.re, &mut got.im);
+                        prop_assert!(matches(&got, &want_dif), "{kernel:?} dif differs at n={n}");
+                        plan.dit(&mut got.re, &mut got.im);
+                        prop_assert!(matches(&got, &want_dit), "{kernel:?} dit differs at n={n}");
+                        if special {
+                            continue;
+                        }
+                        let bound = 1e-12 * n as f64 * scale * (pow.max(1) as f64);
+                        for (k, z) in x.iter().enumerate() {
+                            let err = (got.at(k) - z.scale(n as f64)).abs();
+                            prop_assert!(
+                                err <= bound,
+                                "{kernel:?} n={n} sample {k}: error {err:e}"
+                            );
+                        }
                     }
                 }
                 prop::pass()
             },
         );
+        println!("fft kernel oracle: checked copies {copies:?}");
     }
 
     #[test]

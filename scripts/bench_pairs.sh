@@ -14,7 +14,9 @@
 # kept under target/bench_pairs/runs/{base,change}-<pair>/run.json, and
 # target/bench_pairs/pairs.json holds, per workload and end-to-end
 # metric, both sides' [median, q1, q3] and the pairs the change won: the
-# "end_to_end" layout scripts/bench_trajectory.sh reads.
+# "end_to_end" layout scripts/bench_trajectory.sh reads, and under "host"
+# the machine's facts: `nproc`, and whether /proc/cpuinfo lists avx512f
+# and avx512vl (both mean the FFT kernel ran its AVX-512VL copy).
 #
 # Environment: BENCH_SECONDS, seconds per workload run (default 20);
 # BENCH_SEED, the first pair's seed (default: derived from the clock, so
@@ -64,10 +66,16 @@ for pair in $(seq 1 "$PAIRS"); do
     done
 done
 
-python3 - "$WORK" "$PAIRS" <<'EOF'
+python3 - "$WORK" "$PAIRS" "$(nproc)" <<'EOF'
 import json, statistics, sys
 
-work, pairs = sys.argv[1], int(sys.argv[2])
+work, pairs, nproc = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+try:
+    flags = {f for line in open("/proc/cpuinfo") if line.startswith("flags")
+             for f in line.split(":", 1)[1].split()}
+except OSError:
+    flags = set()
+host = {"nproc": nproc, "avx512f": "avx512f" in flags, "avx512vl": "avx512vl" in flags}
 spec = json.load(open("BENCHMARK.json"))
 runs = {side: [json.load(open(f"{work}/runs/{side}-{p}/run.json"))["workloads"]
                for p in range(1, pairs + 1)]
@@ -96,7 +104,7 @@ for workload in runs["change"][0]:
             "change_better_pairs": f"{wins}/{pairs}",
         }
     out[workload] = cells
-json.dump({"workloads": out}, open(f"{work}/pairs.json", "w"), indent=1)
+json.dump({"host": host, "workloads": out}, open(f"{work}/pairs.json", "w"), indent=1)
 print(f"per-metric medians and won pairs: {work}/pairs.json")
 EOF
 

@@ -151,6 +151,12 @@ HYPEREAR_THREADS=1 cargo test --workspace -q
 echo "== cargo test --workspace -q (HYPEREAR_THREADS=4) =="
 HYPEREAR_THREADS=4 cargo test --workspace -q
 
+# The FFT kernel has a baseline copy and, on x86-64 CPUs with AVX-512F
+# and AVX-512VL, a second copy of the same source compiled for them; the
+# kernel oracle checks every copy the host runs. Say which ones those are.
+echo "== FFT kernel copies on this host =="
+cargo test -q -p hyperear-dsp --lib -- plan::tests::plan_picks_the_avx512vl_copy_exactly_when_detected --nocapture
+
 # Rustdoc gate: a broken intra-doc link, or public documentation that
 # links a crate-private item, fails the build.
 echo "== cargo doc --workspace --no-deps (warnings are errors) =="

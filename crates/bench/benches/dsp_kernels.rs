@@ -365,6 +365,15 @@ fn bench_bandlimited_detection(suite: &mut Suite) {
             .expect("detect");
         black_box(arrivals.len())
     });
+    // The same pass over a 30 s capture (10.6 MB), several times a
+    // core's L2: the block pairs are read cold, as in a session's
+    // first pass over a fresh capture.
+    let long = beacon_capture(30);
+    detector.detect_into(&long, &mut arrivals).expect("warm-up");
+    suite.bench_allocfree_with_elements("detect/bandlimited/30s", long.len() as u64, || {
+        detector.detect_into(&long, &mut arrivals).expect("detect");
+        black_box(arrivals.len())
+    });
     // The K = 4 bank: one forward transform, four band-rate lanes, four
     // per-beacon epilogues and refinements.
     let (signal, _) = bank_capture(3);

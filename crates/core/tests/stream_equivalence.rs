@@ -171,3 +171,75 @@ fn many_interleaved_sessions_each_match_their_one_shot() {
         assert_eq!(out, references[i], "phone {i}");
     }
 }
+
+/// Numeric-edge PCM through the whole pipeline: NaN, ±inf and subnormal
+/// samples planted in the first detection block pair and near the end of
+/// the capture (pairs the detector packs with their zero padding) and in
+/// an interior pair (read where it lies in the capture). A warm engine's
+/// `run_monitored_into` must come back with a typed outcome, never a
+/// panic, and a stream through a 1- and a 4-participant pool must end in
+/// the same outcome. Outcomes are compared by their `Debug` text, in
+/// which NaN equals NaN.
+#[test]
+fn numeric_edge_pcm_streams_like_one_shot() {
+    let rec = render(903);
+    let n = rec.audio.left.len();
+    let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
+    let mut one_shot = SessionOutcome::idle();
+    let pools = [1, 4].map(|threads| Arc::new(Pool::new(threads)));
+    let edges = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 8.0,
+        -f64::MIN_POSITIVE / 1_024.0,
+    ];
+    for value in edges {
+        for at in [10, n / 2, n - 10] {
+            let (mut left, mut right) = (rec.audio.left.clone(), rec.audio.right.clone());
+            left[at] = value;
+            right[at + 3] = value;
+            let input = SessionInput {
+                audio_sample_rate: rec.audio.sample_rate,
+                left: &left,
+                right: &right,
+                imu_sample_rate: rec.imu.sample_rate,
+                accel: &rec.imu.accel,
+                gyro: &rec.imu.gyro,
+            };
+            engine.run_monitored_into(&input, &mut one_shot);
+            for pool in &pools {
+                let stream = StreamConfig {
+                    max_sessions: 1,
+                    ring_capacity: 4_096,
+                    max_samples: n,
+                    max_imu_samples: rec.imu.accel.len(),
+                };
+                let mut svc =
+                    StreamService::new(HyperEarConfig::galaxy_s4(), stream, Arc::clone(pool))
+                        .unwrap();
+                let id = svc
+                    .open(rec.audio.sample_rate, rec.imu.sample_rate)
+                    .unwrap();
+                svc.push_imu(id, &rec.imu.accel, &rec.imu.gyro).unwrap();
+                let mut pos = 0;
+                while pos < n {
+                    let len = 3_000.min(n - pos);
+                    match svc.push_audio(id, &left[pos..pos + len], &right[pos..pos + len]) {
+                        Ok(()) => pos += len,
+                        Err(StreamError::Shed { .. }) => svc.pump(),
+                        Err(e) => panic!("unexpected stream error: {e}"),
+                    }
+                }
+                let mut streamed = SessionOutcome::idle();
+                svc.finish(id, &mut streamed).unwrap();
+                assert_eq!(
+                    format!("{streamed:?}"),
+                    format!("{one_shot:?}"),
+                    "{value:e} at sample {at}, {} participants",
+                    pool.threads()
+                );
+            }
+        }
+    }
+}

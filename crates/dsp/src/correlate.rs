@@ -102,8 +102,11 @@ pub fn xcorr_into(
 /// `2m`'s correlation and the imaginary part block `2m+1`'s, of which
 /// the first `step` lags are free of circular wraparound.
 ///
-/// The block pair is packed as split planes — block `2m` copied into the
-/// real plane, block `2m+1` into the imaginary plane. The forward
+/// The block pair is a pair of split planes: block `2m` is the real
+/// plane, block `2m+1` the imaginary plane. When both blocks lie whole
+/// in the signal (or the feed buffer) the forward transform reads them
+/// there; only a pair with a block that runs past either end is packed
+/// into the scratch planes with its zeros first. The forward
 /// transform is the plan's decimation-in-frequency pass (natural in,
 /// bit-reversed out) and the inverse its decimation-in-time pass
 /// (bit-reversed in, natural out); each template spectrum is stored as
@@ -389,10 +392,33 @@ impl OverlapSave {
         Ok(())
     }
 
-    /// Forward-transforms the block pair packed in `scratch.p1` (block
-    /// `2m` starting at lag `pos`), then fans it out across every
-    /// template, appending the first `take.0` lags of block `2m` and then
-    /// the first `take.1` lags of block `2m+1` to that template's lane.
+    /// Forward-transforms the block pair `re` (block `2m`) and `im`
+    /// (block `2m+1`) into `p1`, each given as the offset of its first
+    /// sample within the block and the samples (see [`pack_pair`]). When
+    /// both blocks lie whole in their slices the transform reads them
+    /// where they lie ([`FftPlan::dif_from`]); otherwise they are packed
+    /// into `p1` with their zeros and transformed there. Both routes give
+    /// the same bits.
+    fn forward(&self, p1: &mut Planes, re: (usize, &[f64]), im: (usize, &[f64])) {
+        let n = self.block_len();
+        match (re, im) {
+            ((0, re), (0, im)) if re.len() >= n && im.len() >= n => {
+                p1.re.resize(n, 0.0);
+                p1.im.resize(n, 0.0);
+                self.plan
+                    .dif_from(&re[..n], &im[..n], &mut p1.re, &mut p1.im);
+            }
+            _ => {
+                pack_pair(p1, n, re, im);
+                self.plan.dif(&mut p1.re, &mut p1.im);
+            }
+        }
+    }
+
+    /// Fans the block pair's forward spectrum in `scratch.p1` (block
+    /// `2m` starting at lag `pos`) out across every template, appending
+    /// the first `take.0` lags of block `2m` and then the first `take.1`
+    /// lags of block `2m+1` to that template's lane.
     ///
     /// The full-rate lane multiplies `p1` by the template spectrum in
     /// place, plane by plane, inverse-transforms it and copies the real
@@ -408,7 +434,6 @@ impl OverlapSave {
         lanes: &mut Lanes<'_>,
     ) {
         let DspScratch { p1, p2, .. } = scratch;
-        self.plan.dif(&mut p1.re, &mut p1.im);
         match lanes {
             Lanes::Full { gain, out } => {
                 let spec = &self.specs[0];
@@ -457,7 +482,7 @@ impl OverlapSave {
             } else {
                 (0, &[][..])
             };
-            pack_pair(&mut scratch.p1, self.block_len(), re, im);
+            self.forward(&mut scratch.p1, re, im);
             self.fan_out(scratch, pos, (step.min(out_len - pos), take_odd), lanes);
             pos += 2 * step;
         }
@@ -498,10 +523,10 @@ impl OverlapSave {
         Ok(())
     }
 
-    /// Packs the block pair at the front of `feed.buf` (block `2m` at
-    /// offset 0, block `2m+1` at offset `step`, or zeros for the odd
-    /// block when `take.1` is zero) into `scratch.p1`, fans it out, and
-    /// slides the buffer forward by two steps, so only the
+    /// Forward-transforms the block pair at the front of `feed.buf`
+    /// (block `2m` at offset 0, block `2m+1` at offset `step`, or zeros
+    /// for the odd block when `take.1` is zero) into `scratch.p1`, fans
+    /// it out, and slides the buffer forward by two steps, so only the
     /// `block_len - step` overlap tail remains.
     fn feed_pair(
         &self,
@@ -518,7 +543,7 @@ impl OverlapSave {
         } else {
             &[][..]
         };
-        pack_pair(&mut scratch.p1, block, (0, &feed.buf[..block]), (0, im));
+        self.forward(&mut scratch.p1, (0, &feed.buf[..block]), (0, im));
         self.fan_out(scratch, feed.emitted, take, lanes);
         feed.buf.copy_within(2 * step.., 0);
         feed.buf.truncate(block - step);
@@ -599,7 +624,9 @@ fn check_signal(min_len: usize, len: usize) -> Result<(), DspError> {
 
 /// Packs two real blocks into one complex block of `len` samples: `re.1`
 /// is copied to offset `re.0` of the real plane and `im.1` to offset
-/// `im.0` of the imaginary plane, everything else is zero.
+/// `im.0` of the imaginary plane, everything else is zero. Only pairs
+/// with a block that is not whole come here: the lead-padded first pair,
+/// the zero-padded final pairs and an odd final pair.
 fn pack_pair(buf: &mut Planes, len: usize, re: (usize, &[f64]), im: (usize, &[f64])) {
     pack_plane(&mut buf.re, len, re);
     pack_plane(&mut buf.im, len, im);
@@ -1563,6 +1590,140 @@ mod tests {
         assert!(StreamingMatchedFilter::with_zero_phase_prefilter(&[], bp.taps()).is_err());
         assert!(StreamingMatchedFilter::with_zero_phase_prefilter(&template, &[]).is_err());
         assert!(StreamingMatchedFilter::with_zero_phase_prefilter(&[0.0, 0.0], bp.taps()).is_err());
+    }
+
+    /// The engine as it ran before pairs were read where they lie: every
+    /// block pair packed into `p1` and transformed there.
+    fn run_packed(
+        engine: &OverlapSave,
+        signal: &[f64],
+        scratch: &mut DspScratch,
+        lanes: &mut Lanes<'_>,
+    ) {
+        let (out_len, step) = (signal.len(), engine.step());
+        lanes.reset(out_len);
+        for pos in (0..out_len).step_by(2 * step) {
+            let odd = pos + step;
+            let take_odd = out_len.saturating_sub(odd).min(step);
+            let re = engine.padded_window(signal, pos);
+            let im = if take_odd > 0 {
+                engine.padded_window(signal, odd)
+            } else {
+                (0, &[][..])
+            };
+            pack_pair(&mut scratch.p1, engine.block_len(), re, im);
+            engine.plan.dif(&mut scratch.p1.re, &mut scratch.p1.im);
+            engine.fan_out(scratch, pos, (step.min(out_len - pos), take_odd), lanes);
+        }
+    }
+
+    /// Signal lengths around an engine's block geometry: shorter than
+    /// one block, exactly one pair, odd and even block counts, one
+    /// sample either side of where the first odd block stops fitting,
+    /// and random lengths up to a dozen blocks.
+    fn route_lengths(engine: &OverlapSave, min_len: usize, seed: u64) -> Vec<usize> {
+        let (block, step, lead) = (engine.block_len(), engine.step(), engine.lead);
+        let whole_pair = step + block - lead;
+        let mut lengths = vec![
+            min_len,
+            block / 2,
+            block - 1,
+            2 * step,
+            3 * step,
+            3 * step + 5,
+            5 * step - 1,
+            whole_pair - 1,
+            whole_pair,
+            whole_pair + 1,
+            2 * step + whole_pair,
+        ];
+        let mut rng = hyperear_util::rng::Xoshiro256pp::seed_from_u64(seed);
+        lengths.extend((0..6).map(|_| min_len + (rng.next_f64() * (12 * block) as f64) as usize));
+        lengths
+    }
+
+    fn bits(lanes: &[Vec<Complex>]) -> Vec<Vec<(u64, u64)>> {
+        lanes
+            .iter()
+            .map(|lane| {
+                lane.iter()
+                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A block pair read where it lies and the same pair packed give the
+    /// same bits: `correlate_into` against [`run_packed`] over lengths
+    /// that straddle the block boundaries, for the folded K = 1 filter
+    /// (band-limited and full-rate, with the prefilter's lead) and for
+    /// K = 4 banks with and without a lead.
+    #[test]
+    fn direct_and_packed_block_pairs_agree_bitwise() {
+        let signal: Vec<f64> = (0..40_000)
+            .map(|i| (i as f64 * 0.037).sin() * (i as f64 * 0.0011).cos() + 1e-3 * (i % 7) as f64)
+            .collect();
+        let template: Vec<f64> = (0..48)
+            .map(|i| (i as f64 * 0.4).sin() - 0.3 * (i as f64 * 0.09).cos())
+            .collect();
+        let bp =
+            crate::filter::FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, 31, Window::Hamming)
+                .unwrap();
+        let folded =
+            StreamingMatchedFilter::with_zero_phase_prefilter(&template, bp.taps()).unwrap();
+        assert!(folded.engine.lead > 0);
+        let templates: Vec<Vec<f64>> = [(0.40, 0.09), (0.23, 0.31), (0.57, 0.13), (0.71, 0.05)]
+            .iter()
+            .map(|&(a, b)| {
+                (0..48)
+                    .map(|i| (i as f64 * a).sin() - 0.3 * (i as f64 * b).cos())
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[f64]> = templates.iter().map(Vec::as_slice).collect();
+        let entries: Vec<(&[f64], &[f64])> = refs.iter().map(|&t| (t, bp.taps())).collect();
+        let banks = [
+            folded.band_limited().unwrap(),
+            BandLimitedBank::new(&refs).unwrap(),
+            BandLimitedBank::with_zero_phase_prefilters(&entries).unwrap(),
+        ];
+        let mut scratch = DspScratch::new();
+        for (b, bank) in banks.iter().enumerate() {
+            for len in route_lengths(&bank.engine, bank.min_len, b as u64) {
+                let signal = &signal[..len];
+                let mut direct = vec![Vec::new(); bank.template_fft_count()];
+                bank.correlate_into(signal, &mut scratch, &mut direct)
+                    .unwrap();
+                let mut packed = vec![Vec::new(); bank.template_fft_count()];
+                run_packed(
+                    &bank.engine,
+                    signal,
+                    &mut scratch,
+                    &mut bank.lanes_for(&mut packed),
+                );
+                assert_eq!(bits(&direct), bits(&packed), "bank {b}, {len} samples");
+            }
+        }
+        for len in route_lengths(&folded.engine, folded.min_len, 7) {
+            let signal = &signal[..len];
+            let mut direct = Vec::new();
+            folded
+                .correlate_normalized_into(signal, &mut scratch, &mut direct)
+                .unwrap();
+            let mut packed = Vec::new();
+            let gain = folded.gain;
+            let mut lanes = Lanes::Full {
+                gain,
+                out: &mut packed,
+            };
+            run_packed(&folded.engine, signal, &mut scratch, &mut lanes);
+            let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                to_bits(&direct),
+                to_bits(&packed),
+                "full rate, {len} samples"
+            );
+        }
     }
 
     #[test]

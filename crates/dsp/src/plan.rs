@@ -121,7 +121,7 @@ thread_local! {
 ///   order, unscaled.
 ///
 /// Both are radix-4, with one twiddle-free radix-2 stage when `log2 n`
-/// is odd; the last two stages of a pass run fused over fixed-size
+/// is odd; the last stages of a pass run as one pass over fixed-size
 /// blocks. A pointwise spectral product does not care about bin order,
 /// so the overlap-save correlator runs `dif → multiply → dit` with no
 /// permutation at all; the ordered transforms add the one bit-reversal
@@ -331,22 +331,51 @@ impl FftPlan {
     /// middle outputs are stored swapped — the `(X₀, X₂, X₁, X₃)` order
     /// of two merged radix-2 stages — which is what makes the overall
     /// output order bit-reversed rather than base-4 digit-reversed. The
-    /// stages run one by one down to span 32 (odd `log2 n`) or 64
-    /// (even); the last two run fused as one pass over 8- or 16-point
-    /// blocks.
+    /// stages run one by one down to span 32 (odd `log2 n`) or 16
+    /// (even); the rest is one pass over 8- or 4-point blocks.
     ///
     /// # Panics
     ///
     /// Panics if either plane's length differs from the plan length.
     pub fn dif(&self, re: &mut [f64], im: &mut [f64]) {
         self.check_planes(re, im);
+        self.forward(re, im, None);
+    }
+
+    /// [`FftPlan::dif`] of the sequence `src_re + i·src_im`, written to
+    /// the planes `re`/`im` and leaving the source untouched: the same
+    /// bits as copying the source into the planes and running `dif`
+    /// there. The first stage reads its quarters from the source and
+    /// writes the planes; the rest runs in place. The overlap-save
+    /// correlator forwards a block pair this way straight from the
+    /// signal, with no packing copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the four slices' lengths differs from the plan
+    /// length.
+    pub(crate) fn dif_from(&self, src_re: &[f64], src_im: &[f64], re: &mut [f64], im: &mut [f64]) {
+        self.check_planes(src_re, src_im);
+        self.check_planes(re, im);
+        self.forward(re, im, Some((src_re, src_im)));
+    }
+
+    /// The stages of [`FftPlan::dif`] on `re`/`im`, the first one reading
+    /// `src` instead when it is given (copied in first when no stage
+    /// precedes the tail).
+    fn forward(&self, re: &mut [f64], im: &mut [f64], mut src: Source<'_>) {
         let mut span = self.n;
         let mut offset = 0;
         while span > self.tail_span() {
             let q = span / 4;
-            self.kernel.stage::<false>(re, im, q, self.stage(offset));
+            self.kernel
+                .stage::<false>(re, im, q, self.stage(offset), src.take());
             offset += 6 * q;
             span = q;
+        }
+        if let Some((src_re, src_im)) = src {
+            re.copy_from_slice(src_re);
+            im.copy_from_slice(src_im);
         }
         self.kernel.tail::<false>(self, re, im, offset);
     }
@@ -355,7 +384,7 @@ impl FftPlan {
     /// bit-reversed spectrum in, natural order out, **unscaled** (the
     /// caller owns the `1/N`). Exactly the transpose of
     /// [`FftPlan::dif`]: the same stages in reverse order with
-    /// conjugated twiddles, the fused tail first.
+    /// conjugated twiddles, the tail first.
     ///
     /// # Panics
     ///
@@ -368,18 +397,19 @@ impl FftPlan {
         while span <= self.n {
             let q = span / 4;
             offset -= 6 * q;
-            self.kernel.stage::<true>(re, im, q, self.stage(offset));
+            self.kernel
+                .stage::<true>(re, im, q, self.stage(offset), None);
             span *= 4;
         }
     }
 
-    /// The span of the first stage [`FftPlan::tail`] runs: 16 when
+    /// The span of the first stage [`FftPlan::tail`] runs: 4 when
     /// `log2 n` is even and 8 when it is odd (`n` itself below that).
     fn tail_span(&self) -> usize {
         match self.n {
-            n @ ..=8 => n,
+            n @ ..=4 => n,
             n if n.trailing_zeros() % 2 == 1 => 8,
-            _ => 16,
+            _ => 4,
         }
     }
 
@@ -387,34 +417,28 @@ impl FftPlan {
     /// end of the table.
     fn tail_len(&self) -> usize {
         match self.tail_span() {
-            16 => 6 * (4 + 1),
             8 => 6 * 2,
             4 => 6,
             _ => 0,
         }
     }
 
-    /// The last two stages of [`FftPlan::dif`] (the first two of
-    /// [`FftPlan::dit`]) as one pass over fixed-size blocks, their
-    /// twiddles starting at `offset`: span 16 and span 4 over 16-blocks
-    /// ([`tail16`]) when `log2 n` is even, span 8 and the twiddle-free
-    /// radix-2 stage over 8-blocks ([`tail8`]) when it is odd. Below
-    /// eight points one stage is left: the lone span-4 stage at `n = 4`,
-    /// the radix-2 stage at `n = 2`, nothing at `n = 1`.
+    /// The last stages of [`FftPlan::dif`] (the first of [`FftPlan::dit`])
+    /// as one pass over fixed-size blocks, their twiddles starting at
+    /// `offset`: span 8 and the twiddle-free radix-2 stage fused over
+    /// 8-blocks ([`tail8`]) when `log2 n` is odd, the span-4 stage over
+    /// 4-blocks when it is even (the span-16 stage before it is a
+    /// [`stage`]), the radix-2 stage at `n = 2`, nothing at `n = 1`.
     ///
-    /// LLVM vectorizes the block loop across pairs of blocks; a scalar
-    /// block loop measured slower at even `log2 n`. Inlined only into its
-    /// out-of-line copies, one per [`Kernel`], like [`stage`].
+    /// LLVM vectorizes both block loops across blocks. It takes the
+    /// 4-block loop four blocks at a time as one interleaved group: it
+    /// loads them whole, transposes them in registers so lane `k` holds
+    /// block `k`, runs the butterfly and transposes back, with no gather.
+    /// Inlined only into its out-of-line copies, one per [`Kernel`], like
+    /// [`stage`].
     #[inline(always)]
     fn tail<const DIT: bool>(&self, re: &mut [f64], im: &mut [f64], offset: usize) {
         match self.tail_span() {
-            16 => {
-                let (w16, w4) = (self.fixed(offset), self.fixed(offset + 6 * 4));
-                let blocks = re.as_chunks_mut().0.iter_mut().zip(im.as_chunks_mut().0);
-                for (r, i) in blocks {
-                    tail16::<DIT>(r, i, &w16, &w4);
-                }
-            }
             8 => {
                 let w8 = self.fixed(offset);
                 let blocks = re.as_chunks_mut().0.iter_mut().zip(im.as_chunks_mut().0);
@@ -424,8 +448,10 @@ impl FftPlan {
             }
             4 => {
                 let w4 = self.fixed(offset);
-                let (r, i) = (&mut re.as_chunks_mut().0[0], &mut im.as_chunks_mut().0[0]);
-                butterfly::<1, DIT, 4>(r, i, &w4);
+                let blocks = re.as_chunks_mut().0.iter_mut().zip(im.as_chunks_mut().0);
+                for (r, i) in blocks {
+                    butterfly::<1, DIT, 4>(r, i, &w4);
+                }
             }
             2 => {
                 radix2(&mut re.as_chunks_mut().0[0]);
@@ -481,16 +507,17 @@ impl Kernel {
         Kernel::Baseline
     }
 
-    /// One radix-4 [`stage`] in this copy.
+    /// One radix-4 [`stage`] in this copy, reading `src` when given.
     fn stage<const DIT: bool>(
         self,
         re: &mut [f64],
         im: &mut [f64],
         q: usize,
         tw: &[[[f64; 4]; 6]],
+        src: Source<'_>,
     ) {
         match self {
-            Kernel::Baseline => stage_baseline::<DIT>(re, im, q, tw),
+            Kernel::Baseline => stage_baseline::<DIT>(re, im, q, tw, src),
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
             Kernel::Avx512Vl => {
@@ -498,7 +525,7 @@ impl Kernel {
                 // `Kernel::detect`, after `is_x86_feature_detected!`
                 // reported both `avx512f` and `avx512vl` on this CPU: the
                 // features the copy is compiled for.
-                unsafe { stage_avx512vl::<DIT>(re, im, q, tw) }
+                unsafe { stage_avx512vl::<DIT>(re, im, q, tw, src) }
             }
         }
     }
@@ -522,15 +549,27 @@ impl Kernel {
 
 /// [`stage`] compiled for the baseline target.
 #[inline(never)]
-fn stage_baseline<const DIT: bool>(re: &mut [f64], im: &mut [f64], q: usize, tw: &[[[f64; 4]; 6]]) {
-    stage::<DIT>(re, im, q, tw);
+fn stage_baseline<const DIT: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    q: usize,
+    tw: &[[[f64; 4]; 6]],
+    src: Source<'_>,
+) {
+    stage::<DIT>(re, im, q, tw, src);
 }
 
 /// [`stage`] compiled with AVX-512F and AVX-512VL.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-fn stage_avx512vl<const DIT: bool>(re: &mut [f64], im: &mut [f64], q: usize, tw: &[[[f64; 4]; 6]]) {
-    stage::<DIT>(re, im, q, tw);
+fn stage_avx512vl<const DIT: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    q: usize,
+    tw: &[[[f64; 4]; 6]],
+    src: Source<'_>,
+) {
+    stage::<DIT>(re, im, q, tw, src);
 }
 
 /// [`FftPlan::tail`] compiled for the baseline target.
@@ -546,6 +585,10 @@ fn tail_avx512vl<const DIT: bool>(plan: &FftPlan, re: &mut [f64], im: &mut [f64]
     plan.tail::<DIT>(re, im, offset);
 }
 
+/// The real and imaginary planes a [`stage`] reads instead of its own,
+/// if any: the source of [`FftPlan::dif_from`]'s first stage.
+type Source<'a> = Option<(&'a [f64], &'a [f64])>;
+
 /// The four quarters of one radix-4 block as `cols` lane arrays each.
 #[inline]
 fn quarters(block: &mut [f64], cols: usize) -> [&mut [[f64; 4]]; 4] {
@@ -553,6 +596,15 @@ fn quarters(block: &mut [f64], cols: usize) -> [&mut [[f64; 4]]; 4] {
     let (b, rest) = rest.split_at_mut(cols);
     let (c, d) = rest.split_at_mut(cols);
     [a, b, c, &mut d[..cols]]
+}
+
+/// [`quarters`] of a block that is only read.
+#[inline]
+fn source_quarters(block: &[f64], cols: usize) -> [&[[f64; 4]]; 4] {
+    let (a, rest) = block.as_chunks::<4>().0.split_at(cols);
+    let (b, rest) = rest.split_at(cols);
+    let (c, d) = rest.split_at(cols);
+    [a, b, c, &d[..cols]]
 }
 
 /// One radix-4 stage with `q ≥ 4` butterfly columns over every
@@ -572,16 +624,43 @@ fn quarters(block: &mut [f64], cols: usize) -> [&mut [[f64; 4]]; 4] {
 /// replaced, where with the check they measure 10–34% faster (DESIGN.md,
 /// "The FFT kernel"). Inlined only into its out-of-line copies, one per
 /// [`Kernel`], so the loop compiles the same whatever inlines the pass.
+///
+/// With a source `src` the stage reads each block's quarters from the
+/// source's blocks and writes the planes, running the same butterfly on
+/// each column's inputs: the first stage of [`FftPlan::dif_from`].
 #[inline(always)]
-fn stage<const DIT: bool>(re: &mut [f64], im: &mut [f64], q: usize, tw: &[[[f64; 4]; 6]]) {
+fn stage<const DIT: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    q: usize,
+    tw: &[[[f64; 4]; 6]],
+    src: Source<'_>,
+) {
     let cols = q / 4;
-    for (br, bi) in re.chunks_exact_mut(4 * q).zip(im.chunks_exact_mut(4 * q)) {
+    let blocks = re.chunks_exact_mut(4 * q).zip(im.chunks_exact_mut(4 * q));
+    let Some((src_re, src_im)) = src else {
+        for (br, bi) in blocks {
+            let [r0, r1, r2, r3] = quarters(br, cols);
+            let [i0, i1, i2, i3] = quarters(bi, cols);
+            for c in 0..cols {
+                let r = [&mut r0[c], &mut r1[c], &mut r2[c], &mut r3[c]];
+                let i = [&mut i0[c], &mut i1[c], &mut i2[c], &mut i3[c]];
+                butterfly_at::<4, DIT>(r, i, tw[c].each_ref());
+            }
+        }
+        return;
+    };
+    let sources = src_re.chunks_exact(4 * q).zip(src_im.chunks_exact(4 * q));
+    for ((br, bi), (sr, si)) in blocks.zip(sources) {
         let [r0, r1, r2, r3] = quarters(br, cols);
         let [i0, i1, i2, i3] = quarters(bi, cols);
+        let [s0, s1, s2, s3] = source_quarters(sr, cols);
+        let [t0, t1, t2, t3] = source_quarters(si, cols);
         for c in 0..cols {
-            let r = [&mut r0[c], &mut r1[c], &mut r2[c], &mut r3[c]];
-            let i = [&mut i0[c], &mut i1[c], &mut i2[c], &mut i3[c]];
-            butterfly_at::<4, DIT>(r, i, tw[c].each_ref());
+            let (mut r, mut i) = ([s0[c], s1[c], s2[c], s3[c]], [t0[c], t1[c], t2[c], t3[c]]);
+            butterfly_at::<4, DIT>(r.each_mut(), i.each_mut(), tw[c].each_ref());
+            [r0[c], r1[c], r2[c], r3[c]] = r;
+            [i0[c], i1[c], i2[c], i3[c]] = i;
         }
     }
 }
@@ -601,36 +680,6 @@ fn tail8<const DIT: bool>(r: &mut [f64; 8], i: &mut [f64; 8], w8: &[[f64; 2]; 6]
     if !DIT {
         r.as_chunks_mut().0.iter_mut().for_each(radix2);
         i.as_chunks_mut().0.iter_mut().for_each(radix2);
-    }
-}
-
-/// The fused span-16 and span-4 radix-4 stages on one 16-block: the
-/// span-16 butterfly on the four-column quarters `[0..4]`, `[4..8]`,
-/// `[8..12]`, `[12..16]`, and the span-4 butterfly on each quarter
-/// (after the span-16 butterfly in [`FftPlan::dif`], before it in
-/// [`FftPlan::dit`]).
-#[inline(always)]
-fn tail16<const DIT: bool>(
-    r: &mut [f64; 16],
-    i: &mut [f64; 16],
-    w16: &[[f64; 4]; 6],
-    w4: &[[f64; 1]; 6],
-) {
-    if DIT {
-        span4::<DIT>(r, i, w4);
-    }
-    butterfly::<4, DIT, 16>(r, i, w16);
-    if !DIT {
-        span4::<DIT>(r, i, w4);
-    }
-}
-
-/// The span-4 butterfly on each four-point quarter of a 16-block.
-#[inline(always)]
-fn span4<const DIT: bool>(r: &mut [f64; 16], i: &mut [f64; 16], w4: &[[f64; 1]; 6]) {
-    let quarters = r.as_chunks_mut::<4>().0.iter_mut().zip(i.as_chunks_mut().0);
-    for (r, i) in quarters {
-        butterfly::<1, DIT, 4>(r, i, w4);
     }
 }
 
@@ -1254,7 +1303,8 @@ mod tests {
     /// baseline always, the AVX-512VL copy when detected) against the
     /// retired interleaved kernel at every size from 2⁰ to 2¹⁷ (both
     /// parities of `log2 n`, so every tail shape runs), in both
-    /// directions: every output compared by `to_bits`, NaN by `is_nan`.
+    /// directions, and the out-of-place `dif_from` against copy-then-`dif`:
+    /// every output compared by `to_bits`, NaN by `is_nan`.
     /// The inputs are random of random magnitude, with some elements
     /// replaced by ±0, subnormals, ±inf and NaN, so a kernel that skips a
     /// `×1` twiddle (which turns `0·inf` into 0 instead of NaN, or flips
@@ -1324,6 +1374,18 @@ mod tests {
                         let mut got = planes_of(&x);
                         plan.dif(&mut got.re, &mut got.im);
                         prop_assert!(matches(&got, &want_dif), "{kernel:?} dif differs at n={n}");
+                        // Out of place, into planes that hold stale values.
+                        let src = planes_of(&x);
+                        let mut from = Planes {
+                            re: vec![-1.5e300; n],
+                            im: vec![7.0; n],
+                        };
+                        plan.dif_from(&src.re, &src.im, &mut from.re, &mut from.im);
+                        prop_assert!(
+                            from.re.iter().zip(&got.re).all(|(&a, &b)| same(a, b))
+                                && from.im.iter().zip(&got.im).all(|(&a, &b)| same(a, b)),
+                            "{kernel:?} dif_from differs from dif at n={n}"
+                        );
                         plan.dit(&mut got.re, &mut got.im);
                         prop_assert!(matches(&got, &want_dit), "{kernel:?} dit differs at n={n}");
                         if special {

@@ -157,6 +157,12 @@ HYPEREAR_THREADS=4 cargo test --workspace -q
 echo "== FFT kernel copies on this host =="
 cargo test -q -p hyperear-dsp --lib -- plan::tests::plan_picks_the_avx512vl_copy_exactly_when_detected --nocapture
 
+# The benchmark and `repro` are built at opt-level 3 and the test profile
+# at opt-level 2, so the kernel tests run again in release: the oracle
+# then compares the bits of the code the benchmark runs.
+echo "== FFT kernel oracle in release =="
+cargo test --release -q -p hyperear-dsp --lib -- plan::tests
+
 # Rustdoc gate: a broken intra-doc link, or public documentation that
 # links a crate-private item, fails the build.
 echo "== cargo doc --workspace --no-deps (warnings are errors) =="
